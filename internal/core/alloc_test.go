@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"streamgraph/internal/metrics"
@@ -65,17 +66,43 @@ func TestProcessEdgeInstrumentedAllocFree(t *testing.T) {
 	}
 }
 
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin:
+// the batch gate must run on the scheduler width that makes the zero
+// value of Config.BatchWorkers mean "a pool". Integer division, as in
+// the testing package, absorbs a stray runtime allocation.
+func mallocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
 // TestProcessBatchAllocFree extends the allocation gate to the batch
-// path: once the batchArena has grown to the workload's steady-state
-// demand, ProcessBatch must allocate nothing — the materialized-edge
-// buffer, per-edge result rows and match copies all come out of the
-// arena. Same no-complete-match workload as the serial gate (real leaf
-// and pool traffic, no emitted matches), batch size 64, single search
-// worker (the inline path the sharded runtime runs per slot).
+// path on its DEFAULT configuration: once the batchArena has grown to
+// the workload's steady-state demand, ProcessBatchGrouped must allocate
+// nothing — the materialized-edge buffer, per-edge result rows and match
+// copies all come out of the arena, and no goroutine, throwaway matcher
+// or task list is made per batch. Two queries with BatchWorkers left at
+// zero on at least two Ps: the configuration under which a nested
+// search pool per query once cost 42 allocations per edge unseen,
+// because this gate pinned BatchWorkers to 1. Same no-complete-match
+// workload as the serial gate (real leaf and pool traffic, no emitted
+// matches), batch size 64.
 func TestProcessBatchAllocFree(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
 	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
 	q := query.NewPath("ip", "GRE", "TCP")
-	if err := m.Register("probe", q, Config{Strategy: StrategySingleLazy, BatchWorkers: 1}); err != nil {
+	if err := m.Register("eager", q, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Register("lazy", q, Config{Strategy: StrategySingleLazy}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +134,7 @@ func TestProcessBatchAllocFree(t *testing.T) {
 		m.ProcessBatchGrouped(batch)
 	}
 
-	avg := testing.AllocsPerRun(200, func() {
+	avg := mallocsPerRun(200, func() {
 		fill()
 		for _, ms := range m.ProcessBatchGrouped(batch) {
 			if len(ms) != 0 {
@@ -116,6 +143,38 @@ func TestProcessBatchAllocFree(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Errorf("ProcessBatchGrouped allocates %v allocs/op, want 0", avg)
+		t.Errorf("ProcessBatchGrouped allocates %v allocs/op on the default config, want 0", avg)
+	}
+}
+
+// TestResolveMatchAllocs gates match resolution at its floor: one
+// sized allocation for the bindings, one for the edges.
+func TestResolveMatchAllocs(t *testing.T) {
+	m := NewMulti(MultiConfig{})
+	q := query.NewPath("ip", "GRE", "TCP", "UDP")
+	if err := m.Register("q", q, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	var nms []NamedMatch
+	for i, tp := range []string{"GRE", "TCP", "UDP"} {
+		nms = m.ProcessEdge(stream.Edge{
+			Src: fmt.Sprintf("h%d", i), SrcLabel: "ip",
+			Dst: fmt.Sprintf("h%d", i+1), DstLabel: "ip",
+			Type: tp, TS: int64(i + 1),
+		})
+	}
+	if len(nms) != 1 {
+		t.Fatalf("got %d matches, want 1", len(nms))
+	}
+	var bindings []PortableBinding
+	var edges []PortableMatchEdge
+	avg := testing.AllocsPerRun(1000, func() {
+		bindings, edges = m.ResolveMatch(nms[0])
+	})
+	if len(bindings) != 4 || len(edges) != 3 {
+		t.Fatalf("resolved %d bindings and %d edges, want 4 and 3", len(bindings), len(edges))
+	}
+	if avg > 2 {
+		t.Errorf("ResolveMatch allocates %v allocs/op, want <= 2", avg)
 	}
 }

@@ -1,7 +1,9 @@
 // Batch ingestion: admit a whole slice of stream edges into the
 // windowed graph with one amortized eviction/statistics pass, fan the
 // read-only candidate searches out over a worker pool, then merge the
-// per-edge results back single-threaded in input order.
+// per-edge results back single-threaded in input order. The pool belongs
+// to a standalone Engine.ProcessBatch; under a multi-query driver each
+// engine runs only the merge, searching live (Engine.searchShared).
 //
 // The paper's engine (Algorithm 1) is strictly edge-at-a-time; batching
 // is the standard lever once exact incremental semantics are in place
@@ -168,11 +170,25 @@ func (e *Engine) runSearchTasks(n, workers int, fn func(m *iso.Matcher, task int
 	return res
 }
 
+// searchShared is the batch step of an engine under a multi-query
+// driver (MultiEngine, ParallelMulti and, through them, every shard and
+// remote worker), run after the driver's shared-graph ingest: the live,
+// lazy-gated, MaxSeq-bounded merge on the engine's own pooled matcher.
+// It never takes the speculative pool, whatever Config.BatchWorkers
+// says: with several queries per batch the search phase is a minority of
+// the work, and a nested pool per query costs goroutines, throwaway
+// matchers and unpooled candidates every batch for searches the lazy
+// gate would mostly skip. Recycling the arena here is safe: the driver
+// has drained the previous batch's rows before it offers the next.
+func (e *Engine) searchShared(des []graph.Edge) [][]iso.Match {
+	e.arena.begin()
+	return e.searchBatch(des, 1)
+}
+
 // searchBatch runs the incremental search for a batch of edges already
 // present in the graph and returns the per-edge complete matches. The
 // candidate searches (read-only) run on the worker pool; tree mutation
-// runs single-threaded afterwards, in input order. MultiEngine and
-// ParallelMulti call this directly after their shared-graph ingest.
+// runs single-threaded afterwards, in input order.
 func (e *Engine) searchBatch(des []graph.Edge, workers int) [][]iso.Match {
 	out := e.arena.rowBuf(len(des))
 	switch e.cfg.Strategy {
@@ -297,7 +313,8 @@ func (e *Engine) searchBatchTree(des []graph.Edge, workers int, out [][]iso.Matc
 
 // ProcessBatch ingests a batch into the shared graph — one statistics
 // pass, one amortized eviction — and runs every registered query's
-// batch search over it. Matches are returned edge-major: all matches
+// inline batch merge over it (no goroutine is started per batch; see
+// Engine.searchShared). Matches are returned edge-major: all matches
 // completed by batch edge i (in query registration order) precede those
 // of edge i+1, exactly the order a serial ProcessEdge loop reports.
 func (m *MultiEngine) ProcessBatch(ses []stream.Edge) []NamedMatch {
@@ -356,9 +373,7 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 	}
 	perQuery := m.pq[:len(m.order)]
 	for qi, name := range m.order {
-		eng := m.queries[name]
-		eng.arena.begin()
-		perQuery[qi] = eng.searchBatch(des, eng.batchWorkers())
+		perQuery[qi] = m.queries[name].searchShared(des)
 	}
 	for i := range des {
 		pos := i
@@ -380,7 +395,9 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 // edges in input order.
 func (m *MultiEngine) ingestBatch(ses []stream.Edge) []graph.Edge {
 	m.advanceEvict(len(ses))
-	m.stats.AddAll(ses)
+	if m.stats != nil {
+		m.stats.AddAll(ses)
+	}
 	m.edgesSeen += int64(len(ses))
 	m.stored += int64(len(ses))
 	des := m.arena.edgeBuf(len(ses))

@@ -123,9 +123,13 @@ type Config struct {
 	// eviction sweeps the graph and the match tables. Default 256.
 	EvictEvery int
 
-	// BatchWorkers is the worker-pool size ProcessBatch fans the
-	// read-only candidate searches out over (<= 0 selects GOMAXPROCS).
-	// Ingestion and the SJ-Tree merge always stay single-threaded.
+	// BatchWorkers is the worker-pool size a standalone engine's
+	// ProcessBatch fans the read-only candidate searches out over (<= 0
+	// selects GOMAXPROCS). Ingestion and the SJ-Tree merge always stay
+	// single-threaded. It applies to a standalone Engine only: an engine
+	// registered under a multi-query driver (MultiEngine, ParallelMulti,
+	// the sharded and distributed runtimes) merges every batch inline on
+	// its own matcher and never starts a pool.
 	BatchWorkers int
 
 	// Adaptive, when non-nil, enables adaptive query processing: the

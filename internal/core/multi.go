@@ -27,7 +27,7 @@ type MultiEngine struct {
 	queries map[string]*Engine
 	order   []string // registration order for deterministic dispatch
 
-	stats      *selectivity.Collector // shared rolling statistics
+	stats      *selectivity.Collector // shared rolling statistics; nil under MultiConfig.ExternalStats
 	evictEvery int
 	sinceEvict int
 	edgesSeen  int64
@@ -60,6 +60,13 @@ type MultiConfig struct {
 	Window int64
 	// EvictEvery controls eviction frequency (default 256 edges).
 	EvictEvery int
+	// ExternalStats builds the engine without a statistics collector,
+	// for a runtime whose statistics live elsewhere (the shard router
+	// owns the full-stream collector and pins every decomposition before
+	// a registration reaches a worker engine). Ingestion then skips the
+	// per-edge statistics update, Statistics returns nil, and Register
+	// needs Config.Leaves or Config.Stats for a decomposition strategy.
+	ExternalStats bool
 }
 
 // NamedMatch pairs a complete match with the query that produced it.
@@ -73,14 +80,17 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 	if cfg.EvictEvery <= 0 {
 		cfg.EvictEvery = 256
 	}
-	return &MultiEngine{
+	m := &MultiEngine{
 		g:          graph.New(),
 		window:     cfg.Window,
 		queries:    make(map[string]*Engine),
-		stats:      selectivity.NewCollector(),
 		evictEvery: cfg.EvictEvery,
 		filter:     graph.UniversalTypes(),
 	}
+	if !cfg.ExternalStats {
+		m.stats = selectivity.NewCollector()
+	}
+	return m
 }
 
 // SetReplicaFilter restricts subsequent ingestion to edges whose type
@@ -145,8 +155,10 @@ func (m *MultiEngine) Backfill(ses []stream.Edge) {
 	if len(ses) == 0 {
 		return
 	}
+	if m.stats != nil {
+		m.stats.AddAll(ses)
+	}
 	for _, se := range ses {
-		m.stats.Add(se)
 		ingestOne(m.g, se)
 		m.stored++
 	}
@@ -189,13 +201,17 @@ func (m *MultiEngine) Graph() *graph.Graph { return m.g }
 
 // Statistics exposes the shared rolling statistics collector, fed by
 // every processed edge; it drives the decomposition of queries
-// registered later in the stream.
+// registered later in the stream. It is nil for an engine built with
+// MultiConfig.ExternalStats.
 func (m *MultiEngine) Statistics() *selectivity.Collector { return m.stats }
 
 // Register adds a continuous query under a unique name. The query is
 // decomposed using the statistics observed so far (or Config.Stats /
-// Config.Leaves when provided in cfg). The engine's graph and window
-// are overridden to the shared ones.
+// Config.Leaves when provided in cfg; an ExternalStats engine has
+// nothing else to decompose from and rejects a decomposition strategy
+// given neither). The engine's graph and window are overridden to the
+// shared ones. Config.BatchWorkers is ignored: every multi-query driver
+// merges a batch inline (see Engine.searchShared).
 func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
 	if _, dup := m.queries[name]; dup {
 		return fmt.Errorf("core: query %q already registered", name)
@@ -284,6 +300,8 @@ type PortableMatchEdge struct {
 // what keeps match output byte-identical across topologies.
 func (m *MultiEngine) ResolveMatch(nm NamedMatch) (bindings []PortableBinding, edges []PortableMatchEdge) {
 	q := m.queries[nm.Query].Query()
+	bindings = make([]PortableBinding, 0, len(nm.Match.VertexOf))
+	edges = make([]PortableMatchEdge, 0, len(nm.Match.EdgeOf))
 	for qv, dv := range nm.Match.VertexOf {
 		if dv == graph.NoVertex {
 			continue
@@ -313,7 +331,9 @@ func (m *MultiEngine) ResolveMatch(nm NamedMatch) (bindings []PortableBinding, e
 // statistics and runs eviction, returning the materialized edge.
 func (m *MultiEngine) ingest(se stream.Edge) graph.Edge {
 	m.edgesSeen++
-	m.stats.Add(se)
+	if m.stats != nil {
+		m.stats.Add(se)
+	}
 	de := ingestOne(m.g, se)
 	m.stored++
 	m.maybeEvict()

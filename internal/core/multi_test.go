@@ -171,3 +171,34 @@ func TestMultiEngineEviction(t *testing.T) {
 		t.Errorf("TopQueriesByStored = %v", tops)
 	}
 }
+
+// TestMultiEngineExternalStats covers the collector-free engine a
+// runtime with its own statistics owner builds: every ingest path runs
+// without a collector, a decomposition strategy must bring Leaves or
+// Stats, and with either the engine matches like any other.
+func TestMultiEngineExternalStats(t *testing.T) {
+	m := NewMulti(MultiConfig{Window: 1000, ExternalStats: true})
+	if m.Statistics() != nil {
+		t.Fatal("ExternalStats engine holds a collector")
+	}
+	q := query.NewPath(query.Wildcard, "x", "y")
+	if err := m.Register("bare", q, Config{Strategy: StrategySingleLazy}); err == nil {
+		t.Fatal("Register without Leaves or Stats accepted on an ExternalStats engine")
+	}
+	if err := m.Register("baseline", q, Config{Strategy: StrategyIncIso}); err != nil {
+		t.Fatalf("baseline strategy needs no statistics: %v", err)
+	}
+	if err := m.Register("pinned", q, Config{Strategy: StrategySingleLazy, Leaves: [][]int{{0}, {1}}}); err != nil {
+		t.Fatal(err)
+	}
+	stats := collect([]stream.Edge{edge("a", "b", "x", 1), edge("b", "c", "y", 2)})
+	if err := m.Register("stats", q, Config{Strategy: StrategyPathLazy, Stats: stats}); err != nil {
+		t.Fatal(err)
+	}
+	m.Backfill([]stream.Edge{edge("p", "q", "z", 1)})
+	m.ProcessEdge(edge("a", "b", "x", 2))
+	got := m.ProcessBatch([]stream.Edge{edge("b", "c", "y", 3)})
+	if len(got) != 3 {
+		t.Fatalf("got %d matches, want one per registered query", len(got))
+	}
+}

@@ -81,15 +81,11 @@ func (w *pworker) run() {
 				}
 				continue
 			}
-			// Batch dispatch: candidate searches stay inline (one
-			// worker) — across-query fan-out is this pool's axis of
-			// parallelism; nesting an intra-query pool per engine
-			// would oversubscribe the machine. The engine's arena is
-			// safe to recycle here: this worker is the only goroutine
-			// touching the engine, and the previous batch's rows were
-			// drained into pmatch values before the batch completed.
-			eng.arena.begin()
-			for ei, ms := range eng.searchBatch(des, 1) {
+			// Batch dispatch: the inline merge. This worker is the only
+			// goroutine touching the engine, and the previous batch's
+			// rows were drained into pmatch values before the batch
+			// completed.
+			for ei, ms := range eng.searchShared(des) {
 				for _, mt := range ms {
 					out = append(out, pmatch{query: w.names[i], edge: ei, m: mt})
 				}

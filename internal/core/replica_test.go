@@ -64,7 +64,7 @@ func TestReplicaFilterMatchesUnfiltered(t *testing.T) {
 			m.SetReplicaFilter(footprint, false)
 		}
 		for _, name := range []string{"gre-tcp", "tcp-tcp"} {
-			if err := m.Register(name, queries[name], Config{Strategy: strategies[name], BatchWorkers: 1}); err != nil {
+			if err := m.Register(name, queries[name], Config{Strategy: strategies[name]}); err != nil {
 				t.Fatal(err)
 			}
 		}

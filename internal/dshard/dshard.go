@@ -54,7 +54,10 @@
 // for the full reconnect state machine and its invariants.
 package dshard
 
-import "streamgraph/internal/stream"
+import (
+	"streamgraph/internal/core"
+	"streamgraph/internal/stream"
+)
 
 // ProtocolVersion is the current wire protocol version carried by the
 // hello frame. A v2 client opens with version 2 plus its capability
@@ -198,9 +201,9 @@ type Register struct {
 	Leaves [][]int
 	// MaxMatches, MaxWork and MaxSteps forward the engine's search
 	// limits (core.Config.MaxMatchesPerSearch / MaxWorkPerEdge /
-	// MaxStepsPerSearch); Workers forwards core.Config.BatchWorkers,
-	// so an explicit intra-shard search pool size behaves the same on
-	// local and remote slots.
+	// MaxStepsPerSearch); Workers forwards core.Config.BatchWorkers so
+	// the registration's config survives a snapshot round trip, though
+	// a worker engine — local or remote — always merges inline.
 	MaxMatches int
 	MaxWork    int64
 	MaxSteps   int64
@@ -267,21 +270,15 @@ type CloseStream struct {
 }
 
 // Binding is one resolved vertex of a match (query vertex name → data
-// vertex name).
-type Binding struct {
-	// QueryVertex and DataVertex are both resolved to names so the
-	// match stays valid after the remote replica evicts the edges.
-	QueryVertex, DataVertex string
-}
+// vertex name), both resolved to names so the match stays valid after
+// the remote replica evicts the edges. It is the engine's own portable
+// form, so a resolved match crosses worker, wire and router without
+// being copied field by field.
+type Binding = core.PortableBinding
 
-// MatchEdge is one resolved edge of a match.
-type MatchEdge struct {
-	// QueryEdge indexes the query's edge list.
-	QueryEdge int
-	// Src, Dst and Type are resolved names; TS is the edge timestamp.
-	Src, Dst, Type string
-	TS             int64
-}
+// MatchEdge is one resolved edge of a match: the query edge index, the
+// resolved endpoint and type names, and the edge timestamp.
+type MatchEdge = core.PortableMatchEdge
 
 // Match is one completed match streamed back to the router, resolved
 // into portable name-based form on the remote worker while the bound

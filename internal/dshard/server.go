@@ -223,7 +223,9 @@ func (h *host) run() error {
 		return fmt.Errorf("protocol version %d, want %d or %d",
 			hello.Version, ProtocolVersion, ProtocolVersionLegacy)
 	}
-	h.eng = core.NewMulti(core.MultiConfig{Window: hello.Window, EvictEvery: hello.EvictEvery})
+	// The router owns the runtime's statistics and pins every
+	// decomposition before it crosses the wire; the replica keeps none.
+	h.eng = core.NewMulti(core.MultiConfig{Window: hello.Window, EvictEvery: hello.EvictEvery, ExternalStats: true})
 	h.ranks = make(map[string]int)
 	h.universal = hello.UniversalFilter
 	if h.universal {
@@ -347,9 +349,6 @@ func (h *host) handleRegister(m Register) error {
 			MaxWorkPerEdge:      m.MaxWork,
 			MaxStepsPerSearch:   m.MaxSteps,
 			BatchWorkers:        m.Workers,
-		}
-		if cfg.BatchWorkers <= 0 {
-			cfg.BatchWorkers = 1
 		}
 		if m.HasLeaves {
 			cfg.Leaves = m.Leaves
@@ -579,13 +578,7 @@ func (h *host) match(frame, seq uint64, nm core.NamedMatch) error {
 		Frame: frame, Query: nm.Query, Rank: h.ranks[nm.Query], Seq: seq,
 		FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS,
 	}
-	bindings, edges := h.eng.ResolveMatch(nm)
-	for _, b := range bindings {
-		out.Bindings = append(out.Bindings, Binding(b))
-	}
-	for _, e := range edges {
-		out.Edges = append(out.Edges, MatchEdge(e))
-	}
+	out.Bindings, out.Edges = h.eng.ResolveMatch(nm)
 	return h.cn.WriteMatch(out)
 }
 

@@ -125,12 +125,26 @@ type Matcher struct {
 	// matchers of a parallel search fan-out.
 	Pool *MatchPool
 
+	// typeIDs caches, per query edge, the data graph's interned ID of
+	// the edge's type (unresolvedType until the type is first seen in
+	// the data graph; the interner is append-only, so a resolved ID
+	// never changes).
+	typeIDs []graph.TypeID
+
 	st searchState
 }
 
+// unresolvedType marks a query edge whose type the data graph has not
+// interned yet.
+const unresolvedType = graph.TypeID(math.MaxUint32)
+
 // NewMatcher returns a matcher for q over g.
 func NewMatcher(g *graph.Graph, q *query.Graph) *Matcher {
-	return &Matcher{G: g, Q: q}
+	m := &Matcher{G: g, Q: q, typeIDs: make([]graph.TypeID, len(q.Edges))}
+	for i := range m.typeIDs {
+		m.typeIDs[i] = unresolvedType
+	}
+	return m
 }
 
 type searchState struct {
@@ -206,7 +220,13 @@ func (m *Matcher) labelOK(qv int, v graph.VertexID) bool {
 // typeID resolves the interned TypeID for query edge qe, reporting false
 // if the type has never been seen in the data graph (no match possible).
 func (m *Matcher) typeID(qe int) (graph.TypeID, bool) {
+	if id := m.typeIDs[qe]; id != unresolvedType {
+		return id, true
+	}
 	id, ok := m.G.Types().Lookup(m.Q.Edges[qe].Type)
+	if ok {
+		m.typeIDs[qe] = graph.TypeID(id)
+	}
 	return graph.TypeID(id), ok
 }
 

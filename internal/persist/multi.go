@@ -32,7 +32,10 @@ import (
 //   - the selectivity collector: decompositions are pinned in each
 //     engine's Leaves before registration ever reaches a MultiEngine
 //     in the sharded runtime, and the router checkpoint carries the
-//     authoritative full-stream collector in its own metadata.
+//     authoritative full-stream collector in its own metadata. A
+//     restored engine is therefore built without one
+//     (core.MultiConfig.ExternalStats): later registrations bring
+//     their own Leaves or Stats.
 
 const (
 	multiMagic   = "SGSNAPM\n"
@@ -242,7 +245,7 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 	if br.err != nil {
 		return nil, br.err
 	}
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: evictEvery})
+	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: evictEvery, ExternalStats: true})
 
 	// Shared vertices.
 	g := m.Graph()

@@ -123,8 +123,8 @@ func (c *Collector) avgDegree() float64 {
 	}
 	total := 0.0
 	for _, cv := range c.perVertex {
-		for _, n := range cv {
-			total += float64(n)
+		for _, inc := range cv {
+			total += float64(inc.n)
 		}
 	}
 	return total / float64(len(c.perVertex))

@@ -87,34 +87,71 @@ func (c Counter[K]) Total() int64 {
 	return t
 }
 
+// incident is one vertex's count of incident edges of one dirType.
+type incident struct {
+	dt uint32
+	n  int64
+}
+
 // Collector accumulates 1-edge and 2-edge subgraph statistics from an
-// edge stream. It maintains per-vertex incident-type counters so updates
-// are O(k) in the number of distinct incident direction-types at the
-// endpoints. The zero value is not usable; call NewCollector.
+// edge stream. Every count lives in a flat array: a vertex holds a short
+// unordered list of (dirType, count) pairs — one to three entries is the
+// common case, so a linear scan beats a hash probe and costs a fraction
+// of a map's memory — and the edge and 2-edge-path histograms are dense
+// arrays indexed by interned type, grown as types are interned. An
+// update is O(k) in the number of distinct incident direction-types at
+// the endpoints and allocates only when a vertex, a type or a
+// (vertex, dirType) pair is seen for the first time. The path histogram
+// is quadratic in the number of distinct edge types (8 bytes per
+// dirType pair); streams with unboundedly many types belong to
+// sketch.Estimator. The zero value is not usable; call NewCollector.
 type Collector struct {
 	types     *graph.Interner
 	vertIDs   map[string]int32
-	perVertex []Counter[uint32] // incident dirType counts, indexed by vertex
+	perVertex [][]incident // indexed by vertex; entries have n > 0
 
-	edgeCount Counter[uint32] // by TypeID
+	edgeCount []int64 // by TypeID, one cell per type ever folded in
 	edgeTotal int64
 
-	pathCount Counter[PathKey]
+	// pathCount is the lower triangle of the dirType x dirType shape
+	// matrix (see pathIndex): interning a type appends rows and never
+	// moves an existing cell.
+	pathCount []int64
 	pathTotal int64
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		types:     graph.NewInterner(),
-		vertIDs:   make(map[string]int32),
-		edgeCount: make(Counter[uint32]),
-		pathCount: make(Counter[PathKey]),
+		types:   graph.NewInterner(),
+		vertIDs: make(map[string]int32),
 	}
 }
 
 // Types exposes the collector's edge-type interner.
 func (c *Collector) Types() *graph.Interner { return c.types }
+
+// triangle is the pathCount offset of dirType d's row.
+func triangle(d uint32) int { return int(d) * (int(d) + 1) / 2 }
+
+// pathIndex is the pathCount cell of the 2-edge path shape (a, b).
+func pathIndex(a, b uint32) int {
+	if a > b {
+		a, b = b, a
+	}
+	return triangle(b) + int(a)
+}
+
+// typeID interns an edge type and grows the dense histograms to cover
+// both of its dirTypes.
+func (c *Collector) typeID(name string) uint32 {
+	t := c.types.Intern(name)
+	if n := int(t) + 1; n > len(c.edgeCount) {
+		c.edgeCount = append(c.edgeCount, make([]int64, n-len(c.edgeCount))...)
+		c.pathCount = append(c.pathCount, make([]int64, triangle(uint32(2*n))-len(c.pathCount))...)
+	}
+	return t
+}
 
 func (c *Collector) vertex(name string) int32 {
 	if id, ok := c.vertIDs[name]; ok {
@@ -122,14 +159,18 @@ func (c *Collector) vertex(name string) int32 {
 	}
 	id := int32(len(c.perVertex))
 	c.vertIDs[name] = id
-	c.perVertex = append(c.perVertex, make(Counter[uint32]))
+	c.perVertex = append(c.perVertex, nil)
 	return id
 }
 
 // Add folds one stream edge into the statistics.
-func (c *Collector) Add(e stream.Edge) {
-	t := c.types.Intern(e.Type)
-	c.edgeCount.Update(t, 1)
+func (c *Collector) Add(e stream.Edge) { c.add(&e) }
+
+// add takes the edge by pointer: AddAll's loop would otherwise copy
+// each 88-byte edge twice.
+func (c *Collector) add(e *stream.Edge) {
+	t := c.typeID(e.Type)
+	c.edgeCount[t]++
 	c.edgeTotal++
 	c.addIncident(c.vertex(e.Src), dirType(t, Out))
 	c.addIncident(c.vertex(e.Dst), dirType(t, In))
@@ -139,45 +180,64 @@ func (c *Collector) addIncident(v int32, dt uint32) {
 	cv := c.perVertex[v]
 	// The new incident edge forms a 2-edge path with every existing
 	// incident edge at v (including earlier edges of its own dirType).
-	for existing, n := range cv {
-		c.pathCount.Update(makePathKey(dt, existing), n)
-		c.pathTotal += n
+	own := -1
+	for i, inc := range cv {
+		c.pathCount[pathIndex(dt, inc.dt)] += inc.n
+		c.pathTotal += inc.n
+		if inc.dt == dt {
+			own = i
+		}
 	}
-	cv.Update(dt, 1)
+	if own >= 0 {
+		cv[own].n++
+		return
+	}
+	c.perVertex[v] = append(cv, incident{dt: dt, n: 1})
 }
 
 // Remove reverses Add for an edge previously folded in. It is the
-// decrement used when statistics track a sliding window.
+// decrement used when statistics track a sliding window. An edge whose
+// type or endpoints were never seen is ignored.
 func (c *Collector) Remove(e stream.Edge) {
 	t, ok := c.types.Lookup(e.Type)
-	if !ok {
+	src, okSrc := c.vertIDs[e.Src]
+	dst, okDst := c.vertIDs[e.Dst]
+	if !ok || !okSrc || !okDst || int(t) >= len(c.edgeCount) {
 		return
 	}
-	c.edgeCount.Update(t, -1)
+	c.edgeCount[t]--
 	c.edgeTotal--
-	c.removeIncident(c.vertex(e.Src), dirType(t, Out))
-	c.removeIncident(c.vertex(e.Dst), dirType(t, In))
+	c.removeIncident(src, dirType(t, Out))
+	c.removeIncident(dst, dirType(t, In))
 }
 
 func (c *Collector) removeIncident(v int32, dt uint32) {
 	cv := c.perVertex[v]
-	cv.Update(dt, -1)
-	if cv[dt] == 0 {
-		delete(cv, dt)
-	}
-	for existing, n := range cv {
-		c.pathCount.Update(makePathKey(dt, existing), -n)
-		if c.pathCount[makePathKey(dt, existing)] == 0 {
-			delete(c.pathCount, makePathKey(dt, existing))
+	own := -1
+	for i := range cv {
+		if cv[i].dt == dt {
+			own = i
+			break
 		}
-		c.pathTotal -= n
+	}
+	if own < 0 {
+		return
+	}
+	if cv[own].n--; cv[own].n == 0 {
+		cv[own] = cv[len(cv)-1]
+		cv = cv[:len(cv)-1]
+		c.perVertex[v] = cv
+	}
+	for _, inc := range cv {
+		c.pathCount[pathIndex(dt, inc.dt)] -= inc.n
+		c.pathTotal -= inc.n
 	}
 }
 
 // AddAll folds a whole slice of edges into the statistics.
 func (c *Collector) AddAll(edges []stream.Edge) {
-	for _, e := range edges {
-		c.Add(e)
+	for i := range edges {
+		c.add(&edges[i])
 	}
 }
 
@@ -194,20 +254,16 @@ func (c *Collector) EdgeSelectivity(etype string) float64 {
 	if c.edgeTotal == 0 {
 		return 0
 	}
-	t, ok := c.types.Lookup(etype)
-	if !ok {
-		return 0
-	}
-	return float64(c.edgeCount.Count(t)) / float64(c.edgeTotal)
+	return float64(c.EdgeFrequency(etype)) / float64(c.edgeTotal)
 }
 
 // EdgeFrequency returns the raw count for an edge type.
 func (c *Collector) EdgeFrequency(etype string) int64 {
 	t, ok := c.types.Lookup(etype)
-	if !ok {
+	if !ok || int(t) >= len(c.edgeCount) {
 		return 0
 	}
-	return c.edgeCount.Count(t)
+	return c.edgeCount[t]
 }
 
 // PathFrequency returns the raw count of 2-edge paths whose incident
@@ -218,7 +274,11 @@ func (c *Collector) PathFrequency(t1 string, d1 Dir, t2 string, d2 Dir) int64 {
 	if !ok1 || !ok2 {
 		return 0
 	}
-	return c.pathCount.Count(makePathKey(dirType(a, d1), dirType(b, d2)))
+	i := pathIndex(dirType(a, d1), dirType(b, d2))
+	if i >= len(c.pathCount) {
+		return 0
+	}
+	return c.pathCount[i]
 }
 
 // PathSelectivity returns S(g) for the 2-edge path shape (t1,d1)-(t2,d2)
@@ -246,7 +306,7 @@ type HistogramEntry struct {
 func (c *Collector) EdgeHistogram() []HistogramEntry {
 	out := make([]HistogramEntry, 0, len(c.edgeCount))
 	for t, n := range c.edgeCount {
-		out = append(out, HistogramEntry{Key: c.types.Name(t), Count: n})
+		out = append(out, HistogramEntry{Key: c.types.Name(uint32(t)), Count: n})
 	}
 	sortHistogram(out)
 	return out
@@ -256,15 +316,28 @@ func (c *Collector) EdgeHistogram() []HistogramEntry {
 // descending count — the data behind Figure 7. Keys render as
 // "type1(dir)-type2(dir)" around the center vertex.
 func (c *Collector) PathHistogram() []HistogramEntry {
-	out := make([]HistogramEntry, 0, len(c.pathCount))
-	for k, n := range c.pathCount {
+	out := make([]HistogramEntry, 0, c.UniquePathShapes())
+	c.eachPath(func(k PathKey, n int64) {
 		ta, da := splitDirType(k.A)
 		tb, db := splitDirType(k.B)
 		key := fmt.Sprintf("%s(%s)-%s(%s)", c.types.Name(ta), da, c.types.Name(tb), db)
 		out = append(out, HistogramEntry{Key: key, Count: n})
-	}
+	})
 	sortHistogram(out)
 	return out
+}
+
+// eachPath visits every 2-edge path shape with a non-zero count.
+func (c *Collector) eachPath(fn func(PathKey, int64)) {
+	i := 0
+	for b := uint32(0); i < len(c.pathCount); b++ {
+		for a := uint32(0); a <= b; a++ {
+			if n := c.pathCount[i]; n != 0 {
+				fn(PathKey{A: a, B: b}, n)
+			}
+			i++
+		}
+	}
 }
 
 func sortHistogram(h []HistogramEntry) {
@@ -278,7 +351,15 @@ func sortHistogram(h []HistogramEntry) {
 
 // UniquePathShapes reports how many distinct 2-edge path shapes were
 // observed (the 14 / 62 / 676 figures of Section 6.3).
-func (c *Collector) UniquePathShapes() int { return len(c.pathCount) }
+func (c *Collector) UniquePathShapes() int {
+	shapes := 0
+	for _, n := range c.pathCount {
+		if n != 0 {
+			shapes++
+		}
+	}
+	return shapes
+}
 
 // ComputeFromGraph runs the batch form of Algorithm 5 over a fully
 // materialized graph and returns the resulting 2-edge path Counter along

@@ -155,10 +155,14 @@ func TestIncrementalMatchesBatchAlgorithm5(t *testing.T) {
 		if want := brutePathTotal(edges); batchTotal != want {
 			t.Fatalf("trial %d: batch total %d vs brute force %d", trial, batchTotal, want)
 		}
-		// Spot-check a few shape counts against the batch counter.
+		// Every shape count against the batch counter, whose keys are
+		// over the graph's interner.
 		for k, v := range batch {
-			if c.pathCount[k] != v {
-				t.Fatalf("trial %d: shape %v: batch %d vs incremental %d", trial, k, v, c.pathCount[k])
+			ta, da := splitDirType(k.A)
+			tb, db := splitDirType(k.B)
+			got := c.PathFrequency(g.Types().Name(ta), da, g.Types().Name(tb), db)
+			if got != v {
+				t.Fatalf("trial %d: shape %v: batch %d vs incremental %d", trial, k, v, got)
 			}
 		}
 	}
@@ -194,7 +198,7 @@ func TestAddRemoveInverse(t *testing.T) {
 				return false
 			}
 		}
-		return len(c.pathCount) == 0
+		return c.UniquePathShapes() == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -61,16 +61,16 @@ type VertexCounts struct {
 func (c *Collector) Snapshot() *CollectorState {
 	s := &CollectorState{EdgeTotal: c.edgeTotal, PathTotal: c.pathTotal}
 	for t, n := range c.edgeCount {
-		s.Edges = append(s.Edges, TypeCount{Type: c.types.Name(t), N: n})
+		s.Edges = append(s.Edges, TypeCount{Type: c.types.Name(uint32(t)), N: n})
 	}
 	sort.Slice(s.Edges, func(i, j int) bool { return s.Edges[i].Type < s.Edges[j].Type })
 	end := func(dt uint32) PathEnd {
 		t, d := splitDirType(dt)
 		return PathEnd{Type: c.types.Name(t), Dir: d}
 	}
-	for k, n := range c.pathCount {
+	c.eachPath(func(k PathKey, n int64) {
 		s.Paths = append(s.Paths, PathCountState{A: end(k.A), B: end(k.B), N: n})
-	}
+	})
 	endLess := func(a, b PathEnd) bool {
 		if a.Type != b.Type {
 			return a.Type < b.Type
@@ -95,9 +95,9 @@ func (c *Collector) Snapshot() *CollectorState {
 			continue
 		}
 		vc := VertexCounts{Name: name}
-		for dt, n := range cv {
-			t, d := splitDirType(dt)
-			vc.Incident = append(vc.Incident, DirTypeCount{Type: c.types.Name(t), Dir: d, N: n})
+		for _, inc := range cv {
+			t, d := splitDirType(inc.dt)
+			vc.Incident = append(vc.Incident, DirTypeCount{Type: c.types.Name(t), Dir: d, N: inc.n})
 		}
 		sort.Slice(vc.Incident, func(i, j int) bool {
 			a, b := vc.Incident[i], vc.Incident[j]
@@ -114,20 +114,19 @@ func (s *CollectorState) Restore() *Collector {
 	c.edgeTotal = s.EdgeTotal
 	c.pathTotal = s.PathTotal
 	for _, e := range s.Edges {
-		c.edgeCount[c.types.Intern(e.Type)] = e.N
+		c.edgeCount[c.typeID(e.Type)] = e.N
 	}
 	for _, p := range s.Paths {
-		k := makePathKey(
-			dirType(c.types.Intern(p.A.Type), p.A.Dir),
-			dirType(c.types.Intern(p.B.Type), p.B.Dir),
-		)
-		c.pathCount[k] += p.N
+		a := dirType(c.typeID(p.A.Type), p.A.Dir)
+		b := dirType(c.typeID(p.B.Type), p.B.Dir)
+		c.pathCount[pathIndex(a, b)] += p.N
 	}
 	for _, vc := range s.Vertices {
-		cv := c.perVertex[c.vertex(vc.Name)]
+		cv := make([]incident, 0, len(vc.Incident))
 		for _, inc := range vc.Incident {
-			cv[dirType(c.types.Intern(inc.Type), inc.Dir)] = inc.N
+			cv = append(cv, incident{dt: dirType(c.typeID(inc.Type), inc.Dir), n: inc.N})
 		}
+		c.perVertex[c.vertex(vc.Name)] = cv
 	}
 	return c
 }

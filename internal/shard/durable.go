@@ -117,7 +117,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 		if end < metaSeq {
 			return fail(fmt.Errorf("shard: edge log ends at seq %d but the checkpoint covers %d (log segments deleted?)", end, metaSeq))
 		}
-		if meta.collector != nil && r.stats != nil {
+		if meta.collector != nil {
 			// The collector resumes from its state at the meta round; the
 			// tail records below re-add everything past it, landing on
 			// exactly the statistics the crashed router held.
@@ -143,11 +143,9 @@ func Open(cfg Config) (*Router, []Match, error) {
 			r.log.Append(rec.edges, rec.base)
 		}
 	}
-	if r.stats != nil {
-		for _, rec := range records {
-			if rec.base >= metaSeq {
-				r.stats.AddAll(rec.edges)
-			}
+	for _, rec := range records {
+		if rec.base >= metaSeq {
+			r.stats.AddAll(rec.edges)
 		}
 	}
 
@@ -547,10 +545,7 @@ func (r *Router) checkpointRound() {
 
 // writeMeta commits router.meta for a round. Caller holds ingestMu.
 func (r *Router) writeMeta(seq uint64) error {
-	m := routerMeta{ckptSeq: seq}
-	if r.stats != nil {
-		m.collector = r.stats.Snapshot()
-	}
+	m := routerMeta{ckptSeq: seq, collector: r.stats.Snapshot()}
 	for _, reg := range r.dregs {
 		m.regs = append(m.regs, reg)
 	}

@@ -48,7 +48,7 @@ type metaReg struct {
 // routerMeta is the decoded router.meta.
 type routerMeta struct {
 	ckptSeq   uint64
-	collector *selectivity.CollectorState // nil when the router keeps no stats
+	collector *selectivity.CollectorState // nil in a meta file written before every router kept stats
 	regs      []metaReg
 }
 

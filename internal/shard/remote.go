@@ -1198,23 +1198,11 @@ func (rs *remoteSlot) deliver(f inflightFrame) {
 
 // fromWire converts a protocol match into the runtime's portable form.
 func fromWire(shardID int, m dshard.Match) Match {
-	out := Match{
+	return Match{
 		Seq: m.Seq, Shard: shardID, Query: m.Query, rank: m.Rank,
 		FirstTS: m.FirstTS, LastTS: m.LastTS,
+		Bindings: m.Bindings, Edges: m.Edges,
 	}
-	if len(m.Bindings) > 0 {
-		out.Bindings = make([]Binding, len(m.Bindings))
-		for i, b := range m.Bindings {
-			out.Bindings[i] = Binding{QueryVertex: b.QueryVertex, DataVertex: b.DataVertex}
-		}
-	}
-	if len(m.Edges) > 0 {
-		out.Edges = make([]MatchEdge, len(m.Edges))
-		for i, e := range m.Edges {
-			out.Edges[i] = MatchEdge{QueryEdge: e.QueryEdge, Src: e.Src, Dst: e.Dst, Type: e.Type, TS: e.TS}
-		}
-	}
-	return out
 }
 
 // snapshotGen reports the snapshot adoption count (see snapGen).

@@ -166,18 +166,12 @@ type Config struct {
 
 // Binding is one resolved vertex of a match: query vertex name to data
 // vertex name.
-type Binding struct {
-	QueryVertex string
-	DataVertex  string
-}
+type Binding = core.PortableBinding
 
-// MatchEdge is one resolved edge of a match.
-type MatchEdge struct {
-	QueryEdge int // index into the query's edge list
-	Src, Dst  string
-	Type      string
-	TS        int64
-}
+// MatchEdge is one resolved edge of a match (the engine's portable
+// form): the query edge index, resolved endpoint and type names, and
+// the edge timestamp.
+type MatchEdge = core.PortableMatchEdge
 
 // Match is one completed match, resolved into portable name-based form
 // inside the owning shard (so it stays valid after the shard's private
@@ -508,6 +502,7 @@ func newRouter(cfg Config) *Router {
 		filtering: !cfg.Ordered && !cfg.FullReplicas,
 		hasRemote: len(cfg.Remotes) > 0,
 		out:       make(chan Match, cfg.OutLen),
+		stats:     selectivity.NewCollector(),
 		owner:     make(map[string]*worker),
 		owned:     make(map[*worker]int),
 		tel:       newTelemetry(),
@@ -515,12 +510,9 @@ func newRouter(cfg Config) *Router {
 	r.tel.registerRouter(r)
 	if r.filtering || r.hasRemote {
 		// The log is what a late registration backfills from and what a
-		// remote slot replays after a reconnect; the full-stream
-		// statistics pin decompositions router-side (a shard's own
-		// slice of the stream must never drive one). Both are needed
-		// whenever replicas are filtered or any slot is remote.
+		// remote slot replays after a reconnect: needed whenever
+		// replicas are filtered or any slot is remote.
 		r.log = NewEdgeLog()
-		r.stats = selectivity.NewCollector()
 		r.floors = make(map[uint64]int64)
 	}
 	if r.filtering {
@@ -535,7 +527,7 @@ func newRouter(cfg Config) *Router {
 			ranks: make(map[string]int),
 		}
 		if i < cfg.Shards {
-			w.eng = core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+			w.eng = core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery, ExternalStats: true})
 		} else {
 			w.remote = newRemoteSlot(w, cfg.Remotes[i-cfg.Shards], cfg.RemotePending)
 		}
@@ -606,14 +598,12 @@ func (r *Router) Matches() <-chan Match { return r.out }
 // shard's ingest gate at the same stream position, and the shard
 // backfills the in-window past of any newly needed types from the
 // shared edge log before acknowledging — so the query observes exactly
-// the graph it would have on a full replica. The engine's BatchWorkers
-// is forced to 1 unless set: the shards themselves are the axis of
-// parallelism, and nesting a candidate-search pool per shard would
-// oversubscribe the machine.
+// the graph it would have on a full replica.
+//
+// The decomposition is pinned here in every mode, against the router's
+// full-stream statistics (or cfg.Stats when given): the router is the
+// runtime's one statistics owner, and its workers' engines keep none.
 func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
-	if cfg.BatchWorkers == 0 {
-		cfg.BatchWorkers = 1
-	}
 	fpTypes, fpExact := q.TypeFootprint()
 	r.ingestMu.Lock()
 	if r.closed {
@@ -645,12 +635,13 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 			return fmt.Errorf("shard: query %q %w", name, err)
 		}
 	}
-	if (r.filtering || r.hasRemote) && cfg.Leaves == nil {
+	if cfg.Leaves == nil {
 		// Pin the decomposition here, against full-stream statistics,
-		// before the query ever reaches its shard: a filtered shard's
-		// own collector only sees the shard's slice of the stream, a
-		// remote shard cannot be shipped a live collector at all, and a
-		// lazy query's reachable-match set depends on its decomposition
+		// before the query ever reaches its shard: a filtered shard only
+		// sees its slice of the stream, a remote shard cannot be shipped
+		// a live collector at all, a full replica would only repeat the
+		// router's per-edge statistics work to reach the same leaves, and
+		// a lazy query's reachable-match set depends on its decomposition
 		// — decomposing from divergent statistics would diverge from a
 		// serial engine's schedule. Caller-provided statistics are used
 		// when given (the same collector a serial engine would have
@@ -969,8 +960,8 @@ func (r *Router) IngestBatch(ses []stream.Edge) uint64 {
 			}
 			r.log.TrimBefore(cutoff, keep)
 		}
-		r.stats.AddAll(ses)
 	}
+	r.stats.AddAll(ses)
 	if r.filtering {
 		// Intern each edge type once per batch; the per-shard gate scan
 		// below is then pure bitset probes.
@@ -1403,12 +1394,6 @@ func (w *worker) resolve(seq uint64, nm core.NamedMatch) Match {
 		Seq: seq, Shard: w.id, Query: nm.Query, rank: w.ranks[nm.Query],
 		FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS,
 	}
-	bindings, edges := w.eng.ResolveMatch(nm)
-	for _, b := range bindings {
-		out.Bindings = append(out.Bindings, Binding(b))
-	}
-	for _, e := range edges {
-		out.Edges = append(out.Edges, MatchEdge(e))
-	}
+	out.Bindings, out.Edges = w.eng.ResolveMatch(nm)
 	return out
 }

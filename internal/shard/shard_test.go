@@ -173,7 +173,7 @@ func runGroupedReference(t *testing.T, edges []stream.Edge, window int64, batch 
 	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
-		if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name], BatchWorkers: 1}); err != nil {
+		if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 			t.Fatalf("register %s: %v", name, err)
 		}
 	}

@@ -163,8 +163,11 @@ type Options struct {
 	// window eviction and fan the candidate searches out over
 	// BatchWorkers; results are identical to serial processing.
 	BatchSize int
-	// BatchWorkers sizes the worker pool ProcessBatch fans the
-	// read-only candidate searches over (<= 0 selects GOMAXPROCS).
+	// BatchWorkers sizes the worker pool this engine's ProcessBatch
+	// fans the read-only candidate searches over (<= 0 selects
+	// GOMAXPROCS). It applies to a standalone Engine only: the
+	// multi-query drivers (Monitor, ShardedMonitor) merge every batch
+	// inline per query and start no pool.
 	BatchWorkers int
 }
 
