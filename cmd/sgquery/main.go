@@ -136,6 +136,8 @@ func main() {
 		total, st.EdgesProcessed, elapsed.Seconds(), float64(st.EdgesProcessed)/elapsed.Seconds())
 	fmt.Printf("leaf searches: %d, retro searches: %d, iso steps: %d, peak partial matches: %d\n",
 		st.LeafSearches, st.RetroSearches, st.IsoSteps, st.Tree.PeakStored)
+	fmt.Printf("graph: %v, %d vertex slots, %d reclaimed by window sweeps\n",
+		eng.Graph(), eng.Graph().NumVertices(), st.VerticesReclaimed)
 }
 
 func explain(e *core.Engine, m iso.Match) string {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"streamgraph/internal/decompose"
-	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/selectivity"
 	"streamgraph/internal/sjtree"
@@ -104,7 +103,7 @@ func (e *Engine) migrate(newLeaves [][]int) error {
 	e.tree = nt
 	e.matcher.Pool = nt.Pool()
 	if e.lazy {
-		e.bits = make(map[graph.VertexID]uint64)
+		e.clearBits()
 		e.pending = make([][]retroItem, len(newLeaves))
 	}
 

@@ -150,7 +150,12 @@ type Stats struct {
 	CompleteMatches int64
 	IsoSteps        int64 // recursive extension steps inside the matcher
 	GraphEvicted    int64
-	Tree            sjtree.Stats
+	// VerticesReclaimed counts the vertex slots window sweeps have
+	// recycled in the engine's own graph (0 for a query engine under a
+	// MultiEngine, whose graph is shared; read
+	// MultiEngine.Graph().VerticesReclaimed there).
+	VerticesReclaimed int64
+	Tree              sjtree.Stats
 }
 
 // Engine runs one continuous query over one data stream.
@@ -162,8 +167,13 @@ type Engine struct {
 	matcher *iso.Matcher
 	tree    *sjtree.Tree // nil for VF2 / IncIso
 
+	// Lazy Search state: bits is the per-vertex leaf-enablement bitmap,
+	// dense over the graph's VertexID space (which the window bounds),
+	// and bitSet lists the vertices with a non-zero entry — what a sweep
+	// walks and a snapshot saves.
 	lazy     bool
-	bits     map[graph.VertexID]uint64
+	bits     []uint64
+	bitSet   []graph.VertexID
 	allEdges []int
 
 	pending    [][]retroItem // per-leaf retrospective work for the current edge
@@ -284,7 +294,6 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	e.lazy = cfg.Strategy.Lazy()
 	e.tree.Dedup = e.lazy
 	if e.lazy {
-		e.bits = make(map[graph.VertexID]uint64)
 		e.pending = make([][]retroItem, len(leaves))
 	}
 	if cfg.Adaptive != nil {
@@ -332,6 +341,9 @@ func (e *Engine) RelativeSelectivity() float64 { return e.relSel }
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.IsoSteps = e.matcher.Calls() + e.batchSteps
+	if !e.external {
+		s.VerticesReclaimed = e.g.VerticesReclaimed()
+	}
 	if e.tree != nil {
 		s.Tree = e.tree.Stats()
 	}
@@ -514,10 +526,9 @@ func (e *Engine) onStored(n *sjtree.Node, m iso.Match) {
 		if dv == graph.NoVertex {
 			continue
 		}
-		if e.bits[dv]&bit != 0 {
+		if e.enableBits(dv, bit) == 0 {
 			continue
 		}
-		e.bits[dv] |= bit
 		e.pending[n.NextLeaf] = append(e.pending[n.NextLeaf], retroItem{v: dv})
 	}
 }
@@ -593,11 +604,78 @@ func (e *Engine) retroSeenBefore(m iso.Match, sub []int) bool {
 }
 
 func (e *Engine) enabled(v graph.VertexID, leaf int) bool {
-	return e.bits[v]&(uint64(1)<<uint(leaf)) != 0
+	return int(v) < len(e.bits) && e.bits[v]&(uint64(1)<<uint(leaf)) != 0
 }
 
-// maybeEvict performs periodic window maintenance: graph edges, stored
-// partial matches and bitmap entries for isolated vertices.
+// enableBits sets mask in v's bitmap entry and returns the bits of mask
+// that were not set before.
+func (e *Engine) enableBits(v graph.VertexID, mask uint64) uint64 {
+	if int(v) >= len(e.bits) {
+		e.bits = append(e.bits, make([]uint64, e.g.NumVertices()-len(e.bits))...)
+	}
+	old := e.bits[v]
+	if old == 0 && mask != 0 {
+		e.bitSet = append(e.bitSet, v)
+	}
+	e.bits[v] = old | mask
+	return mask &^ old
+}
+
+// clearBits empties the lazy bitmap, keeping its storage.
+func (e *Engine) clearBits() {
+	for _, v := range e.bitSet {
+		e.bits[v] = 0
+	}
+	e.bitSet = e.bitSet[:0]
+}
+
+// sweep is the one window-maintenance pass: it expires g at cutoff and
+// then prunes every engine searching g at the same cutoff, returning
+// the number of graph edges removed. The order is what makes recycled
+// IDs safe (see "ID lifetimes" in package graph): the graph pass frees
+// the EdgeIDs of expired edges and the VertexIDs of the vertices left
+// without an edge; before anything can reuse them, each engine drops
+// every holder of such an ID — stored matches older than the cutoff (a
+// surviving match binds only live edges, hence only vertices that kept
+// one), and the lazy bits and queued retrospective searches of
+// vertices without an edge. A queue normally drains within the edge
+// that filled it; it outlives one only after an adaptive migration or
+// a checkpoint restore, and the batch path sweeps before it ingests,
+// so without the last step such an item would be searched around
+// whichever name took the slot. Dropping it loses nothing: a search
+// around a vertex without an edge finds nothing.
+func sweep(g *graph.Graph, cutoff int64, engines ...*Engine) int {
+	evicted := g.ExpireBefore(cutoff)
+	for _, e := range engines {
+		if e.tree != nil {
+			e.tree.ExpireBefore(cutoff)
+		}
+		if !e.lazy {
+			continue
+		}
+		kept := e.bitSet[:0]
+		for _, v := range e.bitSet {
+			if g.Degree(v) == 0 {
+				e.bits[v] = 0
+			} else {
+				kept = append(kept, v)
+			}
+		}
+		e.bitSet = kept
+		for l, items := range e.pending {
+			live := items[:0]
+			for _, it := range items {
+				if g.Degree(it.v) > 0 {
+					live = append(live, it)
+				}
+			}
+			e.pending[l] = live
+		}
+	}
+	return evicted
+}
+
+// maybeEvict performs periodic window maintenance (see sweep).
 func (e *Engine) maybeEvict() { e.advanceEvict(1) }
 
 // advanceEvict advances the eviction clock by n processed edges and
@@ -621,19 +699,7 @@ func (e *Engine) advanceEvict(n int) {
 	if e.sinceEvict < e.cfg.EvictEvery {
 		return
 	}
-	e.sinceEvict = 0
-	cutoff := e.g.LastTS() - e.cfg.Window + 1
-	e.stats.GraphEvicted += int64(e.g.ExpireBefore(cutoff))
-	if e.tree != nil {
-		e.tree.ExpireBefore(cutoff)
-	}
-	if e.lazy {
-		for v := range e.bits {
-			if e.g.Degree(v) == 0 {
-				delete(e.bits, v)
-			}
-		}
-	}
+	e.ForceEvict()
 }
 
 // Explain renders a match as human-readable bindings.

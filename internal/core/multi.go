@@ -25,7 +25,8 @@ type MultiEngine struct {
 	window int64
 
 	queries map[string]*Engine
-	order   []string // registration order for deterministic dispatch
+	order   []string  // registration order for deterministic dispatch
+	engines []*Engine // queries[order[i]], the list a sweep prunes
 
 	stats      *selectivity.Collector // shared rolling statistics; nil under MultiConfig.ExternalStats
 	evictEvery int
@@ -236,6 +237,7 @@ func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
 	eng.external = true
 	m.queries[name] = eng
 	m.order = append(m.order, name)
+	m.engines = append(m.engines, eng)
 	return nil
 }
 
@@ -267,6 +269,7 @@ func (m *MultiEngine) Unregister(name string) {
 	for i, n := range m.order {
 		if n == name {
 			m.order = append(m.order[:i], m.order[i+1:]...)
+			m.engines = append(m.engines[:i], m.engines[i+1:]...)
 			break
 		}
 	}
@@ -402,20 +405,7 @@ func (m *MultiEngine) advanceEvict(n int) {
 		return
 	}
 	m.sinceEvict = 0
-	cutoff := m.g.LastTS() - m.window + 1
-	m.g.ExpireBefore(cutoff)
-	for _, eng := range m.queries {
-		if eng.tree != nil {
-			eng.tree.ExpireBefore(cutoff)
-		}
-		if eng.lazy {
-			for v := range eng.bits {
-				if m.g.Degree(v) == 0 {
-					delete(eng.bits, v)
-				}
-			}
-		}
-	}
+	sweep(m.g, m.g.LastTS()-m.window+1, m.engines...)
 }
 
 // FlushPending runs every registered query's queued retrospective

@@ -44,25 +44,17 @@ func (e *Engine) FlushPending() []iso.Match {
 	return out
 }
 
-// ForceEvict runs window eviction immediately (graph edges, stored
-// matches, dead bitmap entries), regardless of the EvictEvery cadence.
-// It returns the eviction cutoff applied (0 when windowing is off).
+// ForceEvict runs the window sweep immediately (see sweep), regardless
+// of the EvictEvery cadence, and returns the cutoff applied (0 when
+// windowing is off). It is for an engine that owns its graph: a query
+// engine under a MultiEngine is swept by the MultiEngine, together with
+// every other engine on the shared graph.
 func (e *Engine) ForceEvict() int64 {
 	if e.cfg.Window <= 0 {
 		return 0
 	}
 	cutoff := e.g.LastTS() - e.cfg.Window + 1
-	e.stats.GraphEvicted += int64(e.g.ExpireBefore(cutoff))
-	if e.tree != nil {
-		e.tree.ExpireBefore(cutoff)
-	}
-	if e.lazy {
-		for v := range e.bits {
-			if e.g.Degree(v) == 0 {
-				delete(e.bits, v)
-			}
-		}
-	}
+	e.stats.GraphEvicted += int64(sweep(e.g, cutoff, e))
 	e.sinceEvict = 0
 	return cutoff
 }
@@ -70,9 +62,9 @@ func (e *Engine) ForceEvict() int64 {
 // LazyBits returns a copy of the per-vertex leaf-enablement bitmap
 // (empty for non-lazy strategies).
 func (e *Engine) LazyBits() map[graph.VertexID]uint64 {
-	out := make(map[graph.VertexID]uint64, len(e.bits))
-	for v, b := range e.bits {
-		out[v] = b
+	out := make(map[graph.VertexID]uint64, len(e.bitSet))
+	for _, v := range e.bitSet {
+		out[v] = e.bits[v]
 	}
 	return out
 }
@@ -84,9 +76,9 @@ func (e *Engine) RestoreLazyBits(bits map[graph.VertexID]uint64) {
 	if !e.lazy {
 		return
 	}
-	e.bits = make(map[graph.VertexID]uint64, len(bits))
+	e.clearBits()
 	for v, b := range bits {
-		e.bits[v] = b
+		e.enableBits(v, b)
 	}
 }
 

@@ -344,7 +344,7 @@ func TimeAlgorithm5(ds Dataset) Alg5Timing {
 	elapsed := time.Since(start)
 	return Alg5Timing{
 		Edges:        g.NumEdges(),
-		Vertices:     g.NumVertices(),
+		Vertices:     g.LiveVertices(),
 		Elapsed:      elapsed,
 		EdgesPerSec:  float64(g.NumEdges()) / elapsed.Seconds(),
 		UniqueShapes: len(paths),

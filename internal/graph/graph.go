@@ -8,6 +8,36 @@
 // identifiers, stores edges in an arena with a free-list, and keeps
 // per-vertex in/out adjacency with back-indices so that removing an edge
 // (window eviction) is O(1).
+//
+// # ID lifetimes
+//
+// Every table the per-edge path touches is sized by the window, not by
+// the stream, so both kinds of ID are recycled:
+//
+//   - An EdgeID is an arena slot. RemoveEdge (hence ExpireBefore) frees
+//     it and a later AddEdge reuses it; Edge reports whether the slot
+//     is live. Edge.Seq is the identity that is never reused.
+//   - A VertexID is a slot of the vertex table. It is stable from the
+//     EnsureVertex that assigned it until the first ExpireBefore that
+//     finds the vertex without an edge: that sweep forgets the name and
+//     frees the slot, and a later EnsureVertex hands it to whatever name
+//     arrives next. Nothing between two sweeps moves a VertexID.
+//
+// So an ID may be held across a sweep only by state the same sweep
+// prunes: a holder that binds live edges (a partial match no older than
+// the cutoff) keeps valid IDs, because a vertex with a live edge is
+// never reclaimed; anything else — a per-vertex side table, queued work
+// naming a vertex, a match that was handed to a caller — must be
+// resolved or dropped before the next sweep, or re-derived from the
+// name (VertexByName) after it. internal/core's sweep helper is the
+// one place that sequences graph expiry, SJ-Tree expiry and the lazy
+// bitmap against that rule.
+//
+// The label rule follows: a vertex keeps the label of the edge that
+// created it for as long as it has a live edge; a name that re-enters
+// the graph after a sweep found it isolated is a new vertex and takes
+// the label of its new first edge. A snapshot (internal/persist) saves
+// referenced vertices only, so a restored graph obeys the same rule.
 package graph
 
 import (
@@ -16,9 +46,11 @@ import (
 	"sort"
 )
 
-// VertexID identifies a vertex within a Graph. IDs are dense and assigned
-// in insertion order; they remain valid for the lifetime of the graph
-// (vertices are never recycled, only edges are).
+// VertexID identifies a vertex within a Graph. IDs are dense slot
+// indices, recycled by ExpireBefore once the vertex has no edge left;
+// holders of a VertexID across a sweep must bind a live edge of the
+// vertex or revalidate by name (see "ID lifetimes" in the package
+// comment).
 type VertexID uint32
 
 // EdgeID identifies an edge within a Graph. EdgeIDs are arena indices and
@@ -62,8 +94,10 @@ type Half struct {
 type vertexRec struct {
 	name  string
 	label LabelID
-	out   []adjRec
-	in    []adjRec
+	// queued marks a vertex on Graph.sweepVerts; free marks a reclaimed
+	// slot waiting on Graph.freeVerts.
+	queued, free bool
+	out, in      []adjRec
 }
 
 type adjRec struct {
@@ -91,6 +125,13 @@ type Graph struct {
 
 	verts      []vertexRec
 	vertByName map[string]VertexID
+	// freeVerts holds the reclaimed slots EnsureVertex reuses (last
+	// freed first). sweepVerts holds the vertices the next ExpireBefore
+	// must look at: every one created, or left without an edge, since
+	// the last sweep — so a sweep costs O(changed), never O(slots).
+	freeVerts  []VertexID
+	sweepVerts []VertexID
+	reclaimed  int64
 
 	edges     []edgeRec
 	freeEdges []EdgeID
@@ -124,9 +165,20 @@ func (g *Graph) Types() *Interner { return g.types }
 // Labels returns the vertex-label interner.
 func (g *Graph) Labels() *Interner { return g.labels }
 
-// NumVertices reports the number of vertices ever added (isolated
-// vertices left behind by eviction are included).
+// NumVertices reports the size of the VertexID space: every valid
+// VertexID is below it. It counts slots — live vertices plus reclaimed
+// ones waiting for reuse — and is what an array indexed by VertexID
+// must be sized by. It is bounded by the peak of LiveVertices, not by
+// the number of names the stream has ever carried.
 func (g *Graph) NumVertices() int { return len(g.verts) }
+
+// LiveVertices reports the number of named vertices: those with an
+// edge, plus those created or isolated since the last ExpireBefore.
+func (g *Graph) LiveVertices() int { return len(g.verts) - len(g.freeVerts) }
+
+// VerticesReclaimed reports how many vertex slots ExpireBefore has
+// freed over the graph's lifetime.
+func (g *Graph) VerticesReclaimed() int64 { return g.reclaimed }
 
 // NumEdges reports the number of live edges.
 func (g *Graph) NumEdges() int { return g.liveEdges }
@@ -140,15 +192,37 @@ func (g *Graph) LastSeq() uint64 { return g.lastSeq }
 
 // EnsureVertex returns the vertex named name, creating it with the given
 // label if it does not exist. If the vertex exists with a different
-// label the existing label wins (labels are immutable once assigned).
+// label the existing label wins: a vertex keeps its label until a sweep
+// reclaims it (see "ID lifetimes" in the package comment). A new vertex
+// takes a reclaimed slot when there is one, adjacency capacity included.
 func (g *Graph) EnsureVertex(name, label string) VertexID {
 	if v, ok := g.vertByName[name]; ok {
 		return v
 	}
-	v := VertexID(len(g.verts))
-	g.verts = append(g.verts, vertexRec{name: name, label: LabelID(g.labels.Intern(label))})
+	lab := LabelID(g.labels.Intern(label))
+	var v VertexID
+	if n := len(g.freeVerts); n > 0 {
+		v = g.freeVerts[n-1]
+		g.freeVerts = g.freeVerts[:n-1]
+		r := &g.verts[v]
+		r.name, r.label, r.free = name, lab, false
+	} else {
+		v = VertexID(len(g.verts))
+		g.verts = append(g.verts, vertexRec{name: name, label: lab})
+	}
 	g.vertByName[name] = v
+	// Until its first edge arrives the vertex is isolated; the next
+	// sweep checks whether that edge ever came.
+	g.queueSweep(v)
 	return v
+}
+
+// queueSweep puts v on the list the next ExpireBefore examines.
+func (g *Graph) queueSweep(v VertexID) {
+	if r := &g.verts[v]; !r.queued {
+		r.queued = true
+		g.sweepVerts = append(g.sweepVerts, v)
+	}
 }
 
 // VertexByName returns the vertex with the given name, or NoVertex.
@@ -177,8 +251,12 @@ func (g *Graph) Degree(v VertexID) int { return len(g.verts[v].out) + len(g.vert
 // AddEdge inserts a directed edge src -> dst with the given interned type
 // and timestamp, returning its EdgeID. Timestamps are expected to be
 // non-decreasing; out-of-order edges are accepted but may be evicted late
-// (see ExpireBefore).
+// (see ExpireBefore). It panics when an endpoint is a reclaimed slot: the
+// caller held a VertexID across a sweep without a live edge.
 func (g *Graph) AddEdge(src, dst VertexID, etype TypeID, ts int64) EdgeID {
+	if g.verts[src].free || g.verts[dst].free {
+		panic("graph: AddEdge on a reclaimed vertex (VertexID held across ExpireBefore)")
+	}
 	var eid EdgeID
 	if n := len(g.freeEdges); n > 0 {
 		eid = g.freeEdges[n-1]
@@ -236,8 +314,15 @@ func (g *Graph) RemoveEdge(id EdgeID) {
 		return
 	}
 	r := &g.edges[id]
-	g.removeAdj(&g.verts[r.src].out, r.outIdx, true)
-	g.removeAdj(&g.verts[r.dst].in, r.inIdx, false)
+	sv, dv := &g.verts[r.src], &g.verts[r.dst]
+	g.removeAdj(&sv.out, r.outIdx, true)
+	g.removeAdj(&dv.in, r.inIdx, false)
+	if len(sv.out)+len(sv.in) == 0 {
+		g.queueSweep(r.src)
+	}
+	if len(dv.out)+len(dv.in) == 0 {
+		g.queueSweep(r.dst)
+	}
 	r.alive = false
 	g.freeEdges = append(g.freeEdges, id)
 	g.liveEdges--
@@ -273,6 +358,12 @@ func (g *Graph) removeAdj(list *[]adjRec, idx int32, isOut bool) {
 // stops at the first live edge with ts >= cutoff, so an out-of-order old
 // edge that arrived after a newer one is evicted on a later call — the
 // usual slack of stream-window maintenance.
+//
+// It then reclaims every vertex that has no edge left — isolated by
+// these removals or by an earlier RemoveEdge, or created and never
+// connected: the name is forgotten and the slot goes to the next
+// EnsureVertex. This is the only point at which a VertexID changes
+// hands.
 func (g *Graph) ExpireBefore(cutoff int64) int {
 	removed := 0
 	for g.fifoLo < len(g.fifo) {
@@ -294,7 +385,25 @@ func (g *Graph) ExpireBefore(cutoff int64) int {
 		g.fifo = append(g.fifo[:0], g.fifo[g.fifoLo:]...)
 		g.fifoLo = 0
 	}
+	g.reclaimIsolated()
 	return removed
+}
+
+// reclaimIsolated frees the slot of every queued vertex that has no
+// edge and empties the queue.
+func (g *Graph) reclaimIsolated() {
+	for _, v := range g.sweepVerts {
+		r := &g.verts[v]
+		r.queued = false
+		if len(r.out)+len(r.in) > 0 {
+			continue
+		}
+		delete(g.vertByName, r.name)
+		r.name, r.free = "", true
+		g.freeVerts = append(g.freeVerts, v)
+		g.reclaimed++
+	}
+	g.sweepVerts = g.sweepVerts[:0]
 }
 
 // NormalizeEvictionOrder rebuilds the eviction FIFO in (timestamp,
@@ -379,9 +488,13 @@ func (g *Graph) EachEdgeArrival(fn func(Edge) bool) {
 	}
 }
 
-// EachVertex invokes fn for every vertex. Returning false stops early.
+// EachVertex invokes fn for every live vertex (reclaimed slots are
+// skipped). Returning false stops early.
 func (g *Graph) EachVertex(fn func(VertexID) bool) {
 	for i := range g.verts {
+		if g.verts[i].free {
+			continue
+		}
 		if !fn(VertexID(i)) {
 			return
 		}
@@ -408,5 +521,5 @@ func (g *Graph) AvgDegree() float64 {
 // String returns a short human-readable summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{V=%d E=%d types=%d labels=%d}",
-		len(g.verts), g.liveEdges, g.types.Len(), g.labels.Len())
+		g.LiveVertices(), g.liveEdges, g.types.Len(), g.labels.Len())
 }

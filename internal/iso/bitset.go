@@ -4,10 +4,12 @@ import "streamgraph/internal/graph"
 
 // vertexSet is a dense bitset over the graph's vertex ID space, used by
 // the matcher for O(1) injectivity checks in the inner adjacency loops.
-// Vertex IDs are dense insertion-order indices (they are never
-// recycled), so the set grows monotonically with the graph and is
-// reused across searches: bind/unbind pairs are balanced, leaving the
-// set empty between searches, so no per-search clearing is needed.
+// Vertex IDs are dense slot indices that the graph recycles at window
+// sweeps, so the ID space — and with it this set — is bounded by the
+// peak number of live vertices, not by the names the stream has
+// carried. The set is reused across searches: bind/unbind pairs are
+// balanced, leaving it empty between searches (and so across sweeps),
+// so no per-search clearing is needed.
 type vertexSet struct {
 	words []uint64
 	size  int

@@ -73,6 +73,8 @@ func TestDebugEndpointsMidStream(t *testing.T) {
 	// tier's series has appeared (matches emitted, checkpoints run).
 	want := []string{
 		`sg_shard_queue_depth{shard="0"}`,
+		`sg_shard_replica_vertices{shard="0"}`,
+		`sg_shard_replica_vertex_slots{shard="0"}`,
 		`sg_match_lag_ns{query="hop1",quantile="0.5"}`,
 		`sg_match_lag_ns{query="hop2",quantile="0.5"}`,
 		`sg_dshard_bytes_out_total{shard="1"}`,
@@ -161,7 +163,10 @@ func TestDebugEndpointsMidStream(t *testing.T) {
 		line := c.expectPrefix("metric ")
 		seen[strings.Fields(line)[1]] = true
 	}
-	for _, w := range []string{`sg_router_edges_admitted_total`, `sg_match_lag_ns{query="hop1"}`} {
+	for _, w := range []string{
+		`sg_router_edges_admitted_total`, `sg_match_lag_ns{query="hop1"}`,
+		`sg_shard_replica_vertices{shard="0"}`, `sg_shard_replica_vertex_slots{shard="0"}`,
+	} {
 		if !seen[w] {
 			t.Errorf("stats full missing %s", w)
 		}

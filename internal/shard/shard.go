@@ -460,6 +460,7 @@ type worker struct {
 	// worker goroutine itself after each batch/control message — the
 	// engine is single-writer state no scrape may touch directly.
 	engEdges, engPartial                                *metrics.Gauge
+	replicaVertices, replicaVertexSlots                 *metrics.Gauge
 	treeInserted, treeDeduped, treeEmitted, treeEvicted *metrics.Gauge
 	poolGets, poolFresh                                 *metrics.Gauge
 }
@@ -1322,13 +1323,16 @@ func (w *worker) syncEngineFilter() {
 // goroutine may call it: the engine is single-writer state, so the
 // scrape path reads these published atomics, never the engine itself.
 func (w *worker) publishReplicaStats() {
-	w.replicaLive.Set(int64(w.eng.Graph().NumEdges()))
+	g := w.eng.Graph()
+	w.replicaLive.Set(int64(g.NumEdges()))
 	w.replicaStored.Set(w.eng.EdgesStored())
 	if w.r.filtering && !w.rset.universal() {
 		w.replicaTypes.Set(int64(len(w.rset.refs)))
 	} else {
 		w.replicaTypes.Set(-1)
 	}
+	w.replicaVertices.Set(int64(g.LiveVertices()))
+	w.replicaVertexSlots.Set(int64(g.NumVertices()))
 	st := w.eng.Stats()
 	w.engEdges.Set(st.EdgesProcessed)
 	w.engPartial.Set(st.PartialMatches)

@@ -183,6 +183,8 @@ func (t *telemetry) registerWorker(w *worker) {
 	}
 	w.engEdges = t.reg.Gauge("sg_engine_edges_processed", "shard", sh)
 	w.engPartial = t.reg.Gauge("sg_engine_partial_matches", "shard", sh)
+	w.replicaVertices = t.reg.Gauge("sg_shard_replica_vertices", "shard", sh)
+	w.replicaVertexSlots = t.reg.Gauge("sg_shard_replica_vertex_slots", "shard", sh)
 	w.treeInserted = t.reg.Gauge("sg_engine_tree_inserted", "shard", sh)
 	w.treeDeduped = t.reg.Gauge("sg_engine_tree_deduped", "shard", sh)
 	w.treeEmitted = t.reg.Gauge("sg_engine_tree_emitted", "shard", sh)

@@ -4,12 +4,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/edlog"
+	"streamgraph/internal/graph"
 	"streamgraph/internal/metrics"
 )
 
@@ -150,6 +152,29 @@ func TestMetricsTruthfulness(t *testing.T) {
 			}
 			if lag := r.MatchLag(); lag.Count() == 0 {
 				t.Error("match-lag histogram recorded no samples")
+			}
+			// The replica vertex gauges against the replica itself, read
+			// after Close: the live count is re-derived from the live
+			// edges (every sweep reclaims the vertices without one, and
+			// nothing here removes an edge outside a sweep), the slot
+			// count is the size of the ID space.
+			for _, w := range r.workers {
+				if w.eng == nil {
+					continue
+				}
+				g := w.eng.Graph()
+				named := make(map[string]bool)
+				g.EachEdge(func(e graph.Edge) bool {
+					named[g.VertexName(e.Src)], named[g.VertexName(e.Dst)] = true, true
+					return true
+				})
+				sh := []string{"shard", strconv.Itoa(w.id)}
+				if got := metricValue(t, samples, "sg_shard_replica_vertices", sh...); got != int64(len(named)) {
+					t.Errorf("shard %d: sg_shard_replica_vertices = %d, live edges name %d vertices", w.id, got, len(named))
+				}
+				if got := metricValue(t, samples, "sg_shard_replica_vertex_slots", sh...); got != int64(g.NumVertices()) || got < int64(len(named)) {
+					t.Errorf("shard %d: sg_shard_replica_vertex_slots = %d, graph has %d slots for %d live vertices", w.id, got, g.NumVertices(), len(named))
+				}
 			}
 
 			if tp.durable {
