@@ -143,3 +143,70 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+// TestPublicMatchesSurviveLaterCalls pins the facade's side of the match
+// lifetime contract: internally an engine takes a call's matches back
+// when the next call starts, but Engine and Monitor resolve every match
+// into names and timestamps of their own before returning, so what the
+// public API hands out stays as it was however the stream goes on — per
+// edge, in batches, or through a snapshot.
+func TestPublicMatchesSurviveLaterCalls(t *testing.T) {
+	edges := facadeTrainingEdges(2000)
+	stats := NewStatistics()
+	stats.ObserveAll(edges)
+	q := facadeQuery(t)
+
+	eng, err := NewEngine(q, Options{Strategy: SingleLazy, Statistics: stats, Window: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := NewMonitor(MonitorOptions{Window: 400})
+	if err := mon.Register("q", q, Single); err != nil {
+		t.Fatal(err)
+	}
+
+	type kept struct {
+		m    Match
+		then string
+	}
+	var held []kept
+	keep := func(m Match) { held = append(held, kept{m, fmt.Sprintf("%+v", m)}) }
+	for lo := 0; lo < len(edges); lo += 40 {
+		chunk := edges[lo:min(lo+40, len(edges))]
+		if (lo/40)%2 == 0 {
+			for _, e := range chunk {
+				for _, m := range eng.Process(e) {
+					keep(m)
+				}
+				for _, qm := range mon.Process(e) {
+					keep(qm.Match)
+				}
+			}
+			continue
+		}
+		for _, m := range eng.ProcessBatch(chunk) {
+			keep(m)
+		}
+		for _, qm := range mon.ProcessBatch(chunk) {
+			keep(qm.Match)
+		}
+	}
+	var buf bytes.Buffer
+	flushed, err := SaveSnapshot(&buf, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range flushed {
+		keep(m)
+	}
+	eng.Process(edges[len(edges)-1])
+
+	if len(held) < 100 {
+		t.Fatalf("only %d matches held; weak test", len(held))
+	}
+	for i, k := range held {
+		if now := fmt.Sprintf("%+v", k.m); now != k.then {
+			t.Fatalf("match %d changed after it was returned:\n was %s\n now %s", i, k.then, now)
+		}
+	}
+}

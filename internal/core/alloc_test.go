@@ -84,9 +84,9 @@ func mallocsPerRun(runs int, f func()) uint64 {
 // TestProcessBatchAllocFree extends the allocation gate to the batch
 // path on its DEFAULT configuration: once the batchArena has grown to
 // the workload's steady-state demand, ProcessBatchGrouped must allocate
-// nothing — the materialized-edge buffer, per-edge result rows and match
-// copies all come out of the arena, and no goroutine, throwaway matcher
-// or task list is made per batch. Two queries with BatchWorkers left at
+// nothing — the materialized-edge buffer and the per-edge result rows
+// come out of the arena, and no goroutine, throwaway matcher or task
+// list is made per batch. Two queries with BatchWorkers left at
 // zero on at least two Ps: the configuration under which a nested
 // search pool per query once cost 42 allocations per edge unseen,
 // because this gate pinned BatchWorkers to 1. Same no-complete-match

@@ -1,7 +1,7 @@
 // Batch-path result arena. Every ProcessBatch call used to allocate a
 // fresh set of scratch slices — the materialized-edge buffer, the
 // per-edge result headers, the speculative candidate matrix and its
-// masks, and one []iso.Match copy per edge that completed matches.
+// masks, and the named-match rows of the multi-query drivers.
 // Under the steady-state batch workloads the sharded runtime drives
 // (thousands of small batches per second per engine) those short-lived
 // slices dominated the allocation profile of an otherwise
@@ -18,13 +18,16 @@
 // never invalidated by a later take.
 //
 // Ownership contract: slices returned by ProcessBatch /
-// ProcessBatchGrouped remain valid until the NEXT batch call on the
-// same engine, and no longer. Every caller in the tree (the facade
-// Monitor, the shard worker loop, the dshard host) consumes or copies
-// each batch's matches before feeding the next batch, which is exactly
-// the lifetime a generation gives them. Callers that retain matches
-// across batches must copy the per-edge slices (the iso.Match values
-// themselves own their bindings and are safe to copy).
+// ProcessBatchGrouped (and by MultiEngine.ProcessEdge, which opens a
+// generation of its own) remain valid until the NEXT result-returning
+// call on the same engine, and no longer. Every caller in the tree (the
+// facade Monitor, the shard worker loop, the dshard host) consumes or
+// copies each call's matches before making the next, which is exactly
+// the lifetime a generation gives them. The binding arrays behind the
+// iso.Match values end with the same call — the engine that emitted
+// them takes them back then (see "Match lifetimes" in the package
+// comment) — so a caller that retains a match must Clone it; copying
+// the row alone keeps a slice of arrays about to be rewritten.
 package core
 
 import (
@@ -37,15 +40,15 @@ import (
 // single writer), never shared across goroutines: the parallel search
 // phase only writes into rows the sequential phase took beforehand.
 type batchArena struct {
-	edges []graph.Edge  // materialized-edge buffers (ingestBatch)
-	rows  [][]iso.Match // result/candidate row headers
-	flags []bool        // speculation masks
-	ints  []int         // speculation task lists
-	named [][]NamedMatch
-	slab  []iso.Match // per-edge completed-match copies
+	edges []graph.Edge   // materialized-edge buffers (ingestBatch)
+	rows  [][]iso.Match  // result/candidate row headers
+	flags []bool         // speculation masks
+	ints  []int          // speculation task lists
+	named [][]NamedMatch // per-edge named-match row headers
+	flat  []NamedMatch   // the named matches those rows are cut from
 
-	edgesU, rowsU, flagsU, intsU, namedU, slabU int // used this generation
-	edgesD, rowsD, flagsD, intsD, namedD, slabD int // demand this generation
+	edgesU, rowsU, flagsU, intsU, namedU, flatU int // used this generation
+	edgesD, rowsD, flagsD, intsD, namedD, flatD int // demand this generation
 }
 
 // begin opens a new generation: everything handed out by the previous
@@ -67,13 +70,13 @@ func (a *batchArena) begin() {
 	if a.namedD > cap(a.named) {
 		a.named = make([][]NamedMatch, a.namedD)
 	}
-	if a.slabD > cap(a.slab) {
-		a.slab = make([]iso.Match, a.slabD)
+	if a.flatD > cap(a.flat) {
+		a.flat = make([]NamedMatch, a.flatD)
 	}
 	a.edges, a.rows, a.flags = a.edges[:cap(a.edges)], a.rows[:cap(a.rows)], a.flags[:cap(a.flags)]
-	a.ints, a.named, a.slab = a.ints[:cap(a.ints)], a.named[:cap(a.named)], a.slab[:cap(a.slab)]
-	a.edgesU, a.rowsU, a.flagsU, a.intsU, a.namedU, a.slabU = 0, 0, 0, 0, 0, 0
-	a.edgesD, a.rowsD, a.flagsD, a.intsD, a.namedD, a.slabD = 0, 0, 0, 0, 0, 0
+	a.ints, a.named, a.flat = a.ints[:cap(a.ints)], a.named[:cap(a.named)], a.flat[:cap(a.flat)]
+	a.edgesU, a.rowsU, a.flagsU, a.intsU, a.namedU, a.flatU = 0, 0, 0, 0, 0, 0
+	a.edgesD, a.rowsD, a.flagsD, a.intsD, a.namedD, a.flatD = 0, 0, 0, 0, 0, 0
 }
 
 // edgeBuf returns an uninitialized length-n edge buffer (the caller
@@ -137,20 +140,17 @@ func (a *batchArena) namedBuf(n int) [][]NamedMatch {
 	return make([][]NamedMatch, n)
 }
 
-// matches copies src into the match slab and returns the copy — the
-// arena form of append([]iso.Match(nil), src...), preserving its
-// nil-for-empty result.
-func (a *batchArena) matches(src []iso.Match) []iso.Match {
-	n := len(src)
+// namedFlat returns an uninitialized length-n named-match buffer (the
+// caller assigns every element), nil for n == 0.
+func (a *batchArena) namedFlat(n int) []NamedMatch {
 	if n == 0 {
 		return nil
 	}
-	a.slabD += n
-	if a.slabU+n <= len(a.slab) {
-		dst := a.slab[a.slabU : a.slabU+n : a.slabU+n]
-		a.slabU += n
-		copy(dst, src)
-		return dst
+	a.flatD += n
+	if a.flatU+n <= len(a.flat) {
+		s := a.flat[a.flatU : a.flatU+n : a.flatU+n]
+		a.flatU += n
+		return s
 	}
-	return append([]iso.Match(nil), src...)
+	return make([]NamedMatch, n)
 }

@@ -49,12 +49,15 @@ import (
 // amortized to one pass per batch; the candidate searches fan out over
 // Config.BatchWorkers workers.
 //
-// The returned slices are arena-backed: they stay valid until the next
-// ProcessBatch call on this engine and no longer (see batchArena).
+// The returned rows and the matches in them are the engine's: they stay
+// valid until the next ProcessBatch, ProcessEdge or FlushPending call on
+// this engine and no longer (see "Match lifetimes" in the package
+// comment and batchArena).
 func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 	if len(batch) == 0 {
 		return nil
 	}
+	e.recycleResults()
 	e.arena.begin()
 	if e.adaptive != nil {
 		return e.processBatchAdaptive(batch)
@@ -178,9 +181,11 @@ func (e *Engine) runSearchTasks(n, workers int, fn func(m *iso.Matcher, task int
 // says: with several queries per batch the search phase is a minority of
 // the work, and a nested pool per query costs goroutines, throwaway
 // matchers and unpooled candidates every batch for searches the lazy
-// gate would mostly skip. Recycling the arena here is safe: the driver
-// has drained the previous batch's rows before it offers the next.
+// gate would mostly skip. Recycling the previous results and the arena
+// here is safe: the driver has drained the previous batch's rows before
+// it offers the next.
 func (e *Engine) searchShared(des []graph.Edge) [][]iso.Match {
+	e.recycleResults()
 	e.arena.begin()
 	return e.searchBatch(des, 1)
 }
@@ -286,7 +291,7 @@ func (e *Engine) searchBatchTree(des []graph.Edge, workers int, out [][]iso.Matc
 	}
 	for i, de := range des {
 		e.stats.EdgesProcessed++
-		e.curResults = e.curResults[:0]
+		start := len(e.curResults)
 		e.curEdge = de.ID
 		// Bound every search the merge issues on the engine's own
 		// matcher — live leaf searches and retrospective repair alike —
@@ -305,8 +310,13 @@ func (e *Engine) searchBatchTree(des []graph.Edge, workers int, out [][]iso.Matc
 		} else {
 			e.mergeTree(de, nil, nil)
 		}
-		out[i] = e.arena.matches(e.curResults)
-		e.stats.CompleteMatches += int64(len(out[i]))
+		// A row is the edge's stretch of curResults. Growth moves the
+		// list, not the rows already cut: those keep the array they were
+		// cut from, and the match values in it.
+		if end := len(e.curResults); end > start {
+			out[i] = e.curResults[start:end:end]
+			e.stats.CompleteMatches += int64(end - start)
+		}
 	}
 	e.matcher.MaxSeq = 0
 }
@@ -316,13 +326,11 @@ func (e *Engine) searchBatchTree(des []graph.Edge, workers int, out [][]iso.Matc
 // inline batch merge over it (no goroutine is started per batch; see
 // Engine.searchShared). Matches are returned edge-major: all matches
 // completed by batch edge i (in query registration order) precede those
-// of edge i+1, exactly the order a serial ProcessEdge loop reports.
+// of edge i+1, exactly the order a serial ProcessEdge loop reports. The
+// result has ProcessBatchGrouped's lifetime.
 func (m *MultiEngine) ProcessBatch(ses []stream.Edge) []NamedMatch {
-	var out []NamedMatch
-	for _, named := range m.ProcessBatchGrouped(ses) {
-		out = append(out, named...)
-	}
-	return out
+	_, flat := m.processBatch(ses)
+	return flat
 }
 
 // ProcessBatchGrouped is ProcessBatch with the results grouped by input
@@ -333,11 +341,22 @@ func (m *MultiEngine) ProcessBatch(ses []stream.Edge) []NamedMatch {
 // filter: filtered-out edges keep their slot and simply complete
 // nothing.
 //
-// The returned slices are arena-backed: they stay valid until the next
-// batch call on this engine and no longer (see batchArena).
+// The returned slices are arena-backed and the matches in them belong
+// to the query engines: both stay valid until the next result-returning
+// call on this engine and no longer (see batchArena).
 func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
+	rows, _ := m.processBatch(ses)
+	return rows
+}
+
+// processBatch is the one batch pass behind both forms: flat holds every
+// match edge-major, and rows[i] is the stretch of it batch edge i
+// completed. Both are sized from the per-query results before a single
+// match is copied, so a batch costs the arena two takes and the heap
+// nothing.
+func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat []NamedMatch) {
 	if len(ses) == 0 {
-		return nil
+		return nil, nil
 	}
 	m.arena.begin()
 	kept := ses
@@ -363,30 +382,41 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 			}
 		}
 	}
-	out := m.arena.namedBuf(len(ses))
+	rows = m.arena.namedBuf(len(ses))
 	if len(kept) == 0 {
-		return out
+		return rows, nil
 	}
 	des := m.ingestBatch(kept)
-	if cap(m.pq) < len(m.order) {
-		m.pq = make([][][]iso.Match, len(m.order))
+	if cap(m.pq) < len(m.engines) {
+		m.pq = make([][][]iso.Match, len(m.engines))
 	}
-	perQuery := m.pq[:len(m.order)]
-	for qi, name := range m.order {
-		perQuery[qi] = m.queries[name].searchShared(des)
-	}
-	for i := range des {
-		pos := i
-		if keptIdx != nil {
-			pos = keptIdx[i]
+	perQuery := m.pq[:len(m.engines)]
+	total := 0
+	for qi, eng := range m.engines {
+		perQuery[qi] = eng.searchShared(des)
+		for _, ms := range perQuery[qi] {
+			total += len(ms)
 		}
+	}
+	flat = m.arena.namedFlat(total)
+	off := 0
+	for i := range des {
+		start := off
 		for qi, name := range m.order {
 			for _, mt := range perQuery[qi][i] {
-				out[pos] = append(out[pos], NamedMatch{Query: name, Match: mt})
+				flat[off] = NamedMatch{Query: name, Match: mt}
+				off++
 			}
 		}
+		if off > start {
+			pos := i
+			if keptIdx != nil {
+				pos = keptIdx[i]
+			}
+			rows[pos] = flat[start:off:off]
+		}
 	}
-	return out
+	return rows, flat
 }
 
 // ingestBatch admits a batch into the shared graph with one statistics

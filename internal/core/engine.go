@@ -13,6 +13,27 @@
 // ingests many edges at once — one amortized eviction pass, candidate
 // searches fanned out over a worker pool — with per-edge results
 // identical to the serial loop.
+//
+// # Match lifetimes
+//
+// The matches an engine returns are the engine's. ProcessEdge,
+// ProcessBatch and FlushPending emit every complete match of a call into
+// one list (Engine.curResults) and return it, or rows cut from it; the
+// slices and the binding arrays behind each iso.Match stay valid until
+// the next of those three calls on the same engine, and no longer. That
+// call begins by handing the arrays back to the SJ-Tree's match pool
+// (recycleResults), where its own joins pick them up, so a query that
+// emits many matches per edge allocates none of them. One list and one
+// release point mean no interleaving of the three calls can release an
+// array twice. MultiEngine and ParallelMulti pass the contract through
+// per query engine (their own result slices are arena-backed with the
+// same lifetime, see batchArena). A caller that keeps a match resolves
+// it to names (MultiEngine.ResolveMatch, Engine.Explain) or Clones it
+// before its next call; every caller in this repository does, and the
+// streamgraph facade returns resolved copies only. The VF2 and IncIso
+// baselines have no tree and no pool: their matches are fresh and simply
+// left to the collector. For what the tree itself owns and when, see
+// sjtree.Tree.Insert and iso.MatchPool.
 package core
 
 import (
@@ -176,9 +197,16 @@ type Engine struct {
 	bitSet   []graph.VertexID
 	allEdges []int
 
-	pending    [][]retroItem // per-leaf retrospective work for the current edge
-	curEdge    graph.EdgeID
+	pending [][]retroItem // per-leaf retrospective work for the current edge
+	curEdge graph.EdgeID
+	// curResults holds every complete match of the current call, in
+	// emission order: what ProcessEdge and FlushPending return and what
+	// the rows ProcessBatch returns are cut from. It is the one list
+	// recycleResults hands back to the tree's pool when the next call
+	// starts (see "Match lifetimes" in the package comment); collect is
+	// the persistent emit callback that fills it.
 	curResults []iso.Match
+	collect    func(iso.Match)
 
 	// Retro-drain dedup state, reused across drains so the hot path
 	// stays allocation-free: retroSeen maps a 64-bit signature hash to
@@ -240,6 +268,7 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		g:   graph.New(),
 	}
 	e.matcher = e.newMatcher()
+	e.collect = func(m iso.Match) { e.curResults = append(e.curResults, m) }
 	e.mergeEmit = func(m iso.Match) bool {
 		e.curFound++
 		e.stats.LeafMatches++
@@ -353,6 +382,9 @@ func (e *Engine) Stats() Stats {
 // ProcessEdge folds one stream edge into the graph and returns the new
 // complete matches it produces. The returned matches reference the
 // engine's query via binding arrays; see Explain for a readable form.
+// The slice and the binding arrays are the engine's: they stay valid
+// until the next ProcessEdge, ProcessBatch or FlushPending call on this
+// engine and no longer (see "Match lifetimes" in the package comment).
 func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 	de := ingestOne(e.g, se)
 	e.maybeEvict()
@@ -362,11 +394,34 @@ func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 	return e.processShared(de)
 }
 
-// processShared runs the per-edge incremental search assuming the edge
-// is already present in the graph (the MultiEngine ingestion path).
-func (e *Engine) processShared(de graph.Edge) []iso.Match {
-	e.stats.EdgesProcessed++
+// recycleResults ends the lifetime of the previous call's complete
+// matches: their binding arrays go back to the tree's pool, where the
+// joins of the call now starting find them. Every result-returning entry
+// point runs it first, and all of them emit into curResults only, so
+// whichever way per-edge, batch and flush calls interleave, an array is
+// released exactly once. The baselines have no tree; their matches are
+// left to the collector.
+func (e *Engine) recycleResults() {
+	if len(e.curResults) == 0 {
+		return // most edges of most streams complete nothing
+	}
+	if e.tree != nil {
+		for _, m := range e.curResults {
+			e.tree.Release(m)
+		}
+	}
+	// Zeroed, not just truncated: a slot past the length must not pin
+	// the arrays of a match the pool had no room for.
+	clear(e.curResults)
 	e.curResults = e.curResults[:0]
+}
+
+// processShared runs the per-edge incremental search assuming the edge
+// is already present in the graph (the MultiEngine ingestion path). The
+// result is curResults itself (see ProcessEdge for its lifetime).
+func (e *Engine) processShared(de graph.Edge) []iso.Match {
+	e.recycleResults()
+	e.stats.EdgesProcessed++
 	e.curEdge = de.ID
 	if e.tree != nil && e.cfg.MaxWorkPerEdge > 0 {
 		e.budget.Remaining = e.cfg.MaxWorkPerEdge
@@ -381,15 +436,13 @@ func (e *Engine) processShared(de graph.Edge) []iso.Match {
 	default:
 		e.processTree(de)
 	}
-	out := make([]iso.Match, len(e.curResults))
-	copy(out, e.curResults)
-	e.stats.CompleteMatches += int64(len(out))
-	return out
+	e.stats.CompleteMatches += int64(len(e.curResults))
+	return e.curResults
 }
 
 // Run drains a stream source through the engine, invoking onMatch for
-// every complete match (may be nil). It returns the total number of
-// matches.
+// every complete match (may be nil; a match it keeps past its return
+// must be cloned). It returns the total number of matches.
 func (e *Engine) Run(src stream.Source, onMatch func(stream.Edge, iso.Match)) (int64, error) {
 	var total int64
 	for {
@@ -509,9 +562,7 @@ func (e *Engine) touchesEnabled(m iso.Match, l int) bool {
 }
 
 func (e *Engine) insert(leaf int, m iso.Match) {
-	e.tree.Insert(leaf, m,
-		func(cm iso.Match) { e.curResults = append(e.curResults, cm) },
-		e.onStored)
+	e.tree.Insert(leaf, m, e.collect, e.onStored)
 }
 
 // onStored implements ENABLE-SEARCH-SIBLING: a match stored at a node

@@ -1,0 +1,308 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"streamgraph/internal/graph"
+	"streamgraph/internal/iso"
+	"streamgraph/internal/query"
+	"streamgraph/internal/refmatch"
+	"streamgraph/internal/sjtree"
+	"streamgraph/internal/stream"
+)
+
+// Match lifetimes: an engine takes the complete matches of one call back
+// when the next call starts, so that a dense query recycles the arrays it
+// emits instead of allocating two per match. These tests pin both halves
+// of the contract — nothing is allocated to emit a match, and nothing
+// touches an emitted match before the next call — and the trap the
+// design has to avoid: releasing one array twice.
+
+// ringEdges feeds TCP edges round a ring of hosts, one tick per edge.
+// Against the 2-hop TCP-TCP query every edge completes a match with each
+// in-window edge into its source and each out of its destination — two
+// dozen per edge at a window of 200 — while hosts, buckets and live edges
+// stay bounded, so that a warm engine has nothing left to allocate for.
+type ringEdges struct {
+	names []string
+	i     int
+	ts    int64
+}
+
+func newRingEdges(hosts int) *ringEdges {
+	r := &ringEdges{names: make([]string, hosts)}
+	for i := range r.names {
+		r.names[i] = fmt.Sprintf("h%d", i)
+	}
+	return r
+}
+
+func (r *ringEdges) next() stream.Edge {
+	r.ts++
+	r.i++
+	n := len(r.names)
+	return stream.Edge{Src: r.names[r.i%n], SrcLabel: "ip", Dst: r.names[(r.i+1)%n], DstLabel: "ip", Type: "TCP", TS: r.ts}
+}
+
+func (r *ringEdges) fill(batch []stream.Edge) {
+	for j := range batch {
+		batch[j] = r.next()
+	}
+}
+
+// TestEmitPathsAllocFree extends the allocation gates to edges that
+// complete matches (the older gates deliberately never do): once warm,
+// Engine.ProcessEdge, Engine.ProcessBatch and
+// MultiEngine.ProcessBatchGrouped emit at least one match per edge and
+// allocate nothing — join outputs come from the arrays the previous call
+// gave back, the result list and the named rows are reused. BatchWorkers
+// is 1 on the standalone batch gate: a search pool starts goroutines and
+// matchers per batch by design.
+func TestEmitPathsAllocFree(t *testing.T) {
+	q := query.NewPath("ip", "TCP", "TCP")
+	const batchSize = 64
+
+	t.Run("Engine.ProcessEdge", func(t *testing.T) {
+		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := newRingEdges(16)
+		for i := 0; i < 4096; i++ {
+			eng.ProcessEdge(ring.next())
+		}
+		avg := mallocsPerRun(2000, func() {
+			if len(eng.ProcessEdge(ring.next())) == 0 {
+				t.Fatal("an edge completed no match: the gate would be vacuous")
+			}
+		})
+		if avg != 0 {
+			t.Errorf("ProcessEdge allocates %d allocs/op while emitting, want 0", avg)
+		}
+		if gets, fresh := eng.Tree().Pool().Stats(); fresh*20 > gets {
+			t.Errorf("pool handed out %d matches, %d of them fresh: emitted matches are not coming back", gets, fresh)
+		}
+	})
+
+	t.Run("Engine.ProcessBatch", func(t *testing.T) {
+		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}, BatchWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := newRingEdges(16)
+		batch := make([]stream.Edge, batchSize)
+		for r := 0; r < 64; r++ {
+			ring.fill(batch)
+			eng.ProcessBatch(batch)
+		}
+		avg := mallocsPerRun(200, func() {
+			ring.fill(batch)
+			for i, ms := range eng.ProcessBatch(batch) {
+				if len(ms) == 0 {
+					t.Fatalf("batch edge %d completed no match", i)
+				}
+			}
+		})
+		if avg != 0 {
+			t.Errorf("ProcessBatch allocates %d allocs/op while emitting, want 0", avg)
+		}
+	})
+
+	t.Run("MultiEngine.ProcessBatchGrouped", func(t *testing.T) {
+		if prev := runtime.GOMAXPROCS(0); prev < 2 {
+			runtime.GOMAXPROCS(2)
+			defer runtime.GOMAXPROCS(prev)
+		}
+		m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
+		if err := m.Register("eager", q, Config{Leaves: [][]int{{0}, {1}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Register("lazy", q, Config{Strategy: StrategySingleLazy, Leaves: [][]int{{0}, {1}}}); err != nil {
+			t.Fatal(err)
+		}
+		ring := newRingEdges(16)
+		batch := make([]stream.Edge, batchSize)
+		for r := 0; r < 64; r++ {
+			ring.fill(batch)
+			m.ProcessBatchGrouped(batch)
+		}
+		avg := mallocsPerRun(200, func() {
+			ring.fill(batch)
+			for i, nms := range m.ProcessBatchGrouped(batch) {
+				if len(nms) == 0 {
+					t.Fatalf("batch edge %d completed no match", i)
+				}
+			}
+		})
+		if avg != 0 {
+			t.Errorf("ProcessBatchGrouped allocates %d allocs/op while emitting, want 0", avg)
+		}
+	})
+}
+
+// snapshotMatches deep-copies results (nil stays nil) for a later
+// reflect.DeepEqual against the live ones.
+func snapshotMatches(ms []iso.Match) []iso.Match {
+	out := ms[:0:0]
+	for _, m := range ms {
+		out = append(out, m.Clone())
+	}
+	return out
+}
+
+// TestResultsValidUntilNextCall pins the lifetime from the caller's
+// side: what call N returned reads the same, bit for bit, right up to the
+// start of call N+1 — through reads of the engine and through a forced
+// window sweep, which expires the tree and trims its pool — for every
+// result-returning entry point in turn. Only the next such call ends it:
+// its joins must find the arrays of call N in the pool.
+func TestResultsValidUntilNextCall(t *testing.T) {
+	q := query.NewPath("ip", "TCP", "TCP")
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}, BatchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := newRingEdges(16)
+	batch := make([]stream.Edge, 8)
+	var held, want []iso.Match // call N's results, live and as copied
+	check := func(step int, when string) {
+		t.Helper()
+		if !reflect.DeepEqual(held, want) {
+			t.Fatalf("step %d: results changed %s:\n got %v\nwant %v", step, when, held, want)
+		}
+	}
+	emitted, reused := 0, 0
+	for step := 0; step < 600; step++ {
+		if step > 0 {
+			_ = eng.Stats()
+			for _, m := range held {
+				_ = eng.Explain(m)
+			}
+			check(step, "while the engine was only read")
+			if step%5 == 0 {
+				eng.ForceEvict()
+				check(step, "across a window sweep")
+			}
+		}
+		before := make(map[*graph.VertexID]bool, len(held))
+		for _, m := range held {
+			before[&m.VertexOf[0]] = true
+		}
+		var rows [][]iso.Match
+		switch step % 3 {
+		case 0:
+			rows = [][]iso.Match{eng.ProcessEdge(ring.next())}
+		case 1:
+			ring.fill(batch)
+			rows = eng.ProcessBatch(batch)
+		case 2:
+			rows = [][]iso.Match{eng.FlushPending()}
+		}
+		held = held[:0]
+		for _, ms := range rows {
+			held = append(held, ms...)
+		}
+		want = snapshotMatches(held)
+		emitted += len(held)
+		for _, m := range held {
+			if before[&m.VertexOf[0]] {
+				reused++
+			}
+		}
+	}
+	if emitted == 0 || reused == 0 {
+		t.Fatalf("%d matches emitted, %d on arrays of the call before: the contract was not exercised", emitted, reused)
+	}
+}
+
+// poolAliases drains the engine's match pool and reports an array that is
+// in it twice, or that a stored partial match still uses.
+func poolAliases(eng *Engine) error {
+	owner := make(map[any]string) // keyed by the arrays' first elements
+	claim := func(m iso.Match, who string) error {
+		for _, p := range []any{&m.VertexOf[0], &m.EdgeOf[0]} {
+			if prev, dup := owner[p]; dup {
+				return fmt.Errorf("array %p is held by %s and by %s", p, prev, who)
+			}
+			owner[p] = who
+		}
+		return nil
+	}
+	var err error
+	eng.Tree().EachStored(func(_ *sjtree.Node, m iso.Match) bool {
+		err = claim(m, "a stored match")
+		return err == nil
+	})
+	pool := eng.Tree().Pool()
+	for i := 0; err == nil && pool.Len() > 0; i++ {
+		err = claim(pool.Get(), fmt.Sprintf("free-list entry %d from the top", i))
+	}
+	return err
+}
+
+// TestInterleavedCallsMatchOracle is the double-release trap: one engine
+// driven by a seeded mix of ProcessEdge, ProcessBatch (inline and pooled
+// search) and FlushPending, on the churn stream where joins, emits,
+// expiry and ID reuse all happen at once. Every result-returning call
+// releases the results of the one before, whichever kind either was; if
+// two of them ever released the same array, two live matches would share
+// it and bindings would change under a stored match. The resolved match
+// multiset must equal the never-recycling oracle's, and afterwards no
+// array may be in the pool twice or in the pool and a table at once. CI
+// runs it under -race.
+func TestInterleavedCallsMatchOracle(t *testing.T) {
+	edges, stats, want := churnWorkload(t, 1)
+	for name, q := range refmatch.ChurnQueries() {
+		for _, s := range churnStrategies {
+			for _, workers := range []int{1, 2} {
+				label := fmt.Sprintf("%s/%v/workers%d", name, s, workers)
+				eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: 7, BatchWorkers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				rng := rand.New(rand.NewSource(int64(len(label)) + int64(s)))
+				got := make(map[string]int)
+				record := func(ms []iso.Match) {
+					for _, m := range ms {
+						got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
+					}
+				}
+				var calls [3]int
+				for lo := 0; lo < len(edges); {
+					kind := rng.Intn(3)
+					calls[kind]++
+					switch kind {
+					case 0:
+						record(eng.ProcessEdge(edges[lo]))
+						lo++
+					case 1:
+						hi := min(lo+1+rng.Intn(24), len(edges))
+						for _, ms := range eng.ProcessBatch(edges[lo:hi]) {
+							record(ms)
+						}
+						lo = hi
+					case 2:
+						record(eng.FlushPending())
+					}
+				}
+				record(eng.FlushPending())
+				if calls[0] == 0 || calls[1] == 0 || calls[2] == 0 {
+					t.Fatalf("%s: call mix %v leaves a kind out", label, calls)
+				}
+				if d := refmatch.Diff(want[name], got); d != "" {
+					t.Fatalf("%s: match multiset differs from the oracle:\n%s", label, d)
+				}
+				// The last call's results are still the caller's; end
+				// their lifetime so the pool holds everything it ever will.
+				eng.FlushPending()
+				if err := poolAliases(eng); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+}

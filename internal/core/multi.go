@@ -254,7 +254,11 @@ func (m *MultiEngine) RegisterWithBackfill(name string, q *query.Graph, cfg Conf
 	eng := m.queries[name]
 	var initial []iso.Match
 	m.g.EachEdge(func(de graph.Edge) bool {
-		initial = append(initial, eng.processShared(de)...)
+		// Each replayed edge ends the lifetime of the previous one's
+		// results; what is returned must outlive them all.
+		for _, mt := range eng.processShared(de) {
+			initial = append(initial, mt.Clone())
+		}
 		return true
 	})
 	return initial, nil
@@ -359,7 +363,9 @@ func (m *MultiEngine) SetEdgeLatency(h *metrics.AtomicHistogram, sampleEvery int
 // ProcessEdge ingests one stream edge into the shared graph and runs
 // every registered query's incremental search around it. An edge the
 // replica filter rejects is dropped whole: no graph mutation, no
-// statistics, no search.
+// statistics, no search. The result is arena-backed and its matches
+// belong to the query engines: valid until the next result-returning
+// call on this engine (see batchArena).
 func (m *MultiEngine) ProcessEdge(se stream.Edge) []NamedMatch {
 	if m.edgeLat != nil {
 		m.latN++
@@ -374,17 +380,27 @@ func (m *MultiEngine) ProcessEdge(se stream.Edge) []NamedMatch {
 	return m.processEdge(se)
 }
 
-// processEdge is ProcessEdge without the latency sampling wrapper.
+// processEdge is ProcessEdge without the latency sampling wrapper. It
+// runs every query first and sizes the result from what they report, so
+// an edge that completes matches costs one arena take.
 func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
 	if !m.admits(se) {
 		return nil
 	}
 	de := m.ingest(se)
-	var out []NamedMatch
-	for _, name := range m.order {
-		eng := m.queries[name]
-		for _, mt := range eng.processShared(de) {
-			out = append(out, NamedMatch{Query: name, Match: mt})
+	m.arena.begin()
+	perQuery := m.arena.rowBuf(len(m.engines))
+	total := 0
+	for qi, eng := range m.engines {
+		perQuery[qi] = eng.processShared(de)
+		total += len(perQuery[qi])
+	}
+	out := m.arena.namedFlat(total)
+	off := 0
+	for qi, name := range m.order {
+		for _, mt := range perQuery[qi] {
+			out[off] = NamedMatch{Query: name, Match: mt}
+			off++
 		}
 	}
 	return out
@@ -413,7 +429,8 @@ func (m *MultiEngine) advanceEvict(n int) {
 // complete matches it produces in registration order. A filtered
 // replica uses it as the drain barrier at register/unregister/close
 // points: the serial schedule drains pending repairs at the next
-// stream edge, which a gated replica may never receive.
+// stream edge, which a gated replica may never receive. The matches
+// belong to the query engines, as ProcessEdge's do.
 func (m *MultiEngine) FlushPending() []NamedMatch {
 	var out []NamedMatch
 	for _, name := range m.order {

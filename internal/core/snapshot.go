@@ -29,19 +29,18 @@ func (e *Engine) ConfigSnapshot() Config {
 // the next edge arrival, returning any complete matches the deferred
 // work produces. Snapshots call it so that pending work does not need
 // to be serialized; running it early is semantically equivalent because
-// the searches only see edges that have already arrived.
+// the searches only see edges that have already arrived. The result has
+// ProcessEdge's lifetime: valid until the next result-returning call.
 func (e *Engine) FlushPending() []iso.Match {
+	e.recycleResults()
 	if !e.lazy || e.tree == nil {
 		return nil
 	}
-	e.curResults = e.curResults[:0]
 	for l := 0; l < e.tree.NumLeaves(); l++ {
 		e.drainRetro(l, iso.NoEdge)
 	}
-	out := make([]iso.Match, len(e.curResults))
-	copy(out, e.curResults)
-	e.stats.CompleteMatches += int64(len(out))
-	return out
+	e.stats.CompleteMatches += int64(len(e.curResults))
+	return e.curResults
 }
 
 // ForceEvict runs the window sweep immediately (see sweep), regardless

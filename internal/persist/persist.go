@@ -383,6 +383,10 @@ func (w *writer) str(s string) {
 type reader struct {
 	r   *bufio.Reader
 	err error
+	// scratch is what u32 and u64 decode from: an array local to them
+	// would escape through io.ReadFull and cost a heap object per
+	// integer of the image.
+	scratch [8]byte
 }
 
 func (r *reader) bytes(b []byte) {
@@ -393,15 +397,21 @@ func (r *reader) bytes(b []byte) {
 }
 
 func (r *reader) u32() uint32 {
-	var buf [4]byte
-	r.bytes(buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
+	b := r.scratch[:4]
+	r.bytes(b)
+	if r.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b)
 }
 
 func (r *reader) u64() uint64 {
-	var buf [8]byte
-	r.bytes(buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
+	b := r.scratch[:8]
+	r.bytes(b)
+	if r.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
 }
 
 func (r *reader) i64() int64 { return int64(r.u64()) }

@@ -23,6 +23,13 @@ type refTree struct {
 	tables []map[string][]iso.Match
 	seen   []map[string]bool
 	stored int
+
+	// attempted and succeeded mirror Stats.JoinsAttempted/JoinsSucceeded;
+	// reasons counts the outcomes of refJoin by kind.
+	attempted, succeeded int64
+	reasons              [numJoinOutcomes]int
+	// onJoin (optional) observes every join the reference attempts.
+	onJoin func(node, sibling *Node, a, b, out iso.Match, why joinOutcome)
 }
 
 func newRefTree(q *query.Graph, leaves [][]int, window int64, dedup bool) (*refTree, error) {
@@ -79,7 +86,14 @@ func (r *refTree) update(node *Node, m iso.Match, emit func(iso.Match)) {
 		return
 	}
 	for _, ms := range r.tables[sibling.ID][k] {
-		if sup, ok := r.join(m, ms); ok {
+		r.attempted++
+		sup, why := refJoin(r.window, m, ms)
+		r.reasons[why]++
+		if r.onJoin != nil {
+			r.onJoin(node, sibling, m, ms, sup, why)
+		}
+		if why == joinOK {
+			r.succeeded++
 			r.update(parent, sup, emit)
 		}
 	}
@@ -90,10 +104,27 @@ func (r *refTree) update(node *Node, m iso.Match, emit func(iso.Match)) {
 	r.stored++
 }
 
-// join mirrors Definition 3.1.3 with the original clone-then-check
-// shape.
-func (r *refTree) join(a, b iso.Match) (iso.Match, bool) {
-	if r.window > 0 {
+// joinOutcome says how refJoin ended.
+type joinOutcome int
+
+const (
+	joinOK joinOutcome = iota
+	rejectWindow
+	rejectCut        // a shared query vertex bound differently
+	rejectInjective  // one data vertex for two query vertices
+	rejectSharedEdge // a query edge bound on both sides
+	rejectDupEdge    // one data edge for two query edges
+	numJoinOutcomes
+)
+
+// refJoin is the generic join the tree used before its joins were
+// compiled per node at Build (Definition 3.1.3 in the original
+// clone-then-check shape): it knows nothing about which slots a node
+// binds, scans every slot of b, and rechecks shared vertices itself.
+// Tree.join must agree with it on every pair of matches a tree can
+// hold.
+func refJoin(window int64, a, b iso.Match) (iso.Match, joinOutcome) {
+	if window > 0 {
 		lo, hi := a.MinTS, a.MaxTS
 		if b.MinTS < lo {
 			lo = b.MinTS
@@ -101,8 +132,8 @@ func (r *refTree) join(a, b iso.Match) (iso.Match, bool) {
 		if b.MaxTS > hi {
 			hi = b.MaxTS
 		}
-		if hi-lo >= r.window {
-			return iso.Match{}, false
+		if hi-lo >= window {
+			return iso.Match{}, rejectWindow
 		}
 	}
 	out := a.Clone()
@@ -112,13 +143,13 @@ func (r *refTree) join(a, b iso.Match) (iso.Match, bool) {
 		}
 		if cur := out.VertexOf[qv]; cur != graph.NoVertex {
 			if cur != dv {
-				return iso.Match{}, false
+				return iso.Match{}, rejectCut
 			}
 			continue
 		}
 		for qv2, dv2 := range out.VertexOf {
 			if dv2 == dv && qv2 != qv {
-				return iso.Match{}, false
+				return iso.Match{}, rejectInjective
 			}
 		}
 		out.VertexOf[qv] = dv
@@ -128,11 +159,11 @@ func (r *refTree) join(a, b iso.Match) (iso.Match, bool) {
 			continue
 		}
 		if out.EdgeOf[qe] != iso.NoEdge {
-			return iso.Match{}, false
+			return iso.Match{}, rejectSharedEdge
 		}
 		for _, de2 := range out.EdgeOf {
 			if de2 == de {
-				return iso.Match{}, false
+				return iso.Match{}, rejectDupEdge
 			}
 		}
 		out.EdgeOf[qe] = de
@@ -143,7 +174,7 @@ func (r *refTree) join(a, b iso.Match) (iso.Match, bool) {
 	if b.MaxTS > out.MaxTS {
 		out.MaxTS = b.MaxTS
 	}
-	return out, true
+	return out, joinOK
 }
 
 func (r *refTree) expireBefore(cutoff int64) int {

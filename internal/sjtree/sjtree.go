@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
 )
@@ -33,6 +32,10 @@ type Node struct {
 	QEdges []int // query edge indices of VSG(n), sorted
 	QVerts []int // query vertex indices covered, sorted
 	Cut    []int // internal nodes: sorted query vertices shared by children
+
+	// ownVerts is QVerts without the parent's cut: the vertices a match
+	// of this node does not share with a sibling's (see Tree.join).
+	ownVerts []int
 
 	IsLeaf  bool
 	LeafPos int // position in left-to-right leaf order; -1 for internal nodes
@@ -103,9 +106,10 @@ type Tree struct {
 	// Stats.Shed counts the dropped work.
 	Budget *WorkBudget
 
-	// pool recycles the backing arrays of evicted and discarded
-	// matches into join outputs and (via Pool) the engine's candidate
-	// clones, keeping the steady-state insert path allocation-free.
+	// pool recycles the backing arrays of evicted, discarded and
+	// released matches into join outputs and (via Pool) the engine's
+	// candidate clones, keeping the steady-state insert path
+	// allocation-free.
 	pool *iso.MatchPool
 
 	// collide (test hook) forces every cut key and dedup signature to
@@ -184,6 +188,8 @@ func Build(q *query.Graph, leaves [][]int, window int64) (*Tree, error) {
 		parent.QEdges = mergeSorted(cur.QEdges, right.QEdges)
 		parent.QVerts = q.EdgeVertices(parent.QEdges)
 		parent.Cut = intersectSorted(cur.QVerts, right.QVerts)
+		cur.ownVerts = subtractSorted(cur.QVerts, parent.Cut)
+		right.ownVerts = subtractSorted(right.QVerts, parent.Cut)
 		cur = parent
 	}
 	t.Root = cur.ID
@@ -253,6 +259,21 @@ func intersectSorted(a, b []int) []int {
 	return out
 }
 
+// subtractSorted returns the elements of a that are not in b.
+func subtractSorted(a, b []int) []int {
+	var out []int
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // LeafNode returns the node for the given leaf position.
 func (t *Tree) LeafNode(pos int) *Node { return t.Nodes[t.Leaves[pos]] }
 
@@ -297,9 +318,10 @@ func cutEqual(cut []int, a, b iso.Match) bool {
 // merge-path matcher (candidate clones then reuse evicted arrays).
 func (t *Tree) Pool() *iso.MatchPool { return t.pool }
 
-// Release recycles a match the caller discarded without inserting (a
-// lazily gated candidate, an excluded retrospective match). The caller
-// must exclusively own m.
+// Release recycles a match the caller owns and is done with: one it
+// discarded without inserting (a lazily gated candidate, an excluded
+// retrospective match), or a complete match Insert handed to emit. The
+// caller must exclusively own m and release it at most once.
 func (t *Tree) Release(m iso.Match) { t.pool.Put(m) }
 
 // OnStored observes every match newly stored at a node; Lazy Search uses
@@ -316,6 +338,12 @@ type OnStored func(n *Node, m iso.Match)
 // insert is dedup-suppressed), so callers must not reuse m after the
 // call and must not pass a match aliasing an already-stored one — pass
 // a clone to retain or replay one.
+//
+// Ownership of a complete match passes the other way: what emit receives
+// belongs to the caller, the tree keeps no reference to it, and it stays
+// valid across later Insert and ExpireBefore calls until the caller
+// hands it to Release (or drops it for the collector). The engine does
+// that one call later (see "Match lifetimes" in package core).
 func (t *Tree) Insert(leafPos int, m iso.Match, emit func(iso.Match), onStored OnStored) int {
 	return t.update(t.Nodes[t.Leaves[leafPos]], m, emit, onStored)
 }
@@ -374,7 +402,7 @@ func (t *Tree) update(node *Node, m iso.Match, emit func(iso.Match), onStored On
 			t.Budget.Remaining--
 		}
 		t.stats.JoinsAttempted++
-		sup, ok := t.join(m, ms)
+		sup, ok := t.join(node, sibling, m, ms)
 		if !ok {
 			continue
 		}
@@ -498,82 +526,68 @@ func removeSeen(node *Node, sig uint64, m iso.Match) {
 	}
 }
 
-// join merges two sibling matches (Definition 3.1.3): the union of their
-// bindings, provided shared query vertices agree (probed via the hashed
-// cut key and re-checked here), vertex injectivity holds across the
-// union, data edges are distinct, and the combined τ(g) respects the
-// window. The merged output draws its arrays from the match pool and is
-// recycled straight back on rejection, so failed joins — the
-// overwhelming majority at hub vertices — cost no heap churn.
-func (t *Tree) join(a, b iso.Match) (iso.Match, bool) {
-	if t.Window > 0 {
-		lo, hi := a.MinTS, a.MaxTS
-		if b.MinTS < lo {
-			lo = b.MinTS
-		}
-		if b.MaxTS > hi {
-			hi = b.MaxTS
-		}
-		if hi-lo >= t.Window {
-			return iso.Match{}, false
-		}
+// join merges a match a of node with a match b of its sibling
+// (Definition 3.1.3): the union of their bindings, provided vertex
+// injectivity holds across the union, the data edges are distinct, and
+// the combined τ(g) respects the window. The caller has already
+// established that the two agree on the parent's cut (cutEqual).
+//
+// A match stored at a node binds exactly that node's QVerts and QEdges,
+// so which slots can clash is fixed when the tree is built. Vertices:
+// only the two sides' vertices outside the cut (ownVerts) — on the cut
+// they agree, and a match is injective in itself, so neither side's own
+// vertices repeat a cut binding. Edges: the sibling's query edges against
+// the node's. Every test reads the two inputs, cheapest first; an array
+// is taken from the pool only for a join that succeeds, so the failed
+// joins — the overwhelming majority at hub vertices — touch neither the
+// pool nor the heap.
+func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
+	lo, hi := a.MinTS, a.MaxTS
+	if b.MinTS < lo {
+		lo = b.MinTS
 	}
-	out := t.pool.Clone(a)
-	reject := func() (iso.Match, bool) {
-		t.pool.Put(out)
+	if b.MaxTS > hi {
+		hi = b.MaxTS
+	}
+	if t.Window > 0 && hi-lo >= t.Window {
 		return iso.Match{}, false
 	}
-	// Vertices: merge with consistency + injectivity checks.
-	for qv, dv := range b.VertexOf {
-		if dv == graph.NoVertex {
-			continue
-		}
-		if cur := out.VertexOf[qv]; cur != graph.NoVertex {
-			if cur != dv {
-				return reject()
-			}
-			continue
-		}
-		// dv must not already be bound to a different query vertex.
-		for qv2, dv2 := range out.VertexOf {
-			if dv2 == dv && qv2 != qv {
-				return reject()
+	for _, qv := range sibling.ownVerts {
+		dv := b.VertexOf[qv]
+		for _, qa := range node.ownVerts {
+			if a.VertexOf[qa] == dv {
+				return iso.Match{}, false
 			}
 		}
-		out.VertexOf[qv] = dv
 	}
-	// Edges: merge, requiring distinct data edges.
-	for qe, de := range b.EdgeOf {
-		if de == iso.NoEdge {
-			continue
-		}
-		if out.EdgeOf[qe] != iso.NoEdge {
-			// Leaves are edge-disjoint, so the same query edge can never
-			// be bound on both sides.
-			return reject()
-		}
-		for _, de2 := range out.EdgeOf {
-			if de2 == de {
-				return reject()
+	for _, qe := range sibling.QEdges {
+		de := b.EdgeOf[qe]
+		for _, qa := range node.QEdges {
+			if a.EdgeOf[qa] == de {
+				return iso.Match{}, false
 			}
 		}
-		out.EdgeOf[qe] = de
 	}
-	if b.MinTS < out.MinTS {
-		out.MinTS = b.MinTS
+	out := t.pool.Get()
+	copy(out.VertexOf, a.VertexOf)
+	copy(out.EdgeOf, a.EdgeOf)
+	for _, qv := range sibling.ownVerts {
+		out.VertexOf[qv] = b.VertexOf[qv]
 	}
-	if b.MaxTS > out.MaxTS {
-		out.MaxTS = b.MaxTS
+	for _, qe := range sibling.QEdges {
+		out.EdgeOf[qe] = b.EdgeOf[qe]
 	}
+	out.MinTS, out.MaxTS = lo, hi
 	return out, true
 }
 
 // RestoreStored re-inserts a previously stored partial match at the
 // given node without probing the sibling or cascading joins — the
 // snapshot/restore path, where every join the match could produce was
-// already produced before the snapshot was taken. The match must carry
-// bindings consistent with the node's subgraph; only structural checks
-// are performed.
+// already produced before the snapshot was taken. The match must bind
+// exactly the node's subgraph — its QVerts and QEdges, nothing else, as
+// every match the tree stored itself does and Tree.join relies on; only
+// structural checks are performed.
 func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
 	if nodeID < 0 || nodeID >= len(t.Nodes) {
 		return fmt.Errorf("sjtree: node %d out of range", nodeID)
@@ -606,11 +620,15 @@ func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
 // matches, so a pass costs O(expired) plus the touched buckets — and a
 // pass that expires nothing performs no table scans at all
 // (Stats.ExpireScanned pins this).
+//
+// Each pass ends by trimming the match pool: free arrays nothing drew
+// over the last two passes go to the collector (iso.MatchPool.Trim).
 func (t *Tree) ExpireBefore(cutoff int64) int {
 	evicted := 0
 	for _, n := range t.Nodes {
 		evicted += t.expireNode(n, cutoff)
 	}
+	t.pool.Trim()
 	t.stats.Stored -= int64(evicted)
 	t.stats.Evicted += int64(evicted)
 	return evicted
