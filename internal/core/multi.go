@@ -303,12 +303,20 @@ type PortableMatchEdge struct {
 // ResolveMatch resolves an engine match into portable name-based form
 // against the shared graph now, while the bound edges are certainly
 // still live. Both the local shard worker and the remote dshard worker
-// emit matches through this one definition — sharing it is part of
-// what keeps match output byte-identical across topologies.
+// emit matches through this one walk (AppendResolved) — sharing it is
+// part of what keeps match output byte-identical across topologies.
 func (m *MultiEngine) ResolveMatch(nm NamedMatch) (bindings []PortableBinding, edges []PortableMatchEdge) {
+	return m.AppendResolved(
+		make([]PortableBinding, 0, len(nm.Match.VertexOf)),
+		make([]PortableMatchEdge, 0, len(nm.Match.EdgeOf)), nm)
+}
+
+// AppendResolved is ResolveMatch appending onto caller-owned slices: a
+// caller that resolves many matches at once sizes one slab of each kind
+// (len(VertexOf) and len(EdgeOf) bound what one match appends) and cuts
+// the matches out of them, instead of two allocations per match.
+func (m *MultiEngine) AppendResolved(bindings []PortableBinding, edges []PortableMatchEdge, nm NamedMatch) ([]PortableBinding, []PortableMatchEdge) {
 	q := m.queries[nm.Query].Query()
-	bindings = make([]PortableBinding, 0, len(nm.Match.VertexOf))
-	edges = make([]PortableMatchEdge, 0, len(nm.Match.EdgeOf))
 	for qv, dv := range nm.Match.VertexOf {
 		if dv == graph.NoVertex {
 			continue

@@ -190,6 +190,12 @@ type host struct {
 	// legacy mirrors Server.LegacyV1: refuse v2 hellos like an old
 	// binary would.
 	legacy bool
+
+	// bindings and edges are the slabs every match of the connection
+	// resolves into: WriteMatch has encoded a match by the time it
+	// returns, so the next one overwrites it.
+	bindings []Binding
+	edges    []MatchEdge
 }
 
 func (h *host) run() error {
@@ -570,16 +576,16 @@ func (h *host) setFilter(universal bool, types []string) {
 }
 
 // match resolves one engine match into portable name-based form (the
-// shared core.MultiEngine.ResolveMatch walk, identical to the local
+// shared core.MultiEngine.AppendResolved walk, identical to the local
 // worker's) and streams it; resolution happens here, while the bound
 // edges are certainly still live in the replica.
 func (h *host) match(frame, seq uint64, nm core.NamedMatch) error {
-	out := Match{
+	h.bindings, h.edges = h.eng.AppendResolved(h.bindings[:0], h.edges[:0], nm)
+	return h.cn.WriteMatch(Match{
 		Frame: frame, Query: nm.Query, Rank: h.ranks[nm.Query], Seq: seq,
 		FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS,
-	}
-	out.Bindings, out.Edges = h.eng.ResolveMatch(nm)
-	return h.cn.WriteMatch(out)
+		Bindings: h.bindings, Edges: h.edges,
+	})
 }
 
 func (h *host) done(frame uint64, engErr error) error {

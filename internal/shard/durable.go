@@ -72,7 +72,7 @@ import (
 // cold start). It returns the matches regenerated while replaying the
 // log tail into the recovered engines — re-deliveries of matches the
 // previous process may already have emitted after its last checkpoint
-// (at-least-once across a crash); later matches arrive on Matches()
+// (at-least-once across a crash); later matches arrive through Drain
 // as usual. Durable mode is incompatible with Config.Ordered: a
 // restart replays in completion order, and the deterministic merge
 // cannot suppress re-deliveries.
@@ -245,13 +245,17 @@ func Open(cfg Config) (*Router, []Match, error) {
 	// Rebuild the router-side bookkeeping from the surviving
 	// registrations, in rank order — the same fold Register performs
 	// live, so gates, refcounts and remote post-filters come out
-	// identical to the crashed router's.
+	// identical to the crashed router's. The estimated costs are not in
+	// router.meta: they are derived again, from the restored collector
+	// and the pinned leaves.
 	maxRank := -1
 	for _, reg := range kept {
 		w := r.workers[reg.slot]
-		r.owner[reg.name] = w
-		r.owned[w]++
-		r.order = append(r.order, reg.name)
+		q, err := query.Parse(reg.query)
+		if err != nil {
+			return fail(fmt.Errorf("shard: checkpoint query %q: %w", reg.name, err))
+		}
+		r.own(reg.name, w, estimateCost(r.stats, q, reg.cfg.Leaves))
 		if reg.rank > maxRank {
 			maxRank = reg.rank
 		}
@@ -268,10 +272,6 @@ func Open(cfg Config) (*Router, []Match, error) {
 			// trim kept exactly as far back as any remote needs). The
 			// MinInt64 floor is self-limiting — the first post-reconnect
 			// checkpoint snapshot retires the event and the pin advances.
-			q, err := query.Parse(reg.query)
-			if err != nil {
-				return fail(fmt.Errorf("shard: checkpoint query %q: %w", reg.name, err))
-			}
 			msg := message{
 				kind: msgRegister, name: reg.name, q: q, cfg: reg.cfg, rank: reg.rank,
 				fpTypes: reg.fpTypes, fpExact: reg.fpExact,
@@ -311,20 +311,21 @@ func Open(cfg Config) (*Router, []Match, error) {
 
 	// Temporary drainer: the recovery replay must flow like live
 	// traffic (bounded queues, delivery barrier), and Open's caller
-	// cannot be reading Matches yet. Collected matches are returned.
+	// cannot be running Drain yet. Collected matches are returned.
 	stop := make(chan struct{})
 	collected := make(chan []Match, 1)
 	go func() {
 		var ms []Match
 		for {
 			select {
-			case m, ok := <-r.out:
+			case block, ok := <-r.out:
 				if !ok {
 					collected <- ms
 					return
 				}
-				ms = append(ms, m)
-				r.consumed.Add(1)
+				ms = append(ms, block...)
+				r.release(len(block))
+				r.consumed.Add(int64(len(block)))
 			case <-stop:
 				collected <- ms
 				return

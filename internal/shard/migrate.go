@@ -372,14 +372,7 @@ func (r *Router) placeMigrated(dst *worker, name string, clone *core.MultiEngine
 func (r *Router) dropRegistration(name string, last *worker) {
 	r.mu.Lock()
 	if r.owner[name] == last {
-		delete(r.owner, name)
-		r.owned[last]--
-		for i, n := range r.order {
-			if n == name {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
+		r.disown(name)
 	}
 	r.mu.Unlock()
 	if r.filtering {
@@ -443,9 +436,10 @@ func (r *Router) AddSlot(addr string) (int, error) {
 }
 
 // RemoveSlot retires a slot: every query it owns is live-migrated to
-// the surviving slots (least-loaded first), then the slot is drained
-// and permanently removed from the topology (its id remains as a
-// tombstone; it pins nothing). Not available in Ordered mode.
+// the surviving slots (each to the coldest at that moment, slotOrder),
+// then the slot is drained and permanently removed from the topology
+// (its id remains as a tombstone; it pins nothing). Not available in
+// Ordered mode.
 func (r *Router) RemoveSlot(id int) error {
 	if r.cfg.Ordered {
 		return fmt.Errorf("shard: RemoveSlot is not available in Ordered mode")
@@ -493,20 +487,18 @@ func (r *Router) anyOwned(w *worker) (string, bool) {
 	return "", false
 }
 
-// pickTarget chooses the least-loaded live slot other than w, or -1.
+// pickTarget chooses the coldest live slot other than w (slotOrder),
+// or -1.
 func (r *Router) pickTarget(w *worker) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	best := -1
-	for _, cand := range r.workers {
-		if cand == w || cand.retired {
-			continue
-		}
-		if best < 0 || r.owned[cand] < r.owned[r.workers[best]] {
-			best = cand.id
+	slots, _ := r.slotOrder()
+	for _, cand := range slots {
+		if cand != w {
+			return cand.id
 		}
 	}
-	return best
+	return -1
 }
 
 // retireLocked tombstones a slot: close its queue (the worker or proxy
@@ -569,11 +561,18 @@ func (r *Router) failoverEvacuate(w *worker) {
 	}
 }
 
-// Rebalance evens query placement across the live slots: while the
-// spread between the most- and least-loaded slot exceeds one query, it
-// live-migrates one query from the hottest slot (ties broken by queue
-// depth, then by routed-edge count) to the coldest. Returns the number
-// of migrations performed. Not available in Ordered mode.
+// Rebalance evens the estimated load across the live slots: while some
+// query can move from a hotter slot to the coldest one (slotOrder) and
+// leave the coldest slot ordered strictly before where the hotter one
+// stood — by (load, owned queries) — it live-migrates the query whose
+// move leaves the lower peak between the two, trying the hottest slot
+// first. Every move therefore lowers the hotter slot's load without
+// making a new hot spot, so the loop ends; a slot whose load is one
+// expensive query keeps it. With equal costs (a cold collector: all 0)
+// this is the count rule: migrate until no two slots differ by more
+// than one query. Costs are the estimates fixed at registration; they
+// are not refreshed here. Returns the number of migrations performed.
+// Not available in Ordered mode.
 func (r *Router) Rebalance() (int, error) {
 	if r.cfg.Ordered {
 		return 0, fmt.Errorf("shard: Rebalance is not available in Ordered mode")
@@ -585,17 +584,12 @@ func (r *Router) Rebalance() (int, error) {
 			r.ingestMu.Unlock()
 			return moved, fmt.Errorf("shard: router is closed")
 		}
-		hot, cold := r.hotCold()
-		if hot == nil || cold == nil || r.spread(hot, cold) <= 1 {
+		name, hot, cold := r.rebalanceMove()
+		if name == "" {
 			r.ingestMu.Unlock()
 			return moved, nil
 		}
-		name, ok := r.anyOwned(hot)
-		if !ok {
-			r.ingestMu.Unlock()
-			return moved, nil
-		}
-		err := r.migrateLocked(name, hot.id, cold.id)
+		err := r.migrateLocked(name, hot, cold)
 		r.ingestMu.Unlock()
 		if err != nil {
 			return moved, err
@@ -604,40 +598,34 @@ func (r *Router) Rebalance() (int, error) {
 	}
 }
 
-// hotCold picks the hottest and coldest live slots: most/fewest owned
-// queries, ties broken by ingest queue depth, then by routed edges.
-func (r *Router) hotCold() (hot, cold *worker) {
+// rebalanceMove picks Rebalance's next migration, "" when placement is
+// as even as whole queries allow.
+func (r *Router) rebalanceMove() (name string, from, to int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hotter := func(a, b *worker) bool { // a strictly hotter than b
-		if r.owned[a] != r.owned[b] {
-			return r.owned[a] > r.owned[b]
-		}
-		if la, lb := len(a.in), len(b.in); la != lb {
-			return la > lb
-		}
-		return a.edgesRouted.Load() > b.edgesRouted.Load()
+	slots, loads := r.slotOrder()
+	if len(slots) < 2 {
+		return "", 0, 0
 	}
-	for _, w := range r.workers {
-		if w.retired {
-			continue
+	cold := slots[0]
+	for i := len(slots) - 1; i > 0; i-- {
+		hot := slots[i]
+		peak := 0.0
+		for _, cand := range r.order {
+			if r.owner[cand] != hot {
+				continue
+			}
+			after := r.slotLoads(cand, cold)
+			if after[cold] > loads[hot] || after[cold] == loads[hot] && r.owned[cold]+1 >= r.owned[hot] {
+				continue // cold would end up where hot stood, or hotter
+			}
+			if p := max(after[hot], after[cold]); name == "" || p < peak {
+				name, peak = cand, p
+			}
 		}
-		if hot == nil || hotter(w, hot) {
-			hot = w
-		}
-		if cold == nil || hotter(cold, w) {
-			cold = w
+		if name != "" {
+			return name, hot.id, cold.id
 		}
 	}
-	if hot == cold {
-		return nil, nil
-	}
-	return hot, cold
-}
-
-// spread is the owned-query imbalance between two slots.
-func (r *Router) spread(hot, cold *worker) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.owned[hot] - r.owned[cold]
+	return "", 0, 0
 }

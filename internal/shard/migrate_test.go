@@ -1014,10 +1014,3 @@ func splitDropTorn(data string) []string {
 	}
 	return lines
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

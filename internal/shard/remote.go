@@ -1075,13 +1075,7 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 	case f.kind == msgCheckpoint:
 		rs.adoptSnapshotLocked(f.snapData)
 	case f.kind == msgEdges:
-		if f.end > rs.deliveredEnd {
-			rs.deliveredEnd = f.end
-		}
-		for len(rs.spans) > 0 && rs.spans[0].end <= f.end {
-			rs.spans = rs.spans[1:]
-		}
-		rs.recomputePinLocked()
+		// Settled below, after the frame's matches are delivered.
 	default: // control frame
 		ev := f.ev
 		first := !ev.acked
@@ -1109,26 +1103,42 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 			f.matches = nil // matches of an already-delivered event were suppressed
 		}
 	}
-	if !f.suppress && w.bundles == nil {
-		// Account the delivery before the span pop becomes visible
-		// outside the lock: the durable checkpoint barrier (shard.go's
-		// checkpointRound) reads the emitted counter after observing the
-		// spans, and must never see an edge unpinned while its matches
-		// are still uncounted.
-		w.r.emitted.Add(int64(len(f.matches)))
-	}
 	rs.mu.Unlock()
-	if reply != nil {
-		reply <- replyErr
-	}
 	w.replicaLive.Set(d.Live)
 	w.replicaStored.Set(d.Stored)
 	w.replicaTypes.Set(d.Types)
 
 	// Deliver outside the lock: a full collection channel must
-	// backpressure ingest, not deadlock Stats readers.
+	// backpressure ingest, not deadlock Stats readers. And before the
+	// control reply, as a local worker does: once Register or
+	// Unregister returns, the matches its flush barrier produced are
+	// counted as emitted, so the checkpoint round that makes the call
+	// durable waits for them.
 	if !f.suppress {
 		rs.deliver(f)
+	}
+	if reply != nil {
+		reply <- replyErr
+	}
+	if f.kind == msgEdges && !f.closing {
+		// Pop the frame's spans only now that Router.deliver has counted
+		// its matches as emitted: the durable checkpoint barrier
+		// (durable.go's checkpointRound) reads the emitted counter after
+		// observing the spans, and must never see an edge unpinned while
+		// its matches are still uncounted. Until then other goroutines
+		// (the ingest-path trim, a checkpoint round, a migration's drain
+		// barrier) see the span pinned a little longer, the safe side;
+		// the one reader of deliveredEnd, a reconnect's rebuild, starts
+		// on this goroutine.
+		rs.mu.Lock()
+		if f.end > rs.deliveredEnd {
+			rs.deliveredEnd = f.end
+		}
+		for len(rs.spans) > 0 && rs.spans[0].end <= f.end {
+			rs.spans = rs.spans[1:]
+		}
+		rs.recomputePinLocked()
+		rs.mu.Unlock()
 	}
 	return f.closing, true
 }
@@ -1173,7 +1183,7 @@ func (rs *remoteSlot) adoptSnapshotLocked(data []byte) {
 }
 
 // deliver forwards one acknowledged frame's matches: per-seq bundles
-// in ordered mode, the collection channel otherwise.
+// in ordered mode, collection blocks otherwise.
 func (rs *remoteSlot) deliver(f inflightFrame) {
 	w := rs.w
 	if w.bundles != nil && f.kind == msgEdges && !f.closing {
@@ -1189,10 +1199,10 @@ func (rs *remoteSlot) deliver(f inflightFrame) {
 		}
 		return
 	}
-	for _, m := range f.matches {
-		w.matchesEmitted.Inc()
-		w.r.out <- m
-		w.r.tel.recordMatch(m.Query, m.Seq)
+	w.matchesEmitted.Add(int64(len(f.matches)))
+	for lo := 0; lo < len(f.matches); lo += blockSize {
+		hi := min(lo+blockSize, len(f.matches))
+		w.r.deliver(f.matches[lo:hi:hi])
 	}
 }
 

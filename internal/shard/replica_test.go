@@ -362,6 +362,15 @@ func TestUnregisterTrimsReplica(t *testing.T) {
 	for _, se := range edges[:half] {
 		r.Ingest(se)
 	}
+	// Ingest is asynchronous and the replica gauges are published by the
+	// worker: wait for it to catch up before reading them. Unregistering
+	// a name the worker does not hold is a no-op that replies in queue
+	// order.
+	caughtUp := make(chan error, 1)
+	r.ingestMu.Lock()
+	r.workers[0].in <- message{kind: msgUnregister, name: "no-such-query", reply: caughtUp}
+	r.ingestMu.Unlock()
+	<-caughtUp
 	before := r.Stats()[0]
 	if before.ReplicaTypes != 4 {
 		t.Fatalf("pre-unregister filter has %d types, want 4", before.ReplicaTypes)

@@ -51,10 +51,16 @@
 // collector-side rendezvous; use it for tests and audits, not for
 // throughput.
 //
-// The collection channel MUST be drained concurrently with ingestion
-// (Matches, or the Drain helper): every channel in the pipeline is
-// bounded, so an unread match eventually stalls the shards and then
-// the router.
+// Collection. Matches travel to the consumer in blocks: a worker
+// resolves a batch's matches blockSize at a time into one []Match whose
+// Bindings and Edges are cut from one slab each, and Router.deliver
+// accounts, sends and records the block as a unit. Drain is the one
+// consumer API and MUST run concurrently with ingestion: every channel
+// stage of the pipeline is bounded, so unread matches eventually stall
+// the shards and then the router (see Config.OutLen for the bound). A
+// Match handed to a Drain callback shares its block's slabs — a
+// consumer that keeps a few matches for long should copy their
+// Bindings and Edges, or each one pins its whole block.
 package shard
 
 import (
@@ -83,7 +89,13 @@ type Config struct {
 	// QueueLen bounds each shard's ingest queue, in messages (an edge
 	// or a batch each); a full queue blocks the producer (default 256).
 	QueueLen int
-	// OutLen buffers the collection channel (default 1024).
+	// OutLen bounds the matches buffered between the shards and the
+	// Drain callback (default 1024). Matches travel in blocks of up to
+	// blockSize; a block is sent once it fits the budget (or nothing
+	// else is queued), so a stalled consumer stops the runtime with at
+	// most max(OutLen, blockSize) matches queued, one more block in
+	// each slot's hands and one in its own — whether the blocks are
+	// full (batch ingestion) or hold a match or two (per-edge Ingest).
 	OutLen int
 	// Window is tW, shared by every registered query (0 = unwindowed).
 	// Unwindowed filtering mode retains the whole stream in the shared
@@ -175,8 +187,9 @@ type MatchEdge = core.PortableMatchEdge
 
 // Match is one completed match, resolved into portable name-based form
 // inside the owning shard (so it stays valid after the shard's private
-// graph evicts the underlying edges) and delivered on the collection
-// channel.
+// graph evicts the underlying edges) and delivered to the Drain
+// callback. Bindings and Edges are capacity-clipped windows of slabs
+// shared by the matches of one collection block.
 type Match struct {
 	// Seq is the router-assigned arrival index (0-based) of the stream
 	// edge that completed the match.
@@ -225,6 +238,12 @@ type Stats struct {
 	QueueCap       int   // ingest queue capacity
 	EdgesRouted    int64 // edges delivered to this shard's queue (post-gate)
 	MatchesEmitted int64 // matches this shard pushed to collection
+	// Load is the slot's estimated cost: the sum, over the queries it
+	// owns, of the expected partial-match traffic per stream edge that
+	// Register derived from the statistics (see Router.Register). It is
+	// what placement and Rebalance order slots by; 0 for queries that
+	// registered against a cold collector.
+	Load float64
 
 	// ReplicaEdges is the number of edges currently live in this
 	// shard's filtered graph replica.
@@ -334,8 +353,8 @@ type Router struct {
 	filtering bool // edge-type-partitioned replicas in effect
 	hasRemote bool // at least one remote slot in the topology
 	workers   []*worker
-	out       chan Match
-	log       *EdgeLog // shared immutable edge log (filtering mode or remotes)
+	out       chan []Match // collection blocks, see deliver
+	log       *EdgeLog     // shared immutable edge log (filtering mode or remotes)
 
 	// ingestMu orders everything that enters the shard queues — edge
 	// broadcasts, control messages, and the queue close — and is the
@@ -375,6 +394,15 @@ type Router struct {
 	emitted  atomic.Int64
 	consumed atomic.Int64
 
+	// The collection budget (Config.OutLen): queued counts the matches
+	// of blocks sent on out and not yet received; deliver waits on
+	// outSpace while its block does not fit, release signals it. The
+	// channel itself never fills — it has room for OutLen blocks and a
+	// block holds at least one match.
+	outMu    sync.Mutex
+	outSpace sync.Cond // L is &outMu
+	queued   int
+
 	// mu guards the registry metadata only and is never held across a
 	// queue send, so Stats/Registered stay responsive while a
 	// backpressured ingest is blocked.
@@ -382,6 +410,7 @@ type Router struct {
 	order []string // registration order (rank order)
 	owner map[string]*worker
 	owned map[*worker]int
+	cost  map[string]float64 // query name -> estimated cost (estimateCost)
 	rank  int
 
 	wg        sync.WaitGroup // worker goroutines
@@ -432,6 +461,10 @@ type worker struct {
 	// never disturbs a concurrent reader of the old set.
 	gate     graph.TypeSet
 	gateRefs *replicaSet // router-side footprint refcounts (ingestMu)
+
+	// pend is the worker goroutine's scratch list of one batch's engine
+	// matches awaiting resolution into blocks.
+	pend []pendingMatch
 
 	// rset is the worker-goroutine-side copy of the footprint, applied
 	// to the engine's replica filter at the queue position where each
@@ -502,12 +535,14 @@ func newRouter(cfg Config) *Router {
 		cfg:       cfg,
 		filtering: !cfg.Ordered && !cfg.FullReplicas,
 		hasRemote: len(cfg.Remotes) > 0,
-		out:       make(chan Match, cfg.OutLen),
+		out:       make(chan []Match, cfg.OutLen),
 		stats:     selectivity.NewCollector(),
 		owner:     make(map[string]*worker),
 		owned:     make(map[*worker]int),
+		cost:      make(map[string]float64),
 		tel:       newTelemetry(),
 	}
+	r.outSpace.L = &r.outMu
 	r.tel.registerRouter(r)
 	if r.filtering || r.hasRemote {
 		// The log is what a late registration backfills from and what a
@@ -584,16 +619,12 @@ func (r *Router) NumShards() int {
 	return len(r.workers)
 }
 
-// Matches returns the collection channel. It is closed by Close after
-// every queued edge has been fully processed — read until closed and
-// no match is lost.
-func (r *Router) Matches() <-chan Match { return r.out }
-
-// Register assigns the query to the least-loaded shard and registers
-// it there, at the current stream position. It blocks until the owning
-// shard has drained its queue up to the registration (so a subsequent
-// Ingest is guaranteed to be seen by the query) and returns the
-// engine's registration error, if any.
+// Register assigns the query to the coldest shard (slotOrder: least
+// estimated load, then fewest queries, then lowest slot id) and
+// registers it there, at the current stream position. It blocks until
+// the owning shard has drained its queue up to the registration (so a
+// subsequent Ingest is guaranteed to be seen by the query) and returns
+// the engine's registration error, if any.
 //
 // In filtering mode the query's edge-type footprint widens the owning
 // shard's ingest gate at the same stream position, and the shard
@@ -604,6 +635,9 @@ func (r *Router) Matches() <-chan Match { return r.out }
 // The decomposition is pinned here in every mode, against the router's
 // full-stream statistics (or cfg.Stats when given): the router is the
 // runtime's one statistics owner, and its workers' engines keep none.
+// The same statistics and the pinned leaves give the query's estimated
+// cost (estimateCost), fixed for the life of the registration like the
+// decomposition itself.
 func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 	fpTypes, fpExact := q.TypeFootprint()
 	r.ingestMu.Lock()
@@ -636,6 +670,10 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 			return fmt.Errorf("shard: query %q %w", name, err)
 		}
 	}
+	stats := cfg.Stats
+	if stats == nil {
+		stats = r.stats
+	}
 	if cfg.Leaves == nil {
 		// Pin the decomposition here, against full-stream statistics,
 		// before the query ever reaches its shard: a filtered shard only
@@ -647,10 +685,6 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		// serial engine's schedule. Caller-provided statistics are used
 		// when given (the same collector a serial engine would have
 		// decomposed from); the router's collector otherwise.
-		stats := cfg.Stats
-		if stats == nil {
-			stats = r.stats
-		}
 		leaves, err := r.decompose(q, cfg.Strategy, stats)
 		if err != nil {
 			r.ingestMu.Unlock()
@@ -675,26 +709,17 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		r.ingestMu.Unlock()
 		return fmt.Errorf("shard: query %q already registered", name)
 	}
-	var w *worker
-	for _, cand := range r.workers {
-		if cand.retired {
-			continue
-		}
-		if w == nil || r.owned[cand] < r.owned[w] {
-			w = cand
-		}
-	}
-	if w == nil {
+	slots, _ := r.slotOrder()
+	if len(slots) == 0 {
 		r.mu.Unlock()
 		r.ingestMu.Unlock()
 		return fmt.Errorf("shard: no live shard slot (all retired)")
 	}
+	w := slots[0]
 	rank := r.rank
 	r.rank++
 	// Optimistic: recorded before the shard acks, rolled back on error.
-	r.owner[name] = w
-	r.owned[w]++
-	r.order = append(r.order, name)
+	r.own(name, w, estimateCost(stats, q, cfg.Leaves))
 	r.mu.Unlock()
 	var floorToken uint64
 	minTS := int64(math.MinInt64)
@@ -767,14 +792,7 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		// A concurrent Unregister may have already removed the
 		// provisional entry; only roll back what is still ours.
 		if r.owner[name] == w {
-			delete(r.owner, name)
-			r.owned[w]--
-			for i, n := range r.order {
-				if n == name {
-					r.order = append(r.order[:i], r.order[i+1:]...)
-					break
-				}
-			}
+			r.disown(name)
 		}
 		r.mu.Unlock()
 	}
@@ -819,6 +837,93 @@ func (r *Router) decompose(q *query.Graph, strategy core.Strategy, stats *select
 	}
 }
 
+// estimateCost is one query's expected partial-match traffic per
+// stream edge under its pinned decomposition: the leaf frequencies plus
+// the join-output bound of every internal SJ-Tree node
+// (Collector.SpaceEstimate), per observed edge. It separates a query
+// over frequent edge types from one over rare types, which
+// Collector.CostEstimate — a per-edge search charge for every leaf —
+// does not. 0 when there is nothing to estimate from: a cold
+// collector, or a strategy without leaves (VF2, IncIso). A wildcard
+// edge type has no frequency of its own and counts as 0.
+func estimateCost(stats *selectivity.Collector, q *query.Graph, leaves [][]int) float64 {
+	n := stats.EdgeTotal()
+	if n == 0 {
+		return 0
+	}
+	space, err := stats.SpaceEstimate(q, leaves)
+	if err != nil {
+		return 0
+	}
+	return space / float64(n)
+}
+
+// own records a registration on slot w; disown erases it. Caller holds
+// r.mu.
+func (r *Router) own(name string, w *worker, cost float64) {
+	r.owner[name] = w
+	r.owned[w]++
+	r.cost[name] = cost
+	r.order = append(r.order, name)
+}
+
+func (r *Router) disown(name string) {
+	r.owned[r.owner[name]]--
+	delete(r.owner, name)
+	delete(r.cost, name)
+	for i, n := range r.order {
+		if n == name {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
+		}
+	}
+}
+
+// slotLoads sums every slot's estimated query costs, as if query moved
+// (when non-empty) were owned by slot to. Costs are added in
+// registration order, so a slot's load is a function of the set of
+// queries it owns and a hypothetical load equals the one the same
+// ownership would really have, bit for bit. Caller holds r.mu.
+func (r *Router) slotLoads(moved string, to *worker) map[*worker]float64 {
+	loads := make(map[*worker]float64, len(r.workers))
+	for _, name := range r.order {
+		w := r.owner[name]
+		if name == moved {
+			w = to
+		}
+		loads[w] += r.cost[name]
+	}
+	return loads
+}
+
+// slotOrder is the one placement order: the live slots, coldest first,
+// by (estimated load, owned queries, slot id), with the loads it
+// ordered by. Register places on the first slot, an evacuation
+// (pickTarget) on the first that is not the slot being emptied, and
+// Rebalance moves queries from the later slots to the first. With a
+// cold collector every load is 0 and the order is the fewest-queries
+// rule. Caller holds r.mu.
+func (r *Router) slotOrder() ([]*worker, map[*worker]float64) {
+	loads := r.slotLoads("", nil)
+	var slots []*worker
+	for _, w := range r.workers {
+		if !w.retired {
+			slots = append(slots, w)
+		}
+	}
+	sort.Slice(slots, func(i, j int) bool {
+		a, b := slots[i], slots[j]
+		if loads[a] != loads[b] {
+			return loads[a] < loads[b]
+		}
+		if r.owned[a] != r.owned[b] {
+			return r.owned[a] < r.owned[b]
+		}
+		return a.id < b.id
+	})
+	return slots, loads
+}
+
 // rebuildGate recomputes a shard's ingest gate from its footprint
 // refcounts. Caller holds ingestMu.
 func (r *Router) rebuildGate(w *worker) {
@@ -851,14 +956,7 @@ func (r *Router) Unregister(name string) {
 		r.ingestMu.Unlock()
 		return
 	}
-	delete(r.owner, name)
-	r.owned[w]--
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
+	r.disown(name)
 	r.mu.Unlock()
 	msg := message{kind: msgUnregister, name: name, seq: r.seq.Load(), postUniversal: true, reply: make(chan error, 1)}
 	if fp, tracked := r.fps[name]; tracked {
@@ -1033,6 +1131,7 @@ func (r *Router) Stats() []Stats {
 	for w, n := range r.owned {
 		owned[w] = n
 	}
+	loads := r.slotLoads("", nil)
 	// Snapshot the slice header too: AddSlot may append concurrently
 	// (it holds both locks; slot ids are stable).
 	workers := r.workers
@@ -1046,6 +1145,7 @@ func (r *Router) Stats() []Stats {
 			QueueCap:       cap(w.in),
 			EdgesRouted:    w.edgesRouted.Load(),
 			MatchesEmitted: w.matchesEmitted.Load(),
+			Load:           loads[w],
 			ReplicaEdges:   w.replicaLive.Load(),
 			ReplicaStored:  w.replicaStored.Load(),
 			ReplicaTypes:   w.replicaTypes.Load(),
@@ -1056,10 +1156,10 @@ func (r *Router) Stats() []Stats {
 
 // Close drains and shuts the runtime down: no further ingests are
 // admitted, every shard finishes its queued work and emits its
-// remaining matches, then the collection channel is closed. A consumer
-// reading Matches until it closes therefore observes every match —
-// none are lost to shutdown (pinned by the package's -race drain
-// test). Matches must keep being consumed while Close runs.
+// remaining matches, then the collection channel is closed. A Drain
+// running until it returns therefore observes every match — none are
+// lost to shutdown (pinned by the package's -race drain test). Drain
+// must keep consuming while Close runs.
 func (r *Router) Close() {
 	r.ingestMu.Lock()
 	if r.closed {
@@ -1103,18 +1203,59 @@ func (r *Router) Close() {
 //	total := <-done
 func (r *Router) Drain(fn func(Match)) int64 {
 	var n int64
-	for m := range r.out {
-		n++
+	for block := range r.out {
+		r.release(len(block))
+		n += int64(len(block))
 		if fn != nil {
-			fn(m)
+			for _, m := range block {
+				fn(m)
+			}
 		}
-		// Consumed only after fn returned: the durable checkpoint
-		// barrier keys off this counter, so "covered by a checkpoint"
-		// implies "the consumer's callback completed" — e.g. its write
-		// reached the OS — before the round's metadata committed.
-		r.consumed.Add(1)
+		// Consumed only after fn returned for the block's last match:
+		// the durable checkpoint barrier keys off this counter, so
+		// "covered by a checkpoint" implies "the consumer's callback
+		// completed" — e.g. its write reached the OS — before the
+		// round's metadata committed.
+		r.consumed.Add(int64(len(block)))
 	}
 	return n
+}
+
+// release returns a received block's n matches to the collection
+// budget.
+func (r *Router) release(n int) {
+	r.outMu.Lock()
+	r.queued -= n
+	r.outMu.Unlock()
+	r.outSpace.Broadcast()
+}
+
+// blockSize is the most matches one collection block carries. Large
+// enough that the per-block costs (three allocations, one channel
+// operation, two shared counters) vanish against resolving the matches;
+// small enough that a block's slabs stay a few tens of KiB and
+// Config.OutLen keeps its meaning as a bound in matches.
+const blockSize = 256
+
+// deliver hands one block to the consumer: count it as emitted, wait
+// for room in the collection budget, send it, record it. Every
+// producer — local workers, remote slots' frame delivery (the failover
+// hospice included) and the ordered merge — goes through here. The
+// count comes first: the durable checkpoint barrier reads emitted and
+// waits for consumed to reach it, so a match must be counted before
+// anything that lets a round cover its edge. A block that finds nothing
+// queued goes at once whatever its size, so a budget below one block
+// cannot wedge the runtime.
+func (r *Router) deliver(block []Match) {
+	r.emitted.Add(int64(len(block)))
+	r.outMu.Lock()
+	for r.queued > 0 && r.queued+len(block) > r.cfg.OutLen {
+		r.outSpace.Wait()
+	}
+	r.queued += len(block)
+	r.outMu.Unlock()
+	r.out <- block
+	r.tel.recordMatches(block)
 }
 
 // mergeOrdered is the deterministic collector: every shard emits
@@ -1124,9 +1265,8 @@ func (r *Router) Drain(fn func(Match)) int64 {
 // MultiEngine's output order exactly.
 func (r *Router) mergeOrdered() {
 	defer close(r.mergeDone)
-	var batch []Match
 	for {
-		batch = batch[:0]
+		var batch []Match
 		open := false
 		for _, w := range r.workers {
 			b, ok := <-w.bundles
@@ -1140,10 +1280,9 @@ func (r *Router) mergeOrdered() {
 			return
 		}
 		sort.SliceStable(batch, func(i, j int) bool { return batch[i].rank < batch[j].rank })
-		for _, m := range batch {
-			r.emitted.Add(1)
-			r.out <- m
-			r.tel.recordMatch(m.Query, m.Seq)
+		for lo := 0; lo < len(batch); lo += blockSize {
+			hi := min(lo+blockSize, len(batch))
+			r.deliver(batch[lo:hi:hi])
 		}
 	}
 }
@@ -1250,9 +1389,11 @@ func (w *worker) flushRetro(p uint64) {
 	if !w.r.filtering || w.lastEnd == 0 || w.lastEnd >= p {
 		return
 	}
+	w.pend = w.pend[:0]
 	for _, nm := range w.eng.FlushPending() {
-		w.out(w.resolve(w.lastEnd, nm))
+		w.pend = append(w.pend, pendingMatch{seq: w.lastEnd, nm: nm})
 	}
+	w.emitPending()
 }
 
 // widenReplica applies a successful registration's footprint: widen
@@ -1364,40 +1505,72 @@ func (w *worker) processEdges(msg message) {
 			}
 		}
 	}
+	w.pend = w.pend[:0]
 	for i, named := range w.eng.ProcessBatchGrouped(msg.edges) {
 		seq := msg.baseSeq + uint64(i)
+		for _, nm := range named {
+			w.pend = append(w.pend, pendingMatch{seq: seq, nm: nm})
+		}
 		if w.bundles != nil {
-			b := bundle{seq: seq}
-			for _, nm := range named {
-				b.matches = append(b.matches, w.resolve(seq, nm))
-			}
+			// Ordered mode: one bundle per edge, empty or not.
+			b := bundle{seq: seq, matches: w.resolveBlock(w.pend)}
+			w.pend = w.pend[:0]
 			w.matchesEmitted.Add(int64(len(b.matches)))
 			w.bundles <- b
-			continue
-		}
-		for _, nm := range named {
-			w.out(w.resolve(seq, nm))
 		}
 	}
+	w.emitPending()
 	w.publishReplicaStats()
 }
 
-func (w *worker) out(m Match) {
-	w.matchesEmitted.Inc()
-	w.r.emitted.Add(1)
-	w.r.out <- m
-	w.r.tel.recordMatch(m.Query, m.Seq)
+// pendingMatch is one engine-owned match waiting to be resolved, with
+// the arrival seq of the edge that completed it.
+type pendingMatch struct {
+	seq uint64
+	nm  core.NamedMatch
 }
 
-// resolve converts an engine match into the portable form: all IDs are
-// looked up against the shard's private graph now (the shared
-// core.MultiEngine.ResolveMatch walk), so the emitted match survives
-// later eviction.
-func (w *worker) resolve(seq uint64, nm core.NamedMatch) Match {
-	out := Match{
-		Seq: seq, Shard: w.id, Query: nm.Query, rank: w.ranks[nm.Query],
-		FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS,
+// emitPending resolves and delivers w.pend, blockSize matches at a
+// time. The engine's results are valid until its next call, so the
+// whole list resolves before the worker takes its next message — which
+// also means every match of a message is counted as emitted before a
+// checkpoint request queued behind it is answered.
+func (w *worker) emitPending() {
+	for lo := 0; lo < len(w.pend); lo += blockSize {
+		block := w.resolveBlock(w.pend[lo:min(lo+blockSize, len(w.pend))])
+		w.matchesEmitted.Add(int64(len(block)))
+		w.r.deliver(block)
 	}
-	out.Bindings, out.Edges = w.eng.ResolveMatch(nm)
-	return out
+}
+
+// resolveBlock converts engine matches into the portable form: all IDs
+// are looked up against the shard's private graph now (the shared
+// core.MultiEngine.AppendResolved walk), so the emitted matches survive
+// later eviction. One []Match and one slab each of bindings and edges
+// serve the whole block — three allocations however many matches — and
+// every match gets a capacity-clipped window, so a consumer appending
+// to one cannot write into its neighbour.
+func (w *worker) resolveBlock(pend []pendingMatch) []Match {
+	if len(pend) == 0 {
+		return nil
+	}
+	nb, ne := 0, 0
+	for _, p := range pend {
+		nb += len(p.nm.Match.VertexOf)
+		ne += len(p.nm.Match.EdgeOf)
+	}
+	block := make([]Match, len(pend))
+	bindings := make([]Binding, 0, nb)
+	edges := make([]MatchEdge, 0, ne)
+	for i, p := range pend {
+		b0, e0 := len(bindings), len(edges)
+		bindings, edges = w.eng.AppendResolved(bindings, edges, p.nm)
+		block[i] = Match{
+			Seq: p.seq, Shard: w.id, Query: p.nm.Query, rank: w.ranks[p.nm.Query],
+			FirstTS: p.nm.Match.MinTS, LastTS: p.nm.Match.MaxTS,
+			Bindings: bindings[b0:len(bindings):len(bindings)],
+			Edges:    edges[e0:len(edges):len(edges)],
+		}
+	}
+	return block
 }

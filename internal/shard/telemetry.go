@@ -16,6 +16,7 @@
 package shard
 
 import (
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -125,22 +126,34 @@ func (t *telemetry) queryCounters(query string) (*metrics.Counter, *metrics.Atom
 	return c, h
 }
 
-// recordMatch accounts one emitted match: the per-query counter always
-// increments; the end-to-end lag sample records only when the
-// completing edge's arrival stamp is still in the ring.
-func (t *telemetry) recordMatch(query string, seq uint64) {
-	c, h := t.queryCounters(query)
-	c.Inc()
-	idx := seq & lagRingMask
-	tag := seq + 1
-	if t.ringSeqs[idx].Load() != tag {
-		return // lapped: arrival instant lost, drop the sample
+// recordMatches accounts one delivered block: the per-query counters
+// always advance; an end-to-end lag sample records only when the
+// completing edge's arrival stamp is still in the ring. One clock read
+// serves the block and one handle lookup each run of matches of the
+// same query.
+func (t *telemetry) recordMatches(block []Match) {
+	now := t.now()
+	for lo := 0; lo < len(block); {
+		hi := lo + 1
+		for hi < len(block) && block[hi].Query == block[lo].Query {
+			hi++
+		}
+		c, h := t.queryCounters(block[lo].Query)
+		c.Add(int64(hi - lo))
+		for _, m := range block[lo:hi] {
+			idx := m.Seq & lagRingMask
+			tag := m.Seq + 1
+			if t.ringSeqs[idx].Load() != tag {
+				continue // lapped: arrival instant lost, drop the sample
+			}
+			arr := t.ringTimes[idx].Load()
+			if t.ringSeqs[idx].Load() != tag {
+				continue // lapped between the two reads
+			}
+			h.Record(now - arr)
+		}
+		lo = hi
 	}
-	arr := t.ringTimes[idx].Load()
-	if t.ringSeqs[idx].Load() != tag {
-		return // lapped between the two reads
-	}
-	h.Record(t.now() - arr)
 }
 
 // matchLag merges every query's lag histogram into one snapshot (the
@@ -178,6 +191,12 @@ func (t *telemetry) registerWorker(w *worker) {
 	w.batchTime = t.reg.Histogram("sg_shard_process_batch_ns", "shard", sh)
 	t.reg.GaugeFunc("sg_shard_queue_depth", func() int64 { return int64(len(w.in)) }, "shard", sh)
 	t.reg.GaugeFunc("sg_shard_queue_cap", func() int64 { return int64(cap(w.in)) }, "shard", sh)
+	// Stats().Load in thousandths (the registry holds integers).
+	t.reg.GaugeFunc("sg_shard_estimated_load", func() int64 {
+		w.r.mu.Lock()
+		defer w.r.mu.Unlock()
+		return int64(math.Round(w.r.slotLoads("", nil)[w] * 1000))
+	}, "shard", sh)
 	if w.eng == nil {
 		return
 	}
@@ -194,13 +213,20 @@ func (t *telemetry) registerWorker(w *worker) {
 }
 
 // registerRouter wires the router-level series: admitted edges, the
-// collection channel, and the emitted/consumed delivery counters.
+// collection path, and the emitted/consumed delivery counters.
 func (t *telemetry) registerRouter(r *Router) {
 	t.reg.CounterFunc("sg_router_edges_admitted_total", func() int64 { return int64(r.seq.Load()) })
 	t.reg.CounterFunc("sg_router_matches_emitted_total", r.emitted.Load)
 	t.reg.CounterFunc("sg_router_matches_consumed_total", r.consumed.Load)
-	t.reg.GaugeFunc("sg_router_out_depth", func() int64 { return int64(len(r.out)) })
-	t.reg.GaugeFunc("sg_router_out_cap", func() int64 { return int64(cap(r.out)) })
+	// Both in matches, like Config.OutLen: what has been emitted and
+	// not yet consumed, against the most a stalled consumer lets
+	// accumulate — the collection budget, one block in each slot's
+	// hands and the block whose callbacks are running.
+	t.reg.GaugeFunc("sg_router_out_depth", func() int64 {
+		consumed := r.consumed.Load() // first: a match is emitted before it is consumed
+		return r.emitted.Load() - consumed
+	})
+	t.reg.GaugeFunc("sg_router_out_cap", func() int64 { return int64(max(r.cfg.OutLen, blockSize) + (r.NumShards()+1)*blockSize) })
 }
 
 // Metrics returns the router's live metrics registry — the substrate

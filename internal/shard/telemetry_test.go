@@ -2,6 +2,7 @@ package shard
 
 import (
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -86,10 +87,22 @@ func TestMetricsTruthfulness(t *testing.T) {
 				r = New(cfg)
 			}
 			queries, strategies := testQueries(), testStrategies()
+			// Warm statistics, so the placement estimates are non-zero.
+			stats := trained(edges)
+			wantLoad := make(map[int]float64)
 			for _, name := range sortedNames(queries) {
-				if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
+				if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name], Stats: stats}); err != nil {
 					t.Fatalf("register %s: %v", name, err)
 				}
+				leaves, err := r.decompose(queries[name], strategies[name], stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				space, err := stats.SpaceEstimate(queries[name], leaves)
+				if err != nil || space == 0 {
+					t.Fatalf("no estimate for %s (%v, %v); the load check is vacuous", name, space, err)
+				}
+				wantLoad[ownerSlot(r, name)] += space / float64(stats.EdgeTotal())
 			}
 			var mu sync.Mutex
 			byQuery := make(map[string]int64)
@@ -132,6 +145,17 @@ func TestMetricsTruthfulness(t *testing.T) {
 				gated := metricValue(t, samples, "sg_shard_edges_gated_total", sh...)
 				if routed+gated != admitted {
 					t.Errorf("shard %d: routed %d + gated %d != admitted %d", i, routed, gated, admitted)
+				}
+			}
+			// A slot's estimated load is the sum of its queries' estimates
+			// (Stats reports it, the gauge in thousandths).
+			for _, st := range r.Stats() {
+				if st.Load != wantLoad[st.Shard] {
+					t.Errorf("shard %d: Stats().Load = %v, want %v", st.Shard, st.Load, wantLoad[st.Shard])
+				}
+				got := metricValue(t, samples, "sg_shard_estimated_load", "shard", strconv.Itoa(st.Shard))
+				if want := int64(math.Round(wantLoad[st.Shard] * 1000)); got != want {
+					t.Errorf("shard %d: sg_shard_estimated_load = %d, want %d", st.Shard, got, want)
 				}
 			}
 			// Every collected match is counted once per query and once on

@@ -81,27 +81,31 @@ func NewShardedMonitor(opts ShardedMonitorOptions) *ShardedMonitor {
 
 // pump converts the runtime's portable matches into facade matches; it
 // needs no graph access because shards resolve names before emitting.
+// The copies are sized once each and independent of the runtime's
+// collection blocks, so a retained QueryMatch pins nothing else.
 func (m *ShardedMonitor) pump() {
 	defer close(m.done)
 	defer close(m.out)
-	for sm := range m.r.Matches() {
-		qm := QueryMatch{Query: sm.Query, Match: Match{FirstTS: sm.FirstTS, LastTS: sm.LastTS}}
-		for _, b := range sm.Bindings {
-			qm.Match.Bindings = append(qm.Match.Bindings, Binding{
-				QueryVertex: b.QueryVertex, DataVertex: b.DataVertex,
-			})
+	m.r.Drain(func(sm shard.Match) {
+		qm := QueryMatch{Query: sm.Query, Match: Match{
+			Bindings: make([]Binding, len(sm.Bindings)),
+			Edges:    make([]MatchedEdge, len(sm.Edges)),
+			FirstTS:  sm.FirstTS, LastTS: sm.LastTS,
+		}}
+		for i, b := range sm.Bindings {
+			qm.Match.Bindings[i] = Binding{QueryVertex: b.QueryVertex, DataVertex: b.DataVertex}
 		}
-		for _, e := range sm.Edges {
-			qm.Match.Edges = append(qm.Match.Edges, MatchedEdge{
+		for i, e := range sm.Edges {
+			qm.Match.Edges[i] = MatchedEdge{
 				QueryEdge: e.QueryEdge, Src: e.Src, Dst: e.Dst, Type: e.Type, TS: e.TS,
-			})
+			}
 		}
 		m.out <- qm
-	}
+	})
 }
 
-// Register assigns the query to the least-loaded shard under the given
-// strategy. It blocks until that shard has acknowledged the
+// Register assigns the query to the coldest shard (least estimated
+// load, then fewest queries) under the given strategy. It blocks until that shard has acknowledged the
 // registration, so edges processed afterwards are seen by the query.
 func (m *ShardedMonitor) Register(name string, q *Query, strategy Strategy) error {
 	return m.r.Register(name, q, core.Config{Strategy: strategy})
