@@ -32,8 +32,17 @@
 // before its next call; every caller in this repository does, and the
 // streamgraph facade returns resolved copies only. The VF2 and IncIso
 // baselines have no tree and no pool: their matches are fresh and simply
-// left to the collector. For what the tree itself owns and when, see
-// sjtree.Tree.Insert and iso.MatchPool.
+// left to the collector.
+//
+// The pool holds matches in flight only: the leaf candidates of the call
+// (Tree.Insert hands each one's arrays back before it returns) and the
+// complete matches above. A stored partial match is not in it and is not
+// an iso.Match: the tree keeps its own copy as a record in the node's
+// slab, and what onStored and Tree.EachStored are handed is a view into
+// that slab, valid for the callback only — onStored reads the vertices
+// and keeps nothing, and migrate projects each view into arrays of its
+// own. See sjtree.Tree.Insert, the sjtree package comment and
+// iso.MatchPool.
 package core
 
 import (
@@ -316,7 +325,7 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	// The merge-path matcher shares the tree's match pool so candidate
-	// clones reuse the arrays of evicted partial matches. Only this
+	// clones reuse the arrays the last Insert handed back. Only this
 	// single-threaded matcher gets the pool; the throwaway matchers of
 	// the batch worker fan-out must not share it (see newMatcher).
 	e.matcher.Pool = e.tree.Pool()

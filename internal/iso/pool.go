@@ -6,24 +6,21 @@ import (
 )
 
 // maxPoolFree bounds the number of recycled matches a pool retains, so
-// a burst of evictions or of released complete matches cannot pin peak
-// memory forever; Trim returns what quiet periods leave unused.
+// a burst of released complete matches cannot pin peak memory forever.
 const maxPoolFree = 4096
 
 // MatchPool recycles the backing arrays of discarded matches for one
 // query. Every match of a query has the same shape (full-length binding
 // arrays indexed by global query vertex/edge indices), so a discarded
 // match's arrays can back any future match of the same query. The
-// SJ-Tree feeds its pool from window expiry and from candidates the
-// engine discards before insertion, and the engine hands back the
-// complete matches of a call when the next one starts (see "Match
-// lifetimes" in package core); join outputs and retained clones draw
-// from it, making the steady-state join and emit paths allocation-free.
-//
-// The free list is a stack, so what sits below the lowest level it
-// reached in a period was not needed in that period: Trim drops what two
-// periods in a row left untouched, and the pool follows the working set
-// down as well as up.
+// SJ-Tree copies what it stores into its own slabs, so the pool holds
+// only matches in flight: Tree.Insert hands back the candidate it was
+// given (and every join output it stored), the engine the candidates it
+// discards before insertion and, when the next call starts, the complete
+// matches of the last one (see "Match lifetimes" in package core); join
+// outputs and retained clones draw from it, making the steady-state join
+// and emit paths allocation-free. The free list is a stack, so the
+// arrays in use are the ones last touched.
 //
 // A pool is not safe for concurrent use: it must be owned by a single
 // goroutine (in the engine, the single-writer merge path).
@@ -32,11 +29,6 @@ type MatchPool struct {
 	free   []Match
 	gets   int64 // matches handed out by Get (incl. via Clone)
 	fresh  int64 // of those, how many had to be newly allocated
-
-	// Trim's record of the period it opened, and of the one before.
-	trimLen  int   // len(free) when the last Trim returned
-	trimGets int64 // gets at that moment
-	prevLow  int   // the previous period's low-water mark, less what its Trim dropped
 }
 
 // NewMatchPool returns an empty pool for matches of query q.
@@ -80,27 +72,6 @@ func (p *MatchPool) Put(m Match) {
 		return
 	}
 	p.free = append(p.free, m)
-}
-
-// Trim ends a period: it drops the recycled matches no Get can have
-// reached in this period or the one before — the bottom of the stack,
-// below both low-water marks. A period's mark is taken from counters Get
-// keeps anyway, so that Get itself stays a pop: Puts only raise the list,
-// hence it never stood lower than its length when the period began less
-// the Gets since. The SJ-Tree calls Trim at every window sweep, so a pool
-// filled by one burst gives the arrays back two quiet sweeps later, while
-// demand that merely alternates from one sweep to the next keeps them.
-// The counters reported by Stats are not affected.
-func (p *MatchPool) Trim() {
-	low := max(p.trimLen-int(p.gets-p.trimGets), 0)
-	drop := min(low, p.prevLow)
-	if drop > 0 {
-		n := copy(p.free, p.free[drop:])
-		clear(p.free[n:])
-		p.free = p.free[:n]
-	}
-	p.prevLow = low - drop
-	p.trimLen, p.trimGets = len(p.free), p.gets
 }
 
 // Len reports the number of recycled matches currently held.

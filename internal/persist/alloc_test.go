@@ -8,11 +8,12 @@ import (
 )
 
 // TestLoadAllocsPerObject bounds what restoring an image allocates by
-// what the image holds: at most 4 allocations per live edge, vertex and
-// stored partial match (measured: 3.2 — a type or name string, two
-// binding arrays, table growth). Decoding itself must add nothing: when
-// every u32/u64 heap-allocated its scratch, this image cost 11 per
-// object, and a recovery is one Load.
+// what the image holds: at most 3 allocations per live edge, vertex and
+// stored partial match (measured: 1.9 — a type or name string, table
+// growth; a stored match is decoded into one scratch match and copied
+// into its node's slab, so it costs none of its own). Decoding itself
+// must add nothing: when every u32/u64 heap-allocated its scratch, this
+// image cost 11 per object, and a recovery is one Load.
 func TestLoadAllocsPerObject(t *testing.T) {
 	edges := testStream(600)
 	c := stats(edges)
@@ -23,7 +24,7 @@ func TestLoadAllocsPerObject(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if limit := float64(4 * objects); avg > limit {
+		if limit := float64(3 * objects); avg > limit {
 			t.Errorf("%s allocates %.0f times for %d objects, want <= %.0f", name, avg, objects, limit)
 		}
 	}

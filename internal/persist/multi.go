@@ -7,9 +7,7 @@ import (
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/graph"
-	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
-	"streamgraph/internal/sjtree"
 )
 
 // Multi-engine checkpoints. SaveMulti serializes a whole running
@@ -89,11 +87,7 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 	})
 
 	names := m.Registered()
-	type storedRef struct {
-		node int
-		m    iso.Match
-	}
-	perStored := make([][]storedRef, len(names))
+	perStored := make([]int, len(names))
 	perBits := make([]map[graph.VertexID]uint64, len(names))
 	perRetro := make([][][]graph.VertexID, len(names))
 	for qi, name := range names {
@@ -108,29 +102,9 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 				need(v)
 			}
 		}
-		var storedErr error
-		if t := eng.Tree(); t != nil {
-			t.EachStored(func(n *sjtree.Node, mt iso.Match) bool {
-				for _, dv := range mt.VertexOf {
-					if dv != graph.NoVertex {
-						need(dv)
-					}
-				}
-				for _, de := range mt.EdgeOf {
-					if de == iso.NoEdge {
-						continue
-					}
-					if _, ok := edgeIdx[de]; !ok {
-						storedErr = fmt.Errorf("persist: query %q stores a match referencing edge %d not in the live graph", name, de)
-						return false
-					}
-				}
-				perStored[qi] = append(perStored[qi], storedRef{node: n.ID, m: mt})
-				return true
-			})
-		}
-		if storedErr != nil {
-			return storedErr
+		var err error
+		if perStored[qi], err = needStored(eng.Tree(), need, edgeIdx); err != nil {
+			return fmt.Errorf("persist: query %q: %w", name, err)
 		}
 	}
 
@@ -169,28 +143,7 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 			}
 		}
 		// Stored partial matches.
-		bw.u32(uint32(len(perStored[qi])))
-		for _, s := range perStored[qi] {
-			bw.u32(uint32(s.node))
-			bw.u32(uint32(len(s.m.VertexOf)))
-			for _, dv := range s.m.VertexOf {
-				if dv == graph.NoVertex {
-					bw.u32(noIdx)
-				} else {
-					bw.u32(vertIdx[dv])
-				}
-			}
-			bw.u32(uint32(len(s.m.EdgeOf)))
-			for _, de := range s.m.EdgeOf {
-				if de == iso.NoEdge {
-					bw.u32(noIdx)
-				} else {
-					bw.u32(edgeIdx[de])
-				}
-			}
-			bw.i64(s.m.MinTS)
-			bw.i64(s.m.MaxTS)
-		}
+		bw.stored(m.QueryEngine(name).Tree(), perStored[qi], vertIdx, edgeIdx)
 		// Lazy bitmap.
 		bw.u32(uint32(len(perBits[qi])))
 		for v, b := range perBits[qi] {
@@ -324,48 +277,8 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 		eng := m.QueryEngine(name)
 
 		// Stored partial matches.
-		nStored := br.u32()
-		if br.err != nil {
-			return nil, br.err
-		}
-		for i := uint32(0); i < nStored; i++ {
-			node := int(br.u32())
-			mt := iso.NewMatch(q)
-			nv := br.u32()
-			if br.err == nil && int(nv) != len(mt.VertexOf) {
-				return nil, fmt.Errorf("persist: %q match %d has %d vertex slots, query has %d", name, i, nv, len(mt.VertexOf))
-			}
-			for j := range mt.VertexOf {
-				if idx := br.u32(); idx != noIdx {
-					if idx >= nVerts {
-						return nil, fmt.Errorf("persist: %q match %d binds unknown vertex %d", name, i, idx)
-					}
-					mt.VertexOf[j] = vertID[idx]
-				}
-			}
-			ne := br.u32()
-			if br.err == nil && int(ne) != len(mt.EdgeOf) {
-				return nil, fmt.Errorf("persist: %q match %d has %d edge slots, query has %d", name, i, ne, len(mt.EdgeOf))
-			}
-			for j := range mt.EdgeOf {
-				if idx := br.u32(); idx != noIdx {
-					if idx >= nEdges {
-						return nil, fmt.Errorf("persist: %q match %d binds unknown edge %d", name, i, idx)
-					}
-					mt.EdgeOf[j] = edgeID[idx]
-				}
-			}
-			mt.MinTS = br.i64()
-			mt.MaxTS = br.i64()
-			if br.err != nil {
-				return nil, br.err
-			}
-			if eng.Tree() == nil {
-				return nil, fmt.Errorf("persist: %q has stored matches but strategy %v builds no tree", name, cfg.Strategy)
-			}
-			if err := eng.Tree().RestoreStored(node, mt); err != nil {
-				return nil, err
-			}
+		if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
+			return nil, fmt.Errorf("persist: %q %w", name, err)
 		}
 		// Lazy bitmap.
 		nBits := br.u32()

@@ -98,34 +98,9 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 		need(v)
 	}
 
-	type storedRef struct {
-		node int
-		m    iso.Match
-	}
-	var stored []storedRef
-	var storedErr error
-	if t := eng.Tree(); t != nil {
-		t.EachStored(func(n *sjtree.Node, m iso.Match) bool {
-			for _, dv := range m.VertexOf {
-				if dv != graph.NoVertex {
-					need(dv)
-				}
-			}
-			for _, de := range m.EdgeOf {
-				if de == iso.NoEdge {
-					continue
-				}
-				if _, ok := edgeIdx[de]; !ok {
-					storedErr = fmt.Errorf("persist: stored match references edge %d not in the live graph", de)
-					return false
-				}
-			}
-			stored = append(stored, storedRef{node: n.ID, m: m})
-			return true
-		})
-	}
-	if storedErr != nil {
-		return flushed, storedErr
+	nStored, err := needStored(eng.Tree(), need, edgeIdx)
+	if err != nil {
+		return flushed, fmt.Errorf("persist: %w", err)
 	}
 
 	// Vertex table.
@@ -143,28 +118,7 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 		bw.i64(e.ts)
 	}
 	// Stored partial matches.
-	bw.u32(uint32(len(stored)))
-	for _, s := range stored {
-		bw.u32(uint32(s.node))
-		bw.u32(uint32(len(s.m.VertexOf)))
-		for _, dv := range s.m.VertexOf {
-			if dv == graph.NoVertex {
-				bw.u32(noIdx)
-			} else {
-				bw.u32(vertIdx[dv])
-			}
-		}
-		bw.u32(uint32(len(s.m.EdgeOf)))
-		for _, de := range s.m.EdgeOf {
-			if de == iso.NoEdge {
-				bw.u32(noIdx)
-			} else {
-				bw.u32(edgeIdx[de])
-			}
-		}
-		bw.i64(s.m.MinTS)
-		bw.i64(s.m.MaxTS)
-	}
+	bw.stored(eng.Tree(), nStored, vertIdx, edgeIdx)
 	// Lazy bitmap.
 	bw.u32(uint32(len(bits)))
 	for v, b := range bits {
@@ -269,48 +223,8 @@ func Load(r io.Reader) (*core.Engine, error) {
 		edgeID[i] = g.AddEdge(vertID[src], vertID[dst], t, ts)
 	}
 	// Stored partial matches.
-	nStored := br.u32()
-	if br.err != nil {
-		return nil, br.err
-	}
-	for i := uint32(0); i < nStored; i++ {
-		node := int(br.u32())
-		m := iso.NewMatch(q)
-		nv := br.u32()
-		if br.err == nil && int(nv) != len(m.VertexOf) {
-			return nil, fmt.Errorf("persist: match %d has %d vertex slots, query has %d", i, nv, len(m.VertexOf))
-		}
-		for j := range m.VertexOf {
-			if idx := br.u32(); idx != noIdx {
-				if idx >= nVerts {
-					return nil, fmt.Errorf("persist: match %d binds unknown vertex %d", i, idx)
-				}
-				m.VertexOf[j] = vertID[idx]
-			}
-		}
-		ne := br.u32()
-		if br.err == nil && int(ne) != len(m.EdgeOf) {
-			return nil, fmt.Errorf("persist: match %d has %d edge slots, query has %d", i, ne, len(m.EdgeOf))
-		}
-		for j := range m.EdgeOf {
-			if idx := br.u32(); idx != noIdx {
-				if idx >= nEdges {
-					return nil, fmt.Errorf("persist: match %d binds unknown edge %d", i, idx)
-				}
-				m.EdgeOf[j] = edgeID[idx]
-			}
-		}
-		m.MinTS = br.i64()
-		m.MaxTS = br.i64()
-		if br.err != nil {
-			return nil, br.err
-		}
-		if eng.Tree() == nil {
-			return nil, fmt.Errorf("persist: snapshot has stored matches but strategy %v builds no tree", cfg.Strategy)
-		}
-		if err := eng.Tree().RestoreStored(node, m); err != nil {
-			return nil, err
-		}
+	if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
 	// Lazy bitmap.
 	nBits := br.u32()
@@ -354,6 +268,67 @@ type writer struct {
 	err error
 }
 
+// needStored is the first of two passes over t's stored matches (nil for
+// a strategy without a tree): it registers every vertex they bind for
+// the vertex table, which the image carries ahead of the matches, checks
+// that every edge they bind is in edgeIdx, and counts them. EachStored
+// hands out views, so nothing is kept; writer.stored encodes them on a
+// second pass over the unchanged tree.
+func needStored(t *sjtree.Tree, need func(graph.VertexID) uint32, edgeIdx map[graph.EdgeID]uint32) (n int, err error) {
+	if t == nil {
+		return 0, nil
+	}
+	t.EachStored(func(_ *sjtree.Node, m iso.Match) bool {
+		for _, dv := range m.VertexOf {
+			if dv != graph.NoVertex {
+				need(dv)
+			}
+		}
+		for _, de := range m.EdgeOf {
+			if de == iso.NoEdge {
+				continue
+			}
+			if _, ok := edgeIdx[de]; !ok {
+				err = fmt.Errorf("stored match references edge %d not in the live graph", de)
+				return false
+			}
+		}
+		n++
+		return true
+	})
+	return n, err
+}
+
+// stored writes the n stored matches needStored counted in t.
+func (w *writer) stored(t *sjtree.Tree, n int, vertIdx map[graph.VertexID]uint32, edgeIdx map[graph.EdgeID]uint32) {
+	w.u32(uint32(n))
+	if n == 0 {
+		return
+	}
+	t.EachStored(func(node *sjtree.Node, m iso.Match) bool {
+		w.u32(uint32(node.ID))
+		w.u32(uint32(len(m.VertexOf)))
+		for _, dv := range m.VertexOf {
+			if dv == graph.NoVertex {
+				w.u32(noIdx)
+			} else {
+				w.u32(vertIdx[dv])
+			}
+		}
+		w.u32(uint32(len(m.EdgeOf)))
+		for _, de := range m.EdgeOf {
+			if de == iso.NoEdge {
+				w.u32(noIdx)
+			} else {
+				w.u32(edgeIdx[de])
+			}
+		}
+		w.i64(m.MinTS)
+		w.i64(m.MaxTS)
+		return true
+	})
+}
+
 func (w *writer) bytes(b []byte) {
 	if w.err != nil {
 		return
@@ -387,6 +362,56 @@ type reader struct {
 	// would escape through io.ReadFull and cost a heap object per
 	// integer of the image.
 	scratch [8]byte
+}
+
+// stored reads a count and that many stored matches into t (nil for a
+// strategy that builds no tree). One scratch match is decoded into and
+// copied from: RestoreStored keeps nothing of what it is handed.
+func (r *reader) stored(t *sjtree.Tree, q *query.Graph, vertID []graph.VertexID, edgeID []graph.EdgeID) error {
+	n := r.u32()
+	if r.err != nil {
+		return r.err
+	}
+	if n > 0 && t == nil {
+		return fmt.Errorf("stored matches for a strategy that builds no tree")
+	}
+	m := iso.NewMatch(q)
+	for i := uint32(0); i < n; i++ {
+		node := int(r.u32())
+		if nv := r.u32(); r.err == nil && int(nv) != len(m.VertexOf) {
+			return fmt.Errorf("match %d has %d vertex slots, query has %d", i, nv, len(m.VertexOf))
+		}
+		for j := range m.VertexOf {
+			m.VertexOf[j] = graph.NoVertex
+			if idx := r.u32(); idx != noIdx {
+				if int(idx) >= len(vertID) {
+					return fmt.Errorf("match %d binds unknown vertex %d", i, idx)
+				}
+				m.VertexOf[j] = vertID[idx]
+			}
+		}
+		if ne := r.u32(); r.err == nil && int(ne) != len(m.EdgeOf) {
+			return fmt.Errorf("match %d has %d edge slots, query has %d", i, ne, len(m.EdgeOf))
+		}
+		for j := range m.EdgeOf {
+			m.EdgeOf[j] = iso.NoEdge
+			if idx := r.u32(); idx != noIdx {
+				if int(idx) >= len(edgeID) {
+					return fmt.Errorf("match %d binds unknown edge %d", i, idx)
+				}
+				m.EdgeOf[j] = edgeID[idx]
+			}
+		}
+		m.MinTS = r.i64()
+		m.MaxTS = r.i64()
+		if r.err != nil {
+			return r.err
+		}
+		if err := t.RestoreStored(node, m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (r *reader) bytes(b []byte) {

@@ -121,14 +121,18 @@ func TransplantState(dst, src *core.MultiEngine, name string) (dropped int, err 
 		if dt == nil {
 			return 0, fmt.Errorf("persist: transplant target for %q has no tree (decomposition mismatch)", name)
 		}
+		// mt is a view into the source tree and RestoreStored copies what
+		// it is handed, so one scratch match carries them all across.
+		out := iso.NewMatch(seng.Query())
 		t.EachStored(func(n *sjtree.Node, mt iso.Match) bool {
-			out := iso.NewMatch(seng.Query())
 			for i, dv := range mt.VertexOf {
+				out.VertexOf[i] = graph.NoVertex
 				if dv != graph.NoVertex {
 					out.VertexOf[i] = mapVertex(dv)
 				}
 			}
 			for i, de := range mt.EdgeOf {
+				out.EdgeOf[i] = iso.NoEdge
 				if de == iso.NoEdge {
 					continue
 				}

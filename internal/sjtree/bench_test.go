@@ -1,6 +1,7 @@
 package sjtree
 
 import (
+	"math/rand"
 	"testing"
 
 	"streamgraph/internal/graph"
@@ -119,4 +120,65 @@ func BenchmarkExpireNoOp(b *testing.B) {
 			b.Fatal("unexpected eviction")
 		}
 	}
+}
+
+// BenchmarkTreeSteadyState is the store's share of an eager, expiry-heavy
+// engine row (bench/'s nf_rare_eager) without the engine: a 4-edge path
+// under the 1-edge decomposition whose two frequent leaves take 1.2
+// inserts per stream edge between them, keyed by Zipf-drawn hosts (a few
+// hub buckets as long as the window, a long tail of buckets that live and
+// die with one match), no sibling ever there to join, window 2000 and a
+// sweep every 256 edges. One op is one stream edge. Candidates are drawn
+// from the tree's pool and filled the way Matcher.Retain would, so the
+// arrays cycle as they do under an engine.
+func BenchmarkTreeSteadyState(b *testing.B) {
+	const window, sweepEvery, hosts = 2000, 256, 100_000
+	q := query.NewPath(query.Wildcard, "AH", "ESP", "TCP", "TCP")
+	tr, err := Build(q, [][]int{{0}, {1}, {2}, {3}}, window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 8, hosts-1)
+	ends := make([][2]graph.VertexID, 1<<16)
+	for i := range ends {
+		s := graph.VertexID(zipf.Uint64())
+		ends[i] = [2]graph.VertexID{s, (s + 1 + graph.VertexID(rng.Intn(hosts-1))) % hosts}
+	}
+	insert := func(qe, i int) {
+		m := tr.Pool().Get()
+		for j := range m.VertexOf {
+			m.VertexOf[j] = graph.NoVertex
+		}
+		for j := range m.EdgeOf {
+			m.EdgeOf[j] = iso.NoEdge
+		}
+		e := ends[i%len(ends)]
+		m.VertexOf[q.Edges[qe].Src], m.VertexOf[q.Edges[qe].Dst] = e[0], e[1]
+		m.EdgeOf[qe] = graph.EdgeID(i % (2 * window))
+		m.MinTS, m.MaxTS = int64(i), int64(i)
+		tr.Insert(qe, m, nil, nil)
+	}
+	edge := func(i int) {
+		insert(2, i)
+		if i%5 == 0 {
+			insert(3, i)
+		}
+		if i%sweepEvery == 0 {
+			tr.ExpireBefore(int64(i) - window + 1)
+		}
+	}
+	i := 0
+	for ; i < 3*window; i++ {
+		edge(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		edge(i)
+		i++
+	}
+	b.StopTimer()
+	st := tr.Stats()
+	b.ReportMetric(float64(st.ExpireScanned)/float64(st.Evicted), "scanned/evicted")
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamgraph/internal/graph"
@@ -215,23 +216,100 @@ func matchString(m iso.Match) string {
 	return fmt.Sprintf("v=%v e=%v ts=[%d,%d]", m.VertexOf, m.EdgeOf, m.MinTS, m.MaxTS)
 }
 
-// runDifferential drives the hashed tree (optionally with forced hash
-// collisions) and the string-key reference through an identical insert
-// and expiry schedule, comparing emitted matches (order included) and
-// stored counts after every step.
-func runDifferential(t *testing.T, seed int64, leaves [][]int, dedup, collide bool) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	q := query.NewPath(query.Wildcard, "a", "b", "c")
-	const window = 200
+// A tsShape says how a differential script draws its timestamps and
+// sweep cutoffs. shapeRandom is the original net: both uniform over one
+// fixed range, so cutoffs regress as often as they advance and no slot
+// is ever under pressure. The others follow a clock that runs through
+// at least three windows and more than one turn of the timing wheel, and
+// sweep at the clock's cutoff the way an engine does, so every slab slot
+// and every wheel bucket is freed and taken again several times.
+type tsShape int
 
-	tr, err := Build(q, leaves, window)
+const (
+	shapeRandom        tsShape = iota
+	shapeInOrder               // every edge carries the clock's time
+	shapeRegressInside         // one edge in four is late by less than a window
+	shapeRegressBeyond         // one in six is late by up to three windows; one sweep in four cuts off at an earlier time than the last
+	shapeGap                   // the clock jumps three windows ahead, twice
+)
+
+var clockedShapes = []tsShape{shapeInOrder, shapeRegressInside, shapeRegressBeyond, shapeGap}
+
+func (s tsShape) String() string {
+	return [...]string{"random", "in-order", "regress-inside", "regress-beyond", "gap"}[s]
+}
+
+// scriptConfig is one differential run: a 3-edge path query under the
+// given decomposition, tree window and tree flags, and a script of the
+// given shape. span is the window the script's clock and cutoffs go by —
+// the tree's own, except where the tree has none (Window == 0).
+type scriptConfig struct {
+	seed    int64
+	leaves  [][]int
+	window  int64
+	span    int64
+	shape   tsShape
+	dedup   bool
+	collide bool
+}
+
+func (c scriptConfig) String() string {
+	return fmt.Sprintf("seed %d leaves %v window %d %v dedup=%v collide=%v", c.seed, c.leaves, c.window, c.shape, c.dedup, c.collide)
+}
+
+// storedHashes lists a hash of every match a tree and its reference
+// hold, each list sorted, for a multiset comparison (a sweep is followed
+// by one, so it has to be cheaper than matchString).
+func storedHashes(tr *Tree, ref *refTree) (got, want []uint64) {
+	hash := func(node int, m iso.Match) uint64 {
+		h := iso.HashMix32(iso.HashStart(), uint32(node))
+		for _, dv := range m.VertexOf {
+			h = iso.HashMix32(h, uint32(dv))
+		}
+		for _, de := range m.EdgeOf {
+			h = iso.HashMix32(h, uint32(de))
+		}
+		return iso.HashMix64(iso.HashMix64(h, uint64(m.MinTS)), uint64(m.MaxTS))
+	}
+	tr.EachStored(func(n *Node, m iso.Match) bool {
+		got = append(got, hash(n.ID, m))
+		return true
+	})
+	for id, table := range ref.tables {
+		for _, bucket := range table {
+			for _, m := range bucket {
+				want = append(want, hash(id, m))
+			}
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	return got, want
+}
+
+// runScript drives the slab tree (optionally with forced hash
+// collisions) and the string-key reference through an identical insert
+// and expiry schedule. After every insert the emitted matches must be
+// equal in order (bucket chains keep insertion order whatever slots they
+// run through) and so must the stored counts. After every
+// ExpireBefore(cutoff) the two must have evicted the same number, the
+// tree must hold exactly the reference's matches and none with MinTS <
+// cutoff, the same cutoff again must evict nothing and scan nothing, and
+// no slab may be left under a quarter full. It returns the tree for its
+// counters, and how many times a sweep ended with a slab rebuilt smaller.
+func runScript(t *testing.T, c scriptConfig) (tr *Tree, compactions int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(c.seed))
+	q := query.NewPath(query.Wildcard, "a", "b", "c")
+
+	tr, err := Build(q, c.leaves, c.window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Dedup = dedup
-	tr.collide = collide
-	ref, err := newRefTree(q, leaves, window, dedup)
+	tr.Dedup = c.dedup
+	tr.collide = c.collide
+	slots := make([]int, len(tr.Nodes))
+	ref, err := newRefTree(q, c.leaves, c.window, c.dedup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,46 +318,116 @@ func runDifferential(t *testing.T, seed int64, leaves [][]int, dedup, collide bo
 	emitGot := func(m iso.Match) { got = append(got, matchString(m)) }
 	emitWant := func(m iso.Match) { want = append(want, matchString(m)) }
 
+	expire := func(step int, cutoff int64) {
+		for i, n := range tr.Nodes {
+			slots[i] = len(n.recs)
+		}
+		ev1 := tr.ExpireBefore(cutoff)
+		ev2 := ref.expireBefore(cutoff)
+		if ev1 != ev2 {
+			t.Fatalf("%v step %d: ExpireBefore(%d) evicted %d, reference %d", c, step, cutoff, ev1, ev2)
+		}
+		held, refHeld := storedHashes(tr, ref)
+		if !slices.Equal(held, refHeld) {
+			t.Fatalf("%v step %d: after ExpireBefore(%d) the tree holds %d matches, the reference %d, or other ones", c, step, cutoff, len(held), len(refHeld))
+		}
+		if st := tr.Stats().Stored; int(st) != len(held) || int(st) != ref.stored {
+			t.Fatalf("%v step %d: Stats().Stored = %d, EachStored yields %d, reference holds %d", c, step, st, len(held), ref.stored)
+		}
+		tr.EachStored(func(_ *Node, m iso.Match) bool {
+			if m.MinTS < cutoff {
+				t.Fatalf("%v step %d: %s survived ExpireBefore(%d)", c, step, matchString(m), cutoff)
+			}
+			return true
+		})
+		scanned := tr.Stats().ExpireScanned
+		if ev := tr.ExpireBefore(cutoff); ev != 0 || tr.Stats().ExpireScanned != scanned {
+			t.Fatalf("%v step %d: ExpireBefore(%d) again evicted %d and scanned %d", c, step, cutoff, ev, tr.Stats().ExpireScanned-scanned)
+		}
+		for i, n := range tr.Nodes {
+			if n.sparse() {
+				t.Fatalf("%v step %d: node %d keeps %d slots for %d matches after a sweep", c, step, i, len(n.recs), n.live)
+			}
+			if len(n.recs) < slots[i] {
+				compactions++
+			}
+		}
+	}
+
 	type histItem struct {
 		leaf int
 		m    iso.Match
 	}
 	var history []histItem
 	nextEdge := graph.EdgeID(100)
-	for step := 0; step < 400; step++ {
-		if rng.Intn(12) == 0 {
-			cutoff := int64(rng.Intn(600))
-			ev1 := tr.ExpireBefore(cutoff)
-			ev2 := ref.expireBefore(cutoff)
-			if ev1 != ev2 {
-				t.Fatalf("seed %d step %d: ExpireBefore(%d) evicted %d, reference %d", seed, step, cutoff, ev1, ev2)
+	steps := 400
+	var clock, lastCutoff int64
+	if c.shape != shapeRandom {
+		// The clock gains 1.5 a step: six windows, or two turns of the
+		// wheel and a window, whichever is longer.
+		steps = int(max(6*c.span, 2*wheelBuckets<<tr.shift+c.span) * 2 / 3)
+	}
+	for step := 0; step < steps; step++ {
+		sweep, cutoff := rng.Intn(12) == 0, int64(rng.Intn(600))
+		if c.shape != shapeRandom {
+			clock += int64(rng.Intn(4))
+			if c.shape == shapeGap && (step == steps/3 || step == 2*steps/3) {
+				clock += 3 * c.span
 			}
+			sweep, cutoff = step%8 == 7, clock-c.span+1
+			if c.shape == shapeRegressBeyond && sweep && rng.Intn(4) == 0 {
+				cutoff = lastCutoff - int64(rng.Intn(int(c.span)))
+			}
+		}
+		if sweep {
+			expire(step, cutoff)
+			lastCutoff = cutoff
 			continue
 		}
 		var leaf int
 		var m iso.Match
-		if dedup && len(history) > 0 && rng.Intn(5) == 0 {
+		if c.dedup && len(history) > 0 && rng.Intn(5) == 0 {
 			// Replay an earlier leaf match verbatim: Lazy Search's
 			// retrospective repair rediscovers stored matches, and the
-			// replay must be a complete no-op on both implementations.
+			// replay must be a complete no-op on both implementations
+			// while the original is stored (and a straggler's insert once
+			// it has been evicted).
 			h := history[rng.Intn(len(history))]
 			leaf, m = h.leaf, h.m.Clone()
 		} else {
-			leaf = rng.Intn(len(leaves))
+			leaf = rng.Intn(len(c.leaves))
 			m = iso.NewMatch(q)
-			for _, qe := range leaves[leaf] {
+			for _, qe := range c.leaves[leaf] {
 				m.EdgeOf[qe] = nextEdge
 				nextEdge++
-				s := graph.VertexID(rng.Intn(6))
-				d := graph.VertexID(rng.Intn(6) + 6)
-				m.VertexOf[q.Edges[qe].Src] = s
-				m.VertexOf[q.Edges[qe].Dst] = d
 				ts := int64(rng.Intn(500))
+				if c.shape == shapeRandom {
+					m.VertexOf[q.Edges[qe].Src] = graph.VertexID(rng.Intn(6))
+					m.VertexOf[q.Edges[qe].Dst] = graph.VertexID(rng.Intn(6) + 6)
+				} else {
+					ts = clock
+					switch {
+					case c.shape == shapeRegressInside && rng.Intn(4) == 0:
+						ts -= int64(rng.Intn(int(c.span)))
+					case c.shape == shapeRegressBeyond && rng.Intn(6) == 0:
+						ts -= int64(rng.Intn(int(3 * c.span)))
+					}
+				}
 				if ts < m.MinTS {
 					m.MinTS = ts
 				}
 				if ts > m.MaxTS {
 					m.MaxTS = ts
+				}
+			}
+			if c.shape != shapeRandom {
+				// One small domain (wider for a wider window, to keep
+				// the join fan-out) for every query vertex, bound
+				// injectively, so that sibling leaves do agree on a cut
+				// and every level of the tree stores and joins.
+				dom := rng.Perm(int(max(12, c.span/16)))
+				for i, qv := range q.EdgeVertices(c.leaves[leaf]) {
+					m.VertexOf[qv] = graph.VertexID(dom[i])
 				}
 			}
 			history = append(history, histItem{leaf: leaf, m: m.Clone()})
@@ -288,21 +436,45 @@ func runDifferential(t *testing.T, seed int64, leaves [][]int, dedup, collide bo
 		tr.Insert(leaf, m.Clone(), emitGot, nil)
 		ref.insert(leaf, m, emitWant)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d step %d: emitted %d matches, reference %d", seed, step, len(got), len(want))
+			t.Fatalf("%v step %d: emitted %d matches, reference %d", c, step, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d step %d: match %d = %s, reference %s", seed, step, i, got[i], want[i])
+				t.Fatalf("%v step %d: match %d = %s, reference %s", c, step, i, got[i], want[i])
 			}
 		}
 		if int(tr.Stats().Stored) != ref.stored {
-			t.Fatalf("seed %d step %d: stored %d, reference %d", seed, step, tr.Stats().Stored, ref.stored)
+			t.Fatalf("%v step %d: stored %d, reference %d", c, step, tr.Stats().Stored, ref.stored)
+		}
+	}
+	return tr, compactions
+}
+
+// runDifferential is runScript over every timestamp shape.
+func runDifferential(t *testing.T, seed int64, leaves [][]int, dedup, collide bool) {
+	t.Helper()
+	const window = 200
+	runScript(t, scriptConfig{seed: seed, leaves: leaves, window: window, span: window, shape: shapeRandom, dedup: dedup, collide: collide})
+	if seed > 2 {
+		return // the clocked scripts are ten times as long
+	}
+	for _, shape := range clockedShapes {
+		tr, _ := runScript(t, scriptConfig{seed: seed, leaves: leaves, window: window, span: window, shape: shape, dedup: dedup, collide: collide})
+		// Every slot was recycled: the slabs never grew past what the
+		// fullest window held, while several times that went through them.
+		slots := 0
+		for _, n := range tr.Nodes {
+			slots += len(n.recs)
+		}
+		if st := tr.Stats(); st.Emitted == 0 || st.Evicted < 2*int64(slots) {
+			t.Errorf("seed %d %v: %d emitted, %d evicted through %d slots: the script recycled too little", seed, shape, st.Emitted, st.Evicted, slots)
 		}
 	}
 }
 
 // TestDifferentialHashedVsStringKeys drives randomized streams through
-// both implementations across decompositions and dedup modes.
+// both implementations across decompositions, dedup modes and timestamp
+// shapes.
 func TestDifferentialHashedVsStringKeys(t *testing.T) {
 	for _, leaves := range [][][]int{{{0}, {1}, {2}}, {{0, 1}, {2}}} {
 		for _, dedup := range []bool{false, true} {
@@ -315,7 +487,8 @@ func TestDifferentialHashedVsStringKeys(t *testing.T) {
 
 // TestDifferentialForcedCollisions reruns the differential net with the
 // hash hook forcing every cut key and dedup signature onto a single
-// value: the probe-time cut-equality and signature-equality checks must
+// value — one join chain and one dedup chain per node, through every
+// slot: the probe-time cut-equality and signature-equality checks must
 // keep results byte-identical to the string-key reference.
 func TestDifferentialForcedCollisions(t *testing.T) {
 	for _, leaves := range [][][]int{{{0}, {1}, {2}}, {{0, 1}, {2}}} {

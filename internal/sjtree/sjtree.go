@@ -6,10 +6,19 @@
 // cut sub-graph (the vertices shared between the parent's children,
 // Property 4), so that sibling matches join by hash lookup
 // (Algorithm 2).
+//
+// A stored match is a record in its node's slab (store.go), addressed by
+// slot and owned by the tree alone: Insert copies the caller's match in
+// and hands the caller's arrays back to the pool at once. What join
+// probes, OnStored and EachStored see of a stored match is a view — an
+// iso.Match whose slices point into the slab — valid until the tree is
+// next mutated. Window expiry reads a per-node timing wheel over MinTS,
+// so a sweep costs the expired matches, not the stored ones.
 package sjtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"streamgraph/internal/iso"
@@ -45,25 +54,8 @@ type Node struct {
 	// 1; for the internal node joining leaves 0..i it is i+1.
 	NextLeaf int
 
-	// table holds the stored partial matches, keyed by a 64-bit hash of
-	// the cut bindings (Property 4's projection Π). Hashing avoids the
-	// per-insert string materialization of a byte-exact key; probes
-	// re-check cut-binding equality explicitly so a hash collision can
-	// only cost a skipped comparison, never a wrong join.
-	table map[uint64][]iso.Match
-	// seen indexes the live stored matches by binding-signature hash
-	// for O(1) duplicate suppression when the tree's Dedup flag is set
-	// (Lazy Search re-discovers matches). It holds the first live match
-	// per hash; seenOver carries the rare hash-colliding rest. A probe
-	// verifies sigEqual against the indexed match itself — never the
-	// table bucket, whose length is unbounded at hub vertices — so a
-	// signature collision can only cost an overflow scan, never a wrong
-	// suppression. Entries are removed as their matches expire.
-	seen     map[uint64]iso.Match
-	seenOver map[uint64][]iso.Match
-	// exp indexes every stored match by MinTS for incremental window
-	// expiry (see expiry.go).
-	exp []expEntry
+	// store holds the node's partial matches (see store.go).
+	store
 }
 
 // Stats counts the work performed by a tree since construction.
@@ -106,18 +98,22 @@ type Tree struct {
 	// Stats.Shed counts the dropped work.
 	Budget *WorkBudget
 
-	// pool recycles the backing arrays of evicted, discarded and
+	// pool recycles the backing arrays of inserted, discarded and
 	// released matches into join outputs and (via Pool) the engine's
 	// candidate clones, keeping the steady-state insert path
-	// allocation-free.
+	// allocation-free. Stored matches live in the nodes' slabs, not here.
 	pool *iso.MatchPool
+
+	// shift sizes the nodes' timing wheels (a bucket spans 1<<shift
+	// timestamps); swept is the highest cutoff ExpireBefore has seen, the
+	// point its next walk starts from.
+	shift uint
+	swept int64
 
 	// collide (test hook) forces every cut key and dedup signature to
 	// hash to the same value, so the differential tests can prove the
 	// probe-time equality checks keep results exact under collisions.
 	collide bool
-
-	scratchKeys []uint64 // reusable expiry scratch (see expireNode)
 
 	stats Stats
 }
@@ -157,13 +153,17 @@ func Build(q *query.Graph, leaves [][]int, window int64) (*Tree, error) {
 		}
 	}
 
-	t := &Tree{Query: q, Root: None, Window: window, pool: iso.NewMatchPool(q)}
+	t := &Tree{
+		Query: q, Root: None, Window: window, pool: iso.NewMatchPool(q),
+		shift: wheelShift(window), swept: math.MinInt64,
+	}
 	newNode := func() *Node {
 		n := &Node{
 			ID: len(t.Nodes), Parent: None, Left: None, Right: None,
 			Sibling: None, LeafPos: -1, NextLeaf: -1,
-			table: make(map[uint64][]iso.Match),
+			store: store{nv: len(q.Vertices), ne: len(q.Edges)},
 		}
+		n.reset(0, false)
 		t.Nodes = append(t.Nodes, n)
 		return n
 	}
@@ -315,7 +315,8 @@ func cutEqual(cut []int, a, b iso.Match) bool {
 }
 
 // Pool exposes the tree's match pool so the engine can wire it into its
-// merge-path matcher (candidate clones then reuse evicted arrays).
+// merge-path matcher (candidate clones then reuse the arrays the last
+// Insert handed back).
 func (t *Tree) Pool() *iso.MatchPool { return t.pool }
 
 // Release recycles a match the caller owns and is done with: one it
@@ -325,7 +326,9 @@ func (t *Tree) Pool() *iso.MatchPool { return t.pool }
 func (t *Tree) Release(m iso.Match) { t.pool.Put(m) }
 
 // OnStored observes every match newly stored at a node; Lazy Search uses
-// it to enable the next leaf's search around the match's vertices.
+// it to enable the next leaf's search around the match's vertices. m is
+// valid for the callback only: its arrays go back to the pool when the
+// callback returns.
 type OnStored func(n *Node, m iso.Match)
 
 // Insert runs UPDATE-SJ-TREE (Algorithm 2) for a match discovered at the
@@ -333,11 +336,11 @@ type OnStored func(n *Node, m iso.Match)
 // (optional) observes every partial match added to a table. It returns
 // the number of complete matches produced.
 //
-// Insert takes ownership of m: its backing arrays may be recycled
-// through the tree's match pool (on eviction, or immediately when the
-// insert is dedup-suppressed), so callers must not reuse m after the
-// call and must not pass a match aliasing an already-stored one — pass
-// a clone to retain or replay one.
+// Insert takes ownership of m, which must have the query's shape (full-
+// length binding arrays): a match that is stored is copied into its
+// node's slab, and m's backing arrays are recycled through the tree's
+// match pool before Insert returns (stored, dedup-suppressed or shed
+// alike), so callers must not reuse m after the call.
 //
 // Ownership of a complete match passes the other way: what emit receives
 // belongs to the caller, the tree keeps no reference to it, and it stays
@@ -359,6 +362,7 @@ func (t *Tree) update(node *Node, m iso.Match, emit func(iso.Match), onStored On
 	if t.Budget != nil {
 		if t.Budget.Remaining <= 0 {
 			t.stats.Shed++
+			t.pool.Put(m)
 			return 0
 		}
 		t.Budget.Remaining--
@@ -369,28 +373,31 @@ func (t *Tree) update(node *Node, m iso.Match, emit func(iso.Match), onStored On
 
 	// A duplicate insert must be a complete no-op: re-probing the
 	// sibling would re-emit every join this match already produced. A
-	// signature-hash hit alone is not proof — the indexed match (and
-	// any hash-colliding overflow) is compared binding-for-binding, so
-	// a collision cannot suppress a genuine match. The probe never
-	// touches the table bucket itself: hub-vertex buckets grow with the
-	// window, and the previous bucket scan made every duplicate cost
-	// O(bucket) right where duplicates are most frequent.
+	// signature-hash hit alone is not proof — every live record on the
+	// hash's chain is compared binding-for-binding, so a collision
+	// cannot suppress a genuine match. The probe never touches the join
+	// bucket itself: hub-vertex buckets grow with the window, and a
+	// bucket scan would make every duplicate cost O(bucket) right where
+	// duplicates are most frequent.
 	var sig uint64
 	if t.Dedup {
 		sig = t.sigHash(node, m)
-		if seenHasSig(node, sig, m) {
+		if node.hasSig(node.QEdges, sig, m) {
 			t.stats.Deduped++
-			// Ownership of m transferred to the tree and it was not
-			// stored: recycle its arrays (Insert's contract forbids the
-			// caller passing an alias of an already-stored match).
 			t.pool.Put(m)
 			return 0
 		}
 	}
 
 	complete := 0
-	// Probe the sibling's table and push successful joins up the tree.
-	for _, ms := range sibling.table[k] {
+	// Probe the sibling's chain and push successful joins up the tree.
+	// The cascade stores at this node's ancestors only, so the sibling's
+	// slab — and every view into it — stays put for the whole loop.
+	for i := sibling.chain(k); i != nilSlot; i = sibling.recs[i].next {
+		if sibling.recs[i].key != k {
+			continue // another key on the same directory entry
+		}
+		ms := sibling.view(i)
 		if !cutEqual(parent.Cut, m, ms) {
 			continue // hash collision: not actually the same join key
 		}
@@ -409,20 +416,23 @@ func (t *Tree) update(node *Node, m iso.Match, emit func(iso.Match), onStored On
 		t.stats.JoinsSucceeded++
 		complete += t.update(parent, sup, emit, onStored)
 	}
-	node.table[k] = append(node.table[k], m)
-	heapPush(&node.exp, expEntry{ts: m.MinTS, key: k})
-	if t.Dedup {
-		addSeen(node, sig, m)
-	}
+	t.storeAt(node, k, sig, m)
 	t.stats.Inserted++
+	if onStored != nil {
+		onStored(node, m)
+	}
+	t.pool.Put(m)
+	return complete
+}
+
+// storeAt copies m into node's slab under join key k, files it on the
+// timing wheel and, when Dedup is on, under its signature.
+func (t *Tree) storeAt(node *Node, k, sig uint64, m iso.Match) {
+	node.add(k, sig, t.Dedup, t.wheelSlot(m.MinTS), m)
 	t.stats.Stored++
 	if t.stats.Stored > t.stats.PeakStored {
 		t.stats.PeakStored = t.stats.Stored
 	}
-	if onStored != nil {
-		onStored(node, m)
-	}
-	return complete
 }
 
 // sigHash canonicalizes a match's binding at a node into a 64-bit
@@ -439,91 +449,6 @@ func (t *Tree) sigHash(node *Node, m iso.Match) uint64 {
 		h = iso.HashMix32(h, uint32(m.EdgeOf[qe]))
 	}
 	return iso.HashMix64(h, uint64(m.MinTS))
-}
-
-func sigEqual(node *Node, a, b iso.Match) bool {
-	if a.MinTS != b.MinTS {
-		return false
-	}
-	for _, qe := range node.QEdges {
-		if a.EdgeOf[qe] != b.EdgeOf[qe] {
-			return false
-		}
-	}
-	return true
-}
-
-// seenHasSig reports whether a live stored match with m's exact binding
-// signature exists at node: an O(1) index probe plus a scan of the
-// hash-colliding overflow (empty except under real 64-bit collisions or
-// the collide test hook).
-func seenHasSig(node *Node, sig uint64, m iso.Match) bool {
-	first, ok := node.seen[sig]
-	if !ok {
-		return false
-	}
-	if sigEqual(node, first, m) {
-		return true
-	}
-	for _, ms := range node.seenOver[sig] {
-		if sigEqual(node, ms, m) {
-			return true
-		}
-	}
-	return false
-}
-
-// addSeen indexes a newly stored match. The match shares its backing
-// arrays with the table entry; removeSeen must run before the arrays
-// are recycled.
-func addSeen(node *Node, sig uint64, m iso.Match) {
-	if node.seen == nil {
-		node.seen = make(map[uint64]iso.Match)
-	}
-	if _, ok := node.seen[sig]; !ok {
-		node.seen[sig] = m
-		return
-	}
-	if node.seenOver == nil {
-		node.seenOver = make(map[uint64][]iso.Match)
-	}
-	node.seenOver[sig] = append(node.seenOver[sig], m)
-}
-
-// removeSeen drops the index entry for an expiring stored match,
-// promoting an overflow entry into the primary slot when one exists so
-// later probes still see every live match.
-func removeSeen(node *Node, sig uint64, m iso.Match) {
-	first, ok := node.seen[sig]
-	if !ok {
-		return
-	}
-	over := node.seenOver[sig]
-	if sigEqual(node, first, m) {
-		if n := len(over); n > 0 {
-			node.seen[sig] = over[n-1]
-			if n == 1 {
-				delete(node.seenOver, sig)
-			} else {
-				node.seenOver[sig] = over[:n-1]
-			}
-		} else {
-			delete(node.seen, sig)
-		}
-		return
-	}
-	for i, ms := range over {
-		if sigEqual(node, ms, m) {
-			last := len(over) - 1
-			over[i] = over[last]
-			if last == 0 {
-				delete(node.seenOver, sig)
-			} else {
-				node.seenOver[sig] = over[:last]
-			}
-			return
-		}
-	}
 }
 
 // join merges a match a of node with a match b of its sibling
@@ -587,7 +512,8 @@ func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
 // already produced before the snapshot was taken. The match must bind
 // exactly the node's subgraph — its QVerts and QEdges, nothing else, as
 // every match the tree stored itself does and Tree.join relies on; only
-// structural checks are performed.
+// structural checks are performed. m is copied into the node's slab and
+// stays the caller's, who may refill it for the next call.
 func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
 	if nodeID < 0 || nodeID >= len(t.Nodes) {
 		return fmt.Errorf("sjtree: node %d out of range", nodeID)
@@ -596,17 +522,15 @@ func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
 	if node.ID == t.Root {
 		return fmt.Errorf("sjtree: the root stores no matches")
 	}
-	parent := t.Nodes[node.Parent]
-	k := t.joinKey(parent.Cut, m)
-	node.table[k] = append(node.table[k], m)
-	heapPush(&node.exp, expEntry{ts: m.MinTS, key: k})
+	if len(m.VertexOf) != node.nv || len(m.EdgeOf) != node.ne {
+		return fmt.Errorf("sjtree: match has %d vertex and %d edge slots, query has %d and %d",
+			len(m.VertexOf), len(m.EdgeOf), node.nv, node.ne)
+	}
+	var sig uint64
 	if t.Dedup {
-		addSeen(node, t.sigHash(node, m), m)
+		sig = t.sigHash(node, m)
 	}
-	t.stats.Stored++
-	if t.stats.Stored > t.stats.PeakStored {
-		t.stats.PeakStored = t.stats.Stored
-	}
+	t.storeAt(node, t.joinKey(t.Nodes[node.Parent].Cut, m), sig, m)
 	return nil
 }
 
@@ -615,49 +539,72 @@ func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
 // once the stream has advanced past cutoff + tW. Returns the number of
 // matches evicted.
 //
-// Eviction is incremental: each node's time index (a min-heap over
-// MinTS, see expiry.go) names exactly the buckets holding expired
-// matches, so a pass costs O(expired) plus the touched buckets — and a
-// pass that expires nothing performs no table scans at all
-// (Stats.ExpireScanned pins this).
-//
-// Each pass ends by trimming the match pool: free arrays nothing drew
-// over the last two passes go to the collector (iso.MatchPool.Trim).
+// Eviction is incremental and exact: each node's timing wheel (see
+// store.go) files a match under its MinTS, a pass walks only the wheel
+// buckets between the highest cutoff seen so far and the new one, and
+// every record it meets is judged by its own MinTS. So a pass costs the
+// expired matches plus what shares their last, partly expired bucket; a
+// pass that expires nothing scans nothing (Stats.ExpireScanned pins
+// this); and timestamps that regress, gaps wider than the window and a
+// cutoff lower than an earlier one cost kept scans, never a wrong or a
+// missed eviction.
 func (t *Tree) ExpireBefore(cutoff int64) int {
+	from := t.swept
+	t.swept = max(t.swept, cutoff)
+	first := from >> t.shift
+	// The difference of two bucket numbers fits 64 bits unsigned, not
+	// signed (swept starts at math.MinInt64).
+	buckets := wheelBuckets
+	if span := uint64(t.swept>>t.shift) - uint64(first); span < wheelBuckets {
+		buckets = int(span) + 1
+	}
 	evicted := 0
 	for _, n := range t.Nodes {
-		evicted += t.expireNode(n, cutoff)
+		if n.live > 0 {
+			ev, scanned := n.expire(uint64(first), buckets, cutoff)
+			evicted += ev
+			t.stats.ExpireScanned += int64(scanned)
+			if n.sparse() {
+				n.compact(t)
+			}
+		}
 	}
-	t.pool.Trim()
 	t.stats.Stored -= int64(evicted)
 	t.stats.Evicted += int64(evicted)
 	return evicted
 }
 
-// DropDedupState releases the duplicate-suppression tables. The
+// wheelSlot names the wheel bucket a match with earliest timestamp ts
+// is filed under. A straggler older than the last cutoff goes where the
+// next pass starts, so that pass finds it.
+func (t *Tree) wheelSlot(ts int64) int {
+	return int(uint64(max(ts, t.swept)>>t.shift) % wheelBuckets)
+}
+
+// DropDedupState releases the duplicate-suppression index. The
 // adaptive migration path bulk-loads a new tree with Dedup forced on;
-// when the engine then runs non-lazy (Dedup off), the leftover counts
+// when the engine then runs non-lazy (Dedup off), the leftover entries
 // would never be read or cleaned, so it drops them.
 func (t *Tree) DropDedupState() {
 	for _, n := range t.Nodes {
-		n.seen = nil
-		n.seenOver = nil
+		n.sdir = nil
 	}
 }
 
 // StoredMatches returns the number of live partial matches across all
-// match tables.
+// nodes.
 func (t *Tree) StoredMatches() int { return int(t.stats.Stored) }
 
 // EachStored invokes fn for every stored partial match. Returning false
-// stops the iteration. The tree must not be mutated during iteration.
+// stops the iteration. The tree must not be mutated during iteration,
+// and m is a view into the node's slab, valid for the callback only:
+// the next Insert or ExpireBefore may overwrite or move what it points
+// at, so a caller that keeps it Clones it.
 func (t *Tree) EachStored(fn func(n *Node, m iso.Match) bool) {
 	for _, n := range t.Nodes {
-		for _, bucket := range n.table {
-			for _, m := range bucket {
-				if !fn(n, m) {
-					return
-				}
+		for i := range n.recs {
+			if n.recs[i].prev != freeSlot && !fn(n, n.view(int32(i))) {
+				return
 			}
 		}
 	}
@@ -674,13 +621,7 @@ func (t *Tree) LeafSets() [][]int {
 }
 
 // TableSize returns the number of matches stored at the given node.
-func (t *Tree) TableSize(nodeID int) int {
-	n := 0
-	for _, bucket := range t.Nodes[nodeID].table {
-		n += len(bucket)
-	}
-	return n
-}
+func (t *Tree) TableSize(nodeID int) int { return t.Nodes[nodeID].live }
 
 // String renders a compact structural description of the tree.
 func (t *Tree) String() string {
