@@ -47,7 +47,11 @@ func (e *Engine) AdaptiveStats() AdaptiveStats {
 // re-decomposes. The collector covers only the most recent period so a
 // selectivity-order drift in the live stream is visible immediately
 // instead of being washed out by the cumulative history; it is reset
-// after every re-evaluation. Called once per processed edge.
+// after every re-evaluation. This is the one collector still fed per
+// edge: a period is RecomputeEvery processed edges, not a timestamp
+// window, so the window statistics a registration computes on demand
+// (selectivity.FromGraph) are not its input. Called once per processed
+// edge of an adaptive engine only.
 func (e *Engine) observeAdaptive(se stream.Edge) {
 	a := e.adaptive
 	a.collector.Add(se)

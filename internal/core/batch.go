@@ -419,15 +419,11 @@ func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat
 	return rows, flat
 }
 
-// ingestBatch admits a batch into the shared graph with one statistics
-// pass and one amortized eviction (run up front so the cutoff never
-// gets ahead of the serial schedule's), returning the materialized
-// edges in input order.
+// ingestBatch admits a batch into the shared graph with one amortized
+// eviction (run up front so the cutoff never gets ahead of the serial
+// schedule's), returning the materialized edges in input order.
 func (m *MultiEngine) ingestBatch(ses []stream.Edge) []graph.Edge {
 	m.advanceEvict(len(ses))
-	if m.stats != nil {
-		m.stats.AddAll(ses)
-	}
 	m.edgesSeen += int64(len(ses))
 	m.stored += int64(len(ses))
 	des := m.arena.edgeBuf(len(ses))

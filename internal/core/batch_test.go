@@ -37,8 +37,9 @@ type registrar interface {
 	Register(name string, q *query.Graph, cfg Config) error
 }
 
-func registerBatchQueries(t *testing.T, r registrar, strategies map[string]Strategy) {
+func registerBatchQueries(t *testing.T, r registrar, strategies map[string]Strategy, train []stream.Edge) {
 	t.Helper()
+	stats := collect(train)
 	queries := batchTestQueries()
 	names := make([]string, 0, len(queries))
 	for name := range queries {
@@ -46,7 +47,7 @@ func registerBatchQueries(t *testing.T, r registrar, strategies map[string]Strat
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := r.Register(name, queries[name], Config{Strategy: strategies[name]}); err != nil {
+		if err := r.Register(name, queries[name], Config{Strategy: strategies[name], Stats: stats}); err != nil {
 			t.Fatalf("register %s: %v", name, err)
 		}
 	}
@@ -69,8 +70,7 @@ func TestMultiBatchMatchesSerial(t *testing.T) {
 
 	run := func(batch int) []string {
 		m := NewMulti(MultiConfig{Window: 400, EvictEvery: 7})
-		m.Statistics().AddAll(train)
-		registerBatchQueries(t, m, batchStrategyMix())
+		registerBatchQueries(t, m, batchStrategyMix(), train)
 		var sigs []string
 		if batch <= 1 {
 			for _, se := range edges {
@@ -116,8 +116,7 @@ func TestParallelBatchDeterministic(t *testing.T) {
 	runParallel := func(workers, batch int) []string {
 		p := NewParallelMulti(MultiConfig{Window: 400, EvictEvery: 7}, workers)
 		defer p.Close()
-		p.inner.Statistics().AddAll(train)
-		registerBatchQueries(t, p, batchStrategyMix())
+		registerBatchQueries(t, p, batchStrategyMix(), train)
 		var ordered []string
 		for lo := 0; lo < len(edges); lo += batch {
 			hi := lo + batch
@@ -184,8 +183,7 @@ func TestParallelBatchMatchesSerialMulti(t *testing.T) {
 	train := edges[:200]
 
 	m := NewMulti(MultiConfig{Window: 400, EvictEvery: 7})
-	m.Statistics().AddAll(train)
-	registerBatchQueries(t, m, batchStrategyMix())
+	registerBatchQueries(t, m, batchStrategyMix(), train)
 	var want []string
 	for _, se := range edges {
 		for _, nm := range m.ProcessEdge(se) {
@@ -196,8 +194,7 @@ func TestParallelBatchMatchesSerialMulti(t *testing.T) {
 
 	p := NewParallelMulti(MultiConfig{Window: 400, EvictEvery: 7}, 4)
 	defer p.Close()
-	p.inner.Statistics().AddAll(train)
-	registerBatchQueries(t, p, batchStrategyMix())
+	registerBatchQueries(t, p, batchStrategyMix(), train)
 	var got []string
 	for lo := 0; lo < len(edges); lo += 100 {
 		hi := lo + 100

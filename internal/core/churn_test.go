@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"streamgraph/internal/graph"
@@ -143,6 +144,56 @@ func TestVertexChurnMulti(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// heapInUse is the live heap after a collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestVertexChurnMultiHeapFlat: no table behind a MultiEngine is sized
+// by the stream. Over a churn stream that names ~70k hosts, a few dozen
+// at a time, the heap after the last three quarters is what it was
+// after the first; a per-name table — the full-stream collector the
+// engine used to feed held an entry and a counter list per host, 5 MB
+// over that stretch — would show as growth.
+func TestVertexChurnMultiHeapFlat(t *testing.T) {
+	const n, batch = 96_000, 48
+	edges := refmatch.Churn(9, n, 1<<30)
+	stats := selectivity.NewCollector()
+	stats.AddAll(edges[:2000])
+	for _, every := range []int{7, 256} {
+		m := NewMulti(MultiConfig{Window: refmatch.ChurnWindow, EvictEvery: every})
+		for name, q := range refmatch.ChurnQueries() {
+			if err := m.Register(name, q, Config{Strategy: StrategySingleLazy, Stats: stats}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var early uint64
+		for lo := 0; lo < n; lo += batch {
+			if lo == n/4 {
+				early = heapInUse()
+			}
+			if (lo/batch)%2 == 0 {
+				m.ProcessBatch(edges[lo : lo+batch])
+			} else {
+				for _, se := range edges[lo : lo+batch] {
+					m.ProcessEdge(se)
+				}
+			}
+		}
+		late := heapInUse()
+		if reclaimed := m.Graph().VerticesReclaimed(); reclaimed < 50_000 {
+			t.Fatalf("EvictEvery=%d: only %d vertices reclaimed; the stream does not churn", every, reclaimed)
+		}
+		if late > early+1<<20 {
+			t.Fatalf("EvictEvery=%d: heap grew from %d to %d bytes over the last three quarters of the stream", every, early, late)
+		}
+		runtime.KeepAlive(m)
 	}
 }
 

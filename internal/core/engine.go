@@ -112,6 +112,11 @@ func (s Strategy) Lazy() bool {
 	return s == StrategySingleLazy || s == StrategyPathLazy || s == StrategyAuto
 }
 
+// Decomposes reports whether the strategy runs on an SJ-Tree and so
+// needs a decomposition: Config.Leaves, or statistics to derive one.
+// The two baselines search the whole query and need neither.
+func (s Strategy) Decomposes() bool { return s != StrategyVF2 && s != StrategyIncIso }
+
 // Config parameterizes an Engine.
 type Config struct {
 	// Strategy to execute. StrategyAuto requires Stats.
@@ -290,30 +295,14 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		e.allEdges = append(e.allEdges, i)
 	}
 
-	switch cfg.Strategy {
-	case StrategyVF2, StrategyIncIso:
+	if !cfg.Strategy.Decomposes() {
 		return e, nil
 	}
 
 	leaves := cfg.Leaves
 	var err error
 	if leaves == nil {
-		if cfg.Stats == nil {
-			return nil, fmt.Errorf("core: strategy %v requires Config.Stats for decomposition", cfg.Strategy)
-		}
-		switch cfg.Strategy {
-		case StrategySingle, StrategySingleLazy:
-			leaves, err = decompose.SingleDecompose(q, cfg.Stats)
-			e.chosenKind = decompose.Single
-		case StrategyPath, StrategyPathLazy:
-			leaves, _, err = decompose.PathDecompose(q, cfg.Stats)
-			e.chosenKind = decompose.Path
-		case StrategyAuto:
-			leaves, e.chosenKind, e.relSel, err = decompose.Auto(q, cfg.Stats)
-		default:
-			return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
-		}
-		if err != nil {
+		if leaves, e.chosenKind, e.relSel, err = Decompose(q, cfg.Strategy, cfg.Stats); err != nil {
 			return nil, err
 		}
 	}
@@ -342,6 +331,28 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		e.adaptive = &adaptiveState{cfg: ac, collector: selectivity.NewCollector()}
 	}
 	return e, nil
+}
+
+// Decompose derives a tree strategy's SJ-Tree leaves from statistics:
+// the decomposition New pins when Config.Leaves is nil, and the one the
+// shard router pins before a registration reaches a worker. kind and
+// relSel are what Engine.ChosenKind and RelativeSelectivity report.
+func Decompose(q *query.Graph, s Strategy, stats *selectivity.Collector) (leaves [][]int, kind decompose.Kind, relSel float64, err error) {
+	if stats == nil {
+		return nil, 0, 0, fmt.Errorf("core: strategy %v requires Config.Stats for decomposition", s)
+	}
+	switch s {
+	case StrategySingle, StrategySingleLazy:
+		leaves, err = decompose.SingleDecompose(q, stats)
+		return leaves, decompose.Single, 0, err
+	case StrategyPath, StrategyPathLazy:
+		leaves, _, err = decompose.PathDecompose(q, stats)
+		return leaves, decompose.Path, 0, err
+	case StrategyAuto:
+		return decompose.Auto(q, stats)
+	default:
+		return nil, 0, 0, fmt.Errorf("core: unknown strategy %v", s)
+	}
 }
 
 // newMatcher builds a matcher over the engine's current graph with the

@@ -20,6 +20,11 @@ import (
 // deployment mode the paper's introduction describes — "register a
 // pattern as a graph query and continuously perform the query on the
 // data graph as it evolves".
+//
+// The engine keeps no statistics: the per-edge path touches no
+// collector, and a query registered without Config.Stats or
+// Config.Leaves is decomposed from the window's, computed from the
+// shared graph when Register asks (see Statistics).
 type MultiEngine struct {
 	g      *graph.Graph
 	window int64
@@ -28,7 +33,6 @@ type MultiEngine struct {
 	order   []string  // registration order for deterministic dispatch
 	engines []*Engine // queries[order[i]], the list a sweep prunes
 
-	stats      *selectivity.Collector // shared rolling statistics; nil under MultiConfig.ExternalStats
 	evictEvery int
 	sinceEvict int
 	edgesSeen  int64
@@ -61,13 +65,6 @@ type MultiConfig struct {
 	Window int64
 	// EvictEvery controls eviction frequency (default 256 edges).
 	EvictEvery int
-	// ExternalStats builds the engine without a statistics collector,
-	// for a runtime whose statistics live elsewhere (the shard router
-	// owns the full-stream collector and pins every decomposition before
-	// a registration reaches a worker engine). Ingestion then skips the
-	// per-edge statistics update, Statistics returns nil, and Register
-	// needs Config.Leaves or Config.Stats for a decomposition strategy.
-	ExternalStats bool
 }
 
 // NamedMatch pairs a complete match with the query that produced it.
@@ -81,22 +78,18 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 	if cfg.EvictEvery <= 0 {
 		cfg.EvictEvery = 256
 	}
-	m := &MultiEngine{
+	return &MultiEngine{
 		g:          graph.New(),
 		window:     cfg.Window,
 		queries:    make(map[string]*Engine),
 		evictEvery: cfg.EvictEvery,
 		filter:     graph.UniversalTypes(),
 	}
-	if !cfg.ExternalStats {
-		m.stats = selectivity.NewCollector()
-	}
-	return m
 }
 
 // SetReplicaFilter restricts subsequent ingestion to edges whose type
 // is one of types: everything else is dropped before touching the
-// graph, the statistics, or any query's search — the engine becomes a
+// graph or any query's search — the engine becomes a
 // filtered replica of the stream. universal re-admits every type
 // (types is then ignored). The caller is responsible for only
 // filtering when every registered query's edge-type footprint is
@@ -145,8 +138,8 @@ func (m *MultiEngine) admits(se stream.Edge) bool {
 	return ok && m.filter.Has(graph.TypeID(id))
 }
 
-// Backfill admits edges into the shared graph and statistics without
-// running any query's search, bypassing the replica filter. The
+// Backfill admits edges into the shared graph without running any
+// query's search, bypassing the replica filter. The
 // sharded runtime replays the shared edge log through it when a
 // registration widens a replica's footprint: the edges existed in the
 // stream's past, so they must exist in the replica, but — exactly as
@@ -155,9 +148,6 @@ func (m *MultiEngine) admits(se stream.Edge) bool {
 func (m *MultiEngine) Backfill(ses []stream.Edge) {
 	if len(ses) == 0 {
 		return
-	}
-	if m.stats != nil {
-		m.stats.AddAll(ses)
 	}
 	for _, se := range ses {
 		ingestOne(m.g, se)
@@ -200,26 +190,30 @@ func (m *MultiEngine) TrimReplica() int {
 // Graph exposes the shared data graph (read-only use).
 func (m *MultiEngine) Graph() *graph.Graph { return m.g }
 
-// Statistics exposes the shared rolling statistics collector, fed by
-// every processed edge; it drives the decomposition of queries
-// registered later in the stream. It is nil for an engine built with
-// MultiConfig.ExternalStats.
-func (m *MultiEngine) Statistics() *selectivity.Collector { return m.stats }
+// Statistics computes the statistics of the window now: a collector
+// built from the shared graph's edges with ts >= LastTS - Window + 1
+// (selectivity.FromGraph; every live edge when Window is 0), so edges
+// past the window but not swept yet do not count. Each call is a pass
+// over the live edges and returns a collector of the caller's own. It
+// is what a query registered with neither Config.Stats nor
+// Config.Leaves is decomposed from.
+func (m *MultiEngine) Statistics() *selectivity.Collector {
+	return selectivity.FromGraph(m.ReplicaView(), selectivity.WindowCutoff(m.g.LastTS(), m.window))
+}
 
-// Register adds a continuous query under a unique name. The query is
-// decomposed using the statistics observed so far (or Config.Stats /
-// Config.Leaves when provided in cfg; an ExternalStats engine has
-// nothing else to decompose from and rejects a decomposition strategy
-// given neither). The engine's graph and window are overridden to the
-// shared ones. Config.BatchWorkers is ignored: every multi-query driver
-// merges a batch inline (see Engine.searchShared).
+// Register adds a continuous query under a unique name. A tree strategy
+// is decomposed from Config.Leaves or Config.Stats when cfg brings
+// either, and from the window's statistics (Statistics) otherwise. The
+// engine's graph and window are overridden to the shared ones.
+// Config.BatchWorkers is ignored: every multi-query driver merges a
+// batch inline (see Engine.searchShared).
 func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
 	if _, dup := m.queries[name]; dup {
 		return fmt.Errorf("core: query %q already registered", name)
 	}
 	cfg.Window = m.window
-	if cfg.Stats == nil {
-		cfg.Stats = m.stats
+	if cfg.Stats == nil && cfg.Leaves == nil && cfg.Strategy.Decomposes() {
+		cfg.Stats = m.Statistics()
 	}
 	eng, err := New(q, cfg)
 	if err != nil {
@@ -342,16 +336,13 @@ func (m *MultiEngine) AppendResolved(bindings []PortableBinding, edges []Portabl
 	return bindings, edges
 }
 
-// ingest adds one stream edge to the shared graph, updates the rolling
-// statistics and runs eviction, returning the materialized edge.
+// ingest adds one stream edge to the shared graph and runs eviction,
+// returning the materialized edge.
 func (m *MultiEngine) ingest(se stream.Edge) graph.Edge {
 	m.edgesSeen++
-	if m.stats != nil {
-		m.stats.Add(se)
-	}
 	de := ingestOne(m.g, se)
 	m.stored++
-	m.maybeEvict()
+	m.advanceEvict(1)
 	return de
 }
 
@@ -371,7 +362,7 @@ func (m *MultiEngine) SetEdgeLatency(h *metrics.AtomicHistogram, sampleEvery int
 // ProcessEdge ingests one stream edge into the shared graph and runs
 // every registered query's incremental search around it. An edge the
 // replica filter rejects is dropped whole: no graph mutation, no
-// statistics, no search. The result is arena-backed and its matches
+// search. The result is arena-backed and its matches
 // belong to the query engines: valid until the next result-returning
 // call on this engine (see batchArena).
 func (m *MultiEngine) ProcessEdge(se stream.Edge) []NamedMatch {
@@ -413,8 +404,6 @@ func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
 	}
 	return out
 }
-
-func (m *MultiEngine) maybeEvict() { m.advanceEvict(1) }
 
 // advanceEvict advances the shared eviction clock by n processed edges
 // and sweeps when the cadence fires. The batch path calls it before

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"streamgraph/internal/query"
@@ -13,14 +14,16 @@ func TestMultiEngineTwoQueries(t *testing.T) {
 	qa := query.NewPath(query.Wildcard, "rdp", "ftp")
 	qb := query.NewPath(query.Wildcard, "syn")
 
-	// Warm the shared statistics so decomposition has data.
+	// Trained statistics so decomposition has data.
+	var train []stream.Edge
 	for i, tp := range []string{"rdp", "ftp", "syn", "http", "http"} {
-		m.Statistics().Add(edge(fmt.Sprintf("w%d", i), fmt.Sprintf("w%d", i+100), tp, int64(i+1)))
+		train = append(train, edge(fmt.Sprintf("w%d", i), fmt.Sprintf("w%d", i+100), tp, int64(i+1)))
 	}
-	if err := m.Register("lateral", qa, Config{Strategy: StrategySingleLazy}); err != nil {
+	stats := collect(train)
+	if err := m.Register("lateral", qa, Config{Strategy: StrategySingleLazy, Stats: stats}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register("flood", qb, Config{Strategy: StrategySingle}); err != nil {
+	if err := m.Register("flood", qb, Config{Strategy: StrategySingle, Stats: stats}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("lateral", qa, Config{Strategy: StrategySingle}); err == nil {
@@ -172,33 +175,70 @@ func TestMultiEngineEviction(t *testing.T) {
 	}
 }
 
-// TestMultiEngineExternalStats covers the collector-free engine a
-// runtime with its own statistics owner builds: every ingest path runs
-// without a collector, a decomposition strategy must bring Leaves or
-// Stats, and with either the engine matches like any other.
-func TestMultiEngineExternalStats(t *testing.T) {
-	m := NewMulti(MultiConfig{Window: 1000, ExternalStats: true})
-	if m.Statistics() != nil {
-		t.Fatal("ExternalStats engine holds a collector")
-	}
+// TestMultiEngineStatisticsOnDemand: a registration that brings neither
+// Config.Leaves nor Config.Stats is decomposed from the statistics of
+// the window at that moment — past-window edges awaiting a sweep left
+// out, a later registration seeing a later window. Nothing on an ingest
+// path feeds a collector: Statistics counts the window, not the stream.
+func TestMultiEngineStatisticsOnDemand(t *testing.T) {
+	m := NewMulti(MultiConfig{Window: 10, EvictEvery: 1000})
 	q := query.NewPath(query.Wildcard, "x", "y")
-	if err := m.Register("bare", q, Config{Strategy: StrategySingleLazy}); err == nil {
-		t.Fatal("Register without Leaves or Stats accepted on an ExternalStats engine")
+	if err := m.Register("cold", q, Config{Strategy: StrategySingleLazy}); err != nil {
+		t.Fatalf("a cold registration decomposes from empty statistics: %v", err)
 	}
-	if err := m.Register("baseline", q, Config{Strategy: StrategyIncIso}); err != nil {
-		t.Fatalf("baseline strategy needs no statistics: %v", err)
+
+	// x is frequent early, y frequent late; EvictEvery keeps the early
+	// edges in the graph after they left the window.
+	for i := 0; i < 20; i++ {
+		m.ProcessEdge(edge(fmt.Sprintf("s%d", i), fmt.Sprintf("d%d", i), "x", 1))
 	}
-	if err := m.Register("pinned", q, Config{Strategy: StrategySingleLazy, Leaves: [][]int{{0}, {1}}}); err != nil {
-		t.Fatal(err)
+	m.ProcessBatch([]stream.Edge{edge("e", "f", "y", 1)})
+	leavesOf := func(name string) [][]int {
+		t.Helper()
+		if err := m.Register(name, q, Config{Strategy: StrategySingleLazy}); err != nil {
+			t.Fatal(err)
+		}
+		return m.QueryEngine(name).Tree().LeafSets()
 	}
+	if got := leavesOf("early"); !reflect.DeepEqual(got, [][]int{{1}, {0}}) {
+		t.Fatalf("with y rare in the window the leaves are %v, want y first", got)
+	}
+	for i := 0; i < 5; i++ {
+		m.ProcessEdge(edge(fmt.Sprintf("u%d", i), fmt.Sprintf("v%d", i), "y", 20))
+	}
+	m.Backfill([]stream.Edge{edge("g", "h", "x", 19)})
+	if m.Graph().NumEdges() != 27 {
+		t.Fatalf("the graph holds %d edges, want all 27 unswept", m.Graph().NumEdges())
+	}
+	if st := m.Statistics(); st.EdgeTotal() != 6 || st.EdgeFrequency("x") != 1 || st.EdgeFrequency("y") != 5 {
+		t.Fatalf("Statistics counts %d edges (x %d, y %d), want the window's 6 (1, 5), not the graph's 27",
+			st.EdgeTotal(), st.EdgeFrequency("x"), st.EdgeFrequency("y"))
+	}
+	if got := leavesOf("late"); !reflect.DeepEqual(got, [][]int{{0}, {1}}) {
+		t.Fatalf("with x rare in the window the leaves are %v, want x first", got)
+	}
+}
+
+// TestMultiEngineRegistrationsMatch: however a query got its
+// decomposition, it matches like any other.
+func TestMultiEngineRegistrationsMatch(t *testing.T) {
+	m := NewMulti(MultiConfig{Window: 1000})
+	q := query.NewPath(query.Wildcard, "x", "y")
 	stats := collect([]stream.Edge{edge("a", "b", "x", 1), edge("b", "c", "y", 2)})
-	if err := m.Register("stats", q, Config{Strategy: StrategyPathLazy, Stats: stats}); err != nil {
-		t.Fatal(err)
+	for name, cfg := range map[string]Config{
+		"baseline": {Strategy: StrategyIncIso},
+		"pinned":   {Strategy: StrategySingleLazy, Leaves: [][]int{{0}, {1}}},
+		"stats":    {Strategy: StrategyPathLazy, Stats: stats},
+		"window":   {Strategy: StrategySingleLazy},
+	} {
+		if err := m.Register(name, q, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.Backfill([]stream.Edge{edge("p", "q", "z", 1)})
 	m.ProcessEdge(edge("a", "b", "x", 2))
 	got := m.ProcessBatch([]stream.Edge{edge("b", "c", "y", 3)})
-	if len(got) != 3 {
+	if len(got) != 4 {
 		t.Fatalf("got %d matches, want one per registered query", len(got))
 	}
 }

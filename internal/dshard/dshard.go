@@ -7,8 +7,8 @@
 // the single-process runtime) or a TCP connection to a remote shard
 // worker process (cmd/sgshard) speaking this protocol. The router side
 // of the split keeps everything that needs the global stream view —
-// arrival sequencing, the edge-type gates, the shared EdgeLog, the
-// full-stream selectivity statistics that pin each registration's
+// arrival sequencing, the edge-type gates, the shared EdgeLog and the
+// window statistics computed from it that pin each registration's
 // decomposition — while the remote side owns exactly what a local
 // worker's goroutine owns: a single-writer core.MultiEngine over a
 // private (optionally edge-type-filtered) graph replica.
@@ -191,10 +191,10 @@ type Register struct {
 	// Strategy is the core.Strategy ordinal.
 	Strategy int
 	// HasLeaves reports whether Leaves carries a pinned decomposition.
-	// The router pins every decomposition-based strategy against its
-	// full-stream selectivity statistics — the remote engine's own
-	// statistics see only this shard's slice of the stream and must
-	// never drive a decomposition.
+	// The router pins every decomposition-based strategy against the
+	// statistics of the whole stream's window — the remote engine's own
+	// graph holds only this shard's slice of it and must never drive a
+	// decomposition.
 	HasLeaves bool
 	// Leaves is the pinned SJ-tree decomposition (query edge indices
 	// per leaf).

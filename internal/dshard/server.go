@@ -229,9 +229,7 @@ func (h *host) run() error {
 		return fmt.Errorf("protocol version %d, want %d or %d",
 			hello.Version, ProtocolVersion, ProtocolVersionLegacy)
 	}
-	// The router owns the runtime's statistics and pins every
-	// decomposition before it crosses the wire; the replica keeps none.
-	h.eng = core.NewMulti(core.MultiConfig{Window: hello.Window, EvictEvery: hello.EvictEvery, ExternalStats: true})
+	h.eng = core.NewMulti(core.MultiConfig{Window: hello.Window, EvictEvery: hello.EvictEvery})
 	h.ranks = make(map[string]int)
 	h.universal = hello.UniversalFilter
 	if h.universal {

@@ -7,7 +7,11 @@
 // The implementation interns all labels and edge types to dense integer
 // identifiers, stores edges in an arena with a free-list, and keeps
 // per-vertex in/out adjacency with back-indices so that removing an edge
-// (window eviction) is O(1).
+// (window eviction) is O(1). Vertex names resolve through an index of
+// the graph's own (names.go), probed once per endpoint of an arriving
+// edge; nothing else on the ingest path looks a name up — window
+// statistics are computed from the graph when a registration asks
+// (selectivity.FromGraph).
 //
 // # ID lifetimes
 //
@@ -94,6 +98,9 @@ type Half struct {
 type vertexRec struct {
 	name  string
 	label LabelID
+	// hash is the name's index hash, kept so that reclaiming the vertex
+	// finds its slot without reading the name again.
+	hash uint32
 	// queued marks a vertex on Graph.sweepVerts; free marks a reclaimed
 	// slot waiting on Graph.freeVerts.
 	queued, free bool
@@ -123,8 +130,11 @@ type Graph struct {
 	types  *Interner
 	labels *Interner
 
-	verts      []vertexRec
-	vertByName map[string]VertexID
+	verts []vertexRec
+	// names is the name -> VertexID index (names.go); collide is a test
+	// hook that gives every name the same hash.
+	names   []nameSlot
+	collide bool
 	// freeVerts holds the reclaimed slots EnsureVertex reuses (last
 	// freed first). sweepVerts holds the vertices the next ExpireBefore
 	// must look at: every one created, or left without an edge, since
@@ -152,9 +162,9 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		types:      NewInterner(),
-		labels:     NewInterner(),
-		vertByName: make(map[string]VertexID),
+		types:  NewInterner(),
+		labels: NewInterner(),
+		names:  make([]nameSlot, minNameSlots),
 	}
 }
 
@@ -196,21 +206,23 @@ func (g *Graph) LastSeq() uint64 { return g.lastSeq }
 // reclaims it (see "ID lifetimes" in the package comment). A new vertex
 // takes a reclaimed slot when there is one, adjacency capacity included.
 func (g *Graph) EnsureVertex(name, label string) VertexID {
-	if v, ok := g.vertByName[name]; ok {
+	g.reserveName()
+	h := g.hashName(name)
+	v, slot := g.findName(name, h)
+	if v != NoVertex {
 		return v
 	}
 	lab := LabelID(g.labels.Intern(label))
-	var v VertexID
 	if n := len(g.freeVerts); n > 0 {
 		v = g.freeVerts[n-1]
 		g.freeVerts = g.freeVerts[:n-1]
 		r := &g.verts[v]
-		r.name, r.label, r.free = name, lab, false
+		r.name, r.label, r.hash, r.free = name, lab, h, false
 	} else {
 		v = VertexID(len(g.verts))
-		g.verts = append(g.verts, vertexRec{name: name, label: lab})
+		g.verts = append(g.verts, vertexRec{name: name, label: lab, hash: h})
 	}
-	g.vertByName[name] = v
+	g.names[slot] = nameSlot{hash: h, ref: uint32(v) + 1}
 	// Until its first edge arrives the vertex is isolated; the next
 	// sweep checks whether that edge ever came.
 	g.queueSweep(v)
@@ -227,10 +239,8 @@ func (g *Graph) queueSweep(v VertexID) {
 
 // VertexByName returns the vertex with the given name, or NoVertex.
 func (g *Graph) VertexByName(name string) VertexID {
-	if v, ok := g.vertByName[name]; ok {
-		return v
-	}
-	return NoVertex
+	v, _ := g.findName(name, g.hashName(name))
+	return v
 }
 
 // VertexName returns the external name of v.
@@ -398,7 +408,7 @@ func (g *Graph) reclaimIsolated() {
 		if len(r.out)+len(r.in) > 0 {
 			continue
 		}
-		delete(g.vertByName, r.name)
+		g.deleteName(v, r.hash)
 		r.name, r.free = "", true
 		g.freeVerts = append(g.freeVerts, v)
 		g.reclaimed++

@@ -108,7 +108,9 @@ func TestLabelFollowsReentry(t *testing.T) {
 
 // TestVertexTableBounded streams 200k distinct names through a window
 // of about 2k edges: the ID space must track the window, not the
-// stream, and the name index must hold the live vertices only.
+// stream, and the name index must hold the live vertices only, in a
+// table (grow-only, load at most one half) under four slots per vertex
+// of the peak.
 func TestVertexTableBounded(t *testing.T) {
 	const (
 		names  = 200_000
@@ -131,8 +133,11 @@ func TestVertexTableBounded(t *testing.T) {
 	if g.NumVertices() > 2*peakLive || peakLive > 2*(window+every) {
 		t.Fatalf("%d vertex slots, peak live %d, for a window of %d edges", g.NumVertices(), peakLive, window)
 	}
-	if len(g.vertByName) != g.LiveVertices() {
-		t.Fatalf("name index holds %d names, %d vertices are live", len(g.vertByName), g.LiveVertices())
+	if indexed := g.indexedNames(); indexed != g.LiveVertices() {
+		t.Fatalf("name index holds %d names, %d vertices are live", indexed, g.LiveVertices())
+	}
+	if len(g.names) > 4*(peakLive+1) {
+		t.Fatalf("name index has %d slots for a peak of %d live vertices", len(g.names), peakLive)
 	}
 	if got := g.VerticesReclaimed(); got < names-int64(g.NumVertices()) {
 		t.Fatalf("reclaimed %d vertices of %d named with %d slots", got, names, g.NumVertices())

@@ -21,19 +21,13 @@ import (
 // shift the eviction clock. A LoadMulti'd engine fed the same stream
 // suffix emits exactly the matches the original would have.
 //
-// Two pieces of state are deliberately NOT serialized and must be
-// re-applied by the caller, which owns them in every deployment:
-//
-//   - the replica filter (SetReplicaFilter): the shard worker derives
-//     it from its registration footprints, the remote worker from the
-//     restore frame's header;
-//   - the selectivity collector: decompositions are pinned in each
-//     engine's Leaves before registration ever reaches a MultiEngine
-//     in the sharded runtime, and the router checkpoint carries the
-//     authoritative full-stream collector in its own metadata. A
-//     restored engine is therefore built without one
-//     (core.MultiConfig.ExternalStats): later registrations bring
-//     their own Leaves or Stats.
+// The replica filter (SetReplicaFilter) is deliberately NOT serialized
+// and must be re-applied by the caller, which owns it in every
+// deployment: the shard worker derives it from its registration
+// footprints, the remote worker from the restore frame's header.
+// Statistics need no image: every registered query's decomposition is
+// pinned in its Leaves, and a later registration decomposes from the
+// restored graph's window (core.MultiEngine.Statistics).
 
 const (
 	multiMagic   = "SGSNAPM\n"
@@ -198,7 +192,7 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 	if br.err != nil {
 		return nil, br.err
 	}
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: evictEvery, ExternalStats: true})
+	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: evictEvery})
 
 	// Shared vertices.
 	g := m.Graph()

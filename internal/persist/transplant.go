@@ -192,7 +192,7 @@ func CloneQuery(src *core.MultiEngine, name string) (*core.MultiEngine, error) {
 	if seng == nil {
 		return nil, fmt.Errorf("persist: clone source does not hold query %q", name)
 	}
-	tmp := core.NewMulti(core.MultiConfig{Window: src.WindowSize(), EvictEvery: src.EvictCadence(), ExternalStats: true})
+	tmp := core.NewMulti(core.MultiConfig{Window: src.WindowSize(), EvictEvery: src.EvictCadence()})
 
 	// Seed the clone graph with exactly the referenced edges, in source
 	// arrival order, so TransplantState resolves every stored match.

@@ -1,6 +1,8 @@
 package selectivity
 
 import (
+	"fmt"
+
 	"streamgraph/internal/query"
 )
 
@@ -19,19 +21,65 @@ import (
 // cost-driven comparison of candidate SJ-Trees without running them.
 
 // LeafFrequency estimates the absolute frequency (expected number of
-// stored matches over the observed stream) of a leaf subgraph: its
-// selectivity times the total count of same-size subgraphs.
+// stored matches over the observed edges) of a leaf subgraph: the count
+// of the 1-edge or 2-edge-path shape it names. A wildcard edge type
+// names every type — a wildcard 1-edge leaf has frequency EdgeTotal,
+// every edge matches it — where the Source selectivities that order a
+// decomposition know no wildcard and report 0. Two disjoint edges count
+// as the product of their 1-edge selectivities of the path total.
 func (c *Collector) LeafFrequency(q *query.Graph, leaf []int) (float64, error) {
-	s, err := c.LeafSelectivity(q, leaf)
-	if err != nil {
-		return 0, err
-	}
 	switch len(leaf) {
 	case 1:
-		return s * float64(c.edgeTotal), nil
+		lo, hi := c.typeRange(q.Edges[leaf[0]].Type)
+		return float64(c.edgesIn(lo, hi)), nil
+	case 2:
+		e1, e2 := q.Edges[leaf[0]], q.Edges[leaf[1]]
+		lo1, hi1 := c.typeRange(e1.Type)
+		lo2, hi2 := c.typeRange(e2.Type)
+		center, ok := sharedVertex(e1, e2)
+		if !ok {
+			if c.edgeTotal == 0 {
+				return 0, nil
+			}
+			n := float64(c.edgeTotal)
+			return float64(c.edgesIn(lo1, hi1)) / n * float64(c.edgesIn(lo2, hi2)) / n * float64(c.pathTotal), nil
+		}
+		d1, d2 := orientation(e1, center), orientation(e2, center)
+		var f int64
+		for a := lo1; a < hi1; a++ {
+			for b := lo2; b < hi2; b++ {
+				if d1 == d2 && b < a && lo1 <= b && a < hi2 {
+					continue // (b, a) is in range too and names the same shape
+				}
+				f += c.pathCount[pathIndex(dirType(a, d1), dirType(b, d2))]
+			}
+		}
+		return float64(f), nil
 	default:
-		return s * float64(c.pathTotal), nil
+		return 0, fmt.Errorf("selectivity: leaf with %d edges not supported (want 1 or 2)", len(leaf))
 	}
+}
+
+// typeRange is the interval of interned types a query edge type names:
+// one type, none (never observed), or all of them for the wildcard.
+func (c *Collector) typeRange(etype string) (lo, hi uint32) {
+	if etype == query.Wildcard {
+		return 0, uint32(len(c.edgeCount))
+	}
+	t, ok := c.types.Lookup(etype)
+	if !ok || int(t) >= len(c.edgeCount) {
+		return 0, 0
+	}
+	return t, t + 1
+}
+
+// edgesIn sums the 1-edge histogram over a type interval.
+func (c *Collector) edgesIn(lo, hi uint32) int64 {
+	var n int64
+	for _, k := range c.edgeCount[lo:hi] {
+		n += k
+	}
+	return n
 }
 
 // SpaceEstimate computes S(T) for a decomposition: the expected number
@@ -107,8 +155,8 @@ func (c *Collector) CostEstimate(q *query.Graph, leaves [][]int) (float64, error
 		// Leaf i's search plus the hash-join work at its parent:
 		// probes from both sides and the expected joined matches.
 		work += searchCost[i]
-		work += (prefixFreq + freqs[i] + min2(prefixFreq, freqs[i])) / n
-		prefixFreq = min2(prefixFreq, freqs[i])
+		work += (prefixFreq + freqs[i] + min(prefixFreq, freqs[i])) / n
+		prefixFreq = min(prefixFreq, freqs[i])
 	}
 	return work, nil
 }
@@ -128,13 +176,6 @@ func (c *Collector) avgDegree() float64 {
 		}
 	}
 	return total / float64(len(c.perVertex))
-}
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ShouldDecomposeFurther implements Observation 3: a subgraph g_k is

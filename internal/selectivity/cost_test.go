@@ -172,3 +172,52 @@ func TestTriangleEstimatorConverges(t *testing.T) {
 func dedupTriangles(g *graph.Graph) int64 {
 	return ExactTriangles(g)
 }
+
+// TestLeafFrequencyWildcard: a wildcard edge type names every type, so
+// it estimates as the whole histogram, not as an unseen type's 0 — a
+// 1-edge leaf as EdgeTotal, a 2-edge path as the sum of the shapes the
+// wildcard end can take (each unordered pair of incident edges once).
+func TestLeafFrequencyWildcard(t *testing.T) {
+	c := NewCollector()
+	// hub has two x out, one y out, one y in.
+	c.Add(edge("hub", "a", "x", 1))
+	c.Add(edge("hub", "b", "x", 2))
+	c.Add(edge("hub", "c", "y", 3))
+	c.Add(edge("d", "hub", "y", 4))
+	freq := func(q *query.Graph, leaf ...int) float64 {
+		t.Helper()
+		f, err := c.LeafFrequency(q, leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	any1 := query.NewPath(query.Wildcard, query.Wildcard)
+	if got := freq(any1, 0); got != 4 {
+		t.Errorf("wildcard 1-edge leaf = %v, want EdgeTotal 4", got)
+	}
+	// u <-x- v -*-> w: out-x with any other out edge at the centre:
+	// x-x 1 pair, x-y 2 pairs.
+	fork := &query.Graph{
+		Vertices: []query.Vertex{{Name: "u"}, {Name: "v"}, {Name: "w"}},
+		Edges:    []query.Edge{{Src: 1, Dst: 0, Type: "x"}, {Src: 1, Dst: 2, Type: query.Wildcard}},
+	}
+	if got := freq(fork, 0, 1); got != 3 {
+		t.Errorf("x-out with wildcard-out at one centre = %v, want 3", got)
+	}
+	// Both ends wild, both out: every unordered pair of out edges, C(3,2).
+	fork.Edges[0].Type = query.Wildcard
+	if got := freq(fork, 0, 1); got != 3 {
+		t.Errorf("two wildcard out edges at one centre = %v, want 3", got)
+	}
+	// u -*-> v -*-> w: an in edge then an out edge at the centre: 1 in x 3 out.
+	if got := freq(query.NewPath(query.Wildcard, query.Wildcard, query.Wildcard), 0, 1); got != 3 {
+		t.Errorf("wildcard 2-hop path = %v, want 3", got)
+	}
+	if s, err := c.SpaceEstimate(any1, [][]int{{0}}); err != nil || s != 4 {
+		t.Errorf("SpaceEstimate of a wildcard edge = %v err=%v, want 4", s, err)
+	}
+	if got := freq(query.NewPath(query.Wildcard, "unseen"), 0); got != 0 {
+		t.Errorf("unseen type = %v, want 0", got)
+	}
+}

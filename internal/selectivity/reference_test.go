@@ -2,9 +2,9 @@ package selectivity
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"streamgraph/internal/graph"
@@ -102,54 +102,93 @@ func (c *refCollector) PathFrequency(t1 string, d1 Dir, t2 string, d2 Dir) int64
 	return c.pathCount.Count(makePathKey(dirType(a, d1), dirType(b, d2)))
 }
 
-func (c *refCollector) Snapshot() *CollectorState {
-	s := &CollectorState{EdgeTotal: c.edgeTotal, PathTotal: c.pathTotal}
+// collState is a collector's whole state keyed by names, so that two
+// collectors whose interners assigned different IDs compare equal with
+// reflect.DeepEqual. Zero counts are left out: a type or shape that was
+// seen and fully removed is the same as one never seen.
+type collState struct {
+	EdgeTotal, PathTotal int64
+	Edges                map[string]int64
+	Paths                map[[2]string]int64         // the two ends as "type(dir)", ordered
+	Verts                map[string]map[string]int64 // vertex -> "type(dir)" -> incident count
+}
+
+func newCollState(edgeTotal, pathTotal int64) *collState {
+	return &collState{
+		EdgeTotal: edgeTotal, PathTotal: pathTotal,
+		Edges: make(map[string]int64),
+		Paths: make(map[[2]string]int64),
+		Verts: make(map[string]map[string]int64),
+	}
+}
+
+func endName(types *graph.Interner, dt uint32) string {
+	t, d := splitDirType(dt)
+	return fmt.Sprintf("%s(%s)", types.Name(t), d)
+}
+
+func (s *collState) path(types *graph.Interner, k PathKey, n int64) {
+	a, b := endName(types, k.A), endName(types, k.B)
+	if a > b {
+		a, b = b, a
+	}
+	s.Paths[[2]string{a, b}] += n
+}
+
+func (s *collState) incident(types *graph.Interner, vertex string, dt uint32, n int64) {
+	if s.Verts[vertex] == nil {
+		s.Verts[vertex] = make(map[string]int64)
+	}
+	s.Verts[vertex][endName(types, dt)] = n
+}
+
+func (c *Collector) state() *collState {
+	s := newCollState(c.edgeTotal, c.pathTotal)
 	for t, n := range c.edgeCount {
-		s.Edges = append(s.Edges, TypeCount{Type: c.types.Name(t), N: n})
-	}
-	sort.Slice(s.Edges, func(i, j int) bool { return s.Edges[i].Type < s.Edges[j].Type })
-	end := func(dt uint32) PathEnd {
-		t, d := splitDirType(dt)
-		return PathEnd{Type: c.types.Name(t), Dir: d}
-	}
-	for k, n := range c.pathCount {
-		s.Paths = append(s.Paths, PathCountState{A: end(k.A), B: end(k.B), N: n})
-	}
-	endLess := func(a, b PathEnd) bool {
-		if a.Type != b.Type {
-			return a.Type < b.Type
+		if n != 0 {
+			s.Edges[c.types.Name(uint32(t))] = n
 		}
-		return a.Dir < b.Dir
 	}
-	sort.Slice(s.Paths, func(i, j int) bool {
-		a, b := s.Paths[i], s.Paths[j]
-		if a.A != b.A {
-			return endLess(a.A, b.A)
+	c.eachPath(func(k PathKey, n int64) { s.path(c.types, k, n) })
+	for name, id := range c.vertIDs {
+		for _, inc := range c.perVertex[id] {
+			s.incident(c.types, name, inc.dt, inc.n)
 		}
-		return endLess(a.B, b.B)
-	})
-	names := make([]string, 0, len(c.vertIDs))
-	for name := range c.vertIDs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cv := c.perVertex[c.vertIDs[name]]
-		if len(cv) == 0 {
-			continue
-		}
-		vc := VertexCounts{Name: name}
-		for dt, n := range cv {
-			t, d := splitDirType(dt)
-			vc.Incident = append(vc.Incident, DirTypeCount{Type: c.types.Name(t), Dir: d, N: n})
-		}
-		sort.Slice(vc.Incident, func(i, j int) bool {
-			a, b := vc.Incident[i], vc.Incident[j]
-			return a.Type < b.Type || a.Type == b.Type && a.Dir < b.Dir
-		})
-		s.Vertices = append(s.Vertices, vc)
 	}
 	return s
+}
+
+func (c *refCollector) state() *collState {
+	s := newCollState(c.edgeTotal, c.pathTotal)
+	for t, n := range c.edgeCount {
+		if n != 0 {
+			s.Edges[c.types.Name(t)] = n
+		}
+	}
+	for k, n := range c.pathCount {
+		s.path(c.types, k, n)
+	}
+	for name, id := range c.vertIDs {
+		for dt, n := range c.perVertex[id] {
+			s.incident(c.types, name, dt, n)
+		}
+	}
+	return s
+}
+
+// snapStream generates a deterministic mixed-type edge stream without
+// importing datagen (which itself depends on this package).
+func snapStream(n int) []stream.Edge {
+	types := []string{"TCP", "UDP", "ICMP"}
+	out := make([]stream.Edge, n)
+	for i := range out {
+		out[i] = stream.Edge{
+			Src: fmt.Sprintf("h%d", (i*7)%40), SrcLabel: "host",
+			Dst: fmt.Sprintf("h%d", (i*13+5)%40), DstLabel: "host",
+			Type: types[(i*3)%len(types)], TS: int64(i),
+		}
+	}
+	return out
 }
 
 // randomOps drives fn with a randomised Add/Remove schedule over
@@ -181,8 +220,8 @@ func randomOps(rng *rand.Rand, nTypes, nVerts, steps int, fn func(e stream.Edge,
 // reference on randomised Add/Remove streams over 120 edge types — 240
 // dirTypes, well past LSBench's 90, so the dense histograms grow many
 // times mid-stream: equal frequencies for every shape, deep-equal
-// snapshots, a Restore(Snapshot()) round trip, and agreement with the
-// batch form of Algorithm 5 over the surviving edges.
+// states, and a deep-equal state — per-vertex counters included — from
+// the batch form of Algorithm 5 (FromGraph) over the surviving edges.
 func TestCollectorMatchesReference(t *testing.T) {
 	const nTypes = 120
 	dirs := []Dir{Out, In}
@@ -198,8 +237,8 @@ func TestCollectorMatchesReference(t *testing.T) {
 				c.Remove(e)
 				ref.Remove(e)
 			}
-			if step++; step%1500 == 0 && !reflect.DeepEqual(c.Snapshot(), ref.Snapshot()) {
-				t.Fatalf("seed %d step %d: snapshot diverged from the reference", seed, step)
+			if step++; step%1500 == 0 && !reflect.DeepEqual(c.state(), ref.state()) {
+				t.Fatalf("seed %d step %d: state diverged from the reference", seed, step)
 			}
 		})
 		if c.Types().Len() < 100 {
@@ -212,11 +251,10 @@ func TestCollectorMatchesReference(t *testing.T) {
 		if c.UniquePathShapes() != len(ref.pathCount) {
 			t.Fatalf("seed %d: %d shapes vs reference %d", seed, c.UniquePathShapes(), len(ref.pathCount))
 		}
-		restored := c.Snapshot().Restore()
 		for i := 0; i < nTypes; i++ {
 			t1 := fmt.Sprintf("t%03d", i)
-			if got, want := c.EdgeFrequency(t1), ref.EdgeFrequency(t1); got != want || restored.EdgeFrequency(t1) != want {
-				t.Fatalf("seed %d: EdgeFrequency(%s) = %d (restored %d), reference %d", seed, t1, got, restored.EdgeFrequency(t1), want)
+			if got, want := c.EdgeFrequency(t1), ref.EdgeFrequency(t1); got != want {
+				t.Fatalf("seed %d: EdgeFrequency(%s) = %d, reference %d", seed, t1, got, want)
 			}
 			for j := i; j < nTypes; j++ {
 				t2 := fmt.Sprintf("t%03d", j)
@@ -226,44 +264,25 @@ func TestCollectorMatchesReference(t *testing.T) {
 						if got := c.PathFrequency(t1, d1, t2, d2); got != want {
 							t.Fatalf("seed %d: PathFrequency(%s %v, %s %v) = %d, reference %d", seed, t1, d1, t2, d2, got, want)
 						}
-						if got := restored.PathFrequency(t2, d2, t1, d1); got != want {
-							t.Fatalf("seed %d: restored PathFrequency(%s %v, %s %v) = %d, reference %d", seed, t2, d2, t1, d1, got, want)
-						}
 					}
 				}
 			}
 		}
-		if !reflect.DeepEqual(c.Snapshot(), ref.Snapshot()) {
-			t.Fatalf("seed %d: final snapshot diverged from the reference", seed)
-		}
-		// A path key orders its two ends by interned ID, and Restore
-		// interns in name order, so the first round trip may reorder
-		// Paths; from there on the snapshot is a fixed point.
-		again := restored.Snapshot()
-		if !reflect.DeepEqual(again.Restore().Snapshot(), again) {
-			t.Fatalf("seed %d: Restore(Snapshot()) of a restored collector is not a fixed point", seed)
-		}
-		if restored.EdgeTotal() != c.EdgeTotal() || restored.PathTotal() != c.PathTotal() ||
-			restored.AvgDegreeEstimate() != c.AvgDegreeEstimate() {
-			t.Fatalf("seed %d: restored totals or average degree differ", seed)
+		if !reflect.DeepEqual(c.state(), ref.state()) {
+			t.Fatalf("seed %d: final state diverged from the reference", seed)
 		}
 
-		// The batch form of Algorithm 5 over the surviving edges.
+		// The batch form of Algorithm 5 over the surviving edges. Its
+		// interner follows the graph's, whose order differs from the
+		// stream's; the states are keyed by name.
 		g := graph.New()
 		for _, e := range live {
 			g.AddEdgeNamed(e.Src, "ip", e.Dst, "ip", e.Type, e.TS)
 		}
-		batch, total := ComputeFromGraph(g)
-		if total != c.PathTotal() || len(batch) != c.UniquePathShapes() {
-			t.Fatalf("seed %d: batch (%d paths, %d shapes) vs incremental (%d, %d)", seed,
-				total, len(batch), c.PathTotal(), c.UniquePathShapes())
-		}
-		for k, n := range batch {
-			ta, da := splitDirType(k.A)
-			tb, db := splitDirType(k.B)
-			if got := c.PathFrequency(g.Types().Name(ta), da, g.Types().Name(tb), db); got != n {
-				t.Fatalf("seed %d: shape %v: batch %d vs incremental %d", seed, k, n, got)
-			}
+		batch := FromGraph(g.ViewTypes(graph.UniversalTypes()), math.MinInt64)
+		if !reflect.DeepEqual(batch.state(), ref.state()) {
+			t.Fatalf("seed %d: batch (%d edges, %d paths, %d shapes) vs incremental (%d, %d, %d)", seed,
+				batch.EdgeTotal(), batch.PathTotal(), batch.UniquePathShapes(), c.EdgeTotal(), c.PathTotal(), c.UniquePathShapes())
 		}
 	}
 }

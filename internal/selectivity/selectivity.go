@@ -9,6 +9,13 @@
 // center vertex is keyed by (edge type, orientation relative to the
 // center), which is the paper's Map() function specialized to typed
 // directed graphs.
+//
+// A Collector has two uses. Fed by Add, it is the statistics of what it
+// was shown: a training prefix, or an adaptive engine's current period.
+// Built by FromGraph or AddSince (window.go), it is the statistics of a
+// runtime's window at the moment a registration asks — the multi-query
+// engine and the shard router keep no collector between registrations
+// and feed none per edge.
 package selectivity
 
 import (
@@ -359,50 +366,6 @@ func (c *Collector) UniquePathShapes() int {
 		}
 	}
 	return shapes
-}
-
-// ComputeFromGraph runs the batch form of Algorithm 5 over a fully
-// materialized graph and returns the resulting 2-edge path Counter along
-// with its total. It exists to cross-validate the incremental collector
-// and to reproduce the paper's "50 seconds over 130M edges" experiment.
-func ComputeFromGraph(g *graph.Graph) (Counter[PathKey], int64) {
-	paths := make(Counter[PathKey])
-	var total int64
-	g.EachVertex(func(v graph.VertexID) bool {
-		cv := make(Counter[uint32])
-		g.EachOut(v, func(h graph.Half) bool {
-			cv.Update(dirType(uint32(h.Type), Out), 1)
-			return true
-		})
-		g.EachIn(v, func(h graph.Half) bool {
-			cv.Update(dirType(uint32(h.Type), In), 1)
-			return true
-		})
-		// Deterministic iteration over the keys, mirroring Algorithm 5's
-		// LEXICALLY-GREATER discipline so that each pair counts once.
-		keys := make([]uint32, 0, len(cv))
-		for k := range cv {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, e1 := range keys {
-			n1 := cv.Count(e1)
-			paths.Update(makePathKey(e1, e1), n1*(n1-1)/2)
-			total += n1 * (n1 - 1) / 2
-			for _, e2 := range keys[i+1:] {
-				n2 := cv.Count(e2)
-				paths.Update(makePathKey(e1, e2), n1*n2)
-				total += n1 * n2
-			}
-		}
-		return true
-	})
-	for k, v := range paths {
-		if v == 0 {
-			delete(paths, k)
-		}
-	}
-	return paths, total
 }
 
 // --- Selectivity of query decompositions -------------------------------

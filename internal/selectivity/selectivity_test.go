@@ -145,26 +145,27 @@ func TestIncrementalMatchesBatchAlgorithm5(t *testing.T) {
 			c.Add(e)
 			g.AddEdgeNamed(e.Src, "ip", e.Dst, "ip", e.Type, e.TS)
 		}
-		batch, batchTotal := ComputeFromGraph(g)
-		if int64(len(batch)) != int64(c.UniquePathShapes()) {
-			t.Fatalf("trial %d: unique shapes: batch %d vs incremental %d", trial, len(batch), c.UniquePathShapes())
+		batch := FromGraph(g.ViewTypes(graph.UniversalTypes()), math.MinInt64)
+		if batch.UniquePathShapes() != c.UniquePathShapes() {
+			t.Fatalf("trial %d: unique shapes: batch %d vs incremental %d", trial, batch.UniquePathShapes(), c.UniquePathShapes())
 		}
-		if batchTotal != c.PathTotal() {
-			t.Fatalf("trial %d: totals: batch %d vs incremental %d", trial, batchTotal, c.PathTotal())
+		if batch.PathTotal() != c.PathTotal() || batch.EdgeTotal() != c.EdgeTotal() {
+			t.Fatalf("trial %d: totals: batch (%d, %d) vs incremental (%d, %d)", trial,
+				batch.EdgeTotal(), batch.PathTotal(), c.EdgeTotal(), c.PathTotal())
 		}
-		if want := brutePathTotal(edges); batchTotal != want {
-			t.Fatalf("trial %d: batch total %d vs brute force %d", trial, batchTotal, want)
+		if want := brutePathTotal(edges); batch.PathTotal() != want {
+			t.Fatalf("trial %d: batch total %d vs brute force %d", trial, batch.PathTotal(), want)
 		}
-		// Every shape count against the batch counter, whose keys are
-		// over the graph's interner.
-		for k, v := range batch {
+		// Every shape count of the batch collector, whose keys are over
+		// the graph's interner.
+		batch.eachPath(func(k PathKey, v int64) {
 			ta, da := splitDirType(k.A)
 			tb, db := splitDirType(k.B)
 			got := c.PathFrequency(g.Types().Name(ta), da, g.Types().Name(tb), db)
 			if got != v {
 				t.Fatalf("trial %d: shape %v: batch %d vs incremental %d", trial, k, v, got)
 			}
-		}
+		})
 	}
 }
 

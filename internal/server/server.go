@@ -646,9 +646,9 @@ func (s *Server) register(name, body string, strat core.Strategy) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The shared rolling statistics collected from the live stream feed
-	// the decomposition; a query registered before any traffic uses
-	// uniform selectivities.
+	// The statistics of the window at this moment drive the
+	// decomposition; a query registered before any traffic uses uniform
+	// selectivities.
 	return s.multi.Register(name, q, core.Config{Strategy: strat})
 }
 

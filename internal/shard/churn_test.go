@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -139,5 +140,48 @@ func TestVertexChurnSharded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVertexChurnShardedHeapFlat: no table behind a Router is sized by
+// the stream either. A router that ran a whole churn stream of ~70k
+// host names retains, once closed, what one that ran the first quarter
+// of it does: replicas and log hold a window, and no collector is fed.
+// (The full-stream collector the router used to own grew by 5 MB
+// between the two.)
+func TestVertexChurnShardedHeapFlat(t *testing.T) {
+	const n, batch = 96_000, 64
+	edges := refmatch.Churn(11, n, 1<<30)
+	stats := trained(edges[:2000])
+	heapInUse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// retained is what a closed router that ingested edges[:upTo] keeps
+	// alive.
+	retained := func(upTo int) uint64 {
+		base := heapInUse()
+		r := New(Config{Shards: 2, Window: refmatch.ChurnWindow, EvictEvery: 7})
+		for name, q := range refmatch.ChurnQueries() {
+			if err := r.Register(name, q, core.Config{Strategy: core.StrategySingleLazy, Stats: stats}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		go func() { defer close(done); r.Drain(nil) }()
+		for lo := 0; lo < upTo; lo += batch {
+			r.IngestBatch(edges[lo : lo+batch])
+		}
+		r.Close()
+		<-done
+		held := heapInUse()
+		runtime.KeepAlive(r)
+		return held - min(held, base)
+	}
+	early, late := retained(n/4), retained(n)
+	if late > early+1<<20 {
+		t.Fatalf("a router retains %d bytes after %d edges and %d after %d", early, n/4, late, n)
 	}
 }

@@ -44,7 +44,7 @@
 // Recovery (Open) is the reverse: open the log (truncating a torn
 // tail write to the last record boundary), load router.meta and each
 // slot-<i>.ckpt, reconcile the registry (see the comment at the
-// reconciliation loop), rebuild the in-memory log and collector, then
+// reconciliation loop), rebuild the in-memory log, then
 // replay each slot's own tail — every log record past that slot's
 // checkpoint — through the normal worker pipeline, and commit a fresh
 // round so the next crash recovers from here. Matches regenerated by
@@ -117,20 +117,15 @@ func Open(cfg Config) (*Router, []Match, error) {
 		if end < metaSeq {
 			return fail(fmt.Errorf("shard: edge log ends at seq %d but the checkpoint covers %d (log segments deleted?)", end, metaSeq))
 		}
-		if meta.collector != nil {
-			// The collector resumes from its state at the meta round; the
-			// tail records below re-add everything past it, landing on
-			// exactly the statistics the crashed router held.
-			r.stats = meta.collector.Restore()
-		}
 	}
 	r.seq.Store(end)
 	r.ckptSeq = metaSeq
 
 	// Read the retained records once (Replay re-validates every CRC);
-	// they feed the in-memory log, the collector tail, and each local
-	// slot's replay. The decoded slices are freshly allocated, so
-	// retaining them in the in-memory log is safe.
+	// they feed the in-memory log — the window a registration after the
+	// restart decomposes from, as it would have before the crash — and
+	// each local slot's replay. The decoded slices are freshly
+	// allocated, so retaining them in the in-memory log is safe.
 	var records []logBatch
 	if err := dl.Replay(func(edges []stream.Edge, baseSeq uint64) error {
 		records = append(records, logBatch{edges: edges, base: baseSeq})
@@ -138,15 +133,8 @@ func Open(cfg Config) (*Router, []Match, error) {
 	}); err != nil {
 		return fail(err)
 	}
-	if r.log != nil {
-		for _, rec := range records {
-			r.log.Append(rec.edges, rec.base)
-		}
-	}
 	for _, rec := range records {
-		if rec.base >= metaSeq {
-			r.stats.AddAll(rec.edges)
-		}
+		r.log.Append(rec.edges, rec.base)
 	}
 
 	// Load the local slot checkpoints and install the recovered
@@ -246,8 +234,8 @@ func Open(cfg Config) (*Router, []Match, error) {
 	// registrations, in rank order — the same fold Register performs
 	// live, so gates, refcounts and remote post-filters come out
 	// identical to the crashed router's. The estimated costs are not in
-	// router.meta: they are derived again, from the restored collector
-	// and the pinned leaves.
+	// router.meta: they are derived again below, from the recovered
+	// window and the pinned leaves.
 	maxRank := -1
 	for _, reg := range kept {
 		w := r.workers[reg.slot]
@@ -255,7 +243,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 		if err != nil {
 			return fail(fmt.Errorf("shard: checkpoint query %q: %w", reg.name, err))
 		}
-		r.own(reg.name, w, estimateCost(r.stats, q, reg.cfg.Leaves))
+		r.own(reg.name, w, &queryCost{q: q, leaves: reg.cfg.Leaves})
 		if reg.rank > maxRank {
 			maxRank = reg.rank
 		}
@@ -297,6 +285,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 		}
 	}
 	r.rank = maxRank + 1
+	r.refreshCosts()
 	if r.filtering {
 		for i := 0; i < nLocal; i++ {
 			// The loaded engine's filter is universal (persist contract);
@@ -546,7 +535,7 @@ func (r *Router) checkpointRound() {
 
 // writeMeta commits router.meta for a round. Caller holds ingestMu.
 func (r *Router) writeMeta(seq uint64) error {
-	m := routerMeta{ckptSeq: seq, collector: r.stats.Snapshot()}
+	m := routerMeta{ckptSeq: seq}
 	for _, reg := range r.dregs {
 		m.regs = append(m.regs, reg)
 	}

@@ -6,10 +6,12 @@ package shard
 // must bound what a long-lived remote registration pins in the log.
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -17,7 +19,6 @@ import (
 	"time"
 
 	"streamgraph/internal/core"
-	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
 )
 
@@ -380,14 +381,12 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-// TestMetaFileRoundTrip pins the router.meta codec, collector state
-// and registration records included.
+// TestMetaFileRoundTrip pins the router.meta codec, and that a file
+// from a router that still saved a collector loads with the block
+// skipped and every registration intact.
 func TestMetaFileRoundTrip(t *testing.T) {
-	stats := selectivity.NewCollector()
-	stats.AddAll(testStream(200))
 	in := routerMeta{
-		ckptSeq:   4242,
-		collector: stats.Snapshot(),
+		ckptSeq: 4242,
 		regs: []metaReg{
 			{
 				name: "q1", slot: 1, rank: 0, fpTypes: []string{"GRE", "TCP"}, fpExact: true,
@@ -412,10 +411,6 @@ func TestMetaFileRoundTrip(t *testing.T) {
 	if out.ckptSeq != in.ckptSeq {
 		t.Fatalf("ckptSeq %d, want %d", out.ckptSeq, in.ckptSeq)
 	}
-	if out.collector == nil || out.collector.EdgeTotal != in.collector.EdgeTotal ||
-		len(out.collector.Paths) != len(in.collector.Paths) || len(out.collector.Vertices) != len(in.collector.Vertices) {
-		t.Fatalf("collector state did not round-trip")
-	}
 	if len(out.regs) != 2 {
 		t.Fatalf("%d regs, want 2", len(out.regs))
 	}
@@ -435,5 +430,51 @@ func TestMetaFileRoundTrip(t *testing.T) {
 	// Missing file is a cold start, not an error.
 	if m, err := readMetaFile(filepath.Join(t.TempDir(), "absent")); err != nil || m != nil {
 		t.Fatalf("absent meta: %v, %v", m, err)
+	}
+
+	// The same registry as an older router wrote it: a collector block
+	// (totals, one row of each histogram, one vertex with two incident
+	// counters) between the round seq and the registrations.
+	old := filepath.Join(t.TempDir(), "router.meta")
+	err = writeFileAtomic(old, func(w *bufio.Writer) error {
+		w.WriteString(metaMagic)
+		putUvarint(w, in.ckptSeq)
+		putBool(w, true)
+		putVarint(w, 3) // EdgeTotal
+		putVarint(w, 2) // PathTotal
+		putUvarint(w, 1)
+		putString(w, "TCP")
+		putVarint(w, 3)
+		putUvarint(w, 1)
+		putString(w, "TCP")
+		putUvarint(w, 0)
+		putString(w, "TCP")
+		putUvarint(w, 1)
+		putVarint(w, 2)
+		putUvarint(w, 1)
+		putString(w, "h1")
+		putUvarint(w, 2)
+		for dir := uint64(0); dir < 2; dir++ {
+			putString(w, "TCP")
+			putUvarint(w, dir)
+			putVarint(w, 1)
+		}
+		putUvarint(w, uint64(len(in.regs)))
+		for _, reg := range in.regs {
+			if err := writeMetaReg(w, reg); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := readMetaFile(old)
+	if err != nil {
+		t.Fatalf("read of a meta file with a collector block: %v", err)
+	}
+	if !reflect.DeepEqual(legacy, out) {
+		t.Fatalf("old-format meta decoded to %+v, want %+v", legacy, out)
 	}
 }

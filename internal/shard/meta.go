@@ -4,8 +4,8 @@
 //	slot-<i>.ckpt  one local slot's engine at a checkpoint round: a
 //	               small header (round seq, flush barrier, ranks)
 //	               followed by a persist.SaveMulti image
-//	router.meta    the router's own registry at a round: collector
-//	               statistics and one record per registration
+//	router.meta    the router's own registry at a round: one record
+//	               per registration
 //
 // Both are written to a temp file, fsynced and renamed, so a crash
 // mid-write leaves the previous checkpoint intact; recovery (Open)
@@ -24,7 +24,6 @@ import (
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/persist"
-	"streamgraph/internal/selectivity"
 )
 
 const (
@@ -47,9 +46,8 @@ type metaReg struct {
 
 // routerMeta is the decoded router.meta.
 type routerMeta struct {
-	ckptSeq   uint64
-	collector *selectivity.CollectorState // nil in a meta file written before every router kept stats
-	regs      []metaReg
+	ckptSeq uint64
+	regs    []metaReg
 }
 
 // atomicFile writes through a temp file and renames into place on
@@ -217,13 +215,10 @@ func writeMetaFile(path string, m routerMeta) error {
 		if err := putUvarint(w, m.ckptSeq); err != nil {
 			return err
 		}
-		if err := putBool(w, m.collector != nil); err != nil {
+		// Where older routers saved a full-stream collector; statistics
+		// now come from the window, which the log recovers.
+		if err := putBool(w, false); err != nil {
 			return err
-		}
-		if m.collector != nil {
-			if err := writeCollectorState(w, m.collector); err != nil {
-				return err
-			}
 		}
 		if err := putUvarint(w, uint64(len(m.regs))); err != nil {
 			return err
@@ -309,7 +304,7 @@ func readMetaFile(path string) (*routerMeta, error) {
 	d.magic(metaMagic)
 	m := &routerMeta{ckptSeq: d.uvarint()}
 	if d.bool_() {
-		m.collector = readCollectorState(d)
+		skipCollectorState(d)
 	}
 	n := d.count("registrations", 1<<20)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -350,96 +345,31 @@ func readMetaReg(d *metaDec) metaReg {
 	return reg
 }
 
-func writeCollectorState(w *bufio.Writer, s *selectivity.CollectorState) error {
-	if err := putVarint(w, s.EdgeTotal); err != nil {
-		return err
+// skipCollectorState reads past the collector block of a router.meta
+// written before statistics were computed from the window: totals, the
+// 1-edge and 2-edge-path histograms and the per-vertex counters.
+func skipCollectorState(d *metaDec) {
+	d.varint()
+	d.varint()
+	for i, n := 0, d.count("edge histogram", 1<<24); i < n && d.err == nil; i++ {
+		d.string_()
+		d.varint()
 	}
-	if err := putVarint(w, s.PathTotal); err != nil {
-		return err
+	for i, n := 0, d.count("path histogram", 1<<24); i < n && d.err == nil; i++ {
+		d.string_()
+		d.uvarint()
+		d.string_()
+		d.uvarint()
+		d.varint()
 	}
-	if err := putUvarint(w, uint64(len(s.Edges))); err != nil {
-		return err
-	}
-	for _, e := range s.Edges {
-		if err := putString(w, e.Type); err != nil {
-			return err
-		}
-		if err := putVarint(w, e.N); err != nil {
-			return err
-		}
-	}
-	if err := putUvarint(w, uint64(len(s.Paths))); err != nil {
-		return err
-	}
-	end := func(e selectivity.PathEnd) error {
-		if err := putString(w, e.Type); err != nil {
-			return err
-		}
-		return putUvarint(w, uint64(e.Dir))
-	}
-	for _, p := range s.Paths {
-		if err := end(p.A); err != nil {
-			return err
-		}
-		if err := end(p.B); err != nil {
-			return err
-		}
-		if err := putVarint(w, p.N); err != nil {
-			return err
+	for i, n := 0, d.count("vertex counters", 1<<24); i < n && d.err == nil; i++ {
+		d.string_()
+		for j, m := 0, d.count("incident counters", 1<<24); j < m && d.err == nil; j++ {
+			d.string_()
+			d.uvarint()
+			d.varint()
 		}
 	}
-	if err := putUvarint(w, uint64(len(s.Vertices))); err != nil {
-		return err
-	}
-	for _, vc := range s.Vertices {
-		if err := putString(w, vc.Name); err != nil {
-			return err
-		}
-		if err := putUvarint(w, uint64(len(vc.Incident))); err != nil {
-			return err
-		}
-		for _, inc := range vc.Incident {
-			if err := putString(w, inc.Type); err != nil {
-				return err
-			}
-			if err := putUvarint(w, uint64(inc.Dir)); err != nil {
-				return err
-			}
-			if err := putVarint(w, inc.N); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func readCollectorState(d *metaDec) *selectivity.CollectorState {
-	s := &selectivity.CollectorState{EdgeTotal: d.varint(), PathTotal: d.varint()}
-	n := d.count("edge histogram", 1<<24)
-	for i := 0; i < n && d.err == nil; i++ {
-		s.Edges = append(s.Edges, selectivity.TypeCount{Type: d.string_(), N: d.varint()})
-	}
-	end := func() selectivity.PathEnd {
-		return selectivity.PathEnd{Type: d.string_(), Dir: selectivity.Dir(d.uvarint())}
-	}
-	n = d.count("path histogram", 1<<24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p := selectivity.PathCountState{A: end(), B: end()}
-		p.N = d.varint()
-		s.Paths = append(s.Paths, p)
-	}
-	n = d.count("vertex counters", 1<<24)
-	for i := 0; i < n && d.err == nil; i++ {
-		vc := selectivity.VertexCounts{Name: d.string_()}
-		m := d.count("incident counters", 1<<24)
-		for j := 0; j < m && d.err == nil; j++ {
-			vc.Incident = append(vc.Incident, selectivity.DirTypeCount{
-				Type: d.string_(), Dir: selectivity.Dir(d.uvarint()), N: d.varint(),
-			})
-		}
-		s.Vertices = append(s.Vertices, vc)
-	}
-	return s
 }
 
 // slotCkpt is the decoded header of one slot-<i>.ckpt; the engine

@@ -321,7 +321,7 @@ func (r *Router) placeMigrated(dst *worker, name string, clone *core.MultiEngine
 	}
 	cfg := eng.ConfigSnapshot()
 	minTS := int64(math.MinInt64)
-	if r.cfg.Window > 0 && r.log != nil {
+	if r.cfg.Window > 0 {
 		minTS = r.log.MaxTS() - r.cfg.Window + 1
 	}
 	msg := message{
@@ -403,12 +403,6 @@ func (r *Router) AddSlot(addr string) (int, error) {
 	}
 	if r.dlog != nil {
 		return 0, fmt.Errorf("shard: AddSlot is not available on a durable router: add the address to Config.Remotes and restart")
-	}
-	if r.log == nil {
-		// A local-only FullReplicas topology never built the shared
-		// EdgeLog, and a remote slot's reconnect replay cannot exist
-		// without it.
-		return 0, fmt.Errorf("shard: AddSlot requires a topology built with filtering or remotes (no shared edge log)")
 	}
 	w := &worker{
 		id:    len(r.workers),
@@ -568,15 +562,20 @@ func (r *Router) failoverEvacuate(w *worker) {
 // move leaves the lower peak between the two, trying the hottest slot
 // first. Every move therefore lowers the hotter slot's load without
 // making a new hot spot, so the loop ends; a slot whose load is one
-// expensive query keeps it. With equal costs (a cold collector: all 0)
+// expensive query keeps it. With equal costs (nothing estimated: all 0)
 // this is the count rule: migrate until no two slots differ by more
-// than one query. Costs are the estimates fixed at registration; they
-// are not refreshed here. Returns the number of migrations performed.
-// Not available in Ordered mode.
+// than one query. It begins by re-estimating every query from the
+// window's statistics (refreshCosts), so one registered cold, or whose
+// edge types have drifted since, is weighed by what the stream carries
+// now. Returns the number of migrations performed. Not available in
+// Ordered mode.
 func (r *Router) Rebalance() (int, error) {
 	if r.cfg.Ordered {
 		return 0, fmt.Errorf("shard: Rebalance is not available in Ordered mode")
 	}
+	r.ingestMu.Lock()
+	r.refreshCosts()
+	r.ingestMu.Unlock()
 	moved := 0
 	for {
 		r.ingestMu.Lock()

@@ -6,7 +6,8 @@
 //   - EdgeLog, a shared append-only log of every admitted batch. The
 //     router appends under its ingest lock; shard workers read
 //     immutable snapshots concurrently, so a worker backfilling a
-//     widened replica never blocks ingestion or the other shards.
+//     widened replica never blocks ingestion or the other shards. A
+//     registration without statistics is decomposed from its window.
 //   - replicaSet, the per-shard refcount of footprint types, kept in
 //     two synchronized copies: router-side (driving the ingest gate)
 //     and worker-side (driving the engine filter, backfill and trim).
@@ -24,6 +25,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
 )
 
@@ -182,6 +184,24 @@ func (l *EdgeLog) Replay(beforeSeq uint64, minTS int64, fn func(se stream.Edge, 
 			}
 		}
 	}
+}
+
+// Statistics builds the statistics of the window from one consistent
+// snapshot of the log: a collector of the retained edges with
+// ts >= MaxTS - window + 1 (all of them when window is 0). The cutoff
+// makes the result independent of how far trimming lags (floors, remote
+// pins), and equal to what selectivity.FromGraph builds from a graph
+// holding the same window. Cost is O(retained edges) per call.
+func (l *EdgeLog) Statistics(window int64) *selectivity.Collector {
+	v := l.view.Load()
+	minTS := selectivity.WindowCutoff(v.maxTS, window)
+	c := selectivity.NewCollector()
+	for _, seg := range v.segs {
+		if seg.maxTS >= minTS {
+			c.AddSince(seg.edges, minTS)
+		}
+	}
+	return c
 }
 
 // EachSegment invokes fn for every retained batch — the shared

@@ -242,7 +242,7 @@ type Stats struct {
 	// owns, of the expected partial-match traffic per stream edge that
 	// Register derived from the statistics (see Router.Register). It is
 	// what placement and Rebalance order slots by; 0 for queries that
-	// registered against a cold collector.
+	// registered with nothing to estimate from, until a Rebalance.
 	Load float64
 
 	// ReplicaEdges is the number of edges currently live in this
@@ -354,7 +354,7 @@ type Router struct {
 	hasRemote bool // at least one remote slot in the topology
 	workers   []*worker
 	out       chan []Match // collection blocks, see deliver
-	log       *EdgeLog     // shared immutable edge log (filtering mode or remotes)
+	log       *EdgeLog     // shared immutable edge log: the window, as the router holds it
 
 	// ingestMu orders everything that enters the shard queues — edge
 	// broadcasts, control messages, and the queue close — and is the
@@ -364,12 +364,11 @@ type Router struct {
 	// so a registration's backfill bound is gap-free. Lock order:
 	// ingestMu before mu.
 	ingestMu  sync.Mutex
-	closed    bool                   // guarded by ingestMu
-	seq       atomic.Uint64          // written under ingestMu, read lock-free
-	gateTypes *graph.Interner        // router-side type ids (ingestMu)
-	gateIDs   []graph.TypeID         // per-batch scratch (ingestMu)
-	fps       map[string]fprint      // query name -> footprint (ingestMu)
-	stats     *selectivity.Collector // full-stream statistics (ingestMu)
+	closed    bool              // guarded by ingestMu
+	seq       atomic.Uint64     // written under ingestMu, read lock-free
+	gateTypes *graph.Interner   // router-side type ids (ingestMu)
+	gateIDs   []graph.TypeID    // per-batch scratch (ingestMu)
+	fps       map[string]fprint // query name -> footprint (ingestMu)
 
 	// floors holds the window floor of every in-flight registration
 	// (ingestMu): the log must not trim past the oldest one, or a
@@ -410,7 +409,7 @@ type Router struct {
 	order []string // registration order (rank order)
 	owner map[string]*worker
 	owned map[*worker]int
-	cost  map[string]float64 // query name -> estimated cost (estimateCost)
+	cost  map[string]*queryCost // query name -> estimated cost (estimateCost)
 	rank  int
 
 	wg        sync.WaitGroup // worker goroutines
@@ -536,21 +535,17 @@ func newRouter(cfg Config) *Router {
 		filtering: !cfg.Ordered && !cfg.FullReplicas,
 		hasRemote: len(cfg.Remotes) > 0,
 		out:       make(chan []Match, cfg.OutLen),
-		stats:     selectivity.NewCollector(),
-		owner:     make(map[string]*worker),
-		owned:     make(map[*worker]int),
-		cost:      make(map[string]float64),
-		tel:       newTelemetry(),
+		// What a registration decomposes from, a late one backfills a
+		// filtered replica from and a remote slot replays on reconnect.
+		log:    NewEdgeLog(),
+		floors: make(map[uint64]int64),
+		owner:  make(map[string]*worker),
+		owned:  make(map[*worker]int),
+		cost:   make(map[string]*queryCost),
+		tel:    newTelemetry(),
 	}
 	r.outSpace.L = &r.outMu
 	r.tel.registerRouter(r)
-	if r.filtering || r.hasRemote {
-		// The log is what a late registration backfills from and what a
-		// remote slot replays after a reconnect: needed whenever
-		// replicas are filtered or any slot is remote.
-		r.log = NewEdgeLog()
-		r.floors = make(map[uint64]int64)
-	}
 	if r.filtering {
 		r.gateTypes = graph.NewInterner()
 		r.fps = make(map[string]fprint)
@@ -563,7 +558,7 @@ func newRouter(cfg Config) *Router {
 			ranks: make(map[string]int),
 		}
 		if i < cfg.Shards {
-			w.eng = core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery, ExternalStats: true})
+			w.eng = core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
 		} else {
 			w.remote = newRemoteSlot(w, cfg.Remotes[i-cfg.Shards], cfg.RemotePending)
 		}
@@ -632,12 +627,14 @@ func (r *Router) NumShards() int {
 // shared edge log before acknowledging — so the query observes exactly
 // the graph it would have on a full replica.
 //
-// The decomposition is pinned here in every mode, against the router's
-// full-stream statistics (or cfg.Stats when given): the router is the
-// runtime's one statistics owner, and its workers' engines keep none.
-// The same statistics and the pinned leaves give the query's estimated
-// cost (estimateCost), fixed for the life of the registration like the
-// decomposition itself.
+// The decomposition is pinned here in every mode: from cfg.Leaves or
+// cfg.Stats when the caller gives either, otherwise from the statistics
+// of the window at this stream position, computed now from the edge log
+// (EdgeLog.Statistics) — the leaves a serial MultiEngine registering at
+// the same position picks from its graph; no collector is fed per edge,
+// here or on a worker. The same statistics and the pinned leaves give
+// the query's estimated cost (estimateCost), 0 for a registration that
+// brought leaves and no statistics; Rebalance re-estimates every query.
 func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 	fpTypes, fpExact := q.TypeFootprint()
 	r.ingestMu.Lock()
@@ -671,37 +668,31 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		}
 	}
 	stats := cfg.Stats
-	if stats == nil {
-		stats = r.stats
-	}
-	if cfg.Leaves == nil {
-		// Pin the decomposition here, against full-stream statistics,
-		// before the query ever reaches its shard: a filtered shard only
-		// sees its slice of the stream, a remote shard cannot be shipped
-		// a live collector at all, a full replica would only repeat the
-		// router's per-edge statistics work to reach the same leaves, and
-		// a lazy query's reachable-match set depends on its decomposition
-		// — decomposing from divergent statistics would diverge from a
-		// serial engine's schedule. Caller-provided statistics are used
-		// when given (the same collector a serial engine would have
-		// decomposed from); the router's collector otherwise.
-		leaves, err := r.decompose(q, cfg.Strategy, stats)
-		if err != nil {
-			r.ingestMu.Unlock()
-			return err
+	if cfg.Leaves == nil && cfg.Strategy.Decomposes() {
+		// Pin the decomposition here, against the whole stream's window
+		// (or the caller's statistics — the collector a serial engine
+		// would have decomposed from), before the query reaches its
+		// shard: a filtered shard holds only its slice of the window, a
+		// remote shard cannot be shipped statistics at all, and a lazy
+		// query's reachable-match set depends on its decomposition, so
+		// divergent statistics would diverge from the serial schedule.
+		if stats == nil {
+			stats = r.log.Statistics(r.cfg.Window)
 		}
-		cfg.Leaves = leaves
-		if leaves != nil {
+		leaves, _, _, err := core.Decompose(q, cfg.Strategy, stats)
+		if err == nil {
 			// The SJ-Tree the shard joins on is this decomposition; its
 			// footprint (validated to cover the query) is what the gate
 			// and replica filter must admit. It equals the query's own
 			// footprint — Footprint checks the coverage that makes that
 			// identity hold.
-			if fpTypes, fpExact, err = decompose.Footprint(q, leaves); err != nil {
-				r.ingestMu.Unlock()
-				return err
-			}
+			fpTypes, fpExact, err = decompose.Footprint(q, leaves)
 		}
+		if err != nil {
+			r.ingestMu.Unlock()
+			return err
+		}
+		cfg.Leaves = leaves
 	}
 	r.mu.Lock()
 	if _, dup := r.owner[name]; dup {
@@ -719,7 +710,7 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 	rank := r.rank
 	r.rank++
 	// Optimistic: recorded before the shard acks, rolled back on error.
-	r.own(name, w, estimateCost(stats, q, cfg.Leaves))
+	r.own(name, w, &queryCost{q: q, leaves: cfg.Leaves, cost: estimateCost(stats, q, cfg.Leaves)})
 	r.mu.Unlock()
 	var floorToken uint64
 	minTS := int64(math.MinInt64)
@@ -815,56 +806,56 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 	return err
 }
 
-// decompose computes the strategy's SJ-Tree leaves from the given
-// statistics (the router's full-stream collector, or the caller's) —
-// the same decomposition a serial MultiEngine registering at this
-// stream position would pick. Baseline strategies need none. Caller
-// holds ingestMu.
-func (r *Router) decompose(q *query.Graph, strategy core.Strategy, stats *selectivity.Collector) ([][]int, error) {
-	switch strategy {
-	case core.StrategyVF2, core.StrategyIncIso:
-		return nil, nil
-	case core.StrategySingle, core.StrategySingleLazy:
-		return decompose.SingleDecompose(q, stats)
-	case core.StrategyPath, core.StrategyPathLazy:
-		leaves, _, err := decompose.PathDecompose(q, stats)
-		return leaves, err
-	case core.StrategyAuto:
-		leaves, _, _, err := decompose.Auto(q, stats)
-		return leaves, err
-	default:
-		return nil, fmt.Errorf("shard: unknown strategy %v", strategy)
-	}
-}
-
 // estimateCost is one query's expected partial-match traffic per
 // stream edge under its pinned decomposition: the leaf frequencies plus
 // the join-output bound of every internal SJ-Tree node
 // (Collector.SpaceEstimate), per observed edge. It separates a query
 // over frequent edge types from one over rare types, which
 // Collector.CostEstimate — a per-edge search charge for every leaf —
-// does not. 0 when there is nothing to estimate from: a cold
-// collector, or a strategy without leaves (VF2, IncIso). A wildcard
-// edge type has no frequency of its own and counts as 0.
+// does not. 0 when there is nothing to estimate from: no statistics or
+// empty ones, or a strategy without leaves (VF2, IncIso). A wildcard
+// edge type counts as every edge (Collector.LeafFrequency).
 func estimateCost(stats *selectivity.Collector, q *query.Graph, leaves [][]int) float64 {
-	n := stats.EdgeTotal()
-	if n == 0 {
+	if stats == nil || stats.EdgeTotal() == 0 {
 		return 0
 	}
 	space, err := stats.SpaceEstimate(q, leaves)
 	if err != nil {
 		return 0
 	}
-	return space / float64(n)
+	return space / float64(stats.EdgeTotal())
+}
+
+// queryCost is a registration's estimated cost with what re-estimates
+// it: the query and its pinned leaves (nil for a baseline strategy).
+type queryCost struct {
+	q      *query.Graph
+	leaves [][]int
+	cost   float64
 }
 
 // own records a registration on slot w; disown erases it. Caller holds
 // r.mu.
-func (r *Router) own(name string, w *worker, cost float64) {
+func (r *Router) own(name string, w *worker, qc *queryCost) {
 	r.owner[name] = w
 	r.owned[w]++
-	r.cost[name] = cost
+	r.cost[name] = qc
 	r.order = append(r.order, name)
+}
+
+// refreshCosts re-estimates every registered query from the window's
+// statistics; an empty window has nothing to estimate from and leaves
+// the costs as they are. Caller holds ingestMu.
+func (r *Router) refreshCosts() {
+	stats := r.log.Statistics(r.cfg.Window)
+	if stats.EdgeTotal() == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, qc := range r.cost {
+		qc.cost = estimateCost(stats, qc.q, qc.leaves)
+	}
 }
 
 func (r *Router) disown(name string) {
@@ -891,7 +882,7 @@ func (r *Router) slotLoads(moved string, to *worker) map[*worker]float64 {
 		if name == moved {
 			w = to
 		}
-		loads[w] += r.cost[name]
+		loads[w] += r.cost[name].cost
 	}
 	return loads
 }
@@ -900,8 +891,8 @@ func (r *Router) slotLoads(moved string, to *worker) map[*worker]float64 {
 // by (estimated load, owned queries, slot id), with the loads it
 // ordered by. Register places on the first slot, an evacuation
 // (pickTarget) on the first that is not the slot being emptied, and
-// Rebalance moves queries from the later slots to the first. With a
-// cold collector every load is 0 and the order is the fewest-queries
+// Rebalance moves queries from the later slots to the first. With
+// nothing estimated every load is 0 and the order is the fewest-queries
 // rule. Caller holds r.mu.
 func (r *Router) slotOrder() ([]*worker, map[*worker]float64) {
 	loads := r.slotLoads("", nil)
@@ -1029,38 +1020,35 @@ func (r *Router) IngestBatch(ses []stream.Edge) uint64 {
 			r.persistErr = err
 		}
 	}
-	if r.log != nil {
-		r.log.Append(ses, base)
-		if r.cfg.Window > 0 {
-			// Trim to the window, but never past the floor of an
-			// in-flight registration whose backfill has yet to read its
-			// log snapshot on the owning shard, nor past what a remote
-			// slot is entitled to replay after a reconnect (its
-			// uncovered registrations' floors and its unacknowledged
-			// batches), nor — by seq — past the oldest remote engine
-			// snapshot, whose reconnect tail replay must be gap-free.
-			cutoff := r.log.MaxTS() - r.cfg.Window + 1
-			keep := ^uint64(0)
-			for _, floor := range r.floors {
-				if floor < cutoff {
-					cutoff = floor
-				}
+	r.log.Append(ses, base)
+	if r.cfg.Window > 0 {
+		// Trim to the window, but never past the floor of an
+		// in-flight registration whose backfill has yet to read its
+		// log snapshot on the owning shard, nor past what a remote
+		// slot is entitled to replay after a reconnect (its
+		// uncovered registrations' floors and its unacknowledged
+		// batches), nor — by seq — past the oldest remote engine
+		// snapshot, whose reconnect tail replay must be gap-free.
+		cutoff := r.log.MaxTS() - r.cfg.Window + 1
+		keep := ^uint64(0)
+		for _, floor := range r.floors {
+			if floor < cutoff {
+				cutoff = floor
 			}
-			for _, w := range r.workers {
-				if w.remote == nil || w.retired {
-					continue
-				}
-				if floor := w.remote.pinFloor(); floor < cutoff {
-					cutoff = floor
-				}
-				if s := w.remote.coveredSeq(); s < keep {
-					keep = s
-				}
-			}
-			r.log.TrimBefore(cutoff, keep)
 		}
+		for _, w := range r.workers {
+			if w.remote == nil || w.retired {
+				continue
+			}
+			if floor := w.remote.pinFloor(); floor < cutoff {
+				cutoff = floor
+			}
+			if s := w.remote.coveredSeq(); s < keep {
+				keep = s
+			}
+		}
+		r.log.TrimBefore(cutoff, keep)
 	}
-	r.stats.AddAll(ses)
 	if r.filtering {
 		// Intern each edge type once per batch; the per-shard gate scan
 		// below is then pure bitset probes.

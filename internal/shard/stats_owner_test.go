@@ -11,12 +11,13 @@ import (
 )
 
 // TestRouterIsTheStatisticsOwner pins the one-owner rule in all three
-// replication modes: a query registered mid-stream gets exactly the
-// decomposition a serial MultiEngine fed the same prefix would choose
-// (pinned router-side — under Ordered and FullReplicas too, where the
-// workers used to decompose from private collectors), the worker
-// engines hold no collector at all, and the match multiset still
-// equals the serial one.
+// replication modes and across a restart: a query registered mid-stream
+// with neither Stats nor Leaves gets exactly the decomposition a serial
+// MultiEngine fed the same prefix chooses — the router pins it from its
+// log's window, the serial engine from its graph's — the match multiset
+// equals the serial one, and nothing on an ingest path has reached
+// internal/selectivity: whatever statistics the router or a worker
+// engine can produce count the window's edges, not the stream's.
 func TestRouterIsTheStatisticsOwner(t *testing.T) {
 	edges := testStream(3000)
 	const window, cut, batch = 400, 1536, 64
@@ -69,19 +70,61 @@ func TestRouterIsTheStatisticsOwner(t *testing.T) {
 		t.Fatal("workload produced no matches; differential is vacuous")
 	}
 
-	for mode, cfg := range map[string]Config{
-		"filtered":     {Shards: 2, Window: window, EvictEvery: 7},
-		"ordered":      {Shards: 2, Window: window, EvictEvery: 7, Ordered: true},
-		"fullreplicas": {Shards: 2, Window: window, EvictEvery: 7, FullReplicas: true},
-	} {
-		r := New(cfg)
+	// inWindow counts the window of the stream restricted to types (nil:
+	// every type); a filtered replica's clock is its last admitted edge.
+	inWindow := func(types map[string]bool) (n int64) {
+		var kept []stream.Edge
+		for _, e := range edges {
+			if types == nil || types[e.Type] {
+				kept = append(kept, e)
+			}
+		}
+		for _, e := range kept {
+			if e.TS >= kept[len(kept)-1].TS-window+1 {
+				n++
+			}
+		}
+		return n
+	}
+	if inWindow(nil) >= int64(len(edges))/2 {
+		t.Fatal("the window holds most of the stream; the edge-count check is vacuous")
+	}
+	dir := t.TempDir()
+	for _, mode := range []string{"filtered", "ordered", "fullreplicas", "restarted"} {
+		cfg := Config{Shards: 2, Window: window, EvictEvery: 7}
+		var r *Router
+		switch mode {
+		case "ordered":
+			cfg.Ordered = true
+		case "fullreplicas":
+			cfg.FullReplicas = true
+		case "restarted":
+			// The prefix goes through a first process; the registrations
+			// reach the one that recovered its data dir.
+			cfg.DataDir, cfg.CheckpointEvery = dir, 128
+			first, _, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() { defer close(done); first.Drain(nil) }()
+			feed(0, cut, func(b []stream.Edge) { first.IngestBatch(b) })
+			first.Close()
+			<-done
+			if r, _, err = Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r == nil {
+			r = New(cfg)
+			feed(0, cut, func(b []stream.Edge) { r.IngestBatch(b) })
+		}
 		var got []string
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			r.Drain(func(m Match) { got = append(got, matchSig(m)) })
 		}()
-		feed(0, cut, func(b []stream.Edge) { r.IngestBatch(b) })
 		for _, name := range names {
 			if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 				t.Fatalf("%s: register %s: %v", mode, name, err)
@@ -91,9 +134,19 @@ func TestRouterIsTheStatisticsOwner(t *testing.T) {
 		r.Close()
 		<-done
 
+		if got, want := r.log.Statistics(window).EdgeTotal(), inWindow(nil); got != want {
+			t.Errorf("%s: the router's statistics count %d edges, the window holds %d (the stream %d)", mode, got, want, len(edges))
+		}
 		for _, w := range r.workers {
-			if w.eng.Statistics() != nil {
-				t.Errorf("%s: shard %d's engine holds a private collector", mode, w.id)
+			var types map[string]bool // nil: a full replica
+			if r.filtering && !w.rset.universal() {
+				types = make(map[string]bool)
+				for _, tp := range w.rset.typeNames() {
+					types[tp] = true
+				}
+			}
+			if got, want := w.eng.Statistics().EdgeTotal(), inWindow(types); got != want {
+				t.Errorf("%s: shard %d's statistics count %d edges, its share of the window is %d", mode, w.id, got, want)
 			}
 		}
 		for _, name := range names {

@@ -94,7 +94,7 @@ func TestMetricsTruthfulness(t *testing.T) {
 				if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name], Stats: stats}); err != nil {
 					t.Fatalf("register %s: %v", name, err)
 				}
-				leaves, err := r.decompose(queries[name], strategies[name], stats)
+				leaves, _, _, err := core.Decompose(queries[name], strategies[name], stats)
 				if err != nil {
 					t.Fatal(err)
 				}
