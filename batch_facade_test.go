@@ -15,10 +15,10 @@ func TestFacadeBatchMatchesSerial(t *testing.T) {
 	stats.ObserveAll(edges[:400])
 	q := facadeQuery(t)
 
-	run := func(batchSize, workers int) []string {
+	run := func(batchSize int) []string {
 		eng, err := NewEngine(q, Options{
 			Strategy: SingleLazy, Window: 200, Statistics: stats,
-			BatchSize: batchSize, BatchWorkers: workers,
+			BatchSize: batchSize,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -31,17 +31,15 @@ func TestFacadeBatchMatchesSerial(t *testing.T) {
 		return sigs
 	}
 
-	want := run(0, 0) // serial
+	want := run(0) // serial
 	if len(want) == 0 {
 		t.Fatal("no matches; comparison is vacuous")
 	}
 	for _, bs := range []int{1, 10, 256} {
-		for _, workers := range []int{1, 4} {
-			got := run(bs, workers)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("BatchSize=%d workers=%d: %d matches, want %d (or order differs)",
-					bs, workers, len(got), len(want))
-			}
+		got := run(bs)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("BatchSize=%d: %d matches, want %d (or order differs)",
+				bs, len(got), len(want))
 		}
 	}
 

@@ -152,42 +152,6 @@ func BenchmarkTrianglePrimitive(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelMultiScaling runs 8 concurrent continuous queries
-// over one shared stream with 1, 2 and 4 workers. The queries are
-// deliberately heavy (4-hop paths over the two dominant protocols) so
-// that per-edge search work outweighs the fork/join synchronization;
-// with cheap queries the serial MultiEngine wins — see EXPERIMENTS.md.
-func BenchmarkParallelMultiScaling(b *testing.B) {
-	edges := datagen.Netflow(datagen.NetflowConfig{Edges: 2500, Hosts: 150, Seed: 13})
-	c := selectivity.NewCollector()
-	c.AddAll(edges)
-	var queries []*query.Graph
-	protos := datagen.NetflowProtocols
-	for i := 0; i < 8; i++ {
-		queries = append(queries, query.NewPath("ip",
-			protos[i%2], protos[(i+1)%2], protos[i%2], protos[(i/2)%2]))
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pm := core.NewParallelMulti(core.MultiConfig{Window: 1500}, workers)
-				for qi, q := range queries {
-					if err := pm.Register(fmt.Sprintf("q%d", qi), q, core.Config{
-						Strategy: core.StrategyPathLazy, Stats: c,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, e := range edges {
-					pm.ProcessEdge(e)
-				}
-				pm.Close()
-			}
-			b.SetBytes(int64(len(edges)))
-		})
-	}
-}
-
 // BenchmarkSnapshotRoundTrip measures checkpointing a loaded engine.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	edges := datagen.Netflow(datagen.NetflowConfig{Edges: 8000, Hosts: 400, Seed: 4})

@@ -224,10 +224,9 @@ func cyclicStream(base []stream.Edge, n int) []stream.Edge {
 // BenchmarkProcessBatch measures the batch ingestion pipeline against
 // the serial loop: the same netflow stream is driven through each
 // strategy at batch sizes 1, 64 and 1024. batch=1 uses ProcessEdge (the
-// serial baseline); larger batches amortize eviction and fan the
-// candidate searches out over the worker pool. Match sets are identical
-// across rows (the differential tests enforce it), so edges/s isolates
-// the ingestion mechanics.
+// serial baseline); larger batches amortize eviction. Match sets are
+// identical across rows (the differential tests enforce it), so edges/s
+// isolates the ingestion mechanics.
 func BenchmarkProcessBatch(b *testing.B) {
 	nf, _, _ := benchDatasets()
 	stats := experiments.CollectPrefix(nf, 0.2)
@@ -265,45 +264,6 @@ func BenchmarkProcessBatch(b *testing.B) {
 				b.ReportMetric(float64(matches), "matches")
 			})
 		}
-	}
-}
-
-// BenchmarkProcessBatchMulti drives several concurrent queries through
-// ParallelMulti.ProcessBatch at batch sizes 1 and 256, exercising the
-// across-query worker pool on the shared graph.
-func BenchmarkProcessBatchMulti(b *testing.B) {
-	nf, _, _ := benchDatasets()
-	queries := map[string]*query.Graph{
-		"q1": query.NewPath(query.Wildcard, "UDP", "ICMP"),
-		"q2": query.NewPath(query.Wildcard, "GRE", "TCP"),
-		"q3": query.NewPath("ip", "TCP", "UDP"),
-	}
-	for _, batch := range []int{1, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			p := core.NewParallelMulti(core.MultiConfig{Window: 2000}, 0)
-			defer p.Close()
-			stats := experiments.CollectPrefix(nf, 0.2)
-			for _, name := range []string{"q1", "q2", "q3"} {
-				if err := p.Register(name, queries[name], core.Config{
-					Strategy: core.StrategySingleLazy, Stats: stats,
-					MaxMatchesPerSearch: 20000,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			edges := cyclicStream(nf.Edges, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for chunk := range slices.Chunk(edges, batch) {
-				if batch == 1 {
-					p.ProcessEdge(chunk[0])
-				} else {
-					p.ProcessBatch(chunk)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-		})
 	}
 }
 

@@ -14,10 +14,9 @@
 //
 // The batch, shard and dshard experiments go beyond the paper: batch
 // compares edge-at-a-time ingestion with the batch pipeline (amortized
-// eviction, parallel candidate search) at -batch as the largest batch
-// size; shard compares the serial multi-query engine, the fork/join
-// ParallelMulti and the sharded runtime (internal/shard) at several
-// shard counts, reporting each mode's total replicated edge count —
+// eviction) at -batch as the largest batch size; shard compares the
+// serial multi-query engine and the sharded runtime (internal/shard) at
+// several shard counts, reporting each mode's total replicated edge count —
 // the storage the edge-type-partitioned replicas save versus full
 // per-shard replication — alongside throughput; dshard compares the
 // in-process shard runtime with all-remote and mixed local/remote

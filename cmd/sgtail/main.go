@@ -35,7 +35,7 @@ func main() {
 		window    = flag.Int64("window", 0, "time window tW (0 = unwindowed)")
 		strategy  = flag.String("strategy", "auto", "single|singlelazy|path|pathlazy|vf2|inciso|auto")
 		trainFrac = flag.Float64("train", 0.1, "fraction of the stream buffered to train statistics (ignored with -snapshot restore)")
-		batchSize = flag.Int("batch", 1, "edges ingested per batch (1 = edge-at-a-time; larger batches amortize eviction and parallelize the search)")
+		batchSize = flag.Int("batch", 1, "edges ingested per batch (1 = edge-at-a-time; larger batches amortize window eviction, with the same matches and search work)")
 		snapPath  = flag.String("snapshot", "", "snapshot file to restore from / save to")
 		showStats = flag.Bool("stats", false, "print engine counters on exit")
 	)

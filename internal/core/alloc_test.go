@@ -23,7 +23,7 @@ func TestProcessEdgeInstrumentedAllocFree(t *testing.T) {
 	// leaf's match table, window expiry recycles through the pool, and
 	// no complete match is ever emitted.
 	q := query.NewPath("ip", "GRE", "TCP")
-	if err := m.Register("probe", q, Config{Strategy: StrategyPath, BatchWorkers: 1}); err != nil {
+	if err := m.Register("probe", q, Config{Strategy: StrategyPath}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,9 +67,9 @@ func TestProcessEdgeInstrumentedAllocFree(t *testing.T) {
 }
 
 // mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin:
-// the batch gate must run on the scheduler width that makes the zero
-// value of Config.BatchWorkers mean "a pool". Integer division, as in
-// the testing package, absorbs a stray runtime allocation.
+// the batch gates run on at least two Ps, where a per-batch goroutine or
+// search pool would show. Integer division, as in the testing package,
+// absorbs a stray runtime allocation.
 func mallocsPerRun(runs int, f func()) uint64 {
 	f()
 	var before, after runtime.MemStats
@@ -82,68 +82,87 @@ func mallocsPerRun(runs int, f func()) uint64 {
 }
 
 // TestProcessBatchAllocFree extends the allocation gate to the batch
-// path on its DEFAULT configuration: once the batchArena has grown to
-// the workload's steady-state demand, ProcessBatchGrouped must allocate
-// nothing — the materialized-edge buffer and the per-edge result rows
-// come out of the arena, and no goroutine, throwaway matcher or task
-// list is made per batch. Two queries with BatchWorkers left at
-// zero on at least two Ps: the configuration under which a nested
-// search pool per query once cost 42 allocations per edge unseen,
-// because this gate pinned BatchWorkers to 1. Same no-complete-match
-// workload as the serial gate (real leaf and pool traffic, no emitted
-// matches), batch size 64.
+// path on its DEFAULT configuration, on at least two Ps: once the
+// batchArena has grown to the workload's steady-state demand, a batch
+// must allocate nothing — the materialized-edge buffer and the per-edge
+// result rows come out of the arena, and no goroutine, throwaway matcher
+// or task list is made per batch. Two drivers: two queries under one
+// MultiEngine (where a nested search pool per query once cost 42
+// allocations per edge unseen), and a standalone Engine.ProcessBatch
+// (which started a pool per batch until the pool was deleted). Same
+// no-complete-match workload as the serial gate (real leaf and pool
+// traffic, no emitted matches), batch size 64.
 func TestProcessBatchAllocFree(t *testing.T) {
 	if prev := runtime.GOMAXPROCS(0); prev < 2 {
 		runtime.GOMAXPROCS(2)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
 	q := query.NewPath("ip", "GRE", "TCP")
+	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
 	if err := m.Register("eager", q, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("lazy", q, Config{Strategy: StrategySingleLazy}); err != nil {
 		t.Fatal(err)
 	}
-
-	const hosts = 16
-	const batchSize = 64
-	names := make([]string, hosts)
-	for i := range names {
-		names[i] = fmt.Sprintf("h%d", i)
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ts := int64(0)
-	i := 0
-	batch := make([]stream.Edge, batchSize)
-	fill := func() {
-		for j := range batch {
-			ts++
-			batch[j] = stream.Edge{
-				Src: names[i%hosts], SrcLabel: "ip",
-				Dst: names[(i+1)%hosts], DstLabel: "ip",
-				Type: "TCP", TS: ts,
+	for _, in := range []struct {
+		name    string
+		matches func(batch []stream.Edge) int
+	}{
+		{"MultiEngine.ProcessBatchGrouped", func(batch []stream.Edge) (n int) {
+			for _, ms := range m.ProcessBatchGrouped(batch) {
+				n += len(ms)
 			}
-			i++
+			return n
+		}},
+		{"Engine.ProcessBatch", func(batch []stream.Edge) (n int) {
+			for _, ms := range eng.ProcessBatch(batch) {
+				n += len(ms)
+			}
+			return n
+		}},
+	} {
+		const hosts = 16
+		const batchSize = 64
+		names := make([]string, hosts)
+		for i := range names {
+			names[i] = fmt.Sprintf("h%d", i)
 		}
-	}
-
-	// Warm to steady state: interners, buckets, pool, eviction heap,
-	// and the arena's per-kind demand.
-	for r := 0; r < 64; r++ {
-		fill()
-		m.ProcessBatchGrouped(batch)
-	}
-
-	avg := mallocsPerRun(200, func() {
-		fill()
-		for _, ms := range m.ProcessBatchGrouped(batch) {
-			if len(ms) != 0 {
-				t.Fatalf("unexpected match at edge %d", i)
+		ts := int64(0)
+		i := 0
+		batch := make([]stream.Edge, batchSize)
+		fill := func() {
+			for j := range batch {
+				ts++
+				batch[j] = stream.Edge{
+					Src: names[i%hosts], SrcLabel: "ip",
+					Dst: names[(i+1)%hosts], DstLabel: "ip",
+					Type: "TCP", TS: ts,
+				}
+				i++
 			}
 		}
-	})
-	if avg != 0 {
-		t.Errorf("ProcessBatchGrouped allocates %v allocs/op on the default config, want 0", avg)
+
+		// Warm to steady state: interners, buckets, pool, eviction heap,
+		// and the arena's per-kind demand.
+		for r := 0; r < 64; r++ {
+			fill()
+			in.matches(batch)
+		}
+
+		avg := mallocsPerRun(200, func() {
+			fill()
+			if in.matches(batch) != 0 {
+				t.Fatalf("%s: unexpected match before edge %d", in.name, i)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s allocates %v allocs/op on the default config, want 0", in.name, avg)
+		}
 	}
 }
 

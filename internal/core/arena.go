@@ -1,7 +1,7 @@
 // Batch-path result arena. Every ProcessBatch call used to allocate a
 // fresh set of scratch slices — the materialized-edge buffer, the
-// per-edge result headers, the speculative candidate matrix and its
-// masks, and the named-match rows of the multi-query drivers.
+// per-edge result headers, and the named-match rows of the multi-query
+// drivers.
 // Under the steady-state batch workloads the sharded runtime drives
 // (thousands of small batches per second per engine) those short-lived
 // slices dominated the allocation profile of an otherwise
@@ -37,18 +37,15 @@ import (
 
 // batchArena is the per-engine scratch allocator for the batch path.
 // It is owned by exactly one batch generation at a time (the engine's
-// single writer), never shared across goroutines: the parallel search
-// phase only writes into rows the sequential phase took beforehand.
+// single writer), never shared across goroutines.
 type batchArena struct {
 	edges []graph.Edge   // materialized-edge buffers (ingestBatch)
-	rows  [][]iso.Match  // result/candidate row headers
-	flags []bool         // speculation masks
-	ints  []int          // speculation task lists
+	rows  [][]iso.Match  // result row headers
 	named [][]NamedMatch // per-edge named-match row headers
 	flat  []NamedMatch   // the named matches those rows are cut from
 
-	edgesU, rowsU, flagsU, intsU, namedU, flatU int // used this generation
-	edgesD, rowsD, flagsD, intsD, namedD, flatD int // demand this generation
+	edgesU, rowsU, namedU, flatU int // used this generation
+	edgesD, rowsD, namedD, flatD int // demand this generation
 }
 
 // begin opens a new generation: everything handed out by the previous
@@ -61,22 +58,16 @@ func (a *batchArena) begin() {
 	if a.rowsD > cap(a.rows) {
 		a.rows = make([][]iso.Match, a.rowsD)
 	}
-	if a.flagsD > cap(a.flags) {
-		a.flags = make([]bool, a.flagsD)
-	}
-	if a.intsD > cap(a.ints) {
-		a.ints = make([]int, a.intsD)
-	}
 	if a.namedD > cap(a.named) {
 		a.named = make([][]NamedMatch, a.namedD)
 	}
 	if a.flatD > cap(a.flat) {
 		a.flat = make([]NamedMatch, a.flatD)
 	}
-	a.edges, a.rows, a.flags = a.edges[:cap(a.edges)], a.rows[:cap(a.rows)], a.flags[:cap(a.flags)]
-	a.ints, a.named, a.flat = a.ints[:cap(a.ints)], a.named[:cap(a.named)], a.flat[:cap(a.flat)]
-	a.edgesU, a.rowsU, a.flagsU, a.intsU, a.namedU, a.flatU = 0, 0, 0, 0, 0, 0
-	a.edgesD, a.rowsD, a.flagsD, a.intsD, a.namedD, a.flatD = 0, 0, 0, 0, 0, 0
+	a.edges, a.rows = a.edges[:cap(a.edges)], a.rows[:cap(a.rows)]
+	a.named, a.flat = a.named[:cap(a.named)], a.flat[:cap(a.flat)]
+	a.edgesU, a.rowsU, a.namedU, a.flatU = 0, 0, 0, 0
+	a.edgesD, a.rowsD, a.namedD, a.flatD = 0, 0, 0, 0
 }
 
 // edgeBuf returns an uninitialized length-n edge buffer (the caller
@@ -103,29 +94,6 @@ func (a *batchArena) rowBuf(n int) [][]iso.Match {
 		return s
 	}
 	return make([][]iso.Match, n)
-}
-
-// flagBuf returns a zeroed length-n mask.
-func (a *batchArena) flagBuf(n int) []bool {
-	a.flagsD += n
-	if a.flagsU+n <= len(a.flags) {
-		s := a.flags[a.flagsU : a.flagsU+n : a.flagsU+n]
-		a.flagsU += n
-		clear(s)
-		return s
-	}
-	return make([]bool, n)
-}
-
-// intBuf returns a length-0, capacity-n buffer for append-style use.
-func (a *batchArena) intBuf(n int) []int {
-	a.intsD += n
-	if a.intsU+n <= len(a.ints) {
-		s := a.ints[a.intsU : a.intsU : a.intsU+n]
-		a.intsU += n
-		return s
-	}
-	return make([]int, 0, n)
 }
 
 // namedBuf returns a zeroed length-n named-match row buffer.

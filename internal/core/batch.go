@@ -1,31 +1,24 @@
 // Batch ingestion: admit a whole slice of stream edges into the
-// windowed graph with one amortized eviction/statistics pass, fan the
-// read-only candidate searches out over a worker pool, then merge the
-// per-edge results back single-threaded in input order. The pool belongs
-// to a standalone Engine.ProcessBatch; under a multi-query driver each
-// engine runs only the merge, searching live (Engine.searchShared).
+// windowed graph with one amortized eviction pass, then run the serial
+// per-edge merge over them in input order, each search bounded to its
+// edge's point in time. A standalone Engine.ProcessBatch and every
+// multi-query driver (Engine.searchShared) run this one path.
 //
-// The paper's engine (Algorithm 1) is strictly edge-at-a-time; batching
-// is the standard lever once exact incremental semantics are in place
-// (StreamWorks, Choudhury et al. 2013; Zervakis et al. 2019). Two
-// mechanisms keep the batch path's match sets identical to the serial
-// loop:
-//
-//   - Visibility. Every graph edge carries an arrival sequence number,
-//     and each candidate search is bounded by its anchor edge's Seq
-//     (iso.Matcher.MaxSeq), so a search anchored at batch edge i sees
-//     exactly the graph a serial run would have seen when i arrived,
-//     even though later batch edges are already present.
-//   - Ordering. All SJ-Tree mutation — lazy gating, retrospective
-//     repair, joins — happens in a sequential merge phase that consumes
-//     the precomputed candidates in input order. The parallel phase is
-//     read-only on the graph and engine.
+// The paper's engine (Algorithm 1) is strictly edge-at-a-time and
+// defers scale-out to query partitioning (StreamWorks, Choudhury et al.
+// 2013), which is internal/shard's job; a batch here only amortizes.
+// What keeps its match sets identical to the serial loop is visibility:
+// every graph edge carries an arrival sequence number, and each search
+// is bounded by its anchor edge's Seq (iso.Matcher.MaxSeq), so a search
+// anchored at batch edge i sees exactly the graph a serial run would
+// have seen when i arrived, even though later batch edges are already
+// present. All SJ-Tree mutation — lazy gating, retrospective repair,
+// joins — happens in input order, as in the serial loop.
 //
 // Equivalence is exact when timestamps are non-decreasing and no
 // load-shedding cap (MaxMatchesPerSearch, MaxWorkPerEdge,
-// MaxStepsPerSearch) is active. With a cap, both paths are best-effort
-// and may shed different work because candidate enumeration order
-// differs. With out-of-order timestamps, serial results are already
+// MaxStepsPerSearch) is active; under a cap both paths are best-effort.
+// With out-of-order timestamps, serial results are already
 // eviction-cadence-dependent (the EvictEvery slack of
 // graph.ExpireBefore); there the batch path's lazier eviction reports
 // a window-valid superset of the serial matches, never fewer — see
@@ -33,10 +26,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/stream"
@@ -46,8 +35,7 @@ import (
 // returns the new complete matches per input edge: out[i] holds exactly
 // the matches a serial ProcessEdge(batch[i]) call would have returned
 // at that point in the stream. Eviction and adaptive statistics are
-// amortized to one pass per batch; the candidate searches fan out over
-// Config.BatchWorkers workers.
+// amortized to one pass per batch.
 //
 // The returned rows and the matches in them are the engine's: they stay
 // valid until the next ProcessBatch, ProcessEdge or FlushPending call on
@@ -66,20 +54,19 @@ func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 }
 
 // processSubBatch is the core batch step: amortized eviction, ingest,
-// fanned-out search.
+// merge.
 func (e *Engine) processSubBatch(batch []stream.Edge) [][]iso.Match {
 	e.advanceEvict(len(batch))
-	des := e.ingestBatch(batch)
-	return e.searchBatch(des, e.batchWorkers())
+	return e.searchBatch(e.ingestBatch(batch))
 }
 
 // processBatchAdaptive runs the batch pipeline for adaptive engines by
 // splitting the batch at re-decomposition boundaries: within a run no
-// recompute can fire, so candidates precomputed against the current
-// leaves stay valid. The serial schedule observes each edge into the
-// period collector and fires the recompute on the edge that fills the
-// period, after that edge is ingested but before it is searched — the
-// split reproduces exactly that: edges before the trigger are searched
+// recompute can fire, so every edge of it is searched under one tree.
+// The serial schedule observes each edge into the period collector and
+// fires the recompute on the edge that fills the period, after that
+// edge is ingested but before it is searched — the split reproduces
+// exactly that: edges before the trigger are searched
 // under the old tree, the trigger edge and everything after it under
 // the new one, with the trigger edge itself already observed.
 func (e *Engine) processBatchAdaptive(batch []stream.Edge) [][]iso.Match {
@@ -127,189 +114,28 @@ func (e *Engine) ingestBatch(batch []stream.Edge) []graph.Edge {
 	return des
 }
 
-func (e *Engine) batchWorkers() int {
-	if e.cfg.BatchWorkers > 0 {
-		return e.cfg.BatchWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runSearchTasks executes n independent read-only searches across the
-// worker pool and returns their results indexed by task, so the output
-// is deterministic regardless of scheduling. Each worker owns a private
-// matcher; with one worker (or one task) everything runs inline on the
-// engine's own matcher.
-func (e *Engine) runSearchTasks(n, workers int, fn func(m *iso.Matcher, task int) []iso.Match) [][]iso.Match {
-	res := e.arena.rowBuf(n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		saved := e.matcher.MaxSeq
-		for t := 0; t < n; t++ {
-			res[t] = fn(e.matcher, t)
-		}
-		e.matcher.MaxSeq = saved
-		return res
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			m := e.newMatcher()
-			defer func() { atomic.AddInt64(&e.batchSteps, m.Calls()) }()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= n {
-					return
-				}
-				res[t] = fn(m, t)
-			}
-		}()
-	}
-	wg.Wait()
-	return res
-}
-
 // searchShared is the batch step of an engine under a multi-query
-// driver (MultiEngine, ParallelMulti and, through them, every shard and
-// remote worker), run after the driver's shared-graph ingest: the live,
-// lazy-gated, MaxSeq-bounded merge on the engine's own pooled matcher.
-// It never takes the speculative pool, whatever Config.BatchWorkers
-// says: with several queries per batch the search phase is a minority of
-// the work, and a nested pool per query costs goroutines, throwaway
-// matchers and unpooled candidates every batch for searches the lazy
-// gate would mostly skip. Recycling the previous results and the arena
-// here is safe: the driver has drained the previous batch's rows before
-// it offers the next.
+// driver (MultiEngine and, through it, every shard and remote worker),
+// run after the driver's shared-graph ingest. Recycling the previous
+// results and the arena here is safe: the driver has drained the
+// previous batch's rows before it offers the next.
 func (e *Engine) searchShared(des []graph.Edge) [][]iso.Match {
 	e.recycleResults()
 	e.arena.begin()
-	return e.searchBatch(des, 1)
+	return e.searchBatch(des)
 }
 
 // searchBatch runs the incremental search for a batch of edges already
-// present in the graph and returns the per-edge complete matches. The
-// candidate searches (read-only) run on the worker pool; tree mutation
-// runs single-threaded afterwards, in input order.
-func (e *Engine) searchBatch(des []graph.Edge, workers int) [][]iso.Match {
+// present in the graph and returns the per-edge complete matches: the
+// serial per-edge step (Engine.searchEdge) in input order, with every
+// search the engine's matcher issues — leaf searches and retrospective
+// repair alike — bounded to the edge's point in time.
+func (e *Engine) searchBatch(des []graph.Edge) [][]iso.Match {
 	out := e.arena.rowBuf(len(des))
-	switch e.cfg.Strategy {
-	case StrategyVF2:
-		cands := e.runSearchTasks(len(des), workers, func(m *iso.Matcher, t int) []iso.Match {
-			m.MaxSeq = des[t].Seq
-			var res []iso.Match
-			for _, mt := range m.FindAll(e.allEdges) {
-				if mt.HasEdge(des[t].ID) {
-					res = append(res, mt)
-				}
-			}
-			return res
-		})
-		e.finishBaseline(out, cands)
-	case StrategyIncIso:
-		cands := e.runSearchTasks(len(des), workers, func(m *iso.Matcher, t int) []iso.Match {
-			m.MaxSeq = des[t].Seq
-			return m.FindAroundEdge(e.allEdges, des[t])
-		})
-		e.finishBaseline(out, cands)
-	default:
-		e.searchBatchTree(des, workers, out)
-	}
-	return out
-}
-
-// finishBaseline adopts per-edge baseline results, updating counters.
-func (e *Engine) finishBaseline(out, cands [][]iso.Match) {
-	for i, ms := range cands {
-		e.stats.EdgesProcessed++
-		e.stats.CompleteMatches += int64(len(ms))
-		out[i] = ms
-	}
-}
-
-// searchBatchTree is the decomposition-strategy batch path: precompute
-// the anchored leaf matches for every (edge, leaf) pair in parallel,
-// then replay the serial per-edge merge (lazy gating, retrospective
-// repair, SJ-Tree joins) against the cached candidates. Lazy strategies
-// compute candidates speculatively — the merge discards the ones the
-// serial gate would never have searched — trading extra parallel search
-// work for a mutation phase that never blocks on a search. Speculation
-// only pays when it actually runs concurrently, so with a single worker
-// the merge searches live instead (MaxSeq-bounded, lazy gate applied
-// before searching): on one core a batch is then never slower than the
-// serial loop, just amortized.
-//
-// Speculation is itself gated: a (edge, leaf) pair whose single-edge
-// leaf is disabled at BOTH endpoints when the batch starts would be
-// skipped outright by the serial gate, so searching it speculatively is
-// pure waste — and before this estimate the batch path searched every
-// such pair, doing strictly more work than the serial loop it
-// parallelizes. Lazy enablement bits only accrete during a batch
-// (eviction clears them strictly before ingest), so a pair skipped by
-// the batch-start estimate is either still disabled at merge time
-// (serial gate skips it too) or was enabled mid-batch, in which case
-// the merge detects the missing precompute via the have mask and runs
-// the search live at the exact MaxSeq the candidate would have had.
-// Multi-edge leaves are always searched: their matches can touch an
-// enabled vertex beyond the new edge's endpoints (see processTree).
-func (e *Engine) searchBatchTree(des []graph.Edge, workers int, out [][]iso.Match) {
-	nl := e.tree.NumLeaves()
-	speculate := workers > 1 && len(des) > 1
-	var cands [][]iso.Match
-	var have []bool
-	if speculate && e.lazy {
-		have = e.arena.flagBuf(len(des) * nl)
-		tasks := e.arena.intBuf(len(have))
-		for i, de := range des {
-			for l := 0; l < nl; l++ {
-				if l > 0 && len(e.tree.LeafEdges(l)) == 1 &&
-					!e.enabled(de.Src, l) && !e.enabled(de.Dst, l) {
-					continue
-				}
-				have[i*nl+l] = true
-				tasks = append(tasks, i*nl+l)
-			}
-		}
-		cands = e.arena.rowBuf(len(des) * nl)
-		res := e.runSearchTasks(len(tasks), workers, func(m *iso.Matcher, t int) []iso.Match {
-			i, l := tasks[t]/nl, tasks[t]%nl
-			m.MaxSeq = des[i].Seq
-			return m.FindAroundEdge(e.tree.LeafEdges(l), des[i])
-		})
-		for t, slot := range tasks {
-			cands[slot] = res[t]
-		}
-	} else if speculate {
-		cands = e.runSearchTasks(len(des)*nl, workers, func(m *iso.Matcher, t int) []iso.Match {
-			i, l := t/nl, t%nl
-			m.MaxSeq = des[i].Seq
-			return m.FindAroundEdge(e.tree.LeafEdges(l), des[i])
-		})
-	}
 	for i, de := range des {
-		e.stats.EdgesProcessed++
 		start := len(e.curResults)
-		e.curEdge = de.ID
-		// Bound every search the merge issues on the engine's own
-		// matcher — live leaf searches and retrospective repair alike —
-		// to this edge's point in time.
 		e.matcher.MaxSeq = de.Seq
-		if e.cfg.MaxWorkPerEdge > 0 {
-			e.budget.Remaining = e.cfg.MaxWorkPerEdge
-			e.tree.Budget = &e.budget
-		}
-		if speculate {
-			var hv []bool
-			if have != nil {
-				hv = have[i*nl : (i+1)*nl]
-			}
-			e.mergeTree(de, cands[i*nl:(i+1)*nl], hv)
-		} else {
-			e.mergeTree(de, nil, nil)
-		}
+		e.searchEdge(de)
 		// A row is the edge's stretch of curResults. Growth moves the
 		// list, not the rows already cut: those keep the array they were
 		// cut from, and the match values in it.
@@ -319,6 +145,7 @@ func (e *Engine) searchBatchTree(des []graph.Edge, workers int, out [][]iso.Matc
 		}
 	}
 	e.matcher.MaxSeq = 0
+	return out
 }
 
 // ProcessBatch ingests a batch into the shared graph — one statistics

@@ -32,12 +32,9 @@ func batchTestStream() []stream.Edge {
 	return datagen.Netflow(datagen.NetflowConfig{Seed: 21, Edges: 1500, Hosts: 180})
 }
 
-// registerAll registers the test queries under deterministic names.
-type registrar interface {
-	Register(name string, q *query.Graph, cfg Config) error
-}
-
-func registerBatchQueries(t *testing.T, r registrar, strategies map[string]Strategy, train []stream.Edge) {
+// registerBatchQueries registers the test queries under deterministic
+// names.
+func registerBatchQueries(t *testing.T, r *MultiEngine, strategies map[string]Strategy, train []stream.Edge) {
 	t.Helper()
 	stats := collect(train)
 	queries := batchTestQueries()
@@ -51,6 +48,20 @@ func registerBatchQueries(t *testing.T, r registrar, strategies map[string]Strat
 			t.Fatalf("register %s: %v", name, err)
 		}
 	}
+}
+
+// nmSig renders a named match by its bound data edges.
+func nmSig(m *MultiEngine, nm NamedMatch) string {
+	g := m.Graph()
+	s := nm.Query + "|"
+	for qe, de := range nm.Match.EdgeOf {
+		e, ok := g.Edge(de)
+		if !ok {
+			continue
+		}
+		s += fmt.Sprintf("%d:%s>%s@%d;", qe, g.VertexName(e.Src), g.VertexName(e.Dst), e.TS)
+	}
+	return s
 }
 
 func batchStrategyMix() map[string]Strategy {
@@ -102,112 +113,6 @@ func TestMultiBatchMatchesSerial(t *testing.T) {
 		if !equalStrings(got, want) {
 			t.Fatalf("batch=%d multiset differs: %d matches vs %d", batch, len(got), len(want))
 		}
-	}
-}
-
-// TestParallelBatchDeterministic runs ParallelMulti.ProcessBatch (the
-// across-query pool) and the intra-query candidate search (BatchWorkers
-// > 1) repeatedly under concurrent load and requires byte-identical
-// ordered output on every run. go test -race exercises both pools.
-func TestParallelBatchDeterministic(t *testing.T) {
-	edges := batchTestStream()[:900]
-	train := edges[:200]
-
-	runParallel := func(workers, batch int) []string {
-		p := NewParallelMulti(MultiConfig{Window: 400, EvictEvery: 7}, workers)
-		defer p.Close()
-		registerBatchQueries(t, p, batchStrategyMix(), train)
-		var ordered []string
-		for lo := 0; lo < len(edges); lo += batch {
-			hi := lo + batch
-			if hi > len(edges) {
-				hi = len(edges)
-			}
-			for _, nm := range p.ProcessBatch(edges[lo:hi]) {
-				ordered = append(ordered, nm.Query+"|"+pmSig(p, nm))
-			}
-		}
-		return ordered
-	}
-
-	want := runParallel(3, 128)
-	if len(want) == 0 {
-		t.Fatal("no matches; determinism check is vacuous")
-	}
-	for run := 0; run < 3; run++ {
-		got := runParallel(3, 128)
-		if !equalStrings(got, want) {
-			t.Fatalf("run %d: ParallelMulti batch output order differs", run)
-		}
-	}
-	// Worker count must not change the ordered output either.
-	if got := runParallel(7, 128); !equalStrings(got, want) {
-		t.Fatal("worker count changed ParallelMulti batch output")
-	}
-
-	// Intra-query pool: a single engine's ProcessBatch output order is
-	// independent of the worker count and stable across runs.
-	stats := collect(train)
-	q := query.NewPath(query.Wildcard, "UDP", "ICMP", "GRE")
-	runEngine := func(workers int) []string {
-		eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 400, Stats: stats, BatchWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ordered []string
-		for lo := 0; lo < len(edges); lo += 256 {
-			hi := lo + 256
-			if hi > len(edges) {
-				hi = len(edges)
-			}
-			for i, ms := range eng.ProcessBatch(edges[lo:hi]) {
-				for _, m := range ms {
-					ordered = append(ordered, fmt.Sprintf("%d|%s", lo+i, signature(eng, m)))
-				}
-			}
-		}
-		return ordered
-	}
-	wantE := runEngine(1)
-	for _, workers := range []int{2, 8} {
-		if got := runEngine(workers); !equalStrings(got, wantE) {
-			t.Fatalf("BatchWorkers=%d changed engine batch output order", workers)
-		}
-	}
-}
-
-// TestParallelBatchMatchesSerialMulti cross-checks the parallel batch
-// path against the serial MultiEngine edge loop.
-func TestParallelBatchMatchesSerialMulti(t *testing.T) {
-	edges := batchTestStream()[:900]
-	train := edges[:200]
-
-	m := NewMulti(MultiConfig{Window: 400, EvictEvery: 7})
-	registerBatchQueries(t, m, batchStrategyMix(), train)
-	var want []string
-	for _, se := range edges {
-		for _, nm := range m.ProcessEdge(se) {
-			want = append(want, nm.Query+"|"+nmSig(m, nm))
-		}
-	}
-	sort.Strings(want)
-
-	p := NewParallelMulti(MultiConfig{Window: 400, EvictEvery: 7}, 4)
-	defer p.Close()
-	registerBatchQueries(t, p, batchStrategyMix(), train)
-	var got []string
-	for lo := 0; lo < len(edges); lo += 100 {
-		hi := lo + 100
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		for _, nm := range p.ProcessBatch(edges[lo:hi]) {
-			got = append(got, nm.Query+"|"+pmSig(p, nm))
-		}
-	}
-	sort.Strings(got)
-	if !equalStrings(got, want) {
-		t.Fatalf("parallel batch multiset differs from serial multi: %d vs %d matches", len(got), len(want))
 	}
 }
 
@@ -337,7 +242,7 @@ func TestBatchEvictionProperty(t *testing.T) {
 		}
 		serial.ForceEvict()
 
-		batched, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats, EvictEvery: evictEvery, BatchWorkers: 2})
+		batched, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats, EvictEvery: evictEvery})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,11 +42,10 @@ func TestVertexChurnEngine(t *testing.T) {
 	for name, q := range refmatch.ChurnQueries() {
 		for _, s := range churnStrategies {
 			for _, every := range []int{1, 7, 256} {
-				// batch 0 is the per-edge path; workers 2 takes the
-				// speculative search pool.
-				for _, mode := range []struct{ batch, workers int }{{0, 0}, {1, 1}, {37, 1}, {64, 2}} {
-					label := fmt.Sprintf("%s/%v/evict%d/batch%d", name, s, every, mode.batch)
-					eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: every, BatchWorkers: mode.workers})
+				// batch 0 is the per-edge path.
+				for _, batch := range []int{0, 1, 37, 64} {
+					label := fmt.Sprintf("%s/%v/evict%d/batch%d", name, s, every, batch)
+					eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: every})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -56,13 +55,13 @@ func TestVertexChurnEngine(t *testing.T) {
 							got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
 						}
 					}
-					if mode.batch == 0 {
+					if batch == 0 {
 						for _, se := range edges {
 							record(eng.ProcessEdge(se))
 						}
 					} else {
-						for lo := 0; lo < len(edges); lo += mode.batch {
-							for _, ms := range eng.ProcessBatch(edges[lo:min(lo+mode.batch, len(edges))]) {
+						for lo := 0; lo < len(edges); lo += batch {
+							for _, ms := range eng.ProcessBatch(edges[lo:min(lo+batch, len(edges))]) {
 								record(ms)
 							}
 						}
@@ -74,7 +73,7 @@ func TestVertexChurnEngine(t *testing.T) {
 					// Between two sweeps at most every+batch edges arrive,
 					// each naming two vertices.
 					g := eng.Graph()
-					if bound := refmatch.ChurnLive + 2*(every+mode.batch); g.NumVertices() > bound {
+					if bound := refmatch.ChurnLive + 2*(every+batch); g.NumVertices() > bound {
 						t.Fatalf("%s: %d vertex slots, want <= %d", label, g.NumVertices(), bound)
 					}
 					if st := eng.Stats(); st.VerticesReclaimed == 0 || st.VerticesReclaimed != g.VerticesReclaimed() {
@@ -86,61 +85,41 @@ func TestVertexChurnEngine(t *testing.T) {
 	}
 }
 
-// multiDriver is what MultiEngine and ParallelMulti have in common.
-type multiDriver interface {
-	Register(name string, q *query.Graph, cfg Config) error
-	ProcessEdge(se stream.Edge) []NamedMatch
-	ProcessBatch(ses []stream.Edge) []NamedMatch
-	Graph() *graph.Graph
-}
-
 func TestVertexChurnMulti(t *testing.T) {
 	edges, stats, want := churnWorkload(t, 2)
 	queries := refmatch.ChurnQueries()
 	strategies := map[string]Strategy{"path3": StrategySingleLazy, "path2": StrategyPathLazy, "fan": StrategySingle}
 	for _, every := range []int{1, 7, 256} {
 		for _, batch := range []int{0, 48} {
-			for _, parallel := range []bool{false, true} {
-				label := fmt.Sprintf("evict%d/batch%d/parallel=%v", every, batch, parallel)
-				cfg := MultiConfig{Window: refmatch.ChurnWindow, EvictEvery: every}
-				var m multiDriver
-				var flush func() []NamedMatch
-				if parallel {
-					p := NewParallelMulti(cfg, 2)
-					defer p.Close()
-					m, flush = p, p.FlushAll
-				} else {
-					me := NewMulti(cfg)
-					m, flush = me, me.FlushPending
+			label := fmt.Sprintf("evict%d/batch%d", every, batch)
+			m := NewMulti(MultiConfig{Window: refmatch.ChurnWindow, EvictEvery: every})
+			for name, q := range queries {
+				if err := m.Register(name, q, Config{Strategy: strategies[name], Stats: stats}); err != nil {
+					t.Fatalf("%s: register %s: %v", label, name, err)
 				}
-				for name, q := range queries {
-					if err := m.Register(name, q, Config{Strategy: strategies[name], Stats: stats}); err != nil {
-						t.Fatalf("%s: register %s: %v", label, name, err)
-					}
+			}
+			got := make(map[string]map[string]int)
+			for name := range queries {
+				got[name] = make(map[string]int)
+			}
+			record := func(nms []NamedMatch) {
+				for _, nm := range nms {
+					got[nm.Query][refmatch.MatchKey(nm.Query, queries[nm.Query], m.Graph(), nm.Match)]++
 				}
-				got := make(map[string]map[string]int)
-				for name := range queries {
-					got[name] = make(map[string]int)
+			}
+			if batch == 0 {
+				for _, se := range edges {
+					record(m.ProcessEdge(se))
 				}
-				record := func(nms []NamedMatch) {
-					for _, nm := range nms {
-						got[nm.Query][refmatch.MatchKey(nm.Query, queries[nm.Query], m.Graph(), nm.Match)]++
-					}
+			} else {
+				for lo := 0; lo < len(edges); lo += batch {
+					record(m.ProcessBatch(edges[lo:min(lo+batch, len(edges))]))
 				}
-				if batch == 0 {
-					for _, se := range edges {
-						record(m.ProcessEdge(se))
-					}
-				} else {
-					for lo := 0; lo < len(edges); lo += batch {
-						record(m.ProcessBatch(edges[lo:min(lo+batch, len(edges))]))
-					}
-				}
-				record(flush())
-				for name := range queries {
-					if d := refmatch.Diff(want[name], got[name]); d != "" {
-						t.Fatalf("%s: %s differs from the never-recycling oracle:\n%s", label, name, d)
-					}
+			}
+			record(m.FlushPending())
+			for name := range queries {
+				if d := refmatch.Diff(want[name], got[name]); d != "" {
+					t.Fatalf("%s: %s differs from the never-recycling oracle:\n%s", label, name, d)
 				}
 			}
 		}

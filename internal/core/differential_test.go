@@ -104,9 +104,9 @@ func runSerialPerEdge(t *testing.T, q *query.Graph, edges []stream.Edge, s Strat
 }
 
 // runBatchPerEdge streams the workload through ProcessBatch in chunks.
-func runBatchPerEdge(t *testing.T, q *query.Graph, edges []stream.Edge, s Strategy, window int64, stats *selectivity.Collector, batch, workers int) [][]string {
+func runBatchPerEdge(t *testing.T, q *query.Graph, edges []stream.Edge, s Strategy, window int64, stats *selectivity.Collector, batch int) [][]string {
 	t.Helper()
-	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats, EvictEvery: 5, BatchWorkers: workers})
+	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats, EvictEvery: 5})
 	if err != nil {
 		t.Fatalf("%v: New: %v", s, err)
 	}
@@ -161,7 +161,7 @@ func TestDifferentialStrategies(t *testing.T) {
 
 // TestBatchMatchesSerial reuses the same harness to require
 // ProcessBatch ≡ edge-at-a-time Process for every strategy and several
-// batch sizes, with both single- and multi-worker candidate search.
+// batch sizes.
 func TestBatchMatchesSerial(t *testing.T) {
 	batchSizes := []int{1, 3, 16, 128}
 	for _, wl := range diffWorkloads() {
@@ -170,11 +170,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 			for _, s := range allStrategies() {
 				want := runSerialPerEdge(t, q, wl.edges, s, wl.window, stats)
 				for _, bs := range batchSizes {
-					workers := 4
-					if bs == 1 {
-						workers = 1
-					}
-					got := runBatchPerEdge(t, q, wl.edges, s, wl.window, stats, bs, workers)
+					got := runBatchPerEdge(t, q, wl.edges, s, wl.window, stats, bs)
 					comparePerEdge(t, fmt.Sprintf("%s/%s/%v: batch=%d vs serial", wl.name, qname, s, bs), got, want)
 				}
 			}
@@ -194,7 +190,7 @@ func TestBatchMatchesSerialRandomized(t *testing.T) {
 		stats := collect(edges)
 		for _, s := range []Strategy{StrategySingle, StrategySingleLazy, StrategyPath, StrategyPathLazy} {
 			want := runSerialPerEdge(t, q, edges, s, 80, stats)
-			eng, err := New(q, Config{Strategy: s, Window: 80, Stats: stats, EvictEvery: 5, BatchWorkers: 3})
+			eng, err := New(q, Config{Strategy: s, Window: 80, Stats: stats, EvictEvery: 5})
 			if err != nil {
 				t.Fatalf("trial %d: %v: %v", trial, s, err)
 			}

@@ -10,9 +10,9 @@
 // The engine owns the windowed data graph: feed it stream edges with
 // ProcessEdge and it returns the incremental set of complete matches
 // f(Gd, Gq, E_{k+1}) = M(G^{k+1}_d) − M(G^k_d). ProcessBatch (batch.go)
-// ingests many edges at once — one amortized eviction pass, candidate
-// searches fanned out over a worker pool — with per-edge results
-// identical to the serial loop.
+// ingests many edges at once — one amortized eviction pass, then the
+// same per-edge search — with per-edge results identical to the serial
+// loop.
 //
 // # Match lifetimes
 //
@@ -25,9 +25,9 @@
 // (recycleResults), where its own joins pick them up, so a query that
 // emits many matches per edge allocates none of them. One list and one
 // release point mean no interleaving of the three calls can release an
-// array twice. MultiEngine and ParallelMulti pass the contract through
-// per query engine (their own result slices are arena-backed with the
-// same lifetime, see batchArena). A caller that keeps a match resolves
+// array twice. MultiEngine passes the contract through per query engine
+// (its own result slices are arena-backed with the same lifetime, see
+// batchArena). A caller that keeps a match resolves
 // it to names (MultiEngine.ResolveMatch, Engine.Explain) or Clones it
 // before its next call; every caller in this repository does, and the
 // streamgraph facade returns resolved copies only. The VF2 and IncIso
@@ -158,15 +158,6 @@ type Config struct {
 	// eviction sweeps the graph and the match tables. Default 256.
 	EvictEvery int
 
-	// BatchWorkers is the worker-pool size a standalone engine's
-	// ProcessBatch fans the read-only candidate searches out over (<= 0
-	// selects GOMAXPROCS). Ingestion and the SJ-Tree merge always stay
-	// single-threaded. It applies to a standalone Engine only: an engine
-	// registered under a multi-query driver (MultiEngine, ParallelMulti,
-	// the sharded and distributed runtimes) merges every batch inline on
-	// its own matcher and never starts a pool.
-	BatchWorkers int
-
 	// Adaptive, when non-nil, enables adaptive query processing: the
 	// engine keeps collecting statistics from the live stream and
 	// periodically re-decomposes the query, migrating partial matches
@@ -233,7 +224,7 @@ type Engine struct {
 	retroBuf     []graph.EdgeID
 	retroCollide bool
 
-	// Streaming-merge state for the live leaf search: mergeEmit is the
+	// Streaming-merge state for the leaf search: mergeEmit is the
 	// persistent candidate callback (allocated once, not per search),
 	// parameterized through the cur* fields below.
 	mergeEmit  func(iso.Match) bool
@@ -257,11 +248,6 @@ type Engine struct {
 
 	sinceEvict int
 	stats      Stats
-
-	// batchSteps accumulates the extension steps performed by the
-	// throwaway per-worker matchers of ProcessBatch, which Stats folds
-	// into IsoSteps alongside the owned matcher's counter.
-	batchSteps int64
 }
 
 type retroItem struct {
@@ -313,10 +299,8 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The merge-path matcher shares the tree's match pool so candidate
-	// clones reuse the arrays the last Insert handed back. Only this
-	// single-threaded matcher gets the pool; the throwaway matchers of
-	// the batch worker fan-out must not share it (see newMatcher).
+	// The matcher shares the tree's match pool so candidate clones reuse
+	// the arrays the last Insert handed back.
 	e.matcher.Pool = e.tree.Pool()
 	e.lazy = cfg.Strategy.Lazy()
 	e.tree.Dedup = e.lazy
@@ -356,11 +340,8 @@ func Decompose(q *query.Graph, s Strategy, stats *selectivity.Collector) (leaves
 }
 
 // newMatcher builds a matcher over the engine's current graph with the
-// engine's search limits. ProcessBatch creates one per search worker so
-// the read-only candidate searches can run concurrently; because those
-// run on concurrent goroutines, newMatcher never wires the tree's
-// single-owner match pool — the engine's own matcher gets it
-// explicitly where it is (re)bound.
+// engine's search limits. The tree's match pool is wired where the
+// matcher is (re)bound to a tree.
 func (e *Engine) newMatcher() *iso.Matcher {
 	m := iso.NewMatcher(e.g, e.q)
 	m.Window = e.cfg.Window
@@ -389,7 +370,7 @@ func (e *Engine) RelativeSelectivity() float64 { return e.relSel }
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.IsoSteps = e.matcher.Calls() + e.batchSteps
+	s.IsoSteps = e.matcher.Calls()
 	if !e.external {
 		s.VerticesReclaimed = e.g.VerticesReclaimed()
 	}
@@ -441,13 +422,21 @@ func (e *Engine) recycleResults() {
 // result is curResults itself (see ProcessEdge for its lifetime).
 func (e *Engine) processShared(de graph.Edge) []iso.Match {
 	e.recycleResults()
+	e.searchEdge(de)
+	e.stats.CompleteMatches += int64(len(e.curResults))
+	return e.curResults
+}
+
+// searchEdge is the incremental search for one edge already present in
+// the graph, under the engine's strategy: the one per-edge step behind
+// ProcessEdge and every batch. Complete matches go to curResults.
+func (e *Engine) searchEdge(de graph.Edge) {
 	e.stats.EdgesProcessed++
 	e.curEdge = de.ID
 	if e.tree != nil && e.cfg.MaxWorkPerEdge > 0 {
 		e.budget.Remaining = e.cfg.MaxWorkPerEdge
 		e.tree.Budget = &e.budget
 	}
-
 	switch e.cfg.Strategy {
 	case StrategyVF2:
 		e.processVF2(de)
@@ -456,8 +445,6 @@ func (e *Engine) processShared(de graph.Edge) []iso.Match {
 	default:
 		e.processTree(de)
 	}
-	e.stats.CompleteMatches += int64(len(e.curResults))
-	return e.curResults
 }
 
 // Run drains a stream source through the engine, invoking onMatch for
@@ -510,33 +497,14 @@ func (e *Engine) processIncIso(de graph.Edge) {
 // both endpoints are disabled we therefore still run the (cheap,
 // type-gated) anchored search but keep only matches that touch an
 // enabled vertex; everything else remains lazy.
-func (e *Engine) processTree(de graph.Edge) {
-	e.mergeTree(de, nil, nil)
-}
-
-// mergeTree folds one edge's leaf matches into the SJ-Tree, applying
-// the lazy gating and cascading joins. cands, when non-nil, supplies
-// the anchored matches per leaf — precomputed by the batch pipeline's
-// worker pool; when nil, each non-skipped leaf is searched live on the
-// engine's own matcher (the serial path, and the batch path's
-// single-worker mode where the lazy gate runs before searching).
 //
-// have, when non-nil, marks which leaves of cands were actually
-// precomputed: the batch pipeline's two-pass gate estimate skips
-// speculative searches for leaves it can prove the serial gate would
-// skip, and a leaf enabled mid-batch (after the estimate ran) falls
-// back to a live MaxSeq-bounded search here — exactness never depends
-// on the estimate being right, only the amount of speculative work
-// does.
-//
-// The live path streams candidates straight out of the matcher: each
+// Candidates stream straight out of the matcher (mergeEmit): each
 // emitted match is gated first and only the survivors are cloned (from
 // the tree's pool) for insertion, so a gated-off candidate costs no
-// allocation at all. Insert order, the MaxMatchesPerSearch cap and all
-// counters match the collect-then-insert form exactly — the search is
-// read-only on the graph, so interleaving tree mutation with the
-// enumeration cannot change which candidates are found.
-func (e *Engine) mergeTree(de graph.Edge, cands [][]iso.Match, have []bool) {
+// allocation at all. The search is read-only on the graph, so
+// interleaving tree mutation with the enumeration cannot change which
+// candidates are found.
+func (e *Engine) processTree(de graph.Edge) {
 	for l := 0; l < e.tree.NumLeaves(); l++ {
 		requireTouch := false
 		if e.lazy {
@@ -550,21 +518,6 @@ func (e *Engine) mergeTree(de graph.Edge, cands [][]iso.Match, have []bool) {
 			}
 		}
 		e.stats.LeafSearches++
-		if cands != nil && (have == nil || have[l]) {
-			matches := cands[l]
-			e.stats.LeafMatches += int64(len(matches))
-			for _, m := range matches {
-				if requireTouch && !e.touchesEnabled(m, l) {
-					// The candidate is ours alone (a fresh clone);
-					// recycle its arrays instead of leaving them to the
-					// GC.
-					e.tree.Release(m)
-					continue
-				}
-				e.insert(l, m)
-			}
-			continue
-		}
 		e.curLeaf, e.curRequire, e.curFound = l, requireTouch, 0
 		e.matcher.FindAroundEdgeFunc(e.tree.LeafEdges(l), de, e.mergeEmit)
 	}

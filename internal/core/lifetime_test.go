@@ -58,9 +58,7 @@ func (r *ringEdges) fill(batch []stream.Edge) {
 // Engine.ProcessEdge, Engine.ProcessBatch and
 // MultiEngine.ProcessBatchGrouped emit at least one match per edge and
 // allocate nothing — join outputs come from the arrays the previous call
-// gave back, the result list and the named rows are reused. BatchWorkers
-// is 1 on the standalone batch gate: a search pool starts goroutines and
-// matchers per batch by design.
+// gave back, the result list and the named rows are reused.
 func TestEmitPathsAllocFree(t *testing.T) {
 	q := query.NewPath("ip", "TCP", "TCP")
 	const batchSize = 64
@@ -88,7 +86,7 @@ func TestEmitPathsAllocFree(t *testing.T) {
 	})
 
 	t.Run("Engine.ProcessBatch", func(t *testing.T) {
-		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}, BatchWorkers: 1})
+		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +159,7 @@ func snapshotMatches(ms []iso.Match) []iso.Match {
 // its joins must find the arrays of call N in the pool.
 func TestResultsValidUntilNextCall(t *testing.T) {
 	q := query.NewPath("ip", "TCP", "TCP")
-	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}, BatchWorkers: 1})
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +235,9 @@ func poolAliases(eng *Engine) error {
 }
 
 // TestInterleavedCallsMatchOracle is the double-release trap: one engine
-// driven by a seeded mix of ProcessEdge, ProcessBatch (inline and pooled
-// search) and FlushPending, on the churn stream where joins, emits,
-// expiry and ID reuse all happen at once. Every result-returning call
+// driven by a seeded mix of ProcessEdge, ProcessBatch and FlushPending,
+// on the churn stream where joins, emits, expiry and ID reuse all happen
+// at once. Every result-returning call
 // releases the results of the one before, whichever kind either was; if
 // two of them ever released the same array, two live matches would share
 // it and bindings would change under a live match. The resolved match
@@ -249,50 +247,48 @@ func TestInterleavedCallsMatchOracle(t *testing.T) {
 	edges, stats, want := churnWorkload(t, 1)
 	for name, q := range refmatch.ChurnQueries() {
 		for _, s := range churnStrategies {
-			for _, workers := range []int{1, 2} {
-				label := fmt.Sprintf("%s/%v/workers%d", name, s, workers)
-				eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: 7, BatchWorkers: workers})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			label := fmt.Sprintf("%s/%v", name, s)
+			eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: 7})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			rng := rand.New(rand.NewSource(int64(len(label)) + int64(s)))
+			got := make(map[string]int)
+			record := func(ms []iso.Match) {
+				for _, m := range ms {
+					got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
 				}
-				rng := rand.New(rand.NewSource(int64(len(label)) + int64(s)))
-				got := make(map[string]int)
-				record := func(ms []iso.Match) {
-					for _, m := range ms {
-						got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
+			}
+			var calls [3]int
+			for lo := 0; lo < len(edges); {
+				kind := rng.Intn(3)
+				calls[kind]++
+				switch kind {
+				case 0:
+					record(eng.ProcessEdge(edges[lo]))
+					lo++
+				case 1:
+					hi := min(lo+1+rng.Intn(24), len(edges))
+					for _, ms := range eng.ProcessBatch(edges[lo:hi]) {
+						record(ms)
 					}
+					lo = hi
+				case 2:
+					record(eng.FlushPending())
 				}
-				var calls [3]int
-				for lo := 0; lo < len(edges); {
-					kind := rng.Intn(3)
-					calls[kind]++
-					switch kind {
-					case 0:
-						record(eng.ProcessEdge(edges[lo]))
-						lo++
-					case 1:
-						hi := min(lo+1+rng.Intn(24), len(edges))
-						for _, ms := range eng.ProcessBatch(edges[lo:hi]) {
-							record(ms)
-						}
-						lo = hi
-					case 2:
-						record(eng.FlushPending())
-					}
-				}
-				record(eng.FlushPending())
-				if calls[0] == 0 || calls[1] == 0 || calls[2] == 0 {
-					t.Fatalf("%s: call mix %v leaves a kind out", label, calls)
-				}
-				if d := refmatch.Diff(want[name], got); d != "" {
-					t.Fatalf("%s: match multiset differs from the oracle:\n%s", label, d)
-				}
-				// The last call's results are still the caller's; end
-				// their lifetime so the pool holds everything it ever will.
-				eng.FlushPending()
-				if err := poolAliases(eng); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
+			}
+			record(eng.FlushPending())
+			if calls[0] == 0 || calls[1] == 0 || calls[2] == 0 {
+				t.Fatalf("%s: call mix %v leaves a kind out", label, calls)
+			}
+			if d := refmatch.Diff(want[name], got); d != "" {
+				t.Fatalf("%s: match multiset differs from the oracle:\n%s", label, d)
+			}
+			// The last call's results are still the caller's; end
+			// their lifetime so the pool holds everything it ever will.
+			eng.FlushPending()
+			if err := poolAliases(eng); err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
 		}
 	}

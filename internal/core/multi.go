@@ -205,8 +205,6 @@ func (m *MultiEngine) Statistics() *selectivity.Collector {
 // is decomposed from Config.Leaves or Config.Stats when cfg brings
 // either, and from the window's statistics (Statistics) otherwise. The
 // engine's graph and window are overridden to the shared ones.
-// Config.BatchWorkers is ignored: every multi-query driver merges a
-// batch inline (see Engine.searchShared).
 func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
 	if _, dup := m.queries[name]; dup {
 		return fmt.Errorf("core: query %q already registered", name)

@@ -30,8 +30,9 @@ import (
 
 // maxDictEntries caps a per-direction dictionary. An honest encoder
 // falls back to inline (non-interned) strings at the cap, so streams
-// with more distinct strings than this still flow — at v1 cost for the
-// overflow — while a hostile peer cannot grow a table without bound.
+// with more distinct strings than this still flow — at the plain
+// encoding's cost for the overflow — while a hostile peer cannot grow a
+// table without bound.
 const maxDictEntries = 1 << 21
 
 // strDict is the encode side: string → dense id, first-seen order.
@@ -57,8 +58,8 @@ type strTable struct {
 }
 
 // appendStr encodes one string under the connection's negotiated
-// encoding: plain length-prefixed on a v1 connection, a dictionary
-// reference/definition on a v2 dictionary connection.
+// encoding: plain length-prefixed without CapDict, a dictionary
+// reference/definition with it.
 func (cn *Conn) appendStr(b []byte, s string) []byte {
 	sd := cn.dict
 	if sd == nil {
@@ -81,8 +82,8 @@ func (cn *Conn) appendStr(b []byte, s string) []byte {
 }
 
 // str decodes one string under the cursor's table: plain when tbl is
-// nil (v1 frames, snapshot images, the edlog codec), dictionary form
-// otherwise.
+// nil (a connection without CapDict, snapshot images, the edlog
+// codec), dictionary form otherwise.
 func (d *dec) str() string {
 	if d.tbl == nil {
 		return d.string_()

@@ -23,10 +23,10 @@
 // (CapDict: first occurrence as id+bytes, later occurrences as a
 // varint reference), delta-encodes timestamps within each frame's edge
 // list, and flate-compresses large frames (CapCompress: the high bit
-// of the length header marks a compressed payload). A v1 peer
-// negotiates nothing and speaks the plain encoding; snapshot images
-// and the edlog record codec always use the plain encoding because
-// they outlive connections. The client (router) sends:
+// of the length header marks a compressed payload). A connection that
+// negotiates nothing speaks the plain encoding; the handshake frames,
+// snapshot images and the edlog record codec always use it, the last
+// two because they outlive connections. The client (router) sends:
 //
 //	hello       protocol version, slot id, window, eviction cadence,
 //	            and the initial replica-filter mode
@@ -59,18 +59,11 @@ import (
 	"streamgraph/internal/stream"
 )
 
-// ProtocolVersion is the current wire protocol version carried by the
-// hello frame. A v2 client opens with version 2 plus its capability
-// bits and expects a hello-ack granting the intersection; the server
-// also accepts ProtocolVersionLegacy hellos (plain v1 encoding, no
-// ack) so old routers interoperate, and refuses anything else.
+// ProtocolVersion is the one wire protocol version, carried by the
+// hello frame. The client opens with it plus its capability bits and
+// expects a hello-ack granting the intersection; the server refuses a
+// hello of any other version (v1, which had no handshake, included).
 const ProtocolVersion = 2
-
-// ProtocolVersionLegacy is the v1 protocol: plain string encoding,
-// absolute timestamps, no compression, no hello-ack. A v2 client that
-// fails the hello-ack handshake (an old server closes the connection
-// on an unknown version) falls back to it.
-const ProtocolVersionLegacy = 1
 
 // Capability bits negotiated in the v2 hello/hello-ack exchange. The
 // client offers a set, the server answers with the subset it grants,
@@ -112,19 +105,15 @@ const (
 	FrameMatch byte = 0x81
 	// FrameDone acknowledges one client frame (server→client).
 	FrameDone byte = 0x82
-	// FrameHelloAck answers a v2 hello with the granted capability
-	// bits (server→client). A v1 hello is never acknowledged — a v1
-	// client's reader would treat the unknown frame type as a protocol
-	// violation.
+	// FrameHelloAck answers a hello with the granted capability bits
+	// (server→client).
 	FrameHelloAck byte = 0x84
 )
 
 // Hello is the connection-opening frame: the engine configuration the
 // remote worker builds its fresh core.MultiEngine from.
 type Hello struct {
-	// Version is ProtocolVersion (v2: the hello carries Caps and the
-	// server answers with a hello-ack) or ProtocolVersionLegacy (v1:
-	// plain encoding, no ack).
+	// Version is ProtocolVersion; the server refuses anything else.
 	Version uint64
 	// Slot is the router-side slot index (diagnostics only).
 	Slot int
@@ -139,15 +128,14 @@ type Hello struct {
 	UniversalFilter bool
 	// Caps is the capability set the client offers (Cap* bits); the
 	// server grants the intersection with its own in the hello-ack.
-	// Trailing field so a v1 hello (which simply omits it) decodes
-	// with Caps = 0.
+	// A trailing field: a hello without it decodes with Caps = 0.
 	Caps uint64
 }
 
-// HelloAck is the server's answer to a v2 hello: the capability set in
+// HelloAck is the server's answer to a hello: the capability set in
 // force, in both directions, for the rest of the connection. It is the
-// first and only frame a server sends before its normal
-// match/done traffic, and is never sent to a v1 client.
+// first and only frame a server sends before its normal match/done
+// traffic.
 type HelloAck struct {
 	// Version echoes the server's protocol version.
 	Version uint64
@@ -201,13 +189,10 @@ type Register struct {
 	Leaves [][]int
 	// MaxMatches, MaxWork and MaxSteps forward the engine's search
 	// limits (core.Config.MaxMatchesPerSearch / MaxWorkPerEdge /
-	// MaxStepsPerSearch); Workers forwards core.Config.BatchWorkers so
-	// the registration's config survives a snapshot round trip, though
-	// a worker engine — local or remote — always merges inline.
+	// MaxStepsPerSearch).
 	MaxMatches int
 	MaxWork    int64
 	MaxSteps   int64
-	Workers    int
 	// FilterUniversal / FilterTypes is the replica filter AFTER this
 	// registration widens it, computed router-side from the slot's
 	// footprint refcounts.

@@ -49,9 +49,9 @@ type Conn struct {
 	rawBytesIn, rawBytesOut atomic.Int64
 	framesIn, framesOut     atomic.Int64
 
-	// Negotiated v2 state (Negotiate): the per-direction string
-	// dictionaries and the flate codec scratch. All nil/false on a v1
-	// connection. dict and the write-side flate state belong to the
+	// Negotiated state (Negotiate): the per-direction string
+	// dictionaries and the flate codec scratch. All nil/false when
+	// nothing was granted. dict and the write-side flate state belong to the
 	// writer goroutine, tbl and the read-side state to the reader.
 	caps     uint64
 	dict     *strDict  // encode side (our outgoing frames)
@@ -119,7 +119,7 @@ func (cn *Conn) Stats() ConnStats {
 // Negotiate applies a granted capability set to the connection, in
 // both directions. Call it exactly once, after the hello/hello-ack
 // exchange and before any other frame is written or read: the
-// handshake frames themselves always use the plain v1 encoding.
+// handshake frames themselves always use the plain encoding.
 func (cn *Conn) Negotiate(caps uint64) {
 	cn.caps = caps
 	if caps&CapDict != 0 {
@@ -151,10 +151,10 @@ func Dial(addr string) (*Conn, error) {
 func (cn *Conn) Close() error { return cn.rwc.Close() }
 
 // frameCompressed marks a compressed frame in the 4-byte length
-// header. MaxFrame is far below 2^31, so the bit is always free; a v1
-// peer decoding a compressed header would see an over-MaxFrame length
-// and fail cleanly (compressed frames are only ever sent after
-// CapCompress is negotiated).
+// header. MaxFrame is far below 2^31, so the bit is always free; a
+// peer decoding a compressed header it did not negotiate fails cleanly
+// (compressed frames are only ever sent after CapCompress is
+// negotiated).
 const frameCompressed = 1 << 31
 
 // compressThreshold is the minimum payload size worth deflating; tiny
@@ -502,9 +502,8 @@ func (cn *Conn) appendEdgesW(b []byte, es []stream.Edge) []byte {
 
 // ---- message writers ----
 
-// WriteHello sends the connection-opening frame. A v2 hello carries
-// the offered capability bits as a trailing field; a legacy hello is
-// byte-identical to what a v1 client sends.
+// WriteHello sends the connection-opening frame. A hello of version 2
+// or later carries the offered capability bits as a trailing field.
 func (cn *Conn) WriteHello(h Hello) error {
 	b := append(cn.wbuf[:0], FrameHello)
 	b = binary.AppendUvarint(b, h.Version)
@@ -519,8 +518,8 @@ func (cn *Conn) WriteHello(h Hello) error {
 	return cn.writeFrame(b)
 }
 
-// WriteHelloAck answers a v2 hello with the granted capability set
-// (server side).
+// WriteHelloAck answers a hello with the granted capability set (server
+// side).
 func (cn *Conn) WriteHelloAck(a HelloAck) error {
 	b := append(cn.wbuf[:0], FrameHelloAck)
 	b = binary.AppendUvarint(b, a.Version)
@@ -563,7 +562,7 @@ func (cn *Conn) WriteRegister(m Register) error {
 	b = binary.AppendUvarint(b, uint64(m.MaxMatches))
 	b = binary.AppendVarint(b, m.MaxWork)
 	b = binary.AppendVarint(b, m.MaxSteps)
-	b = binary.AppendUvarint(b, uint64(m.Workers))
+	b = binary.AppendUvarint(b, 0) // where older frames carried a search-pool size
 	b = appendBool(b, m.FilterUniversal)
 	b = cn.appendStringsW(b, m.FilterTypes)
 	b = cn.appendEdgesW(b, m.Backfill)
@@ -664,7 +663,7 @@ func (cn *Conn) WriteDone(m Done) error {
 // ---- message decoders (payload body, i.e. frame minus type byte) ----
 
 // DecodeHello parses a FrameHello body. The capability field is
-// trailing and optional: a v1 hello decodes with Caps = 0.
+// trailing and optional: a hello without it decodes with Caps = 0.
 func DecodeHello(body []byte) (Hello, error) {
 	d := dec{b: body}
 	h := Hello{
@@ -687,7 +686,7 @@ func DecodeHelloAck(body []byte) (HelloAck, error) {
 	return a, d.err
 }
 
-// DecodeEdges parses a FrameEdges body in the plain v1 encoding.
+// DecodeEdges parses a FrameEdges body in the plain encoding.
 func DecodeEdges(body []byte) (Edges, error) { return decodeEdges(body, nil) }
 
 // DecodeEdges parses a FrameEdges body under the connection's
@@ -701,7 +700,7 @@ func decodeEdges(body []byte, tbl *strTable) (Edges, error) {
 	return m, d.err
 }
 
-// DecodeRegister parses a FrameRegister body in the plain v1 encoding.
+// DecodeRegister parses a FrameRegister body in the plain encoding.
 func DecodeRegister(body []byte) (Register, error) { return decodeRegister(body, nil) }
 
 // DecodeRegister parses a FrameRegister body under the connection's
@@ -733,7 +732,7 @@ func decodeRegister(body []byte, tbl *strTable) (Register, error) {
 	m.MaxMatches = int(d.uvarint())
 	m.MaxWork = d.varint()
 	m.MaxSteps = d.varint()
-	m.Workers = int(d.uvarint())
+	d.uvarint() // the search-pool size of older frames
 	m.FilterUniversal = d.bool_()
 	m.FilterTypes = d.strings()
 	m.Backfill = d.edges()
@@ -753,7 +752,7 @@ func decodeRegister(body []byte, tbl *strTable) (Register, error) {
 	return m, d.err
 }
 
-// DecodeBackfill parses a FrameBackfill body in the plain v1 encoding.
+// DecodeBackfill parses a FrameBackfill body in the plain encoding.
 func DecodeBackfill(body []byte) (BackfillChunk, error) { return decodeBackfill(body, nil) }
 
 // DecodeBackfill parses a FrameBackfill body under the connection's
@@ -769,7 +768,7 @@ func decodeBackfill(body []byte, tbl *strTable) (BackfillChunk, error) {
 	return m, d.err
 }
 
-// DecodeUnregister parses a FrameUnregister body in the plain v1
+// DecodeUnregister parses a FrameUnregister body in the plain
 // encoding.
 func DecodeUnregister(body []byte) (Unregister, error) { return decodeUnregister(body, nil) }
 
@@ -801,7 +800,7 @@ func DecodeCloseStream(body []byte) (CloseStream, error) {
 	return m, d.err
 }
 
-// DecodeMatch parses a FrameMatch body in the plain v1 encoding.
+// DecodeMatch parses a FrameMatch body in the plain encoding.
 func DecodeMatch(body []byte) (Match, error) { return decodeMatch(body, nil) }
 
 // DecodeMatch parses a FrameMatch body under the connection's

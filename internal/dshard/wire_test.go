@@ -1,6 +1,8 @@
 package dshard
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
@@ -45,7 +47,7 @@ func TestWireRoundTrip(t *testing.T) {
 			Frame: 3, Suppress: true, Name: "q1", Seq: 99, Rank: 7,
 			Query: "e a b TCP\ne b c GRE", Strategy: 1,
 			HasLeaves: true, Leaves: [][]int{{0}, {1}},
-			MaxMatches: 20000, MaxWork: -1, MaxSteps: 1 << 50, Workers: 4,
+			MaxMatches: 20000, MaxWork: -1, MaxSteps: 1 << 50,
 			FilterUniversal: false, FilterTypes: []string{"GRE", "TCP"},
 			Backfill: testEdges(),
 		},
@@ -105,6 +107,16 @@ func TestWireRoundTrip(t *testing.T) {
 		case FrameEdges:
 			got, err = DecodeEdges(body)
 		case FrameRegister:
+			// A frame from a router that still sent a search-pool size
+			// (the uvarint behind MaxSteps, now written as 0) decodes the
+			// same.
+			if marker := binary.AppendVarint(nil, 1<<50); bytes.Count(body, marker) == 1 {
+				at := bytes.Index(body, marker) + len(marker)
+				if body[at] != 0 {
+					t.Fatalf("msg %d: pool-size slot written as %d, want 0", i, body[at])
+				}
+				body[at] = 4
+			}
 			got, err = DecodeRegister(body)
 		case FrameBackfill:
 			got, err = DecodeBackfill(body)

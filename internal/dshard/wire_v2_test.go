@@ -3,8 +3,8 @@ package dshard
 // Protocol v2 coverage: the negotiated dictionary/delta/compression
 // encoding must round-trip every message exactly, shrink repeated
 // traffic, reject every malformed dictionary or compressed payload
-// with an error (never a panic or an unbounded allocation), and
-// negotiate cleanly against peers of either version.
+// with an error (never a panic or an unbounded allocation), and refuse
+// a peer of any other version.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamgraph/internal/stream"
@@ -47,7 +48,7 @@ func TestWireV2RoundTrip(t *testing.T) {
 			Frame: 3, Suppress: true, Name: "q1", Seq: 99, Rank: 7,
 			Query: "e a b TCP\ne b c GRE", Strategy: 1,
 			HasLeaves: true, Leaves: [][]int{{0}, {1}},
-			MaxMatches: 20000, MaxWork: -1, MaxSteps: 1 << 50, Workers: 4,
+			MaxMatches: 20000, MaxWork: -1, MaxSteps: 1 << 50,
 			FilterUniversal: false, FilterTypes: []string{"GRE", "TCP"},
 			Backfill: testEdges(),
 		},
@@ -348,23 +349,21 @@ func TestCompressedFrameCorruption(t *testing.T) {
 	}
 }
 
-// TestServerVersionNegotiation drives the hello handshake both ways: a
-// current server must ack v2, pass v1 through silently, and refuse
-// unknown versions; a LegacyV1 server must refuse v2 outright.
+// TestServerVersionNegotiation drives the hello handshake: the server
+// acks a v2 hello with the capabilities it knows, and refuses a v1 hello
+// (no handshake existed then) and an unknown version alike, each with
+// the version error and without a byte of traffic.
 func TestServerVersionNegotiation(t *testing.T) {
-	start := func(legacy bool) (string, func()) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer()
-		srv.LegacyV1 = legacy
-		go srv.Serve(ln)
-		return ln.Addr().String(), srv.Close
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	addr, stop := start(false)
-	defer stop()
+	srv := NewServer()
+	logged := make(chan string, 1) // one line per refused connection, read before the next dial
+	srv.Logf = func(format string, args ...any) { logged <- fmt.Sprintf(format, args...) }
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
 
 	// v2 hello → hello-ack with the granted subset.
 	cn, err := Dial(addr)
@@ -385,66 +384,36 @@ func TestServerVersionNegotiation(t *testing.T) {
 	if ack.Caps != CapDict|CapCompress {
 		t.Fatalf("granted caps %b, want the known subset %b", ack.Caps, CapDict|CapCompress)
 	}
-	cn.Close()
-
-	// v1 hello → no ack; the first reply is the done for the next frame.
-	cn, err = Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.WriteHello(Hello{Version: ProtocolVersionLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.WriteCloseStream(CloseStream{Frame: 1}); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err = cn.ReadFrame()
-	if err != nil || typ != FrameDone {
-		t.Fatalf("v1 hello: got type 0x%02x err %v, want done (no ack)", typ, err)
-	}
-	cn.Close()
-
-	// Unknown version → connection closed without traffic.
-	cn, err = Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.WriteHello(Hello{Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cn.ReadFrame(); err == nil {
-		t.Fatal("unknown protocol version was accepted")
-	}
-	cn.Close()
-
-	// LegacyV1 server: v2 hello refused, v1 hello serviced.
-	addrOld, stopOld := start(true)
-	defer stopOld()
-	cn, err = Dial(addrOld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.WriteHello(Hello{Version: ProtocolVersion, Caps: CapDict}); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := cn.ReadFrame(); err == nil {
-		t.Fatalf("legacy server answered a v2 hello with frame 0x%02x", typ)
-	}
-	cn.Close()
-	cn, err = Dial(addrOld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.WriteHello(Hello{Version: ProtocolVersionLegacy}); err != nil {
-		t.Fatal(err)
-	}
 	if err := cn.WriteCloseStream(CloseStream{Frame: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := cn.ReadFrame(); err != nil || typ != FrameDone {
-		t.Fatalf("legacy server did not service a v1 stream: type 0x%02x err %v", typ, err)
+		t.Fatalf("v2 stream: got type 0x%02x err %v, want done", typ, err)
 	}
 	cn.Close()
+
+	for _, version := range []uint64{1, 99} {
+		cn, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cn.WriteHello(Hello{Version: version}); err != nil {
+			t.Fatal(err)
+		}
+		// A v1 client sent its stream right behind the hello, expecting
+		// no ack; none of it may be serviced.
+		if err := cn.WriteCloseStream(CloseStream{Frame: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := cn.ReadFrame(); err == nil {
+			t.Fatalf("hello of version %d was answered with frame 0x%02x", version, typ)
+		}
+		cn.Close()
+		want := fmt.Sprintf("protocol version %d, want %d", version, ProtocolVersion)
+		if line := <-logged; !strings.Contains(line, want) {
+			t.Fatalf("hello of version %d refused with %q, want the version error %q", version, line, want)
+		}
+	}
 }
 
 // FuzzDecodeFrame throws arbitrary bodies at every v2 decoder with a

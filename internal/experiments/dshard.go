@@ -21,15 +21,8 @@ import (
 // mixed local/remote over loopback TCP) driving the same queries over
 // the same stream.
 type DshardRow struct {
-	// Mode is "serial", "inproc", "remote", "remote-v1", "mixed" or
-	// "mixed-v1": the -v1 rows re-run the same remote topology with the
-	// wire forced to the legacy v1 encoding, so the dictionary/
-	// compression saving is measured on identical work.
+	// Mode is "serial", "inproc", "remote" or "mixed".
 	Mode string `json:"mode"`
-	// WireProto names the negotiated encoding for remote rows: "v2"
-	// (dictionary + delta timestamps + frame compression) or "v1"
-	// (plain). Empty for in-process rows.
-	WireProto string `json:"wire_proto,omitempty"`
 	// Local and Remote count the slot kinds in the topology.
 	Local  int `json:"local"`
 	Remote int `json:"remote"`
@@ -50,11 +43,9 @@ type DshardRow struct {
 	// post-compression — the bytes that actually crossed the wire.
 	WireMB float64 `json:"wire_mb"`
 	// WireMBRaw and WireMBSent split the same traffic into logical
-	// (pre-dictionary-savings-aside, pre-compression) and sent
-	// (post-compression) bytes as accounted by the protocol layer:
-	// WireMBSent/WireMBRaw is the frame-compression ratio, and
-	// comparing WireMBSent across a v2 row and its -v1 twin gives the
-	// whole encoding's saving.
+	// (pre-compression) and sent (post-compression) bytes as accounted
+	// by the protocol layer: WireMBSent/WireMBRaw is the
+	// frame-compression ratio.
 	WireMBRaw  float64 `json:"wire_mib_raw"`
 	WireMBSent float64 `json:"wire_mib_sent"`
 	// MatchLagP50NS, MatchLagP99NS and MatchLagMaxNS are end-to-end
@@ -159,9 +150,9 @@ func DshardThroughput(cfg DshardConfig) ([]DshardRow, error) {
 	}
 
 	var rows []DshardRow
-	finish := func(mode, proto string, local, remote int, matches int64, elapsed time.Duration, wire, raw, sent int64, lag *metrics.Histogram) {
+	finish := func(mode string, local, remote int, matches int64, elapsed time.Duration, wire, raw, sent int64, lag *metrics.Histogram) {
 		row := DshardRow{
-			Mode: mode, WireProto: proto, Local: local, Remote: remote,
+			Mode: mode, Local: local, Remote: remote,
 			Queries: cfg.NumQueries, Edges: len(edges), Matches: matches,
 			Elapsed:     elapsed,
 			EdgesPerSec: float64(len(edges)) / elapsed.Seconds(),
@@ -193,7 +184,7 @@ func DshardThroughput(cfg DshardConfig) ([]DshardRow, error) {
 		var matches int64
 		start := time.Now()
 		chunks(func(chunk []stream.Edge) { matches += int64(len(m.ProcessBatch(chunk))) })
-		finish("serial", "", 1, 0, matches, time.Since(start), 0, 0, 0, nil)
+		finish("serial", 1, 0, matches, time.Since(start), 0, 0, 0, nil)
 	}
 
 	// sumSeries folds the router registry's dshard wire counters, both
@@ -210,8 +201,8 @@ func DshardThroughput(cfg DshardConfig) ([]DshardRow, error) {
 		return total
 	}
 
-	runSharded := func(mode string, local int, remotes []string, wireMode shard.WireMode, wire *atomic.Int64) error {
-		r := shard.New(shard.Config{Shards: local, Remotes: remotes, Window: cfg.Window, Wire: wireMode})
+	runSharded := func(mode string, local int, remotes []string, wire *atomic.Int64) error {
+		r := shard.New(shard.Config{Shards: local, Remotes: remotes, Window: cfg.Window})
 		counted := make(chan int64, 1)
 		go func() { counted <- r.Drain(nil) }()
 		for _, name := range names {
@@ -229,23 +220,18 @@ func DshardThroughput(cfg DshardConfig) ([]DshardRow, error) {
 		r.Close()
 		elapsed := time.Since(start)
 		var wired, raw, sent int64
-		proto := ""
 		if wire != nil {
 			wired = wire.Swap(0)
 			raw = sumSeries(r, "sg_dshard_raw_bytes_in_total", "sg_dshard_raw_bytes_out_total")
 			sent = sumSeries(r, "sg_dshard_bytes_in_total", "sg_dshard_bytes_out_total")
-			proto = "v2"
-			if wireMode == shard.WireLegacy {
-				proto = "v1"
-			}
 		}
 		lag := r.MatchLag()
-		finish(mode, proto, local, len(remotes), <-counted, elapsed, wired, raw, sent, &lag)
+		finish(mode, local, len(remotes), <-counted, elapsed, wired, raw, sent, &lag)
 		return nil
 	}
 
 	// In-process shard runtime at the same slot count.
-	if err := runSharded("inproc", cfg.Slots, nil, shard.WireAuto, nil); err != nil {
+	if err := runSharded("inproc", cfg.Slots, nil, nil); err != nil {
 		return nil, err
 	}
 
@@ -269,25 +255,15 @@ func DshardThroughput(cfg DshardConfig) ([]DshardRow, error) {
 	}()
 	addr := ln.Addr().String()
 
-	// Each remote topology runs twice — once under the negotiated v2
-	// encoding, once forced to legacy v1 — so the rows carry the wire
-	// saving on identical work alongside the match-count differential.
 	allRemote := make([]string, cfg.Slots)
 	for i := range allRemote {
 		allRemote[i] = addr
 	}
-	if err := runSharded("remote", 0, allRemote, shard.WireAuto, &wire); err != nil {
+	if err := runSharded("remote", 0, allRemote, &wire); err != nil {
 		return nil, err
 	}
-	if err := runSharded("remote-v1", 0, allRemote, shard.WireLegacy, &wire); err != nil {
-		return nil, err
-	}
-
 	mixedRemote := allRemote[:(cfg.Slots+1)/2]
-	if err := runSharded("mixed", cfg.Slots-len(mixedRemote), mixedRemote, shard.WireAuto, &wire); err != nil {
-		return nil, err
-	}
-	if err := runSharded("mixed-v1", cfg.Slots-len(mixedRemote), mixedRemote, shard.WireLegacy, &wire); err != nil {
+	if err := runSharded("mixed", cfg.Slots-len(mixedRemote), mixedRemote, &wire); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -298,14 +274,10 @@ func PrintDshard(w io.Writer, dataset string, rows []DshardRow) {
 	fmt.Fprintf(w, "== Distributed shard runtime: %s (loopback TCP, GOMAXPROCS=%d) ==\n",
 		dataset, runtime.GOMAXPROCS(0))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "mode\twire\tlocal\tremote\tqueries\tedges/s\tspeedup\tmatches\traw MiB\tsent MiB\tlag p50\tlag p99\telapsed")
+	fmt.Fprintln(tw, "mode\tlocal\tremote\tqueries\tedges/s\tspeedup\tmatches\traw MiB\tsent MiB\tlag p50\tlag p99\telapsed")
 	for _, r := range rows {
-		proto := r.WireProto
-		if proto == "" {
-			proto = "-"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.0f\t%.2fx\t%d\t%.2f\t%.2f\t%s\t%s\t%v\n",
-			r.Mode, proto, r.Local, r.Remote, r.Queries, r.EdgesPerSec, r.Speedup,
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.0f\t%.2fx\t%d\t%.2f\t%.2f\t%s\t%s\t%v\n",
+			r.Mode, r.Local, r.Remote, r.Queries, r.EdgesPerSec, r.Speedup,
 			r.Matches, r.WireMBRaw, r.WireMBSent, lagCell(r.MatchLagP50NS), lagCell(r.MatchLagP99NS),
 			r.Elapsed.Round(time.Millisecond))
 	}

@@ -16,11 +16,10 @@ import (
 )
 
 // ShardRow is one cell of the multi-query runtime comparison: one
-// execution mode (serial MultiEngine, fork/join ParallelMulti, or the
-// sharded runtime at one shard count) driving the same queries over
-// the same stream.
+// execution mode (serial MultiEngine, or the sharded runtime at one
+// shard count) driving the same queries over the same stream.
 type ShardRow struct {
-	Mode        string        `json:"mode"` // "serial", "parallel", "shard"
+	Mode        string        `json:"mode"` // "serial", "shard"
 	Shards      int           `json:"shards"`
 	Queries     int           `json:"queries"`
 	Edges       int           `json:"edges"`
@@ -30,9 +29,8 @@ type ShardRow struct {
 	// Speedup is EdgesPerSec relative to the serial row.
 	Speedup float64 `json:"speedup"`
 	// ReplicaEdges is the total number of edges stored across every
-	// graph replica in the mode (one shared graph for serial/parallel;
-	// the sum of the filtered per-shard replicas for shard rows).
-	// Divided by Edges it is the replication factor the edge-type
+	// graph replica in the mode (one shared graph for serial; the sum of
+	// the filtered per-shard replicas for shard rows). Divided by Edges it is the replication factor the edge-type
 	// partitioning buys down from shards-x.
 	ReplicaEdges int64 `json:"replica_edges"`
 	// MatchLagP50NS, MatchLagP99NS and MatchLagMaxNS are end-to-end
@@ -108,9 +106,8 @@ func shardQueryNames(qs map[string]*query.Graph) []string {
 }
 
 // ShardThroughput measures multi-query throughput on one dataset
-// across three runtimes: the serial MultiEngine, the per-edge
-// fork/join ParallelMulti, and the sharded runtime at each configured
-// shard count. Every mode runs the same queries over the same stream
+// across two runtimes: the serial MultiEngine and the sharded runtime
+// at each configured shard count. Every mode runs the same queries over the same stream
 // in the same batch sizes; match counts are reported so a divergence
 // is visible (exactness itself is enforced by the differential tests
 // in internal/shard).
@@ -169,22 +166,6 @@ func ShardThroughput(cfg ShardConfig) []ShardRow {
 		start := time.Now()
 		chunks(func(chunk []stream.Edge) { matches += int64(len(m.ProcessBatch(chunk))) })
 		finish("serial", 1, matches, time.Since(start), m.EdgesStored(), nil)
-	}
-
-	// Fork/join baseline: ParallelMulti at GOMAXPROCS workers.
-	{
-		p := core.NewParallelMulti(core.MultiConfig{Window: cfg.Window}, 0)
-		for _, name := range names {
-			if err := p.Register(name, queries[name], qcfg()); err != nil {
-				continue
-			}
-		}
-		var matches int64
-		start := time.Now()
-		chunks(func(chunk []stream.Edge) { matches += int64(len(p.ProcessBatch(chunk))) })
-		elapsed := time.Since(start)
-		p.Close()
-		finish("parallel", runtime.GOMAXPROCS(0), matches, elapsed, int64(len(edges)), nil)
 	}
 
 	// Sharded runtime: pipelined ingest, async collection.

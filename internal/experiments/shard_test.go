@@ -11,8 +11,8 @@ func TestShardThroughputAgrees(t *testing.T) {
 	rows := ShardThroughput(ShardConfig{
 		Dataset: ds, NumQueries: 4, Shards: []int{1, 2}, MaxEdges: 2000, Batch: 128,
 	})
-	if len(rows) != 4 { // serial, parallel, shard=1, shard=2
-		t.Fatalf("got %d rows, want 4", len(rows))
+	if len(rows) != 3 { // serial, shard=1, shard=2
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for i, r := range rows {
 		if r.Edges != 2000 {

@@ -128,7 +128,7 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 		bw.u32(uint32(cfg.MaxMatchesPerSearch))
 		bw.i64(cfg.MaxWorkPerEdge)
 		bw.i64(cfg.MaxStepsPerSearch)
-		bw.u32(uint32(cfg.BatchWorkers))
+		bw.u32(0) // where older images carried a search-pool size
 		bw.u32(uint32(len(cfg.Leaves)))
 		for _, leaf := range cfg.Leaves {
 			bw.u32(uint32(len(leaf)))
@@ -243,9 +243,9 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 			MaxMatchesPerSearch: int(br.u32()),
 			MaxWorkPerEdge:      br.i64(),
 			MaxStepsPerSearch:   br.i64(),
-			BatchWorkers:        int(br.u32()),
 			EvictEvery:          evictEvery,
 		}
+		br.u32() // the search-pool size of older images
 		nLeaves := br.u32()
 		if br.err != nil {
 			return nil, br.err

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"testing"
@@ -131,5 +132,42 @@ func TestLoadMultiRejectsCorrupt(t *testing.T) {
 	bad[0] ^= 0xff
 	if _, err := LoadMulti(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic loaded without error")
+	}
+}
+
+// TestLoadMultiOlderImage: an image written when a registration's config
+// still carried a search-pool size loads — the slot is skipped, whatever
+// it holds, and every field around it keeps its value.
+func TestLoadMultiOlderImage(t *testing.T) {
+	const steps = 0x1122334455667788 // a marker to find the config by
+	m := core.NewMulti(core.MultiConfig{Window: 100})
+	err := m.Register("q", testQuery(t), core.Config{
+		Strategy: core.StrategySingleLazy, Stats: stats(testStream(100)), MaxStepsPerSearch: steps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveMulti(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	marker := binary.LittleEndian.AppendUint64(nil, steps)
+	at := bytes.Index(data, marker)
+	if at < 0 || bytes.Count(data, marker) != 1 {
+		t.Fatal("cannot locate the registration's config in the image")
+	}
+	slot := data[at+8 : at+12] // the u32 after MaxStepsPerSearch
+	if !bytes.Equal(slot, []byte{0, 0, 0, 0}) {
+		t.Fatalf("pool-size slot written as %v, want zeros", slot)
+	}
+	slot[0] = 2 // as an engine configured with two workers wrote it
+	restored, err := LoadMulti(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("image with a non-zero pool-size slot: %v", err)
+	}
+	cfg := restored.QueryEngine("q").ConfigSnapshot()
+	if cfg.MaxStepsPerSearch != steps || cfg.Strategy != core.StrategySingleLazy || len(cfg.Leaves) == 0 {
+		t.Fatalf("config around the slot did not survive: %+v", cfg)
 	}
 }

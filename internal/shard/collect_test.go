@@ -10,6 +10,7 @@ import (
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/datagen"
+	"streamgraph/internal/dshard"
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
@@ -526,15 +527,18 @@ func primedWorker(t *testing.T) *worker {
 	names, queries := hopQueries()
 	for i, name := range names {
 		// The router pins leaves before a query reaches a worker's engine.
-		if err := w.eng.Register(name, queries[name], core.Config{Strategy: core.StrategySingle, Leaves: [][]int{{0}, {1}}}); err != nil {
+		err := w.slot.Register(dshard.SlotRegister{
+			Name: name, Query: queries[name], Rank: i, Universal: true,
+			Config: core.Config{Strategy: core.StrategySingle, Leaves: [][]int{{0}, {1}}},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		w.ranks[name] = i
 	}
 	edges := denseStream()
 	cut := len(edges) - 1024
-	w.eng.ProcessBatchGrouped(edges[:cut])
-	for i, named := range w.eng.ProcessBatchGrouped(edges[cut:]) {
+	w.slot.Eng.ProcessBatchGrouped(edges[:cut])
+	for i, named := range w.slot.Eng.ProcessBatchGrouped(edges[cut:]) {
 		for _, nm := range named {
 			w.pend = append(w.pend, pendingMatch{seq: uint64(cut + i), nm: nm})
 		}

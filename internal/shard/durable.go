@@ -61,6 +61,7 @@ import (
 	"sort"
 	"time"
 
+	"streamgraph/internal/dshard"
 	"streamgraph/internal/edlog"
 	"streamgraph/internal/persist"
 	"streamgraph/internal/query"
@@ -137,10 +138,9 @@ func Open(cfg Config) (*Router, []Match, error) {
 		r.log.Append(rec.edges, rec.base)
 	}
 
-	// Load the local slot checkpoints and install the recovered
-	// engines. Stray staging files (a crash between a worker's write
-	// and the round's publish rename) are dead: every round stages
-	// afresh before renaming.
+	// Load the local slot checkpoints. Stray staging files (a crash
+	// between a worker's write and the round's publish rename) are dead:
+	// every round stages afresh before renaming.
 	nLocal := len(r.workers) - len(r.cfg.Remotes)
 	slots := make([]*slotCkpt, nLocal)
 	for i := 0; i < nLocal; i++ {
@@ -151,13 +151,8 @@ func Open(cfg Config) (*Router, []Match, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if s != nil {
-			if s.ckptSeq > metaSeq {
-				return fail(fmt.Errorf("shard: slot %d checkpoint at seq %d is ahead of the committed round %d (slot files are published only after the meta commit)", i, s.ckptSeq, metaSeq))
-			}
-			w := r.workers[i]
-			w.eng = s.eng
-			w.lastEnd = s.lastEnd
+		if s != nil && s.ckptSeq > metaSeq {
+			return fail(fmt.Errorf("shard: slot %d checkpoint at seq %d is ahead of the committed round %d (slot files are published only after the meta commit)", i, s.ckptSeq, metaSeq))
 		}
 		slots[i] = s
 	}
@@ -225,7 +220,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 		}
 		for name := range slots[i].ranks {
 			if !keptBySlot[i][name] {
-				r.workers[i].eng.Unregister(name)
+				slots[i].eng.Unregister(name)
 			}
 		}
 	}
@@ -237,6 +232,10 @@ func Open(cfg Config) (*Router, []Match, error) {
 	// router.meta: they are derived again below, from the recovered
 	// window and the pinned leaves.
 	maxRank := -1
+	ranks := make([]map[string]int, nLocal) // what each recovered slot engine holds
+	for i := range ranks {
+		ranks[i] = make(map[string]int)
+	}
 	for _, reg := range kept {
 		w := r.workers[reg.slot]
 		q, err := query.Parse(reg.query)
@@ -277,7 +276,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 			w.remote.noteRegister(&msg)
 			continue
 		}
-		w.ranks[reg.name] = reg.rank
+		ranks[reg.slot][reg.name] = reg.rank
 		if r.filtering {
 			w.gateRefs.add(reg.fpTypes, reg.fpExact)
 			r.rebuildGate(w)
@@ -286,14 +285,17 @@ func Open(cfg Config) (*Router, []Match, error) {
 	}
 	r.rank = maxRank + 1
 	r.refreshCosts()
-	if r.filtering {
-		for i := 0; i < nLocal; i++ {
-			// The loaded engine's filter is universal (persist contract);
-			// re-apply the reconciled footprint and trim what the dropped
-			// registrations no longer reach.
-			r.workers[i].syncEngineFilter()
-			r.workers[i].eng.TrimReplica()
+	for i, s := range slots {
+		if s == nil {
+			continue // no checkpoint, hence no registration: the slot stays fresh
 		}
+		// Install the recovered engine. Its filter is universal (persist
+		// contract): apply the reconciled footprint and trim what the
+		// dropped registrations no longer reach.
+		w := r.workers[i]
+		universal, types := w.filter()
+		w.slot = dshard.RestoredSlot(s.eng, s.lastEnd, ranks[i], universal, types)
+		w.slot.Eng.TrimReplica()
 	}
 
 	r.start()
@@ -551,7 +553,7 @@ func (r *Router) writeMeta(seq uint64) error {
 func (w *worker) writeCheckpoint(seq uint64) error {
 	// Staged as .pending; checkpointRound renames it into place only
 	// after the round's delivery barrier and meta commit.
-	return writeSlotFile(slotPath(w.r.cfg.DataDir, w.id)+".pending", seq, w.lastEnd, w.ranks, func(out io.Writer) error {
-		return persist.SaveMulti(out, w.eng)
+	return writeSlotFile(slotPath(w.r.cfg.DataDir, w.id)+".pending", seq, w.slot.LastEnd(), w.slot.Ranks(), func(out io.Writer) error {
+		return persist.SaveMulti(out, w.slot.Eng)
 	})
 }

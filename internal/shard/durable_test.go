@@ -7,6 +7,7 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -393,7 +394,7 @@ func TestMetaFileRoundTrip(t *testing.T) {
 				query: "path(a:ip)-[GRE]->(b:ip)-[TCP]->(c:ip)",
 				cfg: core.Config{
 					Strategy: core.StrategySingleLazy, MaxMatchesPerSearch: 7,
-					MaxWorkPerEdge: -1, MaxStepsPerSearch: 99, BatchWorkers: 2,
+					MaxWorkPerEdge: -1, MaxStepsPerSearch: 99,
 					Leaves: [][]int{{0}, {1}},
 				},
 			},
@@ -421,7 +422,7 @@ func TestMetaFileRoundTrip(t *testing.T) {
 	}
 	c := r1.cfg
 	if c.Strategy != core.StrategySingleLazy || c.MaxMatchesPerSearch != 7 || c.MaxWorkPerEdge != -1 ||
-		c.MaxStepsPerSearch != 99 || c.BatchWorkers != 2 || len(c.Leaves) != 2 || c.Leaves[1][0] != 1 {
+		c.MaxStepsPerSearch != 99 || len(c.Leaves) != 2 || c.Leaves[1][0] != 1 {
 		t.Fatalf("reg cfg did not round-trip: %+v", c)
 	}
 	if out.regs[1].cfg.Leaves != nil {
@@ -468,6 +469,19 @@ func TestMetaFileRoundTrip(t *testing.T) {
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// ... and whose registrations carried a search-pool size, in the slot
+	// between MaxStepsPerSearch (99) and the leaves flag, now written as 0.
+	raw, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was, is := []byte{0x07, 0x01, 0xc6, 0x01, 0x00, 0x01}, []byte{0x07, 0x01, 0xc6, 0x01, 0x02, 0x01}
+	if bytes.Count(raw, was) != 1 {
+		t.Fatal("cannot locate q1's config in router.meta")
+	}
+	if err := os.WriteFile(old, bytes.Replace(raw, was, is, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	legacy, err := readMetaFile(old)

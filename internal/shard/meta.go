@@ -264,7 +264,8 @@ func writeMetaReg(w *bufio.Writer, reg metaReg) error {
 	if err := putVarint(w, cfg.MaxStepsPerSearch); err != nil {
 		return err
 	}
-	if err := putUvarint(w, uint64(cfg.BatchWorkers)); err != nil {
+	// Where older routers saved a search-pool size.
+	if err := putUvarint(w, 0); err != nil {
 		return err
 	}
 	if err := putBool(w, cfg.Leaves != nil); err != nil {
@@ -329,7 +330,7 @@ func readMetaReg(d *metaDec) metaReg {
 	reg.cfg.MaxMatchesPerSearch = int(d.uvarint())
 	reg.cfg.MaxWorkPerEdge = d.varint()
 	reg.cfg.MaxStepsPerSearch = d.varint()
-	reg.cfg.BatchWorkers = int(d.uvarint())
+	d.uvarint() // the search-pool size of older files
 	if d.bool_() {
 		n := d.count("leaves", 1<<16)
 		reg.cfg.Leaves = make([][]int, 0, n)

@@ -404,12 +404,7 @@ func (r *Router) AddSlot(addr string) (int, error) {
 	if r.dlog != nil {
 		return 0, fmt.Errorf("shard: AddSlot is not available on a durable router: add the address to Config.Remotes and restart")
 	}
-	w := &worker{
-		id:    len(r.workers),
-		r:     r,
-		in:    make(chan message, r.cfg.QueueLen),
-		ranks: make(map[string]int),
-	}
+	w := &worker{id: len(r.workers), r: r, in: make(chan message, r.cfg.QueueLen)}
 	w.remote = newRemoteSlot(w, addr, r.cfg.RemotePending)
 	r.tel.registerWorker(w)
 	w.remote.registerMetrics(r.tel)

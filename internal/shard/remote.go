@@ -63,16 +63,9 @@ const (
 type WireMode int
 
 const (
-	// WireAuto negotiates the full v2 encoding — per-connection string
-	// dictionary, within-frame delta timestamps, per-frame compression
-	// — and falls back per slot to the v1 encoding when the peer does
-	// not complete the v2 handshake (an old sgshard binary).
+	// WireAuto negotiates the full encoding: per-connection string
+	// dictionary, within-frame delta timestamps, per-frame compression.
 	WireAuto WireMode = iota
-	// WireLegacy forces the plain v1 encoding: no handshake beyond
-	// the v1 hello, no dictionary, no compression. Interops with every
-	// server version; the both-encodings benchmarks and differential
-	// tests run under it.
-	WireLegacy
 	// WireDictOnly negotiates the dictionary and delta timestamps but
 	// not compression, isolating what interning alone saves.
 	WireDictOnly
@@ -201,14 +194,6 @@ type remoteSlot struct {
 	// state is rebuilt into (see Config.RedialBudget). Touched only by
 	// the slot goroutine.
 	hospice *dshard.Server
-
-	// peerV1 flips (sticky) when a v2 hello handshake fails after the
-	// dial succeeded — the signature of an old sgshard closing the
-	// connection on an unknown protocol version. Every later dial on
-	// this slot speaks v1. Correctness is identical either way; only
-	// wire compactness is lost, so a rare mis-diagnosed transient
-	// failure during the handshake window costs nothing but bytes.
-	peerV1 atomic.Bool
 
 	// Wire telemetry (registerMetrics). liveConn tracks the current
 	// connection so scrape-time wire totals can add its live counters
@@ -632,11 +617,9 @@ func (rs *remoteSlot) connLost() {
 	}
 }
 
-// connect dials and runs the hello handshake. A v2 hello offers the
-// configured capability set and waits for the server's hello-ack; an
-// ack failure after a successful dial marks the peer as v1 (sticky,
-// see remoteSlot.peerV1) so the redial loop's next attempt speaks the
-// legacy protocol. A v1 hello expects no ack.
+// connect dials and runs the hello handshake: the hello offers the
+// configured capability set, the server's hello-ack grants it. A failed
+// handshake is a failed dial; the redial loop tries again.
 func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 	c, err := rs.dial()
 	if err != nil {
@@ -644,19 +627,12 @@ func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 	}
 	cn := dshard.NewConn(c)
 	w := rs.w
-	legacy := rs.peerV1.Load() || w.r.cfg.Wire == WireLegacy
-	version := uint64(dshard.ProtocolVersion)
-	var want uint64
-	if legacy {
-		version = dshard.ProtocolVersionLegacy
-	} else {
-		want = dshard.CapDict | dshard.CapCompress
-		if w.r.cfg.Wire == WireDictOnly {
-			want = dshard.CapDict
-		}
+	want := dshard.CapDict | dshard.CapCompress
+	if w.r.cfg.Wire == WireDictOnly {
+		want = dshard.CapDict
 	}
 	err = cn.WriteHello(dshard.Hello{
-		Version:         version,
+		Version:         dshard.ProtocolVersion,
 		Slot:            w.id,
 		Window:          w.r.cfg.Window,
 		EvictEvery:      w.r.cfg.EvictEvery,
@@ -667,29 +643,18 @@ func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 		cn.Close()
 		return nil, err
 	}
-	if legacy {
-		return cn, nil
-	}
 	// The ack must arrive before any stream traffic; bound the wait so
-	// a peer that silently ignores v2 hellos cannot wedge the slot.
+	// a peer that never answers cannot wedge the slot.
 	c.SetReadDeadline(time.Now().Add(remoteDialTimeout))
 	typ, body, err := cn.ReadFrame()
-	if err != nil || typ != dshard.FrameHelloAck {
-		// The dial worked but the handshake did not: an old server
-		// either closed on the unknown version or answered with
-		// something else. Fall back to v1 permanently — worst case a
-		// mis-diagnosed transient costs wire compactness, never
-		// correctness.
-		rs.peerV1.Store(true)
-		cn.Close()
-		if err == nil {
-			err = fmt.Errorf("dshard handshake: unexpected frame 0x%02x", typ)
-		}
-		return nil, err
+	if err == nil && typ != dshard.FrameHelloAck {
+		err = fmt.Errorf("dshard handshake: unexpected frame 0x%02x", typ)
 	}
-	ack, err := dshard.DecodeHelloAck(body)
+	var ack dshard.HelloAck
+	if err == nil {
+		ack, err = dshard.DecodeHelloAck(body)
+	}
 	if err != nil {
-		rs.peerV1.Store(true)
 		cn.Close()
 		return nil, err
 	}
@@ -843,37 +808,14 @@ func (rs *remoteSlot) wireRegister(ev *remoteEvent, suppress bool) dshard.Regist
 		Suppress: suppress, Name: m.name, Seq: m.seq, Rank: m.rank,
 		Query: m.q.String(), Strategy: int(m.cfg.Strategy),
 		HasLeaves: m.cfg.Leaves != nil, Leaves: m.cfg.Leaves,
-		MaxMatches: m.cfg.MaxMatchesPerSearch, MaxWork: m.cfg.MaxWorkPerEdge,
-		MaxSteps: m.cfg.MaxStepsPerSearch, Workers: m.cfg.BatchWorkers,
+		MaxMatches: m.cfg.MaxMatchesPerSearch, MaxWork: m.cfg.MaxWorkPerEdge, MaxSteps: m.cfg.MaxStepsPerSearch,
 		FilterUniversal: m.postUniversal, FilterTypes: m.postTypes,
 		// A migration's state image rides every (re)send of the frame:
 		// a reconnect replay re-registers onto a fresh engine, which
 		// needs the transplant again.
 		State: m.state,
 	}
-	var need func(string) bool
-	switch {
-	case m.needAll:
-		held := make(map[string]bool, len(m.heldTypes))
-		for _, tp := range m.heldTypes {
-			held[tp] = true
-		}
-		need = func(tp string) bool { return !held[tp] }
-	case len(m.needTypes) > 0:
-		added := make(map[string]bool, len(m.needTypes))
-		for _, tp := range m.needTypes {
-			added[tp] = true
-		}
-		need = func(tp string) bool { return added[tp] }
-	}
-	if need != nil {
-		rs.w.r.log.Replay(m.seq, m.minTS, func(se stream.Edge, _ uint64) bool {
-			if need(se.Type) {
-				out.Backfill = append(out.Backfill, se)
-			}
-			return true
-		})
-	}
+	out.Backfill = rs.w.r.log.missed(m.seq, m.minTS, m.needAll, m.heldTypes, m.needTypes)
 	if m.migrate {
 		// Backfill edges shipped for a migration target, counted per
 		// send (a reconnect replay ships them again).

@@ -342,22 +342,13 @@ func TestRemoteDisconnectReconnectRandomized(t *testing.T) {
 // TestRemoteChunkedFrames forces the wire-chunking path (tiny chunk
 // bound, so every batch and every registration backfill splits into
 // many frames) through the full differential, disconnects included:
-// chunk boundaries must never affect match sets. It runs under both
-// wire encodings — the v2 dictionary connection (where a reconnect
-// also resets the dictionaries mid-differential) and the forced v1
-// fallback.
+// chunk boundaries must never affect match sets — nor may a reconnect
+// resetting the connection's dictionaries mid-differential.
 func TestRemoteChunkedFrames(t *testing.T) {
-	for _, wire := range []struct {
-		name string
-		mode WireMode
-	}{{"v2-dict", WireAuto}, {"v1-legacy", WireLegacy}} {
-		t.Run(wire.name, func(t *testing.T) {
-			testRemoteChunkedFrames(t, wire.mode)
-		})
-	}
+	t.Run("v2-dict", testRemoteChunkedFrames)
 }
 
-func testRemoteChunkedFrames(t *testing.T, wire WireMode) {
+func testRemoteChunkedFrames(t *testing.T) {
 	old := remoteChunkBytes
 	remoteChunkBytes = 512 // a few edges per frame
 	defer func() { remoteChunkBytes = old }()
@@ -371,7 +362,7 @@ func testRemoteChunkedFrames(t *testing.T, wire WireMode) {
 		t.Fatal("workload produced no matches; differential is vacuous")
 	}
 	addr, srv := startRemoteWorker(t)
-	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7, Wire: wire})
+	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7})
 	queries, strategies := testQueries(), testStrategies()
 	names := sortedNames(queries)
 	// Register all but one up front; the last one mid-stream, so its
@@ -484,72 +475,6 @@ func TestRemoteStatsGauges(t *testing.T) {
 	}
 }
 
-// TestRemoteLegacyServerFallback is the version-mismatch differential
-// in the new-router/old-worker direction: against a server that speaks
-// only v1 (Server.LegacyV1), a WireAuto router's first v2 handshake
-// fails, the sticky peerV1 flag flips, the redial speaks v1, and the
-// stream must still complete with the exact serial match multiset —
-// kicks included, so the fallback also holds across reconnects.
-func TestRemoteLegacyServerFallback(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := dshard.NewServer()
-	srv.LegacyV1 = true
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	edges := testStream(1200)
-	const window = 400
-	want := append([]string(nil), runSerial(t, edges, window)...)
-	sort.Strings(want)
-	if len(want) == 0 {
-		t.Fatal("workload produced no matches; differential is vacuous")
-	}
-	r := New(Config{Shards: 1, Remotes: []string{ln.Addr().String()}, Window: window, EvictEvery: 7})
-	queries, strategies := testQueries(), testStrategies()
-	for _, name := range sortedNames(queries) {
-		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
-			t.Fatalf("register %s: %v", name, err)
-		}
-	}
-	var mu sync.Mutex
-	var got []string
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		r.Drain(func(m Match) {
-			mu.Lock()
-			got = append(got, matchSig(m))
-			mu.Unlock()
-		})
-	}()
-	const batch = 97
-	for lo := 0; lo < len(edges); lo += batch {
-		hi := lo + batch
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		r.IngestBatch(edges[lo:hi])
-		if lo/batch%4 == 3 {
-			srv.Kick()
-		}
-	}
-	r.Close()
-	<-done
-	sort.Strings(got)
-	if !equalStrings(got, want) {
-		t.Fatalf("legacy fallback: %d matches, want %d (multiset differs)", len(got), len(want))
-	}
-	// The fallback actually engaged: the slot is marked v1.
-	for _, w := range r.workers {
-		if w.remote != nil && !w.remote.peerV1.Load() {
-			t.Fatal("peerV1 never set against a legacy server")
-		}
-	}
-}
-
 // TestRemoteWireModes runs the cross-topology differential under every
 // client wire mode against a current server: match multisets must be
 // identical whichever encoding is negotiated.
@@ -565,7 +490,7 @@ func TestRemoteWireModes(t *testing.T) {
 	for _, wire := range []struct {
 		name string
 		mode WireMode
-	}{{"auto", WireAuto}, {"dict-only", WireDictOnly}, {"legacy", WireLegacy}} {
+	}{{"auto", WireAuto}, {"dict-only", WireDictOnly}} {
 		cfg := Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7, Wire: wire.mode}
 		got := runSharded(t, edges, cfg, 64)
 		sort.Strings(got)

@@ -186,6 +186,36 @@ func (l *EdgeLog) Replay(beforeSeq uint64, minTS int64, fn func(se stream.Edge, 
 	}
 }
 
+// missed returns what a registration at stream position beforeSeq with
+// window floor minTS must backfill, given its entitlement relative to
+// the footprint the replica already had (replicaSet.newlyNeeded): every
+// logged edge before the registration, at or above the floor, whose
+// type is newly needed — not in held when needAll, in added otherwise.
+// The floor was captured when the registration was admitted, and the
+// router pins the log against trimming past it for as long as the
+// backfill can be asked for again, so every call finds the same edges.
+func (l *EdgeLog) missed(beforeSeq uint64, minTS int64, needAll bool, held, added []string) []stream.Edge {
+	if !needAll && len(added) == 0 {
+		return nil
+	}
+	names := added
+	if needAll {
+		names = held
+	}
+	listed := make(map[string]bool, len(names))
+	for _, tp := range names {
+		listed[tp] = true
+	}
+	var out []stream.Edge
+	l.Replay(beforeSeq, minTS, func(se stream.Edge, _ uint64) bool {
+		if listed[se.Type] != needAll { // needAll: everything but held
+			out = append(out, se)
+		}
+		return true
+	})
+	return out
+}
+
 // Statistics builds the statistics of the window from one consistent
 // snapshot of the log: a collector of the retained edges with
 // ts >= MaxTS - window + 1 (all of them when window is 0). The cutoff
@@ -267,8 +297,8 @@ func (s *replicaSet) remove(types []string, exact bool) {
 // folds it in: needAll (an inexact footprint going universal) with the
 // types already held, or the exact list of added types. Nothing is
 // needed when the set is already universal. Both the local worker's
-// widenReplica and the router's remote register path derive their
-// backfill sets from this one definition.
+// register and the router's remote register path derive their backfill
+// sets from this one definition (and read them through EdgeLog.missed).
 func (s *replicaSet) newlyNeeded(types []string, exact bool) (needAll bool, held, added []string) {
 	switch {
 	case s.universal():

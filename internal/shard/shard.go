@@ -4,14 +4,13 @@
 // core.MultiEngine, fed by per-shard bounded channels and emitting
 // completed matches asynchronously on a collection channel.
 //
-// This is the pipelined successor to core.ParallelMulti's per-edge
-// fork/join: the router never waits for a shard to finish an edge
-// before accepting the next one, there is no global barrier per edge
-// and no serial merge on the hot path — a slow query only ever stalls
-// its own shard (and, once that shard's bounded queue fills, the
-// producer: backpressure instead of unbounded buffering). Queries —
-// not graph partitions — remain the unit of parallelism, which keeps
-// exact-match semantics intact: every shard ingests, in arrival
+// The runtime is pipelined: the router never waits for a shard to
+// finish an edge before accepting the next one, there is no global
+// barrier per edge and no serial merge on the hot path — a slow query
+// only ever stalls its own shard (and, once that shard's bounded queue
+// fills, the producer: backpressure instead of unbounded buffering).
+// Queries — not graph partitions — remain the unit of parallelism, which
+// keeps exact-match semantics intact: every shard ingests, in arrival
 // order, the slice of the stream its queries can match, so each query
 // sees exactly the stream a serial core.MultiEngine would have shown
 // it (the package tests enforce per-query match-set equality
@@ -73,6 +72,7 @@ import (
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/decompose"
+	"streamgraph/internal/dshard"
 	"streamgraph/internal/edlog"
 	"streamgraph/internal/graph"
 	"streamgraph/internal/metrics"
@@ -138,10 +138,9 @@ type Config struct {
 	// exactly like a slow local shard.
 	RemotePending int
 	// Wire selects the dshard wire encoding remote slots negotiate
-	// (default WireAuto: dictionary + delta timestamps + compression,
-	// with automatic per-slot fallback to the v1 encoding when the
-	// peer is an old sgshard). Match results are byte-identical under
-	// every mode; only wire compactness differs.
+	// (default WireAuto: dictionary + delta timestamps + compression).
+	// Match results are byte-identical under every mode; only wire
+	// compactness differs.
 	Wire WireMode
 
 	// DataDir, when set (via Open — New ignores it), makes the runtime
@@ -430,21 +429,21 @@ type fprint struct {
 }
 
 // worker is one shard slot. A local slot is a goroutine draining its
-// bounded queue into a privately owned MultiEngine over a filtered
-// graph replica; a remote slot drains the same queue over a TCP
-// connection to a remote shard worker (remote.go), leaving eng nil.
-// Either way, the router-side state — the ingest gate, the footprint
-// refcounts, the queue, the counters — lives here.
+// bounded queue into a privately owned slot engine (dshard.Slot: a
+// MultiEngine over a filtered graph replica, the ranks, the retro flush
+// barrier); a remote slot drains the same queue over a TCP connection
+// to a remote shard worker hosting that same slot engine (remote.go),
+// leaving slot nil. Either way, the router-side state — the ingest
+// gate, the footprint refcounts, the queue, the counters — lives here.
 type worker struct {
 	id      int
 	r       *Router
 	in      chan message
 	bundles chan bundle // ordered mode only
-	eng     *core.MultiEngine
-	ranks   map[string]int // query name -> global registration rank
+	slot    *dshard.Slot
 
 	// remote, when non-nil, makes this slot a proxy to a remote shard
-	// worker; the engine-side fields (eng, rset, lastEnd) are unused.
+	// worker; the engine-side fields (slot, rset) are unused.
 	remote *remoteSlot
 
 	// retired marks a slot removed from the topology (RemoveSlot, or a
@@ -465,16 +464,11 @@ type worker struct {
 	// matches awaiting resolution into blocks.
 	pend []pendingMatch
 
-	// rset is the worker-goroutine-side copy of the footprint, applied
-	// to the engine's replica filter at the queue position where each
-	// control message lands.
+	// rset is the worker-goroutine-side copy of the footprint
+	// refcounts (filtering mode only): what the slot engine's replica
+	// filter is set from at the queue position where each control
+	// message lands.
 	rset *replicaSet
-	// lastEnd is the arrival seq just past the last edge this shard's
-	// engine admitted — the retro flush barrier: pending lazy repairs
-	// were created at edge lastEnd-1, and the serial schedule drains
-	// them at edge lastEnd, so a control point (register, unregister,
-	// close) at stream position p must flush them iff lastEnd < p.
-	lastEnd uint64
 
 	// Registry-backed slot series (handles created by
 	// telemetry.registerWorker; recording is atomic and lock-free).
@@ -551,14 +545,13 @@ func newRouter(cfg Config) *Router {
 		r.fps = make(map[string]fprint)
 	}
 	for i := 0; i < cfg.Shards+len(cfg.Remotes); i++ {
-		w := &worker{
-			id:    i,
-			r:     r,
-			in:    make(chan message, cfg.QueueLen),
-			ranks: make(map[string]int),
-		}
+		w := &worker{id: i, r: r, in: make(chan message, cfg.QueueLen)}
 		if i < cfg.Shards {
-			w.eng = core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+			// A filtered shard starts with no queries, hence an empty
+			// footprint: it receives and stores nothing until one is
+			// registered.
+			eng := core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+			w.slot = dshard.NewSlot(eng, !r.filtering)
 		} else {
 			w.remote = newRemoteSlot(w, cfg.Remotes[i-cfg.Shards], cfg.RemotePending)
 		}
@@ -567,13 +560,10 @@ func newRouter(cfg Config) *Router {
 			w.remote.registerMetrics(r.tel)
 		}
 		if r.filtering {
-			// A shard starts with no queries, hence an empty footprint:
-			// it receives and stores nothing until one is registered.
 			w.gate = graph.NewTypeSet()
 			w.gateRefs = newReplicaSet()
-			if w.eng != nil {
+			if w.slot != nil {
 				w.rset = newReplicaSet()
-				w.eng.SetReplicaFilter(nil, false)
 			}
 		} else {
 			w.gate = graph.UniversalTypes()
@@ -1285,39 +1275,12 @@ func (w *worker) run() {
 			}
 			w.processEdges(msg)
 		case msgRegister:
-			w.flushRetro(msg.seq)
-			err := w.eng.Register(msg.name, msg.q, msg.cfg)
-			if err == nil {
-				w.ranks[msg.name] = msg.rank
-				if w.r.filtering {
-					w.widenReplica(msg)
-				}
-				if msg.xfer != nil {
-					// Migration target: graft the source's live state
-					// onto the freshly registered (and backfilled)
-					// engine. On failure roll the registration back so
-					// the query never half-exists here.
-					if _, terr := persist.TransplantState(w.eng, msg.xfer, msg.name); terr != nil {
-						w.eng.Unregister(msg.name)
-						delete(w.ranks, msg.name)
-						if w.r.filtering {
-							w.narrowReplica(msg.fpTypes, msg.fpExact)
-						}
-						err = terr
-					}
-				}
-			}
+			w.slot.Flush(msg.seq, w.emit)
+			err := w.register(msg)
 			w.publishReplicaStats()
 			msg.reply <- err
 		case msgUnregister:
-			if _, ok := w.ranks[msg.name]; ok {
-				w.flushRetro(msg.seq)
-				w.eng.Unregister(msg.name)
-				delete(w.ranks, msg.name)
-				if w.r.filtering {
-					w.narrowReplica(msg.fpTypes, msg.fpExact)
-				}
-			}
+			w.unregister(msg, false)
 			w.publishReplicaStats()
 			if msg.reply != nil {
 				msg.reply <- nil
@@ -1331,18 +1294,14 @@ func (w *worker) run() {
 			// before it is in the clone, every one after it belongs to
 			// the target.
 			var out migrateOut
-			if _, ok := w.ranks[msg.name]; !ok {
+			var held bool
+			if out.rank, held = w.slot.Rank(msg.name); !held {
 				out.err = fmt.Errorf("shard: slot %d does not hold query %q", w.id, msg.name)
 			} else {
-				w.flushRetro(msg.seq)
-				out.rank = w.ranks[msg.name]
-				out.eng, out.err = persist.CloneQuery(w.eng, msg.name)
+				w.slot.Flush(msg.seq, w.emit)
+				out.eng, out.err = persist.CloneQuery(w.slot.Eng, msg.name)
 				if out.err == nil {
-					w.eng.Unregister(msg.name)
-					delete(w.ranks, msg.name)
-					if w.r.filtering {
-						w.narrowReplica(msg.fpTypes, msg.fpExact)
-					}
+					w.unregister(msg, true)
 				}
 			}
 			w.publishReplicaStats()
@@ -1350,101 +1309,80 @@ func (w *worker) run() {
 		case msgCheckpoint:
 			// Serialize the engine at this queue position — a message
 			// boundary, so no batch is mid-flight — and persist it as
-			// the slot's checkpoint. Deliberately NOT a flushRetro
-			// point: snapshotting must not mutate engine state, or the
-			// restored run would diverge from the serial schedule.
+			// the slot's checkpoint. Deliberately not a flush point:
+			// snapshotting must not mutate engine state, or the restored
+			// run would diverge from the serial schedule.
 			msg.reply <- w.writeCheckpoint(msg.seq)
 		}
 	}
 	// The stream is over; drain any repairs the serial schedule would
 	// have drained at an edge this shard never received.
-	w.flushRetro(w.r.seq.Load())
+	w.slot.Flush(w.r.seq.Load(), w.emit)
 	if w.bundles != nil {
 		close(w.bundles)
 	}
 }
 
-// flushRetro runs the engine's queued retrospective repairs when the
-// stream has moved past this shard's last admitted edge — the point
-// where a serial engine would already have drained them (it drains at
-// the next stream edge; a gated shard may never receive one). Pending
-// work only ever stems from the most recent admitted edge (lastEnd-1):
-// anything older was drained when a later edge was admitted. When
-// lastEnd == p the serial schedule has not drained either, and the
-// repairs stay queued (or die with the stream), exactly as they would
-// serially.
-func (w *worker) flushRetro(p uint64) {
-	if !w.r.filtering || w.lastEnd == 0 || w.lastEnd >= p {
-		return
-	}
+// emit delivers what a flush barrier of the slot engine completed (a
+// dshard.Emit).
+func (w *worker) emit(seq uint64, nms []core.NamedMatch) {
 	w.pend = w.pend[:0]
-	for _, nm := range w.eng.FlushPending() {
-		w.pend = append(w.pend, pendingMatch{seq: w.lastEnd, nm: nm})
+	for _, nm := range nms {
+		w.pend = append(w.pend, pendingMatch{seq: seq, nm: nm})
 	}
 	w.emitPending()
 }
 
-// widenReplica applies a successful registration's footprint: widen
-// the engine's replica filter and backfill the in-window past of the
-// newly needed types from the shared edge log. The backfill runs on
-// this worker's goroutine against a lock-free log snapshot, so the
-// router and the other shards proceed unimpeded; this shard's own
-// queue waits, which is exactly the Register barrier semantics.
-func (w *worker) widenReplica(msg message) {
-	needAll, held, added := w.rset.newlyNeeded(msg.fpTypes, msg.fpExact)
-	var need func(string) bool
-	switch {
-	case needAll:
-		// Going universal: everything not already held is needed.
-		heldSet := make(map[string]bool, len(held))
-		for _, tp := range held {
-			heldSet[tp] = true
-		}
-		need = func(tp string) bool { return !heldSet[tp] }
-	case len(added) > 0:
-		addedSet := make(map[string]bool, len(added))
-		for _, tp := range added {
-			addedSet[tp] = true
-		}
-		need = func(tp string) bool { return addedSet[tp] }
+// filter is the replica filter the footprint refcounts call for.
+func (w *worker) filter() (universal bool, types []string) {
+	if !w.r.filtering {
+		return true, nil
 	}
-	w.rset.add(msg.fpTypes, msg.fpExact)
-	w.syncEngineFilter()
-	if need == nil {
+	return w.rset.universal(), w.rset.typeNames()
+}
+
+// register installs a query on the slot engine: the footprint widens
+// the replica filter, and the in-window past of the newly needed types
+// is backfilled from the shared edge log. The backfill is read on this
+// worker's goroutine against a lock-free log snapshot, so the router
+// and the other shards proceed unimpeded; this shard's own queue waits,
+// which is exactly the Register barrier semantics. A register carrying
+// xfer is a migration's second half: the slot engine grafts the
+// source's live state on, or rolls the registration back.
+func (w *worker) register(msg message) error {
+	reg := dshard.SlotRegister{Name: msg.name, Query: msg.q, Config: msg.cfg, Rank: msg.rank, State: msg.xfer}
+	if w.r.filtering {
+		needAll, held, added := w.rset.newlyNeeded(msg.fpTypes, msg.fpExact)
+		w.rset.add(msg.fpTypes, msg.fpExact)
+		reg.Backfill = w.r.log.missed(msg.seq, msg.minTS, needAll, held, added)
+	}
+	reg.Universal, reg.Types = w.filter()
+	if err := w.slot.Register(reg); err != nil {
+		if w.r.filtering {
+			w.rset.remove(msg.fpTypes, msg.fpExact)
+		}
+		return err
+	}
+	w.edgesBackfilled.Add(int64(len(reg.Backfill)))
+	if msg.migrate {
+		w.r.tel.migBackfill.Add(int64(len(reg.Backfill)))
+	}
+	return nil
+}
+
+// unregister removes a query the slot holds: its footprint leaves the
+// refcounts, and the slot engine flushes (unless flushed says the
+// caller already has), narrows its filter and trims the edges no
+// remaining query can reach.
+func (w *worker) unregister(msg message, flushed bool) {
+	if _, held := w.slot.Rank(msg.name); !held {
 		return
 	}
-	// The window floor was captured at the registration's stream
-	// position (msg.minTS) — computing it here from the log's current
-	// MaxTS would race with concurrent ingest and skip edges that were
-	// in-window when the registration was admitted. The router pins
-	// the log against trimming past this floor until we acknowledge.
-	var missed []stream.Edge
-	w.r.log.Replay(msg.seq, msg.minTS, func(se stream.Edge, _ uint64) bool {
-		if need(se.Type) {
-			missed = append(missed, se)
-		}
-		return true
-	})
-	w.eng.Backfill(missed)
-	w.edgesBackfilled.Add(int64(len(missed)))
-	if msg.migrate {
-		w.r.tel.migBackfill.Add(int64(len(missed)))
+	if w.r.filtering {
+		w.rset.remove(msg.fpTypes, msg.fpExact)
 	}
-}
-
-// narrowReplica applies an unregistration's footprint release: narrow
-// the engine's replica filter and trim the edges no remaining query
-// can reach.
-func (w *worker) narrowReplica(types []string, exact bool) {
-	w.rset.remove(types, exact)
-	w.syncEngineFilter()
-	w.eng.TrimReplica()
-}
-
-// syncEngineFilter pushes the worker's current footprint into the
-// engine's replica filter.
-func (w *worker) syncEngineFilter() {
-	w.eng.SetReplicaFilter(w.rset.typeNames(), w.rset.universal())
+	universal, types := w.filter()
+	w.slot.Unregister(msg.seq, msg.name, flushed, universal, types, w.emit)
 }
 
 // publishReplicaStats exposes the worker-owned replica and engine
@@ -1452,20 +1390,17 @@ func (w *worker) syncEngineFilter() {
 // goroutine may call it: the engine is single-writer state, so the
 // scrape path reads these published atomics, never the engine itself.
 func (w *worker) publishReplicaStats() {
-	g := w.eng.Graph()
+	eng := w.slot.Eng
+	g := eng.Graph()
 	w.replicaLive.Set(int64(g.NumEdges()))
-	w.replicaStored.Set(w.eng.EdgesStored())
-	if w.r.filtering && !w.rset.universal() {
-		w.replicaTypes.Set(int64(len(w.rset.refs)))
-	} else {
-		w.replicaTypes.Set(-1)
-	}
+	w.replicaStored.Set(eng.EdgesStored())
+	w.replicaTypes.Set(w.slot.FilterWidth())
 	w.replicaVertices.Set(int64(g.LiveVertices()))
 	w.replicaVertexSlots.Set(int64(g.NumVertices()))
-	st := w.eng.Stats()
+	st := eng.Stats()
 	w.engEdges.Set(st.EdgesProcessed)
 	w.engPartial.Set(st.PartialMatches)
-	c := w.eng.Counters()
+	c := eng.Counters()
 	w.treeInserted.Set(c.TreeInserted)
 	w.treeDeduped.Set(c.TreeDeduped)
 	w.treeEmitted.Set(c.TreeEmitted)
@@ -1483,18 +1418,8 @@ func (w *worker) publishReplicaStats() {
 func (w *worker) processEdges(msg message) {
 	start := w.r.tel.now()
 	defer func() { w.batchTime.Record(w.r.tel.now() - start) }()
-	if w.r.filtering {
-		// Advance the retro flush barrier to just past the last edge
-		// the engine will admit from this batch.
-		for i := len(msg.edges) - 1; i >= 0; i-- {
-			if w.rset.has(msg.edges[i].Type) {
-				w.lastEnd = msg.baseSeq + uint64(i) + 1
-				break
-			}
-		}
-	}
 	w.pend = w.pend[:0]
-	for i, named := range w.eng.ProcessBatchGrouped(msg.edges) {
+	for i, named := range w.slot.ProcessEdges(msg.baseSeq, msg.edges) {
 		seq := msg.baseSeq + uint64(i)
 		for _, nm := range named {
 			w.pend = append(w.pend, pendingMatch{seq: seq, nm: nm})
@@ -1552,9 +1477,10 @@ func (w *worker) resolveBlock(pend []pendingMatch) []Match {
 	edges := make([]MatchEdge, 0, ne)
 	for i, p := range pend {
 		b0, e0 := len(bindings), len(edges)
-		bindings, edges = w.eng.AppendResolved(bindings, edges, p.nm)
+		bindings, edges = w.slot.Eng.AppendResolved(bindings, edges, p.nm)
+		rank, _ := w.slot.Rank(p.nm.Query)
 		block[i] = Match{
-			Seq: p.seq, Shard: w.id, Query: p.nm.Query, rank: w.ranks[p.nm.Query],
+			Seq: p.seq, Shard: w.id, Query: p.nm.Query, rank: rank,
 			FirstTS: p.nm.Match.MinTS, LastTS: p.nm.Match.MaxTS,
 			Bindings: bindings[b0:len(bindings):len(bindings)],
 			Edges:    edges[e0:len(edges):len(edges)],

@@ -145,12 +145,12 @@ func TestRouterIsTheStatisticsOwner(t *testing.T) {
 					types[tp] = true
 				}
 			}
-			if got, want := w.eng.Statistics().EdgeTotal(), inWindow(types); got != want {
+			if got, want := w.slot.Eng.Statistics().EdgeTotal(), inWindow(types); got != want {
 				t.Errorf("%s: shard %d's statistics count %d edges, its share of the window is %d", mode, w.id, got, want)
 			}
 		}
 		for _, name := range names {
-			leaves := r.owner[name].eng.QueryEngine(name).Tree().LeafSets()
+			leaves := r.owner[name].slot.Eng.QueryEngine(name).Tree().LeafSets()
 			if !reflect.DeepEqual(leaves, wantLeaves[name]) {
 				t.Errorf("%s: %s pinned leaves %v, a serial engine at the same position chooses %v", mode, name, leaves, wantLeaves[name])
 			}

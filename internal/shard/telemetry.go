@@ -197,7 +197,7 @@ func (t *telemetry) registerWorker(w *worker) {
 		defer w.r.mu.Unlock()
 		return int64(math.Round(w.r.slotLoads("", nil)[w] * 1000))
 	}, "shard", sh)
-	if w.eng == nil {
+	if w.slot == nil {
 		return
 	}
 	w.engEdges = t.reg.Gauge("sg_engine_edges_processed", "shard", sh)

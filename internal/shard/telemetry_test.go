@@ -183,10 +183,10 @@ func TestMetricsTruthfulness(t *testing.T) {
 			// nothing here removes an edge outside a sweep), the slot
 			// count is the size of the ID space.
 			for _, w := range r.workers {
-				if w.eng == nil {
+				if w.slot == nil {
 					continue
 				}
-				g := w.eng.Graph()
+				g := w.slot.Eng.Graph()
 				named := make(map[string]bool)
 				g.EachEdge(func(e graph.Edge) bool {
 					named[g.VertexName(e.Src)], named[g.VertexName(e.Dst)] = true, true

@@ -160,15 +160,8 @@ type Options struct {
 	MaxMatchesPerSearch int
 	// BatchSize is the chunk size ProcessAll feeds to the batch
 	// ingestion path (<= 1 processes edge-at-a-time). Batches amortize
-	// window eviction and fan the candidate searches out over
-	// BatchWorkers; results are identical to serial processing.
+	// window eviction; results are identical to serial processing.
 	BatchSize int
-	// BatchWorkers sizes the worker pool this engine's ProcessBatch
-	// fans the read-only candidate searches over (<= 0 selects
-	// GOMAXPROCS). It applies to a standalone Engine only: the
-	// multi-query drivers (Monitor, ShardedMonitor) merge every batch
-	// inline per query and start no pool.
-	BatchWorkers int
 }
 
 // Binding is one vertex of a reported match: the query vertex name and
@@ -219,7 +212,6 @@ func NewEngine(q *Query, opts Options) (*Engine, error) {
 		Window:              opts.Window,
 		Leaves:              opts.Decomposition,
 		MaxMatchesPerSearch: opts.MaxMatchesPerSearch,
-		BatchWorkers:        opts.BatchWorkers,
 	}
 	if opts.Statistics != nil {
 		cfg.Stats = opts.Statistics.c
@@ -246,9 +238,9 @@ func (e *Engine) Process(se Edge) []Match {
 }
 
 // ProcessBatch folds a whole batch of edges into the data graph — one
-// amortized eviction pass, candidate searches fanned out over the
-// worker pool — and returns the complete matches in input order: the
-// concatenation of what per-edge Process calls would have returned.
+// amortized eviction pass, then the per-edge search in input order —
+// and returns the complete matches in input order: the concatenation of
+// what per-edge Process calls would have returned.
 func (e *Engine) ProcessBatch(edges []Edge) []Match {
 	var out []Match
 	for _, ms := range e.inner.ProcessBatch(edges) {
