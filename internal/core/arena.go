@@ -71,7 +71,11 @@ func (a *batchArena) begin() {
 }
 
 // edgeBuf returns an uninitialized length-n edge buffer (the caller
-// assigns every element).
+// assigns every element). It is the only per-batch edge storage: a
+// filtered replica takes one for the edges its filter admits and
+// materializes them straight out of the caller's batch
+// (MultiEngine.ingestBatch) — the stream edges themselves are never
+// copied.
 func (a *batchArena) edgeBuf(n int) []graph.Edge {
 	a.edgesD += n
 	if a.edgesU+n <= len(a.edges) {

@@ -179,41 +179,20 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 // processBatch is the one batch pass behind both forms: flat holds every
 // match edge-major, and rows[i] is the stretch of it batch edge i
 // completed. Both are sized from the per-query results before a single
-// match is copied, so a batch costs the arena two takes and the heap
-// nothing.
+// match is copied, and a replica filter that rejects part of the batch
+// costs nothing either — the admitted edges are ingested straight out of
+// ses, and only their positions are kept (ingestBatch) — so a batch costs
+// the heap nothing.
 func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat []NamedMatch) {
 	if len(ses) == 0 {
 		return nil, nil
 	}
 	m.arena.begin()
-	kept := ses
-	var keptIdx []int // nil when the filter admits the whole batch
-	if !m.filter.Universal() {
-		// Scan before copying: a batch the filter fully admits — the
-		// common case for a shard whose footprint covers the stream's
-		// hot types — must not allocate on the ingest path.
-		rejects := false
-		for _, se := range ses {
-			if !m.admits(se) {
-				rejects = true
-				break
-			}
-		}
-		if rejects {
-			kept = nil
-			for i, se := range ses {
-				if m.admits(se) {
-					kept = append(kept, se)
-					keptIdx = append(keptIdx, i)
-				}
-			}
-		}
-	}
 	rows = m.arena.namedBuf(len(ses))
-	if len(kept) == 0 {
+	des := m.ingestBatch(ses)
+	if len(des) == 0 {
 		return rows, nil
 	}
-	des := m.ingestBatch(kept)
 	if cap(m.pq) < len(m.engines) {
 		m.pq = make([][][]iso.Match, len(m.engines))
 	}
@@ -236,26 +215,35 @@ func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat
 			}
 		}
 		if off > start {
-			pos := i
-			if keptIdx != nil {
-				pos = keptIdx[i]
-			}
-			rows[pos] = flat[start:off:off]
+			rows[m.keptIdx[i]] = flat[start:off:off]
 		}
 	}
 	return rows, flat
 }
 
-// ingestBatch admits a batch into the shared graph with one amortized
-// eviction (run up front so the cutoff never gets ahead of the serial
-// schedule's), returning the materialized edges in input order.
+// ingestBatch admits the edges of a batch that pass the replica filter
+// into the shared graph with one amortized eviction (run up front so the
+// cutoff never gets ahead of the serial schedule's), returning the
+// materialized edges in input order and leaving each one's position in
+// ses in m.keptIdx. No stream.Edge is copied: the filter pass keeps
+// positions only, in a list reused from batch to batch.
 func (m *MultiEngine) ingestBatch(ses []stream.Edge) []graph.Edge {
-	m.advanceEvict(len(ses))
-	m.edgesSeen += int64(len(ses))
-	m.stored += int64(len(ses))
-	des := m.arena.edgeBuf(len(ses))
+	m.keptIdx = m.keptIdx[:0]
 	for i, se := range ses {
-		des[i] = ingestOne(m.g, se)
+		if m.admits(se) {
+			m.keptIdx = append(m.keptIdx, int32(i))
+		}
+	}
+	n := len(m.keptIdx)
+	if n == 0 {
+		return nil
+	}
+	m.advanceEvict(n)
+	m.edgesSeen += int64(n)
+	m.stored += int64(n)
+	des := m.arena.edgeBuf(n)
+	for k, i := range m.keptIdx {
+		des[k] = ingestOne(m.g, ses[i])
 	}
 	return des
 }

@@ -214,23 +214,29 @@ type Engine struct {
 	collect    func(iso.Match)
 
 	// Retro-drain dedup state, reused across drains so the hot path
-	// stays allocation-free: retroSeen maps a 64-bit signature hash to
-	// offsets into retroBuf, where the actual edge bindings of already
-	// produced matches are recorded for probe-time verification (a
-	// collision can never suppress a distinct match — the same verified
-	// scheme as the SJ-Tree's dedup tables). retroCollide is the test
+	// stays allocation-free: the edge bindings of the matches a drain
+	// has produced are recorded back to back in retroBuf for probe-time
+	// verification (a collision can never suppress a distinct match —
+	// the same verified scheme as the SJ-Tree's dedup tables), retroSeen
+	// maps a 64-bit signature hash to the newest record with it and
+	// retroLink chains each record to the next older one, both as offset
+	// into retroBuf plus one (0 ends a chain). retroCollide is the test
 	// hook that forces every signature to hash equal.
-	retroSeen    map[uint64][]int32
+	retroSeen    map[uint64]int32
+	retroLink    []int32
 	retroBuf     []graph.EdgeID
 	retroCollide bool
 
-	// Streaming-merge state for the leaf search: mergeEmit is the
-	// persistent candidate callback (allocated once, not per search),
-	// parameterized through the cur* fields below.
+	// Streaming-merge state for the leaf search: mergeEmit (the anchored
+	// pass) and retroEmit (the retrospective repair) are the persistent
+	// candidate callbacks (allocated once, not per search), parameterized
+	// through the cur* fields below.
 	mergeEmit  func(iso.Match) bool
+	retroEmit  func(iso.Match) bool
 	curLeaf    int
-	curRequire bool // gate candidates on touching an enabled vertex
-	curFound   int  // candidates emitted by the current leaf search
+	curRequire bool         // mergeEmit: gate candidates on touching an enabled vertex
+	curExclude graph.EdgeID // retroEmit: the current edge, whose matches the anchored pass finds
+	curFound   int          // candidates emitted by the current search
 
 	chosenKind decompose.Kind
 	relSel     float64
@@ -273,6 +279,14 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		e.curFound++
 		e.stats.LeafMatches++
 		if !e.curRequire || e.touchesEnabled(m, e.curLeaf) {
+			e.insert(e.curLeaf, e.matcher.Retain(m))
+		}
+		return e.cfg.MaxMatchesPerSearch <= 0 || e.curFound < e.cfg.MaxMatchesPerSearch
+	}
+	e.retroEmit = func(m iso.Match) bool {
+		e.curFound++
+		if !m.HasEdge(e.curExclude) && !e.retroSeenBefore(m, e.tree.LeafEdges(e.curLeaf)) {
+			e.stats.RetroMatches++
 			e.insert(e.curLeaf, e.matcher.Retain(m))
 		}
 		return e.cfg.MaxMatchesPerSearch <= 0 || e.curFound < e.cfg.MaxMatchesPerSearch
@@ -562,33 +576,29 @@ func (e *Engine) onStored(n *sjtree.Node, m iso.Match) {
 // (the current edge's matches are found by the anchored pass). Batch
 // deduplication suppresses the same embedding reached from two anchor
 // vertices; the tree's Dedup flag suppresses cross-event repeats.
+// Candidates stream out of the matcher through retroEmit, as the
+// anchored pass's do through mergeEmit, and the queue is truncated, not
+// dropped: a stored match enables only leaves after its own
+// (Node.NextLeaf), so nothing an insert here queues lands in the list
+// being walked.
 func (e *Engine) drainRetro(l int, exclude graph.EdgeID) {
 	items := e.pending[l]
 	if len(items) == 0 {
 		return
 	}
-	e.pending[l] = nil
-	sub := e.tree.LeafEdges(l)
+	e.pending[l] = items[:0]
+	sub, verts := e.tree.LeafEdges(l), e.tree.LeafVerts(l)
 	if e.retroSeen == nil {
-		e.retroSeen = make(map[uint64][]int32)
+		e.retroSeen = make(map[uint64]int32)
 	} else {
 		clear(e.retroSeen)
 	}
-	e.retroBuf = e.retroBuf[:0]
+	e.retroBuf, e.retroLink = e.retroBuf[:0], e.retroLink[:0]
+	e.curLeaf, e.curExclude = l, exclude
 	for _, it := range items {
 		e.stats.RetroSearches++
-		for _, m := range e.matcher.FindAroundVertex(sub, it.v) {
-			if m.HasEdge(exclude) {
-				e.tree.Release(m)
-				continue
-			}
-			if e.retroSeenBefore(m, sub) {
-				e.tree.Release(m)
-				continue
-			}
-			e.stats.RetroMatches++
-			e.insert(l, m)
-		}
+		e.curFound = 0
+		e.matcher.FindAroundVertexFunc(sub, verts, it.v, e.retroEmit)
 	}
 }
 
@@ -606,8 +616,8 @@ func (e *Engine) retroSeenBefore(m iso.Match, sub []int) bool {
 			h = iso.HashMix32(h, uint32(m.EdgeOf[qe]))
 		}
 	}
-	for _, off := range e.retroSeen[h] {
-		rec := e.retroBuf[off : int(off)+len(sub)]
+	for at := e.retroSeen[h]; at != 0; at = e.retroLink[int(at-1)/len(sub)] {
+		rec := e.retroBuf[at-1 : int(at-1)+len(sub)]
 		equal := true
 		for k, qe := range sub {
 			if rec[k] != m.EdgeOf[qe] {
@@ -619,11 +629,11 @@ func (e *Engine) retroSeenBefore(m iso.Match, sub []int) bool {
 			return true
 		}
 	}
-	off := int32(len(e.retroBuf))
+	e.retroLink = append(e.retroLink, e.retroSeen[h])
+	e.retroSeen[h] = int32(len(e.retroBuf)) + 1
 	for _, qe := range sub {
 		e.retroBuf = append(e.retroBuf, m.EdgeOf[qe])
 	}
-	e.retroSeen[h] = append(e.retroSeen[h], off)
 	return false
 }
 

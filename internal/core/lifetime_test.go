@@ -293,3 +293,124 @@ func TestInterleavedCallsMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestRetroPathAllocFree gates Lazy Search's retrospective repair. The
+// stream walks a ring of hosts, each step first a UDP edge out of the
+// next host and then the TCP edge into it; against TCP-UDP under
+// SingleLazy the UDP edge meets no enabled vertex and is skipped, and the
+// TCP edge that follows enables its endpoint, whose retrospective search
+// finds the UDP edge and completes the match. The ring is long enough
+// that every host has been swept by the time the walk comes round, so
+// this happens at every step for ever — through a persistent candidate
+// callback, the leaf's vertex list the tree built once, a truncated
+// queue and dedup records chained through reused arrays: nothing per
+// search, per edge or per batch.
+func TestRetroPathAllocFree(t *testing.T) {
+	q := query.NewPath("ip", "TCP", "UDP")
+	cfg := Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}}
+	const hosts, batchSize = 1024, 64
+	walk := func() func() stream.Edge {
+		ring := newRingEdges(hosts)
+		n := 0
+		return func() stream.Edge {
+			n++
+			ring.ts++
+			name := func(k int) string { return ring.names[(n/2+k)%hosts] }
+			if n%2 == 0 {
+				return stream.Edge{Src: name(1), SrcLabel: "ip", Dst: name(2), DstLabel: "ip", Type: "UDP", TS: ring.ts}
+			}
+			return stream.Edge{Src: name(0), SrcLabel: "ip", Dst: name(1), DstLabel: "ip", Type: "TCP", TS: ring.ts}
+		}
+	}
+
+	retro := func(t *testing.T, stats func() Stats, step func() int) {
+		t.Helper()
+		for i := 0; i < 6*hosts/batchSize; i++ {
+			step() // three laps: every name interned, every slab at its size
+		}
+		before := stats()
+		edges := 0
+		avg := mallocsPerRun(200, func() { edges += step() })
+		after := stats()
+		searches, matches := after.RetroSearches-before.RetroSearches, after.RetroMatches-before.RetroMatches
+		if searches < int64(edges/2) || matches < int64(edges/2)-1 || after.CompleteMatches-before.CompleteMatches < int64(edges/2)-1 {
+			t.Fatalf("%d edges ran %d retrospective searches finding %d matches, %d matches completed: the gate would be vacuous",
+				edges, searches, matches, after.CompleteMatches-before.CompleteMatches)
+		}
+		if avg != 0 {
+			t.Errorf("%d allocs/op with %.1f retrospective searches per edge, want 0", avg, float64(searches)/float64(edges))
+		}
+	}
+
+	t.Run("Engine.ProcessEdge", func(t *testing.T) {
+		eng, err := New(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := walk()
+		retro(t, eng.Stats, func() int {
+			for i := 0; i < batchSize; i++ {
+				eng.ProcessEdge(next())
+			}
+			return batchSize
+		})
+	})
+
+	t.Run("MultiEngine.ProcessBatchGrouped", func(t *testing.T) {
+		m := NewMulti(MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+		if err := m.Register("lazy", q, cfg); err != nil {
+			t.Fatal(err)
+		}
+		next := walk()
+		batch := make([]stream.Edge, batchSize)
+		retro(t, m.QueryEngine("lazy").Stats, func() int {
+			for j := range batch {
+				batch[j] = next()
+			}
+			m.ProcessBatchGrouped(batch)
+			return batchSize
+		})
+	})
+}
+
+// TestFilteredBatchAllocFree gates the batch path of a filtered replica:
+// under a replica filter that rejects half of every batch,
+// MultiEngine.ProcessBatchGrouped ingests the admitted edges straight out
+// of the caller's slice — no copy of them, no fresh index list — and
+// allocates nothing, and the rows stay aligned with the batch: the
+// admitted edges come in pairs that chain, the second of each completes
+// a match, and a rejected edge completes none.
+func TestFilteredBatchAllocFree(t *testing.T) {
+	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
+	if err := m.Register("tcp", query.NewPath("ip", "TCP", "TCP"), Config{Leaves: [][]int{{0}, {1}}}); err != nil {
+		t.Fatal(err)
+	}
+	m.SetReplicaFilter([]string{"TCP"}, false)
+	ring := newRingEdges(1024) // longer than the window: a lap meets nothing of the last
+	const batchSize = 64
+	batch := make([]stream.Edge, batchSize)
+	step := func() {
+		ring.fill(batch)
+		for j := range batch {
+			if j%4 >= 2 {
+				batch[j].Type = "UDP" // outside the footprint
+			}
+		}
+		for j, nms := range m.ProcessBatchGrouped(batch) {
+			if (j%4 == 1) != (len(nms) > 0) {
+				t.Fatalf("batch edge %d (%s) completed %d matches", j, batch[j].Type, len(nms))
+			}
+		}
+	}
+	for r := 0; r < 64; r++ {
+		step()
+	}
+	stored := m.EdgesStored()
+	avg := mallocsPerRun(200, step)
+	if got := m.EdgesStored() - stored; got != 201*batchSize/2 {
+		t.Fatalf("%d edges admitted over 201 batches, want half of each: %d", got, 201*batchSize/2)
+	}
+	if avg != 0 {
+		t.Errorf("ProcessBatchGrouped allocates %d allocs/op under a rejecting replica filter, want 0", avg)
+	}
+}

@@ -54,9 +54,11 @@ type MultiEngine struct {
 
 	// Batch-path scratch, reused across batches: the arena backs the
 	// shared ingest buffer and per-edge result rows, pq the per-query
-	// result table (see batchArena for the ownership contract).
-	arena batchArena
-	pq    [][][]iso.Match
+	// result table (see batchArena for the ownership contract), keptIdx
+	// the batch positions of the edges the replica filter admitted.
+	arena   batchArena
+	pq      [][][]iso.Match
+	keptIdx []int32
 }
 
 // MultiConfig parameterizes a MultiEngine.
@@ -294,40 +296,54 @@ type PortableMatchEdge struct {
 
 // ResolveMatch resolves an engine match into portable name-based form
 // against the shared graph now, while the bound edges are certainly
-// still live. Both the local shard worker and the remote dshard worker
-// emit matches through this one walk (AppendResolved) — sharing it is
-// part of what keeps match output byte-identical across topologies.
+// still live. Every emitter — the local shard worker, the remote dshard
+// worker, the streamgraph facade — goes through the one walk
+// (AppendResolved); sharing it is part of what keeps match output
+// byte-identical across topologies.
 func (m *MultiEngine) ResolveMatch(nm NamedMatch) (bindings []PortableBinding, edges []PortableMatchEdge) {
-	return m.AppendResolved(
-		make([]PortableBinding, 0, len(nm.Match.VertexOf)),
-		make([]PortableMatchEdge, 0, len(nm.Match.EdgeOf)), nm)
+	return resolveSized(m.g, m.queries[nm.Query].q, nm.Match)
 }
 
-// AppendResolved is ResolveMatch appending onto caller-owned slices: a
-// caller that resolves many matches at once sizes one slab of each kind
+// ResolveMatch resolves one of the engine's matches into portable
+// name-based form against its graph (see MultiEngine.ResolveMatch).
+func (e *Engine) ResolveMatch(mt iso.Match) (bindings []PortableBinding, edges []PortableMatchEdge) {
+	return resolveSized(e.g, e.q, mt)
+}
+
+// resolveSized is AppendResolved onto two fresh slices sized for the
+// match: two allocations however many vertices and edges it binds.
+func resolveSized(g *graph.Graph, q *query.Graph, mt iso.Match) ([]PortableBinding, []PortableMatchEdge) {
+	return AppendResolved(g, q,
+		make([]PortableBinding, 0, len(mt.VertexOf)),
+		make([]PortableMatchEdge, 0, len(mt.EdgeOf)), mt)
+}
+
+// AppendResolved is the resolve walk: it appends the bindings and edges
+// of mt, a match of query q over g, onto caller-owned slices. A caller
+// that resolves many matches at once sizes one slab of each kind
 // (len(VertexOf) and len(EdgeOf) bound what one match appends) and cuts
-// the matches out of them, instead of two allocations per match.
-func (m *MultiEngine) AppendResolved(bindings []PortableBinding, edges []PortableMatchEdge, nm NamedMatch) ([]PortableBinding, []PortableMatchEdge) {
-	q := m.queries[nm.Query].Query()
-	for qv, dv := range nm.Match.VertexOf {
+// the matches out of them, and one that resolves a run of matches of the
+// same query looks the query up once (MultiEngine.QueryEngine).
+func AppendResolved(g *graph.Graph, q *query.Graph, bindings []PortableBinding, edges []PortableMatchEdge, mt iso.Match) ([]PortableBinding, []PortableMatchEdge) {
+	for qv, dv := range mt.VertexOf {
 		if dv == graph.NoVertex {
 			continue
 		}
 		bindings = append(bindings, PortableBinding{
 			QueryVertex: q.Vertices[qv].Name,
-			DataVertex:  m.g.VertexName(dv),
+			DataVertex:  g.VertexName(dv),
 		})
 	}
-	for qe, eid := range nm.Match.EdgeOf {
-		de, ok := m.g.Edge(eid)
+	for qe, eid := range mt.EdgeOf {
+		de, ok := g.Edge(eid)
 		if !ok {
 			continue
 		}
 		edges = append(edges, PortableMatchEdge{
 			QueryEdge: qe,
-			Src:       m.g.VertexName(de.Src),
-			Dst:       m.g.VertexName(de.Dst),
-			Type:      m.g.Types().Name(uint32(de.Type)),
+			Src:       g.VertexName(de.Src),
+			Dst:       g.VertexName(de.Dst),
+			Type:      g.Types().Name(uint32(de.Type)),
 			TS:        de.TS,
 		})
 	}

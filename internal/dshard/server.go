@@ -356,8 +356,8 @@ func (h *host) handleRestore(m Restore) error {
 // emitter streams the matches of one client frame — a batch's rows, or
 // what a control frame's flush barrier completes (one closure per frame,
 // beside a frame's worth of socket writes): each is resolved into
-// portable name-based form (the shared core.MultiEngine.AppendResolved
-// walk, identical to the local worker's) while the bound edges are
+// portable name-based form (Slot.AppendResolved, the local worker's
+// walk) while the bound edges are
 // certainly still live in the replica. A suppressed frame's matches were
 // delivered on an earlier connection and are dropped.
 func (h *host) emitter(frame uint64, suppress bool) Emit {
@@ -366,8 +366,8 @@ func (h *host) emitter(frame uint64, suppress bool) Emit {
 			if suppress || h.werr != nil {
 				return
 			}
-			h.bindings, h.edges = h.slot.Eng.AppendResolved(h.bindings[:0], h.edges[:0], nm)
-			rank, _ := h.slot.Rank(nm.Query)
+			var rank int
+			h.bindings, h.edges, rank = h.slot.AppendResolved(h.bindings[:0], h.edges[:0], nm)
 			h.werr = h.cn.WriteMatch(Match{
 				Frame: frame, Query: nm.Query, Rank: rank, Seq: seq,
 				FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS,

@@ -37,6 +37,14 @@ type Slot struct {
 	types     []string
 	admit     map[string]bool
 
+	// run caches the query graph and rank of the query AppendResolved
+	// last resolved a match of: matches arrive in runs of one query.
+	run struct {
+		name string
+		q    *query.Graph
+		rank int
+	}
+
 	// lastEnd is the arrival seq just past the last edge the engine
 	// admitted. Pending lazy repairs were created at edge lastEnd-1, and
 	// the serial schedule drains them at edge lastEnd — which a filtered
@@ -71,6 +79,19 @@ func RestoredSlot(eng *core.MultiEngine, lastEnd uint64, ranks map[string]int, u
 func (s *Slot) Rank(name string) (rank int, held bool) {
 	rank, held = s.ranks[name]
 	return rank, held
+}
+
+// AppendResolved resolves one of the engine's matches into portable
+// name-based form onto caller-owned slices (the one core.AppendResolved
+// walk, for the local worker and the connection host alike) and reports
+// its query's registration rank. The query and the rank are looked up
+// once per run of matches of the same query.
+func (s *Slot) AppendResolved(bindings []core.PortableBinding, edges []core.PortableMatchEdge, nm core.NamedMatch) ([]core.PortableBinding, []core.PortableMatchEdge, int) {
+	if s.run.q == nil || s.run.name != nm.Query {
+		s.run.name, s.run.q, s.run.rank = nm.Query, s.Eng.QueryEngine(nm.Query).Query(), s.ranks[nm.Query]
+	}
+	bindings, edges = core.AppendResolved(s.Eng.Graph(), s.run.q, bindings, edges, nm.Match)
+	return bindings, edges, s.run.rank
 }
 
 // Ranks is the rank of every held query. The map is the slot's.
@@ -187,6 +208,7 @@ func (s *Slot) Unregister(p uint64, name string, migrate, universal bool, types 
 func (s *Slot) remove(name string, universal bool, types []string) {
 	s.Eng.Unregister(name)
 	delete(s.ranks, name)
+	s.run.q = nil // the name may come back as another query
 	s.setFilter(universal, types)
 	s.Eng.TrimReplica()
 }

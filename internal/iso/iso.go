@@ -286,16 +286,19 @@ func (m *Matcher) FindAroundEdgeFunc(sub []int, e graph.Edge, emit func(Match) b
 // retrospective neighborhood search.
 func (m *Matcher) FindAroundVertex(sub []int, v graph.VertexID) []Match {
 	var out []Match
-	m.FindAroundVertexFunc(sub, v, func(mt Match) bool {
+	m.FindAroundVertexFunc(sub, m.Q.EdgeVertices(sub), v, func(mt Match) bool {
 		out = append(out, m.Retain(mt))
 		return m.MaxMatches <= 0 || len(out) < m.MaxMatches
 	})
 	return out
 }
 
-// FindAroundVertexFunc is the streaming form of FindAroundVertex.
-func (m *Matcher) FindAroundVertexFunc(sub []int, v graph.VertexID, emit func(Match) bool) {
-	verts := m.Q.EdgeVertices(sub)
+// FindAroundVertexFunc is the streaming form of FindAroundVertex. verts
+// is the subquery's vertex list (query.Graph.EdgeVertices(sub)): a
+// caller that searches the same subquery again and again — the engine's
+// retrospective repair, once per newly enabled vertex — computes it once
+// (sjtree.Tree.LeafVerts).
+func (m *Matcher) FindAroundVertexFunc(sub, verts []int, v graph.VertexID, emit func(Match) bool) {
 	for _, qv := range verts {
 		if !m.labelOK(qv, v) {
 			continue

@@ -187,7 +187,8 @@ func (s *Server) attachRouter(r *shard.Router, recovered []shard.Match) {
 	s.collectorDone = make(chan struct{})
 	go func() {
 		defer close(s.collectorDone)
-		s.router.Drain(s.buf.add)
+		// A match is valid for its callback only; the log keeps copies.
+		s.router.Drain(func(m shard.Match) { s.buf.add(m.Clone()) })
 	}()
 	s.reg = s.router.Metrics()
 	s.reg.GaugeFunc("sg_server_match_buffer_depth", s.buf.depth)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -322,7 +321,8 @@ func TestDeliverBlocks(t *testing.T) {
 		go func() {
 			defer close(done)
 			// Read the blocks themselves, as Drain does.
-			for block := range r.out {
+			for b := range r.out {
+				block := b.matches
 				blocks++
 				if len(block) == 0 || len(block) > blockSize {
 					t.Errorf("block of %d matches, want 1..%d", len(block), blockSize)
@@ -341,7 +341,7 @@ func TestDeliverBlocks(t *testing.T) {
 					bySlot[m.Shard] = append(bySlot[m.Shard], matchSig(m))
 				}
 				r.release(len(block))
-				r.consumed.Add(int64(len(block)))
+				r.consume(b)
 			}
 		}()
 		ingest(r, edges)
@@ -513,16 +513,12 @@ func TestDeliverBlocks(t *testing.T) {
 
 // primedWorker returns an unstarted router's local worker whose engine
 // has just processed a batch, with the batch's matches (several blocks'
-// worth) in w.pend. A goroutine consumes what the worker delivers.
-func primedWorker(t *testing.T) *worker {
+// worth) in w.pend. Nothing consumes what the worker delivers until the
+// caller starts a Drain.
+func primedWorker(t *testing.T, cfg Config) *worker {
 	t.Helper()
-	r := newRouter(Config{Shards: 1, Window: denseWindow, FullReplicas: true})
-	go func() {
-		for block := range r.out {
-			r.release(len(block))
-		}
-	}()
-	t.Cleanup(func() { close(r.out) })
+	cfg.Shards, cfg.Window, cfg.FullReplicas = 1, denseWindow, true
+	r := newRouter(cfg)
 	w := r.workers[0]
 	names, queries := hopQueries()
 	for i, name := range names {
@@ -562,58 +558,293 @@ func mallocsPerRun(runs int, f func()) uint64 {
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
-// TestCollectAllocsPerBlock gates the local collection path at three
-// allocations per block — the []Match and the two slabs — and none per
-// match: resolution, the emitted counters, the channel send and the
-// per-query telemetry all ride on those.
+// TestCollectAllocsPerBlock gates the local collection path at its
+// steady state: with a consuming Drain, resolving and delivering blocks
+// allocates nothing — the blocks come back through the free list, and
+// resolution, the emitted counters, the channel send and the per-query
+// telemetry all ride on them. Against a consumer that never returns a
+// block the path degrades to fresh blocks, four allocations each,
+// without waiting for one.
 func TestCollectAllocsPerBlock(t *testing.T) {
-	w := primedWorker(t)
-	blocks := (len(w.pend) + blockSize - 1) / blockSize
-	got := mallocsPerRun(100, w.emitPending)
-	t.Logf("%d matches, %d blocks, %d allocations", len(w.pend), blocks, got)
-	if got > uint64(3*blocks) {
-		t.Errorf("emitting %d matches in %d blocks allocates %d times, want <= %d", len(w.pend), blocks, got, 3*blocks)
+	t.Run("consuming Drain", func(t *testing.T) {
+		w := primedWorker(t, Config{})
+		done := make(chan struct{})
+		go func() { defer close(done); w.r.Drain(nil) }()
+		defer func() { close(w.r.out); <-done }()
+		blocks := (len(w.pend) + blockSize - 1) / blockSize
+		for i := 0; i < 50; i++ {
+			w.emitPending() // as many blocks as are ever in flight at once
+		}
+		got := mallocsPerRun(200, w.emitPending)
+		t.Logf("%d matches, %d blocks, %d allocations, %d blocks in the free list", len(w.pend), blocks, got, len(w.r.free))
+		if got != 0 {
+			t.Errorf("emitting %d matches in %d blocks allocates %d times at steady state, want 0", len(w.pend), blocks, got)
+		}
+	})
+
+	t.Run("stalled consumer", func(t *testing.T) {
+		// A budget that never binds and nobody receiving: every block is
+		// a fresh one, and emitPending returns all the same.
+		w := primedWorker(t, Config{OutLen: 1 << 20})
+		blocks := (len(w.pend) + blockSize - 1) / blockSize
+		got := mallocsPerRun(20, w.emitPending)
+		if got != uint64(4*blocks) {
+			t.Errorf("emitting %d blocks with an empty free list allocates %d times, want %d (a block, its matches, two slabs)", blocks, got, 4*blocks)
+		}
+		if n := len(w.r.out); n != 21*blocks {
+			t.Fatalf("%d blocks queued, want %d", n, 21*blocks)
+		}
+		close(w.r.out)
+		w.r.Drain(nil)
+		if n := len(w.r.free); n != poolDepth {
+			t.Errorf("free list holds %d blocks after the backlog drained, want its bound %d", n, poolDepth)
+		}
+	})
+}
+
+// registerHops registers the six hop queries on r under cfg.
+func registerHops(t *testing.T, r *Router, cfg core.Config) {
+	t.Helper()
+	names, queries := hopQueries()
+	for _, name := range names {
+		if err := r.Register(name, queries[name], cfg); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
 	}
 }
 
-// TestRetainedMatchPinsOneBlock pins the documented retention contract:
-// a Match kept after its callback keeps its own block's two slabs
-// reachable and nothing of any other block.
-func TestRetainedMatchPinsOneBlock(t *testing.T) {
-	w := primedWorker(t)
-	a := w.resolveBlock(w.pend[:blockSize])
-	b := w.resolveBlock(w.pend[blockSize : 2*blockSize])
-	var mu sync.Mutex
-	freed := make(map[string]bool)
-	watch := func(name string, slab *Binding) {
-		runtime.SetFinalizer(slab, func(*Binding) {
-			mu.Lock()
-			freed[name] = true
-			mu.Unlock()
+// ingestBatches feeds edges to r in 512-edge batches.
+func ingestBatches(r *Router, edges []stream.Edge) {
+	for lo := 0; lo < len(edges); lo += 512 {
+		r.IngestBatch(edges[lo:min(lo+512, len(edges))])
+	}
+}
+
+// TestDrainMatchLifetime pins the collection contract: a Match is valid
+// until its Drain callback returns, its block is reused afterwards, and
+// Match.Clone is what outlives it. With the poison hook on, a consumer
+// that kept un-cloned matches finds them scribbled over and one that
+// cloned them does not; and the package's differentials — local, remote
+// and mixed, ordered, migration, durable restart — pass unchanged, so
+// nothing in the runtime or its tests reads a block it has handed back.
+func TestDrainMatchLifetime(t *testing.T) {
+	poisonRecycled(t)
+
+	t.Run("kept match is poisoned, cloned match is not", func(t *testing.T) {
+		edges := denseStream()
+		r := New(Config{Shards: 2, Window: denseWindow})
+		registerHops(t, r, core.Config{Strategy: core.StrategySingle})
+		var kept, cloned []Match
+		var sigs []string
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.Drain(func(m Match) {
+				if len(sigs)%97 == 0 {
+					kept, cloned = append(kept, m), append(cloned, m.Clone())
+				}
+				sigs = append(sigs, matchSig(m))
+			})
+		}()
+		ingestBatches(r, edges)
+		r.Close()
+		<-done
+		if len(kept) < 2*blockSize/97 {
+			t.Fatalf("kept only %d matches of %d", len(kept), len(sigs))
+		}
+		for i := range kept {
+			want := sigs[i*97]
+			if got := matchSig(cloned[i]); got != want {
+				t.Errorf("cloned match %d reads %q after its block was recycled, want %q", i, got, want)
+			}
+			k := kept[i]
+			if matchSig(k) == want {
+				t.Errorf("un-cloned match %d still reads %q: its block was not recycled (or not poisoned)", i, want)
+			}
+			for _, b := range k.Bindings {
+				if b.DataVertex != poisonName {
+					t.Errorf("un-cloned match %d binds %q after recycling, want the poison", i, b.DataVertex)
+				}
+			}
+			for _, e := range k.Edges {
+				if e.Type != poisonName {
+					t.Errorf("un-cloned match %d has an edge of type %q after recycling, want the poison", i, e.Type)
+				}
+			}
+		}
+	})
+
+	for _, d := range []struct {
+		name string
+		test func(*testing.T)
+	}{
+		{"local", TestShardedMatchesSerial},
+		{"remote and mixed", TestRemoteMatchesSerial},
+		{"ordered", TestOrderedModeDeterministic},
+		{"remote ordered", TestRemoteOrderedDeterministic},
+		{"migrate", TestMigrateMatchesSerial},
+		{"durable restart", TestDurableCleanRestartMatchesSerial},
+	} {
+		t.Run(d.name, d.test)
+	}
+}
+
+// TestPoolBounded pins the free list's bound through a whole router: a
+// burst of batches against a consumer stalled in its first callback
+// fills the collection budget with fresh blocks; once the consumer
+// drains them, the free list holds its constant and no more, and every
+// match arrived.
+func TestPoolBounded(t *testing.T) {
+	edges := denseStream()
+	names, queries := hopQueries()
+	const outLen = 16 * blockSize // twice the pool, in blocks
+	r := New(Config{Shards: 2, Window: denseWindow, FullReplicas: true, OutLen: outLen})
+	registerHops(t, r, core.Config{Strategy: core.StrategySingle})
+	if cap(r.free) != poolDepth {
+		t.Fatalf("free list capacity %d, want %d", cap(r.free), poolDepth)
+	}
+	release := make(chan struct{})
+	counted := make(chan int64, 1)
+	go func() {
+		first := true
+		counted <- r.Drain(func(Match) {
+			if first {
+				first = false
+				<-release
+			}
+			if n := len(r.free); n > poolDepth {
+				t.Errorf("free list holds %d blocks, bound %d", n, poolDepth)
+			}
+		})
+	}()
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		ingestBatches(r, edges)
+	}()
+	// Wait until the budget is full of blocks nobody has handed back.
+	for deadline := time.Now().Add(10 * time.Second); r.emitted.Load() < outLen && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if e := r.emitted.Load(); e < outLen {
+		t.Fatalf("only %d matches emitted against the stalled consumer, want the budget of %d", e, outLen)
+	}
+	close(release)
+	<-fed
+	r.Close()
+	want := int64(len(slotReference(t, edges, 512, names, queries)))
+	if got := <-counted; got != want {
+		t.Errorf("drained %d matches, want %d", got, want)
+	}
+	if n := len(r.free); n != poolDepth {
+		t.Errorf("free list holds %d blocks after a burst of %d, want its bound %d", n, outLen/blockSize, poolDepth)
+	}
+}
+
+// TestBlocksRecycleConcurrently runs every kind of producer against one
+// recycling consumer — local slots and a remote slot resolving into
+// blocks, then the ordered merge copying bundles into them — with the
+// poison hook on, so that a block refilled while anybody still reads it
+// shows as a wrong match as well as a race (CI: -race -count=10).
+func TestBlocksRecycleConcurrently(t *testing.T) {
+	poisonRecycled(t)
+	edges := denseStream()
+	names, queries := hopQueries()
+	want := slotReference(t, edges, 512, names, queries)
+	sorted := append([]string(nil), want...)
+	sort.Strings(sorted)
+	addr, _ := startRemoteWorker(t)
+	for _, tp := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"completion order", Config{Shards: 2, Remotes: []string{addr}, Window: denseWindow, FullReplicas: true, OutLen: blockSize}},
+		{"ordered merge", Config{Shards: 2, Remotes: []string{addr}, Window: denseWindow, Ordered: true, OutLen: blockSize}},
+	} {
+		t.Run(tp.name, func(t *testing.T) {
+			r := New(tp.cfg)
+			registerHops(t, r, core.Config{Strategy: core.StrategySingle})
+			var got []string
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				r.Drain(func(m Match) { got = append(got, matchSig(m)) })
+			}()
+			ingestBatches(r, edges)
+			r.Close()
+			<-done
+			ref := want
+			if !tp.cfg.Ordered {
+				sort.Strings(got)
+				ref = sorted
+			}
+			if !equalStrings(got, ref) {
+				t.Errorf("%d matches delivered, reference has %d (or they differ)", len(got), len(ref))
+			}
 		})
 	}
-	// A block's first match starts its binding slab.
-	watch("a", &a[0].Bindings[0])
-	watch("b", &b[0].Bindings[0])
-	kept := a[blockSize/2]
-	a, b = nil, nil
-	ok := false
-	for i := 0; i < 100 && !ok; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-		mu.Lock()
-		ok = freed["b"]
-		mu.Unlock()
+}
+
+// TestSteadyStateAllocFree is the end-to-end gate of the sharded data
+// path: a filtered two-shard router under lazy queries, fed 512-edge
+// batches of a stream that keeps its hosts and its window, with a
+// consuming Drain. Once warm, what a batch allocates is the router's own
+// edge-log views — two or three per IngestBatch call, whatever the batch
+// holds — and the odd pool miss of an engine: nothing per edge (the
+// replicas' filtered ingest copies none), nothing per match, and nothing
+// per block (each shard delivers at least one a batch, so one allocation
+// per block would add two a batch and break the bound).
+func TestSteadyStateAllocFree(t *testing.T) {
+	lap := denseStream()
+	span := lap[len(lap)-1].TS - lap[0].TS + 1
+	const warm, measured, batch = 6, 8, 512
+	edges := make([]stream.Edge, 0, (warm+measured)*len(lap))
+	for l := 0; l < warm+measured; l++ {
+		for _, se := range lap {
+			se.TS += int64(l) * span
+			edges = append(edges, se)
+		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !ok {
-		t.Error("another block's slab is still reachable through a retained match")
+	r := New(Config{Shards: 2, Window: denseWindow})
+	stats := trained(lap)
+	registerHops(t, r, core.Config{Strategy: core.StrategySingleLazy, Stats: stats})
+	var bindings int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Drain(func(m Match) { bindings += len(m.Bindings) })
+	}()
+	// ingest returns once both shards have processed every batch routed
+	// to them (a worker times a batch after emitting its matches) and the
+	// consumer has handed the blocks back.
+	ingest := func(edges []stream.Edge) {
+		ingestBatches(r, edges)
+		for _, w := range r.workers {
+			for w.batchTime.Count() < uint64(w.edgesRouted.Load()/batch) {
+				runtime.Gosched()
+			}
+		}
+		for r.consumed.Load() < r.emitted.Load() {
+			runtime.Gosched()
+		}
 	}
-	if freed["a"] {
-		t.Error("the retained match's own slab was collected")
+	ingest(edges[:warm*len(lap)])
+	rest := edges[warm*len(lap):]
+	emitted := r.emitted.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ingest(rest)
+	runtime.ReadMemStats(&after)
+	batches := len(rest) / batch
+	mallocs := int(after.Mallocs - before.Mallocs)
+	matches := r.emitted.Load() - emitted
+	t.Logf("%d batches, %d matches: %d allocations (%.2f per batch)", batches, matches, mallocs, float64(mallocs)/float64(batches))
+	r.Close()
+	<-done
+	if matches < int64(len(rest)) {
+		t.Fatalf("only %d matches over %d edges: the stream does not fill blocks", matches, len(rest))
 	}
-	if len(kept.Bindings) == 0 || kept.Bindings[0].DataVertex == "" {
-		t.Error("retained match lost its bindings")
+	if mallocs > 4*batches {
+		t.Errorf("%d allocations over %d batches of %d edges, want a constant few per batch (the router's log views)", mallocs, batches, batch)
 	}
 }

@@ -302,21 +302,24 @@ func Open(cfg Config) (*Router, []Match, error) {
 
 	// Temporary drainer: the recovery replay must flow like live
 	// traffic (bounded queues, delivery barrier), and Open's caller
-	// cannot be running Drain yet. Collected matches are returned.
+	// cannot be running Drain yet. Collected matches are returned, as
+	// copies: the blocks go back to the free list like Drain's.
 	stop := make(chan struct{})
 	collected := make(chan []Match, 1)
 	go func() {
 		var ms []Match
 		for {
 			select {
-			case block, ok := <-r.out:
+			case b, ok := <-r.out:
 				if !ok {
 					collected <- ms
 					return
 				}
-				ms = append(ms, block...)
-				r.release(len(block))
-				r.consumed.Add(int64(len(block)))
+				r.release(len(b.matches))
+				for _, m := range b.matches {
+					ms = append(ms, m.Clone())
+				}
+				r.consume(b)
 			case <-stop:
 				collected <- ms
 				return

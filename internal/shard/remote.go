@@ -1124,27 +1124,29 @@ func (rs *remoteSlot) adoptSnapshotLocked(data []byte) {
 	rs.recomputePinLocked()
 }
 
-// deliver forwards one acknowledged frame's matches: per-seq bundles
-// in ordered mode, collection blocks otherwise.
+// deliver forwards one acknowledged frame's matches, copied out of the
+// decoder's memory into blocks from the router's free list: per-seq
+// bundles in ordered mode, collection blocks otherwise.
 func (rs *remoteSlot) deliver(f inflightFrame) {
 	w := rs.w
+	w.matchesEmitted.Add(int64(len(f.matches)))
 	if w.bundles != nil && f.kind == msgEdges && !f.closing {
 		idx := 0
 		for seq := f.base; seq < f.end; seq++ {
 			b := bundle{seq: seq}
+			lo := idx
 			for idx < len(f.matches) && f.matches[idx].Seq == seq {
-				b.matches = append(b.matches, f.matches[idx])
 				idx++
 			}
-			w.matchesEmitted.Add(int64(len(b.matches)))
+			if idx > lo {
+				b.block = w.r.blockOf(f.matches[lo:idx])
+			}
 			w.bundles <- b
 		}
 		return
 	}
-	w.matchesEmitted.Add(int64(len(f.matches)))
 	for lo := 0; lo < len(f.matches); lo += blockSize {
-		hi := min(lo+blockSize, len(f.matches))
-		w.r.deliver(f.matches[lo:hi:hi])
+		w.r.deliver(w.r.blockOf(f.matches[lo:min(lo+blockSize, len(f.matches))]))
 	}
 }
 

@@ -50,16 +50,22 @@
 // collector-side rendezvous; use it for tests and audits, not for
 // throughput.
 //
-// Collection. Matches travel to the consumer in blocks: a worker
-// resolves a batch's matches blockSize at a time into one []Match whose
-// Bindings and Edges are cut from one slab each, and Router.deliver
-// accounts, sends and records the block as a unit. Drain is the one
-// consumer API and MUST run concurrently with ingestion: every channel
-// stage of the pipeline is bounded, so unread matches eventually stall
-// the shards and then the router (see Config.OutLen for the bound). A
-// Match handed to a Drain callback shares its block's slabs — a
-// consumer that keeps a few matches for long should copy their
-// Bindings and Edges, or each one pins its whole block.
+// Collection. Matches travel to the consumer in blocks (block.go): a
+// producer draws a block — a []Match and the two slabs its Bindings and
+// Edges are cut from, owned as one value — from the router's free list,
+// fills it with up to blockSize matches, and Router.deliver accounts,
+// records and sends it as a unit; Drain hands it back to the free list
+// once the callback has returned for its last match. A Match is
+// therefore valid for the duration of its callback and no longer — the
+// engine's match-lifetime rule (package core) taken one hop outward —
+// and a consumer that keeps one calls Match.Clone. The free list holds
+// at most poolDepth blocks; a producer that finds it empty allocates,
+// and a block returned to a full list is left to the collector, so a
+// stalled consumer costs garbage, never a wait or a growing pool. Drain
+// is the one consumer API and MUST run concurrently with ingestion:
+// every channel stage of the pipeline is bounded, so unread matches
+// eventually stall the shards and then the router (see Config.OutLen for
+// the bound).
 package shard
 
 import (
@@ -187,8 +193,10 @@ type MatchEdge = core.PortableMatchEdge
 // Match is one completed match, resolved into portable name-based form
 // inside the owning shard (so it stays valid after the shard's private
 // graph evicts the underlying edges) and delivered to the Drain
-// callback. Bindings and Edges are capacity-clipped windows of slabs
-// shared by the matches of one collection block.
+// callback. Bindings and Edges are capacity-clipped windows of its
+// collection block's slabs, which the router reuses once the block's
+// callbacks have returned: a Match is valid until its callback returns,
+// and Clone makes the copy that outlives it.
 type Match struct {
 	// Seq is the router-assigned arrival index (0-based) of the stream
 	// edge that completed the match.
@@ -205,6 +213,14 @@ type Match struct {
 	LastTS  int64
 
 	rank int // global registration rank; orders the in-seq merge
+}
+
+// Clone returns a copy of the match with Bindings and Edges of its own:
+// what a Drain callback keeps when it keeps a match.
+func (m Match) Clone() Match {
+	m.Bindings = append([]Binding(nil), m.Bindings...)
+	m.Edges = append([]MatchEdge(nil), m.Edges...)
+	return m
 }
 
 // String renders the match compactly.
@@ -337,8 +353,8 @@ type migrateOut struct {
 // only); every shard emits exactly one bundle per ingested edge, in
 // seq order, which is what makes the k-way merge trivial.
 type bundle struct {
-	seq     uint64
-	matches []Match
+	seq   uint64
+	block *block // nil when the edge completed nothing on the shard
 }
 
 // Router is the front of the sharded runtime: it assigns queries to
@@ -352,8 +368,9 @@ type Router struct {
 	filtering bool // edge-type-partitioned replicas in effect
 	hasRemote bool // at least one remote slot in the topology
 	workers   []*worker
-	out       chan []Match // collection blocks, see deliver
-	log       *EdgeLog     // shared immutable edge log: the window, as the router holds it
+	out       chan *block // collection blocks, see deliver
+	free      chan *block // recycled blocks, see getBlock
+	log       *EdgeLog    // shared immutable edge log: the window, as the router holds it
 
 	// ingestMu orders everything that enters the shard queues — edge
 	// broadcasts, control messages, and the queue close — and is the
@@ -528,7 +545,8 @@ func newRouter(cfg Config) *Router {
 		cfg:       cfg,
 		filtering: !cfg.Ordered && !cfg.FullReplicas,
 		hasRemote: len(cfg.Remotes) > 0,
-		out:       make(chan []Match, cfg.OutLen),
+		out:       make(chan *block, cfg.OutLen),
+		free:      make(chan *block, poolDepth),
 		// What a registration decomposes from, a late one backfills a
 		// filtered replica from and a remote slot replays on reconnect.
 		log:    NewEdgeLog(),
@@ -1171,8 +1189,11 @@ func (r *Router) Close() {
 }
 
 // Drain consumes the collection channel until it closes, invoking fn
-// (may be nil) per match, and returns the match count. Run it on its
-// own goroutine alongside ingestion:
+// (may be nil) per match, and returns the match count. A Match and the
+// slices in it are valid until fn returns for it — the block they live
+// in is reused for later matches once fn has returned for the block's
+// last one — so fn keeps a match by keeping m.Clone(). Run it on its own
+// goroutine alongside ingestion:
 //
 //	done := make(chan int64, 1)
 //	go func() { done <- r.Drain(fn) }()
@@ -1181,22 +1202,28 @@ func (r *Router) Close() {
 //	total := <-done
 func (r *Router) Drain(fn func(Match)) int64 {
 	var n int64
-	for block := range r.out {
-		r.release(len(block))
-		n += int64(len(block))
+	for b := range r.out {
+		r.release(len(b.matches))
+		n += int64(len(b.matches))
 		if fn != nil {
-			for _, m := range block {
+			for _, m := range b.matches {
 				fn(m)
 			}
 		}
-		// Consumed only after fn returned for the block's last match:
-		// the durable checkpoint barrier keys off this counter, so
-		// "covered by a checkpoint" implies "the consumer's callback
-		// completed" — e.g. its write reached the OS — before the
-		// round's metadata committed.
-		r.consumed.Add(int64(len(block)))
+		r.consume(b)
 	}
 	return n
+}
+
+// consume ends a received block's life: its matches count as consumed
+// and the block goes back to the free list. Consumed only after the
+// callback returned for the block's last match: the durable checkpoint
+// barrier keys off this counter, so "covered by a checkpoint" implies
+// "the consumer's callback completed" — e.g. its write reached the OS —
+// before the round's metadata committed.
+func (r *Router) consume(b *block) {
+	r.consumed.Add(int64(len(b.matches)))
+	r.putBlock(b)
 }
 
 // release returns a received block's n matches to the collection
@@ -1208,32 +1235,28 @@ func (r *Router) release(n int) {
 	r.outSpace.Broadcast()
 }
 
-// blockSize is the most matches one collection block carries. Large
-// enough that the per-block costs (three allocations, one channel
-// operation, two shared counters) vanish against resolving the matches;
-// small enough that a block's slabs stay a few tens of KiB and
-// Config.OutLen keeps its meaning as a bound in matches.
-const blockSize = 256
-
 // deliver hands one block to the consumer: count it as emitted, wait
-// for room in the collection budget, send it, record it. Every
+// for room in the collection budget, record it, send it. Every
 // producer — local workers, remote slots' frame delivery (the failover
 // hospice included) and the ordered merge — goes through here. The
 // count comes first: the durable checkpoint barrier reads emitted and
 // waits for consumed to reach it, so a match must be counted before
-// anything that lets a round cover its edge. A block that finds nothing
-// queued goes at once whatever its size, so a budget below one block
-// cannot wedge the runtime.
-func (r *Router) deliver(block []Match) {
-	r.emitted.Add(int64(len(block)))
+// anything that lets a round cover its edge. The send comes last: the
+// block is the consumer's from then on, and may be refilled by another
+// producer before this call returns. A block that finds nothing queued
+// goes at once whatever its size, so a budget below one block cannot
+// wedge the runtime.
+func (r *Router) deliver(b *block) {
+	n := len(b.matches)
+	r.emitted.Add(int64(n))
 	r.outMu.Lock()
-	for r.queued > 0 && r.queued+len(block) > r.cfg.OutLen {
+	for r.queued > 0 && r.queued+n > r.cfg.OutLen {
 		r.outSpace.Wait()
 	}
-	r.queued += len(block)
+	r.queued += n
 	r.outMu.Unlock()
-	r.out <- block
-	r.tel.recordMatches(block)
+	r.tel.recordMatches(b.matches)
+	r.out <- b
 }
 
 // mergeOrdered is the deterministic collector: every shard emits
@@ -1243,8 +1266,10 @@ func (r *Router) deliver(block []Match) {
 // MultiEngine's output order exactly.
 func (r *Router) mergeOrdered() {
 	defer close(r.mergeDone)
+	var batch []Match
+	var bundled []*block
 	for {
-		var batch []Match
+		batch, bundled = batch[:0], bundled[:0]
 		open := false
 		for _, w := range r.workers {
 			b, ok := <-w.bundles
@@ -1252,15 +1277,20 @@ func (r *Router) mergeOrdered() {
 				continue
 			}
 			open = true
-			batch = append(batch, b.matches...)
+			if b.block != nil {
+				batch = append(batch, b.block.matches...)
+				bundled = append(bundled, b.block)
+			}
 		}
 		if !open {
 			return
 		}
 		sort.SliceStable(batch, func(i, j int) bool { return batch[i].rank < batch[j].rank })
 		for lo := 0; lo < len(batch); lo += blockSize {
-			hi := min(lo+blockSize, len(batch))
-			r.deliver(batch[lo:hi:hi])
+			r.deliver(r.blockOf(batch[lo:min(lo+blockSize, len(batch))]))
+		}
+		for _, b := range bundled {
+			r.putBlock(b)
 		}
 	}
 }
@@ -1426,10 +1456,9 @@ func (w *worker) processEdges(msg message) {
 		}
 		if w.bundles != nil {
 			// Ordered mode: one bundle per edge, empty or not.
-			b := bundle{seq: seq, matches: w.resolveBlock(w.pend)}
+			w.matchesEmitted.Add(int64(len(w.pend)))
+			w.bundles <- bundle{seq: seq, block: w.resolveBlock(w.pend)}
 			w.pend = w.pend[:0]
-			w.matchesEmitted.Add(int64(len(b.matches)))
-			w.bundles <- b
 		}
 	}
 	w.emitPending()
@@ -1450,20 +1479,20 @@ type pendingMatch struct {
 // checkpoint request queued behind it is answered.
 func (w *worker) emitPending() {
 	for lo := 0; lo < len(w.pend); lo += blockSize {
-		block := w.resolveBlock(w.pend[lo:min(lo+blockSize, len(w.pend))])
-		w.matchesEmitted.Add(int64(len(block)))
-		w.r.deliver(block)
+		hi := min(lo+blockSize, len(w.pend))
+		w.matchesEmitted.Add(int64(hi - lo))
+		w.r.deliver(w.resolveBlock(w.pend[lo:hi]))
 	}
 }
 
-// resolveBlock converts engine matches into the portable form: all IDs
+// resolveBlock converts engine matches into the portable form, in a
+// block drawn from the router's free list (nil for no matches): all IDs
 // are looked up against the shard's private graph now (the shared
-// core.MultiEngine.AppendResolved walk), so the emitted matches survive
-// later eviction. One []Match and one slab each of bindings and edges
-// serve the whole block — three allocations however many matches — and
-// every match gets a capacity-clipped window, so a consumer appending
-// to one cannot write into its neighbour.
-func (w *worker) resolveBlock(pend []pendingMatch) []Match {
+// core.AppendResolved walk, through the slot), so the emitted matches
+// survive later eviction. The block has room for them all before the
+// first is resolved, so every match is a capacity-clipped window of its
+// slabs and a consumer appending to one cannot write into its neighbour.
+func (w *worker) resolveBlock(pend []pendingMatch) *block {
 	if len(pend) == 0 {
 		return nil
 	}
@@ -1472,19 +1501,17 @@ func (w *worker) resolveBlock(pend []pendingMatch) []Match {
 		nb += len(p.nm.Match.VertexOf)
 		ne += len(p.nm.Match.EdgeOf)
 	}
-	block := make([]Match, len(pend))
-	bindings := make([]Binding, 0, nb)
-	edges := make([]MatchEdge, 0, ne)
-	for i, p := range pend {
-		b0, e0 := len(bindings), len(edges)
-		bindings, edges = w.slot.Eng.AppendResolved(bindings, edges, p.nm)
-		rank, _ := w.slot.Rank(p.nm.Query)
-		block[i] = Match{
+	b := w.r.getBlock(len(pend), nb, ne)
+	for _, p := range pend {
+		b0, e0 := len(b.bindings), len(b.edges)
+		var rank int
+		b.bindings, b.edges, rank = w.slot.AppendResolved(b.bindings, b.edges, p.nm)
+		b.matches = append(b.matches, Match{
 			Seq: p.seq, Shard: w.id, Query: p.nm.Query, rank: rank,
 			FirstTS: p.nm.Match.MinTS, LastTS: p.nm.Match.MaxTS,
-			Bindings: bindings[b0:len(bindings):len(bindings)],
-			Edges:    edges[e0:len(edges):len(edges)],
-		}
+			Bindings: b.bindings[b0:len(b.bindings):len(b.bindings)],
+			Edges:    b.edges[e0:len(b.edges):len(b.edges)],
+		})
 	}
-	return block
+	return b
 }

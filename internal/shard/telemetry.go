@@ -5,14 +5,18 @@
 // `stats full` command, and the experiment harness.
 //
 // End-to-end match lag is measured edge-arrival → match-emission
-// through a fixed-size seq→arrival-time ring: IngestBatch stamps every
-// admitted edge's arrival instant at ring slot seq mod lagRingSize
-// (time first, then seq+1 as the slot tag), and each emission point
-// reads tag/time/tag — a changed tag on either read means the slot was
-// lapped by a newer edge and the sample is dropped rather than
-// miscounted. With the default queue depths a lap needs >64k edges in
-// flight between an edge's admission and a match it completes, so
-// drops are rare; the per-query match counters are exact regardless.
+// through a fixed-size ring of ingest calls: every edge of one
+// IngestBatch arrives at the same instant, so the call stamps one
+// {base, end, instant} slot (arrivalSlot) and an emission point finds
+// the slot whose [base, end) holds a match's seq by walking back from
+// the newest call — once per block; the matches of a block sit in the
+// same or neighbouring calls. A slot is read tag/fields/tag and its
+// neighbour must adjoin it; a changed tag or a gap means the ring has
+// been lapped and the sample is dropped rather than miscounted. A lap
+// needs more than lagRingSize ingest calls in flight between an edge's
+// admission and a match it completes — with the default queue depths
+// only per-edge Ingest against a stalled consumer gets there — and the
+// per-query match counters are exact regardless.
 package shard
 
 import (
@@ -26,11 +30,29 @@ import (
 )
 
 const (
-	// lagRingSize is the arrival-ring capacity in edges (must be a
-	// power of two). 1<<16 slots cost ~1 MiB per router.
-	lagRingSize = 1 << 16
+	// lagRingSize is the arrival-ring capacity in ingest calls (must be
+	// a power of two). 1<<12 slots cost 96 KiB per router.
+	lagRingSize = 1 << 12
 	lagRingMask = lagRingSize - 1
 )
+
+// arrivalSlot is one ingest call in the arrival ring: the seqs
+// [base, end) it admitted and their arrival instant in nanoseconds
+// since telemetry.base. end doubles as the slot's tag — it is unique to
+// the call, and 0 while the slot is being rewritten.
+type arrivalSlot struct {
+	end  atomic.Uint64
+	base atomic.Uint64
+	at   atomic.Int64
+}
+
+// read returns the slot's call; ok is false when a writer got in
+// between the two tag reads (or the slot was never written).
+func (s *arrivalSlot) read() (base, end uint64, at int64, ok bool) {
+	end = s.end.Load()
+	base, at = s.base.Load(), s.at.Load()
+	return base, end, at, end != 0 && s.end.Load() == end
+}
 
 // telemetry is the Router's observability state. All methods are safe
 // for concurrent use.
@@ -38,12 +60,12 @@ type telemetry struct {
 	reg  *metrics.Registry
 	base time.Time // monotonic zero for all ring/lag arithmetic
 
-	// The seq→arrival ring: ringSeqs[i] holds seq+1 (0 = never
-	// written), ringTimes[i] the arrival instant in nanoseconds since
-	// base. Written by IngestBatch under ingestMu, read lock-free by
-	// every match-emission goroutine.
-	ringSeqs  []atomic.Uint64
-	ringTimes []atomic.Int64
+	// The arrival ring: call number c (0-based) is at ring[c mod
+	// lagRingSize], calls counts the calls noted so far. Written by
+	// IngestBatch under ingestMu, read lock-free by every
+	// match-emission goroutine.
+	ring  []arrivalSlot
+	calls atomic.Uint64
 
 	// Checkpoint/durability series, registered eagerly so the handles
 	// are always non-nil (a volatile router simply never records).
@@ -69,12 +91,11 @@ type telemetry struct {
 
 func newTelemetry() *telemetry {
 	t := &telemetry{
-		reg:       metrics.NewRegistry(),
-		base:      time.Now(),
-		ringSeqs:  make([]atomic.Uint64, lagRingSize),
-		ringTimes: make([]atomic.Int64, lagRingSize),
-		lagByQ:    make(map[string]*metrics.AtomicHistogram),
-		cntByQ:    make(map[string]*metrics.Counter),
+		reg:    metrics.NewRegistry(),
+		base:   time.Now(),
+		ring:   make([]arrivalSlot, lagRingSize),
+		lagByQ: make(map[string]*metrics.AtomicHistogram),
+		cntByQ: make(map[string]*metrics.Counter),
 	}
 	t.fsync = t.reg.Histogram("sg_edlog_fsync_ns")
 	t.ckptRound = t.reg.Histogram("sg_checkpoint_round_ns")
@@ -92,16 +113,61 @@ func newTelemetry() *telemetry {
 // instant cheap enough for per-message stamping.
 func (t *telemetry) now() int64 { return int64(time.Since(t.base)) }
 
-// noteArrivals stamps the arrival instant of n edges admitted at base
+// noteArrivals stamps one ingest call — n edges admitted at base, now —
 // into the ring. Called under ingestMu (the single writer).
 func (t *telemetry) noteArrivals(base uint64, n int) {
-	now := t.now()
-	for i := 0; i < n; i++ {
-		seq := base + uint64(i)
-		idx := seq & lagRingMask
-		t.ringTimes[idx].Store(now)
-		t.ringSeqs[idx].Store(seq + 1)
+	call := t.calls.Load()
+	s := &t.ring[call&lagRingMask]
+	s.end.Store(0)
+	s.base.Store(base)
+	s.at.Store(t.now())
+	s.end.Store(base + uint64(n))
+	t.calls.Store(call + 1)
+}
+
+// arrivalCursor looks up the arrival instants of one block's matches:
+// it remembers the call it last found, so a block costs one walk back
+// from the newest call and a step or none per match after that.
+type arrivalCursor struct {
+	t         *telemetry
+	call      uint64 // ring position of the slot held below
+	base, end uint64 // its seqs; end == 0 before the first lookup
+	at        int64
+	lostBelow uint64 // seqs under this are known to be lapped
+}
+
+// lookup returns the arrival instant of the edge with arrival index
+// seq, false when the ring no longer holds its call.
+func (c *arrivalCursor) lookup(seq uint64) (int64, bool) {
+	for seq < c.base || seq >= c.end {
+		if seq < c.lostBelow {
+			return 0, false
+		}
+		next := c.call - 1 // the older neighbour (wraps past call 0, caught below)
+		switch {
+		case c.end == 0:
+			next = c.t.calls.Load() - 1
+		case seq >= c.end:
+			next = c.call + 1
+		}
+		if next >= c.t.calls.Load() {
+			return 0, false // before the first call, or not noted yet
+		}
+		base, end, at, ok := c.t.ring[next&lagRingMask].read()
+		if ok && c.end != 0 {
+			// A neighbour adjoins the slot it was reached from, or the
+			// ring has been lapped in between.
+			ok = (next < c.call && end == c.base) || (next > c.call && base == c.end)
+		}
+		if !ok {
+			if next < c.call {
+				c.lostBelow = c.base
+			}
+			return 0, false
+		}
+		c.call, c.base, c.end, c.at = next, base, end, at
 	}
+	return c.at, true
 }
 
 // queryCounters returns (creating on first use) the per-query match
@@ -126,13 +192,14 @@ func (t *telemetry) queryCounters(query string) (*metrics.Counter, *metrics.Atom
 	return c, h
 }
 
-// recordMatches accounts one delivered block: the per-query counters
-// always advance; an end-to-end lag sample records only when the
-// completing edge's arrival stamp is still in the ring. One clock read
-// serves the block and one handle lookup each run of matches of the
-// same query.
+// recordMatches accounts one block about to be delivered: the
+// per-query counters always advance; an end-to-end lag sample records
+// only when the completing edge's ingest call is still in the ring. One
+// clock read and one walk of the ring serve the block, and one handle
+// lookup each run of matches of the same query.
 func (t *telemetry) recordMatches(block []Match) {
 	now := t.now()
+	cur := arrivalCursor{t: t}
 	for lo := 0; lo < len(block); {
 		hi := lo + 1
 		for hi < len(block) && block[hi].Query == block[lo].Query {
@@ -140,17 +207,10 @@ func (t *telemetry) recordMatches(block []Match) {
 		}
 		c, h := t.queryCounters(block[lo].Query)
 		c.Add(int64(hi - lo))
-		for _, m := range block[lo:hi] {
-			idx := m.Seq & lagRingMask
-			tag := m.Seq + 1
-			if t.ringSeqs[idx].Load() != tag {
-				continue // lapped: arrival instant lost, drop the sample
+		for i := lo; i < hi; i++ {
+			if arr, ok := cur.lookup(block[i].Seq); ok {
+				h.Record(now - arr)
 			}
-			arr := t.ringTimes[idx].Load()
-			if t.ringSeqs[idx].Load() != tag {
-				continue // lapped between the two reads
-			}
-			h.Record(now - arr)
 		}
 		lo = hi
 	}

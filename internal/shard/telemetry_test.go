@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,8 +175,10 @@ func TestMetricsTruthfulness(t *testing.T) {
 			if got := metricValue(t, samples, "sg_router_matches_consumed_total"); got != collected {
 				t.Errorf("sg_router_matches_consumed_total = %d, want %d", got, collected)
 			}
-			if lag := r.MatchLag(); lag.Count() == 0 {
-				t.Error("match-lag histogram recorded no samples")
+			// The stream is a few hundred ingest calls, far inside the
+			// arrival ring: every match has a lag sample.
+			if lag := r.MatchLag(); int64(lag.Count()) != collected {
+				t.Errorf("match-lag histogram holds %d samples for %d matches", lag.Count(), collected)
 			}
 			// The replica vertex gauges against the replica itself, read
 			// after Close: the live count is re-derived from the live
@@ -295,4 +298,124 @@ func TestStatsAndScrapeUnderIngest(t *testing.T) {
 	if got := sumMetric(r.Metrics().Snapshot(), "sg_shard_edges_routed_total"); got == 0 {
 		t.Fatal("no routed edges counted")
 	}
+}
+
+// TestArrivalRing is the lag differential at the ring itself: whatever
+// mix of batch sizes noted the arrivals, a cursor returns for every seq
+// the instant its own ingest call was stamped with, in any lookup order;
+// once per-edge Ingest has lapped the ring, the lapped seqs are reported
+// lost — their matches still count, with no lag sample — and the rest
+// stay exact.
+func TestArrivalRing(t *testing.T) {
+	// note stamps one call and returns the instant the ring holds for it.
+	note := func(tel *telemetry, base uint64, n int) int64 {
+		tel.noteArrivals(base, n)
+		return tel.ring[(tel.calls.Load()-1)&lagRingMask].at.Load()
+	}
+
+	t.Run("batches", func(t *testing.T) {
+		tel := newTelemetry()
+		var want []int64 // seq -> arrival instant
+		for call := 0; call < 300; call++ {
+			n := 1 + call*7%64
+			at := note(tel, uint64(len(want)), n)
+			for i := 0; i < n; i++ {
+				want = append(want, at)
+			}
+		}
+		check := func(name string, cur *arrivalCursor, seq int) {
+			t.Helper()
+			if at, ok := cur.lookup(uint64(seq)); !ok || at != want[seq] {
+				t.Fatalf("%s: seq %d arrived at (%d, %v), want %d", name, seq, at, ok, want[seq])
+			}
+		}
+		up, down, hop := &arrivalCursor{t: tel}, &arrivalCursor{t: tel}, &arrivalCursor{t: tel}
+		for seq := range want {
+			check("ascending", up, seq)
+			check("descending", down, len(want)-1-seq)
+			check("scattered", hop, seq*7919%len(want))
+		}
+		if _, ok := up.lookup(uint64(len(want))); ok {
+			t.Error("a seq no call has admitted yet has an arrival instant")
+		}
+	})
+
+	t.Run("per-edge ingest laps the ring", func(t *testing.T) {
+		tel := newTelemetry()
+		const lapped = 100
+		want := make([]int64, lagRingSize+lapped)
+		for seq := range want {
+			want[seq] = note(tel, uint64(seq), 1)
+		}
+		cur := &arrivalCursor{t: tel}
+		for _, seq := range []int{lapped, len(want) - 1, lapped + 1, lagRingSize / 2} {
+			if at, ok := cur.lookup(uint64(seq)); !ok || at != want[seq] {
+				t.Errorf("seq %d arrived at (%d, %v), want %d", seq, at, ok, want[seq])
+			}
+		}
+		for _, seq := range []int{lapped - 1, 0, lapped / 2} {
+			if at, ok := cur.lookup(uint64(seq)); ok {
+				t.Errorf("lapped seq %d still has an arrival instant %d", seq, at)
+			}
+		}
+		if at, ok := cur.lookup(lapped); !ok || at != want[lapped] {
+			t.Errorf("after the lapped lookups seq %d arrived at (%d, %v), want %d", lapped, at, ok, want[lapped])
+		}
+		// A block that straddles the lap: every match counted, only the
+		// ones still in the ring sampled.
+		block := make([]Match, 0, 2*lapped)
+		for seq := 0; seq < 2*lapped; seq++ {
+			block = append(block, Match{Query: "q", Seq: uint64(seq)})
+		}
+		tel.recordMatches(block)
+		c, h := tel.queryCounters("q")
+		if c.Load() != 2*lapped || h.Count() != lapped {
+			t.Errorf("%d matches counted and %d lag samples, want %d and %d", c.Load(), h.Count(), 2*lapped, lapped)
+		}
+	})
+
+	// Lookups racing the writer through several laps: a lookup either
+	// reports the seq lost or returns an instant between the clock reads
+	// the writer took around that very call.
+	t.Run("concurrent", func(t *testing.T) {
+		tel := newTelemetry()
+		const calls = 3 * lagRingSize
+		lo, hi := make([]atomic.Int64, calls), make([]atomic.Int64, calls)
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				found := 0
+				for i := 0; i < 1000 || tel.calls.Load() < calls; i++ {
+					cur := arrivalCursor{t: tel}
+					head := int(tel.calls.Load())
+					for k := 0; k < 8; k++ {
+						seq := head - 1 - (i*31+k*(g+1)*257)%(lagRingSize+64)
+						if seq < 0 {
+							continue
+						}
+						at, ok := cur.lookup(uint64(seq))
+						if !ok {
+							continue
+						}
+						found++
+						if min, max := lo[seq].Load(), hi[seq].Load(); at < min || (max != 0 && at > max) {
+							t.Errorf("seq %d arrived at %d, its call ran in [%d, %d]", seq, at, min, max)
+							return
+						}
+					}
+				}
+				if found == 0 {
+					t.Error("no lookup succeeded")
+				}
+			}(g)
+		}
+		for seq := 0; seq < calls; seq++ {
+			lo[seq].Store(tel.now())
+			tel.noteArrivals(uint64(seq), 1)
+			hi[seq].Store(tel.now())
+		}
+		wg.Wait()
+	})
 }

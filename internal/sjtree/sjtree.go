@@ -280,6 +280,11 @@ func (t *Tree) LeafNode(pos int) *Node { return t.Nodes[t.Leaves[pos]] }
 // LeafEdges returns the query edge indices of the given leaf position.
 func (t *Tree) LeafEdges(pos int) []int { return t.Nodes[t.Leaves[pos]].QEdges }
 
+// LeafVerts returns the sorted query vertices the given leaf's edges
+// touch, computed once at Build: what a search around a vertex
+// (iso.Matcher.FindAroundVertexFunc) tries the vertex as.
+func (t *Tree) LeafVerts(pos int) []int { return t.Nodes[t.Leaves[pos]].QVerts }
+
 // NumLeaves returns the number of leaves.
 func (t *Tree) NumLeaves() int { return len(t.Leaves) }
 

@@ -2,17 +2,13 @@ package streamgraph
 
 import (
 	"streamgraph/internal/core"
-	"streamgraph/internal/graph"
-	"streamgraph/internal/iso"
-	"streamgraph/internal/query"
 )
 
 // Monitor runs many registered continuous queries over one shared
 // windowed data graph: the stream is ingested once and every registered
 // pattern is matched incrementally against it.
 type Monitor struct {
-	inner   *core.MultiEngine
-	queries map[string]*query.Graph
+	inner *core.MultiEngine
 }
 
 // MonitorOptions configures a Monitor.
@@ -23,22 +19,14 @@ type MonitorOptions struct {
 
 // NewMonitor returns an empty multi-query monitor.
 func NewMonitor(opts MonitorOptions) *Monitor {
-	return &Monitor{
-		inner:   core.NewMulti(core.MultiConfig{Window: opts.Window}),
-		queries: make(map[string]*query.Graph),
-	}
+	return &Monitor{inner: core.NewMulti(core.MultiConfig{Window: opts.Window})}
 }
 
 // Register adds a continuous query under a unique name. The query is
 // decomposed using the statistics the monitor has observed so far, with
 // the given strategy (Auto picks by Relative Selectivity).
 func (m *Monitor) Register(name string, q *Query, strategy Strategy) error {
-	err := m.inner.Register(name, q, core.Config{Strategy: strategy})
-	if err != nil {
-		return err
-	}
-	m.queries[name] = q
-	return nil
+	return m.inner.Register(name, q, core.Config{Strategy: strategy})
 }
 
 // RegisterWithBackfill registers a query and replays the live graph
@@ -48,10 +36,9 @@ func (m *Monitor) RegisterWithBackfill(name string, q *Query, strategy Strategy)
 	if err != nil {
 		return nil, err
 	}
-	m.queries[name] = q
 	out := make([]QueryMatch, 0, len(initial))
 	for _, mt := range initial {
-		out = append(out, QueryMatch{Query: name, Match: m.resolve(name, mt)})
+		out = append(out, QueryMatch{Query: name, Match: m.resolve(core.NamedMatch{Query: name, Match: mt})})
 	}
 	return out, nil
 }
@@ -59,7 +46,6 @@ func (m *Monitor) RegisterWithBackfill(name string, q *Query, strategy Strategy)
 // Unregister removes a query and its partial-match state.
 func (m *Monitor) Unregister(name string) {
 	m.inner.Unregister(name)
-	delete(m.queries, name)
 }
 
 // Registered returns the registered query names in registration order.
@@ -80,7 +66,7 @@ func (m *Monitor) Process(se Edge) []QueryMatch {
 	}
 	out := make([]QueryMatch, 0, len(named))
 	for _, nm := range named {
-		out = append(out, QueryMatch{Query: nm.Query, Match: m.resolve(nm.Query, nm.Match)})
+		out = append(out, QueryMatch{Query: nm.Query, Match: m.resolve(nm)})
 	}
 	return out
 }
@@ -96,37 +82,13 @@ func (m *Monitor) ProcessBatch(edges []Edge) []QueryMatch {
 	}
 	out := make([]QueryMatch, 0, len(named))
 	for _, nm := range named {
-		out = append(out, QueryMatch{Query: nm.Query, Match: m.resolve(nm.Query, nm.Match)})
+		out = append(out, QueryMatch{Query: nm.Query, Match: m.resolve(nm)})
 	}
 	return out
 }
 
-func (m *Monitor) resolve(name string, mt iso.Match) Match {
-	g := m.inner.Graph()
-	q := m.queries[name]
-	var out Match
-	for qv, dv := range mt.VertexOf {
-		if dv == graph.NoVertex {
-			continue
-		}
-		out.Bindings = append(out.Bindings, Binding{
-			QueryVertex: q.Vertices[qv].Name,
-			DataVertex:  g.VertexName(dv),
-		})
-	}
-	for qe, eid := range mt.EdgeOf {
-		de, ok := g.Edge(eid)
-		if !ok {
-			continue
-		}
-		out.Edges = append(out.Edges, MatchedEdge{
-			QueryEdge: qe,
-			Src:       g.VertexName(de.Src),
-			Dst:       g.VertexName(de.Dst),
-			Type:      g.Types().Name(uint32(de.Type)),
-			TS:        de.TS,
-		})
-	}
-	out.FirstTS, out.LastTS = mt.MinTS, mt.MaxTS
+func (m *Monitor) resolve(nm core.NamedMatch) Match {
+	out := Match{FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS}
+	out.Bindings, out.Edges = m.inner.ResolveMatch(nm)
 	return out
 }

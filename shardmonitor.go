@@ -81,26 +81,18 @@ func NewShardedMonitor(opts ShardedMonitorOptions) *ShardedMonitor {
 
 // pump converts the runtime's portable matches into facade matches; it
 // needs no graph access because shards resolve names before emitting.
-// The copies are sized once each and independent of the runtime's
-// collection blocks, so a retained QueryMatch pins nothing else.
+// A shard.Match is valid for its callback only (its collection block is
+// reused afterwards), so each one is cloned: sized once per slice and
+// independent of the runtime's blocks.
 func (m *ShardedMonitor) pump() {
 	defer close(m.done)
 	defer close(m.out)
 	m.r.Drain(func(sm shard.Match) {
-		qm := QueryMatch{Query: sm.Query, Match: Match{
-			Bindings: make([]Binding, len(sm.Bindings)),
-			Edges:    make([]MatchedEdge, len(sm.Edges)),
-			FirstTS:  sm.FirstTS, LastTS: sm.LastTS,
+		sm = sm.Clone()
+		m.out <- QueryMatch{Query: sm.Query, Match: Match{
+			Bindings: sm.Bindings, Edges: sm.Edges,
+			FirstTS: sm.FirstTS, LastTS: sm.LastTS,
 		}}
-		for i, b := range sm.Bindings {
-			qm.Match.Bindings[i] = Binding{QueryVertex: b.QueryVertex, DataVertex: b.DataVertex}
-		}
-		for i, e := range sm.Edges {
-			qm.Match.Edges[i] = MatchedEdge{
-				QueryEdge: e.QueryEdge, Src: e.Src, Dst: e.Dst, Type: e.Type, TS: e.TS,
-			}
-		}
-		m.out <- qm
 	})
 }
 

@@ -47,7 +47,6 @@ import (
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/decompose"
-	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
@@ -164,20 +163,14 @@ type Options struct {
 	BatchSize int
 }
 
-// Binding is one vertex of a reported match: the query vertex name and
-// the data vertex it was bound to.
-type Binding struct {
-	QueryVertex string
-	DataVertex  string
-}
+// Binding is one vertex of a reported match: the query vertex name
+// (QueryVertex) and the data vertex it was bound to (DataVertex).
+type Binding = core.PortableBinding
 
-// MatchedEdge is one edge of a reported match.
-type MatchedEdge struct {
-	QueryEdge int // index into the query's edge list
-	Src, Dst  string
-	Type      string
-	TS        int64
-}
+// MatchedEdge is one edge of a reported match: the index into the
+// query's edge list (QueryEdge), the data edge's endpoint names and type
+// (Src, Dst, Type) and its timestamp (TS).
+type MatchedEdge = core.PortableMatchEdge
 
 // Match is a complete, window-respecting embedding of the query in the
 // data graph.
@@ -269,35 +262,15 @@ func (e *Engine) ProcessAll(edges []Edge) []Match {
 	return out
 }
 
+// resolve copies an engine-owned match into the public form (the one
+// core resolve walk, two sized allocations), bindings sorted by query
+// vertex name.
 func (e *Engine) resolve(m iso.Match) Match {
-	g := e.inner.Graph()
-	var out Match
-	for qv, dv := range m.VertexOf {
-		if dv == graph.NoVertex {
-			continue
-		}
-		out.Bindings = append(out.Bindings, Binding{
-			QueryVertex: e.q.Vertices[qv].Name,
-			DataVertex:  g.VertexName(dv),
-		})
-	}
+	out := Match{FirstTS: m.MinTS, LastTS: m.MaxTS}
+	out.Bindings, out.Edges = e.inner.ResolveMatch(m)
 	sort.Slice(out.Bindings, func(i, j int) bool {
 		return out.Bindings[i].QueryVertex < out.Bindings[j].QueryVertex
 	})
-	for qe, eid := range m.EdgeOf {
-		de, ok := g.Edge(eid)
-		if !ok {
-			continue
-		}
-		out.Edges = append(out.Edges, MatchedEdge{
-			QueryEdge: qe,
-			Src:       g.VertexName(de.Src),
-			Dst:       g.VertexName(de.Dst),
-			Type:      g.Types().Name(uint32(de.Type)),
-			TS:        de.TS,
-		})
-	}
-	out.FirstTS, out.LastTS = m.MinTS, m.MaxTS
 	return out
 }
 
