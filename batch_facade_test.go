@@ -123,3 +123,102 @@ func TestMonitorProcessBatch(t *testing.T) {
 		t.Fatalf("Monitor.ProcessBatch multiset differs: %d vs %d matches", len(got), len(want))
 	}
 }
+
+// allocsPerCall fills batch with fresh timestamps, k edges of the
+// query's type "hit" among ones of type "miss", and returns the average
+// allocations of call over it once the engine is warm.
+func allocsPerCall(k int, call func([]Edge) int) (allocs float64, matches int) {
+	batch := make([]Edge, 64)
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("h%d", i)
+	}
+	ts, i := int64(0), 0
+	run := func() {
+		for j := range batch {
+			ts++
+			tp := "miss"
+			if j < k {
+				tp = "hit"
+			}
+			batch[j] = Edge{Src: names[i%16], SrcLabel: "ip", Dst: names[(i+1)%16], DstLabel: "ip", Type: tp, TS: ts}
+			i++
+		}
+		matches = call(batch)
+	}
+	for r := 0; r < 64; r++ {
+		run()
+	}
+	return testing.AllocsPerRun(200, run), matches
+}
+
+// TestFacadeAllocsPerCall gates the facade's resolve memory: a call
+// resolves all of its matches into one slab, so what Monitor.ProcessBatch
+// and Engine.ProcessBatch allocate per call does not grow with the number
+// of matches the call returns (1 or 64 here, out of 64-edge batches of
+// one-edge-query hits and misses, names drawn from 16 hosts so the engine
+// itself runs at its allocation-free steady state).
+func TestFacadeAllocsPerCall(t *testing.T) {
+	q, err := ParseQuery("e a b hit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []struct {
+		name string
+		call func() func([]Edge) int
+	}{
+		{"Monitor.ProcessBatch", func() func([]Edge) int {
+			mon := NewMonitor(MonitorOptions{Window: 200})
+			if err := mon.Register("q", q, Single); err != nil {
+				t.Fatal(err)
+			}
+			return func(batch []Edge) int { return len(mon.ProcessBatch(batch)) }
+		}},
+		{"Engine.ProcessBatch", func() func([]Edge) int {
+			eng, err := NewEngine(q, Options{Strategy: Single, Window: 200, Decomposition: [][]int{{0}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(batch []Edge) int { return len(eng.ProcessBatch(batch)) }
+		}},
+	} {
+		few, n1 := allocsPerCall(1, tier.call())
+		many, n64 := allocsPerCall(64, tier.call())
+		if n1 != 1 || n64 != 64 {
+			t.Fatalf("%s: %d and %d matches per call, want 1 and 64", tier.name, n1, n64)
+		}
+		if many > few {
+			t.Errorf("%s: %v allocs per call returning 64 matches, %v returning 1; want no growth with the match count", tier.name, many, few)
+		}
+		t.Logf("%s: %v allocs per call (1 match), %v (64 matches)", tier.name, few, many)
+	}
+}
+
+// BenchmarkMonitorProcessBatch is the facade's resolve layer end to end:
+// two queries on one Monitor over 512-edge batches of the facade test
+// stream, ~1 match per edge, every match resolved for the caller.
+func BenchmarkMonitorProcessBatch(b *testing.B) {
+	mon := NewMonitor(MonitorOptions{Window: 300})
+	for _, reg := range [][2]string{{"lateral", "e a b rdp\ne b c ftp\n"}, {"web", "e x y http\n"}} {
+		q, err := ParseQuery(reg[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mon.Register(reg[0], q, Single); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const batchSize = 512
+	base := facadeTrainingEdges(batchSize)
+	batch := make([]Edge, batchSize)
+	matches := 0
+	b.ReportAllocs()
+	for r := int64(0); b.Loop(); r++ {
+		for j, e := range base {
+			e.TS += r * batchSize
+			batch[j] = e
+		}
+		matches += len(mon.ProcessBatch(batch))
+	}
+	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+}

@@ -149,7 +149,9 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 // when the next call starts, but Engine and Monitor resolve every match
 // into names and timestamps of their own before returning, so what the
 // public API hands out stays as it was however the stream goes on — per
-// edge, in batches, or through a snapshot.
+// edge, in batches, or through a snapshot. A call's matches share one
+// slab, so the test also appends to the first match of every call that
+// returned several: the match next to it must not change either.
 func TestPublicMatchesSurviveLaterCalls(t *testing.T) {
 	edges := facadeTrainingEdges(2000)
 	stats := NewStatistics()
@@ -170,39 +172,46 @@ func TestPublicMatchesSurviveLaterCalls(t *testing.T) {
 		then string
 	}
 	var held []kept
-	keep := func(m Match) { held = append(held, kept{m, fmt.Sprintf("%+v", m)}) }
+	scribbled := 0
+	keep := func(ms []Match) {
+		for _, m := range ms {
+			held = append(held, kept{m, fmt.Sprintf("%+v", m)})
+		}
+		if len(ms) > 1 {
+			_ = append(ms[0].Bindings, Binding{QueryVertex: "scribble", DataVertex: "scribble"})
+			_ = append(ms[0].Edges, MatchedEdge{Src: "scribble", Dst: "scribble"})
+			scribbled++
+		}
+	}
+	keepQ := func(qms []QueryMatch) {
+		ms := make([]Match, len(qms))
+		for i, qm := range qms {
+			ms[i] = qm.Match
+		}
+		keep(ms)
+	}
 	for lo := 0; lo < len(edges); lo += 40 {
 		chunk := edges[lo:min(lo+40, len(edges))]
 		if (lo/40)%2 == 0 {
 			for _, e := range chunk {
-				for _, m := range eng.Process(e) {
-					keep(m)
-				}
-				for _, qm := range mon.Process(e) {
-					keep(qm.Match)
-				}
+				keep(eng.Process(e))
+				keepQ(mon.Process(e))
 			}
 			continue
 		}
-		for _, m := range eng.ProcessBatch(chunk) {
-			keep(m)
-		}
-		for _, qm := range mon.ProcessBatch(chunk) {
-			keep(qm.Match)
-		}
+		keep(eng.ProcessBatch(chunk))
+		keepQ(mon.ProcessBatch(chunk))
 	}
 	var buf bytes.Buffer
 	flushed, err := SaveSnapshot(&buf, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range flushed {
-		keep(m)
-	}
+	keep(flushed)
 	eng.Process(edges[len(edges)-1])
 
-	if len(held) < 100 {
-		t.Fatalf("only %d matches held; weak test", len(held))
+	if len(held) < 100 || scribbled < 10 {
+		t.Fatalf("only %d matches held, %d calls with several; weak test", len(held), scribbled)
 	}
 	for i, k := range held {
 		if now := fmt.Sprintf("%+v", k.m); now != k.then {

@@ -166,34 +166,85 @@ func TestProcessBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestResolveMatchAllocs gates match resolution at its floor: one
-// sized allocation for the bindings, one for the edges.
-func TestResolveMatchAllocs(t *testing.T) {
+// resolveFixture is a MultiEngine and the two matches of a three-edge
+// path query one batch completed: h0>h1>h2>h3, then h0>h1>h2>h4.
+func resolveFixture(t testing.TB) (*MultiEngine, []NamedMatch) {
 	m := NewMulti(MultiConfig{})
-	q := query.NewPath("ip", "GRE", "TCP", "UDP")
-	if err := m.Register("q", q, Config{}); err != nil {
+	if err := m.Register("q", query.NewPath("ip", "GRE", "TCP", "UDP"), Config{}); err != nil {
 		t.Fatal(err)
 	}
-	var nms []NamedMatch
-	for i, tp := range []string{"GRE", "TCP", "UDP"} {
-		nms = m.ProcessEdge(stream.Edge{
-			Src: fmt.Sprintf("h%d", i), SrcLabel: "ip",
-			Dst: fmt.Sprintf("h%d", i+1), DstLabel: "ip",
-			Type: tp, TS: int64(i + 1),
-		})
+	var batch []stream.Edge
+	for i, e := range [][3]string{{"h0", "h1", "GRE"}, {"h1", "h2", "TCP"}, {"h2", "h3", "UDP"}, {"h2", "h4", "UDP"}} {
+		batch = append(batch, stream.Edge{Src: e[0], SrcLabel: "ip", Dst: e[1], DstLabel: "ip", Type: e[2], TS: int64(i + 1)})
 	}
-	if len(nms) != 1 {
-		t.Fatalf("got %d matches, want 1", len(nms))
+	nms := m.ProcessBatch(batch)
+	if len(nms) != 2 {
+		t.Fatalf("got %d matches, want 2", len(nms))
 	}
+	return m, nms
+}
+
+// TestResolveMatchAllocs gates match resolution at its floor: after one
+// warm-up call has grown the engine's two buffers, resolving allocates
+// nothing.
+func TestResolveMatchAllocs(t *testing.T) {
+	m, nms := resolveFixture(t)
 	var bindings []PortableBinding
 	var edges []PortableMatchEdge
+	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
-		bindings, edges = m.ResolveMatch(nms[0])
+		bindings, edges = m.ResolveMatch(nms[i%2])
+		i++
 	})
 	if len(bindings) != 4 || len(edges) != 3 {
 		t.Fatalf("resolved %d bindings and %d edges, want 4 and 3", len(bindings), len(edges))
 	}
-	if avg > 2 {
-		t.Errorf("ResolveMatch allocates %v allocs/op, want <= 2", avg)
+	if avg != 0 {
+		t.Errorf("ResolveMatch allocates %v allocs/op, want 0", avg)
+	}
+}
+
+// TestResolveMatchReusesBuffers pins ResolveMatch's lifetime: what it
+// returns is a view of the engine's buffers, overwritten by its next
+// call, and capacity-clipped, so a caller appending to it gets an array
+// of its own and the engine's buffers are untouched.
+func TestResolveMatchReusesBuffers(t *testing.T) {
+	m, nms := resolveFixture(t)
+	last := func(edges []PortableMatchEdge) string { return edges[len(edges)-1].Dst }
+	b1, e1 := m.ResolveMatch(nms[0])
+	if last(e1) != "h3" {
+		t.Fatalf("first match ends at %s, want h3", last(e1))
+	}
+	if cap(b1) != len(b1) || cap(e1) != len(e1) {
+		t.Fatalf("views not capacity-clipped: bindings %d/%d, edges %d/%d", len(b1), cap(b1), len(e1), cap(e1))
+	}
+	b2, e2 := m.ResolveMatch(nms[1])
+	if last(e2) != "h4" || last(e1) != "h4" || &b1[0] != &b2[0] {
+		t.Fatalf("second call did not resolve into the first call's buffers: first view ends at %s, second at %s", last(e1), last(e2))
+	}
+
+	// A caller's append reallocates instead of writing past the view.
+	grown := append(e2, PortableMatchEdge{Dst: "caller"})
+	grownB := append(b2, PortableBinding{DataVertex: "caller"})
+	if &grown[0] == &e2[0] || &grownB[0] == &b2[0] {
+		t.Fatal("append to a view wrote into the engine's buffers")
+	}
+	b3, e3 := m.ResolveMatch(nms[0])
+	if &b3[0] != &b1[0] || &e3[0] != &e1[0] {
+		t.Fatal("ResolveMatch stopped reusing its buffers after a caller's append")
+	}
+	if last(e3) != "h3" || len(e3) != 3 || len(b3) != 4 || grown[3].Dst != "caller" || last(grown[:3]) != "h4" {
+		t.Fatalf("caller's copy and engine's buffers interfere: engine %v, caller %v", e3, grown)
+	}
+}
+
+// BenchmarkResolveMatch is the resolve layer alone: one match of a
+// three-edge path query resolved to names per op, alternating between
+// two matches of one batch.
+func BenchmarkResolveMatch(b *testing.B) {
+	m, nms := resolveFixture(b)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		m.ResolveMatch(nms[i%2])
 	}
 }

@@ -27,12 +27,12 @@
 // release point mean no interleaving of the three calls can release an
 // array twice. MultiEngine passes the contract through per query engine
 // (its own result slices are arena-backed with the same lifetime, see
-// batchArena). A caller that keeps a match resolves
-// it to names (MultiEngine.ResolveMatch, Engine.Explain) or Clones it
-// before its next call; every caller in this repository does, and the
-// streamgraph facade returns resolved copies only. The VF2 and IncIso
-// baselines have no tree and no pool: their matches are fresh and simply
-// left to the collector.
+// batchArena). A caller that keeps a match resolves it to names
+// (AppendResolved, Engine.Explain) or Clones it before its next call; a
+// MultiEngine.ResolveMatch result is valid until its next call, and the
+// streamgraph facade resolves each call's matches into slabs it hands
+// out for good. The VF2 and IncIso baselines have no tree and no pool:
+// their matches are fresh and simply left to the collector.
 //
 // The pool holds matches in flight only: the leaf candidates of the call
 // (Tree.Insert hands each one's arrays back before it returns) and the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,6 +60,9 @@ type MultiEngine struct {
 	arena   batchArena
 	pq      [][][]iso.Match
 	keptIdx []int32
+
+	resBindings []PortableBinding // ResolveMatch's buffers (see there)
+	resEdges    []PortableMatchEdge
 }
 
 // MultiConfig parameterizes a MultiEngine.
@@ -296,26 +300,13 @@ type PortableMatchEdge struct {
 
 // ResolveMatch resolves an engine match into portable name-based form
 // against the shared graph now, while the bound edges are certainly
-// still live. Every emitter — the local shard worker, the remote dshard
-// worker, the streamgraph facade — goes through the one walk
-// (AppendResolved); sharing it is part of what keeps match output
-// byte-identical across topologies.
+// still live, through the one walk every emitter shares (AppendResolved),
+// which keeps match output byte-identical across topologies. It returns
+// capacity-clipped views of two buffers the engine keeps, valid until
+// its next ResolveMatch: a caller that keeps a result copies it.
 func (m *MultiEngine) ResolveMatch(nm NamedMatch) (bindings []PortableBinding, edges []PortableMatchEdge) {
-	return resolveSized(m.g, m.queries[nm.Query].q, nm.Match)
-}
-
-// ResolveMatch resolves one of the engine's matches into portable
-// name-based form against its graph (see MultiEngine.ResolveMatch).
-func (e *Engine) ResolveMatch(mt iso.Match) (bindings []PortableBinding, edges []PortableMatchEdge) {
-	return resolveSized(e.g, e.q, mt)
-}
-
-// resolveSized is AppendResolved onto two fresh slices sized for the
-// match: two allocations however many vertices and edges it binds.
-func resolveSized(g *graph.Graph, q *query.Graph, mt iso.Match) ([]PortableBinding, []PortableMatchEdge) {
-	return AppendResolved(g, q,
-		make([]PortableBinding, 0, len(mt.VertexOf)),
-		make([]PortableMatchEdge, 0, len(mt.EdgeOf)), mt)
+	m.resBindings, m.resEdges = AppendResolved(m.g, m.queries[nm.Query].q, m.resBindings[:0], m.resEdges[:0], nm.Match)
+	return slices.Clip(m.resBindings), slices.Clip(m.resEdges)
 }
 
 // AppendResolved is the resolve walk: it appends the bindings and edges

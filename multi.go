@@ -36,11 +36,11 @@ func (m *Monitor) RegisterWithBackfill(name string, q *Query, strategy Strategy)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]QueryMatch, 0, len(initial))
-	for _, mt := range initial {
-		out = append(out, QueryMatch{Query: name, Match: m.resolve(core.NamedMatch{Query: name, Match: mt})})
+	named := make([]core.NamedMatch, len(initial))
+	for i, mt := range initial {
+		named[i] = core.NamedMatch{Query: name, Match: mt}
 	}
-	return out, nil
+	return m.resolveAll(named), nil
 }
 
 // Unregister removes a query and its partial-match state.
@@ -58,37 +58,33 @@ type QueryMatch struct {
 }
 
 // Process ingests one edge and returns the matches it completed across
-// all registered queries.
+// all registered queries, the caller's for good (resolved into a slab).
 func (m *Monitor) Process(se Edge) []QueryMatch {
-	named := m.inner.ProcessEdge(se)
-	if len(named) == 0 {
-		return nil
-	}
-	out := make([]QueryMatch, 0, len(named))
-	for _, nm := range named {
-		out = append(out, QueryMatch{Query: nm.Query, Match: m.resolve(nm)})
-	}
-	return out
+	return m.resolveAll(m.inner.ProcessEdge(se))
 }
 
 // ProcessBatch ingests a whole batch of edges — one shared statistics
-// pass and one amortized eviction — and returns the matches it
-// completed across all registered queries, edge-major in registration
-// order (the order a serial Process loop reports).
+// pass and one amortized eviction — and returns the matches it completed
+// across all registered queries, the caller's for good, edge-major in
+// registration order (the order a serial Process loop reports).
 func (m *Monitor) ProcessBatch(edges []Edge) []QueryMatch {
-	named := m.inner.ProcessBatch(edges)
+	return m.resolveAll(m.inner.ProcessBatch(edges))
+}
+
+// resolveAll copies the engine-owned matches of one call into the public
+// form, in one slab for the call.
+func (m *Monitor) resolveAll(named []core.NamedMatch) []QueryMatch {
 	if len(named) == 0 {
 		return nil
 	}
-	out := make([]QueryMatch, 0, len(named))
+	nb, ne := 0, 0
 	for _, nm := range named {
-		out = append(out, QueryMatch{Query: nm.Query, Match: m.resolve(nm)})
+		nb, ne = nb+len(nm.Match.VertexOf), ne+len(nm.Match.EdgeOf)
 	}
-	return out
-}
-
-func (m *Monitor) resolve(nm core.NamedMatch) Match {
-	out := Match{FirstTS: nm.Match.MinTS, LastTS: nm.Match.MaxTS}
-	out.Bindings, out.Edges = m.inner.ResolveMatch(nm)
+	s := slab{make([]Binding, 0, nb), make([]MatchedEdge, 0, ne)}
+	out := make([]QueryMatch, len(named))
+	for i, nm := range named {
+		out[i] = QueryMatch{Query: nm.Query, Match: s.resolve(m.inner.Graph(), m.inner.QueryEngine(nm.Query).Query(), nm.Match)}
+	}
 	return out
 }

@@ -18,11 +18,7 @@ func SaveSnapshot(w io.Writer, e *Engine) (flushed []Match, err error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Match, 0, len(raw))
-	for _, m := range raw {
-		out = append(out, e.resolve(m))
-	}
-	return out, nil
+	return e.resolveAll(raw), nil
 }
 
 // LoadSnapshot restores an engine previously saved with SaveSnapshot.

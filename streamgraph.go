@@ -42,11 +42,11 @@ package streamgraph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/decompose"
+	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
@@ -173,13 +173,31 @@ type Binding = core.PortableBinding
 type MatchedEdge = core.PortableMatchEdge
 
 // Match is a complete, window-respecting embedding of the query in the
-// data graph.
+// data graph. Every Match a call returns is the caller's for good.
 type Match struct {
 	Bindings []Binding
 	Edges    []MatchedEdge
 	// FirstTS and LastTS delimit τ(g), the match's timespan.
 	FirstTS int64
 	LastTS  int64
+}
+
+// slab is the memory one facade call resolves its matches into: one
+// bindings and one edges array, sized up front for every match of the
+// call, so the call allocates twice however many matches it returns.
+// Each Match is a capacity-clipped window of the two, so appending to
+// one cannot write into its neighbour, and no slab is reused.
+type slab struct {
+	bindings []Binding
+	edges    []MatchedEdge
+}
+
+// resolve appends mt, a match of q over g, through the core resolve walk
+// and returns its window.
+func (s *slab) resolve(g *graph.Graph, q *Query, mt iso.Match) Match {
+	b0, e0 := len(s.bindings), len(s.edges)
+	s.bindings, s.edges = core.AppendResolved(g, q, s.bindings, s.edges, mt)
+	return Match{Bindings: slices.Clip(s.bindings[b0:]), Edges: slices.Clip(s.edges[e0:]), FirstTS: mt.MinTS, LastTS: mt.MaxTS}
 }
 
 // String renders the match compactly.
@@ -217,31 +235,17 @@ func NewEngine(q *Query, opts Options) (*Engine, error) {
 }
 
 // Process folds one edge into the data graph and returns the complete
-// matches it produced.
+// matches it produced, the caller's for good (resolved into a slab).
 func (e *Engine) Process(se Edge) []Match {
-	raw := e.inner.ProcessEdge(se)
-	if len(raw) == 0 {
-		return nil
-	}
-	out := make([]Match, 0, len(raw))
-	for _, m := range raw {
-		out = append(out, e.resolve(m))
-	}
-	return out
+	return e.resolveAll(e.inner.ProcessEdge(se))
 }
 
 // ProcessBatch folds a whole batch of edges into the data graph — one
 // amortized eviction pass, then the per-edge search in input order —
-// and returns the complete matches in input order: the concatenation of
-// what per-edge Process calls would have returned.
+// and returns the complete matches in input order, the caller's for
+// good: the concatenation of what per-edge Process calls would return.
 func (e *Engine) ProcessBatch(edges []Edge) []Match {
-	var out []Match
-	for _, ms := range e.inner.ProcessBatch(edges) {
-		for _, m := range ms {
-			out = append(out, e.resolve(m))
-		}
-	}
-	return out
+	return e.resolveAll(e.inner.ProcessBatch(edges)...)
 }
 
 // ProcessAll streams a slice of edges through the engine in chunks of
@@ -262,15 +266,26 @@ func (e *Engine) ProcessAll(edges []Edge) []Match {
 	return out
 }
 
-// resolve copies an engine-owned match into the public form (the one
-// core resolve walk, two sized allocations), bindings sorted by query
-// vertex name.
-func (e *Engine) resolve(m iso.Match) Match {
-	out := Match{FirstTS: m.MinTS, LastTS: m.MaxTS}
-	out.Bindings, out.Edges = e.inner.ResolveMatch(m)
-	sort.Slice(out.Bindings, func(i, j int) bool {
-		return out.Bindings[i].QueryVertex < out.Bindings[j].QueryVertex
-	})
+// resolveAll copies the engine-owned matches of one call, rows in
+// order, into the public form: one slab for the call (every match of the
+// query has its shape), bindings sorted by query vertex name.
+func (e *Engine) resolveAll(rows ...[]iso.Match) []Match {
+	n := 0
+	for _, ms := range rows {
+		n += len(ms)
+	}
+	if n == 0 {
+		return nil
+	}
+	s := slab{make([]Binding, 0, n*len(e.q.Vertices)), make([]MatchedEdge, 0, n*len(e.q.Edges))}
+	out := make([]Match, 0, n)
+	for _, ms := range rows {
+		for _, mt := range ms {
+			m := s.resolve(e.inner.Graph(), e.q, mt)
+			slices.SortFunc(m.Bindings, func(a, b Binding) int { return strings.Compare(a.QueryVertex, b.QueryVertex) })
+			out = append(out, m)
+		}
+	}
 	return out
 }
 
