@@ -107,7 +107,10 @@ func (e *Engine) migrate(newLeaves [][]int) error {
 	e.tree = nt
 	e.matcher.Pool = nt.Pool()
 	if e.lazy {
-		e.clearBits()
+		// The stamp table restarts empty at the new leaf count; enable
+		// regrows it, unset, as the new tree enables leaves.
+		e.until, e.bitSet = e.until[:0], e.bitSet[:0]
+		e.gated = len(newLeaves) - 1
 		e.pending = make([][]retroItem, len(newLeaves))
 	}
 

@@ -1,6 +1,10 @@
 package core
 
-import "streamgraph/internal/graph"
+import (
+	"math"
+
+	"streamgraph/internal/graph"
+)
 
 // Live-checkpoint accessors. persist.SaveMulti serializes a running
 // MultiEngine WITHOUT flushing deferred lazy work or forcing eviction
@@ -34,7 +38,9 @@ func (e *Engine) PendingRetro() [][]graph.VertexID {
 // RestorePendingRetro replaces the queued retrospective work (the
 // counterpart of PendingRetro on a freshly restored engine). The
 // restored queue drains at the next processed edge, exactly where the
-// checkpointed engine would have drained it.
+// checkpointed engine would have drained it. The floors are not saved:
+// each item repairs its vertex's whole neighborhood, and the tree's
+// dedup drops what it had stored already.
 func (e *Engine) RestorePendingRetro(perLeaf [][]graph.VertexID) {
 	if !e.lazy {
 		return
@@ -45,7 +51,7 @@ func (e *Engine) RestorePendingRetro(perLeaf [][]graph.VertexID) {
 		}
 		items := make([]retroItem, len(vs))
 		for j, v := range vs {
-			items[j] = retroItem{v: v}
+			items[j] = retroItem{v: v, floor: math.MinInt64}
 		}
 		e.pending[i] = items
 	}

@@ -15,7 +15,7 @@ import (
 
 // The vertex-churn differential: graph.Graph recycles a VertexID once a
 // sweep finds the vertex isolated, and the engine holds VertexIDs in
-// partial matches, the lazy bitmap and queued retrospective searches.
+// partial matches, the lazy stamps and queued retrospective searches.
 // These tests run streams whose name domain dwarfs the live set — every
 // ID changes hands many times — through every ingestion path, strategy
 // and eviction cadence, and require the resolved match multiset of the

@@ -1,7 +1,8 @@
 // Package core implements the continuous pattern detection engine of
 // Choudhury et al. (EDBT 2015): the dynamic graph search loop
 // (Algorithm 1), the Lazy Search extension (Algorithm 3) with its
-// per-vertex leaf bitmap and retrospective neighborhood repair, the four
+// per-vertex, per-leaf enablement stamps that expire with the window
+// and its retrospective neighborhood repair, the four
 // selectivity-driven strategies of Section 6.4 (Single, SingleLazy,
 // Path, PathLazy), the non-incremental VF2 baseline, and an anchored
 // incremental baseline (IncIso, after Fan et al. as used in the
@@ -49,6 +50,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"streamgraph/internal/decompose"
 	"streamgraph/internal/graph"
@@ -107,7 +110,7 @@ func (s Strategy) String() string {
 // reordered.
 func (s Strategy) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// Lazy reports whether the strategy uses the Lazy Search bitmap.
+// Lazy reports whether the strategy gates leaf searches by Lazy Search.
 func (s Strategy) Lazy() bool {
 	return s == StrategySingleLazy || s == StrategyPathLazy || s == StrategyAuto
 }
@@ -193,17 +196,24 @@ type Engine struct {
 	matcher *iso.Matcher
 	tree    *sjtree.Tree // nil for VF2 / IncIso
 
-	// Lazy Search state: bits is the per-vertex leaf-enablement bitmap,
-	// dense over the graph's VertexID space (which the window bounds),
-	// and bitSet lists the vertices with a non-zero entry — what a sweep
-	// walks and a snapshot saves.
+	// Lazy Search state. until[v*gated+l-1] is the timestamp until which
+	// leaf l's search is enabled around vertex v, for the gated leaves
+	// l = 1..gated (leaf 0 is always searched); math.MinInt64 means never
+	// enabled. It is dense over the graph's VertexID space, which the
+	// window bounds. bitSet lists the vertices with a stamp set — what a
+	// sweep walks and a snapshot saves — and hiTS is the highest
+	// timestamp the engine has searched, what decides whether a raised
+	// stamp had lapsed (see onStored).
 	lazy     bool
-	bits     []uint64
+	gated    int
+	until    []int64
 	bitSet   []graph.VertexID
+	hiTS     int64
 	allEdges []int
 
 	pending [][]retroItem // per-leaf retrospective work for the current edge
 	curEdge graph.EdgeID
+	curTS   int64 // the timestamp of the edge being searched
 	// curResults holds every complete match of the current call, in
 	// emission order: what ProcessEdge and FlushPending return and what
 	// the rows ProcessBatch returns are cut from. It is the one list
@@ -236,6 +246,7 @@ type Engine struct {
 	curLeaf    int
 	curRequire bool         // mergeEmit: gate candidates on touching an enabled vertex
 	curExclude graph.EdgeID // retroEmit: the current edge, whose matches the anchored pass finds
+	curFloor   int64        // retroEmit: the current repair's floor (see retroItem)
 	curFound   int          // candidates emitted by the current search
 
 	chosenKind decompose.Kind
@@ -256,8 +267,15 @@ type Engine struct {
 	stats      Stats
 }
 
+// retroItem is one queued repair: search the leaf around v for the
+// matches that arrived while v's stamp was below them — before it was
+// first set, or since it lapsed. floor is the stamp v had before the
+// raise that queued the item: a match whose latest edge is older was
+// stored when it arrived or found by an earlier repair, so the repair
+// skips it.
 type retroItem struct {
-	v graph.VertexID
+	v     graph.VertexID
+	floor int64
 }
 
 // New builds an engine for query q.
@@ -269,9 +287,10 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		cfg.EvictEvery = 256
 	}
 	e := &Engine{
-		q:   q,
-		cfg: cfg,
-		g:   graph.New(),
+		q:    q,
+		cfg:  cfg,
+		g:    graph.New(),
+		hiTS: math.MinInt64,
 	}
 	e.matcher = e.newMatcher()
 	e.collect = func(m iso.Match) { e.curResults = append(e.curResults, m) }
@@ -285,7 +304,7 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	}
 	e.retroEmit = func(m iso.Match) bool {
 		e.curFound++
-		if !m.HasEdge(e.curExclude) && !e.retroSeenBefore(m, e.tree.LeafEdges(e.curLeaf)) {
+		if m.MaxTS >= e.curFloor && !m.HasEdge(e.curExclude) && !e.retroSeenBefore(m, e.tree.LeafEdges(e.curLeaf)) {
 			e.stats.RetroMatches++
 			e.insert(e.curLeaf, e.matcher.Retain(m))
 		}
@@ -307,7 +326,7 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		}
 	}
 	if len(leaves) > 64 {
-		return nil, fmt.Errorf("core: decomposition has %d leaves; the lazy bitmap supports at most 64", len(leaves))
+		return nil, fmt.Errorf("core: decomposition has %d leaves; LazyBits encodes at most 64", len(leaves))
 	}
 	e.tree, err = sjtree.Build(q, leaves, cfg.Window)
 	if err != nil {
@@ -319,6 +338,7 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	e.lazy = cfg.Strategy.Lazy()
 	e.tree.Dedup = e.lazy
 	if e.lazy {
+		e.gated = len(leaves) - 1
 		e.pending = make([][]retroItem, len(leaves))
 	}
 	if cfg.Adaptive != nil {
@@ -446,7 +466,8 @@ func (e *Engine) processShared(de graph.Edge) []iso.Match {
 // ProcessEdge and every batch. Complete matches go to curResults.
 func (e *Engine) searchEdge(de graph.Edge) {
 	e.stats.EdgesProcessed++
-	e.curEdge = de.ID
+	e.curEdge, e.curTS = de.ID, de.TS
+	e.hiTS = max(e.hiTS, de.TS)
 	if e.tree != nil && e.cfg.MaxWorkPerEdge > 0 {
 		e.budget.Remaining = e.cfg.MaxWorkPerEdge
 		e.tree.Budget = &e.budget
@@ -500,7 +521,11 @@ func (e *Engine) processIncIso(de graph.Edge) {
 }
 
 // processTree is Algorithms 1 and 3: search the SJ-Tree leaves around
-// the new edge, lazily when enabled, and cascade joins.
+// the new edge, lazily when enabled, and cascade joins. Leaf l > 0 is
+// enabled around a vertex while a match stored at its sibling binds the
+// vertex and could still join a leaf match at the edge's timestamp (see
+// enabled), so a search stops at a vertex once every partial match that
+// enabled it has aged out of the window's reach.
 //
 // One refinement over the paper's Algorithm 3: for a multi-edge leaf,
 // a match containing the new edge can touch an enabled vertex that is
@@ -523,7 +548,7 @@ func (e *Engine) processTree(de graph.Edge) {
 		requireTouch := false
 		if e.lazy {
 			e.drainRetro(l, de.ID)
-			if l > 0 && !e.enabled(de.Src, l) && !e.enabled(de.Dst, l) {
+			if l > 0 && !e.enabled(de.Src, l, de.TS) && !e.enabled(de.Dst, l, de.TS) {
 				if len(e.tree.LeafEdges(l)) == 1 {
 					// A 1-edge leaf match has no vertices beyond u, v.
 					continue
@@ -538,10 +563,10 @@ func (e *Engine) processTree(de graph.Edge) {
 }
 
 // touchesEnabled reports whether any bound vertex of m has leaf l's
-// search enabled.
+// search enabled for the edge being searched.
 func (e *Engine) touchesEnabled(m iso.Match, l int) bool {
 	for _, dv := range m.VertexOf {
-		if dv != graph.NoVertex && e.enabled(dv, l) {
+		if dv != graph.NoVertex && e.enabled(dv, l, e.curTS) {
 			return true
 		}
 	}
@@ -554,26 +579,40 @@ func (e *Engine) insert(leaf int, m iso.Match) {
 
 // onStored implements ENABLE-SEARCH-SIBLING: a match stored at a node
 // with a NextLeaf enables that leaf's search for all of the match's
-// vertices, queueing a retrospective search per newly enabled vertex.
+// vertices until the match can no longer join (enabledUntil), raising
+// each vertex's stamp to that.
+//
+// A raised stamp queues a retrospective search unless the old one
+// still covered every timestamp searched so far (old > hiTS): then
+// every leaf match around the vertex was stored when it arrived. The
+// repair's floor is the old stamp. A leaf match not stored arrived at
+// a timestamp at or past the stamp it met; stamps only grow, so the
+// first raise after it had a lapsed old stamp no later than that
+// timestamp and its repair finds the match. hiTS, not the current
+// edge's timestamp, is what a lapse is judged by: after a timestamp
+// regresses, a stamp above the current one can still lie below edges
+// searched earlier and kept out. A stamp that is not raised queues
+// nothing: a leaf match that could join m is older than the stamp,
+// hence already in the tree.
 func (e *Engine) onStored(n *sjtree.Node, m iso.Match) {
 	if !e.lazy || n.NextLeaf < 0 {
 		return
 	}
-	bit := uint64(1) << uint(n.NextLeaf)
+	l, until := n.NextLeaf, e.enabledUntil(m)
 	for _, dv := range m.VertexOf {
 		if dv == graph.NoVertex {
 			continue
 		}
-		if e.enableBits(dv, bit) == 0 {
-			continue
+		if old := e.enable(dv, l, until); old < until && old <= e.hiTS {
+			e.pending[l] = append(e.pending[l], retroItem{v: dv, floor: old})
 		}
-		e.pending[n.NextLeaf] = append(e.pending[n.NextLeaf], retroItem{v: dv})
 	}
 }
 
 // drainRetro performs the queued retrospective searches for leaf l:
 // matches formed purely from edges that arrived before the current one
-// (the current edge's matches are found by the anchored pass). Batch
+// (the current edge's matches are found by the anchored pass) and not
+// older than the item's floor (see retroItem). Batch
 // deduplication suppresses the same embedding reached from two anchor
 // vertices; the tree's Dedup flag suppresses cross-event repeats.
 // Candidates stream out of the matcher through retroEmit, as the
@@ -597,7 +636,7 @@ func (e *Engine) drainRetro(l int, exclude graph.EdgeID) {
 	e.curLeaf, e.curExclude = l, exclude
 	for _, it := range items {
 		e.stats.RetroSearches++
-		e.curFound = 0
+		e.curFound, e.curFloor = 0, it.floor
 		e.matcher.FindAroundVertexFunc(sub, verts, it.v, e.retroEmit)
 	}
 }
@@ -637,28 +676,62 @@ func (e *Engine) retroSeenBefore(m iso.Match, sub []int) bool {
 	return false
 }
 
-func (e *Engine) enabled(v graph.VertexID, leaf int) bool {
-	return int(v) < len(e.bits) && e.bits[v]&(uint64(1)<<uint(leaf)) != 0
+// enabled reports whether leaf l's search is enabled around v for an
+// edge at ts. The test is exact: a leaf match at ts can join a stored
+// match h only if both fit one window, h.MinTS + Window > ts, and v's
+// stamp is the largest such bound among the matches that enabled it.
+func (e *Engine) enabled(v graph.VertexID, l int, ts int64) bool {
+	i := int(v)*e.gated + l - 1
+	return i < len(e.until) && e.until[i] > ts
 }
 
-// enableBits sets mask in v's bitmap entry and returns the bits of mask
-// that were not set before.
-func (e *Engine) enableBits(v graph.VertexID, mask uint64) uint64 {
-	if int(v) >= len(e.bits) {
-		e.bits = append(e.bits, make([]uint64, e.g.NumVertices()-len(e.bits))...)
+// enabledUntil is the stamp a match stored at a gating node gives the
+// vertices it binds: a leaf match at a timestamp below MinTS + Window
+// can join it; without a window, any can.
+func (e *Engine) enabledUntil(m iso.Match) int64 {
+	if e.cfg.Window <= 0 {
+		return math.MaxInt64
 	}
-	old := e.bits[v]
-	if old == 0 && mask != 0 {
-		e.bitSet = append(e.bitSet, v)
-	}
-	e.bits[v] = old | mask
-	return mask &^ old
+	return m.MinTS + e.cfg.Window
 }
 
-// clearBits empties the lazy bitmap, keeping its storage.
-func (e *Engine) clearBits() {
+// stamps is v's row of until: one stamp per gated leaf.
+func (e *Engine) stamps(v graph.VertexID) []int64 {
+	base := int(v) * e.gated
+	return e.until[base : base+e.gated]
+}
+
+// enable raises v's stamp for leaf l to until, if that is later, and
+// returns the stamp v had.
+func (e *Engine) enable(v graph.VertexID, l int, until int64) int64 {
+	if n := len(e.until); (int(v)+1)*e.gated > n {
+		need := max(e.g.NumVertices(), int(v)+1) * e.gated
+		e.until = slices.Grow(e.until, need-n)[:need]
+		unset(e.until[n:])
+	}
+	s := e.stamps(v)
+	old := s[l-1]
+	if until > old {
+		if slices.Max(s) == math.MinInt64 {
+			e.bitSet = append(e.bitSet, v)
+		}
+		s[l-1] = until
+	}
+	return old
+}
+
+// unset marks every stamp of s never set.
+func unset(s []int64) {
+	for i := range s {
+		s[i] = math.MinInt64
+	}
+}
+
+// clearStamps disables every leaf around every vertex, keeping the
+// table's storage.
+func (e *Engine) clearStamps() {
 	for _, v := range e.bitSet {
-		e.bits[v] = 0
+		unset(e.stamps(v))
 	}
 	e.bitSet = e.bitSet[:0]
 }
@@ -671,7 +744,7 @@ func (e *Engine) clearBits() {
 // without an edge; before anything can reuse them, each engine drops
 // every holder of such an ID — stored matches older than the cutoff (a
 // surviving match binds only live edges, hence only vertices that kept
-// one), and the lazy bits and queued retrospective searches of
+// one), and the lazy stamps and queued retrospective searches of
 // vertices without an edge. A queue normally drains within the edge
 // that filled it; it outlives one only after an adaptive migration or
 // a checkpoint restore, and the batch path sweeps before it ingests,
@@ -690,7 +763,7 @@ func sweep(g *graph.Graph, cutoff int64, engines ...*Engine) int {
 		kept := e.bitSet[:0]
 		for _, v := range e.bitSet {
 			if g.Degree(v) == 0 {
-				e.bits[v] = 0
+				unset(e.stamps(v))
 			} else {
 				kept = append(kept, v)
 			}

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math"
+
 	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
+	"streamgraph/internal/sjtree"
 )
 
 // This file exposes the engine-state surface the persist package needs
 // to checkpoint a continuous query and resume it in a new process:
-// configuration, the lazy bitmap, deferred retrospective work, and
+// configuration, the Lazy Search stamps, deferred retrospective work, and
 // counter restoration. The windowed graph itself is reachable through
 // Graph(), and the SJ-Tree's stored matches through Tree().EachStored.
 
@@ -58,27 +61,57 @@ func (e *Engine) ForceEvict() int64 {
 	return cutoff
 }
 
-// LazyBits returns a copy of the per-vertex leaf-enablement bitmap
-// (empty for non-lazy strategies).
+// LazyBits encodes the Lazy Search stamps as one mask per vertex with
+// a stamp set: bit l is set when leaf l has been enabled around the
+// vertex since it last lost its edges (empty for non-lazy strategies).
+// It fills the snapshot format's per-vertex lazy section, which
+// predates the stamps and carries no timestamps, so a restore does not
+// read it back (see RestoreLazyStamps). The encoding is what bounds a
+// decomposition to 64 leaves.
 func (e *Engine) LazyBits() map[graph.VertexID]uint64 {
 	out := make(map[graph.VertexID]uint64, len(e.bitSet))
 	for _, v := range e.bitSet {
-		out[v] = e.bits[v]
+		var b uint64
+		for i, until := range e.stamps(v) {
+			if until != math.MinInt64 {
+				b |= 1 << uint(i+1)
+			}
+		}
+		out[v] = b
 	}
 	return out
 }
 
-// RestoreLazyBits replaces the lazy bitmap (no-op for non-lazy
-// strategies). Restored bits do not queue retrospective searches: the
-// snapshot was taken after FlushPending, so that work is already done.
-func (e *Engine) RestoreLazyBits(bits map[graph.VertexID]uint64) {
+// RestoreLazyStamps rebuilds the Lazy Search stamps of an engine whose
+// stored partial matches have just been restored (no-op for non-lazy
+// strategies): every stored match enables its node's next leaf around
+// its vertices, as onStored did when it was stored, and hiTS becomes
+// the graph's latest timestamp. A saved stamp above the rebuilt one
+// came from partials since evicted, which nothing can join any more. A
+// lapsed stamp is repaired from at its next raise, as the saved engine
+// would have; a vertex no stored partial binds is repaired whole at
+// its next enablement, and no partial stored before the restore can
+// join what that finds. Those floors are what keep a migration target,
+// which may still hold edges its source evicted, from joining a leaf
+// match on one of them again with a partial it already joined.
+func (e *Engine) RestoreLazyStamps() {
 	if !e.lazy {
 		return
 	}
-	e.clearBits()
-	for v, b := range bits {
-		e.enableBits(v, b)
-	}
+	e.clearStamps()
+	e.hiTS = max(e.hiTS, e.g.LastTS())
+	e.tree.EachStored(func(n *sjtree.Node, m iso.Match) bool {
+		if n.NextLeaf < 0 {
+			return true
+		}
+		until := e.enabledUntil(m)
+		for _, v := range m.VertexOf {
+			if v != graph.NoVertex {
+				e.enable(v, n.NextLeaf, until)
+			}
+		}
+		return true
+	})
 }
 
 // RestoreStats overwrites the engine's counters (tree counters restore

@@ -205,7 +205,7 @@ type Register struct {
 	// State, when non-empty, carries a persist.SaveMulti image of a
 	// single-query engine being migrated onto this worker: after the
 	// normal register + backfill, the worker transplants the image's
-	// stored partial matches, lazy bitmap and queued retrospective work
+	// stored partial matches and queued retrospective work
 	// into the fresh registration (a live migration's source state).
 	// Encoded as a trailing field, absent on pre-migration frames.
 	State []byte

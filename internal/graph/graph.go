@@ -35,7 +35,7 @@
 // resolved or dropped before the next sweep, or re-derived from the
 // name (VertexByName) after it. internal/core's sweep helper is the
 // one place that sequences graph expiry, SJ-Tree expiry and the lazy
-// bitmap against that rule.
+// stamps against that rule.
 //
 // The label rule follows: a vertex keeps the label of the edge that
 // created it for as long as it has a live edge; a name that re-enters

@@ -12,7 +12,7 @@ import (
 
 // Multi-engine checkpoints. SaveMulti serializes a whole running
 // core.MultiEngine — the shared windowed graph, every registered
-// query's SJ-Tree tables, lazy bitmap, queued retrospective work and
+// query's SJ-Tree tables, Lazy Search enablement, queued retrospective work and
 // counters, plus the shared eviction clock — WITHOUT flushing pending
 // lazy work or forcing eviction. That non-flushing property is what
 // makes it usable as a live checkpoint: flushing would attribute
@@ -50,7 +50,7 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 	bw.i64(stored)
 
 	// Gather the referenced vertex set: endpoints of live edges, every
-	// query's match bindings, bitmap entries and queued retro work.
+	// query's match bindings, lazy-bit entries and queued retro work.
 	g := m.Graph()
 	vertIdx := make(map[graph.VertexID]uint32)
 	var verts []graph.VertexID
@@ -138,7 +138,7 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 		}
 		// Stored partial matches.
 		bw.stored(m.QueryEngine(name).Tree(), perStored[qi], vertIdx, edgeIdx)
-		// Lazy bitmap.
+		// Lazy Search enablement, one LazyBits mask per vertex.
 		bw.u32(uint32(len(perBits[qi])))
 		for v, b := range perBits[qi] {
 			bw.u32(vertIdx[v])
@@ -274,24 +274,24 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 		if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
 			return nil, fmt.Errorf("persist: %q %w", name, err)
 		}
-		// Lazy bitmap.
+		// Lazy Search enablement: the masks are checked and skipped, and
+		// the stamps rebuilt from the stored matches
+		// (core.Engine.RestoreLazyStamps).
 		nBits := br.u32()
 		if br.err != nil {
 			return nil, br.err
 		}
-		bits := make(map[graph.VertexID]uint64, nBits)
 		for i := uint32(0); i < nBits; i++ {
 			idx := br.u32()
-			b := br.u64()
+			br.u64()
 			if br.err != nil {
 				return nil, br.err
 			}
 			if idx >= nVerts {
-				return nil, fmt.Errorf("persist: %q bitmap references unknown vertex %d", name, idx)
+				return nil, fmt.Errorf("persist: %q lazy bits reference unknown vertex %d", name, idx)
 			}
-			bits[vertID[idx]] = b
 		}
-		eng.RestoreLazyBits(bits)
+		eng.RestoreLazyStamps()
 		// Queued retrospective work.
 		nRetroLeaves := br.u32()
 		if br.err != nil {

@@ -1,6 +1,6 @@
 // Package persist checkpoints a running continuous query and restores
 // it in a fresh process: the windowed data graph, the SJ-Tree's partial
-// matches, the Lazy Search bitmap and the engine counters are written
+// matches, the Lazy Search enablement and the engine counters are written
 // to a versioned binary snapshot. A restored engine continues exactly
 // where the original stopped — the package tests verify that feeding
 // the same suffix of a stream to the original and the restored engine
@@ -63,7 +63,7 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 	}
 
 	// Gather the referenced vertex set: endpoints of live edges, match
-	// bindings, bitmap entries.
+	// bindings, lazy-bit entries.
 	g := eng.Graph()
 	vertIdx := make(map[graph.VertexID]uint32)
 	var verts []graph.VertexID
@@ -119,7 +119,7 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 	}
 	// Stored partial matches.
 	bw.stored(eng.Tree(), nStored, vertIdx, edgeIdx)
-	// Lazy bitmap.
+	// Lazy Search enablement, one LazyBits mask per vertex.
 	bw.u32(uint32(len(bits)))
 	for v, b := range bits {
 		bw.u32(vertIdx[v])
@@ -226,24 +226,23 @@ func Load(r io.Reader) (*core.Engine, error) {
 	if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	// Lazy bitmap.
+	// Lazy Search enablement: the masks are checked and skipped, and the
+	// stamps rebuilt from the stored matches (core.Engine.RestoreLazyStamps).
 	nBits := br.u32()
 	if br.err != nil {
 		return nil, br.err
 	}
-	bits := make(map[graph.VertexID]uint64, nBits)
 	for i := uint32(0); i < nBits; i++ {
 		idx := br.u32()
-		b := br.u64()
+		br.u64()
 		if br.err != nil {
 			return nil, br.err
 		}
 		if idx >= nVerts {
-			return nil, fmt.Errorf("persist: bitmap references unknown vertex %d", idx)
+			return nil, fmt.Errorf("persist: lazy bits reference unknown vertex %d", idx)
 		}
-		bits[vertID[idx]] = b
 	}
-	eng.RestoreLazyBits(bits)
+	eng.RestoreLazyStamps()
 	// Engine counters. IsoSteps restarts from zero (it is a live matcher
 	// counter, not persisted state).
 	var st core.Stats

@@ -328,3 +328,111 @@ func TestRestoredTreeExpiresIncrementally(t *testing.T) {
 		t.Fatalf("stored = %d after full expiry, want 0", got)
 	}
 }
+
+// ipEdge is a stream edge between two "ip" vertices.
+func ipEdge(src, dst, typ string, ts int64) stream.Edge {
+	return stream.Edge{Src: src, SrcLabel: "ip", Dst: dst, DstLabel: "ip", Type: typ, TS: ts}
+}
+
+// TestRetroRepairsLapsedStampAfterRestore: a snapshot taken while a
+// stamp has lapsed holds a vertex whose leaf matches since the lapse
+// are not in the tree. The next enablement after the restore must
+// repair them, as it would have in the saved engine, also when its
+// timestamp regresses below the lapsed stamp. persist.Save sweeps
+// first, which evicts the enabling partial; SaveMulti does not, so the
+// restored engine rebuilds the lapsed stamp from it.
+func TestRetroRepairsLapsedStampAfterRestore(t *testing.T) {
+	q := query.NewPath(query.Wildcard, "A", "B")
+	prefix := []stream.Edge{
+		ipEdge("h1", "v", "A", 10),  // enables v until 110
+		ipEdge("v", "w1", "B", 109), // stored
+		ipEdge("v", "w2", "B", 110), // lapsed: not stored
+		ipEdge("v", "w3", "B", 130), // lapsed: not stored
+	}
+	// h2 joins w1, w2 and w3, arriving in order or 35 late.
+	for _, next := range []stream.Edge{ipEdge("h2", "v", "A", 140), ipEdge("h2", "v", "A", 105)} {
+		for _, strat := range []core.Strategy{core.StrategySingleLazy, core.StrategyPathLazy} {
+			cfg := core.Config{Strategy: strat, Window: 100, Leaves: [][]int{{0}, {1}}}
+			newEngine := func() *core.Engine {
+				eng, err := core.New(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				collect(eng, prefix)
+				return eng
+			}
+			want := collect(newEngine(), []stream.Edge{next})
+			if len(want) != 3 {
+				t.Fatalf("%v: uninterrupted engine reports %d matches at h2@%d, want 3", strat, len(want), next.TS)
+			}
+			restored, flushed := snapshotRoundTrip(t, newEngine())
+			if len(flushed) != 0 {
+				t.Fatalf("%v: the flush completed %d matches, want none", strat, len(flushed))
+			}
+			if got := collect(restored, []stream.Edge{next}); len(got) != len(want) {
+				t.Fatalf("%v: engine restored by Load reports %d matches at h2@%d, want %d", strat, len(got), next.TS, len(want))
+			}
+
+			m := core.NewMulti(core.MultiConfig{Window: 100, EvictEvery: 1000})
+			if err := m.Register("q", q, cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, se := range prefix {
+				m.ProcessEdge(se)
+			}
+			var buf bytes.Buffer
+			if err := SaveMulti(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			rm, err := LoadMulti(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(rm.ProcessEdge(next)); got != len(want) {
+				t.Fatalf("%v: engine restored by LoadMulti reports %d matches at h2@%d, want %d", strat, got, next.TS, len(want))
+			}
+		}
+	}
+}
+
+// TestRetroTransplantJoinsOnce: a migration target sweeps at its own
+// cadence, so it can still hold an edge its source has evicted. Here
+// the source joined v>w with y>v and then evicted v>w; the target
+// holds v>w and receives y>v with the query's state. The stamps the
+// transplant gives v must keep the target from finding v>w again and
+// reporting y>v>w a second time.
+func TestRetroTransplantJoinsOnce(t *testing.T) {
+	q := query.NewPath(query.Wildcard, "A", "B")
+	cfg := core.Config{Strategy: core.StrategySingleLazy, Leaves: [][]int{{0}, {1}}}
+	src := core.NewMulti(core.MultiConfig{Window: 100, EvictEvery: 1})
+	dst := core.NewMulti(core.MultiConfig{Window: 100, EvictEvery: 1000})
+	if err := src.Register("q", q, cfg); err != nil {
+		t.Fatal(err)
+	}
+	reported := 0
+	for _, se := range []stream.Edge{
+		ipEdge("x", "v", "A", 10),  // enables v until 110
+		ipEdge("v", "w", "B", 20),  // joins x>v
+		ipEdge("y", "v", "A", 30),  // joins v>w; enables v until 130
+		ipEdge("p", "q", "C", 121), // the source's sweep evicts x>v and v>w
+	} {
+		reported += len(src.ProcessEdge(se))
+		dst.ProcessEdge(se) // no query yet: the target only keeps its replica
+	}
+	if reported != 2 {
+		t.Fatalf("source reported %d matches, want x>v>w and y>v>w", reported)
+	}
+	if err := dst.Register("q", q, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TransplantState(dst, src, "q"); err != nil {
+		t.Fatal(err)
+	}
+	next := ipEdge("r", "s", "C", 122)
+	if got := len(src.ProcessEdge(next)) + len(src.FlushPending()); got != 0 {
+		t.Fatalf("source reported %d matches after the handoff point, want 0", got)
+	}
+	if got := len(dst.ProcessEdge(next)) + len(dst.FlushPending()); got != 0 {
+		t.Fatalf("target reported %d matches after the transplant, want 0: y>v>w again", got)
+	}
+}

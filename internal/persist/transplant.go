@@ -12,9 +12,10 @@ import (
 
 // Live-migration state transfer. A standing query moving between shard
 // slots must carry its partial-match state — the SJ-Tree stored
-// matches, the lazy bitmap, the queued retrospective work and the
-// counters — or the target would silently drop every match spanning
-// the handoff. TransplantState moves exactly that state between two
+// matches (and with them the Lazy Search stamps, which the target
+// rebuilds from them), the queued retrospective work and the counters —
+// or the target would silently drop every match spanning the handoff.
+// TransplantState moves exactly that state between two
 // engines that both have the query registered; CloneQuery/ExtractQuery
 // package one query (state plus the minimal graph slice its stored
 // matches reference) into a standalone engine or a SaveMulti image for
@@ -103,7 +104,7 @@ func TransplantState(dst, src *core.MultiEngine, name string) (dropped int, err 
 	}
 
 	// Vertices cross by name; EnsureVertex creates the ones the target
-	// graph has not seen (bitmap/retro entries may outlive every edge).
+	// graph has not seen (retro entries may outlive every edge).
 	vcache := make(map[graph.VertexID]graph.VertexID)
 	mapVertex := func(v graph.VertexID) graph.VertexID {
 		if dv, ok := vcache[v]; ok {
@@ -155,14 +156,10 @@ func TransplantState(dst, src *core.MultiEngine, name string) (dropped int, err 
 		return dropped, restoreErr
 	}
 
-	// Lazy bitmap and queued retrospective work.
-	if bits := seng.LazyBits(); len(bits) > 0 {
-		mapped := make(map[graph.VertexID]uint64, len(bits))
-		for v, b := range bits {
-			mapped[mapVertex(v)] = b
-		}
-		deng.RestoreLazyBits(mapped)
-	}
+	// Lazy Search enablement, rebuilt from the stored matches just
+	// grafted on (core.Engine.RestoreLazyStamps), and queued
+	// retrospective work.
+	deng.RestoreLazyStamps()
 	if retro := seng.PendingRetro(); len(retro) > 0 {
 		perLeaf := make([][]graph.VertexID, len(retro))
 		for l, vs := range retro {

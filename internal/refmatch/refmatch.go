@@ -4,7 +4,7 @@
 //
 // graph.Graph recycles a VertexID once a window sweep finds the vertex
 // without an edge, and every engine tier holds VertexIDs in its own
-// state (partial matches, the lazy bitmap, queued retrospective
+// state (partial matches, the lazy stamps, queued retrospective
 // searches, replica filters, snapshots). A stale ID anywhere in that
 // state shows up as a match naming the wrong host, a lost match or an
 // invented one. The oracle here shares none of it: vertices are keyed

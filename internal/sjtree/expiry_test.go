@@ -18,7 +18,7 @@ import (
 // timing wheel — over a wheel of unit buckets (window 200), one of wider
 // buckets (window 600) and a tree with Window == 0, which no engine
 // sweeps but whose ExpireBefore must be as exact. A sweep must also not
-// leave a slab under a quarter full (store.compact). Stubbing out expiry
+// leave a slab under an eighth full (store.compact). Stubbing out expiry
 // (ExpireBefore or store.expire evicting nothing, or less than it
 // should) fails the first sweep that has something to evict.
 func TestExpiryBound(t *testing.T) {

@@ -323,9 +323,12 @@ func (s *store) expire(first uint64, n int, cutoff int64) (evicted, scanned int)
 	return evicted, scanned
 }
 
-// sparse reports whether under a quarter of the slab's slots are in use.
+// sparse reports whether under an eighth of the slab's slots are in
+// use. A table that empties and refills every window — a lazy leaf
+// whose vertices lapse and are enabled again — dips under a quarter
+// and back; compacting it there would regrow the slab each window.
 func (s *store) sparse() bool {
-	return len(s.recs) >= minSlots && 4*s.live < len(s.recs)
+	return len(s.recs) >= minSlots && 8*s.live < len(s.recs)
 }
 
 // compact rebuilds the store at twice the size of what it holds: a slab
@@ -334,7 +337,7 @@ func (s *store) sparse() bool {
 // good. Every record is added afresh, each join chain in order, so
 // records of one key keep theirs, and filed on t's wheel as of now.
 // Tree.ExpireBefore calls it when a sweep leaves the slab sparse, which
-// takes evictions worth three times what is copied here.
+// takes evictions worth seven times what is copied here.
 func (s *store) compact(t *Tree) {
 	old := *s
 	s.reset(max(2*old.live, minSlots), old.sdir != nil)
