@@ -136,6 +136,10 @@ func main() {
 		total, st.EdgesProcessed, elapsed.Seconds(), float64(st.EdgesProcessed)/elapsed.Seconds())
 	fmt.Printf("leaf searches: %d, retro searches: %d, iso steps: %d, peak partial matches: %d\n",
 		st.LeafSearches, st.RetroSearches, st.IsoSteps, st.Tree.PeakStored)
+	// The engine stores only the edges whose type the query holds, so
+	// the graph is the window's slice of the stream the query can match.
+	fmt.Printf("edges: %d offered, %d stored (types the query can match)\n",
+		st.EdgesProcessed, eng.Graph().LastSeq())
 	fmt.Printf("graph: %v, %d vertex slots, %d reclaimed by window sweeps\n",
 		eng.Graph(), eng.Graph().NumVertices(), st.VerticesReclaimed)
 }

@@ -39,7 +39,7 @@ import (
 // It is owned by exactly one batch generation at a time (the engine's
 // single writer), never shared across goroutines.
 type batchArena struct {
-	edges []graph.Edge   // materialized-edge buffers (ingestBatch)
+	edges []graph.Edge   // materialized-edge buffers (admission.ingest)
 	rows  [][]iso.Match  // result row headers
 	named [][]NamedMatch // per-edge named-match row headers
 	flat  []NamedMatch   // the named matches those rows are cut from
@@ -71,11 +71,10 @@ func (a *batchArena) begin() {
 }
 
 // edgeBuf returns an uninitialized length-n edge buffer (the caller
-// assigns every element). It is the only per-batch edge storage: a
-// filtered replica takes one for the edges its filter admits and
-// materializes them straight out of the caller's batch
-// (MultiEngine.ingestBatch) — the stream edges themselves are never
-// copied.
+// assigns every element). It is the only per-batch edge storage: an
+// engine takes one for the edges its admission keeps and materializes
+// them straight out of the caller's batch (admission.ingest) — the
+// stream edges themselves are never copied.
 func (a *batchArena) edgeBuf(n int) []graph.Edge {
 	a.edgesD += n
 	if a.edgesU+n <= len(a.edges) {

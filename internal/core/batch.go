@@ -26,6 +26,8 @@
 package core
 
 import (
+	"math"
+
 	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/stream"
@@ -53,11 +55,26 @@ func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 	return e.processSubBatch(batch)
 }
 
-// processSubBatch is the core batch step: amortized eviction, ingest,
-// merge.
+// processSubBatch is the core batch step: amortized eviction, admission
+// and ingest, merge. The sweep clock counts every offered edge and the
+// stream clock takes every offered timestamp, so sweeps run where an
+// engine storing the whole stream would run them. The rows stay aligned
+// with batch: an edge outside the footprint keeps its slot and completes
+// nothing.
 func (e *Engine) processSubBatch(batch []stream.Edge) [][]iso.Match {
 	e.advanceEvict(len(batch))
-	return e.searchBatch(e.ingestBatch(batch))
+	n, hiTS := e.adm.filter(e.g, batch)
+	e.seenTS = max(e.seenTS, hiTS)
+	e.stats.EdgesProcessed += int64(len(batch) - n)
+	rows := e.searchBatch(e.adm.ingest(e.g, batch, &e.arena))
+	if n == len(batch) {
+		return rows
+	}
+	out := e.arena.rowBuf(len(batch))
+	for k, ke := range e.adm.kept {
+		out[ke.pos] = rows[k]
+	}
+	return out
 }
 
 // processBatchAdaptive runs the batch pipeline for adaptive engines by
@@ -91,27 +108,85 @@ func (e *Engine) processBatchAdaptive(batch []stream.Edge) [][]iso.Match {
 	return out
 }
 
-// ingestOne admits one stream edge into g, interning names, labels and
-// the type, and returns the materialized edge. Every ingestion path —
-// serial and batch, single- and multi-query — funnels through here so
-// admission semantics cannot diverge.
-func ingestOne(g *graph.Graph, se stream.Edge) graph.Edge {
-	src := g.EnsureVertex(se.Src, se.SrcLabel)
-	dst := g.EnsureVertex(se.Dst, se.DstLabel)
-	eid := g.AddEdge(src, dst, graph.TypeID(g.Types().Intern(se.Type)), se.TS)
-	de, _ := g.Edge(eid)
-	return de
+// admission is the one way a stream edge enters a graph an engine owns.
+// A standalone Engine admits its query's edge-type footprint (derived in
+// New; universal when an edge type is a wildcard), a MultiEngine its
+// replica filter (SetReplicaFilter), and both ingest through admit, per
+// edge, or filter and ingest, per batch. The check is one interner probe
+// per edge: an Intern under a universal set, a Lookup and a Has under a
+// narrow one, so a type the set does not hold is never interned. An edge
+// the set drops touches nothing — no name probe, no AddEdge, no search —
+// and what it still counts for (the sweep clock, the stream clock) is the
+// caller's.
+type admission struct {
+	types graph.TypeSet
+	// kept lists, for the batch the last filter passed over, the
+	// position and resolved type of every edge admitted, in input order;
+	// it is reused from batch to batch, so no stream.Edge is copied.
+	kept []keptEdge
 }
 
-// ingestBatch admits the batch into the engine's own graph (single
-// writer, no locking) and returns the materialized edges in input
-// order.
-func (e *Engine) ingestBatch(batch []stream.Edge) []graph.Edge {
-	des := e.arena.edgeBuf(len(batch))
-	for i, se := range batch {
-		des[i] = ingestOne(e.g, se)
+// keptEdge is one admitted edge of a batch.
+type keptEdge struct {
+	pos int32
+	typ graph.TypeID
+}
+
+// admitSet interns types into g and returns the set of exactly those, or
+// the universal set when universal.
+func admitSet(g *graph.Graph, types []string, universal bool) graph.TypeSet {
+	if universal {
+		return graph.UniversalTypes()
+	}
+	ids := make([]graph.TypeID, len(types))
+	for i, tp := range types {
+		ids[i] = graph.TypeID(g.Types().Intern(tp))
+	}
+	return graph.NewTypeSet(ids...)
+}
+
+// admit resolves se's type against g's interner and reports whether the
+// set admits the edge.
+func (a *admission) admit(g *graph.Graph, se stream.Edge) (graph.TypeID, bool) {
+	if a.types.Universal() {
+		return graph.TypeID(g.Types().Intern(se.Type)), true
+	}
+	id, ok := g.Types().Lookup(se.Type)
+	return graph.TypeID(id), ok && a.types.Has(graph.TypeID(id))
+}
+
+// filter runs admit over a batch, recording the admitted edges in kept.
+// It returns how many were admitted and the largest timestamp offered.
+// It mutates nothing but the interner, so the caller may sweep between
+// it and ingest.
+func (a *admission) filter(g *graph.Graph, ses []stream.Edge) (n int, hiTS int64) {
+	a.kept, hiTS = a.kept[:0], math.MinInt64
+	for i, se := range ses {
+		hiTS = max(hiTS, se.TS)
+		if t, ok := a.admit(g, se); ok {
+			a.kept = append(a.kept, keptEdge{pos: int32(i), typ: t})
+		}
+	}
+	return len(a.kept), hiTS
+}
+
+// ingest adds the edges the last filter over ses kept to g and returns
+// them materialized, in input order, in an arena buffer.
+func (a *admission) ingest(g *graph.Graph, ses []stream.Edge, arena *batchArena) []graph.Edge {
+	des := arena.edgeBuf(len(a.kept))
+	for k, ke := range a.kept {
+		des[k] = ingestOne(g, ses[ke.pos], ke.typ)
 	}
 	return des
+}
+
+// ingestOne adds one stream edge of the resolved type t to g, interning
+// names and labels, and returns the materialized edge.
+func ingestOne(g *graph.Graph, se stream.Edge, t graph.TypeID) graph.Edge {
+	src := g.EnsureVertex(se.Src, se.SrcLabel)
+	dst := g.EnsureVertex(se.Dst, se.DstLabel)
+	de, _ := g.Edge(g.AddEdge(src, dst, t, se.TS))
+	return de
 }
 
 // searchShared is the batch step of an engine under a multi-query
@@ -181,18 +256,27 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 // completed. Both are sized from the per-query results before a single
 // match is copied, and a replica filter that rejects part of the batch
 // costs nothing either — the admitted edges are ingested straight out of
-// ses, and only their positions are kept (ingestBatch) — so a batch costs
+// ses, and only their positions are kept (admission) — so a batch costs
 // the heap nothing.
+//
+// The sweep clock advances by the admitted edges only, once, before they
+// are ingested (so the cutoff never gets ahead of the serial schedule's):
+// a filtered replica of the sharded runtime is never offered the edges
+// its router gates away, so it could not count them anyway.
 func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat []NamedMatch) {
 	if len(ses) == 0 {
 		return nil, nil
 	}
 	m.arena.begin()
 	rows = m.arena.namedBuf(len(ses))
-	des := m.ingestBatch(ses)
-	if len(des) == 0 {
+	n, _ := m.adm.filter(m.g, ses)
+	if n == 0 {
 		return rows, nil
 	}
+	m.advanceEvict(n)
+	m.edgesSeen += int64(n)
+	m.stored += int64(n)
+	des := m.adm.ingest(m.g, ses, &m.arena)
 	if cap(m.pq) < len(m.engines) {
 		m.pq = make([][][]iso.Match, len(m.engines))
 	}
@@ -215,35 +299,8 @@ func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat
 			}
 		}
 		if off > start {
-			rows[m.keptIdx[i]] = flat[start:off:off]
+			rows[m.adm.kept[i].pos] = flat[start:off:off]
 		}
 	}
 	return rows, flat
-}
-
-// ingestBatch admits the edges of a batch that pass the replica filter
-// into the shared graph with one amortized eviction (run up front so the
-// cutoff never gets ahead of the serial schedule's), returning the
-// materialized edges in input order and leaving each one's position in
-// ses in m.keptIdx. No stream.Edge is copied: the filter pass keeps
-// positions only, in a list reused from batch to batch.
-func (m *MultiEngine) ingestBatch(ses []stream.Edge) []graph.Edge {
-	m.keptIdx = m.keptIdx[:0]
-	for i, se := range ses {
-		if m.admits(se) {
-			m.keptIdx = append(m.keptIdx, int32(i))
-		}
-	}
-	n := len(m.keptIdx)
-	if n == 0 {
-		return nil
-	}
-	m.advanceEvict(n)
-	m.edgesSeen += int64(n)
-	m.stored += int64(n)
-	des := m.arena.edgeBuf(n)
-	for k, i := range m.keptIdx {
-		des[k] = ingestOne(m.g, ses[i])
-	}
-	return des
 }

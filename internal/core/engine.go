@@ -15,6 +15,18 @@
 // same per-edge search — with per-edge results identical to the serial
 // loop.
 //
+// The graph holds only what the query can match. New derives the set of
+// edge types the engine admits from the query's footprint
+// (query.Graph.TypeFootprint; every type when an edge type is a
+// wildcard), and an edge of another type is dropped before it touches
+// the graph: the matchers respect edge types, so no strategy could bind
+// it. A dropped edge still counts as processed and still moves the
+// window's clocks — the sweep cadence and the largest timestamp offered
+// — so sweeps cut where they would over the whole stream and the SJ-Tree
+// evolves as in an engine that stored every edge. A MultiEngine ingests
+// through the same admission, with its replica filter as the set
+// (SetReplicaFilter).
+//
 // # Match lifetimes
 //
 // The matches an engine returns are the engine's. ProcessEdge,
@@ -263,6 +275,15 @@ type Engine struct {
 	// managed by a MultiEngine.
 	external bool
 
+	// adm admits the edges whose type the query's footprint holds (every
+	// edge when a query edge's type is a wildcard); the others are
+	// dropped before they touch the graph. A dropped edge still counts
+	// in Stats.EdgesProcessed, advances the sweep clock sinceEvict and
+	// raises seenTS, the largest timestamp offered, which ForceEvict
+	// cuts from: sweeps run at the stream positions and cutoffs of an
+	// engine storing every edge, so the SJ-Tree evolves as in one.
+	adm        admission
+	seenTS     int64
 	sinceEvict int
 	stats      Stats
 }
@@ -292,6 +313,8 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		g:    graph.New(),
 		hiTS: math.MinInt64,
 	}
+	types, exact := q.TypeFootprint()
+	e.adm.types = admitSet(e.g, types, !exact)
 	e.matcher = e.newMatcher()
 	e.collect = func(m iso.Match) { e.curResults = append(e.curResults, m) }
 	e.mergeEmit = func(m iso.Match) bool {
@@ -420,11 +443,23 @@ func (e *Engine) Stats() Stats {
 // The slice and the binding arrays are the engine's: they stay valid
 // until the next ProcessEdge, ProcessBatch or FlushPending call on this
 // engine and no longer (see "Match lifetimes" in the package comment).
+// An edge whose type the query cannot bind is not stored and completes
+// nothing, but counts for the window's clocks (see Engine.adm).
 func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
-	de := ingestOne(e.g, se)
+	t, ok := e.adm.admit(e.g, se)
+	e.seenTS = max(e.seenTS, se.TS)
+	var de graph.Edge
+	if ok {
+		de = ingestOne(e.g, se, t)
+	}
 	e.maybeEvict()
 	if e.adaptive != nil {
 		e.observeAdaptive(se)
+	}
+	if !ok {
+		e.recycleResults()
+		e.stats.EdgesProcessed++
+		return nil
 	}
 	return e.processShared(de)
 }

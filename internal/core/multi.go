@@ -38,12 +38,12 @@ type MultiEngine struct {
 	sinceEvict int
 	edgesSeen  int64
 
-	// filter is the replica filter: the set of edge types ingestion
+	// adm holds the replica filter: the set of edge types ingestion
 	// admits, over the shared graph's interner. It defaults to
 	// universal (admit everything); the sharded runtime narrows it to
 	// the union edge-type footprint of the engine's queries, making the
 	// shared graph a filtered replica. See SetReplicaFilter.
-	filter graph.TypeSet
+	adm    admission
 	stored int64 // cumulative edges admitted into the graph
 
 	// Optional observability hook (SetEdgeLatency): every latEvery-th
@@ -55,11 +55,9 @@ type MultiEngine struct {
 
 	// Batch-path scratch, reused across batches: the arena backs the
 	// shared ingest buffer and per-edge result rows, pq the per-query
-	// result table (see batchArena for the ownership contract), keptIdx
-	// the batch positions of the edges the replica filter admitted.
-	arena   batchArena
-	pq      [][][]iso.Match
-	keptIdx []int32
+	// result table (see batchArena for the ownership contract).
+	arena batchArena
+	pq    [][][]iso.Match
 
 	resBindings []PortableBinding // ResolveMatch's buffers (see there)
 	resEdges    []PortableMatchEdge
@@ -89,7 +87,7 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 		window:     cfg.Window,
 		queries:    make(map[string]*Engine),
 		evictEvery: cfg.EvictEvery,
-		filter:     graph.UniversalTypes(),
+		adm:        admission{types: graph.UniversalTypes()},
 	}
 }
 
@@ -97,7 +95,10 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 // is one of types: everything else is dropped before touching the
 // graph or any query's search — the engine becomes a
 // filtered replica of the stream. universal re-admits every type
-// (types is then ignored). The caller is responsible for only
+// (types is then ignored). The filter is the set of the admission every
+// engine ingests through (a standalone Engine's is its query's
+// footprint), so the check costs one interner probe per edge either
+// way. The caller is responsible for only
 // filtering when every registered query's edge-type footprint is
 // covered (see query.Graph.TypeFootprint); the sharded runtime
 // maintains exactly that invariant, backfilling via Backfill when a
@@ -113,36 +114,19 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 // next admitted edge instead of the next stream edge, which shifts
 // when a match is reported but not whether.
 func (m *MultiEngine) SetReplicaFilter(types []string, universal bool) {
-	if universal {
-		m.filter = graph.UniversalTypes()
-		return
-	}
-	ids := make([]graph.TypeID, len(types))
-	for i, tp := range types {
-		ids[i] = graph.TypeID(m.g.Types().Intern(tp))
-	}
-	m.filter = graph.NewTypeSet(ids...)
+	m.adm.types = admitSet(m.g, types, universal)
 }
 
 // ReplicaView returns the shared graph seen through the replica
 // filter. With a universal filter it is simply the whole graph; with a
 // narrowed filter its edge set is what the replica is contracted to
 // hold.
-func (m *MultiEngine) ReplicaView() graph.View { return m.g.ViewTypes(m.filter) }
+func (m *MultiEngine) ReplicaView() graph.View { return m.g.ViewTypes(m.adm.types) }
 
 // EdgesStored reports the cumulative number of edges admitted into the
 // shared graph (filtered ingest plus backfill) — the replication-cost
 // metric the shard experiment sums across shards.
 func (m *MultiEngine) EdgesStored() int64 { return m.stored }
-
-// admits reports whether the replica filter accepts the edge.
-func (m *MultiEngine) admits(se stream.Edge) bool {
-	if m.filter.Universal() {
-		return true
-	}
-	id, ok := m.g.Types().Lookup(se.Type)
-	return ok && m.filter.Has(graph.TypeID(id))
-}
 
 // Backfill admits edges into the shared graph without running any
 // query's search, bypassing the replica filter. The
@@ -156,7 +140,7 @@ func (m *MultiEngine) Backfill(ses []stream.Edge) {
 		return
 	}
 	for _, se := range ses {
-		ingestOne(m.g, se)
+		ingestOne(m.g, se, graph.TypeID(m.g.Types().Intern(se.Type)))
 		m.stored++
 	}
 	// The backfilled edges are older than what the graph already holds;
@@ -171,12 +155,12 @@ func (m *MultiEngine) Backfill(ses []stream.Edge) {
 // types are disjoint from every remaining query's footprint, so no
 // partial-match state can reference the removed edges.
 func (m *MultiEngine) TrimReplica() int {
-	if m.filter.Universal() {
+	if m.adm.types.Universal() {
 		return 0
 	}
 	var drop []graph.EdgeID
 	m.g.EachEdge(func(e graph.Edge) bool {
-		if !m.filter.Has(e.Type) {
+		if !m.adm.types.Has(e.Type) {
 			drop = append(drop, e.ID)
 		}
 		return true
@@ -227,7 +211,10 @@ func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
 	// retroactively searched: a freshly registered query sees matches
 	// whose last edge arrives after registration, plus anything its
 	// lazy repair reaches in the existing neighborhood.
-	eng.g = m.g
+	// What the shared graph admits is the MultiEngine's replica filter;
+	// the engine's own footprint set was interned into the graph it
+	// leaves behind.
+	eng.g, eng.adm = m.g, admission{}
 	eng.matcher = eng.newMatcher()
 	if eng.tree != nil {
 		eng.matcher.Pool = eng.tree.Pool()
@@ -341,11 +328,11 @@ func AppendResolved(g *graph.Graph, q *query.Graph, bindings []PortableBinding, 
 	return bindings, edges
 }
 
-// ingest adds one stream edge to the shared graph and runs eviction,
-// returning the materialized edge.
-func (m *MultiEngine) ingest(se stream.Edge) graph.Edge {
+// ingest adds one admitted stream edge of the resolved type t to the
+// shared graph and runs eviction, returning the materialized edge.
+func (m *MultiEngine) ingest(se stream.Edge, t graph.TypeID) graph.Edge {
 	m.edgesSeen++
-	de := ingestOne(m.g, se)
+	de := ingestOne(m.g, se, t)
 	m.stored++
 	m.advanceEvict(1)
 	return de
@@ -388,10 +375,11 @@ func (m *MultiEngine) ProcessEdge(se stream.Edge) []NamedMatch {
 // runs every query first and sizes the result from what they report, so
 // an edge that completes matches costs one arena take.
 func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
-	if !m.admits(se) {
+	t, ok := m.adm.admit(m.g, se)
+	if !ok {
 		return nil
 	}
-	de := m.ingest(se)
+	de := m.ingest(se, t)
 	m.arena.begin()
 	perQuery := m.arena.rowBuf(len(m.engines))
 	total := 0

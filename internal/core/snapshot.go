@@ -50,12 +50,15 @@ func (e *Engine) FlushPending() []iso.Match {
 // of the EvictEvery cadence, and returns the cutoff applied (0 when
 // windowing is off). It is for an engine that owns its graph: a query
 // engine under a MultiEngine is swept by the MultiEngine, together with
-// every other engine on the shared graph.
+// every other engine on the shared graph. The cutoff is taken from the
+// largest timestamp offered, stored or dropped (see Engine.adm); a
+// restored engine has not seen the dropped edges of its past and cuts
+// from the graph's until new edges pass them.
 func (e *Engine) ForceEvict() int64 {
 	if e.cfg.Window <= 0 {
 		return 0
 	}
-	cutoff := e.g.LastTS() - e.cfg.Window + 1
+	cutoff := max(e.g.LastTS(), e.seenTS) - e.cfg.Window + 1
 	e.stats.GraphEvicted += int64(sweep(e.g, cutoff, e))
 	e.sinceEvict = 0
 	return cutoff
