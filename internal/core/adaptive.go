@@ -104,6 +104,9 @@ func (e *Engine) migrate(newLeaves [][]int) error {
 	// derived from several old nodes.
 	nt.Dedup = true
 
+	// The engine's result slab is not the tree's: the matches this call
+	// completed under the old tree stay in it, and the new tree's root
+	// joins write after them.
 	e.tree = nt
 	e.matcher.Pool = nt.Pool()
 	if e.lazy {
@@ -114,7 +117,6 @@ func (e *Engine) migrate(newLeaves [][]int) error {
 		e.pending = make([][]retroItem, len(newLeaves))
 	}
 
-	suppressEmit := func(iso.Match) {}
 	a := e.adaptive
 	old.EachStored(func(n *sjtree.Node, m iso.Match) bool {
 		projectedAny := false
@@ -124,7 +126,7 @@ func (e *Engine) migrate(newLeaves [][]int) error {
 				continue
 			}
 			projectedAny = true
-			nt.Insert(leafPos, pm, suppressEmit, e.onStored)
+			nt.Insert(leafPos, pm, nil, e.onStored)
 		}
 		if projectedAny {
 			a.stats.Migrated++

@@ -23,11 +23,12 @@
 // call on the same engine, and no longer. Every caller in the tree (the
 // facade Monitor, the shard worker loop, the dshard host) consumes or
 // copies each call's matches before making the next, which is exactly
-// the lifetime a generation gives them. The binding arrays behind the
-// iso.Match values end with the same call — the engine that emitted
-// them takes them back then (see "Match lifetimes" in the package
-// comment) — so a caller that retains a match must Clone it; copying
-// the row alone keeps a slice of arrays about to be rewritten.
+// the lifetime a generation gives them. The bindings behind the
+// iso.Match values end with the same call: they are windows of the
+// emitting engine's result slab, which its next call truncates and
+// writes over (see "Match lifetimes" in the package comment), so a
+// caller that retains a match must Clone it; copying the row alone
+// keeps headers whose bindings are about to be rewritten.
 package core
 
 import (

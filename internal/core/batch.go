@@ -47,7 +47,7 @@ func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 	if len(batch) == 0 {
 		return nil
 	}
-	e.recycleResults()
+	e.res.Reset()
 	e.arena.begin()
 	if e.adaptive != nil {
 		return e.processBatchAdaptive(batch)
@@ -195,7 +195,7 @@ func ingestOne(g *graph.Graph, se stream.Edge, t graph.TypeID) graph.Edge {
 // results and the arena here is safe: the driver has drained the
 // previous batch's rows before it offers the next.
 func (e *Engine) searchShared(des []graph.Edge) [][]iso.Match {
-	e.recycleResults()
+	e.res.Reset()
 	e.arena.begin()
 	return e.searchBatch(des)
 }
@@ -208,14 +208,14 @@ func (e *Engine) searchShared(des []graph.Edge) [][]iso.Match {
 func (e *Engine) searchBatch(des []graph.Edge) [][]iso.Match {
 	out := e.arena.rowBuf(len(des))
 	for i, de := range des {
-		start := len(e.curResults)
+		start := len(e.res.Matches)
 		e.matcher.MaxSeq = de.Seq
 		e.searchEdge(de)
-		// A row is the edge's stretch of curResults. Growth moves the
+		// A row is the edge's stretch of res.Matches. Growth moves the
 		// list, not the rows already cut: those keep the array they were
 		// cut from, and the match values in it.
-		if end := len(e.curResults); end > start {
-			out[i] = e.curResults[start:end:end]
+		if end := len(e.res.Matches); end > start {
+			out[i] = e.res.Matches[start:end:end]
 			e.stats.CompleteMatches += int64(end - start)
 		}
 	}

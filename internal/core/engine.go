@@ -29,33 +29,42 @@
 //
 // # Match lifetimes
 //
-// The matches an engine returns are the engine's. ProcessEdge,
-// ProcessBatch and FlushPending emit every complete match of a call into
-// one list (Engine.curResults) and return it, or rows cut from it; the
-// slices and the binding arrays behind each iso.Match stay valid until
+// The matches an engine returns are the engine's, and they have one home:
+// the engine's result slab (Engine.res, an sjtree.Results) — a list of
+// match headers and two slabs of vertex and edge bindings the headers are
+// windows of. A join that completes a match at the SJ-Tree's root writes
+// the union of its two sides straight into the slab
+// (sjtree.Tree.InsertInto); the VF2 and IncIso baselines, which have no
+// tree, copy each match their search streams out into it. ProcessEdge,
+// ProcessBatch and FlushPending return the slab's list, or rows cut from
+// it; the slices and the bindings behind each iso.Match stay valid until
 // the next of those three calls on the same engine, and no longer. That
-// call begins by handing the arrays back to the SJ-Tree's match pool
-// (recycleResults), where its own joins pick them up, so a query that
-// emits many matches per edge allocates none of them. One list and one
-// release point mean no interleaving of the three calls can release an
-// array twice. MultiEngine passes the contract through per query engine
-// (its own result slices are arena-backed with the same lifetime, see
+// call begins with Reset, which truncates the headers and both slabs, so
+// its matches are written where the last call's were and a query that
+// emits many matches per edge allocates none of them, however large a
+// burst. MultiEngine passes the contract through per query engine (its
+// own result slices are arena-backed with the same lifetime, see
 // batchArena). A caller that keeps a match resolves it to names
 // (AppendResolved, Engine.Explain) or Clones it before its next call; a
 // MultiEngine.ResolveMatch result is valid until its next call, and the
 // streamgraph facade resolves each call's matches into slabs it hands
-// out for good. The VF2 and IncIso baselines have no tree and no pool:
-// their matches are fresh and simply left to the collector.
+// out for good.
 //
-// The pool holds matches in flight only: the leaf candidates of the call
-// (Tree.Insert hands each one's arrays back before it returns) and the
-// complete matches above. A stored partial match is not in it and is not
-// an iso.Match: the tree keeps its own copy as a record in the node's
-// slab, and what onStored and Tree.EachStored are handed is a view into
-// that slab, valid for the callback only — onStored reads the vertices
-// and keeps nothing, and migrate projects each view into arrays of its
-// own. See sjtree.Tree.Insert, the sjtree package comment and
-// iso.MatchPool.
+// The slab is window-sized: a burst grows it, and the first Reset after
+// a window sweep cuts it back to twice the largest call since the sweep
+// before when it is more than eight times that (sjtree.Results). The
+// sweep only marks the slab; nothing shrinks under a caller's matches.
+//
+// A complete match never passes through the SJ-Tree's match pool. The
+// pool holds matches in flight below the root only: the leaf candidates
+// of the call (InsertInto hands each one's arrays back before it
+// returns) and the tree's interior join outputs. A stored partial match
+// is not in it and is not an iso.Match: the tree keeps its own copy as a
+// record in the node's slab, and what onStored and Tree.EachStored are
+// handed is a view into that slab, valid for the callback only —
+// onStored reads the vertices and keeps nothing, and migrate projects
+// each view into arrays of its own. See sjtree.Tree.InsertInto, the
+// sjtree package comment and iso.MatchPool.
 package core
 
 import (
@@ -226,14 +235,13 @@ type Engine struct {
 	pending [][]retroItem // per-leaf retrospective work for the current edge
 	curEdge graph.EdgeID
 	curTS   int64 // the timestamp of the edge being searched
-	// curResults holds every complete match of the current call, in
-	// emission order: what ProcessEdge and FlushPending return and what
-	// the rows ProcessBatch returns are cut from. It is the one list
-	// recycleResults hands back to the tree's pool when the next call
-	// starts (see "Match lifetimes" in the package comment); collect is
-	// the persistent emit callback that fills it.
-	curResults []iso.Match
-	collect    func(iso.Match)
+	// res holds every complete match of the current call, in emission
+	// order: res.Matches is what ProcessEdge and FlushPending return and
+	// what the rows ProcessBatch returns are cut from. Root joins and the
+	// baselines write straight into its slabs, and every result-returning
+	// call starts with res.Reset (see "Match lifetimes" in the package
+	// comment).
+	res sjtree.Results
 
 	// Retro-drain dedup state, reused across drains so the hot path
 	// stays allocation-free: the edge bindings of the matches a drain
@@ -250,11 +258,13 @@ type Engine struct {
 	retroCollide bool
 
 	// Streaming-merge state for the leaf search: mergeEmit (the anchored
-	// pass) and retroEmit (the retrospective repair) are the persistent
-	// candidate callbacks (allocated once, not per search), parameterized
-	// through the cur* fields below.
+	// pass), retroEmit (the retrospective repair) and baseEmit (the
+	// baselines' whole-query search) are the persistent candidate
+	// callbacks (allocated once, not per search), parameterized through
+	// the cur* fields below.
 	mergeEmit  func(iso.Match) bool
 	retroEmit  func(iso.Match) bool
+	baseEmit   func(iso.Match) bool
 	curLeaf    int
 	curRequire bool         // mergeEmit: gate candidates on touching an enabled vertex
 	curExclude graph.EdgeID // retroEmit: the current edge, whose matches the anchored pass finds
@@ -316,7 +326,6 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	types, exact := q.TypeFootprint()
 	e.adm.types = admitSet(e.g, types, !exact)
 	e.matcher = e.newMatcher()
-	e.collect = func(m iso.Match) { e.curResults = append(e.curResults, m) }
 	e.mergeEmit = func(m iso.Match) bool {
 		e.curFound++
 		e.stats.LeafMatches++
@@ -330,6 +339,13 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		if m.MaxTS >= e.curFloor && !m.HasEdge(e.curExclude) && !e.retroSeenBefore(m, e.tree.LeafEdges(e.curLeaf)) {
 			e.stats.RetroMatches++
 			e.insert(e.curLeaf, e.matcher.Retain(m))
+		}
+		return e.cfg.MaxMatchesPerSearch <= 0 || e.curFound < e.cfg.MaxMatchesPerSearch
+	}
+	e.baseEmit = func(m iso.Match) bool {
+		e.curFound++
+		if m.HasEdge(e.curEdge) {
+			e.res.Add(m)
 		}
 		return e.cfg.MaxMatchesPerSearch <= 0 || e.curFound < e.cfg.MaxMatchesPerSearch
 	}
@@ -457,48 +473,26 @@ func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 		e.observeAdaptive(se)
 	}
 	if !ok {
-		e.recycleResults()
+		e.res.Reset()
 		e.stats.EdgesProcessed++
 		return nil
 	}
 	return e.processShared(de)
 }
 
-// recycleResults ends the lifetime of the previous call's complete
-// matches: their binding arrays go back to the tree's pool, where the
-// joins of the call now starting find them. Every result-returning entry
-// point runs it first, and all of them emit into curResults only, so
-// whichever way per-edge, batch and flush calls interleave, an array is
-// released exactly once. The baselines have no tree; their matches are
-// left to the collector.
-func (e *Engine) recycleResults() {
-	if len(e.curResults) == 0 {
-		return // most edges of most streams complete nothing
-	}
-	if e.tree != nil {
-		for _, m := range e.curResults {
-			e.tree.Release(m)
-		}
-	}
-	// Zeroed, not just truncated: a slot past the length must not pin
-	// the arrays of a match the pool had no room for.
-	clear(e.curResults)
-	e.curResults = e.curResults[:0]
-}
-
 // processShared runs the per-edge incremental search assuming the edge
 // is already present in the graph (the MultiEngine ingestion path). The
-// result is curResults itself (see ProcessEdge for its lifetime).
+// result is res.Matches itself (see ProcessEdge for its lifetime).
 func (e *Engine) processShared(de graph.Edge) []iso.Match {
-	e.recycleResults()
+	e.res.Reset()
 	e.searchEdge(de)
-	e.stats.CompleteMatches += int64(len(e.curResults))
-	return e.curResults
+	e.stats.CompleteMatches += int64(len(e.res.Matches))
+	return e.res.Matches
 }
 
 // searchEdge is the incremental search for one edge already present in
 // the graph, under the engine's strategy: the one per-edge step behind
-// ProcessEdge and every batch. Complete matches go to curResults.
+// ProcessEdge and every batch. Complete matches go to res.
 func (e *Engine) searchEdge(de graph.Edge) {
 	e.stats.EdgesProcessed++
 	e.curEdge, e.curTS = de.ID, de.TS
@@ -509,7 +503,7 @@ func (e *Engine) searchEdge(de graph.Edge) {
 	}
 	switch e.cfg.Strategy {
 	case StrategyVF2:
-		e.processVF2(de)
+		e.processVF2()
 	case StrategyIncIso:
 		e.processIncIso(de)
 	default:
@@ -541,18 +535,19 @@ func (e *Engine) Run(src stream.Source, onMatch func(stream.Edge, iso.Match)) (i
 
 // processVF2 is the non-incremental baseline: re-run full subgraph
 // isomorphism over the current windowed graph and report the matches
-// that include the newest edge (exactly the incremental delta).
-func (e *Engine) processVF2(de graph.Edge) {
-	for _, m := range e.matcher.FindAll(e.allEdges) {
-		if m.HasEdge(de.ID) {
-			e.curResults = append(e.curResults, m)
-		}
-	}
+// that include the newest edge (exactly the incremental delta). Every
+// match found counts against MaxMatchesPerSearch; baseEmit copies the
+// ones holding the edge into res.
+func (e *Engine) processVF2() {
+	e.curFound = 0
+	e.matcher.FindAllFunc(e.allEdges, e.baseEmit)
 }
 
-// processIncIso anchors a full-query search at the new edge.
+// processIncIso anchors a full-query search at the new edge; every
+// match it finds holds the edge.
 func (e *Engine) processIncIso(de graph.Edge) {
-	e.curResults = append(e.curResults, e.matcher.FindAroundEdge(e.allEdges, de)...)
+	e.curFound = 0
+	e.matcher.FindAroundEdgeFunc(e.allEdges, de, e.baseEmit)
 }
 
 // processTree is Algorithms 1 and 3: search the SJ-Tree leaves around
@@ -609,7 +604,7 @@ func (e *Engine) touchesEnabled(m iso.Match, l int) bool {
 }
 
 func (e *Engine) insert(leaf int, m iso.Match) {
-	e.tree.Insert(leaf, m, e.collect, e.onStored)
+	e.tree.InsertInto(leaf, m, &e.res, e.onStored)
 }
 
 // onStored implements ENABLE-SEARCH-SIBLING: a match stored at a node
@@ -786,9 +781,14 @@ func (e *Engine) clearStamps() {
 // so without the last step such an item would be searched around
 // whichever name took the slot. Dropping it loses nothing: a search
 // around a vertex without an edge finds nothing.
+//
+// A sweep also marks each engine's result slab, so that its next Reset
+// may cut back what a burst of complete matches grew (sjtree.Results);
+// the matches the caller holds now are untouched.
 func sweep(g *graph.Graph, cutoff int64, engines ...*Engine) int {
 	evicted := g.ExpireBefore(cutoff)
 	for _, e := range engines {
+		e.res.Swept()
 		if e.tree != nil {
 			e.tree.ExpireBefore(cutoff)
 		}

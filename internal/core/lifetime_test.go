@@ -11,15 +11,17 @@ import (
 	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
 	"streamgraph/internal/refmatch"
+	"streamgraph/internal/sjtree"
 	"streamgraph/internal/stream"
 )
 
-// Match lifetimes: an engine takes the complete matches of one call back
-// when the next call starts, so that a dense query recycles the arrays it
-// emits instead of allocating two per match. These tests pin both halves
-// of the contract — nothing is allocated to emit a match, and nothing
-// touches an emitted match before the next call — and the trap the
-// design has to avoid: releasing one array twice.
+// Match lifetimes: an engine writes the complete matches of one call into
+// its result slab and truncates the slab when the next call starts, so
+// that a dense query reuses the arrays it emits into instead of
+// allocating two per match. These tests pin both halves of the contract —
+// nothing is allocated to emit a match, and nothing touches an emitted
+// match before the next call — and, with the slab poisoned on every
+// reset, that no caller reads a match after it.
 
 // ringEdges feeds TCP edges round a ring of hosts, one tick per edge.
 // Against the 2-hop TCP-TCP query every edge completes a match with each
@@ -57,8 +59,8 @@ func (r *ringEdges) fill(batch []stream.Edge) {
 // complete matches (the older gates deliberately never do): once warm,
 // Engine.ProcessEdge, Engine.ProcessBatch and
 // MultiEngine.ProcessBatchGrouped emit at least one match per edge and
-// allocate nothing — join outputs come from the arrays the previous call
-// gave back, the result list and the named rows are reused.
+// allocate nothing — root joins write into the result slab the previous
+// call's matches were in, and the named rows are reused.
 func TestEmitPathsAllocFree(t *testing.T) {
 	q := query.NewPath("ip", "TCP", "TCP")
 	const batchSize = 64
@@ -154,9 +156,10 @@ func snapshotMatches(ms []iso.Match) []iso.Match {
 // TestResultsValidUntilNextCall pins the lifetime from the caller's
 // side: what call N returned reads the same, bit for bit, right up to the
 // start of call N+1 — through reads of the engine and through a forced
-// window sweep, which expires the tree and trims its pool — for every
-// result-returning entry point in turn. Only the next such call ends it:
-// its joins must find the arrays of call N in the pool.
+// window sweep, which expires the tree and marks the result slab to be
+// cut back — for every result-returning entry point in turn. Only the
+// next such call ends it: its root joins must write where the matches of
+// call N were.
 func TestResultsValidUntilNextCall(t *testing.T) {
 	q := query.NewPath("ip", "TCP", "TCP")
 	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
@@ -234,15 +237,15 @@ func poolAliases(eng *Engine) error {
 	return nil
 }
 
-// TestInterleavedCallsMatchOracle is the double-release trap: one engine
-// driven by a seeded mix of ProcessEdge, ProcessBatch and FlushPending,
-// on the churn stream where joins, emits, expiry and ID reuse all happen
-// at once. Every result-returning call
-// releases the results of the one before, whichever kind either was; if
-// two of them ever released the same array, two live matches would share
-// it and bindings would change under a live match. The resolved match
-// multiset must equal the never-recycling oracle's, and afterwards no
-// array may be in the pool twice. CI runs it under -race.
+// TestInterleavedCallsMatchOracle drives one engine by a seeded mix of
+// ProcessEdge, ProcessBatch and FlushPending, on the churn stream where
+// joins, emits, expiry and ID reuse all happen at once. Every
+// result-returning call ends the results of the one before, whichever
+// kind either was; if a call reused what a live match still held, or
+// handed one array to the pool twice, bindings would change under a live
+// match. The resolved match multiset must equal the never-recycling
+// oracle's, and afterwards no array may be in the pool twice. CI runs it
+// under -race.
 func TestInterleavedCallsMatchOracle(t *testing.T) {
 	edges, stats, want := churnWorkload(t, 1)
 	for name, q := range refmatch.ChurnQueries() {
@@ -412,5 +415,52 @@ func TestFilteredBatchAllocFree(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("ProcessBatchGrouped allocates %d allocs/op under a rejecting replica filter, want 0", avg)
+	}
+}
+
+// TestResultSlabLifetimePoisoned reruns the lifetime and differential
+// nets with the result slab poisoned: sjtree.ResetHook scribbles over
+// every match a Reset ends, its header and its bindings in both slabs.
+// A caller that kept a row, a header or a binding slice past its call
+// then reads the scribble and misses its oracle, so every net must stay
+// green. The first subtest shows the poison lands: a match kept past its
+// call reads the scribble, a Clone of it does not.
+func TestResultSlabLifetimePoisoned(t *testing.T) {
+	resets := 0
+	prev := sjtree.ResetHook
+	sjtree.ResetHook = func(r *sjtree.Results) {
+		resets++
+		sjtree.Scribble(r)
+	}
+	t.Cleanup(func() { sjtree.ResetHook = prev })
+
+	t.Run("kept match is poisoned, cloned match is not", func(t *testing.T) {
+		eng, err := New(query.NewPath("ip", "TCP", "TCP"), Config{Strategy: StrategySingle, Window: 200, Leaves: [][]int{{0}, {1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := newRingEdges(16)
+		var ms []iso.Match
+		for len(ms) == 0 {
+			ms = eng.ProcessEdge(ring.next())
+		}
+		kept, clone := ms[0], ms[0].Clone()
+		// An edge outside the footprint completes nothing, so nothing is
+		// written over the scribble.
+		udp := ring.next()
+		udp.Type = "UDP"
+		eng.ProcessEdge(udp)
+		if ms[0].MinTS != -1 || kept.VertexOf[0] != graph.NoVertex-1 || kept.EdgeOf[0] != iso.NoEdge-1 {
+			t.Fatalf("the match kept past its call reads header %+v, bindings %v %v: not scribbled", ms[0], kept.VertexOf, kept.EdgeOf)
+		}
+		if clone.VertexOf[0] == graph.NoVertex-1 || clone.EdgeOf[0] == iso.NoEdge-1 {
+			t.Fatalf("the clone reads %v %v: scribbled with the slab", clone.VertexOf, clone.EdgeOf)
+		}
+	})
+	t.Run("ResultsValidUntilNextCall", TestResultsValidUntilNextCall)
+	t.Run("InterleavedCallsMatchOracle", TestInterleavedCallsMatchOracle)
+	t.Run("DifferentialStrategies", TestDifferentialStrategies)
+	if resets == 0 {
+		t.Fatal("no Reset ran the hook: the nets ran unpoisoned")
 	}
 }

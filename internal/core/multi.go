@@ -458,7 +458,9 @@ type EngineCounters struct {
 	// SJ-tree totals summed across registered tree-strategy queries.
 	TreeInserted, TreeDeduped, TreeEmitted, TreeEvicted, TreeStored int64
 	// Match-pool balance: PoolGets matches handed out, of which
-	// PoolFresh allocated new arrays (the rest were recycled).
+	// PoolFresh allocated new arrays (the rest were recycled). The pool
+	// serves leaf candidates and interior join outputs; complete matches
+	// are written into each engine's result slab and do not count.
 	PoolGets, PoolFresh int64
 }
 

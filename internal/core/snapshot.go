@@ -35,15 +35,15 @@ func (e *Engine) ConfigSnapshot() Config {
 // the searches only see edges that have already arrived. The result has
 // ProcessEdge's lifetime: valid until the next result-returning call.
 func (e *Engine) FlushPending() []iso.Match {
-	e.recycleResults()
+	e.res.Reset()
 	if !e.lazy || e.tree == nil {
 		return nil
 	}
 	for l := 0; l < e.tree.NumLeaves(); l++ {
 		e.drainRetro(l, iso.NoEdge)
 	}
-	e.stats.CompleteMatches += int64(len(e.curResults))
-	return e.curResults
+	e.stats.CompleteMatches += int64(len(e.res.Matches))
+	return e.res.Matches
 }
 
 // ForceEvict runs the window sweep immediately (see sweep), regardless

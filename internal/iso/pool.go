@@ -6,20 +6,21 @@ import (
 )
 
 // maxPoolFree bounds the number of recycled matches a pool retains, so
-// a burst of released complete matches cannot pin peak memory forever.
+// a burst of released matches cannot pin peak memory forever.
 const maxPoolFree = 4096
 
 // MatchPool recycles the backing arrays of discarded matches for one
 // query. Every match of a query has the same shape (full-length binding
 // arrays indexed by global query vertex/edge indices), so a discarded
 // match's arrays can back any future match of the same query. The
-// SJ-Tree copies what it stores into its own slabs, so the pool holds
-// only matches in flight: Tree.Insert hands back the candidate it was
-// given (and every join output it stored), the engine the candidates it
-// discards before insertion and, when the next call starts, the complete
-// matches of the last one (see "Match lifetimes" in package core); join
-// outputs and retained clones draw from it, making the steady-state join
-// and emit paths allocation-free. The free list is a stack, so the
+// SJ-Tree copies what it stores into its own slabs and writes a complete
+// match into its caller's result slab (sjtree.Results), so the pool holds
+// only matches in flight below the root: the leaf candidates the engine
+// clones (the tree hands each back once inserted, and the engine those it
+// discards before insertion), the tree's interior join outputs, and the
+// clones sjtree.Tree.Insert hands its emit callback, which come back
+// through Release. No complete match of an engine passes through it (see
+// "Match lifetimes" in package core). The free list is a stack, so the
 // arrays in use are the ones last touched.
 //
 // A pool is not safe for concurrent use: it must be owned by a single

@@ -12,6 +12,7 @@ import (
 	"streamgraph/internal/dshard"
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
+	"streamgraph/internal/sjtree"
 	"streamgraph/internal/stream"
 )
 
@@ -687,6 +688,20 @@ func TestDrainMatchLifetime(t *testing.T) {
 	} {
 		t.Run(d.name, d.test)
 	}
+}
+
+// TestResultSlabLifetimeSharded runs the sharded differential with both
+// poison hooks on: every engine result slab is scribbled over when its
+// engine's next call starts (sjtree.ResetHook), and every block when it
+// is handed back. A worker that resolved a match after its engine's next
+// call, or a consumer that kept one past its callback, would deliver the
+// scribble and miss the serial oracle.
+func TestResultSlabLifetimeSharded(t *testing.T) {
+	poisonRecycled(t)
+	prev := sjtree.ResetHook
+	sjtree.ResetHook = sjtree.Scribble
+	t.Cleanup(func() { sjtree.ResetHook = prev })
+	TestShardedMatchesSerial(t)
 }
 
 // TestPoolBounded pins the free list's bound through a whole router: a

@@ -4,17 +4,21 @@ import (
 	"flag"
 	"os"
 	"testing"
+
+	"streamgraph/internal/sjtree"
 )
 
-// -shard.poison runs the whole package with the poison hook on (CI does,
-// once): every test's consumer then reads a scribble where it kept a
-// Match past its Drain callback without Clone.
-var poisonFlag = flag.Bool("shard.poison", false, "scribble over every collection block handed back to a free list")
+// -shard.poison runs the whole package with both poison hooks on (CI
+// does, once): every test's consumer then reads a scribble where it kept
+// a Match past its Drain callback without Clone, and every worker reads
+// one where it resolved an engine's match after the engine's next call.
+var poisonFlag = flag.Bool("shard.poison", false, "scribble over every collection block handed back to a free list and every engine result slab reset")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if *poisonFlag {
 		recycleHook = poisonBlock
+		sjtree.ResetHook = sjtree.Scribble
 	}
 	os.Exit(m.Run())
 }

@@ -122,8 +122,8 @@ const (
 // compiled per node at Build (Definition 3.1.3 in the original
 // clone-then-check shape): it knows nothing about which slots a node
 // binds, scans every slot of b, and rechecks shared vertices itself.
-// Tree.join must agree with it on every pair of matches a tree can
-// hold.
+// Tree.joinable and union must agree with it on every pair of matches a
+// tree can hold.
 func refJoin(window int64, a, b iso.Match) (iso.Match, joinOutcome) {
 	if window > 0 {
 		lo, hi := a.MinTS, a.MaxTS
@@ -299,7 +299,6 @@ func storedHashes(tr *Tree, ref *refTree) (got, want []uint64) {
 // counters, and how many times a sweep ended with a slab rebuilt smaller.
 func runScript(t *testing.T, c scriptConfig) (tr *Tree, compactions int) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(c.seed))
 	q := query.NewPath(query.Wildcard, "a", "b", "c")
 
 	tr, err := Build(q, c.leaves, c.window)
@@ -354,18 +353,50 @@ func runScript(t *testing.T, c scriptConfig) (tr *Tree, compactions int) {
 		}
 	}
 
-	type histItem struct {
-		leaf int
-		m    iso.Match
+	for step, op := range genScript(c, q) {
+		if op.sweep {
+			expire(step, op.cutoff)
+			continue
+		}
+		got, want = got[:0], want[:0]
+		tr.Insert(op.leaf, op.m.Clone(), emitGot, nil)
+		ref.insert(op.leaf, op.m, emitWant)
+		if len(got) != len(want) {
+			t.Fatalf("%v step %d: emitted %d matches, reference %d", c, step, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v step %d: match %d = %s, reference %s", c, step, i, got[i], want[i])
+			}
+		}
+		if int(tr.Stats().Stored) != ref.stored {
+			t.Fatalf("%v step %d: stored %d, reference %d", c, step, tr.Stats().Stored, ref.stored)
+		}
 	}
-	var history []histItem
+	return tr, compactions
+}
+
+// scriptOp is one step of a differential script: a sweep at cutoff, or
+// the insert of leaf match m at leaf.
+type scriptOp struct {
+	sweep  bool
+	cutoff int64
+	leaf   int
+	m      iso.Match
+}
+
+// genScript draws the script of c over q, a 3-edge path: what runScript
+// drives its tree and the reference through, step for step.
+func genScript(c scriptConfig, q *query.Graph) []scriptOp {
+	rng := rand.New(rand.NewSource(c.seed))
+	var ops, history []scriptOp
 	nextEdge := graph.EdgeID(100)
 	steps := 400
 	var clock, lastCutoff int64
 	if c.shape != shapeRandom {
 		// The clock gains 1.5 a step: six windows, or two turns of the
 		// wheel and a window, whichever is longer.
-		steps = int(max(6*c.span, 2*wheelBuckets<<tr.shift+c.span) * 2 / 3)
+		steps = int(max(6*c.span, 2*wheelBuckets<<wheelShift(c.window)+c.span) * 2 / 3)
 	}
 	for step := 0; step < steps; step++ {
 		sweep, cutoff := rng.Intn(12) == 0, int64(rng.Intn(600))
@@ -380,12 +411,10 @@ func runScript(t *testing.T, c scriptConfig) (tr *Tree, compactions int) {
 			}
 		}
 		if sweep {
-			expire(step, cutoff)
+			ops = append(ops, scriptOp{sweep: true, cutoff: cutoff})
 			lastCutoff = cutoff
 			continue
 		}
-		var leaf int
-		var m iso.Match
 		if c.dedup && len(history) > 0 && rng.Intn(5) == 0 {
 			// Replay an earlier leaf match verbatim: Lazy Search's
 			// retrospective repair rediscovers stored matches, and the
@@ -393,61 +422,48 @@ func runScript(t *testing.T, c scriptConfig) (tr *Tree, compactions int) {
 			// while the original is stored (and a straggler's insert once
 			// it has been evicted).
 			h := history[rng.Intn(len(history))]
-			leaf, m = h.leaf, h.m.Clone()
-		} else {
-			leaf = rng.Intn(len(c.leaves))
-			m = iso.NewMatch(q)
-			for _, qe := range c.leaves[leaf] {
-				m.EdgeOf[qe] = nextEdge
-				nextEdge++
-				ts := int64(rng.Intn(500))
-				if c.shape == shapeRandom {
-					m.VertexOf[q.Edges[qe].Src] = graph.VertexID(rng.Intn(6))
-					m.VertexOf[q.Edges[qe].Dst] = graph.VertexID(rng.Intn(6) + 6)
-				} else {
-					ts = clock
-					switch {
-					case c.shape == shapeRegressInside && rng.Intn(4) == 0:
-						ts -= int64(rng.Intn(int(c.span)))
-					case c.shape == shapeRegressBeyond && rng.Intn(6) == 0:
-						ts -= int64(rng.Intn(int(3 * c.span)))
-					}
-				}
-				if ts < m.MinTS {
-					m.MinTS = ts
-				}
-				if ts > m.MaxTS {
-					m.MaxTS = ts
+			ops = append(ops, scriptOp{leaf: h.leaf, m: h.m.Clone()})
+			continue
+		}
+		leaf := rng.Intn(len(c.leaves))
+		m := iso.NewMatch(q)
+		for _, qe := range c.leaves[leaf] {
+			m.EdgeOf[qe] = nextEdge
+			nextEdge++
+			ts := int64(rng.Intn(500))
+			if c.shape == shapeRandom {
+				m.VertexOf[q.Edges[qe].Src] = graph.VertexID(rng.Intn(6))
+				m.VertexOf[q.Edges[qe].Dst] = graph.VertexID(rng.Intn(6) + 6)
+			} else {
+				ts = clock
+				switch {
+				case c.shape == shapeRegressInside && rng.Intn(4) == 0:
+					ts -= int64(rng.Intn(int(c.span)))
+				case c.shape == shapeRegressBeyond && rng.Intn(6) == 0:
+					ts -= int64(rng.Intn(int(3 * c.span)))
 				}
 			}
-			if c.shape != shapeRandom {
-				// One small domain (wider for a wider window, to keep
-				// the join fan-out) for every query vertex, bound
-				// injectively, so that sibling leaves do agree on a cut
-				// and every level of the tree stores and joins.
-				dom := rng.Perm(int(max(12, c.span/16)))
-				for i, qv := range q.EdgeVertices(c.leaves[leaf]) {
-					m.VertexOf[qv] = graph.VertexID(dom[i])
-				}
+			if ts < m.MinTS {
+				m.MinTS = ts
 			}
-			history = append(history, histItem{leaf: leaf, m: m.Clone()})
-		}
-		got, want = got[:0], want[:0]
-		tr.Insert(leaf, m.Clone(), emitGot, nil)
-		ref.insert(leaf, m, emitWant)
-		if len(got) != len(want) {
-			t.Fatalf("%v step %d: emitted %d matches, reference %d", c, step, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v step %d: match %d = %s, reference %s", c, step, i, got[i], want[i])
+			if ts > m.MaxTS {
+				m.MaxTS = ts
 			}
 		}
-		if int(tr.Stats().Stored) != ref.stored {
-			t.Fatalf("%v step %d: stored %d, reference %d", c, step, tr.Stats().Stored, ref.stored)
+		if c.shape != shapeRandom {
+			// One small domain (wider for a wider window, to keep the
+			// join fan-out) for every query vertex, bound injectively, so
+			// that sibling leaves do agree on a cut and every level of the
+			// tree stores and joins.
+			dom := rng.Perm(int(max(12, c.span/16)))
+			for i, qv := range q.EdgeVertices(c.leaves[leaf]) {
+				m.VertexOf[qv] = graph.VertexID(dom[i])
+			}
 		}
+		history = append(history, scriptOp{leaf: leaf, m: m.Clone()})
+		ops = append(ops, scriptOp{leaf: leaf, m: m})
 	}
-	return tr, compactions
+	return ops
 }
 
 // runDifferential is runScript over every timestamp shape.

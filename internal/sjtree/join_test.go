@@ -73,13 +73,14 @@ func randomLeafMatch(rng *rand.Rand, q *query.Graph, qe int) iso.Match {
 // TestCompiledJoinMatchesReference pins the join plans compiled at Build
 // against the generic join they replaced (refJoin): random queries, every
 // order of their 1-edge leaves, random leaf matches. Each join the
-// reference cascade attempts is repeated on Tree.join — same verdict, and
-// on success the same bindings slot for slot, intermediate nodes included
-// — and the hashed tree driven in lockstep must emit the same complete
-// matches in the same order with the same JoinsAttempted/JoinsSucceeded.
-// Under the collide hook every probe also meets the matches of other
-// cuts, which update must turn away before join sees them. The run has
-// to hit every way a join ends that valid inputs allow.
+// reference cascade attempts is repeated on Tree.joinable and union —
+// same verdict, and on success the same bindings slot for slot,
+// intermediate nodes included — and the hashed tree driven in lockstep
+// must emit the same complete matches in the same order with the same
+// JoinsAttempted/JoinsSucceeded. Under the collide hook every probe also
+// meets the matches of other cuts, which update must turn away before
+// joinable sees them. The run has to hit every way a join ends that valid
+// inputs allow.
 func TestCompiledJoinMatchesReference(t *testing.T) {
 	const window = 100
 	var reasons [numJoinOutcomes]int
@@ -104,12 +105,15 @@ func TestCompiledJoinMatchesReference(t *testing.T) {
 				}
 				where := fmt.Sprintf("seed %d query %v order %v collide=%v", seed, q.Edges, order, collide)
 				ref.onJoin = func(node, sibling *Node, a, b, want iso.Match, why joinOutcome) {
-					got, ok := ref.t.join(node, sibling, a, b)
+					lo, hi, ok := ref.t.joinable(node, sibling, a, b)
 					if ok != (why == joinOK) {
-						t.Fatalf("%s: node %d: join(%s, %s) ok=%v, reference outcome %d",
+						t.Fatalf("%s: node %d: joinable(%s, %s) = %v, reference outcome %d",
 							where, node.ID, matchString(a), matchString(b), ok, why)
 					}
-					if ok && matchString(got) != matchString(want) {
+					if !ok {
+						return
+					}
+					if got := union(iso.NewMatch(q), sibling, a, b, lo, hi); matchString(got) != matchString(want) {
 						t.Fatalf("%s: node %d: join = %s, reference %s", where, node.ID, matchString(got), matchString(want))
 					}
 				}

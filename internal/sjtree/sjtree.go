@@ -8,12 +8,20 @@
 // (Algorithm 2).
 //
 // A stored match is a record in its node's slab (store.go), addressed by
-// slot and owned by the tree alone: Insert copies the caller's match in
-// and hands the caller's arrays back to the pool at once. What join
+// slot and owned by the tree alone: an insert copies the caller's match
+// in and hands the caller's arrays back to the pool at once. What join
 // probes, OnStored and EachStored see of a stored match is a view — an
 // iso.Match whose slices point into the slab — valid until the tree is
 // next mutated. Window expiry reads a per-node timing wheel over MinTS,
 // so a sweep costs the expired matches, not the stored ones.
+//
+// A complete match is never stored and never drawn from the pool: a join
+// that reaches the root writes the union of its two sides straight into
+// the caller's Results (results.go), whose slabs own it until the
+// caller's next Reset. InsertInto is that one path; Insert is an adapter
+// over it for callers that want each complete match as arrays of their
+// own. The pool holds only matches in flight below the root: leaf
+// candidates, interior join outputs, and the clones Insert hands out.
 package sjtree
 
 import (
@@ -43,7 +51,7 @@ type Node struct {
 	Cut    []int // internal nodes: sorted query vertices shared by children
 
 	// ownVerts is QVerts without the parent's cut: the vertices a match
-	// of this node does not share with a sibling's (see Tree.join).
+	// of this node does not share with a sibling's (see Tree.joinable).
 	ownVerts []int
 
 	IsLeaf  bool
@@ -99,10 +107,15 @@ type Tree struct {
 	Budget *WorkBudget
 
 	// pool recycles the backing arrays of inserted, discarded and
-	// released matches into join outputs and (via Pool) the engine's
-	// candidate clones, keeping the steady-state insert path
-	// allocation-free. Stored matches live in the nodes' slabs, not here.
+	// released matches into interior join outputs, Insert's clones and
+	// (via Pool) the engine's candidate clones, keeping the steady-state
+	// insert path allocation-free. Stored matches live in the nodes'
+	// slabs and complete ones in a Results, not here.
 	pool *iso.MatchPool
+
+	// scratch is the Results Insert runs InsertInto against; it is empty
+	// between calls.
+	scratch Results
 
 	// shift sizes the nodes' timing wheels (a bucket spans 1<<shift
 	// timestamps); swept is the highest cutoff ExpireBefore has seen, the
@@ -336,34 +349,53 @@ func (t *Tree) Release(m iso.Match) { t.pool.Put(m) }
 // callback returns.
 type OnStored func(n *Node, m iso.Match)
 
-// Insert runs UPDATE-SJ-TREE (Algorithm 2) for a match discovered at the
-// given leaf. emit receives every completed (root-level) match; onStored
+// InsertInto runs UPDATE-SJ-TREE (Algorithm 2) for a match discovered at
+// the given leaf. Every completed (root-level) match is appended to out:
+// a join at the root writes the union of its two sides straight into
+// out's slabs, and a one-leaf tree's candidate is copied there. onStored
 // (optional) observes every partial match added to a table. It returns
 // the number of complete matches produced.
 //
-// Insert takes ownership of m, which must have the query's shape (full-
-// length binding arrays): a match that is stored is copied into its
+// InsertInto takes ownership of m, which must have the query's shape
+// (full-length binding arrays): a match that is stored is copied into its
 // node's slab, and m's backing arrays are recycled through the tree's
-// match pool before Insert returns (stored, dedup-suppressed or shed
-// alike), so callers must not reuse m after the call.
+// match pool before InsertInto returns (stored, dedup-suppressed, shed or
+// complete alike), so callers must not reuse m after the call.
 //
-// Ownership of a complete match passes the other way: what emit receives
-// belongs to the caller, the tree keeps no reference to it, and it stays
-// valid across later Insert and ExpireBefore calls until the caller
-// hands it to Release (or drops it for the collector). The engine does
-// that one call later (see "Match lifetimes" in package core).
-func (t *Tree) Insert(leafPos int, m iso.Match, emit func(iso.Match), onStored OnStored) int {
-	return t.update(t.Nodes[t.Leaves[leafPos]], m, emit, onStored)
-}
-
-func (t *Tree) update(node *Node, m iso.Match, emit func(iso.Match), onStored OnStored) int {
+// What lands in out is out's owner's, not the tree's: the tree keeps no
+// reference to it, and it stays valid across later inserts and
+// ExpireBefore calls until the owner calls out.Reset. The engine does
+// that when its next call starts (see "Match lifetimes" in package core).
+func (t *Tree) InsertInto(leafPos int, m iso.Match, out *Results, onStored OnStored) int {
+	node := t.Nodes[t.Leaves[leafPos]]
 	if node.ID == t.Root {
+		// A one-leaf tree: the candidate is complete as it stands.
 		t.stats.Emitted++
-		if emit != nil {
-			emit(m)
-		}
+		out.Add(m)
+		t.pool.Put(m)
 		return 1
 	}
+	return t.update(node, m, out, onStored)
+}
+
+// Insert is InsertInto for a caller that keeps complete matches as arrays
+// of its own: emit (optional) receives each one as a clone drawn from the
+// tree's pool, after the insert has run. What emit receives belongs to
+// the caller, stays valid across later Insert and ExpireBefore calls, and
+// goes back to the pool through Release (or to the collector). m is
+// taken over as by InsertInto.
+func (t *Tree) Insert(leafPos int, m iso.Match, emit func(iso.Match), onStored OnStored) int {
+	n := t.InsertInto(leafPos, m, &t.scratch, onStored)
+	if emit != nil {
+		for _, c := range t.scratch.Matches {
+			emit(t.pool.Clone(c))
+		}
+	}
+	t.scratch.Reset()
+	return n
+}
+
+func (t *Tree) update(node *Node, m iso.Match, out *Results, onStored OnStored) int {
 	if t.Budget != nil {
 		if t.Budget.Remaining <= 0 {
 			t.stats.Shed++
@@ -414,12 +446,18 @@ func (t *Tree) update(node *Node, m iso.Match, emit func(iso.Match), onStored On
 			t.Budget.Remaining--
 		}
 		t.stats.JoinsAttempted++
-		sup, ok := t.join(node, sibling, m, ms)
+		lo, hi, ok := t.joinable(node, sibling, m, ms)
 		if !ok {
 			continue
 		}
 		t.stats.JoinsSucceeded++
-		complete += t.update(parent, sup, emit, onStored)
+		if parent.ID == t.Root {
+			t.stats.Emitted++
+			out.Matches = append(out.Matches, union(out.slot(node.nv, node.ne), sibling, m, ms, lo, hi))
+			complete++
+			continue
+		}
+		complete += t.update(parent, union(t.pool.Get(), sibling, m, ms, lo, hi), out, onStored)
 	}
 	t.storeAt(node, k, sig, m)
 	t.stats.Inserted++
@@ -456,23 +494,24 @@ func (t *Tree) sigHash(node *Node, m iso.Match) uint64 {
 	return iso.HashMix64(h, uint64(m.MinTS))
 }
 
-// join merges a match a of node with a match b of its sibling
-// (Definition 3.1.3): the union of their bindings, provided vertex
-// injectivity holds across the union, the data edges are distinct, and
-// the combined τ(g) respects the window. The caller has already
-// established that the two agree on the parent's cut (cutEqual).
+// joinable is the admissibility check of a join of a match a of node
+// with a match b of its sibling (Definition 3.1.3): vertex injectivity
+// holds across the union of their bindings, the data edges are distinct,
+// and the combined τ(g) respects the window. It returns the union's
+// earliest and latest timestamps. The caller has already established
+// that the two agree on the parent's cut (cutEqual).
 //
 // A match stored at a node binds exactly that node's QVerts and QEdges,
 // so which slots can clash is fixed when the tree is built. Vertices:
 // only the two sides' vertices outside the cut (ownVerts) — on the cut
 // they agree, and a match is injective in itself, so neither side's own
 // vertices repeat a cut binding. Edges: the sibling's query edges against
-// the node's. Every test reads the two inputs, cheapest first; an array
-// is taken from the pool only for a join that succeeds, so the failed
+// the node's. Every test reads the two inputs, cheapest first, and none
+// writes: only a join that passes gets arrays (union), so the failed
 // joins — the overwhelming majority at hub vertices — touch neither the
-// pool nor the heap.
-func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
-	lo, hi := a.MinTS, a.MaxTS
+// pool, nor a Results, nor the heap.
+func (t *Tree) joinable(node, sibling *Node, a, b iso.Match) (lo, hi int64, ok bool) {
+	lo, hi = a.MinTS, a.MaxTS
 	if b.MinTS < lo {
 		lo = b.MinTS
 	}
@@ -480,13 +519,13 @@ func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
 		hi = b.MaxTS
 	}
 	if t.Window > 0 && hi-lo >= t.Window {
-		return iso.Match{}, false
+		return 0, 0, false
 	}
 	for _, qv := range sibling.ownVerts {
 		dv := b.VertexOf[qv]
 		for _, qa := range node.ownVerts {
 			if a.VertexOf[qa] == dv {
-				return iso.Match{}, false
+				return 0, 0, false
 			}
 		}
 	}
@@ -494,11 +533,17 @@ func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
 		de := b.EdgeOf[qe]
 		for _, qa := range node.QEdges {
 			if a.EdgeOf[qa] == de {
-				return iso.Match{}, false
+				return 0, 0, false
 			}
 		}
 	}
-	out := t.pool.Get()
+	return lo, hi, true
+}
+
+// union writes the join of a with b, a match of sibling that joinable
+// admitted with timestamps lo..hi, into out's arrays and returns out: a
+// pool array for an interior join, a Results slot for a join at the root.
+func union(out iso.Match, sibling *Node, a, b iso.Match, lo, hi int64) iso.Match {
 	copy(out.VertexOf, a.VertexOf)
 	copy(out.EdgeOf, a.EdgeOf)
 	for _, qv := range sibling.ownVerts {
@@ -508,7 +553,7 @@ func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
 		out.EdgeOf[qe] = b.EdgeOf[qe]
 	}
 	out.MinTS, out.MaxTS = lo, hi
-	return out, true
+	return out
 }
 
 // RestoreStored re-inserts a previously stored partial match at the
@@ -516,7 +561,7 @@ func (t *Tree) join(node, sibling *Node, a, b iso.Match) (iso.Match, bool) {
 // snapshot/restore path, where every join the match could produce was
 // already produced before the snapshot was taken. The match must bind
 // exactly the node's subgraph — its QVerts and QEdges, nothing else, as
-// every match the tree stored itself does and Tree.join relies on; only
+// every match the tree stored itself does and Tree.joinable relies on; only
 // structural checks are performed. m is copied into the node's slab and
 // stays the caller's, who may refill it for the next call.
 func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
@@ -576,6 +621,7 @@ func (t *Tree) ExpireBefore(cutoff int64) int {
 	}
 	t.stats.Stored -= int64(evicted)
 	t.stats.Evicted += int64(evicted)
+	t.scratch.Swept()
 	return evicted
 }
 
