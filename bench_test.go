@@ -1,12 +1,16 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index), plus
-// micro-benchmarks of the hot paths. Run with:
+// evaluation (internal/experiments), plus micro-benchmarks of the hot
+// paths. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The figure benchmarks execute a scaled-down sweep per iteration and
 // report the paper's headline quantities as custom metrics; sgbench
-// runs the same experiments at larger scales.
+// runs the same experiments at larger scales. These are per-layer
+// go benchmarks: end-to-end throughput, latency and memory are
+// measured by the bench/ module, and the reference match counts are
+// pinned by TestReferenceWorkloadBatch (internal/core) and
+// TestReferenceWorkloadTopologies (internal/shard).
 package streamgraph
 
 import (

@@ -6,45 +6,20 @@
 //
 //	sgbench -exp all  -scale small
 //	sgbench -exp fig9a -scale medium -seed 7
-//	sgbench -exp batch -cpuprofile cpu.out -memprofile mem.out
+//	sgbench -exp fig9b -cpuprofile cpu.out -memprofile mem.out
 //
 // Experiments: table1, fig6, fig7, fig9a, fig9b, fig9c, fig9d, fig10,
-// rule, alg5, ablation, planner, sketch, batch, shard, dshard,
-// persist, migrate, all.
-//
-// The batch, shard and dshard experiments go beyond the paper: batch
-// compares edge-at-a-time ingestion with the batch pipeline (amortized
-// eviction) at -batch as the largest batch size; shard compares the
-// serial multi-query engine and the sharded runtime (internal/shard) at
-// several shard counts, reporting each mode's total replicated edge count —
-// the storage the edge-type-partitioned replicas save versus full
-// per-shard replication — alongside throughput; dshard compares the
-// in-process shard runtime with all-remote and mixed local/remote
-// topologies whose slots are loopback-TCP sgshard workers
-// (internal/dshard), reporting wire traffic alongside throughput —
-// match counts must be identical across every row of every mode;
-// persist compares the volatile sharded runtime with the durable one
-// (edge log + checkpoint rounds) and times a cold recovery of the
-// resulting data directory, reporting the checkpoint overhead and the
-// retained log footprint; migrate measures live query migration — the
-// same workload with and without a steady churn rotating queries
-// across slots (in-process and across a loopback-TCP worker),
-// reporting the throughput cost, the per-handoff drain latency and the
-// backfill volume, with match counts that must not diverge.
-//
-// With -json the throughput experiments (batch, shard, dshard,
-// persist, migrate) emit one machine-readable JSON document on stdout
-// instead of text tables — the format CI archives as BENCH_PR10.json
-// to track the perf trajectory across PRs.
+// rule, alg5, ablation, planner, sketch, all. An unknown -exp exits
+// with status 2 and lists these. The runtime's throughput, latency
+// and memory are measured by the bench/ module, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
 
 	"streamgraph/internal/experiments"
@@ -52,36 +27,25 @@ import (
 	"streamgraph/internal/query"
 )
 
-// expReport is one experiment's structured rows in -json mode.
-type expReport struct {
-	ID      string `json:"id"`
-	Dataset string `json:"dataset"`
-	Rows    any    `json:"rows"`
-}
-
-// benchReport is the -json document.
-type benchReport struct {
-	Tool        string      `json:"tool"`
-	Scale       string      `json:"scale"`
-	Seed        int64       `json:"seed"`
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	Experiments []expReport `json:"experiments"`
+// experimentIDs lists every -exp value but "all", in the order "all"
+// runs them.
+var experimentIDs = []string{
+	"table1", "fig6", "fig7", "fig9a", "fig9b", "fig9c", "fig9d", "fig10",
+	"rule", "alg5", "ablation", "planner", "sketch",
 }
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1, fig6, fig7, fig9a-d, fig10, rule, alg5, ablation, planner, sketch, batch, shard, dshard, persist, migrate, all)")
-		scale    = flag.String("scale", "small", "dataset scale: small | medium | large")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		batch    = flag.Int("batch", 1024, "largest batch size for the batch ingestion experiment")
-		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text tables (runs the throughput experiments: batch, shard, dshard, persist)")
-		maxEdges = flag.Int("max-edges", 0, "bound the stream length for the batch/shard experiments (0 = whole dataset)")
+		exp   = flag.String("exp", "all", "experiment id ("+strings.Join(experimentIDs, ", ")+", all)")
+		scale = flag.String("scale", "small", "dataset scale: small | medium | large")
+		seed  = flag.Int64("seed", 1, "generator seed")
 	)
 	profFlags := prof.RegisterFlags()
 	flag.Parse()
 
-	if *batch < 2 && (*exp == "batch" || *exp == "all") {
-		log.Fatalf("-batch must be >= 2 (got %d): size 1 is the serial baseline, always included", *batch)
+	if *exp != "all" && !slices.Contains(experimentIDs, *exp) {
+		fmt.Fprintf(os.Stderr, "sgbench: unknown experiment %q; valid ids: %s, all\n", *exp, strings.Join(experimentIDs, ", "))
+		os.Exit(2)
 	}
 
 	var sc experiments.Scale
@@ -129,55 +93,6 @@ func main() {
 			nyt, haveNYT = experiments.NYTimesDataset(sc, *seed+2), true
 		}
 		return nyt
-	}
-
-	if *jsonOut {
-		report := benchReport{Tool: "sgbench", Scale: *scale, Seed: *seed, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-		nf := getNF()
-		if want("batch") {
-			sizes := []int{1, 64, *batch}
-			if *batch <= 64 {
-				sizes = []int{1, *batch}
-			}
-			rows := experiments.BatchThroughput(experiments.BatchConfig{
-				Dataset: nf, Sizes: sizes, MaxEdges: *maxEdges,
-			})
-			report.Experiments = append(report.Experiments, expReport{ID: "batch", Dataset: nf.Name, Rows: rows})
-		}
-		if want("shard") {
-			rows := experiments.ShardThroughput(experiments.ShardConfig{Dataset: nf, MaxEdges: *maxEdges})
-			report.Experiments = append(report.Experiments, expReport{ID: "shard", Dataset: nf.Name, Rows: rows})
-		}
-		if want("dshard") {
-			rows, err := experiments.DshardThroughput(experiments.DshardConfig{Dataset: nf, MaxEdges: *maxEdges})
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.Experiments = append(report.Experiments, expReport{ID: "dshard", Dataset: nf.Name, Rows: rows})
-		}
-		if want("persist") {
-			rows, err := experiments.PersistThroughput(experiments.PersistConfig{Dataset: nf, MaxEdges: *maxEdges})
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.Experiments = append(report.Experiments, expReport{ID: "persist", Dataset: nf.Name, Rows: rows})
-		}
-		if want("migrate") {
-			rows, err := experiments.MigrateThroughput(experiments.MigrateConfig{Dataset: nf, MaxEdges: *maxEdges})
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.Experiments = append(report.Experiments, expReport{ID: "migrate", Dataset: nf.Name, Rows: rows})
-		}
-		if len(report.Experiments) == 0 {
-			log.Fatalf("-json supports the throughput experiments (batch, shard, dshard, persist, migrate); got -exp %s", *exp)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if want("table1") {
@@ -276,51 +191,6 @@ func main() {
 			experiments.PrintSketchReport(out, experiments.SketchAccuracy(ds, 1<<16, 4, 10))
 			fmt.Fprintln(out)
 		}
-	}
-	if want("batch") {
-		sizes := []int{1, 64, *batch}
-		if *batch <= 64 {
-			sizes = []int{1, *batch}
-		}
-		nf := getNF()
-		rows := experiments.BatchThroughput(experiments.BatchConfig{
-			Dataset: nf, Sizes: sizes, MaxEdges: *maxEdges,
-		})
-		experiments.PrintBatch(out, nf.Name, rows)
-		fmt.Fprintln(out)
-	}
-	if want("shard") {
-		nf := getNF()
-		rows := experiments.ShardThroughput(experiments.ShardConfig{Dataset: nf, MaxEdges: *maxEdges})
-		experiments.PrintShard(out, nf.Name, rows)
-		fmt.Fprintln(out)
-	}
-	if want("dshard") {
-		nf := getNF()
-		rows, err := experiments.DshardThroughput(experiments.DshardConfig{Dataset: nf, MaxEdges: *maxEdges})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintDshard(out, nf.Name, rows)
-		fmt.Fprintln(out)
-	}
-	if want("persist") {
-		nf := getNF()
-		rows, err := experiments.PersistThroughput(experiments.PersistConfig{Dataset: nf, MaxEdges: *maxEdges})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintPersist(out, nf.Name, rows)
-		fmt.Fprintln(out)
-	}
-	if want("migrate") {
-		nf := getNF()
-		rows, err := experiments.MigrateThroughput(experiments.MigrateConfig{Dataset: nf, MaxEdges: *maxEdges})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintMigrate(out, nf.Name, rows)
-		fmt.Fprintln(out)
 	}
 }
 

@@ -686,9 +686,6 @@ func DecodeHelloAck(body []byte) (HelloAck, error) {
 	return a, d.err
 }
 
-// DecodeEdges parses a FrameEdges body in the plain encoding.
-func DecodeEdges(body []byte) (Edges, error) { return decodeEdges(body, nil) }
-
 // DecodeEdges parses a FrameEdges body under the connection's
 // negotiated encoding, updating the connection's decode dictionary.
 func (cn *Conn) DecodeEdges(body []byte) (Edges, error) { return decodeEdges(body, cn.tbl) }
@@ -699,9 +696,6 @@ func decodeEdges(body []byte, tbl *strTable) (Edges, error) {
 	m.Edges = d.edges()
 	return m, d.err
 }
-
-// DecodeRegister parses a FrameRegister body in the plain encoding.
-func DecodeRegister(body []byte) (Register, error) { return decodeRegister(body, nil) }
 
 // DecodeRegister parses a FrameRegister body under the connection's
 // negotiated encoding, updating the connection's decode dictionary.
@@ -752,9 +746,6 @@ func decodeRegister(body []byte, tbl *strTable) (Register, error) {
 	return m, d.err
 }
 
-// DecodeBackfill parses a FrameBackfill body in the plain encoding.
-func DecodeBackfill(body []byte) (BackfillChunk, error) { return decodeBackfill(body, nil) }
-
 // DecodeBackfill parses a FrameBackfill body under the connection's
 // negotiated encoding, updating the connection's decode dictionary.
 func (cn *Conn) DecodeBackfill(body []byte) (BackfillChunk, error) {
@@ -767,10 +758,6 @@ func decodeBackfill(body []byte, tbl *strTable) (BackfillChunk, error) {
 	m.Edges = d.edges()
 	return m, d.err
 }
-
-// DecodeUnregister parses a FrameUnregister body in the plain
-// encoding.
-func DecodeUnregister(body []byte) (Unregister, error) { return decodeUnregister(body, nil) }
 
 // DecodeUnregister parses a FrameUnregister body under the
 // connection's negotiated encoding, updating the connection's decode
@@ -799,9 +786,6 @@ func DecodeCloseStream(body []byte) (CloseStream, error) {
 	m := CloseStream{Frame: d.uvarint(), FinalSeq: d.uvarint()}
 	return m, d.err
 }
-
-// DecodeMatch parses a FrameMatch body in the plain encoding.
-func DecodeMatch(body []byte) (Match, error) { return decodeMatch(body, nil) }
 
 // DecodeMatch parses a FrameMatch body under the connection's
 // negotiated encoding, updating the connection's decode dictionary.

@@ -105,7 +105,7 @@ func TestWireRoundTrip(t *testing.T) {
 		case FrameHello:
 			got, err = DecodeHello(body)
 		case FrameEdges:
-			got, err = DecodeEdges(body)
+			got, err = decodeEdges(body, nil)
 		case FrameRegister:
 			// A frame from a router that still sent a search-pool size
 			// (the uvarint behind MaxSteps, now written as 0) decodes the
@@ -117,15 +117,15 @@ func TestWireRoundTrip(t *testing.T) {
 				}
 				body[at] = 4
 			}
-			got, err = DecodeRegister(body)
+			got, err = decodeRegister(body, nil)
 		case FrameBackfill:
-			got, err = DecodeBackfill(body)
+			got, err = decodeBackfill(body, nil)
 		case FrameUnregister:
-			got, err = DecodeUnregister(body)
+			got, err = decodeUnregister(body, nil)
 		case FrameClose:
 			got, err = DecodeCloseStream(body)
 		case FrameMatch:
-			got, err = DecodeMatch(body)
+			got, err = decodeMatch(body, nil)
 		case FrameDone:
 			got, err = DecodeDone(body)
 		default:
@@ -154,7 +154,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(body); cut++ {
-		if _, err := DecodeRegister(body[:cut]); err == nil {
+		if _, err := decodeRegister(body[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(body))
 		}
 	}
@@ -162,11 +162,11 @@ func TestDecodeCorrupt(t *testing.T) {
 	// one that fits the remaining byte count but not the element type's
 	// minimum encoded size (an edge cannot encode in under 6 bytes, so
 	// a 1000-edge claim needs ≥ 6000 trailing bytes, not 1000).
-	if _, err := DecodeEdges([]byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}); err == nil {
+	if _, err := decodeEdges([]byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, nil); err == nil {
 		t.Fatal("absurd edge count decoded without error")
 	}
 	plausible := append([]byte{1, 0, 1, 0xe8, 0x07}, make([]byte, 1000)...)
-	if _, err := DecodeEdges(plausible); err == nil {
+	if _, err := decodeEdges(plausible, nil); err == nil {
 		t.Fatal("edge count exceeding remaining/minEdgeSize decoded without error")
 	}
 	// A count of 2^63 must not wrap the bounds arithmetic into a
@@ -174,7 +174,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	// 10-byte uvarint for 1<<63).
 	overflow := append([]byte{1, 0, 1}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
 	overflow = append(overflow, make([]byte, 64)...)
-	if _, err := DecodeEdges(overflow); err == nil {
+	if _, err := decodeEdges(overflow, nil); err == nil {
 		t.Fatal("2^63 edge count decoded without error")
 	}
 }

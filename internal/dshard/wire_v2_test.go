@@ -461,11 +461,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("table grew to %d entries from a %d-byte body", len(tbl.vals), len(body))
 		}
 		// The plain decoders must hold on the same input.
-		DecodeEdges(body)
-		DecodeRegister(body)
-		DecodeBackfill(body)
-		DecodeUnregister(body)
-		DecodeMatch(body)
+		decodeEdges(body, nil)
+		decodeRegister(body, nil)
+		decodeBackfill(body, nil)
+		decodeUnregister(body, nil)
+		decodeMatch(body, nil)
 		DecodeHello(body)
 		DecodeHelloAck(body)
 		DecodeDone(body)

@@ -43,15 +43,15 @@ type Scale struct {
 	NYTArticles  int
 }
 
-// ScaleSmall keeps the full experiment suite in the tens of seconds; it
-// is the default for `go test -bench` runs.
+// ScaleSmall keeps the full experiment suite to seconds; it is the
+// default for the sgbench command (-scale small).
 var ScaleSmall = Scale{
 	NetflowEdges: 30000, NetflowHosts: 4000,
 	LSBenchEdges: 30000, LSBenchUsers: 2000,
 	NYTArticles: 2500,
 }
 
-// ScaleMedium is the default for the sgbench command.
+// ScaleMedium is about seven times ScaleSmall (sgbench -scale medium).
 var ScaleMedium = Scale{
 	NetflowEdges: 200000, NetflowHosts: 20000,
 	LSBenchEdges: 200000, LSBenchUsers: 10000,

@@ -68,8 +68,8 @@ type SweepConfig struct {
 	// MaxExpectedSelectivity drops pool queries above this Ŝ before
 	// sampling. Zero selects the pool's median Ŝ, keeping the more
 	// selective half — matching the paper's observed query mix (its
-	// Figure 10 samples are overwhelmingly selective; see DESIGN.md
-	// deviation 3) while adapting to query size and dataset.
+	// Figure 10 samples are overwhelmingly selective) while adapting to
+	// query size and dataset.
 	MaxExpectedSelectivity float64
 }
 

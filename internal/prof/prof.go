@@ -1,7 +1,8 @@
 // Package prof wires the standard runtime/pprof file profiles into the
-// CLIs: -cpuprofile and -memprofile flags for sgbench and sgtail, so
-// the hot-path work (SJ-Tree inserts, candidate search, eviction) can
-// be profiled on real workloads without a test harness.
+// CLIs: -cpuprofile and -memprofile flags for sgtail (a query over a
+// real stream) and sgbench (the paper's experiments), so the hot-path
+// work (SJ-Tree inserts, candidate search, eviction) can be profiled
+// without a test harness.
 package prof
 
 import (
