@@ -58,7 +58,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7687", "listen address")
 		window     = flag.Int64("window", 0, "time window tW shared by all queries (0 = unwindowed)")
-		evictEvery = flag.Int("evict-every", 256, "eviction cadence in edges")
 		shards     = flag.Int("shards", 0, "run on the sharded runtime with this many shard workers (0 = single engine); edge ingestion becomes asynchronous, matches are drained with the 'matches' command and 'stats' reports per-shard counters")
 		shardQueue = flag.Int("shard-queue", 256, "per-shard ingest queue capacity (with -shards/-remote)")
 		remote     = flag.String("remote", "", "comma-separated remote shard worker addresses (sgshard processes); each becomes one shard slot alongside the -shards local workers and selects the sharded runtime even with -shards 0")
@@ -86,7 +85,7 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Window: *window, EvictEvery: *evictEvery,
+		Window: *window,
 		Shards: *shards, Remotes: remotes, ShardQueue: *shardQueue,
 		DataDir: *dataDir, CheckpointEvery: *ckptEvery,
 	}

@@ -72,7 +72,7 @@ func (e *Engine) recomputeAdaptive() {
 
 	leaves, kind, xi, err := decompose.Auto(e.q, a.collector)
 	a.collector = selectivity.NewCollector()
-	if err != nil || len(leaves) > 64 {
+	if err != nil {
 		return
 	}
 	if sameLeaves(leaves, e.tree.LeafSets()) {

@@ -144,7 +144,7 @@ func TestAdaptiveBatchMatchesSerial(t *testing.T) {
 
 	newAdaptive := func() *Engine {
 		eng, err := New(q, Config{
-			Strategy: StrategySingleLazy, Stats: stats, Window: 600, EvictEvery: 5,
+			Strategy: StrategySingleLazy, Stats: stats, Window: 600,
 			Adaptive: &AdaptiveConfig{RecomputeEvery: 400},
 		})
 		if err != nil {
@@ -215,7 +215,7 @@ func TestAdaptiveStatsZeroWhenDisabled(t *testing.T) {
 func TestProjectSkipsEvictedEdges(t *testing.T) {
 	q := query.NewPath(query.Wildcard, "x", "y")
 	stats := collect([]stream.Edge{edge("a", "b", "x", 1), edge("b", "c", "y", 2)})
-	eng, err := New(q, Config{Strategy: StrategySingle, Stats: stats, Window: 10, EvictEvery: 1})
+	eng, err := New(q, Config{Strategy: StrategySingle, Stats: stats, Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // traffic) but never completes a match, so any allocation measured
 // would come from the engine or the metrics recording itself.
 func TestProcessEdgeInstrumentedAllocFree(t *testing.T) {
-	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
+	m := NewMulti(MultiConfig{Window: 200})
 	// GRE→TCP path over a TCP-only stream: every edge feeds the TCP
 	// leaf's match table, window expiry recycles through the pool, and
 	// no complete match is ever emitted.
@@ -98,14 +98,14 @@ func TestProcessBatchAllocFree(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 	}
 	q := query.NewPath("ip", "GRE", "TCP")
-	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
+	m := NewMulti(MultiConfig{Window: 200})
 	if err := m.Register("eager", q, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("lazy", q, Config{Strategy: StrategySingleLazy}); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, Leaves: [][]int{{0}, {1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,10 @@
 // Equivalence is exact when timestamps are non-decreasing and no
 // load-shedding cap (MaxMatchesPerSearch, MaxWorkPerEdge,
 // MaxStepsPerSearch) is active; under a cap both paths are best-effort.
-// With out-of-order timestamps, serial results are already
-// eviction-cadence-dependent (the EvictEvery slack of
-// graph.ExpireBefore); there the batch path's lazier eviction reports
-// a window-valid superset of the serial matches, never fewer — see
-// Engine.advanceEvict.
+// With out-of-order timestamps, serial results already depend on where
+// the sweeps fall (the slack of graph.ExpireBefore); there the batch
+// path's later sweep reports a window-valid superset of the serial
+// matches, never fewer — see sweepClock.
 package core
 
 import (
@@ -56,15 +55,14 @@ func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 }
 
 // processSubBatch is the core batch step: amortized eviction, admission
-// and ingest, merge. The sweep clock counts every offered edge and the
-// stream clock takes every offered timestamp, so sweeps run where an
-// engine storing the whole stream would run them. The rows stay aligned
-// with batch: an edge outside the footprint keeps its slot and completes
+// and ingest, merge. The sweep clock is offered every timestamp of the
+// batch, admitted or not, after the sweep. The rows stay aligned with
+// batch: an edge outside the footprint keeps its slot and completes
 // nothing.
 func (e *Engine) processSubBatch(batch []stream.Edge) [][]iso.Match {
-	e.advanceEvict(len(batch))
+	e.maybeEvict()
 	n, hiTS := e.adm.filter(e.g, batch)
-	e.seenTS = max(e.seenTS, hiTS)
+	e.clock.offer(hiTS)
 	e.stats.EdgesProcessed += int64(len(batch) - n)
 	rows := e.searchBatch(e.adm.ingest(e.g, batch, &e.arena))
 	if n == len(batch) {
@@ -116,8 +114,7 @@ func (e *Engine) processBatchAdaptive(batch []stream.Edge) [][]iso.Match {
 // per edge: an Intern under a universal set, a Lookup and a Has under a
 // narrow one, so a type the set does not hold is never interned. An edge
 // the set drops touches nothing — no name probe, no AddEdge, no search —
-// and what it still counts for (the sweep clock, the stream clock) is the
-// caller's.
+// and what it still counts for (the sweep clock) is the caller's.
 type admission struct {
 	types graph.TypeSet
 	// kept lists, for the batch the last filter passed over, the
@@ -257,26 +254,25 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 // match is copied, and a replica filter that rejects part of the batch
 // costs nothing either — the admitted edges are ingested straight out of
 // ses, and only their positions are kept (admission) — so a batch costs
-// the heap nothing.
-//
-// The sweep clock advances by the admitted edges only, once, before they
-// are ingested (so the cutoff never gets ahead of the serial schedule's):
-// a filtered replica of the sharded runtime is never offered the edges
-// its router gates away, so it could not count them anyway.
+// the heap nothing. As in Engine.processSubBatch, the sweep runs first,
+// from the pre-batch clock.
 func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat []NamedMatch) {
 	if len(ses) == 0 {
 		return nil, nil
 	}
 	m.arena.begin()
 	rows = m.arena.namedBuf(len(ses))
+	m.maybeEvict()
 	n, _ := m.adm.filter(m.g, ses)
 	if n == 0 {
 		return rows, nil
 	}
-	m.advanceEvict(n)
 	m.edgesSeen += int64(n)
 	m.stored += int64(n)
 	des := m.adm.ingest(m.g, ses, &m.arena)
+	for _, de := range des {
+		m.clock.offer(de.TS)
+	}
 	if cap(m.pq) < len(m.engines) {
 		m.pq = make([][][]iso.Match, len(m.engines))
 	}

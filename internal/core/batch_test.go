@@ -80,7 +80,7 @@ func TestMultiBatchMatchesSerial(t *testing.T) {
 	train := edges[:300]
 
 	run := func(batch int) []string {
-		m := NewMulti(MultiConfig{Window: 400, EvictEvery: 7})
+		m := NewMulti(MultiConfig{Window: 400})
 		registerBatchQueries(t, m, batchStrategyMix(), train)
 		var sigs []string
 		if batch <= 1 {
@@ -118,10 +118,10 @@ func TestMultiBatchMatchesSerial(t *testing.T) {
 
 // TestBatchOutOfOrderSuperset pins the documented contract for
 // out-of-order timestamps: when a timestamp regresses by more than the
-// window across a serial eviction boundary, the serial schedule has
-// already lost the old edge to eviction slack (an EvictEvery artifact),
-// while the batch path's lazier eviction keeps it — so per edge, batch
-// matches are a window-valid SUPERSET of serial matches, never fewer.
+// window across a serial sweep, the serial schedule has already lost the
+// old edge to the sweep, while the batch path, which sweeps before it
+// ingests, keeps it — so per edge, batch matches are a window-valid
+// SUPERSET of serial matches, never fewer.
 // With non-decreasing timestamps the differential tests above require
 // exact equality instead.
 func TestBatchOutOfOrderSuperset(t *testing.T) {
@@ -129,13 +129,13 @@ func TestBatchOutOfOrderSuperset(t *testing.T) {
 	q := query.NewPath(query.Wildcard, "a", "b")
 	edges := []stream.Edge{
 		edge("x", "y", "a", 0),
-		edge("p", "q", "c", 100), // unrelated type; advances the eviction clock past the window
+		edge("p", "q", "c", 100), // unrelated type; moves the sweep clock past the window
 		edge("y", "z", "b", 1),   // late arrival: spans [0,1] with the first edge, inside the window
 	}
 	stats := collect(edges)
 	for _, s := range []Strategy{StrategySingle, StrategySingleLazy, StrategyPath, StrategyVF2} {
 		serial := runSerialPerEdge(t, q, edges, s, window, stats)
-		eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats, EvictEvery: 5})
+		eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -160,19 +160,17 @@ func TestBatchOutOfOrderSuperset(t *testing.T) {
 				}
 			}
 		}
-		// The serial run loses the out-of-order pair to eviction slack
-		// (runSerialPerEdge uses EvictEvery=5, so the sweep fires only at
-		// stream end here and the pair survives — force the slack by
-		// rerunning with EvictEvery=1), while the batch run keeps it.
+		// The serial run loses the out-of-order pair to the sweep at
+		// ts=100, while the batch run keeps it.
 		if nBatch < nSerial {
 			t.Fatalf("%v: batch found %d matches, serial %d — batch must be a superset", s, nBatch, nSerial)
 		}
 	}
 
-	// The sharp version of the scenario: EvictEvery small enough that
-	// the serial sweep between the ts=100 and ts=1 arrivals evicts the
-	// ts=0 edge. Serial finds nothing; batch finds the window-valid pair.
-	serialEng, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats, EvictEvery: 2})
+	// The sharp version of the scenario: the serial sweep between the
+	// ts=100 and ts=1 arrivals evicts the ts=0 edge. Serial finds
+	// nothing; batch finds the window-valid pair.
+	serialEng, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +178,7 @@ func TestBatchOutOfOrderSuperset(t *testing.T) {
 	for _, se := range edges {
 		nSerial += len(serialEng.ProcessEdge(se))
 	}
-	batchEng, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats, EvictEvery: 2})
+	batchEng, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +227,10 @@ func TestBatchEvictionProperty(t *testing.T) {
 		}
 		edges := randomStream(rng, gcfg)
 		window := int64(20 + rng.Intn(100))
-		evictEvery := 1 + rng.Intn(10)
 		q := query.NewPath(query.Wildcard, "a", "b")
 		stats := collect(edges)
 
-		serial, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats, EvictEvery: evictEvery})
+		serial, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +239,7 @@ func TestBatchEvictionProperty(t *testing.T) {
 		}
 		serial.ForceEvict()
 
-		batched, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats, EvictEvery: evictEvery})
+		batched, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +255,8 @@ func TestBatchEvictionProperty(t *testing.T) {
 
 		got, want := liveSet(batched.Graph()), liveSet(serial.Graph())
 		if !equalStrings(got, want) {
-			t.Fatalf("trial %d (window=%d evictEvery=%d batch=%d): batch leaves %d edges, serial %d\n got %v\nwant %v",
-				trial, window, evictEvery, bs, len(got), len(want), got, want)
+			t.Fatalf("trial %d (window=%d batch=%d): batch leaves %d edges, serial %d\n got %v\nwant %v",
+				trial, window, bs, len(got), len(want), got, want)
 		}
 	}
 }

@@ -21,16 +21,21 @@ e v3 v1 worksAt
 e v4 v1 worksAt
 `
 
-// hubFeed repeats a cycle of edges around one hub org, one tick per
-// edge: the hub's forum, then its students, then its employees, then
-// filler edges of a type the query does not hold. Under a window of one
-// cycle every name is in the window once, so the forum edge completes
-// students × employees × (employees-1) matches.
+// hubFeed repeats a cycle of edges around one hub org: the hub's forum,
+// then its students, then its employees, then filler edges of a type the
+// query does not hold. Cycle k takes the ticks k·hubPeriod, +1, +2, …,
+// one per edge. Under a window of hubPeriod every name is in the window
+// once, so the forum edge completes students × employees ×
+// (employees-1) matches; and the sweep clock, whose step hubPeriod/32 is
+// longer than a cycle, sweeps once a cycle, at its first edge.
 type hubFeed struct {
 	cycle []stream.Edge
 	i     int
-	ts    int64
 }
+
+// hubPeriod is the ticks from one cycle's start to the next, and the
+// window the hub tests run under.
+const hubPeriod = 32 * 40
 
 // hubCycle returns a cycle of the given numbers of students and
 // employees, padded with filler to length n.
@@ -52,10 +57,10 @@ func hubCycle(students, employees, n int) []stream.Edge {
 }
 
 func (h *hubFeed) next() stream.Edge {
-	se := h.cycle[h.i%len(h.cycle)]
+	n := len(h.cycle)
+	se := h.cycle[h.i%n]
+	se.TS = int64(h.i/n)*hubPeriod + int64(h.i%n)
 	h.i++
-	h.ts++
-	se.TS = h.ts
 	return se
 }
 
@@ -87,7 +92,7 @@ func TestBurstEmitAllocFree(t *testing.T) {
 	burst := hubCycle(4, 34, 39)
 	quiet := hubCycle(4, 3, len(burst))
 	newEngine := func(t *testing.T) *Engine {
-		eng, err := New(q, Config{Strategy: StrategySingle, Window: int64(len(burst)), EvictEvery: len(burst), Leaves: [][]int{{0}, {1}, {2}, {3}}})
+		eng, err := New(q, Config{Strategy: StrategySingle, Window: hubPeriod, Leaves: [][]int{{0}, {1}, {2}, {3}}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // stream, breaking the restored engine's byte-for-byte equivalence
 // with an uninterrupted run). That requires exposing exactly the
 // state a flush would have consumed: the queued retrospective work
-// per leaf, and the shared eviction clock.
+// per leaf, and the shared sweep clock.
 
 // PendingRetro returns the queued retrospective (lazy) search work:
 // for each leaf, the vertices whose enable-time neighborhood repair
@@ -60,21 +60,16 @@ func (e *Engine) RestorePendingRetro(perLeaf [][]graph.VertexID) {
 // WindowSize reports the shared window tW.
 func (m *MultiEngine) WindowSize() int64 { return m.window }
 
-// EvictCadence reports the eviction cadence in processed edges.
-func (m *MultiEngine) EvictCadence() int { return m.evictEvery }
+// SweepClock reports the shared sweep clock (see sweepClock): the
+// largest timestamp offered and the last cutoff swept at, each
+// math.MinInt64 until there is one.
+func (m *MultiEngine) SweepClock() (seenTS, cutoff int64) { return m.clock.seen, m.clock.cut }
 
-// EvictClock reports the shared eviction/ingest clock: edges since
-// the last eviction sweep, edges processed, and edges admitted into
-// the graph (the EdgesStored gauge).
-func (m *MultiEngine) EvictClock() (sinceEvict int, edgesSeen, stored int64) {
-	return m.sinceEvict, m.edgesSeen, m.stored
-}
-
-// RestoreEvictClock replaces the shared eviction/ingest clock so a
-// restored engine's eviction sweeps fire at exactly the stream
-// positions the checkpointed engine's would have.
-func (m *MultiEngine) RestoreEvictClock(sinceEvict int, edgesSeen, stored int64) {
-	m.sinceEvict = sinceEvict
-	m.edgesSeen = edgesSeen
-	m.stored = stored
+// RestoreSweepClock replaces the shared sweep clock and the ingest
+// counters (Stats().EdgesProcessed and EdgesStored), so that a restored
+// engine sweeps at exactly the stream positions and cutoffs the
+// checkpointed engine's would have.
+func (m *MultiEngine) RestoreSweepClock(seenTS, cutoff, edgesSeen, stored int64) {
+	m.clock.seen, m.clock.cut = seenTS, cutoff
+	m.edgesSeen, m.stored = edgesSeen, stored
 }

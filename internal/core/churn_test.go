@@ -17,8 +17,8 @@ import (
 // sweep finds the vertex isolated, and the engine holds VertexIDs in
 // partial matches, the lazy stamps and queued retrospective searches.
 // These tests run streams whose name domain dwarfs the live set — every
-// ID changes hands many times — through every ingestion path, strategy
-// and eviction cadence, and require the resolved match multiset of the
+// ID changes hands many times — through every ingestion path and
+// strategy, and require the resolved match multiset of the
 // never-forgetting oracle in internal/refmatch. The persist and shard
 // packages run the same workload through their own tiers.
 
@@ -41,44 +41,45 @@ func TestVertexChurnEngine(t *testing.T) {
 	edges, stats, want := churnWorkload(t, 1)
 	for name, q := range refmatch.ChurnQueries() {
 		for _, s := range churnStrategies {
-			for _, every := range []int{1, 7, 256} {
-				// batch 0 is the per-edge path.
-				for _, batch := range []int{0, 1, 37, 64} {
-					label := fmt.Sprintf("%s/%v/evict%d/batch%d", name, s, every, batch)
-					eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: every})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+			// batch 0 is the per-edge path.
+			for _, batch := range []int{0, 1, 37, 64} {
+				label := fmt.Sprintf("%s/%v/batch%d", name, s, batch)
+				eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got := make(map[string]int)
+				record := func(ms []iso.Match) {
+					for _, m := range ms {
+						got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
 					}
-					got := make(map[string]int)
-					record := func(ms []iso.Match) {
-						for _, m := range ms {
-							got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
+				}
+				if batch == 0 {
+					for _, se := range edges {
+						record(eng.ProcessEdge(se))
+					}
+				} else {
+					for lo := 0; lo < len(edges); lo += batch {
+						for _, ms := range eng.ProcessBatch(edges[lo:min(lo+batch, len(edges))]) {
+							record(ms)
 						}
 					}
-					if batch == 0 {
-						for _, se := range edges {
-							record(eng.ProcessEdge(se))
-						}
-					} else {
-						for lo := 0; lo < len(edges); lo += batch {
-							for _, ms := range eng.ProcessBatch(edges[lo:min(lo+batch, len(edges))]) {
-								record(ms)
-							}
-						}
-					}
-					record(eng.FlushPending())
-					if d := refmatch.Diff(want[name], got); d != "" {
-						t.Fatalf("%s: match multiset differs from the never-recycling oracle:\n%s", label, d)
-					}
-					// Between two sweeps at most every+batch edges arrive,
-					// each naming two vertices.
-					g := eng.Graph()
-					if bound := refmatch.ChurnLive + 2*(every+batch); g.NumVertices() > bound {
-						t.Fatalf("%s: %d vertex slots, want <= %d", label, g.NumVertices(), bound)
-					}
-					if st := eng.Stats(); st.VerticesReclaimed == 0 || st.VerticesReclaimed != g.VerticesReclaimed() {
-						t.Fatalf("%s: Stats.VerticesReclaimed = %d, graph reclaimed %d", label, st.VerticesReclaimed, g.VerticesReclaimed())
-					}
+				}
+				record(eng.FlushPending())
+				if d := refmatch.Diff(want[name], got); d != "" {
+					t.Fatalf("%s: match multiset differs from the never-recycling oracle:\n%s", label, d)
+				}
+				// The window is under 32 ticks, so the sweep clock steps
+				// by one tick: a sweep leaves the graph holding the window
+				// it cut at, and before the next one at most one edge
+				// arrives per edge, one batch per batch, each edge naming
+				// two vertices.
+				g := eng.Graph()
+				if bound := refmatch.ChurnLive + 2*max(batch, 1); g.NumVertices() > bound {
+					t.Fatalf("%s: %d vertex slots, want <= %d", label, g.NumVertices(), bound)
+				}
+				if st := eng.Stats(); st.VerticesReclaimed == 0 || st.VerticesReclaimed != g.VerticesReclaimed() {
+					t.Fatalf("%s: Stats.VerticesReclaimed = %d, graph reclaimed %d", label, st.VerticesReclaimed, g.VerticesReclaimed())
 				}
 			}
 		}
@@ -89,38 +90,36 @@ func TestVertexChurnMulti(t *testing.T) {
 	edges, stats, want := churnWorkload(t, 2)
 	queries := refmatch.ChurnQueries()
 	strategies := map[string]Strategy{"path3": StrategySingleLazy, "path2": StrategyPathLazy, "fan": StrategySingle}
-	for _, every := range []int{1, 7, 256} {
-		for _, batch := range []int{0, 48} {
-			label := fmt.Sprintf("evict%d/batch%d", every, batch)
-			m := NewMulti(MultiConfig{Window: refmatch.ChurnWindow, EvictEvery: every})
-			for name, q := range queries {
-				if err := m.Register(name, q, Config{Strategy: strategies[name], Stats: stats}); err != nil {
-					t.Fatalf("%s: register %s: %v", label, name, err)
-				}
+	for _, batch := range []int{0, 48} {
+		label := fmt.Sprintf("batch%d", batch)
+		m := NewMulti(MultiConfig{Window: refmatch.ChurnWindow})
+		for name, q := range queries {
+			if err := m.Register(name, q, Config{Strategy: strategies[name], Stats: stats}); err != nil {
+				t.Fatalf("%s: register %s: %v", label, name, err)
 			}
-			got := make(map[string]map[string]int)
-			for name := range queries {
-				got[name] = make(map[string]int)
+		}
+		got := make(map[string]map[string]int)
+		for name := range queries {
+			got[name] = make(map[string]int)
+		}
+		record := func(nms []NamedMatch) {
+			for _, nm := range nms {
+				got[nm.Query][refmatch.MatchKey(nm.Query, queries[nm.Query], m.Graph(), nm.Match)]++
 			}
-			record := func(nms []NamedMatch) {
-				for _, nm := range nms {
-					got[nm.Query][refmatch.MatchKey(nm.Query, queries[nm.Query], m.Graph(), nm.Match)]++
-				}
+		}
+		if batch == 0 {
+			for _, se := range edges {
+				record(m.ProcessEdge(se))
 			}
-			if batch == 0 {
-				for _, se := range edges {
-					record(m.ProcessEdge(se))
-				}
-			} else {
-				for lo := 0; lo < len(edges); lo += batch {
-					record(m.ProcessBatch(edges[lo:min(lo+batch, len(edges))]))
-				}
+		} else {
+			for lo := 0; lo < len(edges); lo += batch {
+				record(m.ProcessBatch(edges[lo:min(lo+batch, len(edges))]))
 			}
-			record(m.FlushPending())
-			for name := range queries {
-				if d := refmatch.Diff(want[name], got[name]); d != "" {
-					t.Fatalf("%s: %s differs from the never-recycling oracle:\n%s", label, name, d)
-				}
+		}
+		record(m.FlushPending())
+		for name := range queries {
+			if d := refmatch.Diff(want[name], got[name]); d != "" {
+				t.Fatalf("%s: %s differs from the never-recycling oracle:\n%s", label, name, d)
 			}
 		}
 	}
@@ -145,35 +144,33 @@ func TestVertexChurnMultiHeapFlat(t *testing.T) {
 	edges := refmatch.Churn(9, n, 1<<30)
 	stats := selectivity.NewCollector()
 	stats.AddAll(edges[:2000])
-	for _, every := range []int{7, 256} {
-		m := NewMulti(MultiConfig{Window: refmatch.ChurnWindow, EvictEvery: every})
-		for name, q := range refmatch.ChurnQueries() {
-			if err := m.Register(name, q, Config{Strategy: StrategySingleLazy, Stats: stats}); err != nil {
-				t.Fatal(err)
-			}
+	m := NewMulti(MultiConfig{Window: refmatch.ChurnWindow})
+	for name, q := range refmatch.ChurnQueries() {
+		if err := m.Register(name, q, Config{Strategy: StrategySingleLazy, Stats: stats}); err != nil {
+			t.Fatal(err)
 		}
-		var early uint64
-		for lo := 0; lo < n; lo += batch {
-			if lo == n/4 {
-				early = heapInUse()
-			}
-			if (lo/batch)%2 == 0 {
-				m.ProcessBatch(edges[lo : lo+batch])
-			} else {
-				for _, se := range edges[lo : lo+batch] {
-					m.ProcessEdge(se)
-				}
-			}
-		}
-		late := heapInUse()
-		if reclaimed := m.Graph().VerticesReclaimed(); reclaimed < 50_000 {
-			t.Fatalf("EvictEvery=%d: only %d vertices reclaimed; the stream does not churn", every, reclaimed)
-		}
-		if late > early+1<<20 {
-			t.Fatalf("EvictEvery=%d: heap grew from %d to %d bytes over the last three quarters of the stream", every, early, late)
-		}
-		runtime.KeepAlive(m)
 	}
+	var early uint64
+	for lo := 0; lo < n; lo += batch {
+		if lo == n/4 {
+			early = heapInUse()
+		}
+		if (lo/batch)%2 == 0 {
+			m.ProcessBatch(edges[lo : lo+batch])
+		} else {
+			for _, se := range edges[lo : lo+batch] {
+				m.ProcessEdge(se)
+			}
+		}
+	}
+	late := heapInUse()
+	if reclaimed := m.Graph().VerticesReclaimed(); reclaimed < 50_000 {
+		t.Fatalf("only %d vertices reclaimed; the stream does not churn", reclaimed)
+	}
+	if late > early+1<<20 {
+		t.Fatalf("heap grew from %d to %d bytes over the last three quarters of the stream", early, late)
+	}
+	runtime.KeepAlive(m)
 }
 
 // TestSweepDropsRetroOfIsolatedVertex pins the one way a queued
@@ -186,7 +183,7 @@ func TestVertexChurnMultiHeapFlat(t *testing.T) {
 // wrong host.
 func TestSweepDropsRetroOfIsolatedVertex(t *testing.T) {
 	q := query.NewPath(query.Wildcard, "TCP", "UDP")
-	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 10, EvictEvery: 1, Leaves: [][]int{{0}, {1}}})
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 10, Leaves: [][]int{{0}, {1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

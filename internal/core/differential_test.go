@@ -92,7 +92,7 @@ func appendEdgeSigs(eng *Engine, out [][]string, ms []iso.Match) [][]string {
 // runSerialPerEdge streams the workload edge-at-a-time.
 func runSerialPerEdge(t *testing.T, q *query.Graph, edges []stream.Edge, s Strategy, window int64, stats *selectivity.Collector) [][]string {
 	t.Helper()
-	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats, EvictEvery: 5})
+	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats})
 	if err != nil {
 		t.Fatalf("%v: New: %v", s, err)
 	}
@@ -106,7 +106,7 @@ func runSerialPerEdge(t *testing.T, q *query.Graph, edges []stream.Edge, s Strat
 // runBatchPerEdge streams the workload through ProcessBatch in chunks.
 func runBatchPerEdge(t *testing.T, q *query.Graph, edges []stream.Edge, s Strategy, window int64, stats *selectivity.Collector, batch int) [][]string {
 	t.Helper()
-	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats, EvictEvery: 5})
+	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats})
 	if err != nil {
 		t.Fatalf("%v: New: %v", s, err)
 	}
@@ -190,7 +190,7 @@ func TestBatchMatchesSerialRandomized(t *testing.T) {
 		stats := collect(edges)
 		for _, s := range []Strategy{StrategySingle, StrategySingleLazy, StrategyPath, StrategyPathLazy} {
 			want := runSerialPerEdge(t, q, edges, s, 80, stats)
-			eng, err := New(q, Config{Strategy: s, Window: 80, Stats: stats, EvictEvery: 5})
+			eng, err := New(q, Config{Strategy: s, Window: 80, Stats: stats})
 			if err != nil {
 				t.Fatalf("trial %d: %v: %v", trial, s, err)
 			}

@@ -20,12 +20,13 @@
 // (query.Graph.TypeFootprint; every type when an edge type is a
 // wildcard), and an edge of another type is dropped before it touches
 // the graph: the matchers respect edge types, so no strategy could bind
-// it. A dropped edge still counts as processed and still moves the
-// window's clocks — the sweep cadence and the largest timestamp offered
-// — so sweeps cut where they would over the whole stream and the SJ-Tree
+// it. A dropped edge still counts as processed and still raises the
+// largest timestamp offered, which the sweep clock reads (sweepClock), so
+// sweeps cut where they would over the whole stream and the SJ-Tree
 // evolves as in an engine that stored every edge. A MultiEngine ingests
 // through the same admission, with its replica filter as the set
-// (SetReplicaFilter).
+// (SetReplicaFilter), and sweeps by the same rule, on the timestamps it
+// admits.
 //
 // # Match lifetimes
 //
@@ -178,10 +179,6 @@ type Config struct {
 	// exceeded).
 	MaxStepsPerSearch int64
 
-	// EvictEvery controls how often (in processed edges) window
-	// eviction sweeps the graph and the match tables. Default 256.
-	EvictEvery int
-
 	// Adaptive, when non-nil, enables adaptive query processing: the
 	// engine keeps collecting statistics from the live stream and
 	// periodically re-decomposes the query, migrating partial matches
@@ -267,7 +264,7 @@ type Engine struct {
 	baseEmit   func(iso.Match) bool
 	curLeaf    int
 	curRequire bool         // mergeEmit: gate candidates on touching an enabled vertex
-	curExclude graph.EdgeID // retroEmit: the current edge, whose matches the anchored pass finds
+	curExclude graph.EdgeID // retroEmit: the current edge, whose matches the anchored pass finds; iso.NoEdge excludes nothing
 	curFloor   int64        // retroEmit: the current repair's floor (see retroItem)
 	curFound   int          // candidates emitted by the current search
 
@@ -288,14 +285,10 @@ type Engine struct {
 	// adm admits the edges whose type the query's footprint holds (every
 	// edge when a query edge's type is a wildcard); the others are
 	// dropped before they touch the graph. A dropped edge still counts
-	// in Stats.EdgesProcessed, advances the sweep clock sinceEvict and
-	// raises seenTS, the largest timestamp offered, which ForceEvict
-	// cuts from: sweeps run at the stream positions and cutoffs of an
-	// engine storing every edge, so the SJ-Tree evolves as in one.
-	adm        admission
-	seenTS     int64
-	sinceEvict int
-	stats      Stats
+	// in Stats.EdgesProcessed and is still offered to the sweep clock.
+	adm   admission
+	clock sweepClock
+	stats Stats
 }
 
 // retroItem is one queued repair: search the leaf around v for the
@@ -314,14 +307,12 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.EvictEvery <= 0 {
-		cfg.EvictEvery = 256
-	}
 	e := &Engine{
-		q:    q,
-		cfg:  cfg,
-		g:    graph.New(),
-		hiTS: math.MinInt64,
+		q:     q,
+		cfg:   cfg,
+		g:     graph.New(),
+		hiTS:  math.MinInt64,
+		clock: newSweepClock(cfg.Window),
 	}
 	types, exact := q.TypeFootprint()
 	e.adm.types = admitSet(e.g, types, !exact)
@@ -336,7 +327,11 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 	}
 	e.retroEmit = func(m iso.Match) bool {
 		e.curFound++
-		if m.MaxTS >= e.curFloor && !m.HasEdge(e.curExclude) && !e.retroSeenBefore(m, e.tree.LeafEdges(e.curLeaf)) {
+		// A leaf match leaves the slots of the other leaves' edges at
+		// iso.NoEdge, so HasEdge(iso.NoEdge) holds for it: FlushPending,
+		// which excludes nothing, must not ask.
+		excluded := e.curExclude != iso.NoEdge && m.HasEdge(e.curExclude)
+		if m.MaxTS >= e.curFloor && !excluded && !e.retroSeenBefore(m, e.tree.LeafEdges(e.curLeaf)) {
 			e.stats.RetroMatches++
 			e.insert(e.curLeaf, e.matcher.Retain(m))
 		}
@@ -363,9 +358,6 @@ func New(q *query.Graph, cfg Config) (*Engine, error) {
 		if leaves, e.chosenKind, e.relSel, err = Decompose(q, cfg.Strategy, cfg.Stats); err != nil {
 			return nil, err
 		}
-	}
-	if len(leaves) > 64 {
-		return nil, fmt.Errorf("core: decomposition has %d leaves; LazyBits encodes at most 64", len(leaves))
 	}
 	e.tree, err = sjtree.Build(q, leaves, cfg.Window)
 	if err != nil {
@@ -460,10 +452,10 @@ func (e *Engine) Stats() Stats {
 // until the next ProcessEdge, ProcessBatch or FlushPending call on this
 // engine and no longer (see "Match lifetimes" in the package comment).
 // An edge whose type the query cannot bind is not stored and completes
-// nothing, but counts for the window's clocks (see Engine.adm).
+// nothing, but counts for the sweep clock (see Engine.adm).
 func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 	t, ok := e.adm.admit(e.g, se)
-	e.seenTS = max(e.seenTS, se.TS)
+	e.clock.offer(se.TS)
 	var de graph.Edge
 	if ok {
 		de = ingestOne(e.g, se, t)
@@ -817,31 +809,85 @@ func sweep(g *graph.Graph, cutoff int64, engines ...*Engine) int {
 	return evicted
 }
 
-// maybeEvict performs periodic window maintenance (see sweep).
-func (e *Engine) maybeEvict() { e.advanceEvict(1) }
-
-// advanceEvict advances the eviction clock by n processed edges and
-// sweeps when the cadence fires. ProcessBatch calls it once per batch
-// BEFORE ingesting, so its cutoff (computed from the pre-batch LastTS)
-// is never ahead of any cutoff the serial per-edge schedule would have
-// used mid-batch: with non-decreasing timestamps evicting late only
-// costs memory — the window checks in the matcher and the SJ-Tree
-// joins keep the match sets identical — while evicting early could
-// drop edges a serial run would still match. When a timestamp
-// regresses by more than the window across an eviction boundary, the
-// serial schedule has already lost the old edge to eviction slack (an
-// EvictEvery artifact; see graph.ExpireBefore) and the batch path may
+// sweepClock is the one rule deciding when a tier sweeps, shared by
+// Engine and MultiEngine and computed from the stream alone: the window
+// cutoff T − Window + 1, where T is the largest timestamp the tier was
+// offered, rounded down to a multiple of the step q = max(1, Window/32).
+// The tier sweeps when that rounded cutoff passes the last one it swept
+// at, so a sweep runs once per q ticks of stream time, whatever the edge
+// rate, and the per-edge path holds at most q ticks past the window. A
+// standalone Engine is offered every edge, those its footprint drops
+// included, so it sweeps at the cutoffs of an engine storing everything.
+// A MultiEngine is offered the edges its replica filter admits, as a
+// replica of the sharded runtime is offered only what its router does
+// not gate away; with non-decreasing timestamps it has swept, at every
+// edge it admits, where an engine offered everything has, since both
+// round the same timestamp.
+//
+// The per-edge path checks the clock after it ingests; the batch path
+// checks it once, before it ingests, from the pre-batch maximum, so its
+// cutoff is never ahead of any cutoff the per-edge schedule used inside
+// the batch. With non-decreasing timestamps sweeping late only costs
+// memory — the window checks in the matcher and the SJ-Tree joins keep
+// the match sets identical — while sweeping early could drop edges a
+// per-edge run would still match. When a timestamp regresses by more
+// than the window, the per-edge schedule may already have swept the old
+// edge's partner (graph.ExpireBefore's slack), and the batch path may
 // report strictly more window-valid matches — a superset, never fewer
 // (pinned by TestBatchOutOfOrderSuperset).
-func (e *Engine) advanceEvict(n int) {
-	if e.cfg.Window <= 0 {
-		return
+type sweepClock struct {
+	window int64
+	seen   int64 // T: the largest timestamp offered; MinInt64 before any
+	cut    int64 // the last cutoff swept at; MinInt64 before any
+	// swept, when set, is called with every cutoff the clock fires at
+	// (a test hook).
+	swept func(cutoff int64)
+}
+
+func newSweepClock(window int64) sweepClock {
+	return sweepClock{window: window, seen: math.MinInt64, cut: math.MinInt64}
+}
+
+// offer raises T to ts.
+func (c *sweepClock) offer(ts int64) { c.seen = max(c.seen, ts) }
+
+// exact is the unrounded window cutoff T − Window + 1; ok is false when
+// windowing is off or nothing was offered yet.
+func (c *sweepClock) exact() (cutoff int64, ok bool) {
+	if c.window <= 0 || c.seen == math.MinInt64 {
+		return 0, false
 	}
-	e.sinceEvict += n
-	if e.sinceEvict < e.cfg.EvictEvery {
-		return
+	return c.seen - c.window + 1, true
+}
+
+// due reports the rounded cutoff and whether it passed the last one swept
+// at, and if so records it as swept.
+func (c *sweepClock) due() (int64, bool) {
+	x, ok := c.exact()
+	if !ok {
+		return 0, false
 	}
-	e.ForceEvict()
+	q := max(1, c.window/32)
+	cutoff := x - x%q
+	if x%q < 0 {
+		cutoff -= q
+	}
+	if cutoff <= c.cut {
+		return 0, false
+	}
+	c.cut = cutoff
+	if c.swept != nil {
+		c.swept(cutoff)
+	}
+	return cutoff, true
+}
+
+// maybeEvict sweeps the engine's graph when the clock is due (see
+// sweepClock and sweep).
+func (e *Engine) maybeEvict() {
+	if cutoff, ok := e.clock.due(); ok {
+		e.stats.GraphEvicted += int64(sweep(e.g, cutoff, e))
+	}
 }
 
 // Explain renders a match as human-readable bindings.

@@ -200,7 +200,7 @@ func TestRepeatedWindowsReuse(t *testing.T) {
 	}
 	stats := collect(edges[:40])
 	for _, s := range []Strategy{StrategySingle, StrategySingleLazy, StrategyPathLazy} {
-		eng, err := New(q, Config{Strategy: s, Window: 50, Stats: stats, EvictEvery: 16})
+		eng, err := New(q, Config{Strategy: s, Window: 50, Stats: stats})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
+	"streamgraph/internal/refmatch"
 	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
 )
@@ -37,7 +38,7 @@ func signature(e *Engine, m iso.Match) string {
 // sorted list of match signatures.
 func runStrategy(t *testing.T, q *query.Graph, edges []stream.Edge, s Strategy, window int64, stats *selectivity.Collector) []string {
 	t.Helper()
-	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats, EvictEvery: 3})
+	eng, err := New(q, Config{Strategy: s, Window: window, Stats: stats})
 	if err != nil {
 		t.Fatalf("%v: New: %v", s, err)
 	}
@@ -172,7 +173,7 @@ func TestWindowEnforced(t *testing.T) {
 func TestEngineEviction(t *testing.T) {
 	q := query.NewPath(query.Wildcard, "a", "b")
 	stats := collect([]stream.Edge{edge("t", "u", "a", 1), edge("u", "v", "b", 2)})
-	eng, err := New(q, Config{Strategy: StrategySingle, Window: 10, Stats: stats, EvictEvery: 1})
+	eng, err := New(q, Config{Strategy: StrategySingle, Window: 10, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,18 +237,47 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := New(&query.Graph{}, Config{Strategy: StrategyVF2}); err == nil {
 		t.Errorf("empty query accepted")
 	}
-	// Oversized decomposition (>64 leaves).
-	big := &query.Graph{}
-	for i := 0; i <= 65; i++ {
-		big.AddVertex(fmt.Sprintf("v%d", i), "*")
+}
+
+// TestWideDecomposition: a decomposition may have any number of leaves.
+// A 65-edge path, one leaf per edge, reads the oracle's match multiset
+// on an 80-edge chain, which holds sixteen of them, eagerly and under
+// Lazy Search. The chain's edges arrive in a shuffled order, so the lazy
+// engine enables and repairs around all 64 gated leaves.
+func TestWideDecomposition(t *testing.T) {
+	const n, chain, window = 65, 80, 1000
+	types := make([]string, n)
+	leaves := make([][]int, n)
+	for i := range types {
+		types[i], leaves[i] = "t", []int{i}
 	}
-	var leaves [][]int
-	for i := 0; i < 65; i++ {
-		big.AddEdge(i, i+1, "t")
-		leaves = append(leaves, []int{i})
+	q := query.NewPath(query.Wildcard, types...)
+	var edges []stream.Edge
+	for i, k := range rand.New(rand.NewSource(7)).Perm(chain) {
+		edges = append(edges, edge(fmt.Sprintf("v%d", k), fmt.Sprintf("v%d", k+1), "t", int64(i+1)))
 	}
-	if _, err := New(big, Config{Strategy: StrategySingleLazy, Leaves: leaves}); err == nil {
-		t.Errorf("65-leaf decomposition accepted")
+	want := refmatch.ByQuery(refmatch.Run(map[string]*query.Graph{"p": q}, edges, window))["p"]
+	if len(want) != chain-n+1 {
+		t.Fatalf("the oracle finds %d matches, want %d", len(want), chain-n+1)
+	}
+	for _, s := range []Strategy{StrategySingle, StrategySingleLazy} {
+		eng, err := New(q, Config{Strategy: s, Window: window, Leaves: leaves})
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		got := make(map[string]int)
+		record := func(ms []iso.Match) {
+			for _, m := range ms {
+				got[refmatch.MatchKey("p", q, eng.Graph(), m)]++
+			}
+		}
+		for _, se := range edges {
+			record(eng.ProcessEdge(se))
+		}
+		record(eng.FlushPending())
+		if d := refmatch.Diff(want, got); d != "" {
+			t.Errorf("%v: %d-leaf decomposition differs from the oracle:\n%s", s, n, d)
+		}
 	}
 }
 

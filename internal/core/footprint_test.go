@@ -49,7 +49,7 @@ func footprintRun(t *testing.T, label string, q *query.Graph, edges []stream.Edg
 	if err != nil {
 		t.Fatalf("%s: New: %v", label, err)
 	}
-	m := NewMulti(MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+	m := NewMulti(MultiConfig{Window: cfg.Window})
 	if err := m.Register("q", q, cfg); err != nil {
 		t.Fatalf("%s: Register: %v", label, err)
 	}
@@ -168,10 +168,10 @@ func TestFootprintRelabel(t *testing.T) {
 // monotone and with regressing timestamps, the Engine must report what
 // a MultiEngine storing every edge reports, edge for edge, and its
 // SJ-Tree must store and evict the same partial matches after every
-// call — which holds only because a dropped edge still advances the
-// sweep clock and the stream clock (an engine counting admitted edges
-// only sweeps at other positions). The engine must end with fewer live
-// edges, or the check would be vacuous.
+// call — which holds only because a dropped edge is still offered to
+// the sweep clock (an engine whose clock saw admitted edges only would
+// sweep at other positions, and out of order at other cutoffs). The
+// engine must end with fewer live edges, or the check would be vacuous.
 func TestFootprintDifferential(t *testing.T) {
 	strategies := []Strategy{StrategySingle, StrategySingleLazy, StrategyPath, StrategyPathLazy, StrategyVF2, StrategyIncIso}
 	for _, wl := range diffWorkloads() {
@@ -185,7 +185,7 @@ func TestFootprintDifferential(t *testing.T) {
 				for _, s := range strategies {
 					for _, bs := range []int{0, 1, 7, 64} {
 						label := fmt.Sprintf("%s/%s/%s/%v/batch %d", wl.name, order.name, qname, s, bs)
-						cfg := Config{Strategy: s, Window: wl.window, Stats: stats, EvictEvery: 5}
+						cfg := Config{Strategy: s, Window: wl.window, Stats: stats}
 						matches, live, fullLive := footprintRun(t, label, q, order.edges, cfg, bs)
 						total += matches
 						if live >= fullLive {

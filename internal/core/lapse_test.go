@@ -5,8 +5,41 @@ import (
 	"testing"
 
 	"streamgraph/internal/datagen"
+	"streamgraph/internal/graph"
+	"streamgraph/internal/iso"
 	"streamgraph/internal/query"
 )
+
+// TestFlushPendingRunsQueuedRepair: FlushPending runs a retrospective
+// repair queued between edges, as a restore leaves one
+// (RestorePendingRetro), and the repair finds the leaf matches the
+// stored partials join. A leaf match holds iso.NoEdge in the slots of
+// the other leaves' edges, so the flush, which excludes no edge, must
+// not drop candidates holding iso.NoEdge.
+func TestFlushPendingRunsQueuedRepair(t *testing.T) {
+	q := query.NewPath(query.Wildcard, "A", "B")
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 100, Leaves: [][]int{{0}, {1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.ProcessEdge(edge("v", "w", "B", 1)) // v is not enabled: the B leaf is not searched
+	// Store x>v at the A leaf as a restore does, with the repair its
+	// arrival would have run queued.
+	g := eng.Graph()
+	x, v := g.EnsureVertex("x", "ip"), g.VertexByName("v")
+	m := iso.NewMatch(q)
+	m.VertexOf[0], m.VertexOf[1] = x, v
+	m.EdgeOf[0] = g.AddEdge(x, v, graph.TypeID(g.Types().Intern("A")), 2)
+	m.MinTS, m.MaxTS = 2, 2
+	if err := eng.Tree().RestoreStored(eng.Tree().LeafNode(0).ID, m); err != nil {
+		t.Fatal(err)
+	}
+	eng.RestoreLazyStamps()
+	eng.RestorePendingRetro([][]graph.VertexID{nil, {v}})
+	if got := eng.FlushPending(); len(got) != 1 {
+		t.Fatalf("the flush completed %d matches, want x>v>w", len(got))
+	}
+}
 
 // TestRetroStampLapse pins what a Lazy Search stamp means. A match
 // stored at leaf 0 enables leaf 1 around its vertices until its MinTS +

@@ -66,7 +66,7 @@ func TestEmitPathsAllocFree(t *testing.T) {
 	const batchSize = 64
 
 	t.Run("Engine.ProcessEdge", func(t *testing.T) {
-		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
+		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, Leaves: [][]int{{0}, {1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestEmitPathsAllocFree(t *testing.T) {
 	})
 
 	t.Run("Engine.ProcessBatch", func(t *testing.T) {
-		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
+		eng, err := New(q, Config{Strategy: StrategySingle, Window: 200, Leaves: [][]int{{0}, {1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestEmitPathsAllocFree(t *testing.T) {
 			runtime.GOMAXPROCS(2)
 			defer runtime.GOMAXPROCS(prev)
 		}
-		m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
+		m := NewMulti(MultiConfig{Window: 200})
 		if err := m.Register("eager", q, Config{Leaves: [][]int{{0}, {1}}}); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func snapshotMatches(ms []iso.Match) []iso.Match {
 // call N were.
 func TestResultsValidUntilNextCall(t *testing.T) {
 	q := query.NewPath("ip", "TCP", "TCP")
-	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}})
+	eng, err := New(q, Config{Strategy: StrategySingleLazy, Window: 200, Leaves: [][]int{{0}, {1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestInterleavedCallsMatchOracle(t *testing.T) {
 	for name, q := range refmatch.ChurnQueries() {
 		for _, s := range churnStrategies {
 			label := fmt.Sprintf("%s/%v", name, s)
-			eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats, EvictEvery: 7})
+			eng, err := New(q, Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: stats})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -310,7 +310,7 @@ func TestInterleavedCallsMatchOracle(t *testing.T) {
 // search, per edge or per batch.
 func TestRetroPathAllocFree(t *testing.T) {
 	q := query.NewPath("ip", "TCP", "UDP")
-	cfg := Config{Strategy: StrategySingleLazy, Window: 200, EvictEvery: 16, Leaves: [][]int{{0}, {1}}}
+	cfg := Config{Strategy: StrategySingleLazy, Window: 200, Leaves: [][]int{{0}, {1}}}
 	const hosts, batchSize = 1024, 64
 	walk := func() func() stream.Edge {
 		ring := newRingEdges(hosts)
@@ -360,7 +360,7 @@ func TestRetroPathAllocFree(t *testing.T) {
 	})
 
 	t.Run("MultiEngine.ProcessBatchGrouped", func(t *testing.T) {
-		m := NewMulti(MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+		m := NewMulti(MultiConfig{Window: cfg.Window})
 		if err := m.Register("lazy", q, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestRetroPathAllocFree(t *testing.T) {
 // admitted edges come in pairs that chain, the second of each completes
 // a match, and a rejected edge completes none.
 func TestFilteredBatchAllocFree(t *testing.T) {
-	m := NewMulti(MultiConfig{Window: 200, EvictEvery: 16})
+	m := NewMulti(MultiConfig{Window: 200})
 	if err := m.Register("tcp", query.NewPath("ip", "TCP", "TCP"), Config{Leaves: [][]int{{0}, {1}}}); err != nil {
 		t.Fatal(err)
 	}

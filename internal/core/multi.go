@@ -34,9 +34,8 @@ type MultiEngine struct {
 	order   []string  // registration order for deterministic dispatch
 	engines []*Engine // queries[order[i]], the list a sweep prunes
 
-	evictEvery int
-	sinceEvict int
-	edgesSeen  int64
+	clock     sweepClock
+	edgesSeen int64
 
 	// adm holds the replica filter: the set of edge types ingestion
 	// admits, over the shared graph's interner. It defaults to
@@ -67,8 +66,6 @@ type MultiEngine struct {
 type MultiConfig struct {
 	// Window is tW, shared by every registered query.
 	Window int64
-	// EvictEvery controls eviction frequency (default 256 edges).
-	EvictEvery int
 }
 
 // NamedMatch pairs a complete match with the query that produced it.
@@ -79,15 +76,12 @@ type NamedMatch struct {
 
 // NewMulti returns an empty multi-query engine.
 func NewMulti(cfg MultiConfig) *MultiEngine {
-	if cfg.EvictEvery <= 0 {
-		cfg.EvictEvery = 256
-	}
 	return &MultiEngine{
-		g:          graph.New(),
-		window:     cfg.Window,
-		queries:    make(map[string]*Engine),
-		evictEvery: cfg.EvictEvery,
-		adm:        admission{types: graph.UniversalTypes()},
+		g:       graph.New(),
+		window:  cfg.Window,
+		queries: make(map[string]*Engine),
+		clock:   newSweepClock(cfg.Window),
+		adm:     admission{types: graph.UniversalTypes()},
 	}
 }
 
@@ -107,12 +101,14 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 //
 // Match-set exactness under a covering filter follows from the matcher
 // being type-respecting — it can never bind an edge outside a query's
-// footprint — plus the eviction-slack argument of Engine.advanceEvict:
-// a filtered engine processes fewer edges, so it evicts later, which
-// with non-decreasing timestamps only retains extra memory, never
-// changes complete matches. Retrospective (lazy) repairs run at the
-// next admitted edge instead of the next stream edge, which shifts
-// when a match is reported but not whether.
+// footprint. The edges the filter drops do not move the sweep clock: the
+// replica's window is that of the edges it admits, as for a replica of
+// the sharded runtime, which is never offered the edges its router gates
+// away. With non-decreasing timestamps it still sweeps at the cutoffs of
+// an engine storing everything, each at its next admitted edge
+// (sweepClock). Retrospective (lazy) repairs run at the next admitted
+// edge instead of the next stream edge, which shifts when a match is
+// reported but not whether.
 func (m *MultiEngine) SetReplicaFilter(types []string, universal bool) {
 	m.adm.types = admitSet(m.g, types, universal)
 }
@@ -328,16 +324,6 @@ func AppendResolved(g *graph.Graph, q *query.Graph, bindings []PortableBinding, 
 	return bindings, edges
 }
 
-// ingest adds one admitted stream edge of the resolved type t to the
-// shared graph and runs eviction, returning the materialized edge.
-func (m *MultiEngine) ingest(se stream.Edge, t graph.TypeID) graph.Edge {
-	m.edgesSeen++
-	de := ingestOne(m.g, se, t)
-	m.stored++
-	m.advanceEvict(1)
-	return de
-}
-
 // SetEdgeLatency attaches a histogram that samples the wall-clock cost
 // of ProcessEdge: every sampleEvery-th call is timed (1 times every
 // call; <= 0 detaches). Sampling keeps the two time.Now reads off most
@@ -379,7 +365,11 @@ func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
 	if !ok {
 		return nil
 	}
-	de := m.ingest(se, t)
+	m.edgesSeen++
+	m.stored++
+	de := ingestOne(m.g, se, t)
+	m.clock.offer(se.TS)
+	m.maybeEvict()
 	m.arena.begin()
 	perQuery := m.arena.rowBuf(len(m.engines))
 	total := 0
@@ -398,20 +388,12 @@ func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
 	return out
 }
 
-// advanceEvict advances the shared eviction clock by n processed edges
-// and sweeps when the cadence fires. The batch path calls it before
-// ingesting so the cutoff stays behind every serial mid-batch cutoff
-// (see Engine.advanceEvict for why that preserves match sets).
-func (m *MultiEngine) advanceEvict(n int) {
-	if m.window <= 0 {
-		return
+// maybeEvict sweeps the shared graph and every query engine on it when
+// the clock is due (see sweepClock and sweep).
+func (m *MultiEngine) maybeEvict() {
+	if cutoff, ok := m.clock.due(); ok {
+		sweep(m.g, cutoff, m.engines...)
 	}
-	m.sinceEvict += n
-	if m.sinceEvict < m.evictEvery {
-		return
-	}
-	m.sinceEvict = 0
-	sweep(m.g, m.g.LastTS()-m.window+1, m.engines...)
 }
 
 // FlushPending runs every registered query's queued retrospective

@@ -155,7 +155,7 @@ func TestMultiEngineLateRegistration(t *testing.T) {
 }
 
 func TestMultiEngineEviction(t *testing.T) {
-	m := NewMulti(MultiConfig{Window: 10, EvictEvery: 1})
+	m := NewMulti(MultiConfig{Window: 10})
 	q := query.NewPath(query.Wildcard, "t", "t")
 	stats := collect([]stream.Edge{edge("a", "b", "t", 1), edge("b", "c", "t", 2)})
 	if err := m.Register("q", q, Config{Strategy: StrategySingleLazy, Stats: stats}); err != nil {
@@ -181,14 +181,15 @@ func TestMultiEngineEviction(t *testing.T) {
 // out, a later registration seeing a later window. Nothing on an ingest
 // path feeds a collector: Statistics counts the window, not the stream.
 func TestMultiEngineStatisticsOnDemand(t *testing.T) {
-	m := NewMulti(MultiConfig{Window: 10, EvictEvery: 1000})
+	m := NewMulti(MultiConfig{Window: 10})
 	q := query.NewPath(query.Wildcard, "x", "y")
 	if err := m.Register("cold", q, Config{Strategy: StrategySingleLazy}); err != nil {
 		t.Fatalf("a cold registration decomposes from empty statistics: %v", err)
 	}
 
-	// x is frequent early, y frequent late; EvictEvery keeps the early
-	// edges in the graph after they left the window.
+	// x is frequent early, y frequent late. The late edges come in one
+	// batch, which sweeps before it ingests, from the clock before it: the
+	// early edges stay in the graph after they left the window.
 	for i := 0; i < 20; i++ {
 		m.ProcessEdge(edge(fmt.Sprintf("s%d", i), fmt.Sprintf("d%d", i), "x", 1))
 	}
@@ -203,9 +204,11 @@ func TestMultiEngineStatisticsOnDemand(t *testing.T) {
 	if got := leavesOf("early"); !reflect.DeepEqual(got, [][]int{{1}, {0}}) {
 		t.Fatalf("with y rare in the window the leaves are %v, want y first", got)
 	}
-	for i := 0; i < 5; i++ {
-		m.ProcessEdge(edge(fmt.Sprintf("u%d", i), fmt.Sprintf("v%d", i), "y", 20))
+	late := make([]stream.Edge, 5)
+	for i := range late {
+		late[i] = edge(fmt.Sprintf("u%d", i), fmt.Sprintf("v%d", i), "y", 20)
 	}
+	m.ProcessBatch(late)
 	m.Backfill([]stream.Edge{edge("g", "h", "x", 19)})
 	if m.Graph().NumEdges() != 27 {
 		t.Fatalf("the graph holds %d edges, want all 27 unswept", m.Graph().NumEdges())

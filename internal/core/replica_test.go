@@ -59,7 +59,7 @@ func TestReplicaFilterMatchesUnfiltered(t *testing.T) {
 	footprint := []string{"GRE", "TCP"} // union over both queries; UDP/ICMP excluded
 
 	run := func(filter bool, batch int) ([]string, int64, int) {
-		m := NewMulti(MultiConfig{Window: 300, EvictEvery: 7})
+		m := NewMulti(MultiConfig{Window: 300})
 		if filter {
 			m.SetReplicaFilter(footprint, false)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"streamgraph/internal/graph"
 	"streamgraph/internal/iso"
 	"streamgraph/internal/sjtree"
@@ -10,9 +8,10 @@ import (
 
 // This file exposes the engine-state surface the persist package needs
 // to checkpoint a continuous query and resume it in a new process:
-// configuration, the Lazy Search stamps, deferred retrospective work, and
-// counter restoration. The windowed graph itself is reachable through
-// Graph(), and the SJ-Tree's stored matches through Tree().EachStored.
+// configuration, the sweep clock, the Lazy Search stamps, deferred
+// retrospective work, and counter restoration. The windowed graph
+// itself is reachable through Graph(), and the SJ-Tree's stored matches
+// through Tree().EachStored.
 
 // ConfigSnapshot returns the engine's effective configuration with the
 // decomposition pinned (Leaves filled in), so that an engine rebuilt
@@ -46,43 +45,34 @@ func (e *Engine) FlushPending() []iso.Match {
 	return e.res.Matches
 }
 
-// ForceEvict runs the window sweep immediately (see sweep), regardless
-// of the EvictEvery cadence, and returns the cutoff applied (0 when
-// windowing is off). It is for an engine that owns its graph: a query
-// engine under a MultiEngine is swept by the MultiEngine, together with
-// every other engine on the shared graph. The cutoff is taken from the
-// largest timestamp offered, stored or dropped (see Engine.adm); a
-// restored engine has not seen the dropped edges of its past and cuts
-// from the graph's until new edges pass them.
+// ForceEvict runs the window sweep immediately (see sweep) at the exact
+// cutoff, T − Window + 1, rather than the sweep clock's rounded one, and
+// returns the cutoff applied (0 when windowing is off or no edge was
+// offered yet). It is for an engine that owns its graph: a query engine
+// under a MultiEngine is swept by the MultiEngine, together with every
+// other engine on the shared graph. T counts the edges the footprint
+// dropped (see Engine.adm), and a restored engine has it from the image.
+// The clock's next sweep is the one it would have run without this one:
+// the next rounded cutoff above the last lies above the exact one.
 func (e *Engine) ForceEvict() int64 {
-	if e.cfg.Window <= 0 {
+	cutoff, ok := e.clock.exact()
+	if !ok {
 		return 0
 	}
-	cutoff := max(e.g.LastTS(), e.seenTS) - e.cfg.Window + 1
 	e.stats.GraphEvicted += int64(sweep(e.g, cutoff, e))
-	e.sinceEvict = 0
+	e.clock.cut = max(e.clock.cut, cutoff)
 	return cutoff
 }
 
-// LazyBits encodes the Lazy Search stamps as one mask per vertex with
-// a stamp set: bit l is set when leaf l has been enabled around the
-// vertex since it last lost its edges (empty for non-lazy strategies).
-// It fills the snapshot format's per-vertex lazy section, which
-// predates the stamps and carries no timestamps, so a restore does not
-// read it back (see RestoreLazyStamps). The encoding is what bounds a
-// decomposition to 64 leaves.
-func (e *Engine) LazyBits() map[graph.VertexID]uint64 {
-	out := make(map[graph.VertexID]uint64, len(e.bitSet))
-	for _, v := range e.bitSet {
-		var b uint64
-		for i, until := range e.stamps(v) {
-			if until != math.MinInt64 {
-				b |= 1 << uint(i+1)
-			}
-		}
-		out[v] = b
-	}
-	return out
+// SweepClock reports the sweep clock (see sweepClock): the largest
+// timestamp offered and the last cutoff swept at, each math.MinInt64
+// until there is one.
+func (e *Engine) SweepClock() (seenTS, cutoff int64) { return e.clock.seen, e.clock.cut }
+
+// RestoreSweepClock replaces the sweep clock, so that a restored engine
+// sweeps where the saved one would have.
+func (e *Engine) RestoreSweepClock(seenTS, cutoff int64) {
+	e.clock.seen, e.clock.cut = seenTS, cutoff
 }
 
 // RestoreLazyStamps rebuilds the Lazy Search stamps of an engine whose

@@ -28,8 +28,8 @@
 // snapshot images and the edlog record codec always use it, the last
 // two because they outlive connections. The client (router) sends:
 //
-//	hello       protocol version, slot id, window, eviction cadence,
-//	            and the initial replica-filter mode
+//	hello       protocol version, slot id, window, the initial
+//	            replica-filter mode and the offered capability bits
 //	edges       one admitted batch: base arrival seq + edges
 //	register    a query at a stream position: name, rank, query text,
 //	            the decomposition pinned router-side, search limits,
@@ -62,8 +62,9 @@ import (
 // ProtocolVersion is the one wire protocol version, carried by the
 // hello frame. The client opens with it plus its capability bits and
 // expects a hello-ack granting the intersection; the server refuses a
-// hello of any other version (v1, which had no handshake, included).
-const ProtocolVersion = 2
+// hello of any other version (v1, which had no handshake, and v2, whose
+// hello carried an eviction cadence, included).
+const ProtocolVersion = 3
 
 // Capability bits negotiated in the v2 hello/hello-ack exchange. The
 // client offers a set, the server answers with the subset it grants,
@@ -119,8 +120,6 @@ type Hello struct {
 	Slot int
 	// Window is tW shared by every registered query (0 = unwindowed).
 	Window int64
-	// EvictEvery is the engine's eviction cadence in edges.
-	EvictEvery int
 	// UniversalFilter selects the initial replica filter: true admits
 	// every edge type (full-replica topologies: FullReplicas, Ordered);
 	// false starts the engine as an empty filtered replica that each
@@ -128,7 +127,6 @@ type Hello struct {
 	UniversalFilter bool
 	// Caps is the capability set the client offers (Cap* bits); the
 	// server grants the intersection with its own in the hello-ack.
-	// A trailing field: a hello without it decodes with Caps = 0.
 	Caps uint64
 }
 

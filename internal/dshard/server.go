@@ -193,7 +193,7 @@ func (h *host) run() error {
 		return err
 	}
 	h.cn.Negotiate(granted)
-	eng := core.NewMulti(core.MultiConfig{Window: hello.Window, EvictEvery: hello.EvictEvery})
+	eng := core.NewMulti(core.MultiConfig{Window: hello.Window})
 	h.slot = NewSlot(eng, hello.UniversalFilter)
 	for {
 		typ, body, err := h.cn.ReadFrame()

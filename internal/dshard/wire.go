@@ -502,18 +502,14 @@ func (cn *Conn) appendEdgesW(b []byte, es []stream.Edge) []byte {
 
 // ---- message writers ----
 
-// WriteHello sends the connection-opening frame. A hello of version 2
-// or later carries the offered capability bits as a trailing field.
+// WriteHello sends the connection-opening frame.
 func (cn *Conn) WriteHello(h Hello) error {
 	b := append(cn.wbuf[:0], FrameHello)
 	b = binary.AppendUvarint(b, h.Version)
 	b = binary.AppendUvarint(b, uint64(h.Slot))
 	b = binary.AppendVarint(b, h.Window)
-	b = binary.AppendUvarint(b, uint64(h.EvictEvery))
 	b = appendBool(b, h.UniversalFilter)
-	if h.Version >= 2 {
-		b = binary.AppendUvarint(b, h.Caps)
-	}
+	b = binary.AppendUvarint(b, h.Caps)
 	cn.wbuf = b
 	return cn.writeFrame(b)
 }
@@ -662,20 +658,19 @@ func (cn *Conn) WriteDone(m Done) error {
 
 // ---- message decoders (payload body, i.e. frame minus type byte) ----
 
-// DecodeHello parses a FrameHello body. The capability field is
-// trailing and optional: a hello without it decodes with Caps = 0.
+// DecodeHello parses a FrameHello body. Of a hello of another version
+// than ProtocolVersion it reads the version only — the rest is laid out
+// as that version lays it out — so the caller can refuse it by version.
 func DecodeHello(body []byte) (Hello, error) {
 	d := dec{b: body}
-	h := Hello{
-		Version:    d.uvarint(),
-		Slot:       int(d.uvarint()),
-		Window:     d.varint(),
-		EvictEvery: int(d.uvarint()),
+	h := Hello{Version: d.uvarint()}
+	if d.err != nil || h.Version != ProtocolVersion {
+		return h, d.err
 	}
+	h.Slot = int(d.uvarint())
+	h.Window = d.varint()
 	h.UniversalFilter = d.bool_()
-	if d.err == nil && len(d.b) > 0 {
-		h.Caps = d.uvarint()
-	}
+	h.Caps = d.uvarint()
 	return h, d.err
 }
 

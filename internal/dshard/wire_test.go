@@ -40,7 +40,7 @@ func TestWireRoundTrip(t *testing.T) {
 	client, server := connPair()
 
 	msgs := []any{
-		Hello{Version: ProtocolVersion, Slot: 3, Window: 1 << 40, EvictEvery: 256, UniversalFilter: true},
+		Hello{Version: ProtocolVersion, Slot: 3, Window: 1 << 40, UniversalFilter: true},
 		Edges{Frame: 1, Suppress: true, BaseSeq: 1 << 33, Edges: testEdges()},
 		Edges{Frame: 2, BaseSeq: 0, Edges: testEdges()[:1]},
 		Register{

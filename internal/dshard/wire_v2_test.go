@@ -350,8 +350,9 @@ func TestCompressedFrameCorruption(t *testing.T) {
 }
 
 // TestServerVersionNegotiation drives the hello handshake: the server
-// acks a v2 hello with the capabilities it knows, and refuses a v1 hello
-// (no handshake existed then) and an unknown version alike, each with
+// acks a hello of ProtocolVersion with the capabilities it knows, and
+// refuses a v1 hello (no handshake existed then), a v2 hello (which
+// carried an eviction cadence) and an unknown version alike, each with
 // the version error and without a byte of traffic.
 func TestServerVersionNegotiation(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -365,7 +366,7 @@ func TestServerVersionNegotiation(t *testing.T) {
 	defer srv.Close()
 	addr := ln.Addr().String()
 
-	// v2 hello → hello-ack with the granted subset.
+	// A current hello → hello-ack with the granted subset.
 	cn, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +376,7 @@ func TestServerVersionNegotiation(t *testing.T) {
 	}
 	typ, body, err := cn.ReadFrame()
 	if err != nil || typ != FrameHelloAck {
-		t.Fatalf("v2 hello: got type 0x%02x err %v, want hello-ack", typ, err)
+		t.Fatalf("v%d hello: got type 0x%02x err %v, want hello-ack", ProtocolVersion, typ, err)
 	}
 	ack, err := DecodeHelloAck(body)
 	if err != nil {
@@ -388,11 +389,11 @@ func TestServerVersionNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if typ, _, err := cn.ReadFrame(); err != nil || typ != FrameDone {
-		t.Fatalf("v2 stream: got type 0x%02x err %v, want done", typ, err)
+		t.Fatalf("v%d stream: got type 0x%02x err %v, want done", ProtocolVersion, typ, err)
 	}
 	cn.Close()
 
-	for _, version := range []uint64{1, 99} {
+	for _, version := range []uint64{1, 2, 99} {
 		cn, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)

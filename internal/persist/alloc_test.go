@@ -44,7 +44,7 @@ func TestLoadAllocsPerObject(t *testing.T) {
 	check("Load", buf.Bytes(), g.NumEdges()+g.LiveVertices()+eng.Tree().StoredMatches(),
 		func(r *bytes.Reader) error { _, err := Load(r); return err })
 
-	m := core.NewMulti(core.MultiConfig{Window: 400, EvictEvery: 16})
+	m := core.NewMulti(core.MultiConfig{Window: 400})
 	if err := m.Register("q3", testQuery(t), core.Config{Strategy: core.StrategySingleLazy, Stats: c}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // every few hundred edges of a stream that keeps recycling VertexIDs
 // must report the match multiset of the never-recycling oracle. A
 // snapshot renumbers vertices, so every holder of a VertexID — partial
-// matches, lazy bits, queued retrospective work — crosses a remapping
+// matches, lazy stamps, queued retrospective work — crosses a remapping
 // on top of the recycling.
 
 func TestVertexChurnSaveLoad(t *testing.T) {
@@ -30,38 +30,36 @@ func TestVertexChurnSaveLoad(t *testing.T) {
 	const cutEvery = 700
 	for name, q := range refmatch.ChurnQueries() {
 		for _, s := range []core.Strategy{core.StrategySingle, core.StrategySingleLazy, core.StrategyPathLazy, core.StrategyAuto} {
-			for _, every := range []int{1, 7, 256} {
-				label := fmt.Sprintf("%s/%v/evict%d", name, s, every)
-				eng, err := core.New(q, core.Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: c, EvictEvery: every})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			label := fmt.Sprintf("%s/%v", name, s)
+			eng, err := core.New(q, core.Config{Strategy: s, Window: refmatch.ChurnWindow, Stats: c})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got := make(map[string]int)
+			record := func(ms []iso.Match) {
+				for _, m := range ms {
+					got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
 				}
-				got := make(map[string]int)
-				record := func(ms []iso.Match) {
-					for _, m := range ms {
-						got[refmatch.MatchKey(name, q, eng.Graph(), m)]++
+			}
+			for i, se := range edges {
+				if i > 0 && i%cutEvery == 0 {
+					// Save flushes deferred lazy work; those matches
+					// resolve against the engine being saved.
+					var buf bytes.Buffer
+					flushed, err := Save(&buf, eng)
+					if err != nil {
+						t.Fatalf("%s: save at %d: %v", label, i, err)
+					}
+					record(flushed)
+					if eng, err = Load(&buf); err != nil {
+						t.Fatalf("%s: load at %d: %v", label, i, err)
 					}
 				}
-				for i, se := range edges {
-					if i > 0 && i%cutEvery == 0 {
-						// Save flushes deferred lazy work; those matches
-						// resolve against the engine being saved.
-						var buf bytes.Buffer
-						flushed, err := Save(&buf, eng)
-						if err != nil {
-							t.Fatalf("%s: save at %d: %v", label, i, err)
-						}
-						record(flushed)
-						if eng, err = Load(&buf); err != nil {
-							t.Fatalf("%s: load at %d: %v", label, i, err)
-						}
-					}
-					record(eng.ProcessEdge(se))
-				}
-				record(eng.FlushPending())
-				if d := refmatch.Diff(want[name], got); d != "" {
-					t.Fatalf("%s: match multiset differs from the never-recycling oracle:\n%s", label, d)
-				}
+				record(eng.ProcessEdge(se))
+			}
+			record(eng.FlushPending())
+			if d := refmatch.Diff(want[name], got); d != "" {
+				t.Fatalf("%s: match multiset differs from the never-recycling oracle:\n%s", label, d)
 			}
 		}
 	}
@@ -77,41 +75,39 @@ func TestVertexChurnSaveLoadMulti(t *testing.T) {
 	queries := refmatch.ChurnQueries()
 	strategies := map[string]core.Strategy{"path3": core.StrategySingleLazy, "path2": core.StrategyPathLazy, "fan": core.StrategySingle}
 	const cutEvery, batch = 900, 40
-	for _, every := range []int{1, 7, 256} {
-		m := core.NewMulti(core.MultiConfig{Window: refmatch.ChurnWindow, EvictEvery: every})
-		for name, q := range queries {
-			if err := m.Register(name, q, core.Config{Strategy: strategies[name], Stats: c}); err != nil {
-				t.Fatal(err)
-			}
+	m := core.NewMulti(core.MultiConfig{Window: refmatch.ChurnWindow})
+	for name, q := range queries {
+		if err := m.Register(name, q, core.Config{Strategy: strategies[name], Stats: c}); err != nil {
+			t.Fatal(err)
 		}
-		got := make(map[string]map[string]int)
-		for name := range queries {
-			got[name] = make(map[string]int)
+	}
+	got := make(map[string]map[string]int)
+	for name := range queries {
+		got[name] = make(map[string]int)
+	}
+	record := func(nms []core.NamedMatch) {
+		for _, nm := range nms {
+			got[nm.Query][refmatch.MatchKey(nm.Query, queries[nm.Query], m.Graph(), nm.Match)]++
 		}
-		record := func(nms []core.NamedMatch) {
-			for _, nm := range nms {
-				got[nm.Query][refmatch.MatchKey(nm.Query, queries[nm.Query], m.Graph(), nm.Match)]++
+	}
+	for lo := 0; lo < len(edges); lo += batch {
+		if lo > 0 && lo%cutEvery < batch {
+			var buf bytes.Buffer
+			if err := SaveMulti(&buf, m); err != nil {
+				t.Fatalf("save at %d: %v", lo, err)
 			}
+			restored, err := LoadMulti(&buf)
+			if err != nil {
+				t.Fatalf("load at %d: %v", lo, err)
+			}
+			m = restored
 		}
-		for lo := 0; lo < len(edges); lo += batch {
-			if lo > 0 && lo%cutEvery < batch {
-				var buf bytes.Buffer
-				if err := SaveMulti(&buf, m); err != nil {
-					t.Fatalf("evict%d: save at %d: %v", every, lo, err)
-				}
-				restored, err := LoadMulti(&buf)
-				if err != nil {
-					t.Fatalf("evict%d: load at %d: %v", every, lo, err)
-				}
-				m = restored
-			}
-			record(m.ProcessBatch(edges[lo:min(lo+batch, len(edges))]))
-		}
-		record(m.FlushPending())
-		for name := range queries {
-			if d := refmatch.Diff(want[name], got[name]); d != "" {
-				t.Fatalf("evict%d: %s differs from the never-recycling oracle:\n%s", every, name, d)
-			}
+		record(m.ProcessBatch(edges[lo:min(lo+batch, len(edges))]))
+	}
+	record(m.FlushPending())
+	for name := range queries {
+		if d := refmatch.Diff(want[name], got[name]); d != "" {
+			t.Fatalf("%s differs from the never-recycling oracle:\n%s", name, d)
 		}
 	}
 }
@@ -138,8 +134,8 @@ func TestRestoredAgreesOnRelabeledName(t *testing.T) {
 	}
 	prefix := []stream.Edge{
 		edge("h1", "server", "h2", "server", "UDP", 1), // h1 starts life as a server
-		edge("x", "client", "y", "server", "GRE", 30),  // the window (10) moves past h1's edge
-		edge("x", "client", "y", "server", "GRE", 31),  // ... and this sweep reclaims h1
+		edge("x", "client", "y", "server", "GRE", 30),  // the window (10) moves past h1's edge; the sweep after it reclaims h1
+		edge("x", "client", "y", "server", "GRE", 31),  // ... and the next sweep finds nothing of it
 	}
 	suffix := []stream.Edge{
 		edge("h1", "client", "h3", "server", "TCP", 32), // h1 re-enters as a client
@@ -150,7 +146,7 @@ func TestRestoredAgreesOnRelabeledName(t *testing.T) {
 	}
 
 	mk := func() *core.MultiEngine {
-		m := core.NewMulti(core.MultiConfig{Window: 10, EvictEvery: 3})
+		m := core.NewMulti(core.MultiConfig{Window: 10})
 		if err := m.Register("q", q, core.Config{Strategy: core.StrategySingleLazy, Leaves: [][]int{{0}, {1}}}); err != nil {
 			t.Fatal(err)
 		}

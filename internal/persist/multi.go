@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/graph"
@@ -12,14 +13,19 @@ import (
 
 // Multi-engine checkpoints. SaveMulti serializes a whole running
 // core.MultiEngine — the shared windowed graph, every registered
-// query's SJ-Tree tables, Lazy Search enablement, queued retrospective work and
-// counters, plus the shared eviction clock — WITHOUT flushing pending
-// lazy work or forcing eviction. That non-flushing property is what
-// makes it usable as a live checkpoint: flushing would attribute
-// deferred matches to the checkpoint position instead of the stream
-// position a serial run reports them at, and forced eviction would
-// shift the eviction clock. A LoadMulti'd engine fed the same stream
-// suffix emits exactly the matches the original would have.
+// query's SJ-Tree tables, queued retrospective work and counters, plus
+// the shared sweep clock — WITHOUT flushing pending lazy work or forcing
+// eviction. That non-flushing property is what makes it usable as a live
+// checkpoint: flushing would attribute deferred matches to the
+// checkpoint position instead of the stream position a serial run
+// reports them at, and forced eviction would sweep where the original
+// does not. A LoadMulti'd engine fed the same stream suffix emits
+// exactly the matches the original would have and sweeps where it
+// would have. Lazy Search enablement is rebuilt from the stored matches.
+// The image versions follow the single-engine ones (see version): a
+// version 1 image carried an eviction cadence, the edges since the last
+// sweep and a Lazy Search mask per vertex, where version 2 carries the
+// sweep clock.
 //
 // The replica filter (SetReplicaFilter) is deliberately NOT serialized
 // and must be re-applied by the caller, which owns it in every
@@ -31,7 +37,7 @@ import (
 
 const (
 	multiMagic   = "SGSNAPM\n"
-	multiVersion = uint32(1)
+	multiVersion = uint32(2)
 )
 
 // SaveMulti writes a snapshot of the multi-engine to w. The engine
@@ -43,14 +49,14 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 	bw.u32(multiVersion)
 
 	bw.i64(m.WindowSize())
-	bw.u32(uint32(m.EvictCadence()))
-	sinceEvict, edgesSeen, stored := m.EvictClock()
-	bw.u32(uint32(sinceEvict))
-	bw.i64(edgesSeen)
-	bw.i64(stored)
+	seenTS, cutoff := m.SweepClock()
+	bw.i64(seenTS)
+	bw.i64(cutoff)
+	bw.i64(m.Stats().EdgesProcessed)
+	bw.i64(m.EdgesStored())
 
 	// Gather the referenced vertex set: endpoints of live edges, every
-	// query's match bindings, lazy-bit entries and queued retro work.
+	// query's match bindings and queued retro work.
 	g := m.Graph()
 	vertIdx := make(map[graph.VertexID]uint32)
 	var verts []graph.VertexID
@@ -82,14 +88,9 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 
 	names := m.Registered()
 	perStored := make([]int, len(names))
-	perBits := make([]map[graph.VertexID]uint64, len(names))
 	perRetro := make([][][]graph.VertexID, len(names))
 	for qi, name := range names {
 		eng := m.QueryEngine(name)
-		perBits[qi] = eng.LazyBits()
-		for v := range perBits[qi] {
-			need(v)
-		}
 		perRetro[qi] = eng.PendingRetro()
 		for _, vs := range perRetro[qi] {
 			for _, v := range vs {
@@ -138,12 +139,6 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 		}
 		// Stored partial matches.
 		bw.stored(m.QueryEngine(name).Tree(), perStored[qi], vertIdx, edgeIdx)
-		// Lazy Search enablement, one LazyBits mask per vertex.
-		bw.u32(uint32(len(perBits[qi])))
-		for v, b := range perBits[qi] {
-			bw.u32(vertIdx[v])
-			bw.u64(b)
-		}
 		// Queued retrospective work, per leaf.
 		bw.u32(uint32(len(perRetro[qi])))
 		for _, vs := range perRetro[qi] {
@@ -180,19 +175,25 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 	if br.err == nil && string(head) != multiMagic {
 		return nil, fmt.Errorf("persist: bad multi magic %q", head)
 	}
-	if v := br.u32(); br.err == nil && v != multiVersion {
+	v := br.u32()
+	if br.err == nil && v != 1 && v != multiVersion {
 		return nil, fmt.Errorf("persist: unsupported multi snapshot version %d", v)
 	}
 
 	window := br.i64()
-	evictEvery := int(br.u32())
-	sinceEvict := int(br.u32())
+	seenTS, cutoff := int64(math.MinInt64), int64(math.MinInt64)
+	if v == 1 {
+		br.u32() // the eviction cadence
+		br.u32() // edges since the last sweep
+	} else {
+		seenTS, cutoff = br.i64(), br.i64()
+	}
 	edgesSeen := br.i64()
 	stored := br.i64()
 	if br.err != nil {
 		return nil, br.err
 	}
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: evictEvery})
+	m := core.NewMulti(core.MultiConfig{Window: window})
 
 	// Shared vertices.
 	g := m.Graph()
@@ -243,7 +244,6 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 			MaxMatchesPerSearch: int(br.u32()),
 			MaxWorkPerEdge:      br.i64(),
 			MaxStepsPerSearch:   br.i64(),
-			EvictEvery:          evictEvery,
 		}
 		br.u32() // the search-pool size of older images
 		nLeaves := br.u32()
@@ -274,23 +274,12 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 		if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
 			return nil, fmt.Errorf("persist: %q %w", name, err)
 		}
-		// Lazy Search enablement: the masks are checked and skipped, and
-		// the stamps rebuilt from the stored matches
-		// (core.Engine.RestoreLazyStamps).
-		nBits := br.u32()
-		if br.err != nil {
-			return nil, br.err
-		}
-		for i := uint32(0); i < nBits; i++ {
-			idx := br.u32()
-			br.u64()
-			if br.err != nil {
-				return nil, br.err
-			}
-			if idx >= nVerts {
-				return nil, fmt.Errorf("persist: %q lazy bits reference unknown vertex %d", name, idx)
+		if v == 1 {
+			if err := br.skipLazyMasks(nVerts); err != nil {
+				return nil, fmt.Errorf("persist: %q %w", name, err)
 			}
 		}
+		// Lazy Search enablement is rebuilt from the stored matches.
 		eng.RestoreLazyStamps()
 		// Queued retrospective work.
 		nRetroLeaves := br.u32()
@@ -337,6 +326,9 @@ func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
 		eng.RestoreStats(st)
 	}
 
-	m.RestoreEvictClock(sinceEvict, edgesSeen, stored)
+	if v == 1 {
+		seenTS = v1SeenTS(g)
+	}
+	m.RestoreSweepClock(seenTS, cutoff, edgesSeen, stored)
 	return m, nil
 }

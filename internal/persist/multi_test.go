@@ -47,7 +47,7 @@ func TestSaveMultiLiveContinuation(t *testing.T) {
 	for _, cut := range []int{60, 600, 1200, 2399} {
 		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
 			mk := func() *core.MultiEngine {
-				m := core.NewMulti(core.MultiConfig{Window: 500, EvictEvery: 16})
+				m := core.NewMulti(core.MultiConfig{Window: 500})
 				if err := m.Register("q3", q3, core.Config{Strategy: core.StrategySingleLazy, Stats: c}); err != nil {
 					t.Fatal(err)
 				}

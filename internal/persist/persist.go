@@ -1,10 +1,11 @@
 // Package persist checkpoints a running continuous query and restores
 // it in a fresh process: the windowed data graph, the SJ-Tree's partial
-// matches, the Lazy Search enablement and the engine counters are written
-// to a versioned binary snapshot. A restored engine continues exactly
-// where the original stopped — the package tests verify that feeding
-// the same suffix of a stream to the original and the restored engine
-// yields identical match sets.
+// matches, the sweep clock and the engine counters are written to a
+// versioned binary snapshot; the Lazy Search stamps are rebuilt from the
+// partial matches. A restored engine continues exactly where the
+// original stopped — the package tests verify that feeding the same
+// suffix of a stream to the original and the restored engine yields
+// identical match sets.
 //
 // The paper's engine is a long-standing query over an endless stream
 // ("register a pattern ... continuously perform the query"); surviving
@@ -26,9 +27,14 @@ import (
 	"streamgraph/internal/sjtree"
 )
 
+// Image versions. A version 2 image carries the sweep clock (the
+// largest timestamp offered and the last cutoff swept at) where version 1
+// carried an eviction cadence in edges, and no Lazy Search masks, which
+// nothing read. Both load; a version 1 image restarts the clock from its
+// graph's latest timestamp.
 const (
 	magic   = "SGSNAP1\n"
-	version = uint32(1)
+	version = uint32(2)
 	// noIdx marks an unbound binding slot in the serialized form.
 	noIdx = uint32(math.MaxUint32)
 )
@@ -53,7 +59,6 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 	bw.u32(uint32(cfg.MaxMatchesPerSearch))
 	bw.i64(cfg.MaxWorkPerEdge)
 	bw.i64(cfg.MaxStepsPerSearch)
-	bw.u32(uint32(cfg.EvictEvery))
 	bw.u32(uint32(len(cfg.Leaves)))
 	for _, leaf := range cfg.Leaves {
 		bw.u32(uint32(len(leaf)))
@@ -61,9 +66,12 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 			bw.u32(uint32(ei))
 		}
 	}
+	seenTS, cutoff := eng.SweepClock()
+	bw.i64(seenTS)
+	bw.i64(cutoff)
 
-	// Gather the referenced vertex set: endpoints of live edges, match
-	// bindings, lazy-bit entries.
+	// Gather the referenced vertex set: endpoints of live edges and match
+	// bindings.
 	g := eng.Graph()
 	vertIdx := make(map[graph.VertexID]uint32)
 	var verts []graph.VertexID
@@ -93,11 +101,6 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 		return true
 	})
 
-	bits := eng.LazyBits()
-	for v := range bits {
-		need(v)
-	}
-
 	nStored, err := needStored(eng.Tree(), need, edgeIdx)
 	if err != nil {
 		return flushed, fmt.Errorf("persist: %w", err)
@@ -119,12 +122,6 @@ func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
 	}
 	// Stored partial matches.
 	bw.stored(eng.Tree(), nStored, vertIdx, edgeIdx)
-	// Lazy Search enablement, one LazyBits mask per vertex.
-	bw.u32(uint32(len(bits)))
-	for v, b := range bits {
-		bw.u32(vertIdx[v])
-		bw.u64(b)
-	}
 	// Engine counters.
 	st := eng.Stats()
 	for _, v := range []int64{
@@ -150,7 +147,8 @@ func Load(r io.Reader) (*core.Engine, error) {
 	if br.err == nil && string(head) != magic {
 		return nil, fmt.Errorf("persist: bad magic %q", head)
 	}
-	if v := br.u32(); br.err == nil && v != version {
+	v := br.u32()
+	if br.err == nil && v != 1 && v != version {
 		return nil, fmt.Errorf("persist: unsupported snapshot version %d", v)
 	}
 
@@ -161,7 +159,9 @@ func Load(r io.Reader) (*core.Engine, error) {
 		MaxMatchesPerSearch: int(br.u32()),
 		MaxWorkPerEdge:      br.i64(),
 		MaxStepsPerSearch:   br.i64(),
-		EvictEvery:          int(br.u32()),
+	}
+	if v == 1 {
+		br.u32() // the eviction cadence
 	}
 	nLeaves := br.u32()
 	if nLeaves > 0 {
@@ -174,6 +174,10 @@ func Load(r io.Reader) (*core.Engine, error) {
 			}
 			cfg.Leaves[i] = leaf
 		}
+	}
+	seenTS, cutoff := int64(math.MinInt64), int64(math.MinInt64)
+	if v != 1 {
+		seenTS, cutoff = br.i64(), br.i64()
 	}
 	if br.err != nil {
 		return nil, br.err
@@ -226,22 +230,14 @@ func Load(r io.Reader) (*core.Engine, error) {
 	if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	// Lazy Search enablement: the masks are checked and skipped, and the
-	// stamps rebuilt from the stored matches (core.Engine.RestoreLazyStamps).
-	nBits := br.u32()
-	if br.err != nil {
-		return nil, br.err
-	}
-	for i := uint32(0); i < nBits; i++ {
-		idx := br.u32()
-		br.u64()
-		if br.err != nil {
-			return nil, br.err
+	if v == 1 {
+		if err := br.skipLazyMasks(nVerts); err != nil {
+			return nil, err
 		}
-		if idx >= nVerts {
-			return nil, fmt.Errorf("persist: lazy bits reference unknown vertex %d", idx)
-		}
+		seenTS = v1SeenTS(g)
 	}
+	eng.RestoreSweepClock(seenTS, cutoff)
+	// Lazy Search enablement is rebuilt from the stored matches.
 	eng.RestoreLazyStamps()
 	// Engine counters. IsoSteps restarts from zero (it is a live matcher
 	// counter, not persisted state).
@@ -258,6 +254,28 @@ func Load(r io.Reader) (*core.Engine, error) {
 	}
 	eng.RestoreStats(st)
 	return eng, nil
+}
+
+// skipLazyMasks reads past a version 1 image's Lazy Search section, one
+// mask per vertex, checking only that each names a vertex of the image.
+func (r *reader) skipLazyMasks(nVerts uint32) error {
+	n := r.u32()
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		if idx := r.u32(); r.err == nil && idx >= nVerts {
+			return fmt.Errorf("persist: lazy bits reference unknown vertex %d", idx)
+		}
+		r.u64()
+	}
+	return r.err
+}
+
+// v1SeenTS is the sweep clock's largest timestamp for a version 1 image,
+// which did not record it: the latest of the edges it holds.
+func v1SeenTS(g *graph.Graph) int64 {
+	if g.NumEdges() == 0 {
+		return math.MinInt64
+	}
+	return g.LastTS()
 }
 
 // --- primitive binary IO ---------------------------------------------------

@@ -85,7 +85,7 @@ func TestRestartEquivalenceUnwindowed(t *testing.T) {
 	} {
 		t.Run(strat.String(), func(t *testing.T) {
 			for _, cut := range []int{1, 500, 1500, 2999} {
-				cfg := core.Config{Strategy: strat, Stats: c, EvictEvery: 1}
+				cfg := core.Config{Strategy: strat, Stats: c}
 
 				ref, err := core.New(q, cfg)
 				if err != nil {
@@ -132,7 +132,7 @@ func TestRestartWindowedLosesNothing(t *testing.T) {
 	for _, strat := range []core.Strategy{core.StrategySingleLazy, core.StrategyPathLazy} {
 		t.Run(strat.String(), func(t *testing.T) {
 			cut := 1500
-			cfg := core.Config{Strategy: strat, Stats: c, Window: window, EvictEvery: 1}
+			cfg := core.Config{Strategy: strat, Stats: c, Window: window}
 
 			ref, err := core.New(q, cfg)
 			if err != nil {
@@ -180,7 +180,7 @@ func TestSnapshotRestoresCountersAndDecomposition(t *testing.T) {
 	edges := testStream(1200)
 	c := stats(edges)
 	q := testQuery(t)
-	eng, err := core.New(q, core.Config{Strategy: core.StrategyPathLazy, Stats: c, Window: 300, EvictEvery: 1})
+	eng, err := core.New(q, core.Config{Strategy: core.StrategyPathLazy, Stats: c, Window: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRestoredTreeExpiresIncrementally(t *testing.T) {
 	c := stats(edges)
 	q := testQuery(t)
 	eng, err := core.New(q, core.Config{
-		Strategy: core.StrategySingle, Stats: c, Window: 5000, EvictEvery: 1,
+		Strategy: core.StrategySingle, Stats: c, Window: 5000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,8 +339,9 @@ func ipEdge(src, dst, typ string, ts int64) stream.Edge {
 // are not in the tree. The next enablement after the restore must
 // repair them, as it would have in the saved engine, also when its
 // timestamp regresses below the lapsed stamp. persist.Save sweeps
-// first, which evicts the enabling partial; SaveMulti does not, so the
-// restored engine rebuilds the lapsed stamp from it.
+// first, which evicts the enabling partial; SaveMulti does not, and the
+// multi-engine takes the prefix in one batch, which sweeps before it
+// ingests, so the restored engine rebuilds the lapsed stamp from it.
 func TestRetroRepairsLapsedStampAfterRestore(t *testing.T) {
 	q := query.NewPath(query.Wildcard, "A", "B")
 	prefix := []stream.Edge{
@@ -373,12 +374,13 @@ func TestRetroRepairsLapsedStampAfterRestore(t *testing.T) {
 				t.Fatalf("%v: engine restored by Load reports %d matches at h2@%d, want %d", strat, len(got), next.TS, len(want))
 			}
 
-			m := core.NewMulti(core.MultiConfig{Window: 100, EvictEvery: 1000})
+			m := core.NewMulti(core.MultiConfig{Window: 100})
 			if err := m.Register("q", q, cfg); err != nil {
 				t.Fatal(err)
 			}
-			for _, se := range prefix {
-				m.ProcessEdge(se)
+			m.ProcessBatch(prefix)
+			if m.QueryEngine("q").Tree().Stats().Stored != 2 {
+				t.Fatalf("%v: the multi-engine stores %d partials before the save, want h1>v and v>w1", strat, m.QueryEngine("q").Tree().Stats().Stored)
 			}
 			var buf bytes.Buffer
 			if err := SaveMulti(&buf, m); err != nil {
@@ -395,17 +397,21 @@ func TestRetroRepairsLapsedStampAfterRestore(t *testing.T) {
 	}
 }
 
-// TestRetroTransplantJoinsOnce: a migration target sweeps at its own
-// cadence, so it can still hold an edge its source has evicted. Here
-// the source joined v>w with y>v and then evicted v>w; the target
-// holds v>w and receives y>v with the query's state. The stamps the
-// transplant gives v must keep the target from finding v>w again and
-// reporting y>v>w a second time.
+// TestRetroTransplantJoinsOnce: a migration target is a filtered
+// replica, whose sweep clock sees only the edges it admits, so it can lag
+// its source's and the target can still hold an edge its source has
+// evicted. Here the source joined v>w with y>v and then evicted v>w; the
+// target, whose filter drops the C edge that moved the source's clock,
+// holds v>w and receives y>v with the query's state. The stamps the transplant
+// gives v must keep the target from finding v>w again and reporting
+// y>v>w a second time — at the drain barrier right after the handoff
+// (FlushPending) or at its next edge.
 func TestRetroTransplantJoinsOnce(t *testing.T) {
 	q := query.NewPath(query.Wildcard, "A", "B")
 	cfg := core.Config{Strategy: core.StrategySingleLazy, Leaves: [][]int{{0}, {1}}}
-	src := core.NewMulti(core.MultiConfig{Window: 100, EvictEvery: 1})
-	dst := core.NewMulti(core.MultiConfig{Window: 100, EvictEvery: 1000})
+	src := core.NewMulti(core.MultiConfig{Window: 100})
+	dst := core.NewMulti(core.MultiConfig{Window: 100})
+	dst.SetReplicaFilter([]string{"A", "B"}, false)
 	if err := src.Register("q", q, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +438,10 @@ func TestRetroTransplantJoinsOnce(t *testing.T) {
 	if got := len(src.ProcessEdge(next)) + len(src.FlushPending()); got != 0 {
 		t.Fatalf("source reported %d matches after the handoff point, want 0", got)
 	}
-	if got := len(dst.ProcessEdge(next)) + len(dst.FlushPending()); got != 0 {
+	if dst.Graph().NumEdges() != 3 {
+		t.Fatalf("target holds %d edges, want x>v, v>w and y>v", dst.Graph().NumEdges())
+	}
+	if got := len(dst.FlushPending()) + len(dst.ProcessEdge(next)) + len(dst.FlushPending()); got != 0 {
 		t.Fatalf("target reported %d matches after the transplant, want 0: y>v>w again", got)
 	}
 }

@@ -189,7 +189,7 @@ func CloneQuery(src *core.MultiEngine, name string) (*core.MultiEngine, error) {
 	if seng == nil {
 		return nil, fmt.Errorf("persist: clone source does not hold query %q", name)
 	}
-	tmp := core.NewMulti(core.MultiConfig{Window: src.WindowSize(), EvictEvery: src.EvictCadence()})
+	tmp := core.NewMulti(core.MultiConfig{Window: src.WindowSize()})
 
 	// Seed the clone graph with exactly the referenced edges, in source
 	// arrival order, so TransplantState resolves every stored match.
@@ -216,7 +216,6 @@ func CloneQuery(src *core.MultiEngine, name string) (*core.MultiEngine, error) {
 	})
 
 	cfg := seng.ConfigSnapshot()
-	cfg.EvictEvery = src.EvictCadence()
 	if err := tmp.Register(name, seng.Query(), cfg); err != nil {
 		return nil, fmt.Errorf("persist: clone of %q: %w", name, err)
 	}

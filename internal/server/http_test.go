@@ -37,7 +37,7 @@ func TestDebugEndpointsMidStream(t *testing.T) {
 	t.Cleanup(rsrv.Close)
 
 	srv, err := Open(Config{
-		Window: 400, EvictEvery: 7, Shards: 1,
+		Window: 400, Shards: 1,
 		Remotes: []string{rln.Addr().String()},
 		DataDir: t.TempDir(), CheckpointEvery: 128,
 	})

@@ -54,8 +54,6 @@ import (
 type Config struct {
 	// Window is tW shared by all queries (0 = unwindowed).
 	Window int64
-	// EvictEvery forwards to the engine (default 256).
-	EvictEvery int
 	// DefaultStrategy applies when a register command names none.
 	// The zero value selects StrategySingleLazy.
 	DefaultStrategy core.Strategy
@@ -118,7 +116,7 @@ func New(cfg Config) *Server {
 	if cfg.Shards > 0 || len(cfg.Remotes) > 0 {
 		s.attachRouter(shard.New(s.shardConfig()), nil)
 	} else {
-		s.multi = core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+		s.multi = core.NewMulti(core.MultiConfig{Window: cfg.Window})
 		s.initEngineMetrics()
 	}
 	return s
@@ -169,7 +167,6 @@ func (s *Server) shardConfig() shard.Config {
 		Remotes:         s.cfg.Remotes,
 		QueueLen:        s.cfg.ShardQueue,
 		Window:          s.cfg.Window,
-		EvictEvery:      s.cfg.EvictEvery,
 		DataDir:         s.cfg.DataDir,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 	}

@@ -57,7 +57,7 @@ func TestDurableCleanRestartMatchesSerial(t *testing.T) {
 	}
 	for _, cut := range []int{731, 1024} { // mid-batch and batch-aligned restart points
 		dir := t.TempDir()
-		cfg := Config{Shards: 2, Window: window, EvictEvery: 7, DataDir: dir, CheckpointEvery: 128}
+		cfg := Config{Shards: 2, Window: window, DataDir: dir, CheckpointEvery: 128}
 		var mu sync.Mutex
 		var got []string
 		collect := func(m Match) {
@@ -134,7 +134,7 @@ func TestDurableCheckpointAdvancesPin(t *testing.T) {
 	edges := testStream(4000)
 
 	cfg := Config{
-		Shards: 0, Remotes: []string{addr}, Window: window, EvictEvery: 7,
+		Shards: 0, Remotes: []string{addr}, Window: window,
 		DataDir: t.TempDir(), CheckpointEvery: 64, SegmentBytes: 4 << 10,
 	}
 	r, _, err := Open(cfg)
@@ -192,7 +192,7 @@ func TestDurableCheckpointAdvancesPin(t *testing.T) {
 	// Negative control — the PR 5 failure mode: with checkpoints
 	// effectively disabled, the registration floor pins the in-memory
 	// log forever and the first retained seq never moves.
-	r2 := New(Config{Shards: 0, Remotes: []string{addr}, Window: window, EvictEvery: 7, CheckpointEvery: 1 << 30})
+	r2 := New(Config{Shards: 0, Remotes: []string{addr}, Window: window, CheckpointEvery: 1 << 30})
 	registerAll(t, r2)
 	done2 := make(chan int64, 1)
 	go func() { done2 <- r2.Drain(nil) }()
@@ -219,7 +219,7 @@ func TestDurableCheckpointAdvancesPin(t *testing.T) {
 const crashStreamLen = 3000
 
 func crashChildConfig(dir string) Config {
-	return Config{Shards: 2, Window: 400, EvictEvery: 7, DataDir: dir, CheckpointEvery: 96}
+	return Config{Shards: 2, Window: 400, DataDir: dir, CheckpointEvery: 96}
 }
 
 // TestCrashRecoveryChild is the re-exec helper for

@@ -69,7 +69,6 @@ func TestMigrateMatchesSerial(t *testing.T) {
 		t.Run(tp.name, func(t *testing.T) {
 			cfg := tp.cfg
 			cfg.Window = window
-			cfg.EvictEvery = 7
 			r := New(cfg)
 			queries, strategies := testQueries(), testStrategies()
 			names := sortedNames(queries)
@@ -165,7 +164,7 @@ func TestMigrateRandomizedSchedules(t *testing.T) {
 		// Serial oracle with the same registration schedule; "extra" is
 		// excluded from both sides (mid-stream lifecycle).
 		want := func() []string {
-			m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+			m := core.NewMulti(core.MultiConfig{Window: window})
 			for _, name := range names {
 				if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 					t.Fatalf("seed %d: serial register %s: %v", seed, name, err)
@@ -191,7 +190,7 @@ func TestMigrateRandomizedSchedules(t *testing.T) {
 		}()
 		sort.Strings(want)
 
-		cfg := Config{Window: window, EvictEvery: 1 + rng.Intn(10)}
+		cfg := Config{Window: window}
 		remote := rng.Intn(2) == 0
 		if remote {
 			cfg.Shards, cfg.Remotes = 1+rng.Intn(2), []string{addr}
@@ -276,7 +275,7 @@ func TestElasticScaleOutIn(t *testing.T) {
 		t.Fatal("workload produced no matches; differential is vacuous")
 	}
 	addr, srv := startRemoteWorker(t)
-	r := New(Config{Shards: 1, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 1, Window: window})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -356,7 +355,7 @@ func TestRebalanceHotSpot(t *testing.T) {
 	const window = 400
 	want := append([]string(nil), runSerial(t, edges, window)...)
 	sort.Strings(want)
-	r := New(Config{Shards: 3, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 3, Window: window})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -506,7 +505,7 @@ func TestMigrationMetricsTruthful(t *testing.T) {
 	const window = 400
 	want := append([]string(nil), runSerial(t, edges, window)...)
 	sort.Strings(want)
-	r := New(Config{Shards: 2, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 2, Window: window})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -674,7 +673,7 @@ func TestFailoverKillsWorkerProcess(t *testing.T) {
 
 	edges := testStream(1500)
 	const window = 400
-	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7, RedialBudget: 3})
+	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, RedialBudget: 3})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -779,7 +778,7 @@ func TestFailoverNegativeControlBudgetZero(t *testing.T) {
 	addr, srv := startRemoteWorker(t)
 	edges := testStream(900)
 	const window = 400
-	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7}) // budget 0
+	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window}) // budget 0
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -828,7 +827,7 @@ func TestFailoverNegativeControlBudgetZero(t *testing.T) {
 const migCrashStreamLen = 2000
 
 func migCrashConfig(dir string) Config {
-	return Config{Shards: 2, Window: 400, EvictEvery: 7, DataDir: dir, CheckpointEvery: 96}
+	return Config{Shards: 2, Window: 400, DataDir: dir, CheckpointEvery: 96}
 }
 
 // TestMigrateCrashChild is the re-exec helper for

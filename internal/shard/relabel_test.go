@@ -13,19 +13,17 @@ import (
 )
 
 // TestLiveRelabelDifferentialSharded pins the label rule for a live name
-// in the filtered sharded tier, on the stream of core's
-// TestLiveRelabelDifferential (window 10, a sweep every 4 edges): h1
-// enters as a server, its edge expires, and before the serial engine
-// sweeps it h1 re-appears claiming "client". The serial engine keeps
-// h1's first label and reports nothing; unfiltered batches whose
-// boundary puts a sweep in that gap report h1>h3>h4 (core's test). A
-// filtered replica agrees with the serial engine under every ingest
-// shape: "q" owns a slot of its own, whose replica admits only TCP and
-// UDP, so the GRE edge never reaches its sweep clock and its first
-// sweep (before the 4th edge it admits, h3>h4) finds h1 live again.
-// FullReplicas diverges exactly as core's batch path does, per-edge
-// Ingest included: a worker runs every message, one edge or many,
-// through the batch path, which sweeps before it ingests.
+// in the sharded tier, on the stream of core's
+// TestLiveRelabelDifferential (window 64, a sweep clock stepping by 2
+// ticks): h1 enters as a server, its edge expires, and before the serial
+// engine sweeps it h1 re-appears claiming "client". The serial engine
+// keeps h1's first label and reports nothing, and so does every ingest
+// shape here. "q" owns a slot of its own, whose filtered replica admits
+// only TCP and UDP and is never offered the GRE edge; FullReplicas
+// offers its replica every edge. Either way a worker runs every message,
+// one edge or many, through the batch path, which sweeps before it
+// ingests at the cutoff the serial engine swept at after the edge
+// before, so h1 is still the live server when it re-appears.
 func TestLiveRelabelDifferentialSharded(t *testing.T) {
 	q, err := query.Parse(`
 		v a client
@@ -41,27 +39,25 @@ func TestLiveRelabelDifferentialSharded(t *testing.T) {
 		return stream.Edge{Src: src, SrcLabel: sl, Dst: dst, DstLabel: dl, Type: typ, TS: ts}
 	}
 	edges := []stream.Edge{
-		edge("h1", "server", "h2", "server", "UDP", 1),  // h1 enters as a server
-		edge("x", "client", "y", "server", "GRE", 20),   // h1's edge leaves the window
-		edge("u", "server", "w", "server", "UDP", 21),   // (a type the query holds)
-		edge("h1", "client", "h3", "server", "TCP", 22), // h1, expired but not swept, claims client
-		edge("h3", "server", "h4", "server", "UDP", 23), // completes h1>h3>h4 iff h1 is a client
+		edge("h1", "server", "h2", "server", "UDP", 2),  // h1 enters as a server
+		edge("x", "client", "y", "server", "GRE", 66),   // h1's edge leaves the window
+		edge("u", "server", "w", "server", "UDP", 66),   // (a type the query holds)
+		edge("h1", "client", "h3", "server", "TCP", 67), // h1, expired but not swept, claims client
+		edge("h3", "server", "h4", "server", "UDP", 68), // completes h1>h3>h4 iff h1 is a client
 	}
-	const relabeled = "q|a=h1,b=h3,c=h4|0:h1>h3:TCP@22,1:h3>h4:UDP@23"
 	cfg := core.Config{Strategy: core.StrategySingleLazy, Leaves: [][]int{{0}, {1}}}
 
 	// batch 0 is per-edge Ingest, otherwise IngestBatch in batches of it.
 	for _, tc := range []struct {
 		full   bool
 		batch  int
-		want   []string
 		stored int64
 	}{
-		{false, 0, nil, 4}, {false, 1, nil, 4}, {false, 2, nil, 4}, {false, len(edges), nil, 4},
-		{true, 0, []string{relabeled}, 5}, {true, 1, []string{relabeled}, 5}, {true, 2, []string{relabeled}, 5}, {true, len(edges), nil, 5},
+		{false, 0, 4}, {false, 1, 4}, {false, 2, 4}, {false, len(edges), 4},
+		{true, 0, 5}, {true, 1, 5}, {true, 2, 5}, {true, len(edges), 5},
 	} {
 		t.Run(fmt.Sprintf("full=%v/batch=%d", tc.full, tc.batch), func(t *testing.T) {
-			r := New(Config{Shards: 2, Window: 10, EvictEvery: 4, FullReplicas: tc.full})
+			r := New(Config{Shards: 2, Window: 64, FullReplicas: tc.full})
 			if err := r.Register("q", q, cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -100,8 +96,8 @@ func TestLiveRelabelDifferentialSharded(t *testing.T) {
 			<-done
 			stats := r.Stats()
 
-			if !slices.Equal(got, tc.want) {
-				t.Errorf("sharded tier reports %q, want %q", got, tc.want)
+			if len(got) != 0 {
+				t.Errorf("sharded tier reports %q, want nothing (h1 keeps its first label while live)", got)
 			}
 			if st := stats[ownerSlot(r, "q")]; st.ReplicaStored != tc.stored {
 				t.Errorf("q's replica stored %d edges, want %d", st.ReplicaStored, tc.stored)

@@ -331,7 +331,7 @@ func (rs *remoteSlot) pinFloor() int64 { return rs.pin.Load() }
 // coveredSeq reports the stream position the slot's engine snapshot
 // covers — the EdgeLog must retain every segment past it for the
 // reconnect tail replay, which must be gap-free (a skipped batch would
-// shift the restored engine's eviction clock off the serial schedule).
+// leave its edges out of the restored replica).
 // MaxUint64 while no snapshot exists: then nothing is pinned by seq
 // and the slot's entitlement is purely the timestamp floor above.
 // Lock-free, read on every windowed ingest.
@@ -635,7 +635,6 @@ func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 		Version:         dshard.ProtocolVersion,
 		Slot:            w.id,
 		Window:          w.r.cfg.Window,
-		EvictEvery:      w.r.cfg.EvictEvery,
 		UniversalFilter: !w.r.filtering,
 		Caps:            want,
 	})

@@ -61,7 +61,6 @@ func TestRemoteMatchesSerial(t *testing.T) {
 		for _, batch := range []int{1, 64, 257} {
 			cfg := tp.cfg
 			cfg.Window = window
-			cfg.EvictEvery = 7
 			got := runSharded(t, edges, cfg, batch)
 			sort.Strings(got)
 			if !equalStrings(got, want) {
@@ -94,7 +93,6 @@ func TestRemoteOrderedDeterministic(t *testing.T) {
 		} {
 			cfg := tp.cfg
 			cfg.Window = window
-			cfg.EvictEvery = 7
 			cfg.Ordered = true
 			got := runSharded(t, edges, cfg, batch)
 			if len(got) != len(want) {
@@ -124,7 +122,7 @@ func TestRemoteDisconnectReconnect(t *testing.T) {
 	}
 	addr, srv := startRemoteWorker(t)
 	for _, batch := range []int{33, 128} {
-		r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7})
+		r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window})
 		queries, strategies := testQueries(), testStrategies()
 		for _, name := range sortedNames(queries) {
 			if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -188,7 +186,7 @@ func TestRemoteRegisterUnregisterMidStream(t *testing.T) {
 	extra := queries["gre-tcp"].Clone()
 
 	serial := func() []string {
-		m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+		m := core.NewMulti(core.MultiConfig{Window: window})
 		for _, name := range names {
 			if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 				t.Fatalf("register %s: %v", name, err)
@@ -222,7 +220,7 @@ func TestRemoteRegisterUnregisterMidStream(t *testing.T) {
 	}
 
 	addr, srv := startRemoteWorker(t)
-	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window})
 	for _, name := range names {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 			t.Fatalf("register %s: %v", name, err)
@@ -294,7 +292,7 @@ func TestRemoteDisconnectReconnectRandomized(t *testing.T) {
 		want := append([]string(nil), runSerial(t, edges, window)...)
 		sort.Strings(want)
 
-		cfg := Config{Window: window, EvictEvery: 1 + rng.Intn(10)}
+		cfg := Config{Window: window}
 		if rng.Intn(2) == 0 {
 			cfg.Shards, cfg.Remotes = 1+rng.Intn(2), []string{addr}
 		} else {
@@ -362,7 +360,7 @@ func testRemoteChunkedFrames(t *testing.T) {
 		t.Fatal("workload produced no matches; differential is vacuous")
 	}
 	addr, srv := startRemoteWorker(t)
-	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 1, Remotes: []string{addr}, Window: window})
 	queries, strategies := testQueries(), testStrategies()
 	names := sortedNames(queries)
 	// Register all but one up front; the last one mid-stream, so its
@@ -491,7 +489,7 @@ func TestRemoteWireModes(t *testing.T) {
 		name string
 		mode WireMode
 	}{{"auto", WireAuto}, {"dict-only", WireDictOnly}} {
-		cfg := Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7, Wire: wire.mode}
+		cfg := Config{Shards: 1, Remotes: []string{addr}, Window: window, Wire: wire.mode}
 		got := runSharded(t, edges, cfg, 64)
 		sort.Strings(got)
 		if !equalStrings(got, want) {

@@ -13,12 +13,12 @@
 //     and worker-side (driving the engine filter, backfill and trim).
 //
 // The replica invariant: a shard's graph holds exactly the in-window
-// logged edges whose type is in its current footprint (modulo the
-// usual eviction slack, which is always lazier than — never ahead of —
-// a serial engine's, and therefore harmless; see core.Engine's
-// advanceEvict argument). Register widens the footprint and backfills
-// the missing past from the log; Unregister narrows it and trims the
-// now-unreachable edges.
+// logged edges whose type is in its current footprint (modulo sweep
+// slack). A replica's sweep clock sees only the edges it is offered, so
+// it sweeps at a serial engine's cutoffs or later, never ahead, which is
+// harmless (see core's sweepClock). Register widens the footprint and
+// backfills the missing past from the log; Unregister narrows it and
+// trims the now-unreachable edges.
 package shard
 
 import (
@@ -107,8 +107,8 @@ func (l *EdgeLog) Append(ses []stream.Edge, baseSeq uint64) {
 // only the log tail past S after a reconnect, so every segment at or
 // beyond the oldest such S must survive even when its timestamps have
 // left the window (the tail replay must be gap-free — a skipped batch
-// would shift the restored engine's eviction clock off the serial
-// schedule). Pass ^uint64(0) to pin nothing by seq.
+// would leave its edges out of the restored replica). Pass ^uint64(0)
+// to pin nothing by seq.
 func (l *EdgeLog) TrimBefore(cutoff int64, keepSeq uint64) int {
 	k := 0
 	for k < len(l.segs) && l.segs[k].maxTS < cutoff &&

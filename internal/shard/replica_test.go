@@ -172,7 +172,7 @@ func TestPartitionedFootprintsReplicateOnce(t *testing.T) {
 	queries, strategies := partitionQueries()
 
 	// Serial reference.
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+	m := core.NewMulti(core.MultiConfig{Window: window})
 	for _, name := range sortedNames(queries) {
 		if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestPartitionedFootprintsReplicateOnce(t *testing.T) {
 	}
 
 	for _, batch := range []int{1, 64} {
-		r := New(Config{Shards: 3, Window: window, EvictEvery: 7})
+		r := New(Config{Shards: 3, Window: window})
 		for _, name := range sortedNames(queries) {
 			if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
 				t.Fatal(err)
@@ -318,7 +318,7 @@ func TestUnregisterTrimsReplica(t *testing.T) {
 	half := len(edges) / 2
 
 	// Serial reference with the same mid-stream unregister schedule.
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+	m := core.NewMulti(core.MultiConfig{Window: window})
 	for _, spec := range []struct {
 		name string
 		q    *query.Graph
@@ -341,7 +341,7 @@ func TestUnregisterTrimsReplica(t *testing.T) {
 	}
 	sort.Strings(want)
 
-	r := New(Config{Shards: 1, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 1, Window: window})
 	if err := r.Register("keep", query.NewPath(query.Wildcard, "GRE", "TCP"), core.Config{Strategy: core.StrategySingleLazy}); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestRegisterBackfillMidStreamDifferential(t *testing.T) {
 	queries, _ := partitionQueries()
 
 	serial := func() []string {
-		m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+		m := core.NewMulti(core.MultiConfig{Window: window})
 		var sigs []string
 		next := 0
 		for i, se := range edges {
@@ -445,7 +445,7 @@ func TestRegisterBackfillMidStreamDifferential(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3} {
-		r := New(Config{Shards: shards, Window: window, EvictEvery: 7})
+		r := New(Config{Shards: shards, Window: window})
 		var mu sync.Mutex
 		var got []string
 		done := make(chan struct{})
@@ -551,7 +551,7 @@ func testReplicaPropertySeed(t *testing.T, seed int64) {
 		sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
 
 		// Serial oracle.
-		m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+		m := core.NewMulti(core.MultiConfig{Window: window})
 		var want []string
 		next := 0
 		for i, se := range edges {
@@ -575,7 +575,7 @@ func testReplicaPropertySeed(t *testing.T, seed int64) {
 		// Sharded runtime, identical schedule, random batch splits that
 		// never straddle an op position.
 		shards := 1 + rng.Intn(4)
-		r := New(Config{Shards: shards, Window: window, EvictEvery: 7})
+		r := New(Config{Shards: shards, Window: window})
 		var mu sync.Mutex
 		var got []string
 		done := make(chan struct{})

@@ -111,8 +111,6 @@ type Config struct {
 	// FullReplicas to drop the log if that trade is wrong for the
 	// deployment.
 	Window int64
-	// EvictEvery forwards to each shard's engine (default 256).
-	EvictEvery int
 	// Ordered enables the deterministic in-seq merge mode: matches are
 	// delivered in (arrival seq, query registration) order, exactly as
 	// a serial core.MultiEngine reports them. Ordered mode implies
@@ -568,7 +566,7 @@ func newRouter(cfg Config) *Router {
 			// A filtered shard starts with no queries, hence an empty
 			// footprint: it receives and stores nothing until one is
 			// registered.
-			eng := core.NewMulti(core.MultiConfig{Window: cfg.Window, EvictEvery: cfg.EvictEvery})
+			eng := core.NewMulti(core.MultiConfig{Window: cfg.Window})
 			w.slot = dshard.NewSlot(eng, !r.filtering)
 		} else {
 			w.remote = newRemoteSlot(w, cfg.Remotes[i-cfg.Shards], cfg.RemotePending)

@@ -80,7 +80,7 @@ func serialSig(m *core.MultiEngine, nm core.NamedMatch) string {
 // returns the ordered signature list (edge-major, registration order).
 func runSerial(t *testing.T, edges []stream.Edge, window int64) []string {
 	t.Helper()
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+	m := core.NewMulti(core.MultiConfig{Window: window})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -149,7 +149,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 3, 5} {
 		for _, batch := range []int{1, 64, 257} {
-			got := runSharded(t, edges, Config{Shards: shards, Window: window, EvictEvery: 7}, batch)
+			got := runSharded(t, edges, Config{Shards: shards, Window: window}, batch)
 			sort.Strings(got)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d batch=%d: %d matches, want %d", shards, batch, len(got), len(want))
@@ -170,7 +170,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // (edge-major, registration order).
 func runGroupedReference(t *testing.T, edges []stream.Edge, window int64, batch int) []string {
 	t.Helper()
-	m := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+	m := core.NewMulti(core.MultiConfig{Window: window})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -218,7 +218,7 @@ func TestOrderedModeDeterministic(t *testing.T) {
 			t.Fatalf("batch=%d: grouped reference multiset differs from serial", batch)
 		}
 		for _, shards := range []int{1, 2, 4} {
-			got := runSharded(t, edges, Config{Shards: shards, Window: window, EvictEvery: 7, Ordered: true}, batch)
+			got := runSharded(t, edges, Config{Shards: shards, Window: window, Ordered: true}, batch)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d batch=%d: %d matches, want %d", shards, batch, len(got), len(want))
 			}
@@ -264,7 +264,7 @@ func TestShardedMatchesSerialRandomized(t *testing.T) {
 		sort.Strings(want)
 		shards := 1 + rng.Intn(4)
 		// Random batch splits exercise uneven bundle boundaries.
-		r := New(Config{Shards: shards, Window: window, EvictEvery: 7})
+		r := New(Config{Shards: shards, Window: window})
 		queries, strategies := testQueries(), testStrategies()
 		for _, name := range sortedNames(queries) {
 			if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -318,7 +318,7 @@ func TestCloseDrainsNoMatchLost(t *testing.T) {
 	}
 	// Tiny queues force backpressure mid-burst; the consumer counts
 	// concurrently with ingestion AND with Close.
-	r := New(Config{Shards: 4, Window: window, EvictEvery: 7, QueueLen: 2, OutLen: 4})
+	r := New(Config{Shards: 4, Window: window, QueueLen: 2, OutLen: 4})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
@@ -354,7 +354,7 @@ func TestCloseDrainsNoMatchLost(t *testing.T) {
 func TestRegisterUnregisterMidStream(t *testing.T) {
 	edges := testStream(1200)
 	const window = 400
-	r := New(Config{Shards: 3, Window: window, EvictEvery: 7})
+	r := New(Config{Shards: 3, Window: window})
 	if err := r.Register("early", query.NewPath(query.Wildcard, "GRE", "TCP"), core.Config{Strategy: core.StrategySingleLazy}); err != nil {
 		t.Fatal(err)
 	}

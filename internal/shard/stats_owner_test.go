@@ -39,7 +39,7 @@ func TestRouterIsTheStatisticsOwner(t *testing.T) {
 	}
 
 	// The serial reference: leaves chosen at the cut, matches after it.
-	serial := core.NewMulti(core.MultiConfig{Window: window, EvictEvery: 7})
+	serial := core.NewMulti(core.MultiConfig{Window: window})
 	feed(0, cut, func(b []stream.Edge) { serial.ProcessBatch(b) })
 	wantLeaves := make(map[string][][]int)
 	trained := false
@@ -91,7 +91,7 @@ func TestRouterIsTheStatisticsOwner(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, mode := range []string{"filtered", "ordered", "fullreplicas", "restarted"} {
-		cfg := Config{Shards: 2, Window: window, EvictEvery: 7}
+		cfg := Config{Shards: 2, Window: window}
 		var r *Router
 		switch mode {
 		case "ordered":

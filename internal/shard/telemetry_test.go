@@ -65,9 +65,9 @@ func TestMetricsTruthfulness(t *testing.T) {
 		cfg     Config
 		durable bool
 	}{
-		{"inproc", Config{Shards: 3, Window: window, EvictEvery: 7}, false},
-		{"remote", Config{Shards: 1, Remotes: []string{addr}, Window: window, EvictEvery: 7}, false},
-		{"durable", Config{Shards: 2, Window: window, EvictEvery: 7, CheckpointEvery: 512, SegmentBytes: 16 << 10}, true},
+		{"inproc", Config{Shards: 3, Window: window}, false},
+		{"remote", Config{Shards: 1, Remotes: []string{addr}, Window: window}, false},
+		{"durable", Config{Shards: 2, Window: window, CheckpointEvery: 512, SegmentBytes: 16 << 10}, true},
 	}
 	for _, tp := range topologies {
 		t.Run(tp.name, func(t *testing.T) {
@@ -246,7 +246,7 @@ func TestMetricsTruthfulness(t *testing.T) {
 // under -race in CI).
 func TestStatsAndScrapeUnderIngest(t *testing.T) {
 	edges := testStream(4000)
-	r := New(Config{Shards: 2, Window: 400, EvictEvery: 7})
+	r := New(Config{Shards: 2, Window: 400})
 	queries, strategies := testQueries(), testStrategies()
 	for _, name := range sortedNames(queries) {
 		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {

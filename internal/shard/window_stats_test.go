@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -82,18 +81,18 @@ func (w *windowRef) batch(ses []stream.Edge, window int64) {
 // reference collector driven by Add on arrival and Remove once ts falls
 // below LastTS - Window + 1 agree on EdgeTotal, PathTotal, EdgeHistogram
 // and PathHistogram — over refmatch's churn stream and testStream, with
-// timestamps regressing inside the window, with Window == 0, at
-// EvictEvery 1, 7 and 256, with the log trimmed on the router's
-// schedule and with trimming held back as a floor or a remote pin would,
-// and on a filtered replica against a log and a reference restricted to
-// its footprint's types.
+// timestamps regressing inside the window, with Window == 0, half the
+// batches per edge, with the log trimmed on the router's schedule and
+// with trimming held back as a floor or a remote pin would, and on a
+// filtered replica against a log and a reference restricted to its
+// footprint's types.
 //
 // The window is defined by the cutoff, not by what happens to be held:
 // computing from every live, un-swept edge (dropping the ts filter of
-// FromGraph) fails here at EvictEvery 256, where the graph holds up to
-// 255 edges' worth of expired timestamps between sweeps — and at 1 too,
-// since a batch sweeps before it ingests — and dropping AddSince's
-// filter fails wherever trimming lags the cutoff.
+// FromGraph) fails here, where the graph holds expired timestamps
+// between sweeps — up to a clock step's worth per edge, and a batch's
+// worth since a batch sweeps before it ingests — and dropping
+// AddSince's filter fails wherever trimming lags the cutoff.
 func TestWindowStatisticsDifferential(t *testing.T) {
 	regress := func(edges []stream.Edge, by int64) []stream.Edge {
 		rng := rand.New(rand.NewSource(3))
@@ -119,88 +118,86 @@ func TestWindowStatisticsDifferential(t *testing.T) {
 	}
 	const batch = 64
 	for _, st := range streams {
-		for _, every := range []int{1, 7, 256} {
-			where := fmt.Sprintf("%s EvictEvery=%d", st.name, every)
-			inFP := make(map[string]bool)
-			for _, tp := range st.fp {
-				inFP[tp] = true
-			}
-			full := core.NewMulti(core.MultiConfig{Window: st.window, EvictEvery: every})
-			replica := core.NewMulti(core.MultiConfig{Window: st.window, EvictEvery: every})
-			replica.SetReplicaFilter(st.fp, false)
-			log, heldLog, fpLog := NewEdgeLog(), NewEdgeLog(), NewEdgeLog()
-			ref := &windowRef{c: selectivity.NewCollector()}
-			fpRef := &windowRef{c: selectivity.NewCollector()}
-			expired, lagged := false, false
+		where := st.name
+		inFP := make(map[string]bool)
+		for _, tp := range st.fp {
+			inFP[tp] = true
+		}
+		full := core.NewMulti(core.MultiConfig{Window: st.window})
+		replica := core.NewMulti(core.MultiConfig{Window: st.window})
+		replica.SetReplicaFilter(st.fp, false)
+		log, heldLog, fpLog := NewEdgeLog(), NewEdgeLog(), NewEdgeLog()
+		ref := &windowRef{c: selectivity.NewCollector()}
+		fpRef := &windowRef{c: selectivity.NewCollector()}
+		expired, lagged := false, false
 
-			seq := uint64(0)
-			for lo := 0; lo < len(st.edges); lo += batch {
-				ses := st.edges[lo:min(lo+batch, len(st.edges))]
-				var fpSes []stream.Edge
+		seq := uint64(0)
+		for lo := 0; lo < len(st.edges); lo += batch {
+			ses := st.edges[lo:min(lo+batch, len(st.edges))]
+			var fpSes []stream.Edge
+			for _, e := range ses {
+				if inFP[e.Type] {
+					fpSes = append(fpSes, e)
+				}
+			}
+			// Half the batches reach the engines edge by edge: the two
+			// paths sweep at different points of a batch.
+			if (lo/batch)%2 == 0 {
+				full.ProcessBatch(ses)
+				replica.ProcessBatch(ses)
+			} else {
 				for _, e := range ses {
-					if inFP[e.Type] {
-						fpSes = append(fpSes, e)
-					}
+					full.ProcessEdge(e)
+					replica.ProcessEdge(e)
 				}
-				// Half the batches reach the engines edge by edge: the two
-				// paths sweep at different points of a batch.
-				if (lo/batch)%2 == 0 {
-					full.ProcessBatch(ses)
-					replica.ProcessBatch(ses)
-				} else {
-					for _, e := range ses {
-						full.ProcessEdge(e)
-						replica.ProcessEdge(e)
-					}
+			}
+			for _, l := range []*EdgeLog{log, heldLog} {
+				l.Append(ses, seq)
+			}
+			fpLog.Append(fpSes, seq)
+			seq += uint64(len(ses))
+			if st.window > 0 {
+				log.TrimBefore(log.MaxTS()-st.window+1, ^uint64(0))
+				fpLog.TrimBefore(fpLog.MaxTS()-st.window+1, ^uint64(0))
+				if (lo/batch)%8 == 7 { // a floor released now and then
+					heldLog.TrimBefore(heldLog.MaxTS()-st.window+1, ^uint64(0))
 				}
-				for _, l := range []*EdgeLog{log, heldLog} {
-					l.Append(ses, seq)
-				}
-				fpLog.Append(fpSes, seq)
-				seq += uint64(len(ses))
-				if st.window > 0 {
-					log.TrimBefore(log.MaxTS()-st.window+1, ^uint64(0))
-					fpLog.TrimBefore(fpLog.MaxTS()-st.window+1, ^uint64(0))
-					if (lo/batch)%8 == 7 { // a floor released now and then
-						heldLog.TrimBefore(heldLog.MaxTS()-st.window+1, ^uint64(0))
-					}
-				}
-				ref.batch(ses, st.window)
-				fpRef.batch(fpSes, st.window)
+			}
+			ref.batch(ses, st.window)
+			fpRef.batch(fpSes, st.window)
 
-				want := viewOf(ref.c)
-				for feed, c := range map[string]*selectivity.Collector{
-					"graph":    full.Statistics(),
-					"log":      log.Statistics(st.window),
-					"held log": heldLog.Statistics(st.window),
-				} {
-					if got := viewOf(c); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s, edges %d: statistics from the %s (%d edges, %d paths) differ from the reference (%d, %d)",
-							where, lo+len(ses), feed, got.EdgeTotal, got.PathTotal, want.EdgeTotal, want.PathTotal)
-					}
+			want := viewOf(ref.c)
+			for feed, c := range map[string]*selectivity.Collector{
+				"graph":    full.Statistics(),
+				"log":      log.Statistics(st.window),
+				"held log": heldLog.Statistics(st.window),
+			} {
+				if got := viewOf(c); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, edges %d: statistics from the %s (%d edges, %d paths) differ from the reference (%d, %d)",
+						where, lo+len(ses), feed, got.EdgeTotal, got.PathTotal, want.EdgeTotal, want.PathTotal)
 				}
-				want = viewOf(fpRef.c)
-				for feed, c := range map[string]*selectivity.Collector{
-					"replica graph": replica.Statistics(),
-					"footprint log": fpLog.Statistics(st.window),
-				} {
-					if got := viewOf(c); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s, edges %d: statistics from the %s (%d edges, %d paths) differ from the footprint's reference (%d, %d)",
-							where, lo+len(ses), feed, got.EdgeTotal, got.PathTotal, want.EdgeTotal, want.PathTotal)
-					}
+			}
+			want = viewOf(fpRef.c)
+			for feed, c := range map[string]*selectivity.Collector{
+				"replica graph": replica.Statistics(),
+				"footprint log": fpLog.Statistics(st.window),
+			} {
+				if got := viewOf(c); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, edges %d: statistics from the %s (%d edges, %d paths) differ from the footprint's reference (%d, %d)",
+						where, lo+len(ses), feed, got.EdgeTotal, got.PathTotal, want.EdgeTotal, want.PathTotal)
 				}
-				expired = expired || int64(full.Graph().NumEdges()) > ref.c.EdgeTotal()
-				lagged = lagged || int64(heldLog.NumEdges()) > ref.c.EdgeTotal()+batch
 			}
-			if st.window > 0 && ref.c.EdgeTotal() >= int64(len(st.edges))/2 {
-				t.Fatalf("%s: the window holds %d of %d edges; the differential is vacuous", where, ref.c.EdgeTotal(), len(st.edges))
-			}
-			if every == 256 && st.window > 0 && !expired {
-				t.Fatalf("%s: the graph never held an edge past the window; the cutoff went untested", where)
-			}
-			if st.window > 0 && !lagged {
-				t.Fatalf("%s: the held log never lagged the window by more than a batch", where)
-			}
+			expired = expired || int64(full.Graph().NumEdges()) > ref.c.EdgeTotal()
+			lagged = lagged || int64(heldLog.NumEdges()) > ref.c.EdgeTotal()+batch
+		}
+		if st.window > 0 && ref.c.EdgeTotal() >= int64(len(st.edges))/2 {
+			t.Fatalf("%s: the window holds %d of %d edges; the differential is vacuous", where, ref.c.EdgeTotal(), len(st.edges))
+		}
+		if st.window > 0 && !expired {
+			t.Fatalf("%s: the graph never held an edge past the window; the cutoff went untested", where)
+		}
+		if st.window > 0 && !lagged {
+			t.Fatalf("%s: the held log never lagged the window by more than a batch", where)
 		}
 	}
 }

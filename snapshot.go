@@ -7,9 +7,10 @@ import (
 )
 
 // SaveSnapshot checkpoints a running engine to w: the windowed data
-// graph, every tracked partial match and the lazy-search state. Deferred
-// lazy work is flushed first; any complete matches it produces are
-// returned so the caller can report them before shutting down.
+// graph, every tracked partial match and the sweep clock (the lazy-search
+// state is rebuilt from the partial matches on load). Deferred lazy work
+// is flushed first; any complete matches it produces are returned so the
+// caller can report them before shutting down.
 //
 // A snapshot taken mid-stream and restored with LoadSnapshot continues
 // the query without losing any in-window partial match.
