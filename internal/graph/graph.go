@@ -47,6 +47,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -193,6 +194,10 @@ func (g *Graph) VerticesReclaimed() int64 { return g.reclaimed }
 // NumEdges reports the number of live edges.
 func (g *Graph) NumEdges() int { return g.liveEdges }
 
+// NumEdgeSlots reports the size of the EdgeID space: every valid EdgeID
+// is below it, and an array indexed by EdgeID is sized by it.
+func (g *Graph) NumEdgeSlots() int { return len(g.edges) }
+
 // LastTS reports the largest timestamp seen by AddEdge.
 func (g *Graph) LastTS() int64 { return g.lastTS }
 
@@ -227,6 +232,45 @@ func (g *Graph) EnsureVertex(name, label string) VertexID {
 	// sweep checks whether that edge ever came.
 	g.queueSweep(v)
 	return v
+}
+
+// Reserve presizes an empty graph for a restore of len(out) vertices,
+// vertex i with out[i] outgoing and in[i] incoming edges (len(in) must
+// equal len(out)). The vertex and edge slabs, the FIFO, the sweep queue
+// and the name index are made at their final size, and every vertex's
+// two adjacency lists are cut from one slab at its degrees. The
+// vertices are made reclaimed slots, queued so that the next len(out)
+// new names EnsureVertex sees take slots 0, 1, 2, ... in turn, each
+// with its cut adjacency; an AddEdge past a reserved degree grows that
+// list alone, as for any vertex. Reserve does nothing on a graph that
+// holds a vertex or an edge.
+func (g *Graph) Reserve(out, in []int32) {
+	if len(g.verts) > 0 || len(g.edges) > 0 {
+		return
+	}
+	n, edges, adj := len(out), 0, 0
+	for i := range out {
+		edges += int(out[i])
+		adj += int(out[i]) + int(in[i])
+	}
+	slab := make([]adjRec, adj)
+	g.verts = make([]vertexRec, n)
+	g.freeVerts = make([]VertexID, n)
+	at := 0
+	for i := range g.verts {
+		o := at + int(out[i])
+		d := o + int(in[i])
+		r := &g.verts[i]
+		r.out, r.in, r.free = slab[at:at:o], slab[o:o:d], true
+		at = d
+		g.freeVerts[n-1-i] = VertexID(i)
+	}
+	g.sweepVerts = make([]VertexID, 0, n)
+	g.edges = make([]edgeRec, 0, edges)
+	g.fifo = make([]EdgeID, 0, edges)
+	if slots := 2 * (n + 1); slots > len(g.names) {
+		g.names = make([]nameSlot, 1<<bits.Len(uint(slots-1)))
+	}
 }
 
 // queueSweep puts v on the list the next ExpireBefore examines.

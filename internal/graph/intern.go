@@ -25,6 +25,15 @@ func (in *Interner) Intern(s string) uint32 {
 	return id
 }
 
+// InternBytes is Intern of string(b), and allocates only when it
+// assigns a new identifier.
+func (in *Interner) InternBytes(b []byte) uint32 {
+	if id, ok := in.ids[string(b)]; ok {
+		return id
+	}
+	return in.Intern(string(b))
+}
+
 // Lookup returns the identifier for s and whether s has been interned.
 // Unlike Intern it never assigns a new identifier.
 func (in *Interner) Lookup(s string) (uint32, bool) {

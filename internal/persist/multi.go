@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -44,48 +43,20 @@ const (
 // must be quiescent (between ProcessEdge/ProcessBatch calls); it is
 // not flushed, evicted or otherwise mutated.
 func SaveMulti(w io.Writer, m *core.MultiEngine) error {
-	bw := &writer{w: bufio.NewWriter(w)}
-	bw.bytes([]byte(multiMagic))
-	bw.u32(multiVersion)
+	e := &encoder{}
+	e.b = append(e.b, multiMagic...)
+	e.u32(multiVersion)
 
-	bw.i64(m.WindowSize())
+	e.i64(m.WindowSize())
 	seenTS, cutoff := m.SweepClock()
-	bw.i64(seenTS)
-	bw.i64(cutoff)
-	bw.i64(m.Stats().EdgesProcessed)
-	bw.i64(m.EdgesStored())
+	e.i64(seenTS)
+	e.i64(cutoff)
+	e.i64(m.Stats().EdgesProcessed)
+	e.i64(m.EdgesStored())
 
-	// Gather the referenced vertex set: endpoints of live edges, every
-	// query's match bindings and queued retro work.
-	g := m.Graph()
-	vertIdx := make(map[graph.VertexID]uint32)
-	var verts []graph.VertexID
-	need := func(v graph.VertexID) uint32 {
-		if i, ok := vertIdx[v]; ok {
-			return i
-		}
-		i := uint32(len(verts))
-		vertIdx[v] = i
-		verts = append(verts, v)
-		return i
-	}
-
-	type edgeRef struct {
-		src, dst uint32
-		typeName string
-		ts       int64
-	}
-	edgeIdx := make(map[graph.EdgeID]uint32)
-	var edges []edgeRef
-	g.EachEdgeArrival(func(e graph.Edge) bool {
-		edgeIdx[e.ID] = uint32(len(edges))
-		edges = append(edges, edgeRef{
-			src: need(e.Src), dst: need(e.Dst),
-			typeName: g.Types().Name(uint32(e.Type)), ts: e.TS,
-		})
-		return true
-	})
-
+	// The referenced vertex set: endpoints of live edges, every query's
+	// queued retro work and match bindings.
+	ix := newIndex(m.Graph())
 	names := m.Registered()
 	perStored := make([]int, len(names))
 	perRetro := make([][][]graph.VertexID, len(names))
@@ -94,236 +65,143 @@ func SaveMulti(w io.Writer, m *core.MultiEngine) error {
 		perRetro[qi] = eng.PendingRetro()
 		for _, vs := range perRetro[qi] {
 			for _, v := range vs {
-				need(v)
+				ix.need(v)
 			}
 		}
 		var err error
-		if perStored[qi], err = needStored(eng.Tree(), need, edgeIdx); err != nil {
+		if perStored[qi], err = ix.needStored(eng.Tree()); err != nil {
 			return fmt.Errorf("persist: query %q: %w", name, err)
 		}
 	}
-
-	// Shared vertex table.
-	bw.u32(uint32(len(verts)))
-	for _, v := range verts {
-		bw.str(g.VertexName(v))
-		bw.str(g.Labels().Name(uint32(g.VertexLabel(v))))
-	}
-	// Shared edge table in arrival order.
-	bw.u32(uint32(len(edges)))
-	for _, e := range edges {
-		bw.u32(e.src)
-		bw.u32(e.dst)
-		bw.str(e.typeName)
-		bw.i64(e.ts)
-	}
+	e.graph(ix)
 
 	// Per-query sections, in registration order.
-	bw.u32(uint32(len(names)))
+	e.u32(uint32(len(names)))
 	for qi, name := range names {
 		eng := m.QueryEngine(name)
 		cfg := eng.ConfigSnapshot()
-		bw.str(name)
-		bw.str(eng.Query().String())
-		bw.u32(uint32(cfg.Strategy))
-		bw.u32(uint32(cfg.MaxMatchesPerSearch))
-		bw.i64(cfg.MaxWorkPerEdge)
-		bw.i64(cfg.MaxStepsPerSearch)
-		bw.u32(0) // where older images carried a search-pool size
-		bw.u32(uint32(len(cfg.Leaves)))
-		for _, leaf := range cfg.Leaves {
-			bw.u32(uint32(len(leaf)))
-			for _, ei := range leaf {
-				bw.u32(uint32(ei))
-			}
-		}
-		// Stored partial matches.
-		bw.stored(m.QueryEngine(name).Tree(), perStored[qi], vertIdx, edgeIdx)
+		e.str(name)
+		e.str(eng.Query().String())
+		e.u32(uint32(cfg.Strategy))
+		e.u32(uint32(cfg.MaxMatchesPerSearch))
+		e.i64(cfg.MaxWorkPerEdge)
+		e.i64(cfg.MaxStepsPerSearch)
+		e.u32(0) // where older images carried a search-pool size
+		e.leaves(cfg.Leaves)
+		e.stored(eng.Tree(), perStored[qi], ix)
 		// Queued retrospective work, per leaf.
-		bw.u32(uint32(len(perRetro[qi])))
+		e.u32(uint32(len(perRetro[qi])))
 		for _, vs := range perRetro[qi] {
-			bw.u32(uint32(len(vs)))
+			e.u32(uint32(len(vs)))
 			for _, v := range vs {
-				bw.u32(vertIdx[v])
+				e.u32(ix.vert[v] - 1)
 			}
 		}
-		// Engine counters.
-		st := eng.Stats()
-		for _, v := range []int64{
-			st.EdgesProcessed, st.LeafSearches, st.LeafMatches,
-			st.RetroSearches, st.RetroMatches, st.CompleteMatches,
-			st.GraphEvicted,
-		} {
-			bw.i64(v)
-		}
+		e.stats(eng.Stats())
 	}
 
-	if bw.err != nil {
-		return bw.err
-	}
-	return bw.w.Flush()
+	_, err := w.Write(e.b)
+	return err
 }
 
 // LoadMulti reads a SaveMulti snapshot and returns a restored
-// multi-engine ready to continue the stream. The replica filter is
-// universal after load; callers that run filtered replicas must
-// re-apply SetReplicaFilter before ingesting.
+// multi-engine ready to continue the stream. It reads r to its end.
+// The replica filter is universal after load; callers that run
+// filtered replicas must re-apply SetReplicaFilter before ingesting.
 func LoadMulti(r io.Reader) (*core.MultiEngine, error) {
-	br := &reader{r: bufio.NewReader(r)}
-	head := make([]byte, len(multiMagic))
-	br.bytes(head)
-	if br.err == nil && string(head) != multiMagic {
-		return nil, fmt.Errorf("persist: bad multi magic %q", head)
+	d, err := readImage(r)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
-	v := br.u32()
-	if br.err == nil && v != 1 && v != multiVersion {
-		return nil, fmt.Errorf("persist: unsupported multi snapshot version %d", v)
+	m, err := d.multi()
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return m, nil
+}
+
+// multi decodes a SaveMulti image.
+func (d *decoder) multi() (*core.MultiEngine, error) {
+	if head := d.take(len(multiMagic)); d.err == nil && string(head) != multiMagic {
+		return nil, fmt.Errorf("bad multi magic %q", head)
+	}
+	v := d.u32()
+	if d.err == nil && v != 1 && v != multiVersion {
+		return nil, fmt.Errorf("unsupported multi snapshot version %d", v)
 	}
 
-	window := br.i64()
+	window := d.i64()
 	seenTS, cutoff := int64(math.MinInt64), int64(math.MinInt64)
 	if v == 1 {
-		br.u32() // the eviction cadence
-		br.u32() // edges since the last sweep
+		d.u32() // the eviction cadence
+		d.u32() // edges since the last sweep
 	} else {
-		seenTS, cutoff = br.i64(), br.i64()
+		seenTS, cutoff = d.i64(), d.i64()
 	}
-	edgesSeen := br.i64()
-	stored := br.i64()
-	if br.err != nil {
-		return nil, br.err
+	edgesSeen := d.i64()
+	stored := d.i64()
+	if d.err != nil {
+		return nil, d.err
 	}
 	m := core.NewMulti(core.MultiConfig{Window: window})
 
-	// Shared vertices.
-	g := m.Graph()
-	nVerts := br.u32()
-	if br.err != nil {
-		return nil, br.err
-	}
-	vertID := make([]graph.VertexID, nVerts)
-	for i := range vertID {
-		name := br.str()
-		label := br.str()
-		if br.err != nil {
-			return nil, br.err
-		}
-		vertID[i] = g.EnsureVertex(name, label)
-	}
-	// Shared edges, re-added in the original arrival order so the
+	// The shared graph, re-added in the original arrival order so the
 	// eviction FIFO and relative arrival seqs are preserved.
-	nEdges := br.u32()
-	if br.err != nil {
-		return nil, br.err
-	}
-	edgeID := make([]graph.EdgeID, nEdges)
-	for i := range edgeID {
-		src := br.u32()
-		dst := br.u32()
-		typeName := br.str()
-		ts := br.i64()
-		if br.err != nil {
-			return nil, br.err
-		}
-		if src >= nVerts || dst >= nVerts {
-			return nil, fmt.Errorf("persist: edge %d references vertex out of range", i)
-		}
-		t := graph.TypeID(g.Types().Intern(typeName))
-		edgeID[i] = g.AddEdge(vertID[src], vertID[dst], t, ts)
+	g := m.Graph()
+	vertID, edgeID, err := d.graph(g)
+	if err != nil {
+		return nil, err
 	}
 
-	nQueries := br.u32()
-	if br.err != nil {
-		return nil, br.err
-	}
-	for qi := uint32(0); qi < nQueries; qi++ {
-		name := br.str()
-		qText := br.str()
+	nQueries := d.count(querySize)
+	for qi := 0; qi < nQueries; qi++ {
+		name := d.str()
+		qText := d.str()
 		cfg := core.Config{
-			Strategy:            core.Strategy(br.u32()),
-			MaxMatchesPerSearch: int(br.u32()),
-			MaxWorkPerEdge:      br.i64(),
-			MaxStepsPerSearch:   br.i64(),
+			Strategy:            core.Strategy(d.u32()),
+			MaxMatchesPerSearch: int(d.u32()),
+			MaxWorkPerEdge:      d.i64(),
+			MaxStepsPerSearch:   d.i64(),
 		}
-		br.u32() // the search-pool size of older images
-		nLeaves := br.u32()
-		if br.err != nil {
-			return nil, br.err
-		}
-		if nLeaves > 0 {
-			cfg.Leaves = make([][]int, nLeaves)
-			for i := range cfg.Leaves {
-				n := br.u32()
-				leaf := make([]int, n)
-				for j := range leaf {
-					leaf[j] = int(br.u32())
-				}
-				cfg.Leaves[i] = leaf
-			}
+		d.u32() // the search-pool size of older images
+		cfg.Leaves = d.leaves()
+		if d.err != nil {
+			return nil, d.err
 		}
 		q, err := query.Parse(qText)
 		if err != nil {
-			return nil, fmt.Errorf("persist: query %q: %v", name, err)
+			return nil, fmt.Errorf("query %q: %v", name, err)
 		}
 		if err := m.Register(name, q, cfg); err != nil {
-			return nil, fmt.Errorf("persist: re-registering %q: %v", name, err)
+			return nil, fmt.Errorf("re-registering %q: %v", name, err)
 		}
 		eng := m.QueryEngine(name)
 
-		// Stored partial matches.
-		if err := br.stored(eng.Tree(), q, vertID, edgeID); err != nil {
-			return nil, fmt.Errorf("persist: %q %w", name, err)
+		if err := d.stored(eng.Tree(), q, vertID, edgeID); err != nil {
+			return nil, fmt.Errorf("%q %w", name, err)
 		}
 		if v == 1 {
-			if err := br.skipLazyMasks(nVerts); err != nil {
-				return nil, fmt.Errorf("persist: %q %w", name, err)
+			if err := d.skipLazyMasks(len(vertID)); err != nil {
+				return nil, fmt.Errorf("%q %w", name, err)
 			}
 		}
 		// Lazy Search enablement is rebuilt from the stored matches.
 		eng.RestoreLazyStamps()
-		// Queued retrospective work.
-		nRetroLeaves := br.u32()
-		if br.err != nil {
-			return nil, br.err
+		perLeaf, err := d.retro(vertID)
+		if err != nil {
+			return nil, fmt.Errorf("%q %w", name, err)
 		}
-		if nRetroLeaves > 0 {
-			perLeaf := make([][]graph.VertexID, nRetroLeaves)
-			for l := range perLeaf {
-				n := br.u32()
-				if br.err != nil {
-					return nil, br.err
-				}
-				if n == 0 {
-					continue
-				}
-				vs := make([]graph.VertexID, n)
-				for j := range vs {
-					idx := br.u32()
-					if br.err != nil {
-						return nil, br.err
-					}
-					if idx >= nVerts {
-						return nil, fmt.Errorf("persist: %q retro queue references unknown vertex %d", name, idx)
-					}
-					vs[j] = vertID[idx]
-				}
-				perLeaf[l] = vs
-			}
+		if perLeaf != nil {
 			eng.RestorePendingRetro(perLeaf)
 		}
-		// Engine counters.
-		var st core.Stats
-		st.EdgesProcessed = br.i64()
-		st.LeafSearches = br.i64()
-		st.LeafMatches = br.i64()
-		st.RetroSearches = br.i64()
-		st.RetroMatches = br.i64()
-		st.CompleteMatches = br.i64()
-		st.GraphEvicted = br.i64()
-		if br.err != nil {
-			return nil, br.err
+		st := d.stats()
+		if d.err != nil {
+			return nil, d.err
 		}
 		eng.RestoreStats(st)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 
 	if v == 1 {

@@ -17,7 +17,7 @@ func testStream(n int) []stream.Edge {
 	return datagen.Netflow(datagen.NetflowConfig{Edges: n, Hosts: 60, Seed: 41})
 }
 
-func testQuery(t *testing.T) *query.Graph {
+func testQuery(t testing.TB) *query.Graph {
 	t.Helper()
 	q, err := query.Parse(`
 		e a b TCP

@@ -143,6 +143,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 	// every round stages afresh before renaming.
 	nLocal := len(r.workers) - len(r.cfg.Remotes)
 	slots := make([]*slotCkpt, nLocal)
+	loadStart := time.Now()
 	for i := 0; i < nLocal; i++ {
 		path := slotPath(r.cfg.DataDir, i)
 		os.Remove(path + ".pending")
@@ -156,6 +157,8 @@ func Open(cfg Config) (*Router, []Match, error) {
 		}
 		slots[i] = s
 	}
+	// What reading and decoding the slot checkpoints cost this restart.
+	r.tel.reg.Gauge("sg_recovery_load_ns").Set(int64(time.Since(loadStart)))
 
 	// Reconcile the registry. A round publishes the slot files after
 	// the meta commit, so a mid-round crash leaves slots one round

@@ -121,6 +121,45 @@ func TestDurableCleanRestartMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRecoveryLoadGaugeTruthful: sg_recovery_load_ns reports time an
+// Open that loaded slot checkpoints really spent — some, and no more
+// than the whole Open took by the test's own clock.
+func TestRecoveryLoadGaugeTruthful(t *testing.T) {
+	edges := testStream(600)
+	cfg := Config{Shards: 2, Window: 400, DataDir: t.TempDir(), CheckpointEvery: 128}
+	r, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerAll(t, r)
+	done := make(chan struct{})
+	go func() { defer close(done); r.Drain(nil) }()
+	r.IngestBatch(edges)
+	r.Close()
+	<-done
+	if err := r.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		if _, err := os.Stat(slotPath(cfg.DataDir, i)); err != nil {
+			t.Fatalf("no checkpoint of slot %d to load: %v", i, err)
+		}
+	}
+
+	t0 := time.Now()
+	r2, _, err := Open(cfg)
+	wall := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done = make(chan struct{})
+	go func() { defer close(done); r2.Drain(nil) }()
+	defer func() { r2.Close(); <-done }()
+	if got := metricValue(t, r2.Metrics().Snapshot(), "sg_recovery_load_ns"); got <= 0 || got > int64(wall) {
+		t.Fatalf("sg_recovery_load_ns = %d, want in (0, %d], the wall clock around Open", got, int64(wall))
+	}
+}
+
 // TestDurableCheckpointAdvancesPin is the acceptance test for the
 // tentpole bugfix: with checkpointing enabled, a long-lived lazy
 // remote registration must NOT pin the edge log at its

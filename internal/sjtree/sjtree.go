@@ -584,6 +584,18 @@ func (t *Tree) RestoreStored(nodeID int, m iso.Match) error {
 	return nil
 }
 
+// ReserveStored presizes the node stores for a restore: node i's for
+// counts[i] matches, so that as many RestoreStored calls at it fill its
+// slab and directories without growing them. A node that holds a match
+// is left as it is.
+func (t *Tree) ReserveStored(counts []int) {
+	for i, n := range counts {
+		if i < len(t.Nodes) && n > 0 && t.Nodes[i].live == 0 {
+			t.Nodes[i].reset(n, t.Dedup)
+		}
+	}
+}
+
 // ExpireBefore evicts every stored match whose earliest edge is older
 // than cutoff; such matches can no longer complete within the window
 // once the stream has advanced past cutoff + tW. Returns the number of
