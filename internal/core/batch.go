@@ -1,8 +1,9 @@
 // Batch ingestion: admit a whole slice of stream edges into the
 // windowed graph with one amortized eviction pass, then run the serial
 // per-edge merge over them in input order, each search bounded to its
-// edge's point in time. A standalone Engine.ProcessBatch and every
-// multi-query driver (Engine.searchShared) run this one path.
+// edge's point in time: MultiEngine.ingestBatch, then Engine.searchBatch.
+// A standalone Engine.ProcessBatch and every multi-query driver run this
+// one path.
 //
 // The paper's engine (Algorithm 1) is strictly edge-at-a-time and
 // defers scale-out to query partitioning (StreamWorks, Choudhury et al.
@@ -48,28 +49,27 @@ func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 	}
 	e.res.Reset()
 	e.arena.begin()
+	e.host.arena.begin()
 	if e.adaptive != nil {
 		return e.processBatchAdaptive(batch)
 	}
-	return e.processSubBatch(batch)
+	return e.ingestSearch(batch)
 }
 
-// processSubBatch is the core batch step: amortized eviction, admission
-// and ingest, merge. The sweep clock is offered every timestamp of the
-// batch, admitted or not, after the sweep. The rows stay aligned with
-// batch: an edge outside the footprint keeps its slot and completes
-// nothing.
-func (e *Engine) processSubBatch(batch []stream.Edge) [][]iso.Match {
-	e.maybeEvict()
-	n, hiTS := e.adm.filter(e.g, batch)
-	e.clock.offer(hiTS)
-	e.stats.EdgesProcessed += int64(len(batch) - n)
-	rows := e.searchBatch(e.adm.ingest(e.g, batch, &e.arena))
-	if n == len(batch) {
+// ingestSearch is a standalone engine's batch step: the host's batch
+// ingest, the timestamps the footprint dropped offered to its clock, and
+// the batch search. The rows stay aligned with batch: an edge outside
+// the footprint keeps its slot and completes nothing.
+func (e *Engine) ingestSearch(batch []stream.Edge) [][]iso.Match {
+	des, hiTS := e.host.ingestBatch(batch)
+	e.host.clock.offer(hiTS)
+	e.stats.EdgesProcessed += int64(len(batch) - len(des))
+	rows := e.searchBatch(des)
+	if len(des) == len(batch) {
 		return rows
 	}
 	out := e.arena.rowBuf(len(batch))
-	for k, ke := range e.adm.kept {
+	for k, ke := range e.host.adm.kept {
 		out[ke.pos] = rows[k]
 	}
 	return out
@@ -92,26 +92,23 @@ func (e *Engine) processBatchAdaptive(batch []stream.Edge) [][]iso.Match {
 		if until > len(batch) {
 			a.collector.AddAll(batch)
 			a.sinceCheck += len(batch)
-			return append(out, e.processSubBatch(batch)...)
+			return append(out, e.ingestSearch(batch)...)
 		}
 		head := batch[:until]
 		batch = batch[until:]
 		a.collector.AddAll(head)
 		if len(head) > 1 {
-			out = append(out, e.processSubBatch(head[:len(head)-1])...)
+			out = append(out, e.ingestSearch(head[:len(head)-1])...)
 		}
 		e.recomputeAdaptive()
-		out = append(out, e.processSubBatch(head[len(head)-1:])...)
+		out = append(out, e.ingestSearch(head[len(head)-1:])...)
 	}
 	return out
 }
 
-// admission is the one way a stream edge enters a graph an engine owns.
-// A standalone Engine admits its query's edge-type footprint (derived in
-// New; universal when an edge type is a wildcard), a MultiEngine its
-// replica filter (SetReplicaFilter), and both ingest through admit, per
-// edge, or filter and ingest, per batch. The check is one interner probe
-// per edge: an Intern under a universal set, a Lookup and a Has under a
+// admission is the one way a stream edge enters a MultiEngine's graph:
+// its replica filter (SetReplicaFilter), by admit, per edge, or filter
+// and ingest, per batch. The check is one interner probe per edge: an Intern under a universal set, a Lookup and a Has under a
 // narrow one, so a type the set does not hold is never interned. An edge
 // the set drops touches nothing — no name probe, no AddEdge, no search —
 // and what it still counts for (the sweep clock) is the caller's.
@@ -127,19 +124,6 @@ type admission struct {
 type keptEdge struct {
 	pos int32
 	typ graph.TypeID
-}
-
-// admitSet interns types into g and returns the set of exactly those, or
-// the universal set when universal.
-func admitSet(g *graph.Graph, types []string, universal bool) graph.TypeSet {
-	if universal {
-		return graph.UniversalTypes()
-	}
-	ids := make([]graph.TypeID, len(types))
-	for i, tp := range types {
-		ids[i] = graph.TypeID(g.Types().Intern(tp))
-	}
-	return graph.NewTypeSet(ids...)
 }
 
 // admit resolves se's type against g's interner and reports whether the
@@ -188,7 +172,7 @@ func ingestOne(g *graph.Graph, se stream.Edge, t graph.TypeID) graph.Edge {
 
 // searchShared is the batch step of an engine under a multi-query
 // driver (MultiEngine and, through it, every shard and remote worker),
-// run after the driver's shared-graph ingest. Recycling the previous
+// run after the driver's batch ingest. Recycling the previous
 // results and the arena here is safe: the driver has drained the
 // previous batch's rows before it offers the next.
 func (e *Engine) searchShared(des []graph.Edge) [][]iso.Match {
@@ -254,24 +238,16 @@ func (m *MultiEngine) ProcessBatchGrouped(ses []stream.Edge) [][]NamedMatch {
 // match is copied, and a replica filter that rejects part of the batch
 // costs nothing either — the admitted edges are ingested straight out of
 // ses, and only their positions are kept (admission) — so a batch costs
-// the heap nothing. As in Engine.processSubBatch, the sweep runs first,
-// from the pre-batch clock.
+// the heap nothing.
 func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat []NamedMatch) {
 	if len(ses) == 0 {
 		return nil, nil
 	}
 	m.arena.begin()
 	rows = m.arena.namedBuf(len(ses))
-	m.maybeEvict()
-	n, _ := m.adm.filter(m.g, ses)
-	if n == 0 {
+	des, _ := m.ingestBatch(ses)
+	if len(des) == 0 {
 		return rows, nil
-	}
-	m.edgesSeen += int64(n)
-	m.stored += int64(n)
-	des := m.adm.ingest(m.g, ses, &m.arena)
-	for _, de := range des {
-		m.clock.offer(de.TS)
 	}
 	if cap(m.pq) < len(m.engines) {
 		m.pq = make([][][]iso.Match, len(m.engines))
@@ -299,4 +275,21 @@ func (m *MultiEngine) processBatch(ses []stream.Edge) (rows [][]NamedMatch, flat
 		}
 	}
 	return rows, flat
+}
+
+// ingestBatch is the one batch ingest: the sweep, from the clock before
+// the batch (see sweepClock), then admission, ingest and the clock. It
+// returns the admitted edges in input order, in an arena buffer
+// (m.adm.kept holds their positions in ses), and the batch's largest
+// timestamp.
+func (m *MultiEngine) ingestBatch(ses []stream.Edge) (des []graph.Edge, hiTS int64) {
+	m.maybeEvict()
+	n, hiTS := m.adm.filter(m.g, ses)
+	m.edgesSeen += int64(n)
+	m.stored += int64(n)
+	des = m.adm.ingest(m.g, ses, &m.arena)
+	for _, de := range des {
+		m.clock.offer(de.TS)
+	}
+	return des, hiTS
 }

@@ -237,7 +237,7 @@ func TestBatchEvictionProperty(t *testing.T) {
 		for _, se := range edges {
 			serial.ProcessEdge(se)
 		}
-		serial.ForceEvict()
+		serial.host.ForceEvict()
 
 		batched, err := New(q, Config{Strategy: StrategySingle, Window: window, Stats: stats})
 		if err != nil {
@@ -251,7 +251,7 @@ func TestBatchEvictionProperty(t *testing.T) {
 			}
 			batched.ProcessBatch(edges[lo:hi])
 		}
-		batched.ForceEvict()
+		batched.host.ForceEvict()
 
 		got, want := liveSet(batched.Graph()), liveSet(serial.Graph())
 		if !equalStrings(got, want) {

@@ -65,6 +65,21 @@ func (m *MultiEngine) WindowSize() int64 { return m.window }
 // math.MinInt64 until there is one.
 func (m *MultiEngine) SweepClock() (seenTS, cutoff int64) { return m.clock.seen, m.clock.cut }
 
+// ForceEvict sweeps now (see sweep) at the exact cutoff T − Window + 1,
+// not the clock's rounded one, and returns it (0 when windowing is off or
+// nothing was offered yet); persist.Save runs it. The clock's next sweep
+// is the one it would have run without this one: the next rounded
+// cutoff above the last lies above the exact one.
+func (m *MultiEngine) ForceEvict() int64 {
+	cutoff, ok := m.clock.exact()
+	if !ok {
+		return 0
+	}
+	m.sweep(cutoff)
+	m.clock.cut = max(m.clock.cut, cutoff)
+	return cutoff
+}
+
 // RestoreSweepClock replaces the shared sweep clock and the ingest
 // counters (Stats().EdgesProcessed and EdgesStored), so that a restored
 // engine sweeps at exactly the stream positions and cutoffs the

@@ -8,25 +8,25 @@
 // incremental baseline (IncIso, after Fan et al. as used in the
 // authors' prior work).
 //
-// The engine owns the windowed data graph: feed it stream edges with
+// A standalone Engine is a MultiEngine of one: New builds a private
+// MultiEngine, the host, which owns the windowed data graph, and
+// registers the query on it. Feed the engine stream edges with
 // ProcessEdge and it returns the incremental set of complete matches
 // f(Gd, Gq, E_{k+1}) = M(G^{k+1}_d) − M(G^k_d). ProcessBatch (batch.go)
 // ingests many edges at once — one amortized eviction pass, then the
 // same per-edge search — with per-edge results identical to the serial
-// loop.
+// loop. Both run the host's ingest step, then the engine's search.
 //
-// The graph holds only what the query can match. New derives the set of
-// edge types the engine admits from the query's footprint
+// The graph holds only what the query can match: the host's replica
+// filter (SetReplicaFilter) is the query's footprint
 // (query.Graph.TypeFootprint; every type when an edge type is a
 // wildcard), and an edge of another type is dropped before it touches
 // the graph: the matchers respect edge types, so no strategy could bind
-// it. A dropped edge still counts as processed and still raises the
-// largest timestamp offered, which the sweep clock reads (sweepClock), so
-// sweeps cut where they would over the whole stream and the SJ-Tree
-// evolves as in an engine that stored every edge. A MultiEngine ingests
-// through the same admission, with its replica filter as the set
-// (SetReplicaFilter), and sweeps by the same rule, on the timestamps it
-// admits.
+// it. All a standalone engine adds to its host's step is that a dropped
+// edge still counts as processed and still raises the largest timestamp
+// offered, which the sweep clock reads (sweepClock), so sweeps cut where
+// they would over the whole stream and the SJ-Tree evolves as in an
+// engine that stored every edge.
 //
 // # Match lifetimes
 //
@@ -198,18 +198,21 @@ type Stats struct {
 	IsoSteps        int64 // recursive extension steps inside the matcher
 	GraphEvicted    int64
 	// VerticesReclaimed counts the vertex slots window sweeps have
-	// recycled in the engine's own graph (0 for a query engine under a
-	// MultiEngine, whose graph is shared; read
+	// recycled in a standalone engine's graph (0, as GraphEvicted, for a
+	// query engine under a shared MultiEngine; read
 	// MultiEngine.Graph().VerticesReclaimed there).
 	VerticesReclaimed int64
 	Tree              sjtree.Stats
 }
 
-// Engine runs one continuous query over one data stream.
+// Engine runs one continuous query over the graph of the MultiEngine it
+// is registered on, a private one for a standalone engine (New).
 type Engine struct {
 	q   *query.Graph
 	cfg Config
 
+	// host is a standalone engine's MultiEngine, nil under a shared one.
+	host    *MultiEngine
 	g       *graph.Graph
 	matcher *iso.Matcher
 	tree    *sjtree.Tree // nil for VF2 / IncIso
@@ -277,17 +280,6 @@ type Engine struct {
 	// arena backs the batch path's scratch and result slices, recycled
 	// per batch generation (see batchArena).
 	arena batchArena
-
-	// external marks an engine whose graph ingestion and eviction are
-	// managed by a MultiEngine.
-	external bool
-
-	// adm admits the edges whose type the query's footprint holds (every
-	// edge when a query edge's type is a wildcard); the others are
-	// dropped before they touch the graph. A dropped edge still counts
-	// in Stats.EdgesProcessed and is still offered to the sweep clock.
-	adm   admission
-	clock sweepClock
 	stats Stats
 }
 
@@ -302,21 +294,26 @@ type retroItem struct {
 	floor int64
 }
 
-// New builds an engine for query q.
+// New builds a standalone engine for query q (see Solo). Unlike
+// MultiEngine.Register it takes Config.Adaptive, and a tree strategy
+// needs Config.Stats or Config.Leaves.
 func New(q *query.Graph, cfg Config) (*Engine, error) {
+	m := NewMulti(MultiConfig{Window: cfg.Window})
+	if _, err := m.register("standalone", q, cfg); err != nil {
+		return nil, err
+	}
+	return m.Solo()
+}
+
+// newEngine is the one engine constructor: query q's engine over g.
+func newEngine(g *graph.Graph, q *query.Graph, cfg Config) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		q:     q,
-		cfg:   cfg,
-		g:     graph.New(),
-		hiTS:  math.MinInt64,
-		clock: newSweepClock(cfg.Window),
-	}
-	types, exact := q.TypeFootprint()
-	e.adm.types = admitSet(e.g, types, !exact)
-	e.matcher = e.newMatcher()
+	e := &Engine{q: q, cfg: cfg, g: g, matcher: iso.NewMatcher(g, q), hiTS: math.MinInt64}
+	e.matcher.Window = cfg.Window
+	e.matcher.MaxMatches = cfg.MaxMatchesPerSearch
+	e.matcher.MaxStepsPerSearch = cfg.MaxStepsPerSearch
 	e.mergeEmit = func(m iso.Match) bool {
 		e.curFound++
 		e.stats.LeafMatches++
@@ -404,17 +401,6 @@ func Decompose(q *query.Graph, s Strategy, stats *selectivity.Collector) (leaves
 	}
 }
 
-// newMatcher builds a matcher over the engine's current graph with the
-// engine's search limits. The tree's match pool is wired where the
-// matcher is (re)bound to a tree.
-func (e *Engine) newMatcher() *iso.Matcher {
-	m := iso.NewMatcher(e.g, e.q)
-	m.Window = e.cfg.Window
-	m.MaxMatches = e.cfg.MaxMatchesPerSearch
-	m.MaxStepsPerSearch = e.cfg.MaxStepsPerSearch
-	return m
-}
-
 // Graph exposes the engine's windowed data graph (read-only use).
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
@@ -436,7 +422,8 @@ func (e *Engine) RelativeSelectivity() float64 { return e.relSel }
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.IsoSteps = e.matcher.Calls()
-	if !e.external {
+	if e.host != nil {
+		s.GraphEvicted += e.host.evicted
 		s.VerticesReclaimed = e.g.VerticesReclaimed()
 	}
 	if e.tree != nil {
@@ -452,15 +439,15 @@ func (e *Engine) Stats() Stats {
 // until the next ProcessEdge, ProcessBatch or FlushPending call on this
 // engine and no longer (see "Match lifetimes" in the package comment).
 // An edge whose type the query cannot bind is not stored and completes
-// nothing, but counts for the sweep clock (see Engine.adm).
+// nothing, but counts for the sweep clock (see MultiEngine.ingest). It
+// and ProcessBatch drive a standalone engine (New); a query engine on a
+// shared MultiEngine is driven by that.
 func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
-	t, ok := e.adm.admit(e.g, se)
-	e.clock.offer(se.TS)
-	var de graph.Edge
-	if ok {
-		de = ingestOne(e.g, se, t)
+	de, ok := e.host.ingest(se)
+	if !ok {
+		e.host.clock.offer(se.TS)
+		e.host.maybeEvict()
 	}
-	e.maybeEvict()
 	if e.adaptive != nil {
 		e.observeAdaptive(se)
 	}
@@ -472,9 +459,9 @@ func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 	return e.processShared(de)
 }
 
-// processShared runs the per-edge incremental search assuming the edge
-// is already present in the graph (the MultiEngine ingestion path). The
-// result is res.Matches itself (see ProcessEdge for its lifetime).
+// processShared runs the per-edge incremental search for an edge already
+// ingested into the graph. The result is res.Matches itself (see
+// ProcessEdge for its lifetime).
 func (e *Engine) processShared(de graph.Edge) []iso.Match {
 	e.res.Reset()
 	e.searchEdge(de)
@@ -758,71 +745,20 @@ func (e *Engine) clearStamps() {
 	e.bitSet = e.bitSet[:0]
 }
 
-// sweep is the one window-maintenance pass: it expires g at cutoff and
-// then prunes every engine searching g at the same cutoff, returning
-// the number of graph edges removed. The order is what makes recycled
-// IDs safe (see "ID lifetimes" in package graph): the graph pass frees
-// the EdgeIDs of expired edges and the VertexIDs of the vertices left
-// without an edge; before anything can reuse them, each engine drops
-// every holder of such an ID — stored matches older than the cutoff (a
-// surviving match binds only live edges, hence only vertices that kept
-// one), and the lazy stamps and queued retrospective searches of
-// vertices without an edge. A queue normally drains within the edge
-// that filled it; it outlives one only after an adaptive migration or
-// a checkpoint restore, and the batch path sweeps before it ingests,
-// so without the last step such an item would be searched around
-// whichever name took the slot. Dropping it loses nothing: a search
-// around a vertex without an edge finds nothing.
-//
-// A sweep also marks each engine's result slab, so that its next Reset
-// may cut back what a burst of complete matches grew (sjtree.Results);
-// the matches the caller holds now are untouched.
-func sweep(g *graph.Graph, cutoff int64, engines ...*Engine) int {
-	evicted := g.ExpireBefore(cutoff)
-	for _, e := range engines {
-		e.res.Swept()
-		if e.tree != nil {
-			e.tree.ExpireBefore(cutoff)
-		}
-		if !e.lazy {
-			continue
-		}
-		kept := e.bitSet[:0]
-		for _, v := range e.bitSet {
-			if g.Degree(v) == 0 {
-				unset(e.stamps(v))
-			} else {
-				kept = append(kept, v)
-			}
-		}
-		e.bitSet = kept
-		for l, items := range e.pending {
-			live := items[:0]
-			for _, it := range items {
-				if g.Degree(it.v) > 0 {
-					live = append(live, it)
-				}
-			}
-			e.pending[l] = live
-		}
-	}
-	return evicted
-}
-
-// sweepClock is the one rule deciding when a tier sweeps, shared by
-// Engine and MultiEngine and computed from the stream alone: the window
-// cutoff T − Window + 1, where T is the largest timestamp the tier was
-// offered, rounded down to a multiple of the step q = max(1, Window/32).
-// The tier sweeps when that rounded cutoff passes the last one it swept
-// at, so a sweep runs once per q ticks of stream time, whatever the edge
-// rate, and the per-edge path holds at most q ticks past the window. A
+// sweepClock is the one rule deciding when a MultiEngine sweeps,
+// computed from the stream alone: the window cutoff T − Window + 1,
+// where T is the largest timestamp the tier was offered, rounded down to
+// a multiple of the step q = max(1, Window/32). The tier sweeps when
+// that rounded cutoff passes the last one it swept at, so a sweep runs
+// once per q ticks of stream time, whatever the edge rate, and the
+// per-edge path holds at most q ticks past the window. The host of a
 // standalone Engine is offered every edge, those its footprint drops
-// included, so it sweeps at the cutoffs of an engine storing everything.
-// A MultiEngine is offered the edges its replica filter admits, as a
-// replica of the sharded runtime is offered only what its router does
-// not gate away; with non-decreasing timestamps it has swept, at every
-// edge it admits, where an engine offered everything has, since both
-// round the same timestamp.
+// included, so it sweeps at the cutoffs of an engine storing
+// everything. A shared MultiEngine is offered the edges its replica
+// filter admits, as a replica of the sharded runtime is offered only
+// what its router does not gate away; with non-decreasing timestamps it
+// has swept, at every edge it admits, where an engine offered
+// everything has, since both round the same timestamp.
 //
 // The per-edge path checks the clock after it ingests; the batch path
 // checks it once, before it ingests, from the pre-batch maximum, so its
@@ -842,10 +778,6 @@ type sweepClock struct {
 	// swept, when set, is called with every cutoff the clock fires at
 	// (a test hook).
 	swept func(cutoff int64)
-}
-
-func newSweepClock(window int64) sweepClock {
-	return sweepClock{window: window, seen: math.MinInt64, cut: math.MinInt64}
 }
 
 // offer raises T to ts.
@@ -880,14 +812,6 @@ func (c *sweepClock) due() (int64, bool) {
 		c.swept(cutoff)
 	}
 	return cutoff, true
-}
-
-// maybeEvict sweeps the engine's graph when the clock is due (see
-// sweepClock and sweep).
-func (e *Engine) maybeEvict() {
-	if cutoff, ok := e.clock.due(); ok {
-		e.stats.GraphEvicted += int64(sweep(e.g, cutoff, e))
-	}
 }
 
 // Explain renders a match as human-readable bindings.

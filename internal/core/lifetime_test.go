@@ -184,7 +184,7 @@ func TestResultsValidUntilNextCall(t *testing.T) {
 			}
 			check(step, "while the engine was only read")
 			if step%5 == 0 {
-				eng.ForceEvict()
+				eng.host.ForceEvict()
 				check(step, "across a window sweep")
 			}
 		}

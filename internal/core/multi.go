@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -36,6 +38,7 @@ type MultiEngine struct {
 
 	clock     sweepClock
 	edgesSeen int64
+	evicted   int64 // graph edges swept
 
 	// adm holds the replica filter: the set of edge types ingestion
 	// admits, over the shared graph's interner. It defaults to
@@ -80,7 +83,7 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 		g:       graph.New(),
 		window:  cfg.Window,
 		queries: make(map[string]*Engine),
-		clock:   newSweepClock(cfg.Window),
+		clock:   sweepClock{window: cfg.Window, seen: math.MinInt64, cut: math.MinInt64},
 		adm:     admission{types: graph.UniversalTypes()},
 	}
 }
@@ -110,7 +113,15 @@ func NewMulti(cfg MultiConfig) *MultiEngine {
 // edge instead of the next stream edge, which shifts when a match is
 // reported but not whether.
 func (m *MultiEngine) SetReplicaFilter(types []string, universal bool) {
-	m.adm.types = admitSet(m.g, types, universal)
+	if universal {
+		m.adm.types = graph.UniversalTypes()
+		return
+	}
+	ids := make([]graph.TypeID, len(types))
+	for i, tp := range types {
+		ids[i] = graph.TypeID(m.g.Types().Intern(tp))
+	}
+	m.adm.types = graph.NewTypeSet(ids...)
 }
 
 // ReplicaView returns the shared graph seen through the replica
@@ -190,58 +201,72 @@ func (m *MultiEngine) Statistics() *selectivity.Collector {
 // Register adds a continuous query under a unique name. A tree strategy
 // is decomposed from Config.Leaves or Config.Stats when cfg brings
 // either, and from the window's statistics (Statistics) otherwise. The
-// engine's graph and window are overridden to the shared ones.
+// engine's window is overridden to the shared one. Existing edges are
+// not retroactively searched (see RegisterWithBackfill). Config.Adaptive
+// is refused: nothing here feeds its statistics; New takes it.
 func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
-	if _, dup := m.queries[name]; dup {
-		return fmt.Errorf("core: query %q already registered", name)
+	if cfg.Adaptive != nil {
+		return fmt.Errorf("core: query %q: adaptive queries (Config.Adaptive) run standalone only", name)
 	}
-	cfg.Window = m.window
 	if cfg.Stats == nil && cfg.Leaves == nil && cfg.Strategy.Decomposes() {
 		cfg.Stats = m.Statistics()
 	}
-	eng, err := New(q, cfg)
+	_, err := m.register(name, q, cfg)
+	return err
+}
+
+// register adds query q's engine over the shared graph under name.
+func (m *MultiEngine) register(name string, q *query.Graph, cfg Config) (*Engine, error) {
+	if _, dup := m.queries[name]; dup {
+		return nil, fmt.Errorf("core: query %q already registered", name)
+	}
+	cfg.Window = m.window
+	eng, err := newEngine(m.g, q, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Rebind the engine to the shared graph. Existing edges are not
-	// retroactively searched: a freshly registered query sees matches
-	// whose last edge arrives after registration, plus anything its
-	// lazy repair reaches in the existing neighborhood.
-	// What the shared graph admits is the MultiEngine's replica filter;
-	// the engine's own footprint set was interned into the graph it
-	// leaves behind.
-	eng.g, eng.adm = m.g, admission{}
-	eng.matcher = eng.newMatcher()
-	if eng.tree != nil {
-		eng.matcher.Pool = eng.tree.Pool()
-	}
-	eng.external = true
 	m.queries[name] = eng
 	m.order = append(m.order, name)
 	m.engines = append(m.engines, eng)
-	return nil
+	return eng, nil
+}
+
+// Solo makes the one query registered on m a standalone engine, as New
+// does: m's replica filter becomes the query's footprint and m its host,
+// driven through the engine from then on. persist.Load uses it.
+func (m *MultiEngine) Solo() (*Engine, error) {
+	if len(m.engines) != 1 {
+		return nil, fmt.Errorf("core: a standalone engine runs one query, the MultiEngine holds %d", len(m.engines))
+	}
+	e := m.engines[0]
+	types, exact := e.q.TypeFootprint()
+	m.SetReplicaFilter(types, !exact)
+	e.host = m
+	return e, nil
 }
 
 // RegisterWithBackfill registers a query and then replays every live
 // edge of the shared graph through it, so patterns that already
 // partially (or fully) exist are tracked immediately. It returns the
-// complete matches found among the existing edges. The SJ-Tree's
-// insert path is arrival-order-robust, so arena replay order is
-// sufficient. Cost is O(live edges).
+// complete matches found among the existing edges, each once: the
+// replay is the batch search over the live edges in arrival order, so a
+// match is found at its last edge only. Cost is O(live edges).
 func (m *MultiEngine) RegisterWithBackfill(name string, q *query.Graph, cfg Config) ([]iso.Match, error) {
 	if err := m.Register(name, q, cfg); err != nil {
 		return nil, err
 	}
-	eng := m.queries[name]
-	var initial []iso.Match
+	var live []graph.Edge
 	m.g.EachEdge(func(de graph.Edge) bool {
-		// Each replayed edge ends the lifetime of the previous one's
-		// results; what is returned must outlive them all.
-		for _, mt := range eng.processShared(de) {
-			initial = append(initial, mt.Clone())
-		}
+		live = append(live, de)
 		return true
 	})
+	slices.SortFunc(live, func(a, b graph.Edge) int { return cmp.Compare(a.Seq, b.Seq) })
+	var initial []iso.Match // cloned: the engine's next call reuses its results
+	for _, row := range m.queries[name].searchShared(live) {
+		for _, mt := range row {
+			initial = append(initial, mt.Clone())
+		}
+	}
 	return initial, nil
 }
 
@@ -361,15 +386,10 @@ func (m *MultiEngine) ProcessEdge(se stream.Edge) []NamedMatch {
 // runs every query first and sizes the result from what they report, so
 // an edge that completes matches costs one arena take.
 func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
-	t, ok := m.adm.admit(m.g, se)
+	de, ok := m.ingest(se)
 	if !ok {
 		return nil
 	}
-	m.edgesSeen++
-	m.stored++
-	de := ingestOne(m.g, se, t)
-	m.clock.offer(se.TS)
-	m.maybeEvict()
 	m.arena.begin()
 	perQuery := m.arena.rowBuf(len(m.engines))
 	total := 0
@@ -388,11 +408,77 @@ func (m *MultiEngine) processEdge(se stream.Edge) []NamedMatch {
 	return out
 }
 
-// maybeEvict sweeps the shared graph and every query engine on it when
-// the clock is due (see sweepClock and sweep).
+// ingest is the one per-edge ingest step, of MultiEngine.ProcessEdge
+// and Engine.ProcessEdge: admission, ingest, the sweep clock and the
+// sweep. An edge the replica filter drops changes nothing (ok false).
+func (m *MultiEngine) ingest(se stream.Edge) (de graph.Edge, ok bool) {
+	t, ok := m.adm.admit(m.g, se)
+	if !ok {
+		return graph.Edge{}, false
+	}
+	m.edgesSeen++
+	m.stored++
+	de = ingestOne(m.g, se, t)
+	m.clock.offer(se.TS)
+	m.maybeEvict()
+	return de, true
+}
+
+// maybeEvict is the one sweep trigger (see sweepClock and sweep).
 func (m *MultiEngine) maybeEvict() {
 	if cutoff, ok := m.clock.due(); ok {
-		sweep(m.g, cutoff, m.engines...)
+		m.sweep(cutoff)
+	}
+}
+
+// sweep is the one window-maintenance pass: it expires the shared graph
+// at cutoff and then prunes every engine searching it at the same
+// cutoff. The order is what makes recycled IDs safe (see "ID lifetimes"
+// in package graph): the graph pass frees the EdgeIDs of expired edges
+// and the VertexIDs of the vertices left without an edge; before
+// anything can reuse them, each engine drops every holder of such an ID
+// — stored matches older than the cutoff (a surviving match binds only
+// live edges, hence only vertices that kept one), and the lazy stamps
+// and queued retrospective searches of vertices without an edge. A
+// queue normally drains within the edge that filled it; it outlives one
+// only after an adaptive migration or a checkpoint restore, and the
+// batch path sweeps before it ingests, so without the last step such an
+// item would be searched around whichever name took the slot. Dropping
+// it loses nothing: a search around a vertex without an edge finds
+// nothing.
+//
+// A sweep also marks each engine's result slab, so that its next Reset
+// may cut back what a burst of complete matches grew (sjtree.Results);
+// the matches the caller holds now are untouched.
+func (m *MultiEngine) sweep(cutoff int64) {
+	g := m.g
+	m.evicted += int64(g.ExpireBefore(cutoff))
+	for _, e := range m.engines {
+		e.res.Swept()
+		if e.tree != nil {
+			e.tree.ExpireBefore(cutoff)
+		}
+		if !e.lazy {
+			continue
+		}
+		kept := e.bitSet[:0]
+		for _, v := range e.bitSet {
+			if g.Degree(v) == 0 {
+				unset(e.stamps(v))
+			} else {
+				kept = append(kept, v)
+			}
+		}
+		e.bitSet = kept
+		for l, items := range e.pending {
+			live := items[:0]
+			for _, it := range items {
+				if g.Degree(it.v) > 0 {
+					live = append(live, it)
+				}
+			}
+			e.pending[l] = live
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func TestLiveRelabelDifferential(t *testing.T) {
 	var swept []string
 	for i, se := range edges {
 		if i == 3 {
-			e.ForceEvict()
+			e.host.ForceEvict()
 		}
 		for _, mt := range e.ProcessEdge(se) {
 			swept = append(swept, refmatch.MatchKey("q", q, e.Graph(), mt))

@@ -8,10 +8,11 @@ import (
 
 // This file exposes the engine-state surface the persist package needs
 // to checkpoint a continuous query and resume it in a new process:
-// configuration, the sweep clock, the Lazy Search stamps, deferred
-// retrospective work, and counter restoration. The windowed graph
-// itself is reachable through Graph(), and the SJ-Tree's stored matches
-// through Tree().EachStored.
+// configuration, the Lazy Search stamps, deferred retrospective work,
+// and counter restoration. The windowed graph itself is reachable
+// through Graph(), the SJ-Tree's stored matches through
+// Tree().EachStored, and the sweep clock through the host
+// (checkpoint.go).
 
 // ConfigSnapshot returns the engine's effective configuration with the
 // decomposition pinned (Leaves filled in), so that an engine rebuilt
@@ -45,35 +46,9 @@ func (e *Engine) FlushPending() []iso.Match {
 	return e.res.Matches
 }
 
-// ForceEvict runs the window sweep immediately (see sweep) at the exact
-// cutoff, T − Window + 1, rather than the sweep clock's rounded one, and
-// returns the cutoff applied (0 when windowing is off or no edge was
-// offered yet). It is for an engine that owns its graph: a query engine
-// under a MultiEngine is swept by the MultiEngine, together with every
-// other engine on the shared graph. T counts the edges the footprint
-// dropped (see Engine.adm), and a restored engine has it from the image.
-// The clock's next sweep is the one it would have run without this one:
-// the next rounded cutoff above the last lies above the exact one.
-func (e *Engine) ForceEvict() int64 {
-	cutoff, ok := e.clock.exact()
-	if !ok {
-		return 0
-	}
-	e.stats.GraphEvicted += int64(sweep(e.g, cutoff, e))
-	e.clock.cut = max(e.clock.cut, cutoff)
-	return cutoff
-}
-
-// SweepClock reports the sweep clock (see sweepClock): the largest
-// timestamp offered and the last cutoff swept at, each math.MinInt64
-// until there is one.
-func (e *Engine) SweepClock() (seenTS, cutoff int64) { return e.clock.seen, e.clock.cut }
-
-// RestoreSweepClock replaces the sweep clock, so that a restored engine
-// sweeps where the saved one would have.
-func (e *Engine) RestoreSweepClock(seenTS, cutoff int64) {
-	e.clock.seen, e.clock.cut = seenTS, cutoff
-}
+// Host returns the MultiEngine a standalone engine (New) runs on, nil
+// for a query engine under a shared one.
+func (e *Engine) Host() *MultiEngine { return e.host }
 
 // RestoreLazyStamps rebuilds the Lazy Search stamps of an engine whose
 // stored partial matches have just been restored (no-op for non-lazy

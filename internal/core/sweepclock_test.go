@@ -102,8 +102,8 @@ func TestSweepClockDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			tiers := []*clockTier{
-				{name: "universal Engine", clock: &univ.clock, live: univ.g.NumEdges},
-				{name: "footprint Engine", clock: &filt.clock, live: filt.g.NumEdges},
+				{name: "universal Engine", clock: &univ.host.clock, live: univ.g.NumEdges},
+				{name: "footprint Engine", clock: &filt.host.clock, live: filt.g.NumEdges},
 				{name: "universal MultiEngine", clock: &multi.clock, live: multi.g.NumEdges},
 				{name: "filtered replica", clock: &replica.clock, live: replica.g.NumEdges},
 			}

@@ -13,12 +13,12 @@ import (
 	"streamgraph/internal/sjtree"
 )
 
-// The sections both image kinds share: the vertex and edge tables, a
-// tree's stored partial matches, a decomposition's leaves and the
-// engine counters. A saver builds the image in one buffer and writes it
-// whole; a loader reads the image whole into one buffer and decodes it
-// with a bounds-checked cursor (see docs/PERSISTENCE.md, "Restore
-// cost").
+// The sections the image and the legacy single-engine image share: the
+// vertex and edge tables, a tree's stored partial matches, a
+// decomposition's leaves and the engine counters. The saver builds the
+// image in one buffer and writes it whole; a loader reads the image
+// whole into one buffer and decodes it with a bounds-checked cursor (see
+// docs/PERSISTENCE.md, "Restore cost").
 
 // Minimum encoded sizes, in bytes, of the records an image counts: a
 // count is refused unless that many records fit in what is left.

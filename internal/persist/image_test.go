@@ -38,9 +38,10 @@ func goldenEngines(t testing.TB) (*core.Engine, *core.MultiEngine) {
 	return eng, m
 }
 
-// TestSaveImageGolden pins the bytes both savers write for a fixed
-// stream. The hashes were taken from the map-indexed savers that the
-// dense-slice ones replace.
+// TestSaveImageGolden pins the bytes SaveMulti writes for a fixed
+// stream, and that Save writes exactly SaveMulti of its engine's host
+// once the host is flushed and swept. The hash was taken from the
+// map-indexed saver that the dense-slice one replaces.
 func TestSaveImageGolden(t *testing.T) {
 	eng, m := goldenEngines(t)
 	check := func(name string, img []byte, size int, want string) {
@@ -50,11 +51,16 @@ func TestSaveImageGolden(t *testing.T) {
 			t.Errorf("%s wrote %d bytes hashing to %s, want %d bytes hashing to %s", name, len(img), got, size, want)
 		}
 	}
-	var buf bytes.Buffer
+	var buf, host bytes.Buffer
 	if _, err := Save(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
-	check("Save", buf.Bytes(), 22102, "b60406ef145964e2250233ae16f46ce1d335e3fb159b2b24e09e1b5de466af92")
+	if err := SaveMulti(&host, eng.Host()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), host.Bytes()) {
+		t.Errorf("Save wrote %d bytes, SaveMulti of the flushed host %d bytes that differ", buf.Len(), host.Len())
+	}
 	buf.Reset()
 	if err := SaveMulti(&buf, m); err != nil {
 		t.Fatal(err)
@@ -189,9 +195,8 @@ func TestLoadRejectsOversizedCounts(t *testing.T) {
 	}
 }
 
-// fuzzSeeds adds the seeds both fuzz targets start from: a fresh
-// version 2 image of each kind, the version 1 images of testdata and
-// the count bombs.
+// fuzzSeeds adds the seeds both fuzz targets start from: a fresh image
+// from each saver, the legacy images of testdata and the count bombs.
 func fuzzSeeds(f *testing.F) {
 	eng, m := goldenEngines(f)
 	var buf bytes.Buffer
@@ -204,7 +209,7 @@ func fuzzSeeds(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
-	for _, name := range []string{"engine_v1.snap", "multi_v1.snap"} {
+	for _, name := range []string{"engine_v1.snap", "engine_v2.snap", "multi_v1.snap"} {
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			f.Fatal(err)

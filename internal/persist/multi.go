@@ -21,10 +21,10 @@ import (
 // does not. A LoadMulti'd engine fed the same stream suffix emits
 // exactly the matches the original would have and sweeps where it
 // would have. Lazy Search enablement is rebuilt from the stored matches.
-// The image versions follow the single-engine ones (see version): a
-// version 1 image carried an eviction cadence, the edges since the last
-// sweep and a Lazy Search mask per vertex, where version 2 carries the
-// sweep clock.
+// A version 1 image carried an eviction cadence, the edges since the
+// last sweep and a Lazy Search mask per vertex, where version 2 carries
+// the sweep clock; both load. This is the one format written: Save
+// writes a standalone engine's host in it.
 //
 // The replica filter (SetReplicaFilter) is deliberately NOT serialized
 // and must be re-applied by the caller, which owns it in every

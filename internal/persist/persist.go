@@ -7,6 +7,11 @@
 // suffix of a stream to the original and the restored engine yields
 // identical match sets.
 //
+// There is one image format, SaveMulti's (multi.go): a standalone
+// engine is a MultiEngine of one (core.New), and Save writes its host.
+// The single-engine format of earlier versions ("SGSNAP1", versions 1
+// and 2) is only read, so images already on disk still load.
+//
 // The paper's engine is a long-standing query over an endless stream
 // ("register a pattern ... continuously perform the query"); surviving
 // a process restart without dropping the partial matches accumulated
@@ -14,6 +19,8 @@
 package persist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,79 +31,62 @@ import (
 	"streamgraph/internal/query"
 )
 
-// Image versions. A version 2 image carries the sweep clock (the
-// largest timestamp offered and the last cutoff swept at) where version 1
-// carried an eviction cadence in edges, and no Lazy Search masks, which
-// nothing read. Both load; a version 1 image restarts the clock from its
-// graph's latest timestamp.
 const (
-	magic   = "SGSNAP1\n"
-	version = uint32(2)
+	// magic opens a legacy single-engine image. Version 2 carries the
+	// sweep clock (the largest timestamp offered and the last cutoff
+	// swept at) where version 1 carried an eviction cadence in edges, and
+	// no Lazy Search masks, which nothing read. Both load; a version 1
+	// image restarts the clock from its graph's latest timestamp.
+	magic = "SGSNAP1\n"
 	// noIdx marks an unbound binding slot in the serialized form.
 	noIdx = uint32(math.MaxUint32)
 )
 
-// Save writes a snapshot of the engine to w. The engine must be
-// quiescent (between ProcessEdge calls). Save first flushes deferred
-// lazy work and forces window eviction; complete matches produced by
-// the flush are returned so the caller can report them.
+// Save writes a snapshot of a standalone engine (core.New or Load) to
+// w. The engine must be quiescent (between ProcessEdge calls). Save
+// first flushes deferred lazy work and sweeps the window at its exact
+// cutoff, then writes the engine's host (SaveMulti); complete matches
+// produced by the flush are returned so the caller can report them.
 func Save(w io.Writer, eng *core.Engine) (flushed []iso.Match, err error) {
-	flushed = eng.FlushPending()
-	eng.ForceEvict()
-
-	e := &encoder{}
-	e.b = append(e.b, magic...)
-	e.u32(version)
-
-	// Query and configuration (decomposition pinned).
-	cfg := eng.ConfigSnapshot()
-	e.str(eng.Query().String())
-	e.u32(uint32(cfg.Strategy))
-	e.i64(cfg.Window)
-	e.u32(uint32(cfg.MaxMatchesPerSearch))
-	e.i64(cfg.MaxWorkPerEdge)
-	e.i64(cfg.MaxStepsPerSearch)
-	e.leaves(cfg.Leaves)
-	seenTS, cutoff := eng.SweepClock()
-	e.i64(seenTS)
-	e.i64(cutoff)
-
-	// The referenced vertex set: endpoints of live edges and match
-	// bindings.
-	ix := newIndex(eng.Graph())
-	nStored, err := ix.needStored(eng.Tree())
-	if err != nil {
-		return flushed, fmt.Errorf("persist: %w", err)
+	m := eng.Host()
+	if m == nil {
+		return nil, errors.New("persist: Save takes a standalone engine; save the MultiEngine it is registered on with SaveMulti")
 	}
-	e.graph(ix)
-	e.stored(eng.Tree(), nStored, ix)
-	e.stats(eng.Stats())
-
-	_, err = w.Write(e.b)
-	return flushed, err
+	flushed = eng.FlushPending()
+	m.ForceEvict()
+	return flushed, SaveMulti(w, m)
 }
 
-// Load reads a snapshot and returns a restored engine ready to continue
-// processing the stream. It reads r to its end.
+// Load reads a snapshot of a standalone engine — a one-query SaveMulti
+// image, or a legacy single-engine image — and returns a restored
+// engine ready to continue processing the stream. It reads r to its
+// end.
 func Load(r io.Reader) (*core.Engine, error) {
 	d, err := readImage(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+	var eng *core.Engine
+	switch {
+	case err != nil:
+	case bytes.HasPrefix(d.b, []byte(magic)):
+		eng, err = d.engine()
+	default:
+		var m *core.MultiEngine
+		if m, err = d.multi(); err == nil {
+			eng, err = m.Solo()
+		}
 	}
-	eng, err := d.engine()
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return eng, nil
 }
 
-// engine decodes a Save image.
+// engine decodes a legacy single-engine image.
 func (d *decoder) engine() (*core.Engine, error) {
 	if head := d.take(len(magic)); d.err == nil && string(head) != magic {
 		return nil, fmt.Errorf("bad magic %q", head)
 	}
 	v := d.u32()
-	if d.err == nil && v != 1 && v != version {
+	if d.err == nil && v != 1 && v != 2 {
 		return nil, fmt.Errorf("unsupported snapshot version %d", v)
 	}
 
@@ -142,7 +132,8 @@ func (d *decoder) engine() (*core.Engine, error) {
 		}
 		seenTS = v1SeenTS(g)
 	}
-	eng.RestoreSweepClock(seenTS, cutoff)
+	// The image carries no host counters.
+	eng.Host().RestoreSweepClock(seenTS, cutoff, 0, 0)
 	// Lazy Search enablement is rebuilt from the stored matches.
 	eng.RestoreLazyStamps()
 	// Engine counters. IsoSteps restarts from zero (it is a live matcher

@@ -11,15 +11,18 @@ import (
 	"streamgraph/internal/query"
 )
 
-// The version 1 images in testdata were written by the code of that
-// format (an eviction cadence of 256 edges, the default) from the first
-// v1Cut edges of testStream(3000), with statistics over the whole
-// stream and a window of 300:
+// The legacy images in testdata were written by the code of their
+// format from the first v1Cut edges of testStream(3000), with
+// statistics over the whole stream and a window of 300:
 //
 //   - engine_v1.snap: Save of a standalone engine running testQuery
-//     under PathLazy;
+//     under PathLazy, by version 1 (an eviction cadence of 256 edges,
+//     the default);
 //   - multi_v1.snap: SaveMulti of a MultiEngine holding testQuery under
-//     SingleLazy as "tcp-udp-icmp" and GRE→TCP under Path as "gre-tcp".
+//     SingleLazy as "tcp-udp-icmp" and GRE→TCP under Path as "gre-tcp",
+//     by version 1;
+//   - engine_v2.snap: the same Save as engine_v1.snap by the last code
+//     that wrote single-engine ("SGSNAP1") images, at version 2.
 const v1Cut, v1Window = 1500, 300
 
 // TestLoadV1ImageDifferential loads each version 1 image, continues it
@@ -124,10 +127,69 @@ func TestLoadV1ImageDifferential(t *testing.T) {
 	})
 }
 
-// TestSnapshotWritesV2: both savers write version 2, and a version 2
-// image carries the sweep clock, so a restored engine — footprint
-// filtered, its clock moved by edges it dropped — sweeps where the saved
-// one would have.
+// TestLoadV2ImageDifferential loads the version 2 single-engine image,
+// continues it on the rest of the stream, and requires per edge the
+// matches of an engine of this version that ran the whole stream
+// uninterrupted, with the decomposition the image pins. It also
+// requires the sweep clock the image carries.
+func TestLoadV2ImageDifferential(t *testing.T) {
+	edges := testStream(3000)
+	data, err := os.ReadFile("testdata/engine_v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(magic)) || data[len(magic)] != 2 {
+		t.Fatalf("testdata/engine_v2.snap is not a version 2 %q image", magic)
+	}
+	restored, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := restored.ConfigSnapshot()
+	if cfg.Strategy != core.StrategyPathLazy || cfg.Window != v1Window || len(cfg.Leaves) == 0 {
+		t.Fatalf("restored config %+v", cfg)
+	}
+	if n := restored.Stats().EdgesProcessed; n != v1Cut {
+		t.Fatalf("restored engine processed %d edges, want %d", n, v1Cut)
+	}
+	whole, err := core.New(testQuery(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, se := range edges[:v1Cut] {
+		whole.ProcessEdge(se)
+	}
+	// Save swept at the exact cutoff; the clock's last rounded one is
+	// behind it or equal.
+	seen, cut := whole.Host().SweepClock()
+	if rs, rc := restored.Host().SweepClock(); rs != seen || rc < cut || rc > seen-v1Window+1 {
+		t.Fatalf("restored sweep clock (%d, %d), uninterrupted (%d, %d)", rs, rc, seen, cut)
+	}
+	total := 0
+	for i, se := range edges[v1Cut:] {
+		var got, want []string
+		for _, m := range restored.ProcessEdge(se) {
+			got = append(got, sig(restored, m))
+		}
+		for _, m := range whole.ProcessEdge(se) {
+			want = append(want, sig(whole, m))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("edge %d: restored engine reports %q, uninterrupted %q", v1Cut+i, got, want)
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("no matches after the cut; the differential is vacuous")
+	}
+}
+
+// TestSnapshotWritesV2: both savers write a SaveMulti image at version
+// 2 — Save writes its engine's host — and a version 2 image carries the
+// sweep clock, so a restored engine — footprint filtered, its clock
+// moved by edges it dropped — sweeps where the saved one would have.
 func TestSnapshotWritesV2(t *testing.T) {
 	edges := testStream(1200)
 	for typ := edges[len(edges)-1].Type; typ == "TCP" || typ == "UDP" || typ == "ICMP"; typ = edges[len(edges)-1].Type {
@@ -144,15 +206,15 @@ func TestSnapshotWritesV2(t *testing.T) {
 	if _, err := Save(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[len(magic)]; v != 2 {
-		t.Fatalf("Save writes version %d, want 2", v)
+	if head, v := string(buf.Bytes()[:len(multiMagic)]), buf.Bytes()[len(multiMagic)]; head != multiMagic || v != 2 {
+		t.Fatalf("Save writes %q version %d, want %q version 2", head, v, multiMagic)
 	}
 	restored, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen, cut := eng.SweepClock()
-	if rs, rc := restored.SweepClock(); rs != seen || rc != cut {
+	seen, cut := eng.Host().SweepClock()
+	if rs, rc := restored.Host().SweepClock(); rs != seen || rc != cut {
 		t.Fatalf("restored sweep clock (%d, %d), saved (%d, %d)", rs, rc, seen, cut)
 	}
 	if seen != edges[len(edges)-1].TS || seen == restored.Graph().LastTS() {

@@ -627,23 +627,28 @@ func testReplicaPropertySeed(t *testing.T, seed int64) {
 	}
 }
 
-// TestAdaptiveRequiresFullReplicas pins the API guard: adaptive
-// engines re-decompose from their own statistics, which on a filtered
-// replica would reflect only the shard's stream slice — Register must
-// refuse rather than silently diverge from the serial schedule.
+// TestAdaptiveRequiresFullReplicas pins the API guard: a slot's engine
+// is a MultiEngine, which never re-decomposes a query, and the wire
+// carries no adaptive field, so Register refuses an adaptive query in
+// every topology — filtered, fully replicated, all-remote and mixed —
+// rather than accept one that would never adapt.
 func TestAdaptiveRequiresFullReplicas(t *testing.T) {
-	r := New(Config{Shards: 1, Window: 100})
-	err := r.Register("a", query.NewPath(query.Wildcard, "GRE", "TCP"),
-		core.Config{Strategy: core.StrategySingleLazy, Adaptive: &core.AdaptiveConfig{}})
-	if err == nil {
-		t.Fatal("adaptive register on a filtering router succeeded")
+	addr, _ := startRemoteWorker(t)
+	for _, tp := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"filtered", Config{Shards: 1, Window: 100}},
+		{"full replicas", Config{Shards: 1, Window: 100, FullReplicas: true}},
+		{"all-remote", Config{Shards: 0, Remotes: []string{addr}, Window: 100, FullReplicas: true}},
+		{"mixed", Config{Shards: 1, Remotes: []string{addr}, Window: 100}},
+	} {
+		r := New(tp.cfg)
+		err := r.Register("a", query.NewPath(query.Wildcard, "GRE", "TCP"),
+			core.Config{Strategy: core.StrategySingleLazy, Adaptive: &core.AdaptiveConfig{}})
+		r.Close()
+		if err == nil {
+			t.Fatalf("%s: an adaptive register succeeded", tp.name)
+		}
 	}
-	r.Close()
-
-	full := New(Config{Shards: 1, Window: 100, FullReplicas: true})
-	if err := full.Register("a", query.NewPath(query.Wildcard, "GRE", "TCP"),
-		core.Config{Strategy: core.StrategySingleLazy, Adaptive: &core.AdaptiveConfig{}}); err != nil {
-		t.Fatalf("adaptive register with FullReplicas failed: %v", err)
-	}
-	full.Close()
 }

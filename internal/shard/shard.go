@@ -642,23 +642,16 @@ func (r *Router) NumShards() int {
 // the query's estimated cost (estimateCost), 0 for a registration that
 // brought leaves and no statistics; Rebalance re-estimates every query.
 func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
+	if cfg.Adaptive != nil {
+		// A slot's engine is a core.MultiEngine, which never
+		// re-decomposes a query; the wire carries no adaptive field either.
+		return fmt.Errorf("shard: query %q: adaptive queries (Config.Adaptive) run standalone only", name)
+	}
 	fpTypes, fpExact := q.TypeFootprint()
 	r.ingestMu.Lock()
 	if r.closed {
 		r.ingestMu.Unlock()
 		return fmt.Errorf("shard: router is closed")
-	}
-	// Checked under ingestMu: AddSlot can flip hasRemote at runtime.
-	if cfg.Adaptive != nil && (r.filtering || r.hasRemote) {
-		// An adaptive engine re-decomposes from statistics it collects
-		// itself, at a cadence of edges it processes — on a filtered
-		// replica both would reflect only the shard's slice of the
-		// stream, silently diverging from the serial schedule this
-		// runtime is pinned to; a remote slot additionally resets those
-		// counters on every reconnect replay. Require full replication
-		// on a local-only topology for it.
-		r.ingestMu.Unlock()
-		return fmt.Errorf("shard: adaptive queries require Config.FullReplicas on a local-only topology (a filtered or remote replica would re-decompose from divergent statistics)")
 	}
 	if r.hasRemote {
 		// A remote-destined query crosses the wire as its textual form

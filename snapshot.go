@@ -22,9 +22,9 @@ func SaveSnapshot(w io.Writer, e *Engine) (flushed []Match, err error) {
 	return e.resolveAll(raw), nil
 }
 
-// LoadSnapshot restores an engine previously saved with SaveSnapshot.
-// The restored engine uses the decomposition pinned at save time; it
-// does not need the original Statistics.
+// LoadSnapshot restores an engine saved with SaveSnapshot, by this
+// version or an earlier one. The restored engine uses the decomposition
+// pinned at save time; it does not need the original Statistics.
 func LoadSnapshot(r io.Reader) (*Engine, error) {
 	inner, err := persist.Load(r)
 	if err != nil {
