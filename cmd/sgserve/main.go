@@ -43,7 +43,7 @@ package main
 import (
 	"errors"
 	"flag"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -66,8 +66,14 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve the observability endpoints (/metrics, /debug/pprof/, /debug/vars) on this address (see docs/OBSERVABILITY.md)")
 	)
 	flag.Parse()
-	log.SetFlags(0)
-	log.SetPrefix("sgserve: ")
+	// Structured log lines on stderr (slog's text format: key=value
+	// attributes); the process logger writes through the same handler.
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("cmd", "sgserve")
+	slog.SetDefault(logger)
+	fatal := func(msg string, args ...any) {
+		logger.Error(msg, args...)
+		os.Exit(1)
+	}
 
 	// Installed before the listener (and its log line) exists, so a
 	// signal arriving the instant the server is observable already
@@ -97,38 +103,34 @@ func main() {
 		}
 		srv, err = server.Open(cfg)
 		if err != nil {
-			log.Fatal(err)
+			fatal("open", "data_dir", *dataDir, "err", err)
 		}
-		log.Printf("durable data dir %s (checkpoint every %d edges)", *dataDir, *ckptEvery)
+		logger.Info("durable", "data_dir", *dataDir, "checkpoint_every", *ckptEvery)
 	} else {
 		if *ckptEvery != 0 {
-			log.Fatal("-checkpoint-every requires -data-dir")
+			fatal("-checkpoint-every requires -data-dir")
 		}
 		srv = server.New(cfg)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		fatal("listen", "addr", *addr, "err", err)
 	}
 	var httpLn net.Listener
 	if *httpAddr != "" {
 		httpLn, err = net.Listen("tcp", *httpAddr)
 		if err != nil {
-			log.Fatal(err)
+			fatal("listen", "http", *httpAddr, "err", err)
 		}
 		go http.Serve(httpLn, srv.DebugHandler())
-		log.Printf("observability endpoints on http://%s/metrics (and /debug/pprof/, /debug/vars)", httpLn.Addr())
+		logger.Info("observability endpoints", "http", httpLn.Addr().String(), "paths", "/metrics /debug/pprof/ /debug/vars")
 	}
-	switch {
-	case len(remotes) > 0:
-		log.Printf("listening on %s (window=%d, %d local + %d remote shards: %s)",
-			ln.Addr(), *window, *shards, len(remotes), strings.Join(remotes, ","))
-	case *shards > 0 || *dataDir != "":
-		log.Printf("listening on %s (window=%d, %d shards)", ln.Addr(), *window, cfg.Shards)
-	default:
-		log.Printf("listening on %s (window=%d)", ln.Addr(), *window)
+	attrs := []any{"addr", ln.Addr().String(), "window", *window}
+	if len(remotes) > 0 || *shards > 0 || *dataDir != "" {
+		attrs = append(attrs, "shards", cfg.Shards, "remotes", strings.Join(remotes, ","))
 	}
+	logger.Info("listening on", attrs...)
 
 	// SIGINT/SIGTERM drain the shards and, with -data-dir, commit a
 	// final checkpoint before exiting 0 — a signal-stopped server
@@ -137,10 +139,10 @@ func main() {
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {
 	case s := <-sig:
-		log.Printf("received %s; shutting down", s)
+		logger.Info("shutting down", "signal", s.String())
 	case err := <-serveErr:
 		if err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Fatal(err)
+			fatal("serve", "err", err)
 		}
 	}
 	if httpLn != nil {
@@ -148,7 +150,7 @@ func main() {
 	}
 	srv.Close()
 	if err := srv.PersistErr(); err != nil {
-		log.Fatalf("persist: %v", err)
+		fatal("persist", "err", err)
 	}
-	log.Printf("shutdown complete")
+	logger.Info("shutdown complete")
 }

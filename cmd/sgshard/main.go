@@ -31,7 +31,8 @@ package main
 import (
 	"errors"
 	"flag"
-	"log"
+	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -46,8 +47,10 @@ func main() {
 		quiet = flag.Bool("quiet", false, "suppress per-connection log lines")
 	)
 	flag.Parse()
-	log.SetFlags(0)
-	log.SetPrefix("sgshard: ")
+	// Structured log lines on stderr (slog's text format: key=value
+	// attributes).
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("cmd", "sgshard")
+	slog.SetDefault(logger)
 
 	// SIGINT/SIGTERM sever the router connections and exit 0. The
 	// worker holds no durable state — routers rebuild it on reconnect
@@ -59,18 +62,27 @@ func main() {
 
 	srv := dshard.NewServer()
 	if !*quiet {
-		srv.Logf = log.Printf
+		srv.Logf = func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listen", "addr", *addr, "err", err)
+		os.Exit(1)
+	}
+	// Logged here, not through srv.Logf, so -quiet keeps it: it is the
+	// line a supervisor waits for.
+	logger.Info("listening on", "addr", ln.Addr().String())
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe(*addr) }()
+	go func() { serveErr <- srv.Serve(ln) }()
 	select {
 	case s := <-sig:
-		log.Printf("received %s; shutting down", s)
+		logger.Info("shutting down", "signal", s.String())
 		srv.Close()
 	case err := <-serveErr:
 		if err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Fatal(err)
+			logger.Error("serve", "err", err)
+			os.Exit(1)
 		}
 	}
-	log.Printf("shutdown complete")
+	logger.Info("shutdown complete")
 }

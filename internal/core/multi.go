@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"streamgraph/internal/graph"
@@ -551,24 +550,4 @@ func (m *MultiEngine) Counters() EngineCounters {
 		c.PoolFresh += fresh
 	}
 	return c
-}
-
-// TopQueriesByStored returns query names ordered by live partial-match
-// count, heaviest first — an operator view of memory pressure.
-func (m *MultiEngine) TopQueriesByStored() []string {
-	names := append([]string(nil), m.order...)
-	sort.Slice(names, func(i, j int) bool {
-		si, sj := int64(0), int64(0)
-		if t := m.queries[names[i]].tree; t != nil {
-			si = t.Stats().Stored
-		}
-		if t := m.queries[names[j]].tree; t != nil {
-			sj = t.Stats().Stored
-		}
-		if si != sj {
-			return si > sj
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

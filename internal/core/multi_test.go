@@ -170,9 +170,6 @@ func TestMultiEngineEviction(t *testing.T) {
 	if st := m.Stats(); st.PartialMatches > 30 {
 		t.Errorf("partials = %d with window 10", st.PartialMatches)
 	}
-	if tops := m.TopQueriesByStored(); len(tops) != 1 || tops[0] != "q" {
-		t.Errorf("TopQueriesByStored = %v", tops)
-	}
 }
 
 // TestMultiEngineStatisticsOnDemand: a registration that brings neither

@@ -243,14 +243,21 @@ func Auto(q *query.Graph, src selectivity.Source) (leaves [][]int, kind Kind, xi
 // footprint of any decomposition of q equals the query's own — the
 // property the sharded runtime relies on when it stores, per shard,
 // only the edges routable to the shard's queries. An error is returned
-// if leaves reference an edge index out of range or fail to cover the
-// query, since a partial SJ-Tree's footprint would not be the query's.
+// for any leaf set sjtree.Build refuses — an empty leaf, an edge index
+// out of range or in two leaves, a query edge no leaf covers — so a
+// decomposition with a footprint is one an engine accepts.
 func Footprint(q *query.Graph, leaves [][]int) (types []string, exact bool, err error) {
 	covered := make([]bool, len(q.Edges))
-	for _, leaf := range leaves {
+	for i, leaf := range leaves {
+		if len(leaf) == 0 {
+			return nil, false, fmt.Errorf("decompose: leaf %d is empty", i)
+		}
 		for _, ei := range leaf {
 			if ei < 0 || ei >= len(q.Edges) {
 				return nil, false, fmt.Errorf("decompose: leaf edge index %d out of range", ei)
+			}
+			if covered[ei] {
+				return nil, false, fmt.Errorf("decompose: query edge %d appears in two leaves", ei)
 			}
 			covered[ei] = true
 		}

@@ -6,6 +6,7 @@ import (
 
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
+	"streamgraph/internal/sjtree"
 )
 
 func TestFootprintMatchesQueryTypes(t *testing.T) {
@@ -57,5 +58,31 @@ func TestFootprintRejectsPartialCover(t *testing.T) {
 	}
 	if _, _, err := Footprint(q, [][]int{{0}, {7}}); err == nil {
 		t.Fatal("out-of-range leaf index must be rejected")
+	}
+}
+
+// TestFootprintRefusesWhatBuildRefuses pins the contract the sharded
+// router relies on when it refuses a registration before any slot sees
+// it: a leaf set has a footprint exactly when sjtree.Build accepts it.
+func TestFootprintRefusesWhatBuildRefuses(t *testing.T) {
+	q := query.NewPath(query.Wildcard, "TCP", "UDP", "GRE")
+	for _, leaves := range [][][]int{
+		{{0}, {1}, {2}},
+		{{2, 1}, {0}},
+		{{0, 1, 2}},
+		nil,
+		{},
+		{{0}, {}, {1, 2}},
+		{{0}, {1}},
+		{{0}, {1}, {2}, {3}},
+		{{0}, {-1}, {1, 2}},
+		{{0, 1}, {1, 2}},
+		{{0}, {1}, {2}, {2}},
+	} {
+		_, _, ferr := Footprint(q, leaves)
+		_, berr := sjtree.Build(q, leaves, 0)
+		if (ferr == nil) != (berr == nil) {
+			t.Errorf("leaves %v: Footprint error %v, sjtree.Build error %v", leaves, ferr, berr)
+		}
 	}
 }

@@ -40,7 +40,7 @@
 //
 // The server (remote worker) answers every client frame, in order,
 // with zero or more match frames followed by exactly one done frame
-// (engine error for registers, replica gauges piggybacked). That
+// (engine error for registers, the slot's gauges piggybacked). That
 // strict request/stream/done discipline is what makes recovery simple:
 // the router treats a frame's matches as delivered only when its done
 // arrives, so a connection that dies mid-frame loses nothing and
@@ -62,9 +62,10 @@ import (
 // ProtocolVersion is the one wire protocol version, carried by the
 // hello frame. The client opens with it plus its capability bits and
 // expects a hello-ack granting the intersection; the server refuses a
-// hello of any other version (v1, which had no handshake, and v2, whose
-// hello carried an eviction cadence, included).
-const ProtocolVersion = 3
+// hello of any other version (v1, which had no handshake, v2, whose
+// hello carried an eviction cadence, and v3, whose done frame carried
+// three replica gauges instead of a slot Report, included).
+const ProtocolVersion = 4
 
 // Capability bits negotiated in the v2 hello/hello-ack exchange. The
 // client offers a set, the server answers with the subset it grants,
@@ -289,9 +290,8 @@ type Done struct {
 	Frame uint64
 	// Err is the engine error for register frames ("" = ok).
 	Err string
-	// Live, Stored and Types are the remote replica's gauges (live
-	// edges, cumulative edges admitted, filter width or -1 when
-	// universal) — the distributed form of shard.Stats' replica
-	// fields.
-	Live, Stored, Types int64
+	// Report is the slot's gauges after the frame (Slot.Report): what
+	// the router publishes for a remote slot, as a local worker
+	// publishes its own after each message.
+	Report Report
 }

@@ -9,7 +9,6 @@ package dshard
 import (
 	"bytes"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 
@@ -21,8 +20,9 @@ import (
 // Server accepts remote-shard connections and hosts one shard engine
 // per connection.
 type Server struct {
-	// Logf, when non-nil, receives one line per connection open/close
-	// (log.Printf signature).
+	// Logf, when non-nil, receives ListenAndServe's listening line and
+	// one line per connection that ends in an error (log.Printf
+	// signature); nil logs nothing.
 	Logf func(format string, args ...any)
 
 	mu     sync.Mutex
@@ -39,11 +39,12 @@ func NewServer() *Server {
 
 // Serve accepts connections on ln until Close, hosting each on its own
 // goroutine. It returns the accept error that ended the loop
-// (net.ErrClosed after Close).
+// (net.ErrClosed after Close); a server closed before Serve closes ln.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		ln.Close()
 		return fmt.Errorf("dshard: server is closed")
 	}
 	s.ln = ln
@@ -70,28 +71,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.handle(c)
 		}()
 	}
-}
-
-// ServeConn hosts one already-established connection on the calling
-// goroutine's behalf (it spawns the handler itself and returns
-// immediately), with the same lifecycle accounting as accepted
-// connections. It exists for in-process transports: the router's
-// hospice failover engine speaks the protocol over a net.Pipe end.
-func (s *Server) ServeConn(c net.Conn) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		c.Close()
-		return fmt.Errorf("dshard: server is closed")
-	}
-	s.conns[c] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.handle(c)
-	}()
-	return nil
 }
 
 // Kick severs every live connection without stopping the listener: the
@@ -138,14 +117,14 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// ListenAndServe listens on addr and serves until the process exits;
-// the convenience entry point cmd/sgshard wraps.
+// ListenAndServe listens on addr and serves until Close, reporting the
+// bound address through Logf.
 func (s *Server) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("dshard: listening on %s", ln.Addr())
+	s.logf("dshard: listening on %s", ln.Addr())
 	return s.Serve(ln)
 }
 
@@ -381,12 +360,7 @@ func (h *host) done(frame uint64, engErr error) error {
 	if h.werr != nil {
 		return h.werr
 	}
-	d := Done{
-		Frame:  frame,
-		Live:   int64(h.slot.Eng.Graph().NumEdges()),
-		Stored: h.slot.Eng.EdgesStored(),
-		Types:  h.slot.FilterWidth(),
-	}
+	d := Done{Frame: frame, Report: h.slot.Report()}
 	if engErr != nil {
 		d.Err = engErr.Error()
 	}

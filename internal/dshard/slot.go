@@ -109,6 +109,38 @@ func (s *Slot) FilterWidth() int64 {
 	return int64(len(s.types))
 }
 
+// Report is one slot's gauges at a message boundary, the same for
+// every transport: a local worker publishes it after each message, a
+// remote slot's rides each done frame.
+type Report struct {
+	// Live, Stored and Types are the replica's live edges, the edges
+	// ever admitted into it, and its filter width (-1 when universal).
+	Live, Stored, Types int64
+	// Vertices and VertexSlots are the replica graph's named vertices
+	// and the size of its VertexID space.
+	Vertices, VertexSlots int64
+	// Edges and Partial are the engine's edges processed and its stored
+	// partial matches.
+	Edges, Partial int64
+	// The SJ-tree activity and match-pool totals (core.EngineCounters).
+	TreeInserted, TreeDeduped, TreeEmitted, TreeEvicted int64
+	PoolGets, PoolFresh                                 int64
+}
+
+// Report reads the slot's gauges.
+func (s *Slot) Report() Report {
+	g := s.Eng.Graph()
+	st := s.Eng.Stats()
+	c := s.Eng.Counters()
+	return Report{
+		Live: int64(g.NumEdges()), Stored: s.Eng.EdgesStored(), Types: s.FilterWidth(),
+		Vertices: int64(g.LiveVertices()), VertexSlots: int64(g.NumVertices()),
+		Edges: st.EdgesProcessed, Partial: st.PartialMatches,
+		TreeInserted: c.TreeInserted, TreeDeduped: c.TreeDeduped, TreeEmitted: c.TreeEmitted, TreeEvicted: c.TreeEvicted,
+		PoolGets: c.PoolGets, PoolFresh: c.PoolFresh,
+	}
+}
+
 func (s *Slot) setFilter(universal bool, types []string) {
 	s.universal, s.types, s.admit = universal, nil, nil
 	if !universal {

@@ -649,9 +649,13 @@ func (cn *Conn) WriteDone(m Done) error {
 	b := append(cn.wbuf[:0], FrameDone)
 	b = binary.AppendUvarint(b, m.Frame)
 	b = appendString(b, m.Err)
-	b = binary.AppendVarint(b, m.Live)
-	b = binary.AppendVarint(b, m.Stored)
-	b = binary.AppendVarint(b, m.Types)
+	r := m.Report
+	for _, v := range [...]int64{
+		r.Live, r.Stored, r.Types, r.Vertices, r.VertexSlots, r.Edges, r.Partial,
+		r.TreeInserted, r.TreeDeduped, r.TreeEmitted, r.TreeEvicted, r.PoolGets, r.PoolFresh,
+	} {
+		b = binary.AppendVarint(b, v)
+	}
 	cn.wbuf = b
 	return cn.writeFrame(b)
 }
@@ -821,6 +825,11 @@ func decodeMatch(body []byte, tbl *strTable) (Match, error) {
 // DecodeDone parses a FrameDone body.
 func DecodeDone(body []byte) (Done, error) {
 	d := dec{b: body}
-	m := Done{Frame: d.uvarint(), Err: d.string_(), Live: d.varint(), Stored: d.varint(), Types: d.varint()}
+	m := Done{Frame: d.uvarint(), Err: d.string_(), Report: Report{
+		Live: d.varint(), Stored: d.varint(), Types: d.varint(), Vertices: d.varint(), VertexSlots: d.varint(),
+		Edges: d.varint(), Partial: d.varint(),
+		TreeInserted: d.varint(), TreeDeduped: d.varint(), TreeEmitted: d.varint(), TreeEvicted: d.varint(),
+		PoolGets: d.varint(), PoolFresh: d.varint(),
+	}}
 	return m, d.err
 }

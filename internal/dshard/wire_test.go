@@ -34,6 +34,16 @@ func testEdges() []stream.Edge {
 	}
 }
 
+// testReport is a done frame's slot report with every gauge distinct
+// and some negative or past 32 bits, so a field written in the wrong
+// slot or width cannot round-trip.
+func testReport() Report {
+	return Report{
+		Live: 5, Stored: 9, Types: -1, Vertices: 7, VertexSlots: 11, Edges: 1 << 40, Partial: 13,
+		TreeInserted: 17, TreeDeduped: 19, TreeEmitted: 23, TreeEvicted: 29, PoolGets: 31, PoolFresh: -37,
+	}
+}
+
 // TestWireRoundTrip pushes every message type through a pipe and
 // requires the decoded form to equal the original exactly.
 func TestWireRoundTrip(t *testing.T) {
@@ -63,7 +73,7 @@ func TestWireRoundTrip(t *testing.T) {
 			Edges:    []MatchEdge{{QueryEdge: 1, Src: "n1", Dst: "n2", Type: "TCP", TS: 88}},
 		},
 		Match{Frame: 9, Query: "q2", Seq: 0},
-		Done{Frame: 10, Err: "core: query \"q1\" already registered", Live: 5, Stored: 9, Types: -1},
+		Done{Frame: 10, Err: "core: query \"q1\" already registered", Report: testReport()},
 		Done{Frame: 11},
 	}
 
@@ -156,6 +166,21 @@ func TestDecodeCorrupt(t *testing.T) {
 	for cut := 0; cut < len(body); cut++ {
 		if _, err := decodeRegister(body[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(body))
+		}
+	}
+	// A done frame with an error string and a full slot report: every
+	// cut, the last gauge's included, must error.
+	doneClient, doneServer := connPair()
+	go doneClient.WriteDone(Done{Frame: 2, Err: "boom", Report: testReport()})
+	if _, body, err = doneServer.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeDone(body); err != nil {
+		t.Fatalf("intact done: %v", err)
+	}
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := DecodeDone(body[:cut]); err == nil {
+			t.Fatalf("done truncation at %d/%d decoded without error", cut, len(body))
 		}
 	}
 	// A hostile count prefix must not drive a huge allocation — even

@@ -352,8 +352,9 @@ func TestCompressedFrameCorruption(t *testing.T) {
 // TestServerVersionNegotiation drives the hello handshake: the server
 // acks a hello of ProtocolVersion with the capabilities it knows, and
 // refuses a v1 hello (no handshake existed then), a v2 hello (which
-// carried an eviction cadence) and an unknown version alike, each with
-// the version error and without a byte of traffic.
+// carried an eviction cadence), a v3 hello (whose done frames carried
+// three replica gauges, not a slot Report) and an unknown version
+// alike, each with the version error and without a byte of traffic.
 func TestServerVersionNegotiation(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -393,7 +394,7 @@ func TestServerVersionNegotiation(t *testing.T) {
 	}
 	cn.Close()
 
-	for _, version := range []uint64{1, 2, 99} {
+	for _, version := range []uint64{1, 2, 3, 99} {
 		cn, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -429,6 +430,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	cn.WriteEdges(Edges{Frame: 1, BaseSeq: 5, Edges: testEdges()})
 	cn.WriteRegister(Register{Frame: 2, Name: "q", Query: "e a b TCP", FilterTypes: []string{"TCP"}, Backfill: testEdges()})
 	cn.WriteMatch(Match{Frame: 3, Query: "q", Bindings: []Binding{{QueryVertex: "a", DataVertex: "x"}}, Edges: []MatchEdge{{Src: "x", Dst: "y", Type: "TCP", TS: 9}}})
+	cn.WriteDone(Done{Frame: 4, Report: testReport()})
+	cn.WriteDone(Done{Frame: 5, Err: "core: query \"q\" already registered", Report: Report{Types: -1}})
 	rd := NewConn(bufConn{bytes.NewBuffer(buf.Bytes())})
 	for i := byte(0); ; i++ {
 		_, body, err := rd.ReadFrame()

@@ -229,15 +229,17 @@ func Open(cfg Config) (*Router, []Match, error) {
 	}
 
 	// Rebuild the router-side bookkeeping from the surviving
-	// registrations, in rank order — the same fold Register performs
-	// live, so gates, refcounts and remote post-filters come out
+	// registrations, in rank order — each admitted as Register admits it
+	// live (Router.admit), so gates, refcounts and post-filters come out
 	// identical to the crashed router's. The estimated costs are not in
 	// router.meta: they are derived again below, from the recovered
 	// window and the pinned leaves.
 	maxRank := -1
 	ranks := make([]map[string]int, nLocal) // what each recovered slot engine holds
+	post := make([]message, nLocal)         // each local slot's last stamp: its restored filter
 	for i := range ranks {
 		ranks[i] = make(map[string]int)
+		post[i].postUniversal = !r.filtering
 	}
 	for _, reg := range kept {
 		w := r.workers[reg.slot]
@@ -250,9 +252,8 @@ func Open(cfg Config) (*Router, []Match, error) {
 			maxRank = reg.rank
 		}
 		r.dregs[reg.name] = reg
-		if r.filtering {
-			r.fps[reg.name] = fprint{types: reg.fpTypes, exact: reg.fpExact}
-		}
+		msg := message{kind: msgRegister, name: reg.name, q: q, cfg: reg.cfg, rank: reg.rank, minTS: math.MinInt64}
+		r.admit(w, &msg, fprint{types: reg.fpTypes, exact: reg.fpExact})
 		if w.remote != nil {
 			// The remote worker is stateless across our restart and its
 			// snapshot lived only in the crashed router's memory, so the
@@ -262,29 +263,11 @@ func Open(cfg Config) (*Router, []Match, error) {
 			// trim kept exactly as far back as any remote needs). The
 			// MinInt64 floor is self-limiting — the first post-reconnect
 			// checkpoint snapshot retires the event and the pin advances.
-			msg := message{
-				kind: msgRegister, name: reg.name, q: q, cfg: reg.cfg, rank: reg.rank,
-				fpTypes: reg.fpTypes, fpExact: reg.fpExact,
-				seq: 0, minTS: math.MinInt64, postUniversal: true,
-			}
-			if r.filtering {
-				msg.needAll, msg.heldTypes, msg.needTypes = w.gateRefs.newlyNeeded(reg.fpTypes, reg.fpExact)
-				w.gateRefs.add(reg.fpTypes, reg.fpExact)
-				r.rebuildGate(w)
-				if !w.gateRefs.universal() {
-					msg.postUniversal = false
-					msg.postTypes = w.gateRefs.typeNames()
-				}
-			}
-			w.remote.noteRegister(&msg)
+			w.remote.noteControl(&msg)
 			continue
 		}
 		ranks[reg.slot][reg.name] = reg.rank
-		if r.filtering {
-			w.gateRefs.add(reg.fpTypes, reg.fpExact)
-			r.rebuildGate(w)
-			w.rset.add(reg.fpTypes, reg.fpExact)
-		}
+		post[reg.slot] = msg
 	}
 	r.rank = maxRank + 1
 	r.refreshCosts()
@@ -296,8 +279,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 		// contract): apply the reconciled footprint and trim what the
 		// dropped registrations no longer reach.
 		w := r.workers[i]
-		universal, types := w.filter()
-		w.slot = dshard.RestoredSlot(s.eng, s.lastEnd, ranks[i], universal, types)
+		w.slot = dshard.RestoredSlot(s.eng, s.lastEnd, ranks[i], post[i].postUniversal, post[i].postTypes)
 		w.slot.Eng.TrimReplica()
 	}
 

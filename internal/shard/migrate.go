@@ -9,11 +9,14 @@
 // A migration is a three-phase handoff, executed under ingestMu so it
 // happens at one definite stream position with no edges in flight:
 //
-//  1. Drain + extract on the source. A local source handles
-//     msgMigrateOut at its queue position: flush the retro barrier
-//     (standard unregister discipline), clone the query's state
-//     (persist.CloneQuery) and unregister it. A remote source runs a
-//     drain barrier instead — request a checkpoint and wait for the
+//  1. Drain + extract on the source. The router admits a
+//     migrate-flagged unregister (Router.admit: the source's gate
+//     narrows, undone if the extraction fails). A local source handles
+//     it at its queue position: flush the retro barrier (standard
+//     unregister discipline), clone the query's state
+//     (persist.CloneQuery) and unregister it, replying the clone. A
+//     remote source runs a drain barrier instead — request a
+//     checkpoint and wait for the
 //     snapshot adoption (every admitted frame acknowledged, the image
 //     serialized at the barrier position), then extract the query
 //     from the snapshot image; its pending retrospective work rides
@@ -45,7 +48,6 @@ import (
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/dshard"
-	"streamgraph/internal/graph"
 	"streamgraph/internal/persist"
 	"streamgraph/internal/query"
 )
@@ -137,48 +139,41 @@ func (r *Router) migrateLocked(name string, from, to int) error {
 		return err
 	}
 
-	var fp fprint
-	if r.filtering {
-		fp = r.fps[name]
+	if src.retired {
+		return fail(fmt.Errorf("shard: migration source slot %d is retired", from))
 	}
+	fp := r.fps[name]
 	seq := r.seq.Load()
 
-	// Phase 1: drain the source and extract the query's state.
+	// Phase 1: drain the source and extract the query's state. ingestMu
+	// is held throughout, so the gate narrowed here admits no edge before
+	// the handoff completes or is undone.
 	drainStart := r.tel.now()
+	out := message{kind: msgUnregister, name: name, seq: seq, migrate: true, reply: make(chan error, 1)}
+	r.admit(src, &out, fp)
 	var clone *core.MultiEngine
 	var rank int
+	var err error
 	if src.remote == nil {
-		if src.retired {
-			return fail(fmt.Errorf("shard: migration source slot %d is retired", from))
-		}
-		xout := make(chan migrateOut, 1)
-		src.in <- message{kind: msgMigrateOut, name: name, seq: seq, fpTypes: fp.types, fpExact: fp.exact, xout: xout}
-		out := <-xout
-		if out.err != nil {
-			return fail(fmt.Errorf("shard: migrate %q out of slot %d: %w", name, from, out.err))
-		}
-		clone, rank = out.eng, out.rank
-		if r.filtering {
-			// The worker narrowed its replica at the handoff position;
-			// narrow the router-side gate to match. (After, not before,
-			// the reply: an early narrow with a failed extraction would
-			// under-deliver to a still-registered query.)
-			src.gateRefs.remove(fp.types, fp.exact)
-			r.rebuildGate(src)
+		out.xout = make(chan migrateOut, 1)
+		r.send(src, out)
+		res := <-out.xout
+		if clone, rank, err = res.eng, res.rank, res.err; err != nil {
+			err = fmt.Errorf("shard: migrate %q out of slot %d: %w", name, from, err)
 		}
 	} else {
-		var err error
-		if clone, rank, err = r.extractRemote(src, name, fp, seq); err != nil {
-			return fail(err)
-		}
+		clone, rank, err = r.extractRemote(src, out)
+	}
+	if err != nil {
+		r.undo(src, &out, fp)
+		return fail(err)
 	}
 	r.tel.migDrain.Record(r.tel.now() - drainStart)
 	migrateStage("extracted")
 
 	// Phase 2: register on the target at the same stream position and
 	// graft the state on.
-	err := r.placeMigrated(dst, name, clone, rank, fp, seq)
-	if err != nil {
+	if err := r.placeMigrated(dst, name, clone, rank, fp, seq); err != nil {
 		// The target refused the query (engine error, corrupt-state
 		// transplant, wire loss timing). Put it back where it was — the
 		// state is still in hand — rather than lose a standing query.
@@ -219,9 +214,9 @@ func (r *Router) migrateLocked(name string, from, to int) error {
 // checkpoint, wait until the slot has acknowledged everything admitted
 // and adopted the fresh image, decode it, clone the query out, and
 // strip the query from the slot's retained restore image before
-// sending the migrate-unregister. Caller holds ingestMu.
-func (r *Router) extractRemote(src *worker, name string, fp fprint, seq uint64) (*core.MultiEngine, int, error) {
-	rs := src.remote
+// sending msg, the admitted migrate-unregister. Caller holds ingestMu.
+func (r *Router) extractRemote(src *worker, msg message) (*core.MultiEngine, int, error) {
+	rs, name := src.remote, msg.name
 	gen := rs.snapshotGen()
 	src.in <- message{kind: msgCheckpoint}
 	deadline := time.Now().Add(migrateDrainTimeout)
@@ -258,24 +253,15 @@ func (r *Router) extractRemote(src *worker, name string, fp fprint, seq uint64) 
 		return nil, 0, fmt.Errorf("shard: migrate %q out of slot %d: %w", name, src.id, err)
 	}
 
-	// Narrow the router-side gate, then rebuild the slot's retained
-	// restore image without the query: remaining ranks, narrowed
-	// filter, trimmed replica. Replacing it BEFORE the unregister is
-	// sent is what makes the handoff crash-safe on this side — a
-	// reconnect anywhere after this point restores the stripped image
-	// and replays the pending unregister as a no-op.
-	postUniversal, postTypes := true, []string(nil)
-	if r.filtering {
-		src.gateRefs.remove(fp.types, fp.exact)
-		r.rebuildGate(src)
-		if !src.gateRefs.universal() {
-			postUniversal = false
-			postTypes = src.gateRefs.typeNames()
-		}
-	}
+	// Rebuild the slot's retained restore image without the query:
+	// remaining ranks, the narrowed filter msg is stamped with, trimmed
+	// replica. Replacing it BEFORE the unregister is sent is what makes
+	// the handoff crash-safe on this side — a reconnect anywhere after
+	// this point restores the stripped image and replays the pending
+	// unregister as a no-op.
 	full.Unregister(name)
 	if r.filtering {
-		full.SetReplicaFilter(postTypes, postUniversal)
+		full.SetReplicaFilter(msg.postTypes, msg.postUniversal)
 		full.TrimReplica()
 	}
 	var buf bytes.Buffer
@@ -283,18 +269,11 @@ func (r *Router) extractRemote(src *worker, name string, fp fprint, seq uint64) 
 		return nil, 0, fmt.Errorf("shard: migrate %q: strip slot %d image: %w", name, src.id, err)
 	}
 	delete(si.Ranks, name)
-	si.Universal, si.Types = postUniversal, postTypes
+	si.Universal, si.Types = msg.postUniversal, msg.postTypes
 	si.Engine = buf.Bytes()
-	rs.replaceSnapshot(si.Encode(), postUniversal, postTypes)
+	rs.replaceSnapshot(si.Encode(), msg.postUniversal, msg.postTypes)
 
-	msg := message{
-		kind: msgUnregister, name: name, seq: seq,
-		fpTypes: fp.types, fpExact: fp.exact,
-		postUniversal: postUniversal, postTypes: postTypes,
-		migrate: true, reply: make(chan error, 1),
-	}
-	rs.noteUnregister(&msg)
-	src.in <- msg
+	r.send(src, msg)
 	<-msg.reply
 	return clone, rank, nil
 }
@@ -302,7 +281,7 @@ func (r *Router) extractRemote(src *worker, name string, fp fprint, seq uint64) 
 // placeMigrated registers a migrated query (state clone in hand) on a
 // slot at stream position seq: the normal register admission — gate
 // widening, backfill entitlement, remote event retention — plus the
-// transplant payload. Rolls the gate back on failure. Caller holds
+// transplant payload, undone if the slot refuses. Caller holds
 // ingestMu; no floor pin is needed because ingestMu is held across the
 // reply, so no concurrent ingest can trim the log meanwhile.
 func (r *Router) placeMigrated(dst *worker, name string, clone *core.MultiEngine, rank int, fp fprint, seq uint64) error {
@@ -313,54 +292,30 @@ func (r *Router) placeMigrated(dst *worker, name string, clone *core.MultiEngine
 	if eng == nil {
 		return fmt.Errorf("clone does not hold %q", name)
 	}
-	q := eng.Query()
-	if dst.isRemote() {
-		if err := wireSafe(q); err != nil {
-			return fmt.Errorf("query %q %w", name, err)
-		}
-	}
-	cfg := eng.ConfigSnapshot()
 	minTS := int64(math.MinInt64)
 	if r.cfg.Window > 0 {
 		minTS = r.log.MaxTS() - r.cfg.Window + 1
 	}
 	msg := message{
-		kind: msgRegister, name: name, q: q, cfg: cfg, rank: rank,
-		fpTypes: fp.types, fpExact: fp.exact, postUniversal: true,
-		seq: seq, minTS: minTS, migrate: true,
-		reply: make(chan error, 1),
+		kind: msgRegister, name: name, q: eng.Query(), cfg: eng.ConfigSnapshot(), rank: rank,
+		seq: seq, minTS: minTS, migrate: true, reply: make(chan error, 1),
 	}
-	if r.filtering {
-		if dst.isRemote() {
-			msg.needAll, msg.heldTypes, msg.needTypes = dst.gateRefs.newlyNeeded(fp.types, fp.exact)
+	if dst.remote != nil {
+		if err := wireSafe(msg.q); err != nil {
+			return fmt.Errorf("query %q %w", name, err)
 		}
-		dst.gateRefs.add(fp.types, fp.exact)
-		r.rebuildGate(dst)
-		if dst.isRemote() && !dst.gateRefs.universal() {
-			msg.postUniversal = false
-			msg.postTypes = dst.gateRefs.typeNames()
-		}
-	}
-	if dst.isRemote() {
 		var buf bytes.Buffer
 		if err := persist.SaveMulti(&buf, clone); err != nil {
-			if r.filtering {
-				dst.gateRefs.remove(fp.types, fp.exact)
-				r.rebuildGate(dst)
-			}
 			return fmt.Errorf("encode state: %w", err)
 		}
 		msg.state = buf.Bytes()
-		dst.remote.noteRegister(&msg)
 	} else {
 		msg.xfer = clone
 	}
-	dst.in <- msg
+	r.admit(dst, &msg, fp)
+	r.send(dst, msg)
 	if err := <-msg.reply; err != nil {
-		if r.filtering {
-			dst.gateRefs.remove(fp.types, fp.exact)
-			r.rebuildGate(dst)
-		}
+		r.undo(dst, &msg, fp)
 		return err
 	}
 	return nil
@@ -368,16 +323,14 @@ func (r *Router) placeMigrated(dst *worker, name string, clone *core.MultiEngine
 
 // dropRegistration erases every router-side trace of a query that no
 // slot holds anymore (the double-refusal corner of a failed
-// migration). Caller holds ingestMu.
+// migration; the refused placements already undid their footprints).
+// Caller holds ingestMu.
 func (r *Router) dropRegistration(name string, last *worker) {
 	r.mu.Lock()
 	if r.owner[name] == last {
 		r.disown(name)
 	}
 	r.mu.Unlock()
-	if r.filtering {
-		delete(r.fps, name)
-	}
 	if r.dlog != nil {
 		delete(r.dregs, name)
 		if !r.closed {
@@ -404,17 +357,7 @@ func (r *Router) AddSlot(addr string) (int, error) {
 	if r.dlog != nil {
 		return 0, fmt.Errorf("shard: AddSlot is not available on a durable router: add the address to Config.Remotes and restart")
 	}
-	w := &worker{id: len(r.workers), r: r, in: make(chan message, r.cfg.QueueLen)}
-	w.remote = newRemoteSlot(w, addr, r.cfg.RemotePending)
-	r.tel.registerWorker(w)
-	w.remote.registerMetrics(r.tel)
-	if r.filtering {
-		w.gate = graph.NewTypeSet()
-		w.gateRefs = newReplicaSet()
-	} else {
-		w.gate = graph.UniversalTypes()
-		w.replicaTypes.Set(-1)
-	}
+	w := r.newWorker(len(r.workers), addr)
 	r.hasRemote = true
 	r.mu.Lock()
 	r.workers = append(r.workers, w)

@@ -189,10 +189,10 @@ type remoteSlot struct {
 	ackUniversal bool
 	ackTypes     []string
 
-	// hospice, when non-nil, replaces the TCP dial with an in-process
-	// dshard.Server over a net.Pipe: the failover engine a dead slot's
-	// state is rebuilt into (see Config.RedialBudget). Touched only by
-	// the slot goroutine.
+	// hospice, when non-nil, is the in-process dshard.Server addr then
+	// points at: the failover engine a dead slot's state is rebuilt
+	// into (see Config.RedialBudget). addr and hospice are touched only
+	// by the slot goroutine.
 	hospice *dshard.Server
 
 	// Wire telemetry (registerMetrics). liveConn tracks the current
@@ -272,30 +272,23 @@ func newRemoteSlot(w *worker, addr string, pendingCap int) *remoteSlot {
 	return rs
 }
 
-// noteRegister records an admitted registration event. Called under
-// the router's ingestMu, before the message is enqueued, so a
-// concurrent rebuild can never miss an admitted event.
-func (rs *remoteSlot) noteRegister(msg *message) {
+// noteControl records an admitted control event (register or
+// unregister). Called under the router's ingestMu, before the message
+// is enqueued (Router.send), so a concurrent rebuild can never miss an
+// admitted event.
+func (rs *remoteSlot) noteControl(msg *message) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	ev := &remoteEvent{seq: msg.seq, kind: msgRegister, msg: *msg}
+	ev := &remoteEvent{seq: msg.seq, kind: msg.kind, msg: *msg}
 	msg.revent = ev
 	ev.msg.revent = ev
 	rs.events = append(rs.events, ev)
-	rs.regs[msg.name] = ev
-	rs.liveRegs++
-	rs.recomputePinLocked()
-}
-
-// noteUnregister records an admitted removal event (same contract as
-// noteRegister).
-func (rs *remoteSlot) noteUnregister(msg *message) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	ev := &remoteEvent{seq: msg.seq, kind: msgUnregister, msg: *msg}
-	msg.revent = ev
-	ev.msg.revent = ev
-	rs.events = append(rs.events, ev)
+	if msg.kind == msgRegister {
+		rs.regs[msg.name] = ev
+		rs.liveRegs++
+		rs.recomputePinLocked()
+		return
+	}
 	// The registration may already be gone: its register frame can have
 	// errored (and been retired) while this Unregister raced the
 	// Register's reply. Only a live entry pairs and decrements.
@@ -523,11 +516,12 @@ func (rs *remoteSlot) run() {
 						// replay entitlement can be rebuilt (no match
 						// lost), and ask the router to evacuate its
 						// registrations to the surviving slots.
-						rs.hospice = dshard.NewServer()
-						w.r.tel.failovers.Inc()
-						go w.r.failoverEvacuate(w)
-						redial = time.After(0)
-						continue
+						if rs.adoptHospice() == nil {
+							w.r.tel.failovers.Inc()
+							go w.r.failoverEvacuate(w)
+							redial = time.After(0)
+							continue
+						}
 					}
 				}
 				redial = time.After(backoff)
@@ -550,20 +544,22 @@ func (rs *remoteSlot) run() {
 	}
 }
 
-// dial opens the slot's transport: TCP to the configured peer, or a
-// net.Pipe into the in-process hospice server after a failover. Each
-// connect gets a fresh pipe — a connection is an engine lifetime on
-// the server side, exactly as over TCP.
-func (rs *remoteSlot) dial() (net.Conn, error) {
-	if rs.hospice != nil {
-		client, server := net.Pipe()
-		if err := rs.hospice.ServeConn(server); err != nil {
-			client.Close()
-			return nil, err
-		}
-		return client, nil
+// adoptHospice starts the failover engine: an in-process dshard.Server
+// on a loopback listener, which the slot dials from then on instead of
+// the dead peer. Loopback TCP, not an unbuffered in-memory pipe: the
+// slot goroutine both writes frames and consumes the reader's bounded
+// queue, so a transport with no buffer of its own deadlocks as soon as
+// the server streams more matches than that queue holds while a write
+// is pending.
+func (rs *remoteSlot) adoptHospice() error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
 	}
-	return net.DialTimeout("tcp", rs.addr, remoteDialTimeout)
+	rs.hospice = dshard.NewServer()
+	go rs.hospice.Serve(ln)
+	rs.addr = ln.Addr().String()
+	return nil
 }
 
 // finish closes the slot down after the close barrier (or when no
@@ -617,11 +613,12 @@ func (rs *remoteSlot) connLost() {
 	}
 }
 
-// connect dials and runs the hello handshake: the hello offers the
-// configured capability set, the server's hello-ack grants it. A failed
-// handshake is a failed dial; the redial loop tries again.
+// connect dials the slot's peer — the configured address, or the
+// hospice after a failover — and runs the hello handshake: the hello
+// offers the configured capability set, the server's hello-ack grants
+// it. A failed handshake is a failed dial; the redial loop tries again.
 func (rs *remoteSlot) connect() (*dshard.Conn, error) {
-	c, err := rs.dial()
+	c, err := net.DialTimeout("tcp", rs.addr, remoteDialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -1045,9 +1042,7 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 		}
 	}
 	rs.mu.Unlock()
-	w.replicaLive.Set(d.Live)
-	w.replicaStored.Set(d.Stored)
-	w.replicaTypes.Set(d.Types)
+	w.publish(d.Report)
 
 	// Deliver outside the lock: a full collection channel must
 	// backpressure ingest, not deadlock Stats readers. And before the

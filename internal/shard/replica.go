@@ -8,9 +8,11 @@
 //     immutable snapshots concurrently, so a worker backfilling a
 //     widened replica never blocks ingestion or the other shards. A
 //     registration without statistics is decomposed from its window.
-//   - replicaSet, the per-shard refcount of footprint types, kept in
-//     two synchronized copies: router-side (driving the ingest gate)
-//     and worker-side (driving the engine filter, backfill and trim).
+//   - replicaSet, the per-shard refcount of footprint types, kept
+//     router-side only: Router.admit moves it at each control point,
+//     rebuilds the ingest gate from it, and stamps the control message
+//     with the engine filter and backfill set it implies, which the
+//     slot — local or remote — applies as is.
 //
 // The replica invariant: a shard's graph holds exactly the in-window
 // logged edges whose type is in its current footprint (modulo sweep
@@ -296,9 +298,9 @@ func (s *replicaSet) remove(types []string, exact bool) {
 // given footprint adds relative to the current refcounts, BEFORE add
 // folds it in: needAll (an inexact footprint going universal) with the
 // types already held, or the exact list of added types. Nothing is
-// needed when the set is already universal. Both the local worker's
-// register and the router's remote register path derive their backfill
-// sets from this one definition (and read them through EdgeLog.missed).
+// needed when the set is already universal. Router.admit stamps every
+// registration with it, and both transports read the backfill through
+// EdgeLog.missed.
 func (s *replicaSet) newlyNeeded(types []string, exact bool) (needAll bool, held, added []string) {
 	switch {
 	case s.universal():

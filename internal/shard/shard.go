@@ -289,12 +289,6 @@ const (
 	// msgRestore never rides the queues; it tags a remote slot's
 	// in-flight state-restore frame on a reconnect.
 	msgRestore
-	// msgMigrateOut asks a local worker to hand over one query: flush
-	// the retro barrier, clone the query's live state into a detached
-	// engine (persist.CloneQuery), unregister it and narrow the
-	// replica, then reply the clone on msg.xout. The clone is the
-	// migration package Router.Migrate transplants into the target.
-	msgMigrateOut
 )
 
 // message is one entry of a shard's ingest queue: a broadcast edge
@@ -310,37 +304,37 @@ type message struct {
 	q       *query.Graph  // msgRegister
 	cfg     core.Config   // msgRegister
 	rank    int           // msgRegister: global registration rank
-	fpTypes []string      // control: the query's edge-type footprint
-	fpExact bool          // control: false forces full replication
 	seq     uint64        // control: stream position (bounds the backfill)
 	minTS   int64         // msgRegister: window floor at registration time
-	reply   chan error    // control ack (buffered, may be nil for unregister)
+	reply   chan error    // control ack (buffered)
 	enq     int64         // msgEdges: enqueue instant (telemetry.now), for queue-wait tails
 
-	// Remote-slot fields, computed router-side under ingestMu at the
-	// message's admission so a reconnect replay can reproduce the
-	// control point exactly (the remote worker cannot read the
-	// router's refcounts or log).
+	// The control stamp (Router.admit), computed from the slot's
+	// footprint refcounts under ingestMu at the message's admission.
+	// Both transports apply it as is — the slots keep no refcounts — and
+	// a remote slot's reconnect replay reproduces the control point
+	// from it.
 	needAll       bool         // msgRegister: backfill everything not in heldTypes
 	needTypes     []string     // msgRegister: backfill exactly these types
 	heldTypes     []string     // msgRegister: types already replicated (needAll)
 	postUniversal bool         // control: replica filter after this point
 	postTypes     []string     // control: replica filter after this point
-	revent        *remoteEvent // the proxy's retained event record
+	revent        *remoteEvent // remote slot: the proxy's retained event record
 
 	// Migration fields (migrate.go). A register carrying xfer (local
 	// target) or state (remote target) is the second half of a
 	// Router.Migrate handoff; an unregister with migrate set is the
-	// first half on a remote source, whose pending retro work was
-	// already captured in the snapshot — the worker must not flush it.
+	// first half. A local source flushes, clones the query out and
+	// replies the clone on xout; a remote source's pending retro work
+	// was already captured in the snapshot — the worker must not flush.
 	xfer    *core.MultiEngine // msgRegister: clone to transplant (local target)
 	state   []byte            // msgRegister: SaveMulti image (remote target)
 	migrate bool              // register/unregister: part of a migration
-	xout    chan migrateOut   // msgMigrateOut: handoff reply
+	xout    chan migrateOut   // migrate unregister, local source: handoff reply
 }
 
-// migrateOut is a local worker's reply to msgMigrateOut: the detached
-// single-query clone and the query's registration rank.
+// migrateOut is a local source's reply to a migrate unregister: the
+// detached single-query clone and the query's registration rank.
 type migrateOut struct {
 	eng  *core.MultiEngine
 	rank int
@@ -449,7 +443,9 @@ type fprint struct {
 // barrier); a remote slot drains the same queue over a TCP connection
 // to a remote shard worker hosting that same slot engine (remote.go),
 // leaving slot nil. Either way, the router-side state — the ingest
-// gate, the footprint refcounts, the queue, the counters — lives here.
+// gate, the footprint refcounts, the queue, the counters and gauges —
+// lives here, and the slot engine only applies what Router.admit
+// stamped on each control message.
 type worker struct {
 	id      int
 	r       *Router
@@ -458,7 +454,7 @@ type worker struct {
 	slot    *dshard.Slot
 
 	// remote, when non-nil, makes this slot a proxy to a remote shard
-	// worker; the engine-side fields (slot, rset) are unused.
+	// worker; slot is then unused.
 	remote *remoteSlot
 
 	// retired marks a slot removed from the topology (RemoveSlot, or a
@@ -479,27 +475,18 @@ type worker struct {
 	// matches awaiting resolution into blocks.
 	pend []pendingMatch
 
-	// rset is the worker-goroutine-side copy of the footprint
-	// refcounts (filtering mode only): what the slot engine's replica
-	// filter is set from at the queue position where each control
-	// message lands.
-	rset *replicaSet
-
 	// Registry-backed slot series (handles created by
 	// telemetry.registerWorker; recording is atomic and lock-free).
 	edgesRouted     *metrics.Counter
 	edgesGated      *metrics.Counter
 	edgesBackfilled *metrics.Counter
 	matchesEmitted  *metrics.Counter
-	replicaLive     *metrics.Gauge
-	replicaStored   *metrics.Gauge
-	replicaTypes    *metrics.Gauge
 	queueWait       *metrics.AtomicHistogram
 	batchTime       *metrics.AtomicHistogram
 
-	// Engine-internals gauges (local slots only), published by the
-	// worker goroutine itself after each batch/control message — the
+	// The slot's gauges (dshard.Report), set only by publish: the slot
 	// engine is single-writer state no scrape may touch directly.
+	replicaLive, replicaStored, replicaTypes            *metrics.Gauge
 	engEdges, engPartial                                *metrics.Gauge
 	replicaVertices, replicaVertexSlots                 *metrics.Gauge
 	treeInserted, treeDeduped, treeEmitted, treeEvicted *metrics.Gauge
@@ -560,37 +547,40 @@ func newRouter(cfg Config) *Router {
 		r.gateTypes = graph.NewInterner()
 		r.fps = make(map[string]fprint)
 	}
-	for i := 0; i < cfg.Shards+len(cfg.Remotes); i++ {
-		w := &worker{id: i, r: r, in: make(chan message, cfg.QueueLen)}
-		if i < cfg.Shards {
-			// A filtered shard starts with no queries, hence an empty
-			// footprint: it receives and stores nothing until one is
-			// registered.
-			eng := core.NewMulti(core.MultiConfig{Window: cfg.Window})
-			w.slot = dshard.NewSlot(eng, !r.filtering)
-		} else {
-			w.remote = newRemoteSlot(w, cfg.Remotes[i-cfg.Shards], cfg.RemotePending)
-		}
-		r.tel.registerWorker(w)
-		if w.remote != nil {
-			w.remote.registerMetrics(r.tel)
-		}
-		if r.filtering {
-			w.gate = graph.NewTypeSet()
-			w.gateRefs = newReplicaSet()
-			if w.slot != nil {
-				w.rset = newReplicaSet()
-			}
-		} else {
-			w.gate = graph.UniversalTypes()
-			w.replicaTypes.Set(-1)
-		}
-		if cfg.Ordered {
-			w.bundles = make(chan bundle, cfg.QueueLen)
-		}
-		r.workers = append(r.workers, w)
+	for i := 0; i < cfg.Shards; i++ {
+		r.workers = append(r.workers, r.newWorker(i, ""))
+	}
+	for _, addr := range cfg.Remotes {
+		r.workers = append(r.workers, r.newWorker(len(r.workers), addr))
 	}
 	return r
+}
+
+// newWorker builds slot id: a local worker over a fresh slot engine, or
+// with addr a proxy to the remote shard worker there, and its
+// router-side state. A filtered slot starts with no queries, hence an
+// empty footprint: it receives and stores nothing until one is
+// registered.
+func (r *Router) newWorker(id int, addr string) *worker {
+	w := &worker{id: id, r: r, in: make(chan message, r.cfg.QueueLen)}
+	if addr == "" {
+		w.slot = dshard.NewSlot(core.NewMulti(core.MultiConfig{Window: r.cfg.Window}), !r.filtering)
+	} else {
+		w.remote = newRemoteSlot(w, addr, r.cfg.RemotePending)
+		w.remote.registerMetrics(r.tel)
+	}
+	r.tel.registerWorker(w)
+	if r.filtering {
+		w.gate = graph.NewTypeSet()
+		w.gateRefs = newReplicaSet()
+	} else {
+		w.gate = graph.UniversalTypes()
+		w.replicaTypes.Set(-1)
+	}
+	if r.cfg.Ordered {
+		w.bundles = make(chan bundle, r.cfg.QueueLen)
+	}
+	return w
 }
 
 // start launches the worker goroutines (and the ordered merge).
@@ -609,9 +599,6 @@ func (r *Router) start() {
 	}
 }
 
-// isRemote reports whether the slot proxies a remote shard worker.
-func (w *worker) isRemote() bool { return w.remote != nil }
-
 // NumShards returns the worker count, including retired tombstone
 // slots (slot ids are stable for the life of the router).
 func (r *Router) NumShards() int {
@@ -625,7 +612,14 @@ func (r *Router) NumShards() int {
 // registers it there, at the current stream position. It blocks until
 // the owning shard has drained its queue up to the registration (so a
 // subsequent Ingest is guaranteed to be seen by the query) and returns
-// the engine's registration error, if any.
+// the registration error, if any.
+//
+// Everything a slot engine would refuse is refused here, before any
+// gate or slot is touched: an invalid query, a decomposition sjtree
+// cannot build, a duplicate name, a query that cannot cross the wire in
+// a remote topology. That keeps the control stamps exact: a
+// registration admitted after this one relies on its footprint being
+// held, so this one must not fail on the slot.
 //
 // In filtering mode the query's edge-type footprint widens the owning
 // shard's ingest gate at the same stream position, and the shard
@@ -647,7 +641,11 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		// re-decomposes a query; the wire carries no adaptive field either.
 		return fmt.Errorf("shard: query %q: adaptive queries (Config.Adaptive) run standalone only", name)
 	}
-	fpTypes, fpExact := q.TypeFootprint()
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("shard: query %q: %w", name, err)
+	}
+	var fp fprint
+	fp.types, fp.exact = q.TypeFootprint()
 	r.ingestMu.Lock()
 	if r.closed {
 		r.ingestMu.Unlock()
@@ -667,31 +665,33 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		}
 	}
 	stats := cfg.Stats
-	if cfg.Leaves == nil && cfg.Strategy.Decomposes() {
-		// Pin the decomposition here, against the whole stream's window
-		// (or the caller's statistics — the collector a serial engine
-		// would have decomposed from), before the query reaches its
-		// shard: a filtered shard holds only its slice of the window, a
-		// remote shard cannot be shipped statistics at all, and a lazy
-		// query's reachable-match set depends on its decomposition, so
-		// divergent statistics would diverge from the serial schedule.
-		if stats == nil {
-			stats = r.log.Statistics(r.cfg.Window)
+	if cfg.Strategy.Decomposes() {
+		var err error
+		if cfg.Leaves == nil {
+			// Pin the decomposition here, against the whole stream's
+			// window (or the caller's statistics — the collector a serial
+			// engine would have decomposed from), before the query reaches
+			// its shard: a filtered shard holds only its slice of the
+			// window, a remote shard cannot be shipped statistics at all,
+			// and a lazy query's reachable-match set depends on its
+			// decomposition, so divergent statistics would diverge from
+			// the serial schedule.
+			if stats == nil {
+				stats = r.log.Statistics(r.cfg.Window)
+			}
+			cfg.Leaves, _, _, err = core.Decompose(q, cfg.Strategy, stats)
 		}
-		leaves, _, _, err := core.Decompose(q, cfg.Strategy, stats)
 		if err == nil {
 			// The SJ-Tree the shard joins on is this decomposition; its
-			// footprint (validated to cover the query) is what the gate
-			// and replica filter must admit. It equals the query's own
-			// footprint — Footprint checks the coverage that makes that
-			// identity hold.
-			fpTypes, fpExact, err = decompose.Footprint(q, leaves)
+			// footprint is what the gate and replica filter must admit.
+			// Footprint refuses every leaf set sjtree.Build refuses, and
+			// the footprint of one it accepts is the query's own.
+			fp.types, fp.exact, err = decompose.Footprint(q, cfg.Leaves)
 		}
 		if err != nil {
 			r.ingestMu.Unlock()
 			return err
 		}
-		cfg.Leaves = leaves
 	}
 	r.mu.Lock()
 	if _, dup := r.owner[name]; dup {
@@ -711,98 +711,112 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 	// Optimistic: recorded before the shard acks, rolled back on error.
 	r.own(name, w, &queryCost{q: q, leaves: cfg.Leaves, cost: estimateCost(stats, q, cfg.Leaves)})
 	r.mu.Unlock()
-	var floorToken uint64
+	// Capture the window floor NOW, at the registration's stream
+	// position — the backfill is entitled to every logged edge at or
+	// above it, however far the stream advances before the owning shard
+	// executes the backfill — and pin the log against trimming past it
+	// until the shard has acknowledged. (A remote slot then keeps its own
+	// pin at this floor for the life of the registration: a reconnect
+	// replay re-backfills from it.)
 	minTS := int64(math.MinInt64)
-	trackFloor := r.filtering || w.isRemote()
+	if r.cfg.Window > 0 {
+		minTS = r.log.MaxTS() - r.cfg.Window + 1
+	}
+	r.floorToken++
+	floorToken := r.floorToken
+	r.floors[floorToken] = minTS
 	msg := message{
 		kind: msgRegister, name: name, q: q, cfg: cfg, rank: rank,
-		fpTypes: fpTypes, fpExact: fpExact, postUniversal: true,
+		seq: r.seq.Load(), minTS: minTS, reply: make(chan error, 1),
 	}
-	if r.filtering {
-		// Widen the gate before releasing ingestMu: every edge admitted
-		// after the registration message is already gated by the new
-		// footprint, and everything before it is in the log — no gap.
-		r.fps[name] = fprint{types: fpTypes, exact: fpExact}
-		if w.isRemote() {
-			// The remote worker cannot read the router's refcounts, so
-			// the backfill set ("newly needed" relative to the pre-add
-			// footprint) and the post-add filter ride the message.
-			msg.needAll, msg.heldTypes, msg.needTypes = w.gateRefs.newlyNeeded(fpTypes, fpExact)
-		}
-		w.gateRefs.add(fpTypes, fpExact)
-		r.rebuildGate(w)
-		if w.isRemote() && !w.gateRefs.universal() {
-			msg.postUniversal = false
-			msg.postTypes = w.gateRefs.typeNames()
-		}
-	}
-	if trackFloor {
-		// Capture the window floor NOW, at the registration's stream
-		// position — the backfill is entitled to every logged edge at
-		// or above it, however far the stream advances before the
-		// owning shard executes the backfill — and pin the log against
-		// trimming past it until the shard has acknowledged. (A remote
-		// slot then keeps its own pin at this floor for the life of the
-		// registration: a reconnect replay re-backfills from it.)
-		if r.cfg.Window > 0 {
-			minTS = r.log.MaxTS() - r.cfg.Window + 1
-		}
-		r.floorToken++
-		floorToken = r.floorToken
-		r.floors[floorToken] = minTS
-	}
-	reply := make(chan error, 1)
-	msg.seq = r.seq.Load()
-	msg.minTS = minTS
-	msg.reply = reply
-	if w.isRemote() {
-		w.remote.noteRegister(&msg)
-	}
-	w.in <- msg
+	// The gate widens before ingestMu is released: every edge admitted
+	// after the registration message is already gated by the new
+	// footprint, and everything before it is in the log — no gap.
+	r.admit(w, &msg, fp)
+	r.send(w, msg)
 	r.ingestMu.Unlock()
 
-	err := <-reply
-	if trackFloor {
-		r.ingestMu.Lock()
-		delete(r.floors, floorToken)
-		if err != nil && r.filtering {
-			// Harmless over-delivery may have happened in the gap; the
-			// worker's engine filter never widened, so those edges were
-			// dropped there.
-			if fp, ok := r.fps[name]; ok {
-				delete(r.fps, name)
-				w.gateRefs.remove(fp.types, fp.exact)
-				r.rebuildGate(w)
-			}
-		}
-		r.ingestMu.Unlock()
-	}
+	err := <-msg.reply
+	r.ingestMu.Lock()
+	defer r.ingestMu.Unlock()
+	delete(r.floors, floorToken)
 	if err != nil {
-		r.mu.Lock()
 		// A concurrent Unregister may have already removed the
-		// provisional entry; only roll back what is still ours.
-		if r.owner[name] == w {
+		// provisional entry, and admitted its footprint out; only roll
+		// back what is still ours.
+		r.mu.Lock()
+		ours := r.owner[name] == w
+		if ours {
 			r.disown(name)
 		}
 		r.mu.Unlock()
+		if ours {
+			r.undo(w, &msg, fp)
+		}
+		return err
 	}
-	if err == nil && r.dlog != nil {
+	if r.dlog != nil {
 		// A registration is durable once Register returns: record it in
 		// the durable registry and commit a checkpoint round now, so a
 		// crash after this point can never resurrect the router without
 		// the query (the recovery path relies on it — see Open).
-		r.ingestMu.Lock()
 		r.dregs[name] = metaReg{
 			name: name, slot: w.id, rank: rank,
-			fpTypes: fpTypes, fpExact: fpExact,
+			fpTypes: fp.types, fpExact: fp.exact,
 			query: q.String(), cfg: cfg,
 		}
 		if !r.closed {
 			r.checkpointRound()
 		}
-		r.ingestMu.Unlock()
 	}
-	return err
+	return nil
+}
+
+// admit enters one control point — a registration, a removal, either
+// half of a migration, a registration Open restores — into slot w's
+// router-side state: it moves footprint fp into (msgRegister) or out of
+// (msgUnregister) the slot's refcounts, rebuilds the gate, and stamps
+// msg with what the slot applies as is, on either transport: the
+// replica filter after the point and, for a registration, the types
+// whose in-window past it backfills ("newly needed" relative to the
+// footprint before it). Caller holds ingestMu.
+func (r *Router) admit(w *worker, msg *message, fp fprint) {
+	msg.postUniversal, msg.postTypes = true, nil
+	if !r.filtering {
+		return
+	}
+	if msg.kind == msgRegister {
+		r.fps[msg.name] = fp
+		msg.needAll, msg.heldTypes, msg.needTypes = w.gateRefs.newlyNeeded(fp.types, fp.exact)
+		w.gateRefs.add(fp.types, fp.exact)
+	} else {
+		delete(r.fps, msg.name)
+		w.gateRefs.remove(fp.types, fp.exact)
+	}
+	r.rebuildGate(w)
+	if !w.gateRefs.universal() {
+		msg.postUniversal, msg.postTypes = false, w.gateRefs.typeNames()
+	}
+}
+
+// undo reverses admit(w, msg, fp) for a control point the slot refused
+// or never received. Caller holds ingestMu.
+func (r *Router) undo(w *worker, msg *message, fp fprint) {
+	inverse := message{kind: msgUnregister, name: msg.name}
+	if msg.kind == msgUnregister {
+		inverse.kind = msgRegister
+	}
+	r.admit(w, &inverse, fp)
+}
+
+// send enqueues an admitted control message on its slot, recording it
+// first in a remote slot's replay set so a concurrent rebuild can never
+// miss it. Caller holds ingestMu.
+func (r *Router) send(w *worker, msg message) {
+	if w.remote != nil {
+		w.remote.noteControl(&msg)
+	}
+	w.in <- msg
 }
 
 // estimateCost is one query's expected partial-match traffic per
@@ -915,7 +929,7 @@ func (r *Router) slotOrder() ([]*worker, map[*worker]float64) {
 }
 
 // rebuildGate recomputes a shard's ingest gate from its footprint
-// refcounts. Caller holds ingestMu.
+// refcounts (admit). Caller holds ingestMu.
 func (r *Router) rebuildGate(w *worker) {
 	if w.gateRefs.universal() {
 		w.gate = graph.UniversalTypes()
@@ -948,21 +962,9 @@ func (r *Router) Unregister(name string) {
 	}
 	r.disown(name)
 	r.mu.Unlock()
-	msg := message{kind: msgUnregister, name: name, seq: r.seq.Load(), postUniversal: true, reply: make(chan error, 1)}
-	if fp, tracked := r.fps[name]; tracked {
-		delete(r.fps, name)
-		w.gateRefs.remove(fp.types, fp.exact)
-		r.rebuildGate(w)
-		msg.fpTypes, msg.fpExact = fp.types, fp.exact
-		if w.isRemote() && !w.gateRefs.universal() {
-			msg.postUniversal = false
-			msg.postTypes = w.gateRefs.typeNames()
-		}
-	}
-	if w.isRemote() {
-		w.remote.noteUnregister(&msg)
-	}
-	w.in <- msg
+	msg := message{kind: msgUnregister, name: name, seq: r.seq.Load(), reply: make(chan error, 1)}
+	r.admit(w, &msg, r.fps[name])
+	r.send(w, msg)
 	r.ingestMu.Unlock()
 	<-msg.reply
 	if r.dlog != nil {
@@ -1298,35 +1300,18 @@ func (w *worker) run() {
 		case msgRegister:
 			w.slot.Flush(msg.seq, w.emit)
 			err := w.register(msg)
-			w.publishReplicaStats()
+			w.publish(w.slot.Report())
 			msg.reply <- err
 		case msgUnregister:
-			w.unregister(msg, false)
-			w.publishReplicaStats()
-			if msg.reply != nil {
-				msg.reply <- nil
+			if msg.xout != nil {
+				out := w.handOver(msg)
+				w.publish(w.slot.Report())
+				msg.xout <- out
+				continue
 			}
-		case msgMigrateOut:
-			// First half of a local-source migration: flush the retro
-			// barrier (standard unregister discipline — the clone must
-			// not carry repairs the serial schedule already drained),
-			// detach the query's state, and remove it here. The handoff
-			// happens at this exact queue position: every edge enqueued
-			// before it is in the clone, every one after it belongs to
-			// the target.
-			var out migrateOut
-			var held bool
-			if out.rank, held = w.slot.Rank(msg.name); !held {
-				out.err = fmt.Errorf("shard: slot %d does not hold query %q", w.id, msg.name)
-			} else {
-				w.slot.Flush(msg.seq, w.emit)
-				out.eng, out.err = persist.CloneQuery(w.slot.Eng, msg.name)
-				if out.err == nil {
-					w.unregister(msg, true)
-				}
-			}
-			w.publishReplicaStats()
-			msg.xout <- out
+			w.slot.Unregister(msg.seq, msg.name, false, msg.postUniversal, msg.postTypes, w.emit)
+			w.publish(w.slot.Report())
+			msg.reply <- nil
 		case msgCheckpoint:
 			// Serialize the engine at this queue position — a message
 			// boundary, so no batch is mid-flight — and persist it as
@@ -1337,8 +1322,10 @@ func (w *worker) run() {
 		}
 	}
 	// The stream is over; drain any repairs the serial schedule would
-	// have drained at an edge this shard never received.
+	// have drained at an edge this shard never received, as a remote
+	// slot's close frame does, and publish what that leaves.
 	w.slot.Flush(w.r.seq.Load(), w.emit)
+	w.publish(w.slot.Report())
 	if w.bundles != nil {
 		close(w.bundles)
 	}
@@ -1354,34 +1341,22 @@ func (w *worker) emit(seq uint64, nms []core.NamedMatch) {
 	w.emitPending()
 }
 
-// filter is the replica filter the footprint refcounts call for.
-func (w *worker) filter() (universal bool, types []string) {
-	if !w.r.filtering {
-		return true, nil
-	}
-	return w.rset.universal(), w.rset.typeNames()
-}
-
-// register installs a query on the slot engine: the footprint widens
-// the replica filter, and the in-window past of the newly needed types
-// is backfilled from the shared edge log. The backfill is read on this
+// register installs a query on the slot engine with the filter and
+// backfill its admission stamped: the in-window past of the newly
+// needed types, read through the same EdgeLog.missed call a remote
+// slot's register frame is built with. The backfill is read on this
 // worker's goroutine against a lock-free log snapshot, so the router
 // and the other shards proceed unimpeded; this shard's own queue waits,
 // which is exactly the Register barrier semantics. A register carrying
 // xfer is a migration's second half: the slot engine grafts the
 // source's live state on, or rolls the registration back.
 func (w *worker) register(msg message) error {
-	reg := dshard.SlotRegister{Name: msg.name, Query: msg.q, Config: msg.cfg, Rank: msg.rank, State: msg.xfer}
-	if w.r.filtering {
-		needAll, held, added := w.rset.newlyNeeded(msg.fpTypes, msg.fpExact)
-		w.rset.add(msg.fpTypes, msg.fpExact)
-		reg.Backfill = w.r.log.missed(msg.seq, msg.minTS, needAll, held, added)
+	reg := dshard.SlotRegister{
+		Name: msg.name, Query: msg.q, Config: msg.cfg, Rank: msg.rank, State: msg.xfer,
+		Universal: msg.postUniversal, Types: msg.postTypes,
+		Backfill: w.r.log.missed(msg.seq, msg.minTS, msg.needAll, msg.heldTypes, msg.needTypes),
 	}
-	reg.Universal, reg.Types = w.filter()
 	if err := w.slot.Register(reg); err != nil {
-		if w.r.filtering {
-			w.rset.remove(msg.fpTypes, msg.fpExact)
-		}
 		return err
 	}
 	w.edgesBackfilled.Add(int64(len(reg.Backfill)))
@@ -1391,43 +1366,43 @@ func (w *worker) register(msg message) error {
 	return nil
 }
 
-// unregister removes a query the slot holds: its footprint leaves the
-// refcounts, and the slot engine flushes (unless flushed says the
-// caller already has), narrows its filter and trims the edges no
-// remaining query can reach.
-func (w *worker) unregister(msg message, flushed bool) {
-	if _, held := w.slot.Rank(msg.name); !held {
-		return
+// handOver is a migrate unregister on a local source: flush the retro
+// barrier (standard unregister discipline — the clone must not carry
+// repairs the serial schedule already drained), detach the query's
+// state (persist.CloneQuery), and remove it here with the stamped
+// filter. The handoff happens at this exact queue position: every edge
+// enqueued before it is in the clone, every one after it belongs to the
+// target.
+func (w *worker) handOver(msg message) (out migrateOut) {
+	var held bool
+	if out.rank, held = w.slot.Rank(msg.name); !held {
+		out.err = fmt.Errorf("shard: slot %d does not hold query %q", w.id, msg.name)
+		return out
 	}
-	if w.r.filtering {
-		w.rset.remove(msg.fpTypes, msg.fpExact)
+	w.slot.Flush(msg.seq, w.emit)
+	if out.eng, out.err = persist.CloneQuery(w.slot.Eng, msg.name); out.err == nil {
+		w.slot.Unregister(msg.seq, msg.name, true, msg.postUniversal, msg.postTypes, w.emit)
 	}
-	universal, types := w.filter()
-	w.slot.Unregister(msg.seq, msg.name, flushed, universal, types, w.emit)
+	return out
 }
 
-// publishReplicaStats exposes the worker-owned replica and engine
-// gauges to the lock-free Stats/scrape readers. Only the worker
-// goroutine may call it: the engine is single-writer state, so the
-// scrape path reads these published atomics, never the engine itself.
-func (w *worker) publishReplicaStats() {
-	eng := w.slot.Eng
-	g := eng.Graph()
-	w.replicaLive.Set(int64(g.NumEdges()))
-	w.replicaStored.Set(eng.EdgesStored())
-	w.replicaTypes.Set(w.slot.FilterWidth())
-	w.replicaVertices.Set(int64(g.LiveVertices()))
-	w.replicaVertexSlots.Set(int64(g.NumVertices()))
-	st := eng.Stats()
-	w.engEdges.Set(st.EdgesProcessed)
-	w.engPartial.Set(st.PartialMatches)
-	c := eng.Counters()
-	w.treeInserted.Set(c.TreeInserted)
-	w.treeDeduped.Set(c.TreeDeduped)
-	w.treeEmitted.Set(c.TreeEmitted)
-	w.treeEvicted.Set(c.TreeEvicted)
-	w.poolGets.Set(c.PoolGets)
-	w.poolFresh.Set(c.PoolFresh)
+// publish exposes a slot's gauges to the lock-free Stats/scrape
+// readers: a local worker's after each message it handles, a remote
+// slot's (the failover hospice's included) from each done frame.
+func (w *worker) publish(rep dshard.Report) {
+	w.replicaLive.Set(rep.Live)
+	w.replicaStored.Set(rep.Stored)
+	w.replicaTypes.Set(rep.Types)
+	w.replicaVertices.Set(rep.Vertices)
+	w.replicaVertexSlots.Set(rep.VertexSlots)
+	w.engEdges.Set(rep.Edges)
+	w.engPartial.Set(rep.Partial)
+	w.treeInserted.Set(rep.TreeInserted)
+	w.treeDeduped.Set(rep.TreeDeduped)
+	w.treeEmitted.Set(rep.TreeEmitted)
+	w.treeEvicted.Set(rep.TreeEvicted)
+	w.poolGets.Set(rep.PoolGets)
+	w.poolFresh.Set(rep.PoolFresh)
 }
 
 // processEdges folds a routed batch into this shard's private engine
@@ -1453,7 +1428,7 @@ func (w *worker) processEdges(msg message) {
 		}
 	}
 	w.emitPending()
-	w.publishReplicaStats()
+	w.publish(w.slot.Report())
 }
 
 // pendingMatch is one engine-owned match waiting to be resolved, with

@@ -139,9 +139,9 @@ func TestRouterIsTheStatisticsOwner(t *testing.T) {
 		}
 		for _, w := range r.workers {
 			var types map[string]bool // nil: a full replica
-			if r.filtering && !w.rset.universal() {
+			if r.filtering && !w.gateRefs.universal() {
 				types = make(map[string]bool)
-				for _, tp := range w.rset.typeNames() {
+				for _, tp := range w.gateRefs.typeNames() {
 					types[tp] = true
 				}
 			}

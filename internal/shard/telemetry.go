@@ -234,19 +234,15 @@ func (t *telemetry) matchLag() metrics.Histogram {
 }
 
 // registerWorker wires one slot's series into the registry: the
-// routed/gated/emitted counters and replica gauges Stats() reads, the
-// queue gauges, the queue-wait and batch histograms, and — for local
-// slots — the engine-internals gauges the worker goroutine publishes
-// after each batch.
+// routed/gated/emitted counters, the queue gauges, the queue-wait and
+// batch histograms, and the gauges of the slot's dshard.Report, which
+// worker.publish sets — the same series for a local and a remote slot.
 func (t *telemetry) registerWorker(w *worker) {
 	sh := strconv.Itoa(w.id)
 	w.edgesRouted = t.reg.Counter("sg_shard_edges_routed_total", "shard", sh)
 	w.edgesGated = t.reg.Counter("sg_shard_edges_gated_total", "shard", sh)
 	w.edgesBackfilled = t.reg.Counter("sg_shard_edges_backfilled_total", "shard", sh)
 	w.matchesEmitted = t.reg.Counter("sg_shard_matches_emitted_total", "shard", sh)
-	w.replicaLive = t.reg.Gauge("sg_shard_replica_edges", "shard", sh)
-	w.replicaStored = t.reg.Gauge("sg_shard_replica_stored", "shard", sh)
-	w.replicaTypes = t.reg.Gauge("sg_shard_replica_types", "shard", sh)
 	w.queueWait = t.reg.Histogram("sg_shard_queue_wait_ns", "shard", sh)
 	w.batchTime = t.reg.Histogram("sg_shard_process_batch_ns", "shard", sh)
 	t.reg.GaugeFunc("sg_shard_queue_depth", func() int64 { return int64(len(w.in)) }, "shard", sh)
@@ -257,13 +253,13 @@ func (t *telemetry) registerWorker(w *worker) {
 		defer w.r.mu.Unlock()
 		return int64(math.Round(w.r.slotLoads("", nil)[w] * 1000))
 	}, "shard", sh)
-	if w.slot == nil {
-		return
-	}
-	w.engEdges = t.reg.Gauge("sg_engine_edges_processed", "shard", sh)
-	w.engPartial = t.reg.Gauge("sg_engine_partial_matches", "shard", sh)
+	w.replicaLive = t.reg.Gauge("sg_shard_replica_edges", "shard", sh)
+	w.replicaStored = t.reg.Gauge("sg_shard_replica_stored", "shard", sh)
+	w.replicaTypes = t.reg.Gauge("sg_shard_replica_types", "shard", sh)
 	w.replicaVertices = t.reg.Gauge("sg_shard_replica_vertices", "shard", sh)
 	w.replicaVertexSlots = t.reg.Gauge("sg_shard_replica_vertex_slots", "shard", sh)
+	w.engEdges = t.reg.Gauge("sg_engine_edges_processed", "shard", sh)
+	w.engPartial = t.reg.Gauge("sg_engine_partial_matches", "shard", sh)
 	w.treeInserted = t.reg.Gauge("sg_engine_tree_inserted", "shard", sh)
 	w.treeDeduped = t.reg.Gauge("sg_engine_tree_deduped", "shard", sh)
 	w.treeEmitted = t.reg.Gauge("sg_engine_tree_emitted", "shard", sh)

@@ -3,6 +3,7 @@ package shard
 import (
 	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"streamgraph/internal/core"
+	"streamgraph/internal/dshard"
 	"streamgraph/internal/edlog"
 	"streamgraph/internal/graph"
 	"streamgraph/internal/metrics"
@@ -38,6 +40,28 @@ func metricValue(t *testing.T, samples []metrics.Sample, name string, labels ...
 	}
 	t.Fatalf("series %s%v not found in snapshot", name, labels)
 	return 0
+}
+
+// reportGauges maps each per-slot gauge to its dshard.Report field.
+func reportGauges(rep dshard.Report) map[string]int64 {
+	return map[string]int64{
+		"sg_shard_replica_edges": rep.Live, "sg_shard_replica_stored": rep.Stored, "sg_shard_replica_types": rep.Types,
+		"sg_shard_replica_vertices": rep.Vertices, "sg_shard_replica_vertex_slots": rep.VertexSlots,
+		"sg_engine_edges_processed": rep.Edges, "sg_engine_partial_matches": rep.Partial,
+		"sg_engine_tree_inserted": rep.TreeInserted, "sg_engine_tree_deduped": rep.TreeDeduped,
+		"sg_engine_tree_emitted": rep.TreeEmitted, "sg_engine_tree_evicted": rep.TreeEvicted,
+		"sg_engine_pool_gets": rep.PoolGets, "sg_engine_pool_fresh": rep.PoolFresh,
+	}
+}
+
+// slotGauges reads every reportGauges series of one slot.
+func slotGauges(t *testing.T, samples []metrics.Sample, slot int) map[string]int64 {
+	t.Helper()
+	out := reportGauges(dshard.Report{})
+	for name := range out {
+		out[name] = metricValue(t, samples, name, "shard", strconv.Itoa(slot))
+	}
+	return out
 }
 
 // sumMetric sums every sample of a series family across its labels.
@@ -126,6 +150,9 @@ func TestMetricsTruthfulness(t *testing.T) {
 				r.IngestBatch(edges[lo:hi])
 			}
 			reg := r.Metrics()
+			if tp.name == "remote" {
+				checkRemoteReport(t, r)
+			}
 			r.Close()
 			<-done
 			if collected == 0 {
@@ -237,6 +264,141 @@ func TestMetricsTruthfulness(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkRemoteReport runs a checkpoint barrier on every remote slot and
+// requires each gauge a snapshot image restores — replica edges, stored
+// and types, named vertices, edges processed, partial matches — to
+// equal the Report of the slot rebuilt from that barrier's snapshot.
+// (The SJ-tree and match-pool activity totals and the vertex slot count
+// are not part of an image: they restart on a restore.
+// TestSlotGaugesDifferential pins those against a local twin.)
+func checkRemoteReport(t *testing.T, r *Router) {
+	t.Helper()
+	restored := []string{ // the gauges an image restores
+		"sg_shard_replica_edges", "sg_shard_replica_stored", "sg_shard_replica_types",
+		"sg_shard_replica_vertices", "sg_engine_edges_processed", "sg_engine_partial_matches",
+	}
+	for _, w := range r.workers {
+		if w.remote == nil {
+			continue
+		}
+		rs := w.remote
+		gen := rs.snapshotGen()
+		r.ingestMu.Lock()
+		w.in <- message{kind: msgCheckpoint}
+		r.ingestMu.Unlock()
+		deadline := time.Now().Add(10 * time.Second)
+		for rs.snapshotGen() == gen || !rs.drained() {
+			if time.Now().After(deadline) {
+				t.Fatalf("slot %d: checkpoint barrier timed out", w.id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		si, err := dshard.DecodeSnapshotImage(rs.snapshotCut())
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, err := si.Slot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reportGauges(slot.Report())
+		if want["sg_engine_partial_matches"] == 0 || want["sg_shard_replica_vertices"] == 0 {
+			t.Fatalf("slot %d: the snapshot holds no partial matches or vertices; the check is vacuous", w.id)
+		}
+		// The barrier's done frame is published just after the snapshot
+		// is adopted; nothing else is in flight.
+		for {
+			got := slotGauges(t, r.Metrics().Snapshot(), w.id)
+			same := true
+			for _, name := range restored {
+				same = same && got[name] == want[name]
+			}
+			if same {
+				break
+			}
+			if time.Now().After(deadline) {
+				for _, name := range restored {
+					if got[name] != want[name] {
+						t.Errorf("slot %d: %s = %d, the slot rebuilt from its snapshot reports %d", w.id, name, got[name], want[name])
+					}
+				}
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestSlotGaugesDifferential pins the one gauge path: a remote slot,
+// and a failed-over one (its in-process hospice engine), publish every
+// per-slot gauge a local slot does, with the values a local slot owning
+// the same queries and fed the same stream publishes.
+func TestSlotGaugesDifferential(t *testing.T) {
+	edges := testStream(2000)
+	const window = 400
+	run := func(cfg Config) []metrics.Sample {
+		t.Helper()
+		cfg.Window = window
+		r := New(cfg)
+		queries, strategies := testQueries(), testStrategies()
+		for _, name := range sortedNames(queries) {
+			if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
+				t.Fatalf("register %s: %v", name, err)
+			}
+		}
+		done := make(chan int64, 1)
+		go func() { done <- r.Drain(nil) }()
+		for lo := 0; lo < len(edges); lo += 64 {
+			r.IngestBatch(edges[lo:min(lo+64, len(edges))])
+		}
+		r.Close()
+		if <-done == 0 {
+			t.Fatal("no matches; the differential is vacuous")
+		}
+		return r.Metrics().Snapshot()
+	}
+	want := slotGauges(t, run(Config{Shards: 1}), 0)
+	for _, name := range []string{
+		"sg_shard_replica_edges", "sg_shard_replica_stored", "sg_shard_replica_vertices", "sg_engine_edges_processed",
+		"sg_engine_partial_matches", "sg_engine_tree_inserted", "sg_engine_tree_emitted", "sg_engine_pool_gets",
+	} {
+		if want[name] == 0 {
+			t.Fatalf("local slot: %s = 0; the differential is vacuous", name)
+		}
+	}
+	addr, _ := startRemoteWorker(t)
+	// Nothing listens at dead: the slot fails over after its third
+	// failed dial — ~150 ms of backoff, by when the registrations are
+	// queued on it (an empty slot that fails over is retired at once) —
+	// and runs on its hospice engine, there being no other slot to
+	// evacuate to. The whole stream runs through the hospice.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	for _, tp := range []struct {
+		name      string
+		cfg       Config
+		failovers int64
+	}{
+		{"remote", Config{Remotes: []string{addr}}, 0},
+		{"failed-over", Config{Remotes: []string{dead}, RedialBudget: 3}, 1},
+	} {
+		samples := run(tp.cfg)
+		if n := metricValue(t, samples, "sg_failovers_total"); n != tp.failovers {
+			t.Fatalf("%s slot: sg_failovers_total = %d, want %d", tp.name, n, tp.failovers)
+		}
+		got := slotGauges(t, samples, 0)
+		for name := range want {
+			if got[name] != want[name] {
+				t.Errorf("%s slot: %s = %d, a local slot publishes %d", tp.name, name, got[name], want[name])
+			}
+		}
 	}
 }
 
