@@ -95,24 +95,3 @@ func TestRegisterWithBackfillDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiRefusesAdaptive: nothing on a MultiEngine feeds an adaptive
-// query's statistics, so Register refuses one instead of running a
-// query that never adapts; a standalone engine takes it.
-func TestMultiRefusesAdaptive(t *testing.T) {
-	q := query.NewPath(query.Wildcard, "TCP", "UDP")
-	cfg := Config{Strategy: StrategySingleLazy, Leaves: [][]int{{0}, {1}}, Adaptive: &AdaptiveConfig{RecomputeEvery: 500}}
-	m := NewMulti(MultiConfig{Window: 100})
-	if err := m.Register("a", q, cfg); err == nil {
-		t.Fatal("MultiEngine.Register took an adaptive query")
-	}
-	if _, err := m.RegisterWithBackfill("a", q, cfg); err == nil {
-		t.Fatal("MultiEngine.RegisterWithBackfill took an adaptive query")
-	}
-	if len(m.Registered()) != 0 {
-		t.Fatalf("refused registrations left %v registered", m.Registered())
-	}
-	if _, err := New(q, cfg); err != nil {
-		t.Fatalf("a standalone adaptive engine: %v", err)
-	}
-}

@@ -36,13 +36,15 @@ import (
 // ProcessBatch folds a whole batch of stream edges into the graph and
 // returns the new complete matches per input edge: out[i] holds exactly
 // the matches a serial ProcessEdge(batch[i]) call would have returned
-// at that point in the stream. Eviction and adaptive statistics are
-// amortized to one pass per batch.
+// at that point in the stream. Eviction is amortized to one pass per
+// batch.
 //
 // The returned rows and the matches in them are the engine's: they stay
 // valid until the next ProcessBatch, ProcessEdge or FlushPending call on
 // this engine and no longer (see "Match lifetimes" in the package
-// comment and batchArena).
+// comment and batchArena). The rows stay aligned with batch: an edge
+// outside the query's footprint keeps its slot and completes nothing,
+// and its timestamp is still offered to the host's sweep clock.
 func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 	if len(batch) == 0 {
 		return nil
@@ -50,17 +52,6 @@ func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
 	e.res.Reset()
 	e.arena.begin()
 	e.host.arena.begin()
-	if e.adaptive != nil {
-		return e.processBatchAdaptive(batch)
-	}
-	return e.ingestSearch(batch)
-}
-
-// ingestSearch is a standalone engine's batch step: the host's batch
-// ingest, the timestamps the footprint dropped offered to its clock, and
-// the batch search. The rows stay aligned with batch: an edge outside
-// the footprint keeps its slot and completes nothing.
-func (e *Engine) ingestSearch(batch []stream.Edge) [][]iso.Match {
 	des, hiTS := e.host.ingestBatch(batch)
 	e.host.clock.offer(hiTS)
 	e.stats.EdgesProcessed += int64(len(batch) - len(des))
@@ -71,37 +62,6 @@ func (e *Engine) ingestSearch(batch []stream.Edge) [][]iso.Match {
 	out := e.arena.rowBuf(len(batch))
 	for k, ke := range e.host.adm.kept {
 		out[ke.pos] = rows[k]
-	}
-	return out
-}
-
-// processBatchAdaptive runs the batch pipeline for adaptive engines by
-// splitting the batch at re-decomposition boundaries: within a run no
-// recompute can fire, so every edge of it is searched under one tree.
-// The serial schedule observes each edge into the period collector and
-// fires the recompute on the edge that fills the period, after that
-// edge is ingested but before it is searched — the split reproduces
-// exactly that: edges before the trigger are searched
-// under the old tree, the trigger edge and everything after it under
-// the new one, with the trigger edge itself already observed.
-func (e *Engine) processBatchAdaptive(batch []stream.Edge) [][]iso.Match {
-	a := e.adaptive
-	out := make([][]iso.Match, 0, len(batch))
-	for len(batch) > 0 {
-		until := a.cfg.RecomputeEvery - a.sinceCheck // edges until a recompute fires
-		if until > len(batch) {
-			a.collector.AddAll(batch)
-			a.sinceCheck += len(batch)
-			return append(out, e.ingestSearch(batch)...)
-		}
-		head := batch[:until]
-		batch = batch[until:]
-		a.collector.AddAll(head)
-		if len(head) > 1 {
-			out = append(out, e.ingestSearch(head[:len(head)-1])...)
-		}
-		e.recomputeAdaptive()
-		out = append(out, e.ingestSearch(head[len(head)-1:])...)
 	}
 	return out
 }

@@ -175,9 +175,9 @@ func TestVertexChurnMultiHeapFlat(t *testing.T) {
 
 // TestSweepDropsRetroOfIsolatedVertex pins the one way a queued
 // retrospective search can outlive its vertex. A queue normally drains
-// within the edge that filled it, but an adaptive migration (or a live
-// checkpoint restore) leaves work queued between edges, and the batch
-// path sweeps before it ingests: the sweep reclaims the vertex, the
+// within the edge that filled it, but a live checkpoint restore leaves
+// work queued between edges, and the batch path sweeps before it
+// ingests: the sweep reclaims the vertex, the
 // batch hands its slot to a new host, and only then does the queue
 // drain. The sweep must drop the item, or the search runs around the
 // wrong host.

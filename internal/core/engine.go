@@ -63,9 +63,8 @@
 // is not in it and is not an iso.Match: the tree keeps its own copy as a
 // record in the node's slab, and what onStored and Tree.EachStored are
 // handed is a view into that slab, valid for the callback only —
-// onStored reads the vertices and keeps nothing, and migrate projects
-// each view into arrays of its own. See sjtree.Tree.InsertInto, the
-// sjtree package comment and iso.MatchPool.
+// onStored reads the vertices and keeps nothing. See
+// sjtree.Tree.InsertInto, the sjtree package comment and iso.MatchPool.
 package core
 
 import (
@@ -178,13 +177,6 @@ type Config struct {
 	// subgraph-isomorphism attempt (0 = unlimited; load shedding when
 	// exceeded).
 	MaxStepsPerSearch int64
-
-	// Adaptive, when non-nil, enables adaptive query processing: the
-	// engine keeps collecting statistics from the live stream and
-	// periodically re-decomposes the query, migrating partial matches
-	// into the new SJ-Tree (the paper's Section 7 follow-up problem).
-	// Ignored by the VF2 and IncIso baselines.
-	Adaptive *AdaptiveConfig
 }
 
 // Stats aggregates the engine's work counters.
@@ -274,8 +266,7 @@ type Engine struct {
 	chosenKind decompose.Kind
 	relSel     float64
 
-	adaptive *adaptiveState
-	budget   sjtree.WorkBudget
+	budget sjtree.WorkBudget
 
 	// arena backs the batch path's scratch and result slices, recycled
 	// per batch generation (see batchArena).
@@ -294,9 +285,8 @@ type retroItem struct {
 	floor int64
 }
 
-// New builds a standalone engine for query q (see Solo). Unlike
-// MultiEngine.Register it takes Config.Adaptive, and a tree strategy
-// needs Config.Stats or Config.Leaves.
+// New builds a standalone engine for query q (see Solo). A tree
+// strategy needs Config.Stats or Config.Leaves.
 func New(q *query.Graph, cfg Config) (*Engine, error) {
 	m := NewMulti(MultiConfig{Window: cfg.Window})
 	if _, err := m.register("standalone", q, cfg); err != nil {
@@ -369,13 +359,6 @@ func newEngine(g *graph.Graph, q *query.Graph, cfg Config) (*Engine, error) {
 		e.gated = len(leaves) - 1
 		e.pending = make([][]retroItem, len(leaves))
 	}
-	if cfg.Adaptive != nil {
-		ac := *cfg.Adaptive
-		if ac.RecomputeEvery <= 0 {
-			ac.RecomputeEvery = 10000
-		}
-		e.adaptive = &adaptiveState{cfg: ac, collector: selectivity.NewCollector()}
-	}
 	return e, nil
 }
 
@@ -447,11 +430,6 @@ func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 	if !ok {
 		e.host.clock.offer(se.TS)
 		e.host.maybeEvict()
-	}
-	if e.adaptive != nil {
-		e.observeAdaptive(se)
-	}
-	if !ok {
 		e.res.Reset()
 		e.stats.EdgesProcessed++
 		return nil

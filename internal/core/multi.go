@@ -201,12 +201,8 @@ func (m *MultiEngine) Statistics() *selectivity.Collector {
 // is decomposed from Config.Leaves or Config.Stats when cfg brings
 // either, and from the window's statistics (Statistics) otherwise. The
 // engine's window is overridden to the shared one. Existing edges are
-// not retroactively searched (see RegisterWithBackfill). Config.Adaptive
-// is refused: nothing here feeds its statistics; New takes it.
+// not retroactively searched (see RegisterWithBackfill).
 func (m *MultiEngine) Register(name string, q *query.Graph, cfg Config) error {
-	if cfg.Adaptive != nil {
-		return fmt.Errorf("core: query %q: adaptive queries (Config.Adaptive) run standalone only", name)
-	}
 	if cfg.Stats == nil && cfg.Leaves == nil && cfg.Strategy.Decomposes() {
 		cfg.Stats = m.Statistics()
 	}
@@ -440,11 +436,10 @@ func (m *MultiEngine) maybeEvict() {
 // live edges, hence only vertices that kept one), and the lazy stamps
 // and queued retrospective searches of vertices without an edge. A
 // queue normally drains within the edge that filled it; it outlives one
-// only after an adaptive migration or a checkpoint restore, and the
-// batch path sweeps before it ingests, so without the last step such an
-// item would be searched around whichever name took the slot. Dropping
-// it loses nothing: a search around a vertex without an edge finds
-// nothing.
+// only after a checkpoint restore, and the batch path sweeps before it
+// ingests, so without the last step such an item would be searched
+// around whichever name took the slot. Dropping it loses nothing: a
+// search around a vertex without an edge finds nothing.
 //
 // A sweep also marks each engine's result slab, so that its next Reset
 // may cut back what a burst of complete matches grew (sjtree.Results);

@@ -21,7 +21,6 @@ import (
 func (e *Engine) ConfigSnapshot() Config {
 	cfg := e.cfg
 	cfg.Stats = nil
-	cfg.Adaptive = nil
 	if e.tree != nil {
 		cfg.Leaves = e.tree.LeafSets()
 	}

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"streamgraph/internal/core"
@@ -135,60 +134,5 @@ func TestTriangleLeafEndToEnd(t *testing.T) {
 		if !got[sig] {
 			t.Fatalf("triangle leaf missing match %q", sig)
 		}
-	}
-}
-
-func TestTriangleWithTailQueryViaPlanner(t *testing.T) {
-	// Triangle plus an outgoing tail edge; the planner (with triangle
-	// stats) may choose a triangle leaf, and the engine must still agree
-	// with the reference strategy.
-	edges := triangleStream(5, 150)
-	// Attach a GRE tail to two of the triangles.
-	last := edges[len(edges)-1].TS
-	for i := 0; i < 2; i++ {
-		last++
-		edges = append(edges, stream.Edge{
-			Src: fmt.Sprintf("a%d", i), SrcLabel: "ip",
-			Dst: fmt.Sprintf("t%d", i), DstLabel: "ip",
-			Type: "GRE", TS: last,
-		})
-	}
-	c := selectivity.NewCollector()
-	c.AddAll(edges)
-
-	q := triangleQuery()
-	d := q.AddVertex("d", "ip")
-	q.AddEdge(0, d, "GRE") // a -> d tail
-
-	p := &Planner{Stats: c, AvgDegree: 6, Triangles: &TriangleInfo{Triangles: 5, Wedges: 500}}
-	leaves, _, err := p.Optimal(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasTriangleLeaf := false
-	for _, leaf := range leaves {
-		if len(leaf) == 3 {
-			hasTriangleLeaf = true
-		}
-	}
-	if !hasTriangleLeaf {
-		t.Logf("planner chose %v (no triangle leaf); still validating execution", leaves)
-	}
-
-	want := runWithLeaves(t, q, nil, c, edges, core.StrategySingle)
-	got := runWithLeaves(t, q, leaves, c, edges, core.StrategySingleLazy)
-	if len(want) != 2 {
-		t.Fatalf("reference found %d matches, want 2", len(want))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("planner leaves found %d matches, want %d (leaves=%v)", len(got), len(want), leaves)
-	}
-
-	// Force the triangle-first decomposition explicitly as well.
-	forced := [][]int{{0, 1, 2}, {3}}
-	sort.Ints(forced[0])
-	got2 := runWithLeaves(t, q, forced, c, edges, core.StrategySingleLazy)
-	if len(got2) != len(want) {
-		t.Fatalf("forced triangle leaf found %d matches, want %d", len(got2), len(want))
 	}
 }

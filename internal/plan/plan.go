@@ -11,11 +11,10 @@
 //   - Genetic: a seeded genetic algorithm over valid decompositions for
 //     queries too large for the exact search.
 //
-// Primitives are 1-edge subgraphs, 2-edge paths and (optionally)
-// triangles — the three shapes whose frequencies the statistics
-// machinery can estimate (Section 5.1 foresees exactly this triangle
-// extension). Scores come from the paper's analytical models: the
-// Appendix A per-edge work C(T) and the Section 5.2 space S(T).
+// Primitives are 1-edge subgraphs and 2-edge paths — the two shapes
+// whose frequencies the statistics machinery estimates. Scores come
+// from the paper's analytical models: the Appendix A per-edge work C(T)
+// and the Section 5.2 space S(T).
 package plan
 
 import (
@@ -37,29 +36,6 @@ type Stats interface {
 	PathTotal() int64
 }
 
-// TriangleInfo carries the global triangle statistics used to score
-// triangle primitives: the (estimated) number of triangles and wedges
-// (2-edge paths) in the data. Obtain them from selectivity.ExactTriangles
-// or selectivity.TriangleEstimator.
-type TriangleInfo struct {
-	Triangles float64
-	Wedges    float64
-}
-
-// Closure returns the global closure probability: the chance that a
-// wedge closes into a triangle, 3·T/W (every triangle contains three
-// wedges). Zero when no wedges were observed.
-func (ti TriangleInfo) Closure() float64 {
-	if ti.Wedges <= 0 {
-		return 0
-	}
-	c := 3 * ti.Triangles / ti.Wedges
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
 // Score is the planner's estimate of a decomposition's runtime behavior.
 type Score struct {
 	// Work is the Appendix A estimate of average work per incoming edge.
@@ -77,14 +53,8 @@ type Planner struct {
 	Stats Stats
 
 	// AvgDegree is d̄, the average vertex degree used by the search-cost
-	// terms (a 2-edge leaf search costs O(d̄), a triangle O(d̄²)).
-	// Zero defaults to 8.
+	// terms (a 2-edge leaf search costs O(d̄)). Zero defaults to 8.
 	AvgDegree float64
-
-	// Triangles enables triangle primitives when non-nil: 3-edge cyclic
-	// leaves are admitted and scored with the closure estimate
-	// freq ≈ Closure · min(wedge frequencies of the triangle's 2-paths).
-	Triangles *TriangleInfo
 
 	// MaxDPEdges bounds the exact optimizer; queries with more edges are
 	// rejected by Optimal (use Genetic). Zero defaults to 14.
@@ -134,18 +104,17 @@ func (p *Planner) objective(s Score) float64 {
 type Primitive struct {
 	Edges      []int   // query edge indices, sorted
 	Freq       float64 // expected stored matches over the observed stream
-	SearchCost float64 // per-anchored-search cost (1, d̄ or d̄²)
+	SearchCost float64 // per-anchored-search cost (1 or d̄)
 	Sel        float64 // subgraph selectivity within its size class
 
 	mask  uint32 // bitmask over query edges
 	verts uint64 // bitmask over query vertices
 }
 
-// Primitives enumerates every admissible leaf of q: all single edges,
-// all 2-edge paths (edge pairs sharing exactly one vertex), and — when
-// the planner has triangle statistics — all triangles. Unseen shapes
-// (selectivity zero) are kept with frequency zero; the optimizers avoid
-// them through the score, mirroring the paper's fallback behavior.
+// Primitives enumerates every admissible leaf of q: all single edges
+// and all 2-edge paths (edge pairs sharing exactly one vertex). Unseen
+// shapes (selectivity zero) are kept with frequency zero; the optimizers
+// avoid them through the score, mirroring the paper's fallback behavior.
 func (p *Planner) Primitives(q *query.Graph) ([]Primitive, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -189,83 +158,7 @@ func (p *Planner) Primitives(q *query.Graph) ([]Primitive, error) {
 			})
 		}
 	}
-	if p.Triangles != nil {
-		for _, tri := range triangles(q) {
-			freq, sel := p.triangleScore(q, tri)
-			prims = append(prims, Primitive{
-				Edges:      tri[:],
-				Freq:       freq,
-				SearchCost: d * d,
-				Sel:        sel,
-				mask:       1<<uint(tri[0]) | 1<<uint(tri[1]) | 1<<uint(tri[2]),
-				verts:      vertMask(q, tri[:]),
-			})
-		}
-	}
 	return prims, nil
-}
-
-// triangleScore estimates a triangle leaf's frequency as the global
-// closure probability times the frequency of its most selective wedge
-// (every embedding of the triangle contains an embedding of each of its
-// three 2-edge paths, so each wedge frequency is an upper bound; the
-// closure factor discounts wedges that never close).
-func (p *Planner) triangleScore(q *query.Graph, tri [3]int) (freq, sel float64) {
-	minWedge := math.Inf(1)
-	pairs := [3][2]int{{tri[0], tri[1]}, {tri[0], tri[2]}, {tri[1], tri[2]}}
-	for _, pr := range pairs {
-		s, err := selectivity.LeafSelectivityOf(p.Stats, q, []int{pr[0], pr[1]})
-		if err != nil {
-			return 0, 0
-		}
-		if f := s * float64(p.Stats.PathTotal()); f < minWedge {
-			minWedge = f
-		}
-	}
-	if math.IsInf(minWedge, 1) {
-		return 0, 0
-	}
-	freq = p.Triangles.Closure() * minWedge
-	if t := p.Triangles.Triangles; t > 0 {
-		sel = freq / t
-		if sel > 1 {
-			sel = 1
-		}
-	}
-	return freq, sel
-}
-
-// triangles enumerates the 3-edge subsets of q that form a triangle:
-// three edges over exactly three vertices, each vertex incident to
-// exactly two of them (direction-agnostic).
-func triangles(q *query.Graph) [][3]int {
-	var out [][3]int
-	n := len(q.Edges)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for k := j + 1; k < n; k++ {
-				deg := map[int]int{}
-				for _, ei := range []int{i, j, k} {
-					deg[q.Edges[ei].Src]++
-					deg[q.Edges[ei].Dst]++
-				}
-				if len(deg) != 3 {
-					continue
-				}
-				ok := true
-				for _, d := range deg {
-					if d != 2 {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					out = append(out, [3]int{i, j, k})
-				}
-			}
-		}
-	}
-	return out
 }
 
 func vertMask(q *query.Graph, edges []int) uint64 {
@@ -391,8 +284,8 @@ func (st chainState) score() Score {
 }
 
 // ScoreLeaves evaluates an ordered decomposition with the analytical
-// models. It accepts any leaves the primitive set admits (1-edge,
-// 2-edge path, triangle).
+// models. It accepts any leaves the primitive set admits (1-edge or
+// 2-edge path).
 func (p *Planner) ScoreLeaves(q *query.Graph, leaves [][]int) (Score, error) {
 	if err := ValidateDecomposition(q, leaves); err != nil {
 		return Score{}, err

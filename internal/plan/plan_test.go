@@ -51,54 +51,6 @@ func TestPrimitivesEnumeration(t *testing.T) {
 	}
 }
 
-func TestPrimitivesIncludeTrianglesOnlyWhenEnabled(t *testing.T) {
-	q := &query.Graph{}
-	a := q.AddVertex("a", "ip")
-	b := q.AddVertex("b", "ip")
-	c := q.AddVertex("c", "ip")
-	q.AddEdge(a, b, "TCP")
-	q.AddEdge(b, c, "UDP")
-	q.AddEdge(c, a, "ICMP")
-
-	p := newPlanner(t)
-	prims, err := p.Primitives(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range prims {
-		if len(pr.Edges) == 3 {
-			t.Fatal("triangle primitive admitted without triangle stats")
-		}
-	}
-	p.Triangles = &TriangleInfo{Triangles: 100, Wedges: 10000}
-	prims, err = p.Primitives(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, pr := range prims {
-		if len(pr.Edges) == 3 {
-			found = true
-			if pr.Freq <= 0 {
-				t.Fatal("triangle primitive has zero frequency despite closure > 0")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("triangle primitive missing")
-	}
-}
-
-func TestTriangleClosureClamped(t *testing.T) {
-	ti := TriangleInfo{Triangles: 100, Wedges: 30}
-	if c := ti.Closure(); c != 1 {
-		t.Fatalf("Closure = %v, want clamped to 1", c)
-	}
-	if c := (TriangleInfo{}).Closure(); c != 0 {
-		t.Fatalf("empty Closure = %v, want 0", c)
-	}
-}
-
 func TestValidateDecomposition(t *testing.T) {
 	q := pathQuery("TCP", "UDP", "ICMP")
 	for _, tc := range []struct {

@@ -1,12 +1,9 @@
 package selectivity
 
 import (
-	"math/rand"
 	"testing"
 
-	"streamgraph/internal/graph"
 	"streamgraph/internal/query"
-	"streamgraph/internal/stream"
 )
 
 func skewedCollector() *Collector {
@@ -101,76 +98,6 @@ func TestShouldDecomposeFurther(t *testing.T) {
 	if c.ShouldDecomposeFurther(1, 1, 3) {
 		t.Errorf("equal frequency should not trigger decomposition")
 	}
-}
-
-func TestExactTriangles(t *testing.T) {
-	g := graph.New()
-	add := func(a, b string) {
-		g.AddEdgeNamed(a, "v", b, "v", "t", 1)
-	}
-	// One triangle a-b-c plus a dangling edge.
-	add("a", "b")
-	add("b", "c")
-	add("c", "a")
-	add("c", "d")
-	if got := ExactTriangles(g); got != 1 {
-		t.Fatalf("triangles = %d, want 1", got)
-	}
-	// Adding a-d and d-b closes three more: {a,b,d}, {a,c,d}, {b,c,d}.
-	add("a", "d")
-	add("d", "b")
-	if got := ExactTriangles(g); got != 4 {
-		t.Fatalf("triangles = %d, want 4", got)
-	}
-	// Direction and parallel edges do not change the structural count.
-	add("b", "a")
-	if got := ExactTriangles(g); got != 4 {
-		t.Fatalf("parallel edge changed count: %d", got)
-	}
-}
-
-func TestTriangleEstimatorConverges(t *testing.T) {
-	// A random graph with a known (exactly counted) triangle total: the
-	// estimator with generous reservoirs should land within 50%.
-	// The estimator (like Jha et al.) assumes a simple stream: skip
-	// duplicate vertex pairs.
-	rng := rand.New(rand.NewSource(5))
-	g := graph.New()
-	est := NewTriangleEstimator(6, 20000, 20000)
-	const nv = 60
-	var edges []stream.Edge
-	seen := map[[2]int]bool{}
-	for i := 0; len(edges) < 1200 && i < 20000; i++ {
-		a, b := rng.Intn(nv), rng.Intn(nv)
-		if a == b {
-			continue
-		}
-		key := [2]int{min(a, b), max(a, b)}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		e := edge(vname(a), vname(b), "t", int64(i))
-		edges = append(edges, e)
-		g.AddEdgeNamed(e.Src, "v", e.Dst, "v", e.Type, e.TS)
-	}
-	for _, e := range edges {
-		est.Add(e)
-	}
-	exact := float64(dedupTriangles(g))
-	got := est.Estimate()
-	if exact == 0 {
-		t.Skip("no triangles in random graph")
-	}
-	if got < exact*0.5 || got > exact*1.5 {
-		t.Fatalf("estimate %v vs exact %v (outside ±50%%)", got, exact)
-	}
-}
-
-// dedupTriangles counts structural triangles ignoring parallel edges,
-// matching the estimator's undirected simple-graph semantics.
-func dedupTriangles(g *graph.Graph) int64 {
-	return ExactTriangles(g)
 }
 
 // TestLeafFrequencyWildcard: a wildcard edge type names every type, so

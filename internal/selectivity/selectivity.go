@@ -11,11 +11,10 @@
 // directed graphs.
 //
 // A Collector has two uses. Fed by Add, it is the statistics of what it
-// was shown: a training prefix, or an adaptive engine's current period.
-// Built by FromGraph or AddSince (window.go), it is the statistics of a
-// runtime's window at the moment a registration asks — the multi-query
-// engine and the shard router keep no collector between registrations
-// and feed none per edge.
+// was shown, such as a training prefix. Built by FromGraph or AddSince
+// (window.go), it is the statistics of a runtime's window at the moment
+// a registration asks — the multi-query engine and the shard router
+// keep no collector between registrations and feed none per edge.
 package selectivity
 
 import (

@@ -121,6 +121,79 @@ func TestDurableCleanRestartMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDurableRemoveSlotReopenDifferential: a slot removed mid-stream
+// from a durable router migrates its queries to the survivor before it
+// retires, so a clean Close and reopen restores all three
+// registrations, and the stream fed across the removal and the restart
+// reproduces the serial oracle's match multiset — whichever slot was
+// removed, mid-batch or batch-aligned.
+func TestDurableRemoveSlotReopenDifferential(t *testing.T) {
+	edges := testStream(1500)
+	const window = 400
+	want := append([]string(nil), runSerial(t, edges, window)...)
+	sort.Strings(want)
+	if len(want) == 0 {
+		t.Fatal("workload produced no matches; differential is vacuous")
+	}
+	feed := func(r *Router, lo, hi int) {
+		for ; lo < hi; lo += 37 {
+			r.IngestBatch(edges[lo:min(lo+37, hi)])
+		}
+	}
+	for _, removed := range []int{0, 1} {
+		for _, cut := range []int{731, 1024} {
+			cfg := Config{Shards: 2, Window: window, DataDir: t.TempDir(), CheckpointEvery: 128}
+			var mu sync.Mutex
+			var got []string
+			collect := func(m Match) {
+				mu.Lock()
+				got = append(got, matchSig(m))
+				mu.Unlock()
+			}
+
+			r, _, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("cold open: %v", err)
+			}
+			registerAll(t, r)
+			done := make(chan struct{})
+			go func() { defer close(done); r.Drain(collect) }()
+			feed(r, 0, cut/2)
+			if err := r.RemoveSlot(removed); err != nil {
+				t.Fatalf("RemoveSlot(%d): %v", removed, err)
+			}
+			feed(r, cut/2, cut)
+			r.Close()
+			<-done
+			if err := r.PersistErr(); err != nil {
+				t.Fatalf("persist error before restart: %v", err)
+			}
+
+			r2, recovered, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if names := r2.Registered(); len(names) != 3 {
+				t.Fatalf("removed=%d cut=%d: reopen restored %d registrations, want 3: %v", removed, cut, len(names), names)
+			}
+			for _, m := range recovered {
+				collect(m)
+			}
+			done = make(chan struct{})
+			go func() { defer close(done); r2.Drain(collect) }()
+			feed(r2, cut, len(edges))
+			r2.Close()
+			<-done
+
+			sort.Strings(got)
+			if !equalStrings(got, want) {
+				t.Fatalf("removed=%d cut=%d: run across removal and restart differs from serial: %d matches, want %d",
+					removed, cut, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestRecoveryLoadGaugeTruthful: sg_recovery_load_ns reports time an
 // Open that loaded slot checkpoints really spent — some, and no more
 // than the whole Open took by the test's own clock.

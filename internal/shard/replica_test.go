@@ -626,29 +626,3 @@ func testReplicaPropertySeed(t *testing.T, seed int64) {
 		}
 	}
 }
-
-// TestAdaptiveRequiresFullReplicas pins the API guard: a slot's engine
-// is a MultiEngine, which never re-decomposes a query, and the wire
-// carries no adaptive field, so Register refuses an adaptive query in
-// every topology — filtered, fully replicated, all-remote and mixed —
-// rather than accept one that would never adapt.
-func TestAdaptiveRequiresFullReplicas(t *testing.T) {
-	addr, _ := startRemoteWorker(t)
-	for _, tp := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"filtered", Config{Shards: 1, Window: 100}},
-		{"full replicas", Config{Shards: 1, Window: 100, FullReplicas: true}},
-		{"all-remote", Config{Shards: 0, Remotes: []string{addr}, Window: 100, FullReplicas: true}},
-		{"mixed", Config{Shards: 1, Remotes: []string{addr}, Window: 100}},
-	} {
-		r := New(tp.cfg)
-		err := r.Register("a", query.NewPath(query.Wildcard, "GRE", "TCP"),
-			core.Config{Strategy: core.StrategySingleLazy, Adaptive: &core.AdaptiveConfig{}})
-		r.Close()
-		if err == nil {
-			t.Fatalf("%s: an adaptive register succeeded", tp.name)
-		}
-	}
-}

@@ -636,11 +636,6 @@ func (r *Router) NumShards() int {
 // the query's estimated cost (estimateCost), 0 for a registration that
 // brought leaves and no statistics; Rebalance re-estimates every query.
 func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
-	if cfg.Adaptive != nil {
-		// A slot's engine is a core.MultiEngine, which never
-		// re-decomposes a query; the wire carries no adaptive field either.
-		return fmt.Errorf("shard: query %q: adaptive queries (Config.Adaptive) run standalone only", name)
-	}
 	if err := q.Validate(); err != nil {
 		return fmt.Errorf("shard: query %q: %w", name, err)
 	}

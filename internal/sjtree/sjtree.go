@@ -644,16 +644,6 @@ func (t *Tree) wheelSlot(ts int64) int {
 	return int(uint64(max(ts, t.swept)>>t.shift) % wheelBuckets)
 }
 
-// DropDedupState releases the duplicate-suppression index. The
-// adaptive migration path bulk-loads a new tree with Dedup forced on;
-// when the engine then runs non-lazy (Dedup off), the leftover entries
-// would never be read or cleaned, so it drops them.
-func (t *Tree) DropDedupState() {
-	for _, n := range t.Nodes {
-		n.sdir = nil
-	}
-}
-
 // StoredMatches returns the number of live partial matches across all
 // nodes.
 func (t *Tree) StoredMatches() int { return int(t.stats.Stored) }

@@ -1,9 +1,8 @@
 // Package sketch provides bounded-memory synopses of the graph stream:
-// a Count-Min frequency sketch, a rotating (sliding-window) variant, and
-// an approximate drop-in replacement for the exact statistics collector
-// that estimates the 1-edge and 2-edge-path distributions of Choudhury
-// et al. (EDBT 2015, Section 5) in memory independent of the number of
-// stream vertices.
+// a Count-Min frequency sketch and an approximate drop-in replacement
+// for the exact statistics collector that estimates the 1-edge and
+// 2-edge-path distributions of Choudhury et al. (EDBT 2015, Section 5)
+// in memory independent of the number of stream vertices.
 //
 // The paper's exact Collector keeps one incident-type counter per data
 // vertex, so its footprint grows with the vertex set (2.5M vertices for

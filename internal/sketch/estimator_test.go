@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math/rand"
 	"testing"
 
 	"streamgraph/internal/datagen"
@@ -8,6 +9,9 @@ import (
 	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
 )
+
+// newRand is shared by the package tests.
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func netflowStream(t *testing.T, n int) []stream.Edge {
 	t.Helper()

@@ -96,8 +96,7 @@ const (
 // Statistics accumulates the subgraph distributional statistics (edge
 // type histogram and 2-edge path distribution) that drive query
 // decomposition. Feed it a sample of the stream before constructing
-// the engine; it can keep observing afterwards for periodic
-// re-decomposition.
+// the engine.
 type Statistics struct {
 	c *selectivity.Collector
 }
