@@ -63,9 +63,10 @@ import (
 // hello frame. The client opens with it plus its capability bits and
 // expects a hello-ack granting the intersection; the server refuses a
 // hello of any other version (v1, which had no handshake, v2, whose
-// hello carried an eviction cadence, and v3, whose done frame carried
-// three replica gauges instead of a slot Report, included).
-const ProtocolVersion = 4
+// hello carried an eviction cadence, v3, whose done frame carried
+// three replica gauges instead of a slot Report, and v4, whose worker
+// answers a migrate unregister without the query's state, included).
+const ProtocolVersion = 5
 
 // Capability bits negotiated in the v2 hello/hello-ack exchange. The
 // client offers a set, the server answers with the subset it grants,
@@ -83,6 +84,10 @@ const (
 // MaxFrame bounds a single frame's payload size (a corrupt or
 // malicious length prefix must not allocate unboundedly).
 const MaxFrame = 64 << 20
+
+// maxImage bounds the image one frame carries (a checkpoint's snapshot,
+// a handed-over query state), leaving room for the frame's header.
+const maxImage = MaxFrame - 32
 
 // Frame type bytes. Client→server types have the high bit clear,
 // server→client types have it set.
@@ -201,12 +206,14 @@ type Register struct {
 	// replayed from the router's EdgeLog; the worker admits them
 	// without searching (core.MultiEngine.Backfill semantics).
 	Backfill []stream.Edge
-	// State, when non-empty, carries a persist.SaveMulti image of a
-	// single-query engine being migrated onto this worker: after the
-	// normal register + backfill, the worker transplants the image's
-	// stored partial matches and queued retrospective work
-	// into the fresh registration (a live migration's source state).
-	// Encoded as a trailing field, absent on pre-migration frames.
+	// State, when non-empty, is the image a source slot's HandOver took
+	// of a query migrating onto this worker (the snapshot frame that
+	// answered its migrate unregister): the worker registers the query
+	// and configuration it holds, then transplants its stored partial
+	// matches and queued retrospective work on top of the backfill.
+	// Query and the configuration fields are then ignored. An image that
+	// does not decode is refused with a done error. Encoded as a
+	// trailing field, absent on other frames.
 	State []byte
 }
 
@@ -236,11 +243,10 @@ type Unregister struct {
 	// removal narrows it; the worker trims edges outside it.
 	FilterUniversal bool
 	FilterTypes     []string
-	// Migrate marks a migration's source-side removal: the query's
-	// pending retrospective work was already transplanted to the target
-	// slot, so the worker must NOT run its flush barrier (flushing here
-	// would emit the same repairs twice). Encoded as a trailing field,
-	// absent on pre-migration frames.
+	// Migrate marks a migration's source-side removal (Slot.HandOver):
+	// the worker answers with the query's state in a snapshot frame
+	// tagged with this frame's id, before the done. Encoded as a
+	// trailing field, absent on plain removals.
 	Migrate bool
 }
 

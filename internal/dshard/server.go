@@ -7,13 +7,11 @@ package dshard
 // crash-recovery needs no persistence layer here.
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sync"
 
 	"streamgraph/internal/core"
-	"streamgraph/internal/persist"
 	"streamgraph/internal/query"
 )
 
@@ -215,8 +213,7 @@ func (h *host) run() error {
 			if err != nil {
 				return err
 			}
-			h.slot.Unregister(m.Seq, m.Name, m.Migrate, m.FilterUniversal, m.FilterTypes, h.emitter(m.Frame, m.Suppress))
-			if err := h.done(m.Frame, nil); err != nil {
+			if err := h.handleUnregister(m); err != nil {
 				return err
 			}
 		case FrameCheckpoint:
@@ -261,12 +258,15 @@ func (h *host) handleEdges(m Edges) error {
 
 func (h *host) handleRegister(m Register) error {
 	h.slot.Flush(m.Seq, h.emitter(m.Frame, m.Suppress))
-	q, err := query.Parse(m.Query)
-	if err != nil {
-		return h.done(m.Frame, err)
+	var q *query.Graph
+	if len(m.State) == 0 { // a migrating query comes with its state
+		var err error
+		if q, err = query.Parse(m.Query); err != nil {
+			return h.done(m.Frame, err)
+		}
 	}
 	r := SlotRegister{
-		Name: m.Name, Query: q, Rank: m.Rank,
+		Name: m.Name, Query: q, Rank: m.Rank, State: m.State,
 		Config: core.Config{
 			Strategy:            core.Strategy(m.Strategy),
 			MaxMatchesPerSearch: m.MaxMatches,
@@ -278,17 +278,26 @@ func (h *host) handleRegister(m Register) error {
 	if m.HasLeaves {
 		r.Config.Leaves = m.Leaves
 	}
-	if len(m.State) > 0 {
-		// Live migration in: the frame carries the source slot's
-		// partial-match state for this query. An image that does not
-		// decode kills the connection, like a bad restore frame: the
-		// router replays the registration on a fresh engine instead of
-		// running a query that silently lost its spanning matches.
-		if r.State, err = persist.LoadMulti(bytes.NewReader(m.State)); err != nil {
-			return fmt.Errorf("migrate state for %q: %w", m.Name, err)
+	return h.done(m.Frame, h.slot.Register(r))
+}
+
+// handleUnregister removes a query; a migrate-flagged removal hands its
+// state over (Slot.HandOver) and streams it back in a snapshot frame
+// before the done, as a checkpoint's image is. A refused handover
+// reaches the router as a done error, the query still held.
+func (h *host) handleUnregister(m Unregister) error {
+	emit := h.emitter(m.Frame, m.Suppress)
+	if !m.Migrate {
+		h.slot.Unregister(m.Seq, m.Name, m.FilterUniversal, m.FilterTypes, emit)
+		return h.done(m.Frame, nil)
+	}
+	_, state, err := h.slot.HandOver(m.Seq, m.Name, m.FilterUniversal, m.FilterTypes, emit)
+	if err == nil {
+		if err := h.cn.WriteSnapshot(Snapshot{Frame: m.Frame, Data: state}); err != nil {
+			return err
 		}
 	}
-	return h.done(m.Frame, h.slot.Register(r))
+	return h.done(m.Frame, err)
 }
 
 // handleCheckpoint serializes the slot and streams it back before the
@@ -299,7 +308,7 @@ func (h *host) handleRegister(m Register) error {
 // request pipeline keeps moving.
 func (h *host) handleCheckpoint(m Checkpoint) error {
 	if img, err := h.slot.Image(); err == nil {
-		if data := img.Encode(); len(data)+32 <= MaxFrame {
+		if data := img.Encode(); len(data) <= maxImage {
 			if err := h.cn.WriteSnapshot(Snapshot{Frame: m.Frame, Data: data}); err != nil {
 				return err
 			}

@@ -11,6 +11,7 @@ package dshard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"streamgraph/internal/core"
@@ -194,17 +195,31 @@ type SlotRegister struct {
 	Universal bool
 	Types     []string
 	Backfill  []stream.Edge
-	// State, when non-nil, holds the query's live state on the slot it
-	// is migrating from, transplanted on top of the backfilled replica.
-	State *core.MultiEngine
+	// State, when non-nil, is the image HandOver took of the query on
+	// the slot it is migrating from: the query and its pinned
+	// configuration come from it (Query and Config are ignored), and its
+	// live state is transplanted on top of the backfilled replica.
+	State []byte
 }
 
 // Register installs a query: register, widen the filter, backfill,
-// transplant. A failed transplant is rolled back, so the query never
-// half-exists: on any error the slot holds no such query and the filter
-// it had. The caller flushes first (Flush): a registration is a control
-// point.
+// transplant. A state image that does not decode and a failed
+// transplant are refused alike, so the query never half-exists: on any
+// error the slot holds no such query and the filter it had. The caller
+// flushes first (Flush): a registration is a control point.
 func (s *Slot) Register(r SlotRegister) error {
+	var state *core.MultiEngine
+	if r.State != nil {
+		var err error
+		if state, err = persist.LoadMulti(bytes.NewReader(r.State)); err != nil {
+			return fmt.Errorf("dshard: migrated state of %q: %w", r.Name, err)
+		}
+		qe := state.QueryEngine(r.Name)
+		if qe == nil {
+			return fmt.Errorf("dshard: migrated state does not hold %q", r.Name)
+		}
+		r.Query, r.Config = qe.Query(), qe.ConfigSnapshot()
+	}
 	if err := s.Eng.Register(r.Name, r.Query, r.Config); err != nil {
 		return err
 	}
@@ -212,10 +227,10 @@ func (s *Slot) Register(r SlotRegister) error {
 	s.ranks[r.Name] = r.Rank
 	s.setFilter(r.Universal, r.Types)
 	s.Eng.Backfill(r.Backfill)
-	if r.State == nil {
+	if state == nil {
 		return nil
 	}
-	_, err := persist.TransplantState(s.Eng, r.State, r.Name)
+	_, err := persist.TransplantState(s.Eng, state, r.Name)
 	if err != nil {
 		s.remove(r.Name, universal, types)
 	}
@@ -224,17 +239,38 @@ func (s *Slot) Register(r SlotRegister) error {
 
 // Unregister removes a query the slot holds (anything else is a no-op)
 // at stream position p: flush, unregister, narrow the filter to the
-// given one, trim the edges it no longer admits. migrate skips the
-// flush: the pending repairs left with the query's state and drain on
-// the slot it moved to — flushing here too would emit them twice.
-func (s *Slot) Unregister(p uint64, name string, migrate, universal bool, types []string, emit Emit) {
+// given one, trim the edges it no longer admits.
+func (s *Slot) Unregister(p uint64, name string, universal bool, types []string, emit Emit) {
 	if _, held := s.ranks[name]; !held {
 		return
 	}
-	if !migrate {
-		s.Flush(p, emit)
+	s.Flush(p, emit)
+	s.remove(name, universal, types)
+}
+
+// HandOver is a migration's source half at stream position p: the
+// query's registration rank and its state, encoded (persist.ExtractQuery)
+// for the slot it moves to, after which the query is removed as
+// Unregister removes it. The flush comes first, as at every control
+// point: the repairs the serial schedule has drained by p are emitted
+// here, and the ones still pending ride the state. Every edge the slot
+// took before p is in the state; every one after p belongs to the
+// target. A query the slot does not hold, or a state too large for one
+// frame, is an error that leaves the query where it is.
+func (s *Slot) HandOver(p uint64, name string, universal bool, types []string, emit Emit) (rank int, state []byte, err error) {
+	rank, held := s.ranks[name]
+	if !held {
+		return 0, nil, fmt.Errorf("dshard: slot does not hold query %q", name)
+	}
+	s.Flush(p, emit)
+	if state, err = persist.ExtractQuery(s.Eng, name); err != nil {
+		return 0, nil, err
+	}
+	if len(state) > maxImage {
+		return 0, nil, fmt.Errorf("dshard: state of %q is %d bytes, over the frame limit", name, len(state))
 	}
 	s.remove(name, universal, types)
+	return rank, state, nil
 }
 
 func (s *Slot) remove(name string, universal bool, types []string) {
@@ -259,10 +295,7 @@ func (s *Slot) Image() (SnapshotImage, error) {
 }
 
 // SnapshotImage is the decoded form of a worker snapshot: the slot
-// header plus the opaque persist.SaveMulti engine image. The router's
-// migration path decodes a retained snapshot to extract a departing
-// query's state and re-encodes it with the query stripped, so a later
-// reconnect restore cannot resurrect it.
+// header plus the opaque persist.SaveMulti engine image.
 type SnapshotImage struct {
 	LastEnd   uint64
 	Universal bool

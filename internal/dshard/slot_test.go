@@ -1,9 +1,15 @@
 package dshard
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"streamgraph/internal/core"
+	"streamgraph/internal/persist"
 	"streamgraph/internal/query"
 	"streamgraph/internal/stream"
 )
@@ -42,8 +48,9 @@ func laggingSlot(t *testing.T) *Slot {
 // point at stream position p runs the engine's queued repairs iff
 // lastEnd < p (a repair queue normally drains within the edge that
 // filled it, so the flush is counted, not its matches), a migration's
-// source-side removal and a checkpoint never do, and a registration
-// whose transplant fails leaves no query and the old filter.
+// source-side removal (HandOver) does as an unregister does, a
+// checkpoint never does, and a registration whose state is refused
+// leaves no query and the old filter.
 func TestSlotFlushBarrier(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -57,23 +64,25 @@ func TestSlotFlushBarrier(t *testing.T) {
 			s.Flush(2, emit)
 		}, 0},
 		{"unregister flushes first", func(t *testing.T, s *Slot, emit Emit) {
-			s.Unregister(3, "q", false, false, nil, emit)
+			s.Unregister(3, "q", false, nil, emit)
 			if _, held := s.Rank("q"); held || s.FilterWidth() != 0 || s.Eng.Graph().NumEdges() != 0 {
 				t.Errorf("after unregister: held=%v width=%d edges=%d, want an empty slot", held, s.FilterWidth(), s.Eng.Graph().NumEdges())
 			}
 		}, 1},
 		{"unregister of a query not held is a no-op", func(t *testing.T, s *Slot, emit Emit) {
-			s.Unregister(3, "other", false, false, nil, emit)
+			s.Unregister(3, "other", false, nil, emit)
 			if s.FilterWidth() != 2 {
 				t.Errorf("filter width %d after a no-op unregister, want 2", s.FilterWidth())
 			}
 		}, 0},
-		{"migrate-unregister does not", func(t *testing.T, s *Slot, emit Emit) {
-			s.Unregister(3, "q", true, false, nil, emit)
-			if _, held := s.Rank("q"); held {
-				t.Error("query still held after a migrate-unregister")
+		{"handover flushes first", func(t *testing.T, s *Slot, emit Emit) {
+			if _, _, err := s.HandOver(3, "q", false, nil, emit); err != nil {
+				t.Fatal(err)
 			}
-		}, 0},
+			if _, held := s.Rank("q"); held || s.FilterWidth() != 0 || s.Eng.Graph().NumEdges() != 0 {
+				t.Errorf("after handover: held=%v width=%d edges=%d, want an empty slot", held, s.FilterWidth(), s.Eng.Graph().NumEdges())
+			}
+		}, 1},
 		{"checkpoint does not, and restores to the same slot", func(t *testing.T, s *Slot, emit Emit) {
 			img, err := s.Image()
 			if err != nil {
@@ -102,10 +111,10 @@ func TestSlotFlushBarrier(t *testing.T) {
 				Config:   core.Config{Strategy: core.StrategySingle, Leaves: [][]int{{0}, {1}}},
 				Types:    []string{"GRE", "TCP", "UDP"},
 				Backfill: []stream.Edge{slotEdge("x", "y", "UDP", 3)},
-				State:    core.NewMulti(core.MultiConfig{Window: 100}), // holds no "q2"
+				State:    []byte("SGSNAPM corrupt"), // does not decode
 			})
 			if err == nil {
-				t.Fatal("transplant from an engine without the query succeeded")
+				t.Fatal("a registration whose state does not decode succeeded")
 			}
 			if _, held := s.Rank("q2"); held || s.Eng.QueryEngine("q2") != nil {
 				t.Error("the query half-exists after a failed transplant")
@@ -133,4 +142,146 @@ func TestSlotFlushBarrier(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sig canonicalizes a resolved match: the query plus its bound edges.
+func sig(name string, edges []core.PortableMatchEdge) string {
+	out := name
+	for _, e := range edges {
+		out += fmt.Sprintf("|%d:%s>%s:%s@%d", e.QueryEdge, e.Src, e.Dst, e.Type, e.TS)
+	}
+	return out
+}
+
+// TestSlotHandOver is the source half of a migration on the slot
+// engine: a query the slot does not hold is refused with the slot
+// untouched; a held one flushes while still held, and its state then
+// registers on a second slot, after which the two slots together report
+// exactly the serial engine's matches.
+func TestSlotHandOver(t *testing.T) {
+	t.Run("not held", func(t *testing.T) {
+		s := laggingSlot(t)
+		flushes := 0
+		rank, state, err := s.HandOver(3, "other", false, nil, func(uint64, []core.NamedMatch) { flushes++ })
+		if err == nil || state != nil || rank != 0 {
+			t.Fatalf("handover of a query the slot does not hold: rank %d, %d state bytes, err %v", rank, len(state), err)
+		}
+		if _, held := s.Rank("q"); !held || flushes != 0 || s.FilterWidth() != 2 || s.Eng.Graph().NumEdges() != 2 || s.LastEnd() != 2 {
+			t.Fatalf("slot changed by a refused handover: q held %v, %d flushes, width %d, %d edges, lastEnd %d",
+				held, flushes, s.FilterWidth(), s.Eng.Graph().NumEdges(), s.LastEnd())
+		}
+	})
+
+	t.Run("flush, then state", func(t *testing.T) {
+		s := laggingSlot(t)
+		flushes := 0
+		rank, state, err := s.HandOver(3, "q", false, nil, func(seq uint64, _ []core.NamedMatch) {
+			flushes++
+			if _, held := s.Rank("q"); !held {
+				t.Error("the flush ran after the query was removed")
+			}
+		})
+		if err != nil || rank != 7 || flushes != 1 {
+			t.Fatalf("handover: rank %d, %d flushes, err %v; want rank 7 and one flush", rank, flushes, err)
+		}
+		eng, err := persist.LoadMulti(bytes.NewReader(state))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for leaf, vs := range eng.QueryEngine("q").PendingRetro() {
+			if len(vs) != 0 {
+				t.Errorf("leaf %d: the state carries %d repairs the flush already ran", leaf, len(vs))
+			}
+		}
+	})
+
+	t.Run("state registers on a second slot", func(t *testing.T) {
+		const window = 40
+		rng := rand.New(rand.NewSource(5))
+		types := []string{"GRE", "TCP", "UDP", "ICMP"}
+		edges := make([]stream.Edge, 600)
+		for i := range edges {
+			edges[i] = slotEdge(fmt.Sprintf("h%d", rng.Intn(8)), fmt.Sprintf("h%d", rng.Intn(8)), types[rng.Intn(len(types))], int64(i+1))
+		}
+		queries := []struct {
+			name  string
+			q     *query.Graph
+			cfg   core.Config
+			types []string
+		}{
+			{"q", query.NewPath("ip", "GRE", "TCP"), core.Config{Strategy: core.StrategySingleLazy, Leaves: [][]int{{0}, {1}}}, []string{"GRE", "TCP"}},
+			{"r", query.NewPath("ip", "UDP", "TCP"), core.Config{Strategy: core.StrategySingle, Leaves: [][]int{{0}, {1}}}, []string{"GRE", "TCP", "UDP"}},
+		}
+
+		serial := core.NewMulti(core.MultiConfig{Window: window})
+		var want []string
+		for _, qr := range queries {
+			if err := serial.Register(qr.name, qr.q, qr.cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range edges {
+			for _, nm := range serial.ProcessEdge(e) {
+				_, pe := core.AppendResolved(serial.Graph(), serial.QueryEngine(nm.Query).Query(), nil, nil, nm.Match)
+				want = append(want, sig(nm.Query, pe))
+			}
+		}
+		if len(want) == 0 {
+			t.Fatal("the stream completes no match; the comparison is vacuous")
+		}
+
+		var got []string
+		collect := func(s *Slot) Emit {
+			return func(_ uint64, nms []core.NamedMatch) {
+				for _, nm := range nms {
+					_, pe, _ := s.AppendResolved(nil, nil, nm)
+					got = append(got, sig(nm.Query, pe))
+				}
+			}
+		}
+		feed := func(s *Slot, lo, hi int) {
+			for ; lo < hi; lo += 7 {
+				batch := edges[lo:min(lo+7, hi)]
+				for i, nms := range s.ProcessEdges(uint64(lo), batch) {
+					collect(s)(uint64(lo+i), nms)
+				}
+			}
+		}
+
+		src := NewSlot(core.NewMulti(core.MultiConfig{Window: window}), false)
+		for i, qr := range queries {
+			if err := src.Register(SlotRegister{Name: qr.name, Query: qr.q, Config: qr.cfg, Rank: i, Types: qr.types}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const cut = 331
+		feed(src, 0, cut)
+		rank, state, err := src.HandOver(cut, "q", false, []string{"TCP", "UDP"}, collect(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := NewSlot(core.NewMulti(core.MultiConfig{Window: window}), false)
+		var backfill []stream.Edge
+		for _, e := range edges[:cut] {
+			if (e.Type == "GRE" || e.Type == "TCP") && e.TS >= edges[cut-1].TS-window+1 {
+				backfill = append(backfill, e)
+			}
+		}
+		if err := dst.Register(SlotRegister{Name: "q", Rank: rank, Types: []string{"GRE", "TCP"}, Backfill: backfill, State: state}); err != nil {
+			t.Fatal(err)
+		}
+		if got, held := dst.Rank("q"); !held || got != 0 {
+			t.Fatalf("target holds q: %v at rank %d, want rank 0", held, got)
+		}
+		feed(src, cut, len(edges))
+		feed(dst, cut, len(edges))
+		src.Flush(uint64(len(edges)), collect(src))
+		dst.Flush(uint64(len(edges)), collect(dst))
+
+		sort.Strings(want)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("source and target report %d matches together, the serial engine %d", len(got), len(want))
+		}
+	})
 }

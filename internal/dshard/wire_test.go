@@ -183,6 +183,17 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Fatalf("done truncation at %d/%d decoded without error", cut, len(body))
 		}
 	}
+	// The snapshot frame that answers a migrate unregister: every cut of
+	// its state image must error too.
+	handover := handoverBodies(t)[1]
+	if m, err := DecodeSnapshot(handover); err != nil || m.Frame != 6 || len(m.Data) == 0 {
+		t.Fatalf("intact handover snapshot: frame %d, %d bytes, err %v", m.Frame, len(m.Data), err)
+	}
+	for cut := 0; cut < len(handover); cut++ {
+		if _, err := DecodeSnapshot(handover[:cut]); err == nil {
+			t.Fatalf("handover snapshot truncation at %d/%d decoded without error", cut, len(handover))
+		}
+	}
 	// A hostile count prefix must not drive a huge allocation — even
 	// one that fits the remaining byte count but not the element type's
 	// minimum encoded size (an edge cannot encode in under 6 bytes, so

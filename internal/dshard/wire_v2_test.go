@@ -353,8 +353,10 @@ func TestCompressedFrameCorruption(t *testing.T) {
 // acks a hello of ProtocolVersion with the capabilities it knows, and
 // refuses a v1 hello (no handshake existed then), a v2 hello (which
 // carried an eviction cadence), a v3 hello (whose done frames carried
-// three replica gauges, not a slot Report) and an unknown version
-// alike, each with the version error and without a byte of traffic.
+// three replica gauges, not a slot Report), a v4 hello (whose worker
+// answers a migrate unregister without the query's state) and an
+// unknown version alike, each with the version error and without a
+// byte of traffic.
 func TestServerVersionNegotiation(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -394,7 +396,7 @@ func TestServerVersionNegotiation(t *testing.T) {
 	}
 	cn.Close()
 
-	for _, version := range []uint64{1, 2, 3, 99} {
+	for _, version := range []uint64{1, 2, 3, 4, 99} {
 		cn, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -444,6 +446,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(byte(2), []byte{1, 1, 1, 1, 'a'})                  // gapped definition
 	f.Add(byte(2), []byte{1, 1, 0, 1, 'a', 1, 1, 0, 1, 'b'}) // duplicate definition
 	f.Add(byte(4), []byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// A migrate unregister and the snapshot frame that answers it.
+	for _, body := range handoverBodies(f) {
+		f.Add(byte(3), body)
+	}
 
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {
 		tbl := &strTable{}
@@ -474,5 +480,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		DecodeHelloAck(body)
 		DecodeDone(body)
 		DecodeCloseStream(body)
+		DecodeSnapshot(body)
 	})
 }

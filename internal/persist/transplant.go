@@ -16,10 +16,9 @@ import (
 // rebuilds from them), the queued retrospective work and the counters —
 // or the target would silently drop every match spanning the handoff.
 // TransplantState moves exactly that state between two
-// engines that both have the query registered; CloneQuery/ExtractQuery
-// package one query (state plus the minimal graph slice its stored
-// matches reference) into a standalone engine or a SaveMulti image for
-// the wire crossing.
+// engines that both have the query registered; ExtractQuery packages
+// one query (state plus the minimal graph slice its stored matches
+// reference) as the SaveMulti image that crosses every handoff.
 //
 // Like SaveMulti, none of these flush pending lazy work: the
 // transplanted retro queue drains on the target at its next batch or
@@ -178,16 +177,15 @@ func TransplantState(dst, src *core.MultiEngine, name string) (dropped int, err 
 	return dropped, nil
 }
 
-// CloneQuery packages one query as a standalone engine: a fresh
-// MultiEngine holding only the edges the query's stored matches
-// reference, the query registered from its source ConfigSnapshot
-// (decomposition pinned), and the live state transplanted in. The
-// clone is what crosses a local migration handoff; ExtractQuery
-// serializes it for the remote one.
-func CloneQuery(src *core.MultiEngine, name string) (*core.MultiEngine, error) {
+// ExtractQuery packages one query's migration state as a SaveMulti
+// image: a fresh MultiEngine holding only the edges the query's stored
+// matches reference, the query registered from its source
+// ConfigSnapshot (decomposition pinned), and the live state
+// transplanted in. The source engine is not mutated.
+func ExtractQuery(src *core.MultiEngine, name string) ([]byte, error) {
 	seng := src.QueryEngine(name)
 	if seng == nil {
-		return nil, fmt.Errorf("persist: clone source does not hold query %q", name)
+		return nil, fmt.Errorf("persist: extract source does not hold query %q", name)
 	}
 	tmp := core.NewMulti(core.MultiConfig{Window: src.WindowSize()})
 
@@ -215,26 +213,14 @@ func CloneQuery(src *core.MultiEngine, name string) (*core.MultiEngine, error) {
 		return true
 	})
 
-	cfg := seng.ConfigSnapshot()
-	if err := tmp.Register(name, seng.Query(), cfg); err != nil {
-		return nil, fmt.Errorf("persist: clone of %q: %w", name, err)
+	if err := tmp.Register(name, seng.Query(), seng.ConfigSnapshot()); err != nil {
+		return nil, fmt.Errorf("persist: extract %q: %w", name, err)
 	}
 	if _, err := TransplantState(tmp, src, name); err != nil {
 		return nil, err
 	}
-	return tmp, nil
-}
-
-// ExtractQuery packages one query's migration state as a SaveMulti
-// image of its CloneQuery engine — the wire form a remote register
-// frame carries in its State field.
-func ExtractQuery(src *core.MultiEngine, name string) ([]byte, error) {
-	clone, err := CloneQuery(src, name)
-	if err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
-	if err := SaveMulti(&buf, clone); err != nil {
+	if err := SaveMulti(&buf, tmp); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -173,11 +173,26 @@ func Open(cfg Config) (*Router, []Match, error) {
 	// recovered engine. Registrations on remote slots have no slot
 	// file and trust the meta alone (the same crash windows exist,
 	// with the same not-yet-returned calls).
+	//
+	// A slot the meta records as retired is retired again before anything
+	// runs: its queue closed, never dialled, pinning nothing — so
+	// placement cannot pick it — and no registration may name it.
+	if meta != nil {
+		for _, id := range meta.retired {
+			if id < 0 || id >= len(r.workers) {
+				return fail(fmt.Errorf("shard: checkpoint retires slot %d but the topology has %d slots (Shards/Remotes must not change on a durable data dir)", id, len(r.workers)))
+			}
+			r.retireLocked(r.workers[id])
+		}
+	}
 	kept := make([]metaReg, 0, len(metaRegsOf(meta)))
 	keptBySlot := make(map[int]map[string]bool)
 	for _, reg := range metaRegsOf(meta) {
 		if reg.slot < 0 || reg.slot >= len(r.workers) {
 			return fail(fmt.Errorf("shard: checkpoint registers %q on slot %d but the topology has %d slots (Shards/Remotes must not change on a durable data dir)", reg.name, reg.slot, len(r.workers)))
+		}
+		if r.workers[reg.slot].retired {
+			return fail(fmt.Errorf("shard: checkpoint registers %q on retired slot %d", reg.name, reg.slot))
 		}
 		if reg.slot < nLocal {
 			if slots[reg.slot] == nil {
@@ -322,6 +337,9 @@ func Open(cfg Config) (*Router, []Match, error) {
 	var replayTotal int64
 	for i := 0; i < nLocal; i++ {
 		w := r.workers[i]
+		if w.retired {
+			continue
+		}
 		lo := uint64(0)
 		if slots[i] != nil {
 			lo = slots[i].ckptSeq
@@ -528,6 +546,11 @@ func (r *Router) writeMeta(seq uint64) error {
 	m := routerMeta{ckptSeq: seq}
 	for _, reg := range r.dregs {
 		m.regs = append(m.regs, reg)
+	}
+	for _, w := range r.workers {
+		if w.retired {
+			m.retired = append(m.retired, w.id)
+		}
 	}
 	sort.Slice(m.regs, func(i, j int) bool { return m.regs[i].rank < m.regs[j].rank })
 	return writeMetaFile(filepath.Join(r.cfg.DataDir, "router.meta"), m)

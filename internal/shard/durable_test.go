@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"streamgraph/internal/core"
+	"streamgraph/internal/query"
 	"streamgraph/internal/stream"
 )
 
@@ -175,6 +176,18 @@ func TestDurableRemoveSlotReopenDifferential(t *testing.T) {
 			}
 			if names := r2.Registered(); len(names) != 3 {
 				t.Fatalf("removed=%d cut=%d: reopen restored %d registrations, want 3: %v", removed, cut, len(names), names)
+			}
+			// The tombstone survived the reopen: the slot is retired, and
+			// a new registration (of a type the stream never carries, so
+			// the match multiset is unchanged) lands on the survivor.
+			if !slotRetired(r2, removed) {
+				t.Fatalf("removed=%d cut=%d: the removed slot is live again after the reopen", removed, cut)
+			}
+			if err := r2.Register("probe", query.NewPath("ip", "NOPE", "NOPE"), core.Config{Strategy: core.StrategySingle}); err != nil {
+				t.Fatalf("removed=%d cut=%d: register after the reopen: %v", removed, cut, err)
+			}
+			if on := ownerSlot(r2, "probe"); on != 1-removed {
+				t.Fatalf("removed=%d cut=%d: a registration after the reopen landed on slot %d, want %d", removed, cut, on, 1-removed)
 			}
 			for _, m := range recovered {
 				collect(m)

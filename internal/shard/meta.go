@@ -5,7 +5,8 @@
 //	               small header (round seq, flush barrier, ranks)
 //	               followed by a persist.SaveMulti image
 //	router.meta    the router's own registry at a round: one record
-//	               per registration
+//	               per registration, then the ids of the retired slots
+//	               (a trailing list; a file without it retires none)
 //
 // Both are written to a temp file, fsynced and renamed, so a crash
 // mid-write leaves the previous checkpoint intact; recovery (Open)
@@ -48,6 +49,7 @@ type metaReg struct {
 type routerMeta struct {
 	ckptSeq uint64
 	regs    []metaReg
+	retired []int // slot ids RemoveSlot or a failover took out
 }
 
 // atomicFile writes through a temp file and renames into place on
@@ -228,6 +230,14 @@ func writeMetaFile(path string, m routerMeta) error {
 				return err
 			}
 		}
+		if err := putUvarint(w, uint64(len(m.retired))); err != nil {
+			return err
+		}
+		for _, id := range m.retired {
+			if err := putUvarint(w, uint64(id)); err != nil {
+				return err
+			}
+		}
 		return nil
 	})
 }
@@ -310,6 +320,13 @@ func readMetaFile(path string) (*routerMeta, error) {
 	n := d.count("registrations", 1<<20)
 	for i := 0; i < n && d.err == nil; i++ {
 		m.regs = append(m.regs, readMetaReg(d))
+	}
+	if _, err := d.r.Peek(1); d.err == nil && err == nil {
+		// Written since slot tombstones were persisted.
+		n := d.count("retired slots", 1<<20)
+		for i := 0; i < n && d.err == nil; i++ {
+			m.retired = append(m.retired, int(d.uvarint()))
+		}
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("shard: %s: %w", filepath.Base(path), d.err)

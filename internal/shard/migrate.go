@@ -9,31 +9,29 @@
 // A migration is a three-phase handoff, executed under ingestMu so it
 // happens at one definite stream position with no edges in flight:
 //
-//  1. Drain + extract on the source. The router admits a
-//     migrate-flagged unregister (Router.admit: the source's gate
-//     narrows, undone if the extraction fails). A local source handles
-//     it at its queue position: flush the retro barrier (standard
-//     unregister discipline), clone the query's state
-//     (persist.CloneQuery) and unregister it, replying the clone. A
-//     remote source runs a drain barrier instead — request a
-//     checkpoint and wait for the
-//     snapshot adoption (every admitted frame acknowledged, the image
-//     serialized at the barrier position), then extract the query
-//     from the snapshot image; its pending retrospective work rides
-//     the clone un-flushed, exactly like a crash restore's, and the
-//     migrate-unregister tells the worker to skip its flush barrier.
-//     The slot's retained restore image is stripped of the query
-//     BEFORE the unregister is sent, so a connection death anywhere
-//     in the handoff can only replay the unregister as a no-op —
-//     never resurrect state that already left.
+//  1. Hand over on the source. The router admits a migrate-flagged
+//     unregister (Router.admit: the source's gate narrows, undone if
+//     the handover fails) and the source slot answers it at its queue
+//     position, local or remote alike (dshard.Slot.HandOver): flush
+//     the retro barrier (standard unregister discipline), encode the
+//     query's state (persist.ExtractQuery), remove the query. A remote
+//     source streams the state back in a snapshot frame before the
+//     done; the reply comes from whichever connection acknowledges the
+//     frame — the live one, a reconnect's replay, or the failover
+//     hospice. A remote source whose last dial failed is refused up
+//     front. A reconnect can never bring the query back to the source:
+//     an acknowledged unregister whose registration only a snapshot
+//     holds stays in the slot's replay set until a later snapshot
+//     covers it (remote.go's retention rule).
 //  2. Re-home. The target registers the query at the same stream
 //     position — the normal register path: gate widening, in-window
-//     backfill from the shared EdgeLog — and then grafts the clone on
-//     (persist.TransplantState locally, the register frame's State
-//     image remotely). Per-query state crosses exactly once, so the
-//     match multiset is exactly the serial engine's through arbitrary
-//     migration schedules (pinned by the package's differential
-//     tests).
+//     backfill from the shared EdgeLog — with the state image, which
+//     carries the query and its pinned configuration; the slot engine
+//     decodes it and grafts the state on (persist.TransplantState), or
+//     refuses it like any failed registration. Per-query state crosses
+//     exactly once, as bytes on every path, so the match multiset is
+//     exactly the serial engine's through arbitrary migration
+//     schedules (pinned by the package's differential tests).
 //  3. Commit. Ownership moves, and on a durable router the registry
 //     slot assignment commits through a checkpoint round. A crash
 //     between any two steps recovers to the query living on exactly
@@ -41,22 +39,12 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"time"
 
-	"streamgraph/internal/core"
-	"streamgraph/internal/dshard"
-	"streamgraph/internal/persist"
 	"streamgraph/internal/query"
 )
-
-// migrateDrainTimeout bounds a remote source's drain barrier: how long
-// Migrate waits for the slot to acknowledge everything outstanding and
-// adopt a fresh snapshot. A variable so the failure-path tests can
-// shorten it.
-var migrateDrainTimeout = 30 * time.Second
 
 // migrateCrash, when non-nil, is invoked at named stages of a
 // migration ("extracted", "target-registered") — the staged kill
@@ -70,10 +58,11 @@ func migrateStage(stage string) {
 }
 
 // wireSafe reports whether the query survives the textual round trip a
-// remote registration takes (the parser's own print/parse fixed point).
+// remote registration and every state image take (the parser's own
+// print/parse fixed point).
 func wireSafe(q *query.Graph) error {
 	if rt, err := query.Parse(q.String()); err != nil || rt.String() != q.String() {
-		return fmt.Errorf("is not wire-safe: vertex names, labels and edge types must be whitespace-free tokens in a remote topology")
+		return fmt.Errorf("is not wire-safe: vertex names, labels and edge types must be whitespace-free tokens to cross the wire or a state image")
 	}
 	return nil
 }
@@ -128,7 +117,7 @@ func (r *Router) migrateLocked(name string, from, to int) error {
 		return fmt.Errorf("shard: migration target slot %d is retired", to)
 	}
 	r.mu.Lock()
-	ownedBy := r.owner[name]
+	ownedBy, qc := r.owner[name], r.cost[name]
 	r.mu.Unlock()
 	if ownedBy != src {
 		return fmt.Errorf("shard: query %q is not registered on slot %d", name, from)
@@ -142,42 +131,38 @@ func (r *Router) migrateLocked(name string, from, to int) error {
 	if src.retired {
 		return fail(fmt.Errorf("shard: migration source slot %d is retired", from))
 	}
+	if !src.reachable() {
+		return fail(fmt.Errorf("shard: migrate %q: slot %d is unreachable (its last dial failed)", name, from))
+	}
+	// The state image carries the query in its textual form.
+	if err := wireSafe(qc.q); err != nil {
+		return fail(fmt.Errorf("shard: migrate: query %q %w", name, err))
+	}
 	fp := r.fps[name]
 	seq := r.seq.Load()
 
-	// Phase 1: drain the source and extract the query's state. ingestMu
-	// is held throughout, so the gate narrowed here admits no edge before
-	// the handoff completes or is undone.
+	// Phase 1: hand the query over on the source. ingestMu is held
+	// throughout, so the gate narrowed here admits no edge before the
+	// handoff completes or is undone.
 	drainStart := r.tel.now()
-	out := message{kind: msgUnregister, name: name, seq: seq, migrate: true, reply: make(chan error, 1)}
+	h := &handoff{}
+	out := message{kind: msgUnregister, name: name, seq: seq, migrate: true, handoff: h, reply: make(chan error, 1)}
 	r.admit(src, &out, fp)
-	var clone *core.MultiEngine
-	var rank int
-	var err error
-	if src.remote == nil {
-		out.xout = make(chan migrateOut, 1)
-		r.send(src, out)
-		res := <-out.xout
-		if clone, rank, err = res.eng, res.rank, res.err; err != nil {
-			err = fmt.Errorf("shard: migrate %q out of slot %d: %w", name, from, err)
-		}
-	} else {
-		clone, rank, err = r.extractRemote(src, out)
-	}
-	if err != nil {
+	r.send(src, out)
+	if err := <-out.reply; err != nil {
 		r.undo(src, &out, fp)
-		return fail(err)
+		return fail(fmt.Errorf("shard: migrate %q out of slot %d: %w", name, from, err))
 	}
 	r.tel.migDrain.Record(r.tel.now() - drainStart)
 	migrateStage("extracted")
 
 	// Phase 2: register on the target at the same stream position and
 	// graft the state on.
-	if err := r.placeMigrated(dst, name, clone, rank, fp, seq); err != nil {
+	if err := r.placeMigrated(dst, name, h, fp, seq); err != nil {
 		// The target refused the query (engine error, corrupt-state
 		// transplant, wire loss timing). Put it back where it was — the
 		// state is still in hand — rather than lose a standing query.
-		if rerr := r.placeMigrated(src, name, clone, rank, fp, seq); rerr != nil {
+		if rerr := r.placeMigrated(src, name, h, fp, seq); rerr != nil {
 			// Both slots refused. The query is gone from the runtime;
 			// make the registry agree so Registered()/recovery do not
 			// resurrect a phantom.
@@ -209,108 +194,23 @@ func (r *Router) migrateLocked(name string, from, to int) error {
 	return nil
 }
 
-// extractRemote runs the drain barrier on a remote source slot and
-// extracts the query from the resulting snapshot: request a
-// checkpoint, wait until the slot has acknowledged everything admitted
-// and adopted the fresh image, decode it, clone the query out, and
-// strip the query from the slot's retained restore image before
-// sending msg, the admitted migrate-unregister. Caller holds ingestMu.
-func (r *Router) extractRemote(src *worker, msg message) (*core.MultiEngine, int, error) {
-	rs, name := src.remote, msg.name
-	gen := rs.snapshotGen()
-	src.in <- message{kind: msgCheckpoint}
-	deadline := time.Now().Add(migrateDrainTimeout)
-	resent := time.Now()
-	for rs.snapshotGen() == gen || !rs.drained() {
-		if time.Now().After(deadline) {
-			return nil, 0, fmt.Errorf("shard: migrate %q: slot %d drain barrier timed out (disconnected, or snapshot over the frame limit)", name, src.id)
-		}
-		// A checkpoint request that catches the slot between a dead
-		// connection and its redial is dropped on the floor — the
-		// cadence rounds tolerate that (the next round re-requests),
-		// but the barrier must not. Keep nudging until one lands on a
-		// live connection; extra snapshots are harmless refreshes.
-		if rs.snapshotGen() == gen && time.Since(resent) > 50*time.Millisecond {
-			src.in <- message{kind: msgCheckpoint}
-			resent = time.Now()
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	si, err := dshard.DecodeSnapshotImage(rs.snapshotCut())
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: migrate %q: slot %d snapshot: %w", name, src.id, err)
-	}
-	rank, ok := si.Ranks[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("shard: migrate %q: slot %d snapshot does not hold it", name, src.id)
-	}
-	full, err := persist.LoadMulti(bytes.NewReader(si.Engine))
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: migrate %q: slot %d snapshot engine: %w", name, src.id, err)
-	}
-	clone, err := persist.CloneQuery(full, name)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard: migrate %q out of slot %d: %w", name, src.id, err)
-	}
-
-	// Rebuild the slot's retained restore image without the query:
-	// remaining ranks, the narrowed filter msg is stamped with, trimmed
-	// replica. Replacing it BEFORE the unregister is sent is what makes
-	// the handoff crash-safe on this side — a reconnect anywhere after
-	// this point restores the stripped image and replays the pending
-	// unregister as a no-op.
-	full.Unregister(name)
-	if r.filtering {
-		full.SetReplicaFilter(msg.postTypes, msg.postUniversal)
-		full.TrimReplica()
-	}
-	var buf bytes.Buffer
-	if err := persist.SaveMulti(&buf, full); err != nil {
-		return nil, 0, fmt.Errorf("shard: migrate %q: strip slot %d image: %w", name, src.id, err)
-	}
-	delete(si.Ranks, name)
-	si.Universal, si.Types = msg.postUniversal, msg.postTypes
-	si.Engine = buf.Bytes()
-	rs.replaceSnapshot(si.Encode(), msg.postUniversal, msg.postTypes)
-
-	r.send(src, msg)
-	<-msg.reply
-	return clone, rank, nil
-}
-
-// placeMigrated registers a migrated query (state clone in hand) on a
-// slot at stream position seq: the normal register admission — gate
-// widening, backfill entitlement, remote event retention — plus the
-// transplant payload, undone if the slot refuses. Caller holds
-// ingestMu; no floor pin is needed because ingestMu is held across the
-// reply, so no concurrent ingest can trim the log meanwhile.
-func (r *Router) placeMigrated(dst *worker, name string, clone *core.MultiEngine, rank int, fp fprint, seq uint64) error {
+// placeMigrated registers a migrated query (its handed-over state in
+// hand) on a slot at stream position seq: the normal register
+// admission — gate widening, backfill entitlement, remote event
+// retention — plus the state image, undone if the slot refuses. Caller
+// holds ingestMu; no floor pin is needed because ingestMu is held
+// across the reply, so no concurrent ingest can trim the log meanwhile.
+func (r *Router) placeMigrated(dst *worker, name string, h *handoff, fp fprint, seq uint64) error {
 	if dst.retired {
 		return fmt.Errorf("slot %d is retired", dst.id)
-	}
-	eng := clone.QueryEngine(name)
-	if eng == nil {
-		return fmt.Errorf("clone does not hold %q", name)
 	}
 	minTS := int64(math.MinInt64)
 	if r.cfg.Window > 0 {
 		minTS = r.log.MaxTS() - r.cfg.Window + 1
 	}
 	msg := message{
-		kind: msgRegister, name: name, q: eng.Query(), cfg: eng.ConfigSnapshot(), rank: rank,
+		kind: msgRegister, name: name, rank: h.rank, state: h.state,
 		seq: seq, minTS: minTS, migrate: true, reply: make(chan error, 1),
-	}
-	if dst.remote != nil {
-		if err := wireSafe(msg.q); err != nil {
-			return fmt.Errorf("query %q %w", name, err)
-		}
-		var buf bytes.Buffer
-		if err := persist.SaveMulti(&buf, clone); err != nil {
-			return fmt.Errorf("encode state: %w", err)
-		}
-		msg.state = buf.Bytes()
-	} else {
-		msg.xfer = clone
 	}
 	r.admit(dst, &msg, fp)
 	r.send(dst, msg)
@@ -370,7 +270,9 @@ func (r *Router) AddSlot(addr string) (int, error) {
 // RemoveSlot retires a slot: every query it owns is live-migrated to
 // the surviving slots (each to the coldest at that moment, slotOrder),
 // then the slot is drained and permanently removed from the topology
-// (its id remains as a tombstone; it pins nothing). Not available in
+// (its id remains as a tombstone; it pins nothing). On a durable router
+// the tombstone commits through a checkpoint round before RemoveSlot
+// returns, so a reopen retires the slot again. Not available in
 // Ordered mode.
 func (r *Router) RemoveSlot(id int) error {
 	if r.cfg.Ordered {
@@ -402,6 +304,9 @@ func (r *Router) RemoveSlot(id int) error {
 		}
 	}
 	r.retireLocked(w)
+	if r.dlog != nil {
+		r.checkpointRound()
+	}
 	return nil
 }
 
@@ -474,10 +379,10 @@ func (r *Router) failoverEvacuate(w *worker) {
 			r.ingestMu.Unlock()
 			return
 		}
-		if w.remote != nil && w.remote.liveConn.Load() == nil {
-			// The hospice connection is still coming up; a drain
-			// barrier now would only burn its timeout while holding
-			// ingestMu. Back off without blocking ingestion.
+		if !w.reachable() {
+			// The hospice connection is still coming up, and
+			// migrateLocked refuses an unreachable source. Back off
+			// without blocking ingestion.
 			r.ingestMu.Unlock()
 			time.Sleep(5 * time.Millisecond)
 			continue

@@ -137,7 +137,7 @@ type inflightFrame struct {
 	suppress  bool
 	closing   bool
 	matches   []Match
-	snapData  []byte // msgCheckpoint: the snapshot frame's payload
+	snapData  []byte // the snapshot frame's payload: a checkpoint's image, a handed-over state
 	sentAt    int64  // telemetry.now at push; ack round-trip = done pop - sentAt
 }
 
@@ -175,12 +175,6 @@ type remoteSlot struct {
 	snapSeq       uint64
 	snapUniversal bool
 	snapTypes     []string
-	// snapGen counts snapshot adoptions. A migration's drain barrier
-	// keys off it: requesting a checkpoint and waiting for the
-	// generation to advance (with everything acknowledged) proves the
-	// current snapshot serialized the engine at the barrier's stream
-	// position — the image the migration extracts the query from.
-	snapGen uint64
 	// ackUniversal/ackTypes track the replica filter as of the last
 	// acknowledged control event — exactly what a snapshot taken at the
 	// current pipeline position embeds. Recorded at checkpoint
@@ -194,6 +188,10 @@ type remoteSlot struct {
 	// into (see Config.RedialBudget). addr and hospice are touched only
 	// by the slot goroutine.
 	hospice *dshard.Server
+
+	// unreachable is set while the slot's last dial failed, cleared by
+	// the next successful one (worker.reachable).
+	unreachable atomic.Bool
 
 	// Wire telemetry (registerMetrics). liveConn tracks the current
 	// connection so scrape-time wire totals can add its live counters
@@ -246,6 +244,14 @@ func (rs *remoteSlot) registerMetrics(t *telemetry) {
 	t.reg.GaugeFunc("sg_dshard_dict_bytes_out", dict(func(s dshard.ConnStats) int64 { return s.DictBytesOut }), "shard", sh)
 	t.reg.GaugeFunc("sg_dshard_dict_entries_in", dict(func(s dshard.ConnStats) int64 { return s.DictEntriesIn }), "shard", sh)
 	t.reg.GaugeFunc("sg_dshard_dict_bytes_in", dict(func(s dshard.ConnStats) int64 { return s.DictBytesIn }), "shard", sh)
+}
+
+// reachable reports whether the slot can answer a control message: a
+// local slot always, a remote one unless its last dial failed. A remote
+// slot between a lost connection and its redial answers from the
+// reconnect's replay.
+func (w *worker) reachable() bool {
+	return w.remote == nil || !w.remote.unreachable.Load()
 }
 
 // noteConnClosed folds a finished connection's wire counters into the
@@ -364,29 +370,57 @@ func (rs *remoteSlot) pendingSpans() int {
 	return len(rs.spans)
 }
 
-// retire removes an event (and, for an acknowledged unregister, its
-// paired registration) from the replay set. Caller holds rs.mu.
-func (rs *remoteSlot) retireLocked(ev *remoteEvent) {
-	drop := func(target *remoteEvent) {
-		for i, e := range rs.events {
-			if e == target {
-				rs.events = append(rs.events[:i], rs.events[i+1:]...)
-				return
+// settleLocked applies a control event's first acknowledgment, with
+// the worker's error ("" for none), to the replay set:
+//   - A failed registration never took effect remotely: it goes.
+//   - A refused handover left the query on the slot: the unregister
+//     goes, and the registration it had paired with is live again.
+//   - An unregister retires together with its registration only while
+//     that registration's event is still retained. Otherwise a
+//     snapshot holds the query, and a reconnect that restores it must
+//     replay the unregister (suppressed) or the query comes back — so
+//     the unregister stays until a later snapshot covers it
+//     (adoptSnapshotLocked retires it with the other acknowledged
+//     events).
+//
+// Caller holds rs.mu.
+func (rs *remoteSlot) settleLocked(ev *remoteEvent, errText string) {
+	defer rs.recomputePinLocked()
+	if errText == "" {
+		// The worker applied this event's post-filter; a snapshot taken
+		// at the current pipeline position will embed it.
+		rs.ackUniversal, rs.ackTypes = ev.msg.postUniversal, ev.msg.postTypes
+	}
+	switch {
+	case ev.kind == msgRegister:
+		if errText != "" {
+			rs.dropLocked(ev)
+			if rs.regs[ev.msg.name] == ev {
+				delete(rs.regs, ev.msg.name)
+				rs.liveRegs--
 			}
 		}
+	case errText != "":
+		rs.dropLocked(ev)
+		if ev.reg != nil {
+			rs.regs[ev.msg.name] = ev.reg
+			rs.liveRegs++
+		}
+	case ev.reg == nil || rs.dropLocked(ev.reg):
+		rs.dropLocked(ev)
 	}
-	drop(ev)
-	if ev.kind == msgUnregister && ev.reg != nil {
-		drop(ev.reg)
-	}
-	if ev.kind == msgRegister {
-		// A failed registration: it never took effect remotely.
-		if rs.regs[ev.msg.name] == ev {
-			delete(rs.regs, ev.msg.name)
-			rs.liveRegs--
+}
+
+// dropLocked removes one event from the replay set and reports whether
+// the set held it. Caller holds rs.mu.
+func (rs *remoteSlot) dropLocked(ev *remoteEvent) bool {
+	for i, e := range rs.events {
+		if e == ev {
+			rs.events = append(rs.events[:i], rs.events[i+1:]...)
+			return true
 		}
 	}
-	rs.recomputePinLocked()
+	return false
 }
 
 // recvMsg carries one server frame from the reader goroutine.
@@ -508,6 +542,7 @@ func (rs *remoteSlot) run() {
 		case <-redial:
 			redial = nil
 			c, err := rs.connect()
+			rs.unreachable.Store(err != nil)
 			if err != nil {
 				if budget := w.r.cfg.RedialBudget; budget > 0 && rs.hospice == nil {
 					if dialFails++; dialFails >= budget {
@@ -801,15 +836,18 @@ func (rs *remoteSlot) sendEvent(conn *dshard.Conn, ev *remoteEvent, suppress boo
 func (rs *remoteSlot) wireRegister(ev *remoteEvent, suppress bool) dshard.Register {
 	m := ev.msg
 	out := dshard.Register{
-		Suppress: suppress, Name: m.name, Seq: m.seq, Rank: m.rank,
-		Query: m.q.String(), Strategy: int(m.cfg.Strategy),
+		Suppress: suppress, Name: m.name, Seq: m.seq, Rank: m.rank, Strategy: int(m.cfg.Strategy),
 		HasLeaves: m.cfg.Leaves != nil, Leaves: m.cfg.Leaves,
 		MaxMatches: m.cfg.MaxMatchesPerSearch, MaxWork: m.cfg.MaxWorkPerEdge, MaxSteps: m.cfg.MaxStepsPerSearch,
 		FilterUniversal: m.postUniversal, FilterTypes: m.postTypes,
 		// A migration's state image rides every (re)send of the frame:
 		// a reconnect replay re-registers onto a fresh engine, which
-		// needs the transplant again.
+		// needs the transplant again. It carries the query and its
+		// configuration, so the message has none of its own.
 		State: m.state,
+	}
+	if m.q != nil {
+		out.Query = m.q.String()
 	}
 	out.Backfill = rs.w.r.log.missed(m.seq, m.minTS, m.needAll, m.heldTypes, m.needTypes)
 	if m.migrate {
@@ -985,7 +1023,7 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 	}
 	if rm.snap != nil {
 		rs.mu.Lock()
-		if len(rs.inflight) == 0 || rs.inflight[0].id != rm.snap.Frame || rs.inflight[0].kind != msgCheckpoint {
+		if len(rs.inflight) == 0 || rs.inflight[0].id != rm.snap.Frame || rs.inflight[0].kind != msgCheckpoint && rs.inflight[0].kind != msgUnregister {
 			rs.mu.Unlock()
 			return false, false
 		}
@@ -1000,6 +1038,10 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 		return false, false
 	}
 	f := rs.inflight[0]
+	if f.kind == msgUnregister && f.ev.msg.migrate && d.Err == "" && f.snapData == nil {
+		rs.mu.Unlock()
+		return false, false // a handover's state comes before its done
+	}
 	rs.inflight = rs.inflight[1:]
 	rs.ackRTT.Record(w.r.tel.now() - f.sentAt)
 	var reply chan error
@@ -1019,22 +1061,20 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 		first := !ev.acked
 		ev.acked = true
 		if first {
-			if ev.kind == msgUnregister || d.Err != "" {
-				rs.retireLocked(ev)
-			}
-			if d.Err == "" {
-				// The worker applied this event's post-filter; a
-				// snapshot taken at the current pipeline position will
-				// embed it.
-				rs.ackUniversal = ev.msg.postUniversal
-				rs.ackTypes = ev.msg.postTypes
-			}
+			rs.settleLocked(ev, d.Err)
 		}
 		if !ev.replied {
 			ev.replied = true
 			reply = ev.msg.reply
 			if d.Err != "" {
 				replyErr = remoteRegisterError(d.Err)
+			} else if h := ev.msg.handoff; h != nil {
+				// The state rode the snapshot frame that preceded this
+				// done; the rank is the registration's own.
+				h.state = f.snapData
+				if ev.reg != nil {
+					h.rank = ev.reg.msg.rank
+				}
 			}
 		}
 		if !first {
@@ -1062,8 +1102,8 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 		// (durable.go's checkpointRound) reads the emitted counter after
 		// observing the spans, and must never see an edge unpinned while
 		// its matches are still uncounted. Until then other goroutines
-		// (the ingest-path trim, a checkpoint round, a migration's drain
-		// barrier) see the span pinned a little longer, the safe side;
+		// (the ingest-path trim, a checkpoint round) see the span
+		// pinned a little longer, the safe side;
 		// the one reader of deliveredEnd, a reconnect's rebuild, starts
 		// on this goroutine.
 		rs.mu.Lock()
@@ -1096,7 +1136,6 @@ func (rs *remoteSlot) adoptSnapshotLocked(data []byte) {
 	rs.snapSeq = rs.deliveredEnd
 	rs.snapUniversal = rs.ackUniversal
 	rs.snapTypes = append([]string(nil), rs.ackTypes...)
-	rs.snapGen++
 	rs.cover.Store(rs.snapSeq)
 	// Retire every acknowledged control event: acknowledged before the
 	// checkpoint means processed before the snapshot was taken, so the
@@ -1151,39 +1190,6 @@ func fromWire(shardID int, m dshard.Match) Match {
 		FirstTS: m.FirstTS, LastTS: m.LastTS,
 		Bindings: m.Bindings, Edges: m.Edges,
 	}
-}
-
-// snapshotGen reports the snapshot adoption count (see snapGen).
-func (rs *remoteSlot) snapshotGen() uint64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.snapGen
-}
-
-// snapshotCut returns the current snapshot image (nil when none).
-// The slice is the adopted copy and must not be mutated.
-func (rs *remoteSlot) snapshotCut() []byte {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.snap
-}
-
-// replaceSnapshot swaps the retained snapshot image in place (same
-// stream position, new contents and embedded filter). The migration
-// path uses it to strip an extracted query from the slot's restore
-// state BEFORE the migrate-unregister is sent: if the connection dies
-// mid-unregister, the reconnect restores the stripped image and
-// replays the unregister as a harmless no-op — the query can never be
-// resurrected on the source after its state left for the target.
-func (rs *remoteSlot) replaceSnapshot(data []byte, universal bool, types []string) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.snap == nil {
-		return
-	}
-	rs.snap = data
-	rs.snapUniversal = universal
-	rs.snapTypes = append([]string(nil), types...)
 }
 
 // retire clears every log pin the slot holds, permanently: a retired

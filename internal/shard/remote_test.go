@@ -8,12 +8,14 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/dshard"
@@ -268,6 +270,142 @@ func TestRemoteRegisterUnregisterMidStream(t *testing.T) {
 	sort.Strings(got)
 	if !equalStrings(got, serial) {
 		t.Fatalf("survivor multiset differs: %d matches, want %d", len(got), len(serial))
+	}
+}
+
+// TestRemoteUnregisterReconnectDifferential pins that no query comes
+// back after a reconnect. A checkpoint snapshot that covers a query's
+// registration retires the registration's replay event; a later
+// removal of the query must then survive a reconnect that restores that
+// snapshot. Two ways to remove it: Unregister, and Migrate to a local
+// slot. Either way the query emits nothing on the remote slot after its
+// removal, every other match equals the serial engine's, and after an
+// Unregister the name registers again.
+func TestRemoteUnregisterReconnectDifferential(t *testing.T) {
+	const (
+		window   = 300
+		batch    = 50
+		regAt    = 500  // "extra" arrives here
+		removeAt = 1500 // and leaves its remote slot here
+	)
+	edges := testStream(3000)
+	queries, strategies := testQueries(), testStrategies()
+	names := sortedNames(queries)
+	extra := queries["gre-tcp"].Clone()
+	extraCfg := core.Config{Strategy: core.StrategySingleLazy}
+
+	// serial is the oracle: "extra" registered at regAt and, when it is
+	// unregistered rather than migrated, removed at removeAt.
+	serial := func(unregister bool) []string {
+		m := core.NewMulti(core.MultiConfig{Window: window})
+		for _, name := range names {
+			if err := m.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
+				t.Fatalf("register %s: %v", name, err)
+			}
+		}
+		var sigs []string
+		for i, se := range edges {
+			if i == regAt {
+				if err := m.Register("extra", extra, extraCfg); err != nil {
+					t.Fatalf("register extra: %v", err)
+				}
+			}
+			if i == removeAt && unregister {
+				m.Unregister("extra")
+			}
+			for _, nm := range m.ProcessEdge(se) {
+				sigs = append(sigs, serialSig(m, nm))
+			}
+		}
+		sort.Strings(sigs)
+		return sigs
+	}
+
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		remote     int // the remote slot's id
+		unregister bool
+	}{
+		{"unregister", Config{Remotes: []string{""}}, 0, true},
+		{"migrate", Config{Shards: 1, Remotes: []string{""}}, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, srv := startRemoteWorker(t)
+			cfg := tc.cfg
+			cfg.Remotes = []string{addr}
+			cfg.Window, cfg.CheckpointEvery = window, 100
+			r := New(cfg)
+			for _, name := range names {
+				if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
+					t.Fatalf("register %s: %v", name, err)
+				}
+			}
+			var mu sync.Mutex
+			var got []string
+			var late []Match // "extra" matches the remote slot emitted after the removal
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				r.Drain(func(m Match) {
+					mu.Lock()
+					defer mu.Unlock()
+					got = append(got, matchSig(m))
+					if m.Query == "extra" && m.Shard == tc.remote && m.Seq >= removeAt {
+						late = append(late, m.Clone())
+					}
+				})
+			}()
+			feed := func(lo, hi int) {
+				for ; lo < hi; lo += batch {
+					r.IngestBatch(edges[lo:min(lo+batch, hi)])
+				}
+			}
+
+			feed(0, regAt)
+			if err := r.Register("extra", extra, extraCfg); err != nil {
+				t.Fatalf("register extra: %v", err)
+			}
+			if from := ownerSlot(r, "extra"); from != tc.remote {
+				if err := r.Migrate("extra", from, tc.remote); err != nil {
+					t.Fatalf("place extra on the remote slot: %v", err)
+				}
+			}
+			feed(regAt, removeAt)
+			rs := r.workers[tc.remote].remote
+			deadline := time.Now().Add(10 * time.Second)
+			for cov := rs.coveredSeq(); cov == math.MaxUint64 || cov <= regAt; cov = rs.coveredSeq() {
+				if time.Now().After(deadline) {
+					t.Fatalf("no snapshot covers the registration at seq %d (covered: %d)", regAt, cov)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			if tc.unregister {
+				r.Unregister("extra")
+			} else if err := r.Migrate("extra", tc.remote, 0); err != nil {
+				t.Fatalf("migrate extra off the remote slot: %v", err)
+			}
+			srv.Kick() // the reconnect restores a snapshot that holds "extra"
+			feed(removeAt, len(edges))
+			if tc.unregister {
+				if err := r.Register("extra", extra, extraCfg); err != nil {
+					t.Errorf("register extra again after the reconnect: %v", err)
+				}
+			}
+			r.Close()
+			<-done
+
+			if len(late) > 0 {
+				t.Fatalf("the remote slot emitted %d matches of extra after its removal at seq %d (first at seq %d)",
+					len(late), removeAt, late[0].Seq)
+			}
+			want := serial(tc.unregister)
+			sort.Strings(got)
+			if !equalStrings(got, want) {
+				t.Fatalf("%d matches, the serial engine %d (multiset differs)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -82,7 +82,6 @@ import (
 	"streamgraph/internal/edlog"
 	"streamgraph/internal/graph"
 	"streamgraph/internal/metrics"
-	"streamgraph/internal/persist"
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
@@ -321,24 +320,20 @@ type message struct {
 	postTypes     []string     // control: replica filter after this point
 	revent        *remoteEvent // remote slot: the proxy's retained event record
 
-	// Migration fields (migrate.go). A register carrying xfer (local
-	// target) or state (remote target) is the second half of a
-	// Router.Migrate handoff; an unregister with migrate set is the
-	// first half. A local source flushes, clones the query out and
-	// replies the clone on xout; a remote source's pending retro work
-	// was already captured in the snapshot — the worker must not flush.
-	xfer    *core.MultiEngine // msgRegister: clone to transplant (local target)
-	state   []byte            // msgRegister: SaveMulti image (remote target)
-	migrate bool              // register/unregister: part of a migration
-	xout    chan migrateOut   // migrate unregister, local source: handoff reply
+	// Migration fields (migrate.go). An unregister with migrate set is
+	// the first half of a Router.Migrate handoff: the source slot
+	// (dshard.Slot.HandOver, local or remote) fills handoff before it
+	// replies. A register carrying state is the second half.
+	state   []byte   // msgRegister: the handed-over state image
+	migrate bool     // register/unregister: part of a migration
+	handoff *handoff // migrate unregister: the source's answer
 }
 
-// migrateOut is a local source's reply to a migrate unregister: the
-// detached single-query clone and the query's registration rank.
-type migrateOut struct {
-	eng  *core.MultiEngine
-	rank int
-	err  error
+// handoff is a source slot's answer to a migrate unregister: the
+// query's registration rank and its encoded state.
+type handoff struct {
+	rank  int
+	state []byte
 }
 
 // bundle is one edge's worth of matches from one shard (ordered mode
@@ -583,9 +578,13 @@ func (r *Router) newWorker(id int, addr string) *worker {
 	return w
 }
 
-// start launches the worker goroutines (and the ordered merge).
+// start launches the worker goroutines (and the ordered merge); a slot
+// Open found retired gets none.
 func (r *Router) start() {
 	for _, w := range r.workers {
+		if w.retired {
+			continue
+		}
 		r.wg.Add(1)
 		if w.remote != nil {
 			go w.remote.run()
@@ -1298,15 +1297,15 @@ func (w *worker) run() {
 			w.publish(w.slot.Report())
 			msg.reply <- err
 		case msgUnregister:
-			if msg.xout != nil {
-				out := w.handOver(msg)
-				w.publish(w.slot.Report())
-				msg.xout <- out
-				continue
+			var err error
+			if msg.migrate {
+				h := msg.handoff
+				h.rank, h.state, err = w.slot.HandOver(msg.seq, msg.name, msg.postUniversal, msg.postTypes, w.emit)
+			} else {
+				w.slot.Unregister(msg.seq, msg.name, msg.postUniversal, msg.postTypes, w.emit)
 			}
-			w.slot.Unregister(msg.seq, msg.name, false, msg.postUniversal, msg.postTypes, w.emit)
 			w.publish(w.slot.Report())
-			msg.reply <- nil
+			msg.reply <- err
 		case msgCheckpoint:
 			// Serialize the engine at this queue position — a message
 			// boundary, so no batch is mid-flight — and persist it as
@@ -1343,11 +1342,11 @@ func (w *worker) emit(seq uint64, nms []core.NamedMatch) {
 // worker's goroutine against a lock-free log snapshot, so the router
 // and the other shards proceed unimpeded; this shard's own queue waits,
 // which is exactly the Register barrier semantics. A register carrying
-// xfer is a migration's second half: the slot engine grafts the
+// state is a migration's second half: the slot engine grafts the
 // source's live state on, or rolls the registration back.
 func (w *worker) register(msg message) error {
 	reg := dshard.SlotRegister{
-		Name: msg.name, Query: msg.q, Config: msg.cfg, Rank: msg.rank, State: msg.xfer,
+		Name: msg.name, Query: msg.q, Config: msg.cfg, Rank: msg.rank, State: msg.state,
 		Universal: msg.postUniversal, Types: msg.postTypes,
 		Backfill: w.r.log.missed(msg.seq, msg.minTS, msg.needAll, msg.heldTypes, msg.needTypes),
 	}
@@ -1359,26 +1358,6 @@ func (w *worker) register(msg message) error {
 		w.r.tel.migBackfill.Add(int64(len(reg.Backfill)))
 	}
 	return nil
-}
-
-// handOver is a migrate unregister on a local source: flush the retro
-// barrier (standard unregister discipline — the clone must not carry
-// repairs the serial schedule already drained), detach the query's
-// state (persist.CloneQuery), and remove it here with the stamped
-// filter. The handoff happens at this exact queue position: every edge
-// enqueued before it is in the clone, every one after it belongs to the
-// target.
-func (w *worker) handOver(msg message) (out migrateOut) {
-	var held bool
-	if out.rank, held = w.slot.Rank(msg.name); !held {
-		out.err = fmt.Errorf("shard: slot %d does not hold query %q", w.id, msg.name)
-		return out
-	}
-	w.slot.Flush(msg.seq, w.emit)
-	if out.eng, out.err = persist.CloneQuery(w.slot.Eng, msg.name); out.err == nil {
-		w.slot.Unregister(msg.seq, msg.name, true, msg.postUniversal, msg.postTypes, w.emit)
-	}
-	return out
 }
 
 // publish exposes a slot's gauges to the lock-free Stats/scrape

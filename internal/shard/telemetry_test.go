@@ -285,18 +285,25 @@ func checkRemoteReport(t *testing.T, r *Router) {
 			continue
 		}
 		rs := w.remote
-		gen := rs.snapshotGen()
+		image := func() []byte {
+			rs.mu.Lock()
+			defer rs.mu.Unlock()
+			return rs.snap
+		}
+		old := image()
 		r.ingestMu.Lock()
 		w.in <- message{kind: msgCheckpoint}
 		r.ingestMu.Unlock()
 		deadline := time.Now().Add(10 * time.Second)
-		for rs.snapshotGen() == gen || !rs.drained() {
+		// A snapshot adopted after the request is a fresh copy of the
+		// frame's payload: a new backing array.
+		for cur := image(); cur == nil || old != nil && &cur[0] == &old[0] || !rs.drained(); cur = image() {
 			if time.Now().After(deadline) {
 				t.Fatalf("slot %d: checkpoint barrier timed out", w.id)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		si, err := dshard.DecodeSnapshotImage(rs.snapshotCut())
+		si, err := dshard.DecodeSnapshotImage(image())
 		if err != nil {
 			t.Fatal(err)
 		}
