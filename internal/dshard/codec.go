@@ -2,12 +2,11 @@ package dshard
 
 import "streamgraph/internal/stream"
 
-// Exported edge-list codec. The durable EdgeLog (internal/edlog)
-// stores record payloads in exactly the wire edge encoding — a uvarint
-// count followed by edges, each five length-prefixed strings and a
-// zigzag-varint timestamp — so a log segment can be framed onto a
-// connection, or a received batch appended to the log, without a
-// re-encode. These wrappers expose the internal codec for that reuse.
+// Exported edge-list codec: a uvarint count followed by edges, each
+// five length-prefixed strings and a zigzag-varint timestamp. It is the
+// durable EdgeLog's (internal/edlog) record payload. Frames do not use
+// it: they intern strings in the connection's dictionary (dict.go),
+// which a log record would outlive.
 
 // AppendEdgeList appends the wire encoding of es to b and returns the
 // extended slice.

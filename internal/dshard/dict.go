@@ -1,8 +1,8 @@
 package dshard
 
-// The v2 string dictionary. Vertex names, labels and edge types repeat
+// The string dictionary. Vertex names, labels and edge types repeat
 // endlessly on a connection — every edge frame re-ships five of them —
-// so a v2 connection interns each distinct string once per direction:
+// so each connection interns each distinct string once per direction:
 // its first occurrence travels as a definition (explicit id + bytes),
 // every later occurrence as a 1–3 byte reference. The dictionary is
 // strictly per connection and per direction, mirroring the in-process
@@ -30,9 +30,9 @@ import (
 
 // maxDictEntries caps a per-direction dictionary. An honest encoder
 // falls back to inline (non-interned) strings at the cap, so streams
-// with more distinct strings than this still flow — at the plain
-// encoding's cost for the overflow — while a hostile peer cannot grow a
-// table without bound.
+// with more distinct strings than this still flow — at a length
+// prefix per string for the overflow — while a hostile peer cannot grow
+// a table without bound.
 const maxDictEntries = 1 << 21
 
 // strDict is the encode side: string → dense id, first-seen order.
@@ -57,14 +57,10 @@ type strTable struct {
 	bytes   atomic.Int64
 }
 
-// appendStr encodes one string under the connection's negotiated
-// encoding: plain length-prefixed without CapDict, a dictionary
-// reference/definition with it.
+// appendStr encodes one string as a dictionary reference, or as a
+// definition on its first occurrence.
 func (cn *Conn) appendStr(b []byte, s string) []byte {
 	sd := cn.dict
-	if sd == nil {
-		return appendString(b, s)
-	}
 	if id, ok := sd.ids[s]; ok {
 		return binary.AppendUvarint(b, uint64(id)+2)
 	}
@@ -81,9 +77,8 @@ func (cn *Conn) appendStr(b []byte, s string) []byte {
 	return appendString(b, s)
 }
 
-// str decodes one string under the cursor's table: plain when tbl is
-// nil (a connection without CapDict, snapshot images, the edlog
-// codec), dictionary form otherwise.
+// str decodes one string under the cursor's table: dictionary form in
+// a frame, plain length-prefixed when tbl is nil (the edge-list codec).
 func (d *dec) str() string {
 	if d.tbl == nil {
 		return d.string_()

@@ -16,20 +16,18 @@
 // Protocol. Frames are length-prefixed: a 4-byte big-endian payload
 // length, then the payload, whose first byte is the frame type. All
 // integers inside payloads are varints (unsigned for sequence numbers
-// and counts, zigzag for timestamps and gauges); strings are
-// length-prefixed byte strings. Protocol v2 — negotiated per
-// connection by the hello/hello-ack capability exchange — additionally
-// interns strings in a per-connection, per-direction dictionary
-// (CapDict: first occurrence as id+bytes, later occurrences as a
-// varint reference), delta-encodes timestamps within each frame's edge
-// list, and flate-compresses large frames (CapCompress: the high bit
-// of the length header marks a compressed payload). A connection that
-// negotiates nothing speaks the plain encoding; the handshake frames,
-// snapshot images and the edlog record codec always use it, the last
-// two because they outlive connections. The client (router) sends:
+// and counts, zigzag for timestamps and gauges). After the hello /
+// hello-ack version check every connection speaks one encoding: names,
+// labels and types are interned in a per-connection, per-direction
+// string dictionary (first occurrence as id+bytes, later occurrences as
+// a varint reference) and timestamps are deltas within each frame's
+// edge list. Free text (query text, error strings) and images are
+// length-prefixed bytes; snapshot images and the edlog record codec
+// never use the dictionary, because they outlive connections. The
+// client (router) sends:
 //
-//	hello       protocol version, slot id, window, the initial
-//	            replica-filter mode and the offered capability bits
+//	hello       protocol version, slot id, window and the initial
+//	            replica-filter mode
 //	edges       one admitted batch: base arrival seq + edges
 //	register    a query at a stream position: name, rank, query text,
 //	            the decomposition pinned router-side, search limits,
@@ -60,26 +58,14 @@ import (
 )
 
 // ProtocolVersion is the one wire protocol version, carried by the
-// hello frame. The client opens with it plus its capability bits and
-// expects a hello-ack granting the intersection; the server refuses a
-// hello of any other version (v1, which had no handshake, v2, whose
-// hello carried an eviction cadence, v3, whose done frame carried
-// three replica gauges instead of a slot Report, and v4, whose worker
-// answers a migrate unregister without the query's state, included).
-const ProtocolVersion = 5
-
-// Capability bits negotiated in the v2 hello/hello-ack exchange. The
-// client offers a set, the server answers with the subset it grants,
-// and both sides apply exactly the granted set — to both directions of
-// the connection.
-const (
-	// CapDict enables the per-connection string dictionary and
-	// within-frame delta timestamps on edge/backfill/match frames.
-	CapDict uint64 = 1 << 0
-	// CapCompress enables per-frame flate compression of large frames
-	// (the high bit of the length header marks a compressed frame).
-	CapCompress uint64 = 1 << 1
-)
+// hello frame. The client opens with it and expects a hello-ack; the
+// server refuses a hello of any other version (v1, which had no
+// handshake, v2, whose hello carried an eviction cadence, v3, whose
+// done frame carried three replica gauges instead of a slot Report, v4,
+// whose worker answers a migrate unregister without the query's state,
+// and v5, which negotiated the encoding and could flate-compress
+// frames, included).
+const ProtocolVersion = 6
 
 // MaxFrame bounds a single frame's payload size (a corrupt or
 // malicious length prefix must not allocate unboundedly).
@@ -112,8 +98,7 @@ const (
 	FrameMatch byte = 0x81
 	// FrameDone acknowledges one client frame (server→client).
 	FrameDone byte = 0x82
-	// FrameHelloAck answers a hello with the granted capability bits
-	// (server→client).
+	// FrameHelloAck accepts a hello (server→client).
 	FrameHelloAck byte = 0x84
 )
 
@@ -131,20 +116,13 @@ type Hello struct {
 	// false starts the engine as an empty filtered replica that each
 	// register frame widens.
 	UniversalFilter bool
-	// Caps is the capability set the client offers (Cap* bits); the
-	// server grants the intersection with its own in the hello-ack.
-	Caps uint64
 }
 
-// HelloAck is the server's answer to a hello: the capability set in
-// force, in both directions, for the rest of the connection. It is the
-// first and only frame a server sends before its normal match/done
-// traffic.
+// HelloAck is the server's acceptance of a hello. It is the first and
+// only frame a server sends before its normal match/done traffic.
 type HelloAck struct {
 	// Version echoes the server's protocol version.
 	Version uint64
-	// Caps is the granted capability set (a subset of the hello's).
-	Caps uint64
 }
 
 // Edges is one admitted batch of stream edges.

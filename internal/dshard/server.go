@@ -165,11 +165,9 @@ func (h *host) run() error {
 	if hello.Version != ProtocolVersion {
 		return fmt.Errorf("protocol version %d, want %d", hello.Version, ProtocolVersion)
 	}
-	granted := hello.Caps & (CapDict | CapCompress)
-	if err := h.cn.WriteHelloAck(HelloAck{Version: ProtocolVersion, Caps: granted}); err != nil {
+	if err := h.cn.WriteHelloAck(HelloAck{Version: ProtocolVersion}); err != nil {
 		return err
 	}
-	h.cn.Negotiate(granted)
 	eng := core.NewMulti(core.MultiConfig{Window: hello.Window})
 	h.slot = NewSlot(eng, hello.UniversalFilter)
 	for {

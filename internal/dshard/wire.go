@@ -3,15 +3,15 @@ package dshard
 // Frame and payload codecs. A frame is a 4-byte big-endian payload
 // length followed by the payload; payload[0] is the frame type byte.
 // Integers are varints (unsigned for seqs/counts, zigzag for
-// timestamps), strings are uvarint-length-prefixed bytes. Encoding is
+// timestamps). Names, labels and types go through the connection's
+// string dictionary (dict.go); free text (query text, error strings)
+// is uvarint-length-prefixed bytes. Encoding is
 // append-style into a reused scratch buffer, so the steady-state hot
 // path (edge batches, match streams) performs no per-frame
 // allocations beyond the strings themselves on decode.
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -42,54 +42,26 @@ type Conn struct {
 	// Wire accounting, maintained by the frame layer itself so every
 	// protocol user gets it for free. Atomics: written by the
 	// single-writer/single-reader pair, read by metrics scrapes on
-	// arbitrary goroutines. bytes* count what actually crossed the
-	// wire; rawBytes* count the logical (uncompressed) payloads, so
-	// rawBytes/bytes is the compression ratio.
-	bytesIn, bytesOut       atomic.Int64
-	rawBytesIn, rawBytesOut atomic.Int64
-	framesIn, framesOut     atomic.Int64
+	// arbitrary goroutines.
+	bytesIn, bytesOut   atomic.Int64
+	framesIn, framesOut atomic.Int64
 
-	// Negotiated state (Negotiate): the per-direction string
-	// dictionaries and the flate codec scratch. All nil/false when
-	// nothing was granted. dict and the write-side flate state belong to the
-	// writer goroutine, tbl and the read-side state to the reader.
-	caps     uint64
-	dict     *strDict  // encode side (our outgoing frames)
-	tbl      *strTable // decode side (the peer's incoming frames)
-	compress bool
-	fw       *flate.Writer
-	cw       appendWriter // fw's sink: the compressed-frame scratch
-	cbuf     []byte       // read side: raw compressed payload scratch
-	fr       io.ReadCloser
-	frSrc    bytes.Reader
-}
-
-// appendWriter is a minimal io.Writer appending into a reusable byte
-// slice, the flate writer's sink (bytes.Buffer would re-allocate its
-// window on every Reset).
-type appendWriter struct{ b []byte }
-
-// Write appends p.
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	// The per-direction string dictionaries (dict.go): dict belongs to
+	// the writer goroutine, tbl to the reader.
+	dict *strDict  // encode side (our outgoing frames)
+	tbl  *strTable // decode side (the peer's incoming frames)
 }
 
 // ConnStats is a point-in-time snapshot of one connection's wire
 // accounting. Byte counts include the 4-byte frame headers.
 type ConnStats struct {
 	// BytesIn and FramesIn count received frames; BytesOut and
-	// FramesOut count sent frames. Byte counts are post-compression —
-	// what actually crossed the wire.
+	// FramesOut count sent frames.
 	BytesIn, BytesOut   int64
 	FramesIn, FramesOut int64
-	// RawBytesIn and RawBytesOut count the same frames before
-	// compression (identical to BytesIn/BytesOut on a connection
-	// without CapCompress); Bytes/RawBytes is the compression ratio.
-	RawBytesIn, RawBytesOut int64
 	// DictEntriesOut/DictBytesOut size the encode-side string
 	// dictionary (entries interned, string bytes held);
-	// DictEntriesIn/DictBytesIn the decode side. Zero without CapDict.
+	// DictEntriesIn/DictBytesIn the decode side.
 	DictEntriesOut, DictBytesOut int64
 	DictEntriesIn, DictBytesIn   int64
 }
@@ -97,44 +69,27 @@ type ConnStats struct {
 // Stats snapshots the connection's cumulative wire counters. Safe to
 // call from any goroutine at any time.
 func (cn *Conn) Stats() ConnStats {
-	st := ConnStats{
-		BytesIn:     cn.bytesIn.Load(),
-		BytesOut:    cn.bytesOut.Load(),
-		FramesIn:    cn.framesIn.Load(),
-		FramesOut:   cn.framesOut.Load(),
-		RawBytesIn:  cn.rawBytesIn.Load(),
-		RawBytesOut: cn.rawBytesOut.Load(),
+	return ConnStats{
+		BytesIn:        cn.bytesIn.Load(),
+		BytesOut:       cn.bytesOut.Load(),
+		FramesIn:       cn.framesIn.Load(),
+		FramesOut:      cn.framesOut.Load(),
+		DictEntriesOut: cn.dict.entries.Load(),
+		DictBytesOut:   cn.dict.bytes.Load(),
+		DictEntriesIn:  cn.tbl.entries.Load(),
+		DictBytesIn:    cn.tbl.bytes.Load(),
 	}
-	if cn.dict != nil {
-		st.DictEntriesOut = cn.dict.entries.Load()
-		st.DictBytesOut = cn.dict.bytes.Load()
-	}
-	if cn.tbl != nil {
-		st.DictEntriesIn = cn.tbl.entries.Load()
-		st.DictBytesIn = cn.tbl.bytes.Load()
-	}
-	return st
 }
 
-// Negotiate applies a granted capability set to the connection, in
-// both directions. Call it exactly once, after the hello/hello-ack
-// exchange and before any other frame is written or read: the
-// handshake frames themselves always use the plain encoding.
-func (cn *Conn) Negotiate(caps uint64) {
-	cn.caps = caps
-	if caps&CapDict != 0 {
-		cn.dict = newStrDict()
-		cn.tbl = &strTable{}
-	}
-	cn.compress = caps&CapCompress != 0
-}
-
-// NewConn wraps an established connection.
+// NewConn wraps an established connection, with both string
+// dictionaries empty.
 func NewConn(rwc io.ReadWriteCloser) *Conn {
 	return &Conn{
-		rwc: rwc,
-		br:  bufio.NewReaderSize(rwc, 64<<10),
-		bw:  bufio.NewWriterSize(rwc, 64<<10),
+		rwc:  rwc,
+		br:   bufio.NewReaderSize(rwc, 64<<10),
+		bw:   bufio.NewWriterSize(rwc, 64<<10),
+		dict: newStrDict(),
+		tbl:  &strTable{},
 	}
 }
 
@@ -150,67 +105,24 @@ func Dial(addr string) (*Conn, error) {
 // Close closes the underlying connection.
 func (cn *Conn) Close() error { return cn.rwc.Close() }
 
-// frameCompressed marks a compressed frame in the 4-byte length
-// header. MaxFrame is far below 2^31, so the bit is always free; a
-// peer decoding a compressed header it did not negotiate fails cleanly
-// (compressed frames are only ever sent after CapCompress is
-// negotiated).
-const frameCompressed = 1 << 31
-
-// compressThreshold is the minimum payload size worth deflating; tiny
-// control and ack frames are sent as-is.
-const compressThreshold = 512
-
-// writeFrame sends one framed payload and flushes. On a CapCompress
-// connection, payloads at or above compressThreshold are flate-
-// compressed when that actually shrinks them.
+// writeFrame sends one framed payload and flushes.
 func (cn *Conn) writeFrame(payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("dshard: frame of %d bytes exceeds MaxFrame", len(payload))
 	}
-	body, hdr := payload, uint32(len(payload))
-	if cn.compress && len(payload) >= compressThreshold {
-		if c, err := cn.deflate(payload); err == nil && len(c) < len(payload) {
-			body, hdr = c, uint32(len(c))|frameCompressed
-		}
-	}
-	binary.BigEndian.PutUint32(cn.whdr[:], hdr)
+	binary.BigEndian.PutUint32(cn.whdr[:], uint32(len(payload)))
 	if _, err := cn.bw.Write(cn.whdr[:]); err != nil {
 		return err
 	}
-	if _, err := cn.bw.Write(body); err != nil {
+	if _, err := cn.bw.Write(payload); err != nil {
 		return err
 	}
 	if err := cn.bw.Flush(); err != nil {
 		return err
 	}
-	cn.bytesOut.Add(int64(len(body)) + 4)
-	cn.rawBytesOut.Add(int64(len(payload)) + 4)
+	cn.bytesOut.Add(int64(len(payload)) + 4)
 	cn.framesOut.Add(1)
 	return nil
-}
-
-// deflate compresses p into the connection's reusable scratch buffer.
-func (cn *Conn) deflate(p []byte) ([]byte, error) {
-	cn.cw.b = cn.cw.b[:0]
-	if cn.fw == nil {
-		// BestSpeed: the frames are short-lived loopback/LAN traffic;
-		// the dictionary already removed most redundancy.
-		fw, err := flate.NewWriter(&cn.cw, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		cn.fw = fw
-	} else {
-		cn.fw.Reset(&cn.cw)
-	}
-	if _, err := cn.fw.Write(p); err != nil {
-		return nil, err
-	}
-	if err := cn.fw.Close(); err != nil {
-		return nil, err
-	}
-	return cn.cw.b, nil
 }
 
 // ReadFrame reads one frame and returns its type byte and payload
@@ -221,91 +133,19 @@ func (cn *Conn) ReadFrame() (byte, []byte, error) {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(cn.rhdr[:])
-	compressed := n&frameCompressed != 0
-	n &^= frameCompressed
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("dshard: bad frame length %d", n)
 	}
-	var b []byte
-	if compressed {
-		if !cn.compress {
-			return 0, nil, fmt.Errorf("dshard: compressed frame without negotiated compression")
-		}
-		if cap(cn.cbuf) < int(n) {
-			cn.cbuf = make([]byte, n)
-		}
-		c := cn.cbuf[:n]
-		if _, err := io.ReadFull(cn.br, c); err != nil {
-			return 0, nil, err
-		}
-		var err error
-		if b, err = cn.inflate(c); err != nil {
-			return 0, nil, fmt.Errorf("dshard: corrupt compressed frame: %w", err)
-		}
-		if len(b) == 0 {
-			return 0, nil, fmt.Errorf("dshard: empty compressed frame")
-		}
-	} else {
-		if cap(cn.rbuf) < int(n) {
-			cn.rbuf = make([]byte, n)
-		}
-		b = cn.rbuf[:n]
-		if _, err := io.ReadFull(cn.br, b); err != nil {
-			return 0, nil, err
-		}
+	if cap(cn.rbuf) < int(n) {
+		cn.rbuf = make([]byte, n)
+	}
+	b := cn.rbuf[:n]
+	if _, err := io.ReadFull(cn.br, b); err != nil {
+		return 0, nil, err
 	}
 	cn.bytesIn.Add(int64(n) + 4)
-	cn.rawBytesIn.Add(int64(len(b)) + 4)
 	cn.framesIn.Add(1)
 	return b[0], b[1:], nil
-}
-
-// inflate decompresses c into the connection's reusable read buffer,
-// hard-bounded at MaxFrame so a hostile compressed payload cannot
-// drive an unbounded allocation.
-func (cn *Conn) inflate(c []byte) ([]byte, error) {
-	cn.frSrc.Reset(c)
-	if cn.fr == nil {
-		cn.fr = flate.NewReader(&cn.frSrc)
-	} else if err := cn.fr.(flate.Resetter).Reset(&cn.frSrc, nil); err != nil {
-		return nil, err
-	}
-	if cap(cn.rbuf) < 4<<10 {
-		cn.rbuf = make([]byte, 4<<10)
-	}
-	total := 0
-	for {
-		if total == cap(cn.rbuf) {
-			if cap(cn.rbuf) >= MaxFrame {
-				// Full at the limit: legal only if the stream ends
-				// exactly here.
-				var probe [1]byte
-				for {
-					n, err := cn.fr.Read(probe[:])
-					if n > 0 {
-						return nil, fmt.Errorf("decompressed frame exceeds MaxFrame")
-					}
-					if err == io.EOF {
-						return cn.rbuf[:total], nil
-					}
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			grown := make([]byte, min(2*cap(cn.rbuf), MaxFrame))
-			copy(grown, cn.rbuf[:total])
-			cn.rbuf = grown
-		}
-		n, err := cn.fr.Read(cn.rbuf[total:cap(cn.rbuf)])
-		total += n
-		if err == io.EOF {
-			return cn.rbuf[:total], nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }
 
 // ---- primitive append/decode helpers ----
@@ -332,9 +172,11 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 // dec is a cursor over one payload; the first decode error sticks and
-// every subsequent read returns zero values. A non-nil tbl switches
-// string decoding to the v2 dictionary form and edge lists to
-// within-frame delta timestamps (see dict.go).
+// every subsequent read returns zero values. A frame decoder's cursor
+// carries the connection's decode table, which switches string
+// decoding to the dictionary form and edge lists to within-list delta
+// timestamps (see dict.go); the plain edge-list codec (codec.go) and
+// snapshot images run without one.
 type dec struct {
 	b   []byte
 	err error
@@ -444,8 +286,8 @@ func (d *dec) edges() []stream.Edge {
 	for i := range out {
 		out[i] = d.edge()
 		if d.tbl != nil {
-			// v2: timestamps are deltas within the list (edges arrive
-			// near-monotone, so most deltas fit one byte).
+			// Frame edge lists carry timestamps as deltas within the
+			// list (edges arrive near-monotone, so most fit one byte).
 			out[i].TS += prev
 			prev = out[i].TS
 		}
@@ -469,8 +311,8 @@ func appendEdges(b []byte, es []stream.Edge) []byte {
 	return b
 }
 
-// appendStringsW is appendStrings under the connection's negotiated
-// encoding (dictionary references on a CapDict connection).
+// appendStringsW is appendStrings with every string a dictionary
+// reference or definition.
 func (cn *Conn) appendStringsW(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
@@ -479,13 +321,9 @@ func (cn *Conn) appendStringsW(b []byte, ss []string) []byte {
 	return b
 }
 
-// appendEdgesW is appendEdges under the connection's negotiated
-// encoding: dictionary references for the five strings and
-// within-list delta timestamps on a CapDict connection.
+// appendEdgesW is appendEdges in the frame encoding: dictionary
+// references for the five strings and within-list delta timestamps.
 func (cn *Conn) appendEdgesW(b []byte, es []stream.Edge) []byte {
-	if cn.dict == nil {
-		return appendEdges(b, es)
-	}
 	b = binary.AppendUvarint(b, uint64(len(es)))
 	prev := int64(0)
 	for _, e := range es {
@@ -509,17 +347,14 @@ func (cn *Conn) WriteHello(h Hello) error {
 	b = binary.AppendUvarint(b, uint64(h.Slot))
 	b = binary.AppendVarint(b, h.Window)
 	b = appendBool(b, h.UniversalFilter)
-	b = binary.AppendUvarint(b, h.Caps)
 	cn.wbuf = b
 	return cn.writeFrame(b)
 }
 
-// WriteHelloAck answers a hello with the granted capability set (server
-// side).
+// WriteHelloAck accepts a hello (server side).
 func (cn *Conn) WriteHelloAck(a HelloAck) error {
 	b := append(cn.wbuf[:0], FrameHelloAck)
 	b = binary.AppendUvarint(b, a.Version)
-	b = binary.AppendUvarint(b, a.Caps)
 	cn.wbuf = b
 	return cn.writeFrame(b)
 }
@@ -543,8 +378,7 @@ func (cn *Conn) WriteRegister(m Register) error {
 	b = cn.appendStr(b, m.Name)
 	b = binary.AppendUvarint(b, m.Seq)
 	b = binary.AppendUvarint(b, uint64(m.Rank))
-	// The query text is one-off free text; it stays plain even on a
-	// dictionary connection.
+	// The query text is one-off free text; it stays plain.
 	b = appendString(b, m.Query)
 	b = binary.AppendUvarint(b, uint64(m.Strategy))
 	b = appendBool(b, m.HasLeaves)
@@ -563,9 +397,8 @@ func (cn *Conn) WriteRegister(m Register) error {
 	b = cn.appendStringsW(b, m.FilterTypes)
 	b = cn.appendEdgesW(b, m.Backfill)
 	if len(m.State) > 0 {
-		// Trailing migration-state field: old decoders stop at the
-		// backfill and never see it, new decoders read it only when
-		// bytes remain — the same one-way extension HelloAck.Caps uses.
+		// Trailing migration-state field: the decoder reads it only
+		// when bytes remain after the backfill.
 		b = binary.AppendUvarint(b, uint64(len(m.State)))
 		b = append(b, m.State...)
 	}
@@ -593,8 +426,8 @@ func (cn *Conn) WriteUnregister(m Unregister) error {
 	b = appendBool(b, m.FilterUniversal)
 	b = cn.appendStringsW(b, m.FilterTypes)
 	if m.Migrate {
-		// Trailing migration flag; absent (hence false) on frames from
-		// routers that predate live migration.
+		// Trailing migration flag; absent (hence false) on plain
+		// removals.
 		b = appendBool(b, true)
 	}
 	cn.wbuf = b
@@ -610,9 +443,9 @@ func (cn *Conn) WriteCloseStream(m CloseStream) error {
 	return cn.writeFrame(b)
 }
 
-// WriteMatch streams one completed match (server side). On a CapDict
-// connection every name goes through the server→client dictionary and
-// the match-edge timestamps are within-list deltas.
+// WriteMatch streams one completed match (server side). Every name goes
+// through the server→client dictionary and the match-edge timestamps
+// are within-list deltas.
 func (cn *Conn) WriteMatch(m Match) error {
 	b := append(cn.wbuf[:0], FrameMatch)
 	b = binary.AppendUvarint(b, m.Frame)
@@ -633,12 +466,8 @@ func (cn *Conn) WriteMatch(m Match) error {
 		b = cn.appendStr(b, e.Src)
 		b = cn.appendStr(b, e.Dst)
 		b = cn.appendStr(b, e.Type)
-		if cn.dict != nil {
-			b = binary.AppendVarint(b, e.TS-prev)
-			prev = e.TS
-		} else {
-			b = binary.AppendVarint(b, e.TS)
-		}
+		b = binary.AppendVarint(b, e.TS-prev)
+		prev = e.TS
 	}
 	cn.wbuf = b
 	return cn.writeFrame(b)
@@ -674,19 +503,18 @@ func DecodeHello(body []byte) (Hello, error) {
 	h.Slot = int(d.uvarint())
 	h.Window = d.varint()
 	h.UniversalFilter = d.bool_()
-	h.Caps = d.uvarint()
 	return h, d.err
 }
 
 // DecodeHelloAck parses a FrameHelloAck body.
 func DecodeHelloAck(body []byte) (HelloAck, error) {
 	d := dec{b: body}
-	a := HelloAck{Version: d.uvarint(), Caps: d.uvarint()}
+	a := HelloAck{Version: d.uvarint()}
 	return a, d.err
 }
 
-// DecodeEdges parses a FrameEdges body under the connection's
-// negotiated encoding, updating the connection's decode dictionary.
+// DecodeEdges parses a FrameEdges body, updating the connection's
+// decode dictionary.
 func (cn *Conn) DecodeEdges(body []byte) (Edges, error) { return decodeEdges(body, cn.tbl) }
 
 func decodeEdges(body []byte, tbl *strTable) (Edges, error) {
@@ -696,8 +524,8 @@ func decodeEdges(body []byte, tbl *strTable) (Edges, error) {
 	return m, d.err
 }
 
-// DecodeRegister parses a FrameRegister body under the connection's
-// negotiated encoding, updating the connection's decode dictionary.
+// DecodeRegister parses a FrameRegister body, updating the
+// connection's decode dictionary.
 func (cn *Conn) DecodeRegister(body []byte) (Register, error) { return decodeRegister(body, cn.tbl) }
 
 func decodeRegister(body []byte, tbl *strTable) (Register, error) {
@@ -745,8 +573,8 @@ func decodeRegister(body []byte, tbl *strTable) (Register, error) {
 	return m, d.err
 }
 
-// DecodeBackfill parses a FrameBackfill body under the connection's
-// negotiated encoding, updating the connection's decode dictionary.
+// DecodeBackfill parses a FrameBackfill body, updating the
+// connection's decode dictionary.
 func (cn *Conn) DecodeBackfill(body []byte) (BackfillChunk, error) {
 	return decodeBackfill(body, cn.tbl)
 }
@@ -758,9 +586,8 @@ func decodeBackfill(body []byte, tbl *strTable) (BackfillChunk, error) {
 	return m, d.err
 }
 
-// DecodeUnregister parses a FrameUnregister body under the
-// connection's negotiated encoding, updating the connection's decode
-// dictionary.
+// DecodeUnregister parses a FrameUnregister body, updating the
+// connection's decode dictionary.
 func (cn *Conn) DecodeUnregister(body []byte) (Unregister, error) {
 	return decodeUnregister(body, cn.tbl)
 }
@@ -786,8 +613,8 @@ func DecodeCloseStream(body []byte) (CloseStream, error) {
 	return m, d.err
 }
 
-// DecodeMatch parses a FrameMatch body under the connection's
-// negotiated encoding, updating the connection's decode dictionary.
+// DecodeMatch parses a FrameMatch body, updating the connection's
+// decode dictionary.
 func (cn *Conn) DecodeMatch(body []byte) (Match, error) { return decodeMatch(body, cn.tbl) }
 
 func decodeMatch(body []byte, tbl *strTable) (Match, error) {
@@ -813,10 +640,8 @@ func decodeMatch(body []byte, tbl *strTable) (Match, error) {
 				Src:       d.str(), Dst: d.str(), Type: d.str(),
 				TS: d.varint(),
 			}
-			if tbl != nil {
-				m.Edges[i].TS += prev
-				prev = m.Edges[i].TS
-			}
+			m.Edges[i].TS += prev
+			prev = m.Edges[i].TS
 		}
 	}
 	return m, d.err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamgraph/internal/stream"
@@ -115,7 +116,7 @@ func TestWireRoundTrip(t *testing.T) {
 		case FrameHello:
 			got, err = DecodeHello(body)
 		case FrameEdges:
-			got, err = decodeEdges(body, nil)
+			got, err = server.DecodeEdges(body)
 		case FrameRegister:
 			// A frame from a router that still sent a search-pool size
 			// (the uvarint behind MaxSteps, now written as 0) decodes the
@@ -127,15 +128,15 @@ func TestWireRoundTrip(t *testing.T) {
 				}
 				body[at] = 4
 			}
-			got, err = decodeRegister(body, nil)
+			got, err = server.DecodeRegister(body)
 		case FrameBackfill:
-			got, err = decodeBackfill(body, nil)
+			got, err = server.DecodeBackfill(body)
 		case FrameUnregister:
-			got, err = decodeUnregister(body, nil)
+			got, err = server.DecodeUnregister(body)
 		case FrameClose:
 			got, err = DecodeCloseStream(body)
 		case FrameMatch:
-			got, err = decodeMatch(body, nil)
+			got, err = server.DecodeMatch(body)
 		case FrameDone:
 			got, err = DecodeDone(body)
 		default:
@@ -164,7 +165,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(body); cut++ {
-		if _, err := decodeRegister(body[:cut], nil); err == nil {
+		if _, err := decodeRegister(body[:cut], &strTable{}); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(body))
 		}
 	}
@@ -198,11 +199,11 @@ func TestDecodeCorrupt(t *testing.T) {
 	// one that fits the remaining byte count but not the element type's
 	// minimum encoded size (an edge cannot encode in under 6 bytes, so
 	// a 1000-edge claim needs ≥ 6000 trailing bytes, not 1000).
-	if _, err := decodeEdges([]byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, nil); err == nil {
+	if _, err := decodeEdges([]byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, &strTable{}); err == nil {
 		t.Fatal("absurd edge count decoded without error")
 	}
 	plausible := append([]byte{1, 0, 1, 0xe8, 0x07}, make([]byte, 1000)...)
-	if _, err := decodeEdges(plausible, nil); err == nil {
+	if _, err := decodeEdges(plausible, &strTable{}); err == nil {
 		t.Fatal("edge count exceeding remaining/minEdgeSize decoded without error")
 	}
 	// A count of 2^63 must not wrap the bounds arithmetic into a
@@ -210,7 +211,19 @@ func TestDecodeCorrupt(t *testing.T) {
 	// 10-byte uvarint for 1<<63).
 	overflow := append([]byte{1, 0, 1}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
 	overflow = append(overflow, make([]byte, 64)...)
-	if _, err := decodeEdges(overflow, nil); err == nil {
+	if _, err := decodeEdges(overflow, &strTable{}); err == nil {
 		t.Fatal("2^63 edge count decoded without error")
+	}
+	// A length header with bit 31 set — how a protocol-5 peer marked a
+	// compressed frame — exceeds MaxFrame and is refused before any
+	// buffer is sized for it.
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 1<<31|16)
+	r := NewConn(bufConn{bytes.NewBuffer(append(hdr[:], make([]byte, 16)...))})
+	if _, _, err := r.ReadFrame(); err == nil || !strings.Contains(err.Error(), "bad frame length") {
+		t.Fatalf("frame length with bit 31 set: err %v, want a bad frame length", err)
+	}
+	if cap(r.rbuf) != 0 {
+		t.Fatalf("refused frame sized a %d-byte read buffer", cap(r.rbuf))
 	}
 }

@@ -1,14 +1,12 @@
 package dshard
 
-// Protocol v2 coverage: the negotiated dictionary/delta/compression
-// encoding must round-trip every message exactly, shrink repeated
-// traffic, reject every malformed dictionary or compressed payload
-// with an error (never a panic or an unbounded allocation), and refuse
-// a peer of any other version.
+// Frame encoding coverage: the dictionary/delta encoding must
+// round-trip every message exactly, shrink repeated traffic, reject
+// every malformed dictionary payload with an error (never a panic or an
+// unbounded allocation), and refuse a peer of any other version.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"reflect"
@@ -24,22 +22,12 @@ type bufConn struct{ *bytes.Buffer }
 
 func (bufConn) Close() error { return nil }
 
-// negotiatedPair returns two Conns wired to each other with the given
-// capability set applied to both ends.
-func negotiatedPair(caps uint64) (*Conn, *Conn) {
-	a, b := connPair()
-	a.Negotiate(caps)
-	b.Negotiate(caps)
-	return a, b
-}
-
-// TestWireV2RoundTrip replays the full message matrix of
-// TestWireRoundTrip over a dictionary connection, every message twice:
-// the first pass populates the dictionaries (definitions), the second
-// exercises pure references, and both must decode to the originals
-// exactly.
+// TestWireV2RoundTrip replays the dictionary-bearing messages of
+// TestWireRoundTrip, every message twice: the first pass populates the
+// dictionaries (definitions), the second exercises pure references, and
+// both must decode to the originals exactly.
 func TestWireV2RoundTrip(t *testing.T) {
-	client, server := negotiatedPair(CapDict | CapCompress)
+	client, server := connPair()
 
 	base := []any{
 		Edges{Frame: 1, Suppress: true, BaseSeq: 1 << 33, Edges: testEdges()},
@@ -121,8 +109,8 @@ func TestWireV2RoundTrip(t *testing.T) {
 
 // TestWireV2DictionaryShrinksRepeats pins the point of the dictionary:
 // re-sending the same edge batch must cost materially fewer wire bytes
-// than its first transmission, and a v2 frame must already be smaller
-// than the v1 encoding of the same batch.
+// than its first transmission, and the first frame must already be
+// smaller than the plain edge-list encoding of the same batch.
 func TestWireV2DictionaryShrinksRepeats(t *testing.T) {
 	edges := Edges{Frame: 1, BaseSeq: 100}
 	for i := 0; i < 32; i++ {
@@ -142,14 +130,9 @@ func TestWireV2DictionaryShrinksRepeats(t *testing.T) {
 		}
 	}
 
-	v1 := NewConn(bufConn{&bytes.Buffer{}})
-	if err := v1.WriteEdges(edges); err != nil {
-		t.Fatal(err)
-	}
-	v1Size := v1.Stats().BytesOut
+	plainSize := int64(len(AppendEdgeList(nil, edges.Edges)))
 
 	cn := NewConn(bufConn{&bytes.Buffer{}})
-	cn.Negotiate(CapDict)
 	take := frameBytes(cn)
 	if err := cn.WriteEdges(edges); err != nil {
 		t.Fatal(err)
@@ -159,79 +142,26 @@ func TestWireV2DictionaryShrinksRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := take()
-	if first >= v1Size {
-		t.Fatalf("first v2 frame (%dB) not smaller than v1 (%dB)", first, v1Size)
+	if first >= plainSize {
+		t.Fatalf("first frame (%dB) not smaller than the plain edge list (%dB)", first, plainSize)
 	}
 	if second >= first {
 		t.Fatalf("reference-only frame (%dB) not smaller than the defining frame (%dB)", second, first)
 	}
-	if second*3 > v1Size {
-		t.Fatalf("steady-state v2 frame (%dB) not under a third of v1 (%dB)", second, v1Size)
-	}
-}
-
-// TestWireV2Compression checks that large frames are flate-compressed
-// on a CapCompress connection (raw vs wire accounting diverges), that
-// the peer reads them back exactly, and that tiny frames skip the
-// compressor.
-func TestWireV2Compression(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewConn(bufConn{&buf})
-	w.Negotiate(CapCompress)
-	big := Edges{Frame: 1, BaseSeq: 7}
-	for i := 0; i < 200; i++ {
-		big.Edges = append(big.Edges, stream.Edge{
-			Src: "host-a", SrcLabel: "ip", Dst: "host-b", DstLabel: "ip",
-			Type: "TCP", TS: int64(i),
-		})
-	}
-	if err := w.WriteEdges(big); err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.BytesOut >= st.RawBytesOut {
-		t.Fatalf("large repetitive frame not compressed: wire %dB raw %dB", st.BytesOut, st.RawBytesOut)
-	}
-
-	r := NewConn(bufConn{bytes.NewBuffer(buf.Bytes())})
-	r.Negotiate(CapCompress)
-	typ, body, err := r.ReadFrame()
-	if err != nil || typ != FrameEdges {
-		t.Fatalf("read compressed frame: type 0x%02x err %v", typ, err)
-	}
-	got, err := r.DecodeEdges(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, big) {
-		t.Fatal("compressed round-trip mismatch")
-	}
-	rst := r.Stats()
-	if rst.BytesIn != st.BytesOut || rst.RawBytesIn != st.RawBytesOut {
-		t.Fatalf("read accounting diverges from write: %+v vs %+v", rst, st)
-	}
-
-	// A frame under the threshold goes out as-is.
-	w2 := NewConn(bufConn{&bytes.Buffer{}})
-	w2.Negotiate(CapCompress)
-	if err := w2.WriteDone(Done{Frame: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if st := w2.Stats(); st.BytesOut != st.RawBytesOut {
-		t.Fatalf("tiny frame was compressed: %+v", st)
+	if second*3 > plainSize {
+		t.Fatalf("steady-state frame (%dB) not under a third of the plain edge list (%dB)", second, plainSize)
 	}
 }
 
 // TestDecodeCorruptV2 sweeps truncations and dictionary protocol
-// violations through the v2 decoders: every cut and every malformed
+// violations through the frame decoders: every cut and every malformed
 // table operation must error, never panic.
 func TestDecodeCorruptV2(t *testing.T) {
-	// Encode a register and a match on a dictionary connection, loop
-	// the bytes back, and truncate the bodies at every position with a
-	// fresh decode table each time.
+	// Encode a register and a match on a connection, loop the bytes
+	// back, and truncate the bodies at every position with a fresh
+	// decode table each time.
 	var buf bytes.Buffer
 	cn := NewConn(bufConn{&buf})
-	cn.Negotiate(CapDict)
 	if err := cn.WriteRegister(Register{
 		Frame: 1, Name: "q", Query: "e a b TCP", Strategy: 1,
 		HasLeaves: true, Leaves: [][]int{{0}},
@@ -247,7 +177,6 @@ func TestDecodeCorruptV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := NewConn(bufConn{bytes.NewBuffer(buf.Bytes())})
-	rd.Negotiate(CapDict)
 	_, regBody, err := rd.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -301,62 +230,15 @@ func TestDecodeCorruptV2(t *testing.T) {
 	}
 }
 
-// TestCompressedFrameCorruption covers the compressed-frame failure
-// modes: a compressed frame on an un-negotiated connection, every
-// stream truncation, and a compressed payload with its tail cut off
-// under an intact header.
-func TestCompressedFrameCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewConn(bufConn{&buf})
-	w.Negotiate(CapCompress)
-	big := Edges{Frame: 1}
-	for i := 0; i < 300; i++ {
-		big.Edges = append(big.Edges, stream.Edge{Src: "aaaa", Dst: "bbbb", Type: "TCP", TS: int64(i)})
-	}
-	if err := w.WriteEdges(big); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	if binary.BigEndian.Uint32(data)&frameCompressed == 0 {
-		t.Fatal("test frame did not compress")
-	}
-
-	// Without negotiation the compressed bit is a protocol error.
-	plain := NewConn(bufConn{bytes.NewBuffer(data)})
-	if _, _, err := plain.ReadFrame(); err == nil {
-		t.Fatal("compressed frame accepted without negotiated compression")
-	}
-
-	// Any truncation of the stream must surface as a read error.
-	for cut := 0; cut < len(data); cut += 7 {
-		r := NewConn(bufConn{bytes.NewBuffer(data[:cut])})
-		r.Negotiate(CapCompress)
-		if _, _, err := r.ReadFrame(); err == nil {
-			t.Fatalf("truncation at %d/%d read without error", cut, len(data))
-		}
-	}
-
-	// An intact header over a flate stream missing its final block:
-	// re-frame the compressed payload minus its last byte.
-	payload := data[4:]
-	short := payload[:len(payload)-1]
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(short))|frameCompressed)
-	r := NewConn(bufConn{bytes.NewBuffer(append(hdr[:], short...))})
-	r.Negotiate(CapCompress)
-	if _, _, err := r.ReadFrame(); err == nil {
-		t.Fatal("truncated flate stream read without error")
-	}
-}
-
 // TestServerVersionNegotiation drives the hello handshake: the server
-// acks a hello of ProtocolVersion with the capabilities it knows, and
-// refuses a v1 hello (no handshake existed then), a v2 hello (which
-// carried an eviction cadence), a v3 hello (whose done frames carried
-// three replica gauges, not a slot Report), a v4 hello (whose worker
-// answers a migrate unregister without the query's state) and an
-// unknown version alike, each with the version error and without a
-// byte of traffic.
+// acks a hello of ProtocolVersion with its own version, and refuses a
+// v1 hello (no handshake existed then), a v2 hello (which carried an
+// eviction cadence), a v3 hello (whose done frames carried three
+// replica gauges, not a slot Report), a v4 hello (whose worker answers
+// a migrate unregister without the query's state), a v5 hello (which
+// negotiated the encoding and could compress frames) and an unknown
+// version alike, each with the version error and without a byte of
+// traffic.
 func TestServerVersionNegotiation(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -369,12 +251,12 @@ func TestServerVersionNegotiation(t *testing.T) {
 	defer srv.Close()
 	addr := ln.Addr().String()
 
-	// A current hello → hello-ack with the granted subset.
+	// A current hello → hello-ack.
 	cn, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cn.WriteHello(Hello{Version: ProtocolVersion, Caps: CapDict | CapCompress | 1<<60}); err != nil {
+	if err := cn.WriteHello(Hello{Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := cn.ReadFrame()
@@ -385,8 +267,8 @@ func TestServerVersionNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Caps != CapDict|CapCompress {
-		t.Fatalf("granted caps %b, want the known subset %b", ack.Caps, CapDict|CapCompress)
+	if ack.Version != ProtocolVersion {
+		t.Fatalf("hello-ack of version %d, want %d", ack.Version, ProtocolVersion)
 	}
 	if err := cn.WriteCloseStream(CloseStream{Frame: 1}); err != nil {
 		t.Fatal(err)
@@ -396,7 +278,7 @@ func TestServerVersionNegotiation(t *testing.T) {
 	}
 	cn.Close()
 
-	for _, version := range []uint64{1, 2, 3, 4, 99} {
+	for _, version := range []uint64{1, 2, 3, 4, 5, 99} {
 		cn, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -420,66 +302,98 @@ func TestServerVersionNegotiation(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame throws arbitrary bodies at every v2 decoder with a
+// frameBody writes one frame on a fresh connection and returns its
+// body as a peer's ReadFrame sees it: a dictionary-encoded frame that
+// decodes in full against a fresh table.
+func frameBody(tb testing.TB, write func(*Conn) error) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := write(NewConn(bufConn{&buf})); err != nil {
+		tb.Fatal(err)
+	}
+	_, body, err := NewConn(bufConn{&buf}).ReadFrame()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append([]byte(nil), body...)
+}
+
+// FuzzDecodeFrame throws arbitrary bodies at every frame decoder with a
 // fresh dictionary table: no input may panic, and the table a hostile
 // body builds must stay bounded by the body that built it.
 func FuzzDecodeFrame(f *testing.F) {
-	// Valid bodies (captured from a dictionary connection) seed the
-	// corpus alongside hand-crafted dictionary violations.
-	var buf bytes.Buffer
-	cn := NewConn(bufConn{&buf})
-	cn.Negotiate(CapDict)
-	cn.WriteEdges(Edges{Frame: 1, BaseSeq: 5, Edges: testEdges()})
-	cn.WriteRegister(Register{Frame: 2, Name: "q", Query: "e a b TCP", FilterTypes: []string{"TCP"}, Backfill: testEdges()})
-	cn.WriteMatch(Match{Frame: 3, Query: "q", Bindings: []Binding{{QueryVertex: "a", DataVertex: "x"}}, Edges: []MatchEdge{{Src: "x", Dst: "y", Type: "TCP", TS: 9}}})
-	cn.WriteDone(Done{Frame: 4, Report: testReport()})
-	cn.WriteDone(Done{Frame: 5, Err: "core: query \"q\" already registered", Report: Report{Types: -1}})
-	rd := NewConn(bufConn{bytes.NewBuffer(buf.Bytes())})
-	for i := byte(0); ; i++ {
-		_, body, err := rd.ReadFrame()
-		if err != nil {
-			break
-		}
-		f.Add(i, append([]byte(nil), body...))
-	}
-	f.Add(byte(0), []byte{1, 0, 1, 5})                       // unknown reference
-	f.Add(byte(2), []byte{1, 1, 1, 1, 'a'})                  // gapped definition
-	f.Add(byte(2), []byte{1, 1, 0, 1, 'a', 1, 1, 0, 1, 'b'}) // duplicate definition
-	f.Add(byte(4), []byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// Valid dictionary-encoded bodies, each paired with its own decoder,
+	// seed the corpus alongside hand-crafted dictionary violations.
+	const (
+		edges = iota
+		register
+		backfill
+		unregister
+		match
+		snapshot
+		decoders
+	)
+	f.Add(byte(edges), frameBody(f, func(cn *Conn) error {
+		return cn.WriteEdges(Edges{Frame: 1, BaseSeq: 5, Edges: testEdges()})
+	}))
+	f.Add(byte(register), frameBody(f, func(cn *Conn) error {
+		return cn.WriteRegister(Register{Frame: 2, Name: "q", Query: "e a b TCP", FilterTypes: []string{"TCP"}, Backfill: testEdges()})
+	}))
+	f.Add(byte(backfill), frameBody(f, func(cn *Conn) error {
+		return cn.WriteBackfill(BackfillChunk{Frame: 3, Name: "q", Edges: testEdges()})
+	}))
+	f.Add(byte(unregister), frameBody(f, func(cn *Conn) error {
+		return cn.WriteUnregister(Unregister{Frame: 4, Name: "q", Seq: 9, FilterTypes: []string{"GRE", "TCP"}})
+	}))
+	f.Add(byte(match), frameBody(f, func(cn *Conn) error {
+		return cn.WriteMatch(Match{Frame: 5, Query: "q", Bindings: []Binding{{QueryVertex: "a", DataVertex: "x"}}, Edges: []MatchEdge{{Src: "x", Dst: "y", Type: "TCP", TS: 9}}})
+	}))
+	// A match whose names repeat within the frame: definitions, then
+	// references to them.
+	f.Add(byte(match), frameBody(f, func(cn *Conn) error {
+		return cn.WriteMatch(Match{
+			Frame: 6, Query: "q", Rank: 1, Seq: 40, FirstTS: 7, LastTS: 9,
+			Bindings: []Binding{{QueryVertex: "a", DataVertex: "x"}, {QueryVertex: "b", DataVertex: "y"}},
+			Edges:    []MatchEdge{{QueryEdge: 0, Src: "x", Dst: "y", Type: "TCP", TS: 7}, {QueryEdge: 1, Src: "y", Dst: "x", Type: "TCP", TS: 9}},
+		})
+	}))
 	// A migrate unregister and the snapshot frame that answers it.
-	for _, body := range handoverBodies(f) {
-		f.Add(byte(3), body)
-	}
+	handover := handoverBodies(f)
+	f.Add(byte(unregister), handover[0])
+	f.Add(byte(snapshot), handover[1])
+	f.Add(byte(edges), []byte{1, 0, 1, 1, 5})                         // unknown reference
+	f.Add(byte(backfill), []byte{1, 1, 1, 1, 'a'})                    // gapped definition
+	f.Add(byte(backfill), []byte{1, 1, 0, 1, 'a', 1, 1, 0, 1, 'b'})   // duplicate definition
+	f.Add(byte(edges), []byte{1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // absurd edge count
 
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {
 		tbl := &strTable{}
-		switch which % 5 {
-		case 0:
+		switch which % decoders {
+		case edges:
 			decodeEdges(body, tbl)
-		case 1:
+		case register:
 			decodeRegister(body, tbl)
-		case 2:
+		case backfill:
 			decodeBackfill(body, tbl)
-		case 3:
+		case unregister:
 			decodeUnregister(body, tbl)
-		case 4:
+		case match:
 			decodeMatch(body, tbl)
+		case snapshot:
+			DecodeSnapshot(body)
 		}
 		// Each table entry costs at least three body bytes (tag, id,
 		// length); anything bigger means the decoder over-allocated.
 		if len(tbl.vals) > len(body) {
 			t.Fatalf("table grew to %d entries from a %d-byte body", len(tbl.vals), len(body))
 		}
-		// The plain decoders must hold on the same input.
-		decodeEdges(body, nil)
-		decodeRegister(body, nil)
-		decodeBackfill(body, nil)
-		decodeUnregister(body, nil)
-		decodeMatch(body, nil)
+		// The table-free decoders must hold on the same input.
+		DecodeEdgeList(body)
 		DecodeHello(body)
 		DecodeHelloAck(body)
 		DecodeDone(body)
 		DecodeCloseStream(body)
-		DecodeSnapshot(body)
+		DecodeCheckpoint(body)
+		DecodeRestore(body)
 	})
 }

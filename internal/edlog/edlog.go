@@ -11,7 +11,7 @@
 //	u32  CRC-32C of the payload (little-endian)
 //	payload:
 //	     uvarint  base arrival seq of the batch
-//	     edge list in the dshard wire encoding (uvarint count, then
+//	     edge list in the dshard edge-list codec (uvarint count, then
 //	     each edge as five length-prefixed strings + zigzag-varint
 //	     timestamp)
 //

@@ -207,6 +207,60 @@ func TestDurableRemoveSlotReopenDifferential(t *testing.T) {
 	}
 }
 
+// TestDurableRegisterRefusesUnsafeQuery: every checkpoint image stores
+// a query as text that a reopen reparses, so a durable local-only
+// router refuses a query that does not survive that round trip — with
+// the error a remote topology gives — and the wire-safe query beside it
+// survives Close and Open.
+func TestDurableRegisterRefusesUnsafeQuery(t *testing.T) {
+	bad := &query.Graph{
+		Vertices: []query.Vertex{{Name: "host a", Label: "ip"}, {Name: "b", Label: "ip"}},
+		Edges:    []query.Edge{{Src: 0, Dst: 1, Type: "TCP"}},
+	}
+	cfgQ := core.Config{Strategy: core.StrategySingle}
+
+	addr, _ := startRemoteWorker(t)
+	rr := New(Config{Remotes: []string{addr}})
+	remoteErr := rr.Register("bad", bad, cfgQ)
+	rr.Close()
+	if remoteErr == nil {
+		t.Fatal("whitespace vertex name registered on a remote topology")
+	}
+
+	cfg := Config{Shards: 1, DataDir: t.TempDir()}
+	r, _, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("cold open: %v", err)
+	}
+	done := make(chan int64, 1)
+	go func() { done <- r.Drain(nil) }()
+	err = r.Register("bad", bad, cfgQ)
+	if err == nil || err.Error() != remoteErr.Error() {
+		t.Fatalf("durable register of a query that cannot be reopened: err %v, want %q", err, remoteErr)
+	}
+	if err := r.Register("good", query.NewPath("ip", "TCP"), cfgQ); err != nil {
+		t.Fatalf("wire-safe query refused: %v", err)
+	}
+	r.IngestBatch(testStream(300))
+	r.Close()
+	<-done
+	if err := r.PersistErr(); err != nil {
+		t.Fatalf("persist error before reopen: %v", err)
+	}
+
+	r2, _, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	go func() { done <- r2.Drain(nil) }()
+	names := r2.Registered()
+	r2.Close()
+	<-done
+	if !reflect.DeepEqual(names, []string{"good"}) {
+		t.Fatalf("reopen restored %v, want [good]", names)
+	}
+}
+
 // TestRecoveryLoadGaugeTruthful: sg_recovery_load_ns reports time an
 // Open that loaded slot checkpoints really spent — some, and no more
 // than the whole Open took by the test's own clock.

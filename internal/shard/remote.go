@@ -58,18 +58,12 @@ const (
 	remoteRecvBuffer  = 256
 )
 
-// WireMode selects the dshard wire encoding a remote slot negotiates
-// (Config.Wire).
+// WireMode is the type of Config.Wire, which has no effect: every
+// dshard connection speaks the one encoding.
 type WireMode int
 
-const (
-	// WireAuto negotiates the full encoding: per-connection string
-	// dictionary, within-frame delta timestamps, per-frame compression.
-	WireAuto WireMode = iota
-	// WireDictOnly negotiates the dictionary and delta timestamps but
-	// not compression, isolating what interning alone saves.
-	WireDictOnly
-)
+// WireAuto is Config.Wire's zero value, the only mode.
+const WireAuto WireMode = 0
 
 // remoteChunkBytes bounds the estimated payload of one edge-carrying
 // frame (edge batches and register backfills split into continuation
@@ -201,7 +195,6 @@ type remoteSlot struct {
 	ackRTT   *metrics.AtomicHistogram
 	liveConn atomic.Pointer[dshard.Conn]
 	closedBytesIn, closedBytesOut,
-	closedRawBytesIn, closedRawBytesOut,
 	closedFramesIn, closedFramesOut atomic.Int64
 }
 
@@ -223,10 +216,14 @@ func (rs *remoteSlot) registerMetrics(t *telemetry) {
 			return v
 		}
 	}
-	t.reg.CounterFunc("sg_dshard_bytes_in_total", wire(&rs.closedBytesIn, func(s dshard.ConnStats) int64 { return s.BytesIn }), "shard", sh)
-	t.reg.CounterFunc("sg_dshard_bytes_out_total", wire(&rs.closedBytesOut, func(s dshard.ConnStats) int64 { return s.BytesOut }), "shard", sh)
-	t.reg.CounterFunc("sg_dshard_raw_bytes_in_total", wire(&rs.closedRawBytesIn, func(s dshard.ConnStats) int64 { return s.RawBytesIn }), "shard", sh)
-	t.reg.CounterFunc("sg_dshard_raw_bytes_out_total", wire(&rs.closedRawBytesOut, func(s dshard.ConnStats) int64 { return s.RawBytesOut }), "shard", sh)
+	bytesIn := wire(&rs.closedBytesIn, func(s dshard.ConnStats) int64 { return s.BytesIn })
+	bytesOut := wire(&rs.closedBytesOut, func(s dshard.ConnStats) int64 { return s.BytesOut })
+	t.reg.CounterFunc("sg_dshard_bytes_in_total", bytesIn, "shard", sh)
+	t.reg.CounterFunc("sg_dshard_bytes_out_total", bytesOut, "shard", sh)
+	// Nothing compresses frames, so the raw series count the same bytes;
+	// they stay for the readers that still divide by them.
+	t.reg.CounterFunc("sg_dshard_raw_bytes_in_total", bytesIn, "shard", sh)
+	t.reg.CounterFunc("sg_dshard_raw_bytes_out_total", bytesOut, "shard", sh)
 	t.reg.CounterFunc("sg_dshard_frames_in_total", wire(&rs.closedFramesIn, func(s dshard.ConnStats) int64 { return s.FramesIn }), "shard", sh)
 	t.reg.CounterFunc("sg_dshard_frames_out_total", wire(&rs.closedFramesOut, func(s dshard.ConnStats) int64 { return s.FramesOut }), "shard", sh)
 	// Dictionary gauges describe the CURRENT connection (dictionaries
@@ -264,8 +261,6 @@ func (rs *remoteSlot) noteConnClosed(c *dshard.Conn) {
 	st := c.Stats()
 	rs.closedBytesIn.Add(st.BytesIn)
 	rs.closedBytesOut.Add(st.BytesOut)
-	rs.closedRawBytesIn.Add(st.RawBytesIn)
-	rs.closedRawBytesOut.Add(st.RawBytesOut)
 	rs.closedFramesIn.Add(st.FramesIn)
 	rs.closedFramesOut.Add(st.FramesOut)
 }
@@ -649,9 +644,9 @@ func (rs *remoteSlot) connLost() {
 }
 
 // connect dials the slot's peer — the configured address, or the
-// hospice after a failover — and runs the hello handshake: the hello
-// offers the configured capability set, the server's hello-ack grants
-// it. A failed handshake is a failed dial; the redial loop tries again.
+// hospice after a failover — and runs the hello handshake: a server of
+// the same protocol version answers the hello with a hello-ack. A
+// failed handshake is a failed dial; the redial loop tries again.
 func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 	c, err := net.DialTimeout("tcp", rs.addr, remoteDialTimeout)
 	if err != nil {
@@ -659,16 +654,11 @@ func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 	}
 	cn := dshard.NewConn(c)
 	w := rs.w
-	want := dshard.CapDict | dshard.CapCompress
-	if w.r.cfg.Wire == WireDictOnly {
-		want = dshard.CapDict
-	}
 	err = cn.WriteHello(dshard.Hello{
 		Version:         dshard.ProtocolVersion,
 		Slot:            w.id,
 		Window:          w.r.cfg.Window,
 		UniversalFilter: !w.r.filtering,
-		Caps:            want,
 	})
 	if err != nil {
 		cn.Close()
@@ -681,16 +671,14 @@ func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 	if err == nil && typ != dshard.FrameHelloAck {
 		err = fmt.Errorf("dshard handshake: unexpected frame 0x%02x", typ)
 	}
-	var ack dshard.HelloAck
 	if err == nil {
-		ack, err = dshard.DecodeHelloAck(body)
+		_, err = dshard.DecodeHelloAck(body)
 	}
 	if err != nil {
 		cn.Close()
 		return nil, err
 	}
 	c.SetReadDeadline(time.Time{})
-	cn.Negotiate(ack.Caps & want)
 	return cn, nil
 }
 

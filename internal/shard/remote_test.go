@@ -611,9 +611,9 @@ func TestRemoteStatsGauges(t *testing.T) {
 	}
 }
 
-// TestRemoteWireModes runs the cross-topology differential under every
-// client wire mode against a current server: match multisets must be
-// identical whichever encoding is negotiated.
+// TestRemoteWireModes runs the cross-topology differential with
+// Config.Wire set to its one value against a current server: the match
+// multiset must equal the serial engine's.
 func TestRemoteWireModes(t *testing.T) {
 	edges := testStream(1000)
 	const window = 300
@@ -623,15 +623,10 @@ func TestRemoteWireModes(t *testing.T) {
 		t.Fatal("workload produced no matches; differential is vacuous")
 	}
 	addr, _ := startRemoteWorker(t)
-	for _, wire := range []struct {
-		name string
-		mode WireMode
-	}{{"auto", WireAuto}, {"dict-only", WireDictOnly}} {
-		cfg := Config{Shards: 1, Remotes: []string{addr}, Window: window, Wire: wire.mode}
-		got := runSharded(t, edges, cfg, 64)
-		sort.Strings(got)
-		if !equalStrings(got, want) {
-			t.Fatalf("%s: %d matches, want %d (multiset differs)", wire.name, len(got), len(want))
-		}
+	cfg := Config{Shards: 1, Remotes: []string{addr}, Window: window, Wire: WireAuto}
+	got := runSharded(t, edges, cfg, 64)
+	sort.Strings(got)
+	if !equalStrings(got, want) {
+		t.Fatalf("%d matches, want %d (multiset differs)", len(got), len(want))
 	}
 }

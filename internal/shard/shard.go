@@ -140,10 +140,9 @@ type Config struct {
 	// replay); beyond it the slot's queue backpressures ingestion,
 	// exactly like a slow local shard.
 	RemotePending int
-	// Wire selects the dshard wire encoding remote slots negotiate
-	// (default WireAuto: dictionary + delta timestamps + compression).
-	// Match results are byte-identical under every mode; only wire
-	// compactness differs.
+	// Wire has no effect: every remote slot speaks the one dshard
+	// encoding (string dictionary + delta timestamps). WireAuto is its
+	// only value.
 	Wire WireMode
 
 	// DataDir, when set (via Open — New ignores it), makes the runtime
@@ -645,14 +644,15 @@ func (r *Router) Register(name string, q *query.Graph, cfg core.Config) error {
 		r.ingestMu.Unlock()
 		return fmt.Errorf("shard: router is closed")
 	}
-	if r.hasRemote {
+	if r.hasRemote || r.dlog != nil {
 		// A remote-destined query crosses the wire as its textual form
-		// and is reparsed by the worker; names, labels and types
-		// containing whitespace would tokenize differently there than a
-		// local engine binds them. Reject them up front — the slot is
-		// chosen by load, so any registration in a remote topology must
-		// be wire-safe — using the parser's own print/parse fixed point
-		// as the test.
+		// and is reparsed by the worker, and every checkpoint image
+		// stores a query as text that a reopen reparses; names, labels
+		// and types containing whitespace would tokenize differently
+		// there than a local engine binds them. Reject them up front —
+		// the slot is chosen by load, so any registration in a remote
+		// topology must be wire-safe, and so must any in a durable one —
+		// using the parser's own print/parse fixed point as the test.
 		if err := wireSafe(q); err != nil {
 			r.ingestMu.Unlock()
 			return fmt.Errorf("shard: query %q %w", name, err)
