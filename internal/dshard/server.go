@@ -340,12 +340,12 @@ func (h *host) handleRestore(m Restore) error {
 }
 
 // emitter streams the matches of one client frame — a batch's rows, or
-// what a control frame's flush barrier completes (one closure per frame,
-// beside a frame's worth of socket writes): each is resolved into
-// portable name-based form (Slot.AppendResolved, the local worker's
-// walk) while the bound edges are
-// certainly still live in the replica. A suppressed frame's matches were
-// delivered on an earlier connection and are dropped.
+// what a control frame's flush barrier completes (one closure per
+// frame): each is resolved into portable name-based form
+// (Slot.AppendResolved, the local worker's walk) while the bound edges
+// are certainly still live in the replica, and queued in the write
+// buffer until the frame's done flushes them. A suppressed frame's
+// matches were delivered on an earlier connection and are dropped.
 func (h *host) emitter(frame uint64, suppress bool) Emit {
 	return func(seq uint64, nms []core.NamedMatch) {
 		for _, nm := range nms {

@@ -105,8 +105,18 @@ func Dial(addr string) (*Conn, error) {
 // Close closes the underlying connection.
 func (cn *Conn) Close() error { return cn.rwc.Close() }
 
-// writeFrame sends one framed payload and flushes.
+// writeFrame sends one framed payload and flushes: every frame but a
+// match is one its peer waits on.
 func (cn *Conn) writeFrame(payload []byte) error {
+	if err := cn.bufferFrame(payload); err != nil {
+		return err
+	}
+	return cn.bw.Flush()
+}
+
+// bufferFrame queues one framed payload in the write buffer. It reaches
+// the socket when the buffer fills or with the next flushing frame.
+func (cn *Conn) bufferFrame(payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("dshard: frame of %d bytes exceeds MaxFrame", len(payload))
 	}
@@ -115,9 +125,6 @@ func (cn *Conn) writeFrame(payload []byte) error {
 		return err
 	}
 	if _, err := cn.bw.Write(payload); err != nil {
-		return err
-	}
-	if err := cn.bw.Flush(); err != nil {
 		return err
 	}
 	cn.bytesOut.Add(int64(len(payload)) + 4)
@@ -443,9 +450,11 @@ func (cn *Conn) WriteCloseStream(m CloseStream) error {
 	return cn.writeFrame(b)
 }
 
-// WriteMatch streams one completed match (server side). Every name goes
-// through the server→client dictionary and the match-edge timestamps
-// are within-list deltas.
+// WriteMatch queues one completed match (server side) in the write
+// buffer: the done that ends the reply flushes it, so a reply of many
+// matches leaves in a few socket writes. Every name goes through the
+// server→client dictionary and the match-edge timestamps are
+// within-list deltas.
 func (cn *Conn) WriteMatch(m Match) error {
 	b := append(cn.wbuf[:0], FrameMatch)
 	b = binary.AppendUvarint(b, m.Frame)
@@ -470,7 +479,7 @@ func (cn *Conn) WriteMatch(m Match) error {
 		prev = e.TS
 	}
 	cn.wbuf = b
-	return cn.writeFrame(b)
+	return cn.bufferFrame(b)
 }
 
 // WriteDone acknowledges one client frame (server side).

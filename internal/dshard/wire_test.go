@@ -227,3 +227,59 @@ func TestDecodeCorrupt(t *testing.T) {
 		t.Fatalf("refused frame sized a %d-byte read buffer", cap(r.rbuf))
 	}
 }
+
+// writeCounter is a transport that counts the writes reaching it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func (*writeCounter) Close() error { return nil }
+
+// TestReplyFlushesOnce pins that a worker's reply leaves in one write:
+// its matches only queue their frames, and the done that ends the
+// reply flushes them with it, in order.
+func TestReplyFlushesOnce(t *testing.T) {
+	const matches = 20
+	var w writeCounter
+	cn := NewConn(&w)
+	for i := 0; i < matches; i++ {
+		if err := cn.WriteMatch(Match{
+			Frame: 1, Query: "q", Seq: uint64(i),
+			Bindings: []Binding{{QueryVertex: "a", DataVertex: "x"}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.writes != 0 {
+		t.Fatalf("%d writes before the done, want 0", w.writes)
+	}
+	if err := cn.WriteDone(Done{Frame: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("%d matches and their done took %d writes, want 1", matches, w.writes)
+	}
+	rd := NewConn(bufConn{&w.Buffer})
+	for i := 0; i <= matches; i++ {
+		typ, body, err := rd.ReadFrame()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i == matches {
+			if typ != FrameDone {
+				t.Fatalf("frame %d: type 0x%02x, want the done", i, typ)
+			}
+			break
+		}
+		m, err := rd.DecodeMatch(body)
+		if typ != FrameMatch || err != nil || m.Seq != uint64(i) {
+			t.Fatalf("frame %d: type 0x%02x seq %d err %v, want match %d", i, typ, m.Seq, err, i)
+		}
+	}
+}

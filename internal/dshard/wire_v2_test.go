@@ -70,6 +70,10 @@ func TestWireV2RoundTrip(t *testing.T) {
 				return
 			}
 		}
+		// The stream ends on a match, which only queues its frame.
+		if err := client.bw.Flush(); err != nil {
+			t.Errorf("flush: %v", err)
+		}
 	}()
 
 	for i, want := range msgs {
@@ -174,6 +178,9 @@ func TestDecodeCorruptV2(t *testing.T) {
 		Bindings: []Binding{{QueryVertex: "a", DataVertex: "x"}},
 		Edges:    []MatchEdge{{QueryEdge: 0, Src: "x", Dst: "y", Type: "TCP", TS: 3}},
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cn.bw.Flush(); err != nil { // a match only queues its frame
 		t.Fatal(err)
 	}
 	rd := NewConn(bufConn{bytes.NewBuffer(buf.Bytes())})
@@ -308,7 +315,11 @@ func TestServerVersionNegotiation(t *testing.T) {
 func frameBody(tb testing.TB, write func(*Conn) error) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := write(NewConn(bufConn{&buf})); err != nil {
+	cn := NewConn(bufConn{&buf})
+	if err := write(cn); err != nil {
+		tb.Fatal(err)
+	}
+	if err := cn.bw.Flush(); err != nil { // a match only queues its frame
 		tb.Fatal(err)
 	}
 	_, body, err := NewConn(bufConn{&buf}).ReadFrame()

@@ -35,6 +35,12 @@
 // only the uncovered remainder. A reconnect then sends the snapshot
 // back in a restore frame and replays just the log tail past the
 // snapshot position, instead of the whole history.
+//
+// Two goroutines per connection, neither waiting on the other. The slot
+// goroutine (run) only writes frames. The reader settles what comes
+// back: it buffers matches, pops acknowledged frames, delivers their
+// matches and replies. A stalled consumer backpressures the reader,
+// then the worker, then ingest.
 package shard
 
 import (
@@ -55,7 +61,6 @@ const (
 	remoteDialTimeout = 5 * time.Second
 	remoteRedialMin   = 50 * time.Millisecond
 	remoteRedialMax   = time.Second
-	remoteRecvBuffer  = 256
 )
 
 // WireMode is the type of Config.Wire, which has no effect: every
@@ -160,6 +165,11 @@ type remoteSlot struct {
 	spans        []remoteSpan
 	deliveredEnd uint64
 	inflight     []inflightFrame
+
+	// wake is poked (never blocking) after each done the reader
+	// settles, so the slot goroutine re-checks admission and the close
+	// barrier.
+	wake chan struct{}
 
 	// The latest engine snapshot the worker produced: the opaque image,
 	// the stream position it covers (deliveredEnd when its checkpoint
@@ -266,7 +276,7 @@ func (rs *remoteSlot) noteConnClosed(c *dshard.Conn) {
 }
 
 func newRemoteSlot(w *worker, addr string, pendingCap int) *remoteSlot {
-	rs := &remoteSlot{w: w, addr: addr, pendingCap: pendingCap, regs: make(map[string]*remoteEvent)}
+	rs := &remoteSlot{w: w, addr: addr, pendingCap: pendingCap, regs: make(map[string]*remoteEvent), wake: make(chan struct{}, 1)}
 	rs.pin.Store(math.MaxInt64)
 	rs.cover.Store(math.MaxUint64)
 	rs.ackUniversal = !w.r.filtering
@@ -418,36 +428,22 @@ func (rs *remoteSlot) dropLocked(ev *remoteEvent) bool {
 	return false
 }
 
-// recvMsg carries one server frame from the reader goroutine.
-type recvMsg struct {
-	match *dshard.Match
-	done  *dshard.Done
-	snap  *dshard.Snapshot
-}
-
-// rebuildResult reports a finished rebuild: the log position replay
-// covered (resuming live sends skip anything at or below it).
-type rebuildResult struct {
-	sentEnd uint64
-	err     error
-}
-
 // run is the proxy's slot goroutine: the remote counterpart of
-// worker.run.
+// worker.run. It only writes frames; the connection's reader settles
+// what comes back and wakes it when a done may have changed admission
+// or the close barrier.
 func (rs *remoteSlot) run() {
 	w := rs.w
 	defer w.r.wg.Done()
 	var (
-		conn        *dshard.Conn
-		recv        chan recvMsg
-		redial      <-chan time.Time = time.After(0)
-		backoff                      = remoteRedialMin
-		rebuilding  bool
-		rebuildDone chan rebuildResult
-		sentEnd     uint64
-		inClosed    bool
-		closeSent   bool
-		dialFails   int // consecutive dial failures, vs Config.RedialBudget
+		conn       *dshard.Conn
+		readerExit chan bool        // the reader's exit: true after the close barrier's done
+		redial     <-chan time.Time = time.After(0)
+		backoff                     = remoteRedialMin
+		sentEnd    uint64
+		inClosed   bool
+		closeSent  bool
+		dialFails  int // consecutive dial failures, vs Config.RedialBudget
 	)
 	drop := func() {
 		if conn != nil {
@@ -455,21 +451,12 @@ func (rs *remoteSlot) run() {
 			conn.Close()
 			conn = nil
 		}
-		if rebuilding {
-			// The rebuild goroutine aborts promptly now that the
-			// connection is closed; wait for it so no stale frame can
-			// land in the inflight FIFO after connLost clears it.
-			<-rebuildDone
-			rebuilding = false
-		}
-		if recv != nil {
-			// The reader exits on the closed connection; drain whatever
-			// it has buffered (or is blocked sending) so it can.
-			go func(ch chan recvMsg) {
-				for range ch {
-				}
-			}(recv)
-			recv = nil
+		if readerExit != nil {
+			// The reader exits on the closed connection once it has
+			// settled the frame it holds; wait for it so no stale frame
+			// can land in the inflight FIFO after connLost clears it.
+			<-readerExit
+			readerExit = nil
 		}
 		closeSent = false
 		rs.connLost()
@@ -483,10 +470,10 @@ func (rs *remoteSlot) run() {
 		// pending cap; a full slot queue then backpressures the router,
 		// exactly like a slow local shard.
 		var inCh chan message
-		if !inClosed && !rebuilding && rs.pendingSpans() < rs.pendingCap {
+		if !inClosed && rs.pendingSpans() < rs.pendingCap {
 			inCh = w.in
 		}
-		if inClosed && conn != nil && !rebuilding && !closeSent && rs.drained() {
+		if inClosed && conn != nil && !closeSent && rs.drained() {
 			id := rs.pushInflight(inflightFrame{kind: msgEdges, closing: true})
 			if err := conn.WriteCloseStream(dshard.CloseStream{Frame: id, FinalSeq: w.r.seq.Load()}); err != nil {
 				drop()
@@ -513,27 +500,14 @@ func (rs *remoteSlot) run() {
 			if !rs.sendLive(conn, msg, &sentEnd) {
 				drop()
 			}
-		case rm, ok := <-recv:
-			if !ok {
-				drop()
-				continue
-			}
-			fin, ok := rs.handleRecv(rm)
-			if !ok {
-				drop()
-				continue
-			}
+		case <-rs.wake: // a done settled: re-check admission and the close barrier
+		case fin := <-readerExit:
+			readerExit = nil
 			if fin {
 				rs.finish(conn)
 				return
 			}
-		case res := <-rebuildDone:
-			rebuilding = false
-			if res.err != nil {
-				drop()
-				continue
-			}
-			sentEnd = res.sentEnd
+			drop()
 		case <-redial:
 			redial = nil
 			c, err := rs.connect()
@@ -565,22 +539,19 @@ func (rs *remoteSlot) run() {
 			conn = c
 			rs.connects.Inc()
 			rs.liveConn.Store(c)
-			recv = make(chan recvMsg, remoteRecvBuffer)
-			go rs.reader(conn, recv)
-			rebuilding = true
-			rebuildDone = make(chan rebuildResult, 1)
-			go rs.rebuild(conn, rebuildDone)
+			readerExit = make(chan bool, 1)
+			go rs.reader(conn, readerExit)
+			var ok bool
+			if sentEnd, ok = rs.rebuild(conn); !ok {
+				drop()
+			}
 		}
 	}
 }
 
 // adoptHospice starts the failover engine: an in-process dshard.Server
 // on a loopback listener, which the slot dials from then on instead of
-// the dead peer. Loopback TCP, not an unbuffered in-memory pipe: the
-// slot goroutine both writes frames and consumes the reader's bounded
-// queue, so a transport with no buffer of its own deadlocks as soon as
-// the server streams more matches than that queue holds while a write
-// is pending.
+// the dead peer, through the same dial, handshake and redial path.
 func (rs *remoteSlot) adoptHospice() error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -682,40 +653,67 @@ func (rs *remoteSlot) connect() (*dshard.Conn, error) {
 	return cn, nil
 }
 
-// reader pumps server frames into recv until the connection dies.
-func (rs *remoteSlot) reader(conn *dshard.Conn, recv chan recvMsg) {
-	defer close(recv)
-	for {
-		typ, body, err := conn.ReadFrame()
-		if err != nil {
-			return
+// reader settles the server's frames as they arrive (readFrame) and
+// never waits on the slot goroutine, so a peer streaming matches while
+// a frame write is pending is always read. It exits on the close
+// barrier's done, reporting true on exit; on a read error or a
+// protocol violation it closes the connection first, so a write
+// pending on it fails, and reports false.
+func (rs *remoteSlot) reader(conn *dshard.Conn, exit chan<- bool) {
+	fin, ok := false, true
+	for ok && !fin {
+		fin, ok = rs.readFrame(conn)
+	}
+	if !ok {
+		conn.Close()
+	}
+	exit <- fin
+}
+
+// readFrame reads one server frame and settles it under rs.mu: a match
+// is buffered on its frame, a snapshot kept for its done, and a done
+// pops the frame (handleDone, whose results it returns). !ok also
+// reports a read or decode error.
+func (rs *remoteSlot) readFrame(conn *dshard.Conn) (finished, ok bool) {
+	typ, body, err := conn.ReadFrame()
+	if err != nil {
+		return false, false
+	}
+	switch typ {
+	case dshard.FrameMatch:
+		m, err := conn.DecodeMatch(body)
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		if f := rs.headLocked(m.Frame); err == nil && f != nil {
+			f.matches = append(f.matches, fromWire(rs.w.id, m))
+			return false, true
 		}
-		switch typ {
-		case dshard.FrameMatch:
-			m, err := conn.DecodeMatch(body)
-			if err != nil {
-				return
-			}
-			recv <- recvMsg{match: &m}
-		case dshard.FrameDone:
-			d, err := dshard.DecodeDone(body)
-			if err != nil {
-				return
-			}
-			recv <- recvMsg{done: &d}
-		case dshard.FrameSnapshot:
-			m, err := dshard.DecodeSnapshot(body)
-			if err != nil {
-				return
-			}
+	case dshard.FrameSnapshot:
+		m, err := dshard.DecodeSnapshot(body)
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		if f := rs.headLocked(m.Frame); err == nil && f != nil && (f.kind == msgCheckpoint || f.kind == msgUnregister) {
 			// Data aliases the connection read buffer; the slot retains
 			// the snapshot across frames (and connections), so copy.
-			m.Data = append([]byte(nil), m.Data...)
-			recv <- recvMsg{snap: &m}
-		default:
-			return
+			f.snapData = append([]byte(nil), m.Data...)
+			return false, true
+		}
+	case dshard.FrameDone:
+		if d, err := dshard.DecodeDone(body); err == nil {
+			return rs.handleDone(d)
 		}
 	}
+	return false, false
+}
+
+// headLocked returns the oldest inflight frame when its id is frame,
+// nil otherwise: the server answers frames in order. Caller holds
+// rs.mu.
+func (rs *remoteSlot) headLocked(frame uint64) *inflightFrame {
+	if len(rs.inflight) == 0 || rs.inflight[0].id != frame {
+		return nil
+	}
+	return &rs.inflight[0]
 }
 
 func (rs *remoteSlot) pushInflight(f inflightFrame) uint64 {
@@ -849,10 +847,11 @@ func (rs *remoteSlot) wireRegister(ev *remoteEvent, suppress bool) dshard.Regist
 // rebuild replays the slot's whole retained entitlement — control
 // events interleaved with EdgeLog batches in arrival-seq order — onto
 // a fresh connection, reconstructing the remote engine's state
-// exactly. Runs on its own goroutine so acknowledgments and matches
-// stream back concurrently; the main loop does not send live traffic
-// until it finishes.
-func (rs *remoteSlot) rebuild(conn *dshard.Conn, done chan rebuildResult) {
+// exactly, while the reader settles the acknowledgments and matches
+// streaming back. It returns the log position the replay covered
+// (resuming live sends skip anything at or below it), and false when
+// the connection broke.
+func (rs *remoteSlot) rebuild(conn *dshard.Conn) (sentEnd uint64, ok bool) {
 	// replayAdmit over-approximates every replica-filter state the
 	// replay passes through: each retained control event carries a full
 	// post-change filter snapshot, every live registration is retained,
@@ -890,7 +889,6 @@ func (rs *remoteSlot) rebuild(conn *dshard.Conn, done chan rebuildResult) {
 	})
 	rs.mu.Unlock()
 
-	fail := func(err error) { done <- rebuildResult{err: err} }
 	if snap != nil {
 		// Restore the snapshot before any replayed traffic, then replay
 		// only the tail past its position. The covered log prefix is
@@ -900,8 +898,7 @@ func (rs *remoteSlot) rebuild(conn *dshard.Conn, done chan rebuildResult) {
 		// the seq-interleaved walk below is unchanged.
 		id := rs.pushInflight(inflightFrame{kind: msgRestore})
 		if conn.WriteRestore(dshard.Restore{Frame: id, Data: snap}) != nil {
-			fail(net.ErrClosed)
-			return
+			return 0, false
 		}
 		for len(segs) > 0 {
 			end := segs[0].base + uint64(len(segs[0].edges))
@@ -960,8 +957,7 @@ func (rs *remoteSlot) rebuild(conn *dshard.Conn, done chan rebuildResult) {
 	for _, ev := range events {
 		for si < len(segs) && segs[si].base < ev.seq {
 			if admits(segs[si]) && !rs.sendSegment(conn, segs[si], delivered) {
-				fail(net.ErrClosed)
-				return
+				return 0, false
 			}
 			si++
 		}
@@ -970,17 +966,15 @@ func (rs *remoteSlot) rebuild(conn *dshard.Conn, done chan rebuildResult) {
 		ev.sent = true
 		rs.mu.Unlock()
 		if !rs.sendEvent(conn, ev, suppress) {
-			fail(net.ErrClosed)
-			return
+			return 0, false
 		}
 	}
 	for ; si < len(segs); si++ {
 		if admits(segs[si]) && !rs.sendSegment(conn, segs[si], delivered) {
-			fail(net.ErrClosed)
-			return
+			return 0, false
 		}
 	}
-	done <- rebuildResult{sentEnd: logEnd}
+	return logEnd, true
 }
 
 // logBatch is one EdgeLog segment snapshotted for replay.
@@ -994,38 +988,19 @@ func (rs *remoteSlot) sendSegment(conn *dshard.Conn, seg logBatch, delivered uin
 	return rs.sendEdges(conn, seg.base, seg.edges, delivered)
 }
 
-// handleRecv dispatches one server frame. It returns (finished,
-// ok): finished when the close barrier was acknowledged, !ok on a
-// protocol violation (the connection is dropped and rebuilt).
-func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
+// handleDone pops the acknowledged frame, settles it, delivers its
+// matches and replies. It returns (finished, ok): finished when the
+// close barrier was acknowledged, !ok on a protocol violation (the
+// connection is dropped and rebuilt).
+func (rs *remoteSlot) handleDone(d dshard.Done) (finished, ok bool) {
 	w := rs.w
-	if rm.match != nil {
-		rs.mu.Lock()
-		if len(rs.inflight) == 0 || rs.inflight[0].id != rm.match.Frame {
-			rs.mu.Unlock()
-			return false, false
-		}
-		rs.inflight[0].matches = append(rs.inflight[0].matches, fromWire(w.id, *rm.match))
-		rs.mu.Unlock()
-		return false, true
-	}
-	if rm.snap != nil {
-		rs.mu.Lock()
-		if len(rs.inflight) == 0 || rs.inflight[0].id != rm.snap.Frame || rs.inflight[0].kind != msgCheckpoint && rs.inflight[0].kind != msgUnregister {
-			rs.mu.Unlock()
-			return false, false
-		}
-		rs.inflight[0].snapData = rm.snap.Data
-		rs.mu.Unlock()
-		return false, true
-	}
-	d := rm.done
 	rs.mu.Lock()
-	if len(rs.inflight) == 0 || rs.inflight[0].id != d.Frame {
+	fp := rs.headLocked(d.Frame)
+	if fp == nil {
 		rs.mu.Unlock()
 		return false, false
 	}
-	f := rs.inflight[0]
+	f := *fp
 	if f.kind == msgUnregister && f.ev.msg.migrate && d.Err == "" && f.snapData == nil {
 		rs.mu.Unlock()
 		return false, false // a handover's state comes before its done
@@ -1073,7 +1048,8 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 	w.publish(d.Report)
 
 	// Deliver outside the lock: a full collection channel must
-	// backpressure ingest, not deadlock Stats readers. And before the
+	// backpressure the reader (then the peer, then ingest), not
+	// deadlock Stats readers. And before the
 	// control reply, as a local worker does: once Register or
 	// Unregister returns, the matches its flush barrier produced are
 	// counted as emitted, so the checkpoint round that makes the call
@@ -1091,9 +1067,9 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 		// observing the spans, and must never see an edge unpinned while
 		// its matches are still uncounted. Until then other goroutines
 		// (the ingest-path trim, a checkpoint round) see the span
-		// pinned a little longer, the safe side;
-		// the one reader of deliveredEnd, a reconnect's rebuild, starts
-		// on this goroutine.
+		// pinned a little longer, the safe side; the one reader of
+		// deliveredEnd, a reconnect's rebuild, starts only after drop
+		// has waited for this goroutine to exit.
 		rs.mu.Lock()
 		if f.end > rs.deliveredEnd {
 			rs.deliveredEnd = f.end
@@ -1103,6 +1079,10 @@ func (rs *remoteSlot) handleRecv(rm recvMsg) (finished, ok bool) {
 		}
 		rs.recomputePinLocked()
 		rs.mu.Unlock()
+	}
+	select {
+	case rs.wake <- struct{}{}:
+	default:
 	}
 	return f.closing, true
 }

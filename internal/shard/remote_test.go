@@ -7,13 +7,18 @@ package shard
 // the reconnect replay must lose and duplicate nothing.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -625,6 +630,232 @@ func TestRemoteWireModes(t *testing.T) {
 	addr, _ := startRemoteWorker(t)
 	cfg := Config{Shards: 1, Remotes: []string{addr}, Window: window, Wire: WireAuto}
 	got := runSharded(t, edges, cfg, 64)
+	sort.Strings(got)
+	if !equalStrings(got, want) {
+		t.Fatalf("%d matches, want %d (multiset differs)", len(got), len(want))
+	}
+}
+
+// TestRemoteMatchFloodOracle pins that a remote slot keeps reading its
+// peer while a frame write is pending. A fake worker answers the first
+// edge frame with 48 MiB of matches before it reads again, while the
+// router still has 8 MiB of edge frames to write to it: the slot's
+// writes wait for the peer to read, the peer's match writes wait for
+// the slot's reader, so the reader must settle what it reads without
+// waiting on the slot goroutine. Every match the fake sent must be
+// delivered.
+func TestRemoteMatchFloodOracle(t *testing.T) {
+	const (
+		floodMatches = 48 << 10 // 1 KiB names: 48 MiB of match frames
+		batches      = 16
+		batch        = 512 // 1 KiB names: 8 MiB of edge frames
+	)
+	name := func(prefix string, i int) string {
+		s := fmt.Sprintf("%s%08d", prefix, i)
+		return s + strings.Repeat("x", 1024-len(s))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		// The fake's own socket buffers are shrunk, so the router's
+		// edge frames fill them long before it has written them all. A
+		// receive buffer under loopback's 64 KiB segment size would
+		// stall the connection itself.
+		tc := c.(*net.TCPConn)
+		if err := errors.Join(tc.SetWriteBuffer(4096), tc.SetReadBuffer(256<<10)); err != nil {
+			t.Errorf("fake worker: %v", err)
+			return
+		}
+		cn := dshard.NewConn(c)
+		if typ, _, err := cn.ReadFrame(); err != nil || typ != dshard.FrameHello {
+			return
+		}
+		if cn.WriteHelloAck(dshard.HelloAck{Version: dshard.ProtocolVersion}) != nil {
+			return
+		}
+		for flooded := false; ; {
+			typ, body, err := cn.ReadFrame()
+			if err != nil {
+				return // the router closed the connection
+			}
+			var frame, base uint64
+			switch typ {
+			case dshard.FrameRegister:
+				var m dshard.Register
+				m, err = cn.DecodeRegister(body)
+				frame = m.Frame
+			case dshard.FrameCheckpoint:
+				var m dshard.Checkpoint
+				m, err = dshard.DecodeCheckpoint(body)
+				frame = m.Frame
+			case dshard.FrameClose:
+				var m dshard.CloseStream
+				m, err = dshard.DecodeCloseStream(body)
+				frame = m.Frame
+			case dshard.FrameEdges:
+				var m dshard.Edges
+				m, err = cn.DecodeEdges(body)
+				frame, base = m.Frame, m.BaseSeq
+			default:
+				err = fmt.Errorf("unexpected frame 0x%02x", typ)
+			}
+			if err != nil {
+				t.Errorf("fake worker: %v", err)
+				return
+			}
+			for i := 0; typ == dshard.FrameEdges && !flooded && i < floodMatches; i++ {
+				err := cn.WriteMatch(dshard.Match{
+					Frame: frame, Query: "flood", Seq: base,
+					Bindings: []dshard.Binding{{QueryVertex: "a", DataVertex: name("m", i)}},
+				})
+				if err != nil {
+					return
+				}
+			}
+			flooded = flooded || typ == dshard.FrameEdges
+			if cn.WriteDone(dshard.Done{Frame: frame}) != nil {
+				return
+			}
+		}
+	}()
+
+	r := New(Config{Remotes: []string{ln.Addr().String()}, Window: 1 << 30})
+	if err := r.Register("flood", query.NewPath("ip", "T"), core.Config{}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	drained := make(chan int64, 1)
+	go func() { drained <- r.Drain(nil) }()
+	go func() {
+		for b := 0; b < batches; b++ {
+			edges := make([]stream.Edge, batch)
+			for i := range edges {
+				edges[i] = stream.Edge{
+					Src: name("e", b*batch+i), SrcLabel: "ip", Dst: "d", DstLabel: "ip",
+					Type: "T", TS: int64(b*batch + i + 1),
+				}
+			}
+			r.IngestBatch(edges)
+		}
+		r.Close()
+	}()
+	select {
+	case n := <-drained:
+		if n != floodMatches {
+			t.Fatalf("%d matches delivered, the peer sent %d", n, floodMatches)
+		}
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Logf("goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatal("the remote slot wedged: no close after 30 s")
+	}
+}
+
+// TestRemoteProtocolViolationDifferential drives a protocol violation
+// through a remote slot. A relay between the slot and a real worker
+// writes one done frame twice on its first connection, after the
+// frame's matches were delivered. The slot must drop the connection,
+// redial through the relay (which then passes bytes through unchanged)
+// and replay, ending with the serial engine's match multiset over
+// exactly two connections.
+func TestRemoteProtocolViolationDifferential(t *testing.T) {
+	edges := testStream(1500)
+	const window = 400
+	want := append([]string(nil), runSerial(t, edges, window)...)
+	sort.Strings(want)
+	if len(want) == 0 {
+		t.Fatal("workload produced no matches; differential is vacuous")
+	}
+	addr, _ := startRemoteWorker(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var violated atomic.Bool
+	// relay copies the slot's bytes to the worker unchanged and the
+	// worker's back frame by frame, writing the first done after a
+	// match twice when violate is set.
+	relay := func(slot, worker net.Conn, violate bool) {
+		defer slot.Close()
+		defer worker.Close()
+		go func() {
+			io.Copy(worker, slot)
+			slot.Close()
+			worker.Close()
+		}()
+		sawMatch := false
+		var hdr [4]byte
+		for {
+			if _, err := io.ReadFull(worker, hdr[:]); err != nil {
+				return
+			}
+			frame := make([]byte, 4+binary.BigEndian.Uint32(hdr[:]))
+			copy(frame, hdr[:])
+			if _, err := io.ReadFull(worker, frame[4:]); err != nil {
+				return
+			}
+			writes := 1
+			switch typ := frame[4]; {
+			case typ == dshard.FrameMatch:
+				sawMatch = true
+			case typ == dshard.FrameDone && violate && sawMatch && !violated.Load():
+				violated.Store(true)
+				writes = 2
+			}
+			for ; writes > 0; writes-- {
+				if _, err := slot.Write(frame); err != nil {
+					return
+				}
+			}
+		}
+	}
+	go func() {
+		for first := true; ; first = false {
+			slot, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			worker, err := net.Dial("tcp", addr)
+			if err != nil {
+				slot.Close()
+				continue
+			}
+			go relay(slot, worker, first)
+		}
+	}()
+
+	r := New(Config{Shards: 1, Remotes: []string{ln.Addr().String()}, Window: window})
+	queries, strategies := testQueries(), testStrategies()
+	for _, name := range sortedNames(queries) {
+		if err := r.Register(name, queries[name], core.Config{Strategy: strategies[name]}); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+	}
+	var got []string
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Drain(func(m Match) { got = append(got, matchSig(m)) })
+	}()
+	for lo := 0; lo < len(edges); lo += 64 {
+		r.IngestBatch(edges[lo:min(lo+64, len(edges))])
+	}
+	r.Close()
+	<-done
+	if !violated.Load() {
+		t.Fatal("the relay never duplicated a done; the violation path did not run")
+	}
+	if n := metricValue(t, r.Metrics().Snapshot(), "sg_dshard_connects_total", "shard", "1"); n != 2 {
+		t.Fatalf("%d connections, want 2: the violation must cost exactly one reconnect", n)
+	}
 	sort.Strings(got)
 	if !equalStrings(got, want) {
 		t.Fatalf("%d matches, want %d (multiset differs)", len(got), len(want))
