@@ -1,59 +1,41 @@
-// Package dshard defines the distributed shard runtime's wire
-// protocol and hosts the remote shard worker: the process-boundary
-// form of one internal/shard slot.
+// Package dshard is the engine side of an internal/shard slot — the
+// slot engine (Slot) and the Host that applies a slot's messages to it
+// — and the wire protocol that carries those messages to a remote
+// shard worker (Server) across a process boundary.
 //
 // Topology. A shard.Router partitions registered continuous queries
-// across shard slots. A slot is either a local worker goroutine (as in
-// the single-process runtime) or a TCP connection to a remote shard
-// worker process (cmd/sgshard) speaking this protocol. The router side
-// of the split keeps everything that needs the global stream view —
-// arrival sequencing, the edge-type gates, the shared EdgeLog and the
-// window statistics computed from it that pin each registration's
-// decomposition — while the remote side owns exactly what a local
-// worker's goroutine owns: a single-writer core.MultiEngine over a
-// private (optionally edge-type-filtered) graph replica.
+// across shard slots. Every slot runs the same loop and writes the
+// same typed messages (Edges, Register, ...): to an in-process Host, or
+// over a TCP connection (Conn) to a remote shard worker process
+// (cmd/sgshard), whose Server runs a Host per connection. The router
+// keeps everything that needs the global stream view — arrival
+// sequencing, the edge-type gates, the shared EdgeLog and the window
+// statistics that pin each registration's decomposition — while the
+// host owns a single-writer core.MultiEngine over a private (optionally
+// edge-type-filtered) graph replica.
 //
 // Protocol. Frames are length-prefixed: a 4-byte big-endian payload
-// length, then the payload, whose first byte is the frame type. All
-// integers inside payloads are varints (unsigned for sequence numbers
-// and counts, zigzag for timestamps and gauges). After the hello /
-// hello-ack version check every connection speaks one encoding: names,
-// labels and types are interned in a per-connection, per-direction
-// string dictionary (first occurrence as id+bytes, later occurrences as
-// a varint reference) and timestamps are deltas within each frame's
-// edge list. Free text (query text, error strings) and images are
-// length-prefixed bytes; snapshot images and the edlog record codec
-// never use the dictionary, because they outlive connections. The
-// client (router) sends:
-//
-//	hello       protocol version, slot id, window and the initial
-//	            replica-filter mode
-//	edges       one admitted batch: base arrival seq + edges
-//	register    a query at a stream position: name, rank, query text,
-//	            the decomposition pinned router-side, search limits,
-//	            the post-registration replica filter, and the backfill
-//	            edges replayed from the router's EdgeLog
-//	unregister  a query at a stream position + the narrowed filter
-//	close       end of stream: final seq for the last flush barrier
-//
-// The server (remote worker) answers every client frame, in order,
-// with zero or more match frames followed by exactly one done frame
-// (engine error for registers, the slot's gauges piggybacked). That
-// strict request/stream/done discipline is what makes recovery simple:
-// the router treats a frame's matches as delivered only when its done
+// length, then the payload, whose first byte is the frame type (the
+// Frame* constants). Integers inside payloads are varints (unsigned for
+// sequence numbers and counts, zigzag for timestamps and gauges). After
+// the hello / hello-ack version check names, labels and types are
+// interned in a per-connection, per-direction string dictionary and
+// timestamps are deltas within each frame's edge list; free text and
+// images are length-prefixed bytes (snapshot images and the edlog
+// record codec never use the dictionary: they outlive connections).
+// The host answers every client frame, in order, with zero or more
+// match frames, a snapshot frame for a checkpoint or a handover, and
+// exactly one done frame (the engine's error, the slot's gauges). The
+// router treats a frame's matches as delivered only when its done
 // arrives, so a connection that dies mid-frame loses nothing and
-// duplicates nothing — the frame is simply replayed.
-//
-// Replay. The remote worker keeps no durable state: on every new
-// connection the router rebuilds it by replaying its registration
-// control events interleaved with the shared EdgeLog in arrival-seq
-// order, marking already-delivered frames with the suppress flag
-// (processed for state, matches discarded). See docs/DISTRIBUTED.md
-// for the full reconnect state machine and its invariants.
+// duplicates nothing: the router replays it on a new connection, with
+// the frames already delivered marked suppress. See docs/DISTRIBUTED.md
+// for the frame table and the reconnect state machine.
 package dshard
 
 import (
 	"streamgraph/internal/core"
+	"streamgraph/internal/query"
 	"streamgraph/internal/stream"
 )
 
@@ -158,17 +140,19 @@ type Register struct {
 	Rank int
 	// Query is the pattern in the textual query format (query.Parse).
 	Query string
+	// Graph, when non-nil, is the pattern itself, handed to an in-process
+	// Host instead of being parsed from Query: a query whose names the
+	// text form would not preserve registers in-process all the same.
+	// Never encoded.
+	Graph *query.Graph
 	// Strategy is the core.Strategy ordinal.
 	Strategy int
-	// HasLeaves reports whether Leaves carries a pinned decomposition.
-	// The router pins every decomposition-based strategy against the
-	// statistics of the whole stream's window — the remote engine's own
-	// graph holds only this shard's slice of it and must never drive a
-	// decomposition.
+	// HasLeaves reports whether Leaves, the SJ-tree decomposition (query
+	// edge indices per leaf), is pinned: the router pins every
+	// decomposing strategy's from the whole stream's window, of which a
+	// slot holds only a slice.
 	HasLeaves bool
-	// Leaves is the pinned SJ-tree decomposition (query edge indices
-	// per leaf).
-	Leaves [][]int
+	Leaves    [][]int
 	// MaxMatches, MaxWork and MaxSteps forward the engine's search
 	// limits (core.Config.MaxMatchesPerSearch / MaxWorkPerEdge /
 	// MaxStepsPerSearch).
@@ -275,7 +259,6 @@ type Done struct {
 	// Err is the engine error for register frames ("" = ok).
 	Err string
 	// Report is the slot's gauges after the frame (Slot.Report): what
-	// the router publishes for a remote slot, as a local worker
-	// publishes its own after each message.
+	// the router publishes for the slot, in-process or remote alike.
 	Report Report
 }

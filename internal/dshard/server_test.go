@@ -56,10 +56,11 @@ func dialWorker(t *testing.T) *Conn {
 	srv := NewServer()
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
-	cn, err := Dial(ln.Addr().String())
+	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cn := NewConn(c)
 	t.Cleanup(func() { cn.Close() })
 	if err := cn.WriteHello(Hello{Version: ProtocolVersion, Window: 100}); err != nil {
 		t.Fatal(err)

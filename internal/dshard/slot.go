@@ -1,10 +1,11 @@
 package dshard
 
-// The slot engine: the engine side of one shard slot, as a state
-// machine both transports drive. A local worker goroutine
-// (internal/shard) feeds it from a queue and delivers what it emits in
-// resolved blocks; a connection host (server.go) feeds it from frames
-// and streams match frames back. What a batch, a flush barrier, a
+// The slot engine (Slot) and the Host that drives it: the engine side
+// of one shard slot, whatever carries the slot's messages. In-process,
+// the router's slot loop (internal/shard) writes them to the Host and
+// resolves what it answers into blocks; over TCP, the server
+// (server.go) decodes them from frames into the same Host methods and
+// encodes the answers back. What a batch, a flush barrier, a
 // registration, a removal and a snapshot do to the engine is decided
 // here and nowhere else.
 
@@ -84,7 +85,7 @@ func (s *Slot) Rank(name string) (rank int, held bool) {
 
 // AppendResolved resolves one of the engine's matches into portable
 // name-based form onto caller-owned slices (the one core.AppendResolved
-// walk, for the local worker and the connection host alike) and reports
+// walk, for the in-process slot and the connection alike) and reports
 // its query's registration rank. The query and the rank are looked up
 // once per run of matches of the same query.
 func (s *Slot) AppendResolved(bindings []core.PortableBinding, edges []core.PortableMatchEdge, nm core.NamedMatch) ([]core.PortableBinding, []core.PortableMatchEdge, int) {
@@ -111,8 +112,8 @@ func (s *Slot) FilterWidth() int64 {
 }
 
 // Report is one slot's gauges at a message boundary, the same for
-// every transport: a local worker publishes it after each message, a
-// remote slot's rides each done frame.
+// every transport: it rides each done, in-process or over the wire, and
+// the router publishes it.
 type Report struct {
 	// Live, Stored and Types are the replica's live edges, the edges
 	// ever admitted into it, and its filter width (-1 when universal).
@@ -351,4 +352,168 @@ func (si SnapshotImage) Slot() (*Slot, error) {
 		return nil, err
 	}
 	return RestoredSlot(eng, si.LastEnd, si.Ranks, si.Universal, si.Types), nil
+}
+
+// Replier takes a Host's answers. Every message written to the Host is
+// answered, before the write returns, by zero or more Matches or
+// Flushed calls, a Snapshot for a checkpoint or a handover, and exactly
+// one Done; an error from Snapshot or Done is returned by the write. A
+// suppressed frame's matches are not passed on. The matches are the
+// engine's: resolve them (Slot.AppendResolved) while they are valid.
+type Replier interface {
+	// Matches takes what one edge of a batch completed at arrival seq,
+	// once per edge, empty or not; valid until the frame's Done.
+	Matches(frame, seq uint64, nms []core.NamedMatch)
+	// Flushed takes what a control point's flush barrier completed at
+	// seq; valid only until it returns, since the host goes on to change
+	// the slot (register, remove, trim).
+	Flushed(frame, seq uint64, nms []core.NamedMatch)
+	// Snapshot takes a checkpoint's image or a handed-over query's
+	// state, which the Replier may keep.
+	Snapshot(Snapshot) error
+	// Done ends one frame's answer.
+	Done(Done) error
+}
+
+// Host applies one slot's messages to its Slot, in order, and answers
+// each through its Replier. It is owned by one goroutine.
+type Host struct {
+	slot *Slot
+	rep  Replier
+
+	// streamed flips at the first state-bearing message; a restore is
+	// only legal before it.
+	streamed bool
+}
+
+// NewHost returns a host driving slot. A restore replaces the slot's
+// state in place: the caller's pointer stays the slot driven.
+func NewHost(slot *Slot, rep Replier) *Host { return &Host{slot: slot, rep: rep} }
+
+// flush starts answering a control message: its flush barrier's matches
+// go to Flushed, unless the message is suppressed.
+func (h *Host) flush(frame uint64, suppress bool) Emit {
+	h.streamed = true
+	return func(seq uint64, nms []core.NamedMatch) {
+		if !suppress {
+			h.rep.Flushed(frame, seq, nms)
+		}
+	}
+}
+
+func (h *Host) done(frame uint64, engErr error) error {
+	d := Done{Frame: frame, Report: h.slot.Report()}
+	if engErr != nil {
+		d.Err = engErr.Error()
+	}
+	return h.rep.Done(d)
+}
+
+// WriteEdges folds one admitted batch into the slot.
+func (h *Host) WriteEdges(m Edges) error {
+	h.streamed = true
+	for i, named := range h.slot.ProcessEdges(m.BaseSeq, m.Edges) {
+		if !m.Suppress {
+			h.rep.Matches(m.Frame, m.BaseSeq+uint64(i), named)
+		}
+	}
+	return h.done(m.Frame, nil)
+}
+
+// WriteRegister registers a query at its stream position; the engine's
+// refusal is the done's error.
+func (h *Host) WriteRegister(m Register) error {
+	h.slot.Flush(m.Seq, h.flush(m.Frame, m.Suppress))
+	q := m.Graph
+	if q == nil && len(m.State) == 0 { // a migrating query comes with its state
+		var err error
+		if q, err = query.Parse(m.Query); err != nil {
+			return h.done(m.Frame, err)
+		}
+	}
+	r := SlotRegister{
+		Name: m.Name, Query: q, Rank: m.Rank, State: m.State,
+		Config: core.Config{
+			Strategy:            core.Strategy(m.Strategy),
+			MaxMatchesPerSearch: m.MaxMatches,
+			MaxWorkPerEdge:      m.MaxWork,
+			MaxStepsPerSearch:   m.MaxSteps,
+		},
+		Universal: m.FilterUniversal, Types: m.FilterTypes, Backfill: m.Backfill,
+	}
+	if m.HasLeaves {
+		r.Config.Leaves = m.Leaves
+	}
+	return h.done(m.Frame, h.slot.Register(r))
+}
+
+// WriteBackfill admits a continuation of a register's backfill, unless
+// the register was refused.
+func (h *Host) WriteBackfill(m BackfillChunk) error {
+	h.streamed = true
+	if _, held := h.slot.Rank(m.Name); held {
+		h.slot.Eng.Backfill(m.Edges)
+	}
+	return h.done(m.Frame, nil)
+}
+
+// WriteUnregister removes a query; a migrate-flagged removal hands its
+// state over (Slot.HandOver) as a Snapshot before the done, or is
+// refused with the query still held.
+func (h *Host) WriteUnregister(m Unregister) error {
+	emit := h.flush(m.Frame, m.Suppress)
+	if !m.Migrate {
+		h.slot.Unregister(m.Seq, m.Name, m.FilterUniversal, m.FilterTypes, emit)
+		return h.done(m.Frame, nil)
+	}
+	_, state, err := h.slot.HandOver(m.Seq, m.Name, m.FilterUniversal, m.FilterTypes, emit)
+	if err == nil {
+		if err := h.rep.Snapshot(Snapshot{Frame: m.Frame, Data: state}); err != nil {
+			return err
+		}
+	}
+	return h.done(m.Frame, err)
+}
+
+// WriteCheckpoint answers with an image of the slot before the done,
+// best-effort: an image one frame cannot carry (or SaveMulti refuses)
+// is not sent, and the router keeps the snapshot it has. Not a stream
+// position: a restore stays legal.
+func (h *Host) WriteCheckpoint(m Checkpoint) error {
+	if img, err := h.slot.Image(); err == nil {
+		if data := img.Encode(); len(data) <= maxImage {
+			if err := h.rep.Snapshot(Snapshot{Frame: m.Frame, Data: data}); err != nil {
+				return err
+			}
+		}
+	}
+	return h.done(m.Frame, nil)
+}
+
+// WriteRestore replaces the slot's state with a captured image; only
+// legal first, before the log tail replays. A restore that fails ends
+// the stream rather than answer a done the router would take as
+// restored; it rebuilds from the log alone instead.
+func (h *Host) WriteRestore(m Restore) error {
+	if h.streamed {
+		return fmt.Errorf("restore frame after stream traffic")
+	}
+	h.streamed = true
+	img, err := DecodeSnapshotImage(m.Data)
+	if err != nil {
+		return err
+	}
+	slot, err := img.Slot()
+	if err != nil {
+		return fmt.Errorf("restore snapshot: %w", err)
+	}
+	*h.slot = *slot
+	return h.done(m.Frame, nil)
+}
+
+// WriteCloseStream runs the final flush barrier and acknowledges: the
+// stream is over.
+func (h *Host) WriteCloseStream(m CloseStream) error {
+	h.slot.Flush(m.FinalSeq, h.flush(m.Frame, false))
+	return h.done(m.Frame, nil)
 }

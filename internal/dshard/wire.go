@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"sync/atomic"
 
 	"streamgraph/internal/stream"
@@ -91,15 +90,6 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 		dict: newStrDict(),
 		tbl:  &strTable{},
 	}
-}
-
-// Dial connects to a remote shard worker.
-func Dial(addr string) (*Conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c), nil
 }
 
 // Close closes the underlying connection.

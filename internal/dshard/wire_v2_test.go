@@ -259,10 +259,11 @@ func TestServerVersionNegotiation(t *testing.T) {
 	addr := ln.Addr().String()
 
 	// A current hello → hello-ack.
-	cn, err := Dial(addr)
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cn := NewConn(c)
 	if err := cn.WriteHello(Hello{Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +287,11 @@ func TestServerVersionNegotiation(t *testing.T) {
 	cn.Close()
 
 	for _, version := range []uint64{1, 2, 3, 4, 5, 99} {
-		cn, err := Dial(addr)
+		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cn := NewConn(c)
 		if err := cn.WriteHello(Hello{Version: version}); err != nil {
 			t.Fatal(err)
 		}

@@ -146,6 +146,7 @@ func Open(cfg Config) (*Router, []Match, error) {
 	loadStart := time.Now()
 	for i := 0; i < nLocal; i++ {
 		path := slotPath(r.cfg.DataDir, i)
+		r.workers[i].file = path
 		os.Remove(path + ".pending")
 		os.Remove(path + ".pending.tmp")
 		s, err := readSlotFile(path)
@@ -269,20 +270,20 @@ func Open(cfg Config) (*Router, []Match, error) {
 		r.dregs[reg.name] = reg
 		msg := message{kind: msgRegister, name: reg.name, q: q, cfg: reg.cfg, rank: reg.rank, minTS: math.MinInt64}
 		r.admit(w, &msg, fprint{types: reg.fpTypes, exact: reg.fpExact})
-		if w.remote != nil {
-			// The remote worker is stateless across our restart and its
-			// snapshot lived only in the crashed router's memory, so the
-			// slot starts from a synthetic register event at seq 0 with an
-			// unbounded window floor: the reconnect replay re-registers the
-			// query and feeds it the whole retained log (which the durable
-			// trim kept exactly as far back as any remote needs). The
-			// MinInt64 floor is self-limiting — the first post-reconnect
-			// checkpoint snapshot retires the event and the pin advances.
-			w.remote.noteControl(&msg)
-			continue
+		// A remote worker is stateless across our restart and its
+		// snapshot lived only in the crashed router's memory, so a slot
+		// that keeps a replay entitlement starts from this synthetic
+		// register event at seq 0 with an unbounded window floor: the
+		// reconnect replay re-registers the query and feeds it the whole
+		// retained log (which the durable trim kept exactly as far back as
+		// any remote needs). The MinInt64 floor is self-limiting — the
+		// first post-reconnect checkpoint snapshot retires the event and
+		// the pin advances. Every slot pairs a later unregister with it.
+		w.noteControl(&msg)
+		if reg.slot < nLocal {
+			ranks[reg.slot][reg.name] = reg.rank
+			post[reg.slot] = msg
 		}
-		ranks[reg.slot][reg.name] = reg.rank
-		post[reg.slot] = msg
 	}
 	r.rank = maxRank + 1
 	r.refreshCosts()
@@ -441,33 +442,36 @@ var ckptCrash func(stage string)
 // ingestion already has (an undrained channel eventually stalls the
 // shards), just load-bearing at a definite point.
 func (r *Router) checkpointRound() {
-	if r.hasRemote && !r.cfg.Ordered {
-		for _, w := range r.workers {
-			if w.remote != nil && !w.retired {
-				w.in <- message{kind: msgCheckpoint}
-			}
+	durable := r.dlog != nil && r.persistErr == nil
+	if durable {
+		roundStart := time.Now()
+		defer func() { r.tel.ckptRound.RecordDuration(time.Since(roundStart)) }()
+		if err := r.dlog.Sync(); err != nil {
+			r.persistErr, durable = err, false
+		} else {
+			r.tel.fsync.RecordDuration(time.Since(roundStart))
 		}
 	}
-	if r.dlog == nil || r.persistErr != nil {
-		return
-	}
-	roundStart := time.Now()
-	defer func() { r.tel.ckptRound.RecordDuration(time.Since(roundStart)) }()
-	fsyncStart := time.Now()
-	if err := r.dlog.Sync(); err != nil {
-		r.persistErr = err
-		return
-	}
-	r.tel.fsync.RecordDuration(time.Since(fsyncStart))
+	// Every live slot takes the request at its queue position, a message
+	// boundary with every prior batch applied: one whose transport can
+	// drop asks its remote worker for a snapshot (async, best effort —
+	// remote.go's adoptSnapshotLocked), and on a durable round one
+	// restored from a slot file stages it (step 3) and replies.
 	seq := r.seq.Load()
 	replies := make([]chan error, 0, len(r.workers))
 	for _, w := range r.workers {
-		if w.remote != nil || w.retired {
+		if w.retired {
 			continue
 		}
-		reply := make(chan error, 1)
-		w.in <- message{kind: msgCheckpoint, seq: seq, reply: reply}
-		replies = append(replies, reply)
+		msg := message{kind: msgCheckpoint, seq: seq}
+		if durable && w.file != "" {
+			msg.reply = make(chan error, 1)
+			replies = append(replies, msg.reply)
+		}
+		w.in <- msg
+	}
+	if !durable {
+		return
 	}
 	for _, reply := range replies {
 		if err := <-reply; err != nil && r.persistErr == nil {
@@ -481,20 +485,20 @@ func (r *Router) checkpointRound() {
 	// edge a remote acknowledges after this point stays pinned until
 	// the next round, by which time its matches (counted into emitted
 	// under the slot lock, before the span pop is visible) are behind
-	// a barrier.
+	// a barrier. A slot that keeps no replay entitlement pins nothing.
 	keep := seq
 	pins := int64(math.MaxInt64)
 	for _, w := range r.workers {
-		if w.remote == nil || w.retired {
+		if w.retired {
 			continue
 		}
-		if s := w.remote.coveredSeq(); s < keep {
+		if s := w.coveredSeq(); s < keep {
 			keep = s
 		}
-		if b := w.remote.oldestUnackedBase(); b < keep {
+		if b := w.oldestUnackedBase(); b < keep {
 			keep = b
 		}
-		if f := w.remote.pinFloor(); f < pins {
+		if f := w.pinFloor(); f < pins {
 			pins = f
 		}
 	}
@@ -511,16 +515,15 @@ func (r *Router) checkpointRound() {
 		// round's meta is committed, the slot publishes are not.
 		ckptCrash("meta-committed")
 	}
-	// Publish the slot checkpoints the workers staged in step 3. A
-	// crash anywhere before here leaves the previous round's slot
-	// files visible — older than the meta is safe (the tail replay
-	// re-emits, at-least-once); newer would lose matches.
+	// Publish the slot checkpoints the slots staged in step 3. A crash
+	// anywhere before here leaves the previous round's slot files
+	// visible — older than the meta is safe (the tail replay re-emits,
+	// at-least-once); newer would lose matches.
 	for _, w := range r.workers {
-		if w.remote != nil || w.retired {
+		if w.file == "" || w.retired {
 			continue
 		}
-		path := slotPath(r.cfg.DataDir, w.id)
-		if err := os.Rename(path+".pending", path); err != nil {
+		if err := os.Rename(w.file+".pending", w.file); err != nil {
 			r.persistErr = err
 			return
 		}
@@ -556,15 +559,15 @@ func (r *Router) writeMeta(seq uint64) error {
 	return writeMetaFile(filepath.Join(r.cfg.DataDir, "router.meta"), m)
 }
 
-// writeCheckpoint persists this local slot's engine as its checkpoint
-// at stream position seq. Runs on the worker goroutine at a queue
-// message boundary; deliberately does not mutate the engine (no retro
-// flush, no eviction), so a snapshot is invisible to the match
-// schedule.
+// writeCheckpoint persists a slot Open restores from a file (w.file,
+// the only slots a round asks for a reply) as its checkpoint at stream
+// position seq. Runs on the slot goroutine at a queue message boundary;
+// deliberately does not mutate the engine (no retro flush, no
+// eviction), so a snapshot is invisible to the match schedule.
 func (w *worker) writeCheckpoint(seq uint64) error {
 	// Staged as .pending; checkpointRound renames it into place only
 	// after the round's delivery barrier and meta commit.
-	return writeSlotFile(slotPath(w.r.cfg.DataDir, w.id)+".pending", seq, w.slot.LastEnd(), w.slot.Ranks(), func(out io.Writer) error {
+	return writeSlotFile(w.file+".pending", seq, w.slot.LastEnd(), w.slot.Ranks(), func(out io.Writer) error {
 		return persist.SaveMulti(out, w.slot.Eng)
 	})
 }

@@ -328,7 +328,7 @@ func TestDurableCheckpointAdvancesPin(t *testing.T) {
 	// frozen the pin at: the log is empty, so it is at most 1-window.
 	// (Sampling pinFloor here races with the Register-triggered
 	// checkpoint round, which can retire the pin immediately.)
-	rs := r.workers[0].remote
+	rs := r.workers[0]
 	regFloor := int64(1 - window)
 
 	deadline := time.Now().Add(15 * time.Second)

@@ -12,14 +12,15 @@
 //  1. Hand over on the source. The router admits a migrate-flagged
 //     unregister (Router.admit: the source's gate narrows, undone if
 //     the handover fails) and the source slot answers it at its queue
-//     position, local or remote alike (dshard.Slot.HandOver): flush
+//     position, whatever its transport (dshard.Slot.HandOver): flush
 //     the retro barrier (standard unregister discipline), encode the
-//     query's state (persist.ExtractQuery), remove the query. A remote
-//     source streams the state back in a snapshot frame before the
-//     done; the reply comes from whichever connection acknowledges the
-//     frame — the live one, a reconnect's replay, or the failover
-//     hospice. A remote source whose last dial failed is refused up
-//     front. A reconnect can never bring the query back to the source:
+//     query's state (persist.ExtractQuery), remove the query. The
+//     source's host answers with the state before the done; for a
+//     remote source the reply comes from whichever transport
+//     acknowledges the frame — the live connection, a reconnect's
+//     replay, or the in-process host a failover switched to. A remote
+//     source whose last dial failed is refused up front. A reconnect
+//     can never bring the query back to the source:
 //     an acknowledged unregister whose registration only a snapshot
 //     holds stays in the slot's replay set until a later snapshot
 //     covers it (remote.go's retention rule).
@@ -131,7 +132,7 @@ func (r *Router) migrateLocked(name string, from, to int) error {
 	if src.retired {
 		return fail(fmt.Errorf("shard: migration source slot %d is retired", from))
 	}
-	if !src.reachable() {
+	if src.unreachable.Load() {
 		return fail(fmt.Errorf("shard: migrate %q: slot %d is unreachable (its last dial failed)", name, from))
 	}
 	// The state image carries the query in its textual form.
@@ -262,8 +263,7 @@ func (r *Router) AddSlot(addr string) (int, error) {
 	r.mu.Lock()
 	r.workers = append(r.workers, w)
 	r.mu.Unlock()
-	r.wg.Add(1)
-	go w.remote.run()
+	r.startSlot(w)
 	return w.id, nil
 }
 
@@ -338,25 +338,23 @@ func (r *Router) pickTarget(w *worker) int {
 	return -1
 }
 
-// retireLocked tombstones a slot: close its queue (the worker or proxy
-// goroutine drains and exits) and clear every pin it holds on the
-// shared EdgeLog. Caller holds ingestMu; the slot must own no queries.
+// retireLocked tombstones a slot: close its queue (the slot loop
+// drains and exits) and release every pin it holds on the shared
+// EdgeLog. Caller holds ingestMu; the slot must own no queries.
 func (r *Router) retireLocked(w *worker) {
 	if w.retired {
 		return
 	}
 	w.retired = true
 	close(w.in)
-	if w.remote != nil {
-		w.remote.retire()
-	}
+	w.dropReplay()
 }
 
 // failoverEvacuate re-homes every registration of a failed-over slot
 // onto the surviving slots, then retires it. Runs on its own goroutine
-// (spawned by the slot's redial loop when the budget runs out — a slot
-// cannot migrate away from itself from inside its own event loop).
-// The hospice engine keeps the slot fully correct meanwhile, so an
+// (spawned by the slot loop once it has failed over — a slot cannot
+// migrate away from itself from inside its own loop). The in-process
+// host it failed over to keeps the slot fully correct meanwhile, so an
 // evacuation that finds no surviving slot simply leaves the queries
 // running in-process.
 func (r *Router) failoverEvacuate(w *worker) {
@@ -374,25 +372,16 @@ func (r *Router) failoverEvacuate(w *worker) {
 		}
 		to := r.pickTarget(w)
 		if to < 0 {
-			// Nowhere to go: stay on the hospice engine. Correct, just
-			// not distributed; the operator can AddSlot and Rebalance.
+			// Nowhere to go: stay in-process. Correct, just not
+			// distributed; the operator can AddSlot and Rebalance.
 			r.ingestMu.Unlock()
 			return
-		}
-		if !w.reachable() {
-			// The hospice connection is still coming up, and
-			// migrateLocked refuses an unreachable source. Back off
-			// without blocking ingestion.
-			r.ingestMu.Unlock()
-			time.Sleep(5 * time.Millisecond)
-			continue
 		}
 		err := r.migrateLocked(name, w.id, to)
 		r.ingestMu.Unlock()
 		if err != nil {
-			// The hospice may still be rebuilding; give it a beat and
-			// retry rather than spin. A closed router ends the loop
-			// above.
+			// The target refused; give it a beat and retry rather than
+			// spin. A closed router ends the loop above.
 			time.Sleep(10 * time.Millisecond)
 		}
 	}

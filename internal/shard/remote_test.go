@@ -377,7 +377,7 @@ func TestRemoteUnregisterReconnectDifferential(t *testing.T) {
 				}
 			}
 			feed(regAt, removeAt)
-			rs := r.workers[tc.remote].remote
+			rs := r.workers[tc.remote]
 			deadline := time.Now().Add(10 * time.Second)
 			for cov := rs.coveredSeq(); cov == math.MaxUint64 || cov <= regAt; cov = rs.coveredSeq() {
 				if time.Now().After(deadline) {

@@ -368,7 +368,7 @@ func TestUnregisterTrimsReplica(t *testing.T) {
 	// order.
 	caughtUp := make(chan error, 1)
 	r.ingestMu.Lock()
-	r.workers[0].in <- message{kind: msgUnregister, name: "no-such-query", reply: caughtUp}
+	r.send(r.workers[0], message{kind: msgUnregister, name: "no-such-query", reply: caughtUp})
 	r.ingestMu.Unlock()
 	<-caughtUp
 	before := r.Stats()[0]

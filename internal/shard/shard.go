@@ -69,19 +69,20 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"streamgraph/internal/core"
 	"streamgraph/internal/decompose"
-	"streamgraph/internal/dshard"
 	"streamgraph/internal/edlog"
 	"streamgraph/internal/graph"
-	"streamgraph/internal/metrics"
 	"streamgraph/internal/query"
 	"streamgraph/internal/selectivity"
 	"streamgraph/internal/stream"
@@ -169,11 +170,12 @@ type Config struct {
 	// forever, pinning the EdgeLog and eventually backpressuring ingest
 	// on the dead slot's pending budget. A positive budget makes the
 	// slot fail over instead: after that many consecutive dial
-	// failures it adopts an in-process hospice engine (restoring the
-	// slot's last snapshot and replaying its entitlement, so no match
-	// is lost) and the router live-migrates its registrations to the
-	// surviving slots, then retires the slot — unpinning the log with
-	// no operator action. See Router.Migrate and docs/DISTRIBUTED.md.
+	// failures it fails over to an in-process host over a fresh engine
+	// (restoring the slot's last snapshot and replaying its entitlement,
+	// so no match is lost), which unpins the log at once, and the router
+	// live-migrates its registrations to the surviving slots, then
+	// retires the slot — with no operator action. See Router.Migrate and
+	// docs/DISTRIBUTED.md.
 	RedialBudget int
 }
 
@@ -275,17 +277,17 @@ const (
 	msgEdges msgKind = iota
 	msgRegister
 	msgUnregister
-	// msgBackfill never rides the queues; it tags a remote slot's
-	// in-flight backfill-continuation frames (remote.go).
+	// msgBackfill never rides the queues; it tags a slot's in-flight
+	// backfill-continuation frames (remote.go).
 	msgBackfill
-	// msgCheckpoint asks a slot to capture a durable snapshot of its
-	// engine: a local worker writes its slot checkpoint file and
-	// replies, a remote slot requests a state snapshot over the wire
+	// msgCheckpoint asks a slot to capture a snapshot of its engine: a
+	// slot whose transport can drop requests one from its remote worker
 	// (remote.go) — which is what retires its replay entitlement and
-	// lets the EdgeLog pin advance.
+	// lets the EdgeLog pin advance — and on a durable round a slot Open
+	// restores from a file writes its checkpoint file and replies.
 	msgCheckpoint
-	// msgRestore never rides the queues; it tags a remote slot's
-	// in-flight state-restore frame on a reconnect.
+	// msgRestore never rides the queues; it tags a slot's in-flight
+	// state-restore frame on a rebuild.
 	msgRestore
 )
 
@@ -317,7 +319,7 @@ type message struct {
 	heldTypes     []string     // msgRegister: types already replicated (needAll)
 	postUniversal bool         // control: replica filter after this point
 	postTypes     []string     // control: replica filter after this point
-	revent        *remoteEvent // remote slot: the proxy's retained event record
+	revent        *remoteEvent // control: the slot's event record (worker.noteControl)
 
 	// Migration fields (migrate.go). An unregister with migrate set is
 	// the first half of a Router.Migrate handoff: the source slot
@@ -414,7 +416,7 @@ type Router struct {
 	cost  map[string]*queryCost // query name -> estimated cost (estimateCost)
 	rank  int
 
-	wg        sync.WaitGroup // worker goroutines
+	wg        sync.WaitGroup // slot loops
 	mergeDone chan struct{}  // non-nil in ordered mode
 
 	// tel is the router's observability state (telemetry.go): the
@@ -429,62 +431,6 @@ type Router struct {
 type fprint struct {
 	types []string
 	exact bool
-}
-
-// worker is one shard slot. A local slot is a goroutine draining its
-// bounded queue into a privately owned slot engine (dshard.Slot: a
-// MultiEngine over a filtered graph replica, the ranks, the retro flush
-// barrier); a remote slot drains the same queue over a TCP connection
-// to a remote shard worker hosting that same slot engine (remote.go),
-// leaving slot nil. Either way, the router-side state — the ingest
-// gate, the footprint refcounts, the queue, the counters and gauges —
-// lives here, and the slot engine only applies what Router.admit
-// stamped on each control message.
-type worker struct {
-	id      int
-	r       *Router
-	in      chan message
-	bundles chan bundle // ordered mode only
-	slot    *dshard.Slot
-
-	// remote, when non-nil, makes this slot a proxy to a remote shard
-	// worker; slot is then unused.
-	remote *remoteSlot
-
-	// retired marks a slot removed from the topology (RemoveSlot, or a
-	// failover evacuation): its queue is closed, it receives no further
-	// edges or control messages, and its remote pins are cleared so it
-	// can never hold back the EdgeLog. Guarded by ingestMu; slot ids
-	// are stable, so a retired slot stays in r.workers as a tombstone.
-	retired bool
-
-	// gate is the router-side ingest filter: the edge types this shard
-	// has any interest in. Read and written under r.ingestMu only; the
-	// TypeSet value itself is immutable (copy-on-write), so swapping it
-	// never disturbs a concurrent reader of the old set.
-	gate     graph.TypeSet
-	gateRefs *replicaSet // router-side footprint refcounts (ingestMu)
-
-	// pend is the worker goroutine's scratch list of one batch's engine
-	// matches awaiting resolution into blocks.
-	pend []pendingMatch
-
-	// Registry-backed slot series (handles created by
-	// telemetry.registerWorker; recording is atomic and lock-free).
-	edgesRouted     *metrics.Counter
-	edgesGated      *metrics.Counter
-	edgesBackfilled *metrics.Counter
-	matchesEmitted  *metrics.Counter
-	queueWait       *metrics.AtomicHistogram
-	batchTime       *metrics.AtomicHistogram
-
-	// The slot's gauges (dshard.Report), set only by publish: the slot
-	// engine is single-writer state no scrape may touch directly.
-	replicaLive, replicaStored, replicaTypes            *metrics.Gauge
-	engEdges, engPartial                                *metrics.Gauge
-	replicaVertices, replicaVertexSlots                 *metrics.Gauge
-	treeInserted, treeDeduped, treeEmitted, treeEvicted *metrics.Gauge
-	poolGets, poolFresh                                 *metrics.Gauge
 }
 
 // New starts a router and its shard workers (local goroutines for the
@@ -550,51 +496,27 @@ func newRouter(cfg Config) *Router {
 	return r
 }
 
-// newWorker builds slot id: a local worker over a fresh slot engine, or
-// with addr a proxy to the remote shard worker there, and its
-// router-side state. A filtered slot starts with no queries, hence an
-// empty footprint: it receives and stores nothing until one is
-// registered.
-func (r *Router) newWorker(id int, addr string) *worker {
-	w := &worker{id: id, r: r, in: make(chan message, r.cfg.QueueLen)}
-	if addr == "" {
-		w.slot = dshard.NewSlot(core.NewMulti(core.MultiConfig{Window: r.cfg.Window}), !r.filtering)
-	} else {
-		w.remote = newRemoteSlot(w, addr, r.cfg.RemotePending)
-		w.remote.registerMetrics(r.tel)
-	}
-	r.tel.registerWorker(w)
-	if r.filtering {
-		w.gate = graph.NewTypeSet()
-		w.gateRefs = newReplicaSet()
-	} else {
-		w.gate = graph.UniversalTypes()
-		w.replicaTypes.Set(-1)
-	}
-	if r.cfg.Ordered {
-		w.bundles = make(chan bundle, r.cfg.QueueLen)
-	}
-	return w
-}
-
-// start launches the worker goroutines (and the ordered merge); a slot
-// Open found retired gets none.
+// start launches the slot loops (and the ordered merge); a slot Open
+// found retired gets none.
 func (r *Router) start() {
 	for _, w := range r.workers {
-		if w.retired {
-			continue
-		}
-		r.wg.Add(1)
-		if w.remote != nil {
-			go w.remote.run()
-		} else {
-			go w.run()
+		if !w.retired {
+			r.startSlot(w)
 		}
 	}
 	if r.cfg.Ordered {
 		r.mergeDone = make(chan struct{})
 		go r.mergeOrdered()
 	}
+}
+
+// startSlot runs the slot's loop on its own goroutine, under the
+// profiler label shard=<id>, which every goroutine it starts (a
+// connection's reader) inherits: a CPU profile splits per slot with
+// -tagfocus.
+func (r *Router) startSlot(w *worker) {
+	r.wg.Add(1)
+	go pprof.Do(context.Background(), pprof.Labels("shard", strconv.Itoa(w.id)), func(context.Context) { w.loop() })
 }
 
 // NumShards returns the worker count, including retired tombstone
@@ -804,12 +726,10 @@ func (r *Router) undo(w *worker, msg *message, fp fprint) {
 }
 
 // send enqueues an admitted control message on its slot, recording it
-// first in a remote slot's replay set so a concurrent rebuild can never
-// miss it. Caller holds ingestMu.
+// first (worker.noteControl) — in the replay set of a slot that keeps
+// one, so a concurrent rebuild can never miss it. Caller holds ingestMu.
 func (r *Router) send(w *worker, msg message) {
-	if w.remote != nil {
-		w.remote.noteControl(&msg)
-	}
+	w.noteControl(&msg)
 	w.in <- msg
 }
 
@@ -1032,13 +952,13 @@ func (r *Router) IngestBatch(ses []stream.Edge) uint64 {
 			}
 		}
 		for _, w := range r.workers {
-			if w.remote == nil || w.retired {
+			if w.retired {
 				continue
 			}
-			if floor := w.remote.pinFloor(); floor < cutoff {
+			if floor := w.pinFloor(); floor < cutoff {
 				cutoff = floor
 			}
-			if s := w.remote.coveredSeq(); s < keep {
+			if s := w.coveredSeq(); s < keep {
 				keep = s
 			}
 		}
@@ -1070,9 +990,7 @@ func (r *Router) IngestBatch(ses []stream.Edge) uint64 {
 			continue
 		}
 		w.edgesRouted.Add(int64(len(ses)))
-		if w.remote != nil {
-			w.remote.noteEnqueuedEdges(base, base+uint64(len(ses)), batchMinTS)
-		}
+		w.noteEnqueuedEdges(base, base+uint64(len(ses)), batchMinTS)
 		w.in <- msg
 	}
 	if r.dlog != nil || (r.hasRemote && !r.cfg.Ordered) {
@@ -1224,8 +1142,8 @@ func (r *Router) release(n int) {
 
 // deliver hands one block to the consumer: count it as emitted, wait
 // for room in the collection budget, record it, send it. Every
-// producer — local workers, remote slots' frame delivery (the failover
-// hospice included) and the ordered merge — goes through here. The
+// producer — every slot's settled frames, in-process or remote, and
+// the ordered merge — goes through here. The
 // count comes first: the durable checkpoint barrier reads emitted and
 // waits for consumed to reach it, so a match must be counted before
 // anything that lets a round cover its edge. The send comes last: the
@@ -1280,178 +1198,4 @@ func (r *Router) mergeOrdered() {
 			r.putBlock(b)
 		}
 	}
-}
-
-func (w *worker) run() {
-	defer w.r.wg.Done()
-	for msg := range w.in {
-		switch msg.kind {
-		case msgEdges:
-			if msg.enq != 0 {
-				w.queueWait.Record(w.r.tel.now() - msg.enq)
-			}
-			w.processEdges(msg)
-		case msgRegister:
-			w.slot.Flush(msg.seq, w.emit)
-			err := w.register(msg)
-			w.publish(w.slot.Report())
-			msg.reply <- err
-		case msgUnregister:
-			var err error
-			if msg.migrate {
-				h := msg.handoff
-				h.rank, h.state, err = w.slot.HandOver(msg.seq, msg.name, msg.postUniversal, msg.postTypes, w.emit)
-			} else {
-				w.slot.Unregister(msg.seq, msg.name, msg.postUniversal, msg.postTypes, w.emit)
-			}
-			w.publish(w.slot.Report())
-			msg.reply <- err
-		case msgCheckpoint:
-			// Serialize the engine at this queue position — a message
-			// boundary, so no batch is mid-flight — and persist it as
-			// the slot's checkpoint. Deliberately not a flush point:
-			// snapshotting must not mutate engine state, or the restored
-			// run would diverge from the serial schedule.
-			msg.reply <- w.writeCheckpoint(msg.seq)
-		}
-	}
-	// The stream is over; drain any repairs the serial schedule would
-	// have drained at an edge this shard never received, as a remote
-	// slot's close frame does, and publish what that leaves.
-	w.slot.Flush(w.r.seq.Load(), w.emit)
-	w.publish(w.slot.Report())
-	if w.bundles != nil {
-		close(w.bundles)
-	}
-}
-
-// emit delivers what a flush barrier of the slot engine completed (a
-// dshard.Emit).
-func (w *worker) emit(seq uint64, nms []core.NamedMatch) {
-	w.pend = w.pend[:0]
-	for _, nm := range nms {
-		w.pend = append(w.pend, pendingMatch{seq: seq, nm: nm})
-	}
-	w.emitPending()
-}
-
-// register installs a query on the slot engine with the filter and
-// backfill its admission stamped: the in-window past of the newly
-// needed types, read through the same EdgeLog.missed call a remote
-// slot's register frame is built with. The backfill is read on this
-// worker's goroutine against a lock-free log snapshot, so the router
-// and the other shards proceed unimpeded; this shard's own queue waits,
-// which is exactly the Register barrier semantics. A register carrying
-// state is a migration's second half: the slot engine grafts the
-// source's live state on, or rolls the registration back.
-func (w *worker) register(msg message) error {
-	reg := dshard.SlotRegister{
-		Name: msg.name, Query: msg.q, Config: msg.cfg, Rank: msg.rank, State: msg.state,
-		Universal: msg.postUniversal, Types: msg.postTypes,
-		Backfill: w.r.log.missed(msg.seq, msg.minTS, msg.needAll, msg.heldTypes, msg.needTypes),
-	}
-	if err := w.slot.Register(reg); err != nil {
-		return err
-	}
-	w.edgesBackfilled.Add(int64(len(reg.Backfill)))
-	if msg.migrate {
-		w.r.tel.migBackfill.Add(int64(len(reg.Backfill)))
-	}
-	return nil
-}
-
-// publish exposes a slot's gauges to the lock-free Stats/scrape
-// readers: a local worker's after each message it handles, a remote
-// slot's (the failover hospice's included) from each done frame.
-func (w *worker) publish(rep dshard.Report) {
-	w.replicaLive.Set(rep.Live)
-	w.replicaStored.Set(rep.Stored)
-	w.replicaTypes.Set(rep.Types)
-	w.replicaVertices.Set(rep.Vertices)
-	w.replicaVertexSlots.Set(rep.VertexSlots)
-	w.engEdges.Set(rep.Edges)
-	w.engPartial.Set(rep.Partial)
-	w.treeInserted.Set(rep.TreeInserted)
-	w.treeDeduped.Set(rep.TreeDeduped)
-	w.treeEmitted.Set(rep.TreeEmitted)
-	w.treeEvicted.Set(rep.TreeEvicted)
-	w.poolGets.Set(rep.PoolGets)
-	w.poolFresh.Set(rep.PoolFresh)
-}
-
-// processEdges folds a routed batch into this shard's private engine
-// and emits the completed matches — resolved against the private graph
-// while their edges are certainly still live. The engine's replica
-// filter skips the batch edges outside this shard's footprint; the
-// grouped result stays aligned with the batch, so arrival seqs are
-// global regardless of what was admitted.
-func (w *worker) processEdges(msg message) {
-	start := w.r.tel.now()
-	defer func() { w.batchTime.Record(w.r.tel.now() - start) }()
-	w.pend = w.pend[:0]
-	for i, named := range w.slot.ProcessEdges(msg.baseSeq, msg.edges) {
-		seq := msg.baseSeq + uint64(i)
-		for _, nm := range named {
-			w.pend = append(w.pend, pendingMatch{seq: seq, nm: nm})
-		}
-		if w.bundles != nil {
-			// Ordered mode: one bundle per edge, empty or not.
-			w.matchesEmitted.Add(int64(len(w.pend)))
-			w.bundles <- bundle{seq: seq, block: w.resolveBlock(w.pend)}
-			w.pend = w.pend[:0]
-		}
-	}
-	w.emitPending()
-	w.publish(w.slot.Report())
-}
-
-// pendingMatch is one engine-owned match waiting to be resolved, with
-// the arrival seq of the edge that completed it.
-type pendingMatch struct {
-	seq uint64
-	nm  core.NamedMatch
-}
-
-// emitPending resolves and delivers w.pend, blockSize matches at a
-// time. The engine's results are valid until its next call, so the
-// whole list resolves before the worker takes its next message — which
-// also means every match of a message is counted as emitted before a
-// checkpoint request queued behind it is answered.
-func (w *worker) emitPending() {
-	for lo := 0; lo < len(w.pend); lo += blockSize {
-		hi := min(lo+blockSize, len(w.pend))
-		w.matchesEmitted.Add(int64(hi - lo))
-		w.r.deliver(w.resolveBlock(w.pend[lo:hi]))
-	}
-}
-
-// resolveBlock converts engine matches into the portable form, in a
-// block drawn from the router's free list (nil for no matches): all IDs
-// are looked up against the shard's private graph now (the shared
-// core.AppendResolved walk, through the slot), so the emitted matches
-// survive later eviction. The block has room for them all before the
-// first is resolved, so every match is a capacity-clipped window of its
-// slabs and a consumer appending to one cannot write into its neighbour.
-func (w *worker) resolveBlock(pend []pendingMatch) *block {
-	if len(pend) == 0 {
-		return nil
-	}
-	nb, ne := 0, 0
-	for _, p := range pend {
-		nb += len(p.nm.Match.VertexOf)
-		ne += len(p.nm.Match.EdgeOf)
-	}
-	b := w.r.getBlock(len(pend), nb, ne)
-	for _, p := range pend {
-		b0, e0 := len(b.bindings), len(b.edges)
-		var rank int
-		b.bindings, b.edges, rank = w.slot.AppendResolved(b.bindings, b.edges, p.nm)
-		b.matches = append(b.matches, Match{
-			Seq: p.seq, Shard: w.id, Query: p.nm.Query, rank: rank,
-			FirstTS: p.nm.Match.MinTS, LastTS: p.nm.Match.MaxTS,
-			Bindings: b.bindings[b0:len(b.bindings):len(b.bindings)],
-			Edges:    b.edges[e0:len(b.edges):len(b.edges)],
-		})
-	}
-	return b
 }

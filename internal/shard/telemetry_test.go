@@ -281,10 +281,10 @@ func checkRemoteReport(t *testing.T, r *Router) {
 		"sg_shard_replica_vertices", "sg_engine_edges_processed", "sg_engine_partial_matches",
 	}
 	for _, w := range r.workers {
-		if w.remote == nil {
+		if !w.replays.Load() {
 			continue
 		}
-		rs := w.remote
+		rs := w
 		image := func() []byte {
 			rs.mu.Lock()
 			defer rs.mu.Unlock()
