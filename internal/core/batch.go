@@ -46,6 +46,7 @@ import (
 // outside the query's footprint keeps its slot and completes nothing,
 // and its timestamp is still offered to the host's sweep clock.
 func (e *Engine) ProcessBatch(batch []stream.Edge) [][]iso.Match {
+	e.mustStandalone("ProcessBatch")
 	if len(batch) == 0 {
 		return nil
 	}

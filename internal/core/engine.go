@@ -424,8 +424,9 @@ func (e *Engine) Stats() Stats {
 // An edge whose type the query cannot bind is not stored and completes
 // nothing, but counts for the sweep clock (see MultiEngine.ingest). It
 // and ProcessBatch drive a standalone engine (New); a query engine on a
-// shared MultiEngine is driven by that.
+// shared MultiEngine is driven by that, and panics when called directly.
 func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
+	e.mustStandalone("ProcessEdge")
 	de, ok := e.host.ingest(se)
 	if !ok {
 		e.host.clock.offer(se.TS)
@@ -435,6 +436,15 @@ func (e *Engine) ProcessEdge(se stream.Edge) []iso.Match {
 		return nil
 	}
 	return e.processShared(de)
+}
+
+// mustStandalone panics, naming the MultiEngine call to make instead,
+// when a query engine of a shared MultiEngine is driven directly: it has
+// no host of its own to ingest into.
+func (e *Engine) mustStandalone(call string) {
+	if e.host == nil {
+		panic("core: Engine." + call + " on a query engine of a shared MultiEngine; call MultiEngine." + call)
+	}
 }
 
 // processShared runs the per-edge incremental search for an edge already

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamgraph/internal/query"
@@ -111,6 +112,36 @@ func TestMultiEngineUnregister(t *testing.T) {
 	}
 	if len(m.Registered()) != 0 {
 		t.Fatalf("Registered = %v", m.Registered())
+	}
+}
+
+// TestQueryEngineDrivenDirectly: a query engine of a shared MultiEngine
+// has no host to ingest into, so driving it directly panics with the
+// MultiEngine call to make instead, not with a nil dereference.
+func TestQueryEngineDrivenDirectly(t *testing.T) {
+	m := NewMulti(MultiConfig{Window: 100})
+	q := query.NewPath(query.Wildcard, "t")
+	stats := collect([]stream.Edge{edge("a", "b", "t", 1)})
+	if err := m.Register("q", q, Config{Strategy: StrategySingle, Stats: stats}); err != nil {
+		t.Fatal(err)
+	}
+	e := m.QueryEngine("q")
+	for call, drive := range map[string]func(){
+		"ProcessEdge":  func() { e.ProcessEdge(edge("a", "b", "t", 2)) },
+		"ProcessBatch": func() { e.ProcessBatch([]stream.Edge{edge("a", "b", "t", 2)}) },
+	} {
+		func() {
+			defer func() {
+				want := "call MultiEngine." + call
+				if msg, _ := recover().(string); !strings.HasSuffix(msg, want) {
+					t.Errorf("Engine.%s on a query engine: panic %q, want one ending %q", call, msg, want)
+				}
+			}()
+			drive()
+		}()
+	}
+	if got := m.ProcessEdge(edge("a", "b", "t", 3)); len(got) != 1 {
+		t.Fatalf("the MultiEngine after the refused calls: %d matches, want 1", len(got))
 	}
 }
 

@@ -42,6 +42,19 @@
 // the graph after a sweep found it isolated is a new vertex and takes
 // the label of its new first edge. A snapshot (internal/persist) saves
 // referenced vertices only, so a restored graph obeys the same rule.
+//
+// # Adjacency memory
+//
+// The adjacency lists are blocks of the graph's own allocator (adj.go),
+// so that a sliding window does not allocate once per new vertex.
+// Lists of up to 128 records come in power-of-two size classes, cut
+// from 256-record chunks or taken from a free list per class. A full
+// list moves to the next class and frees its old block; a reclaimed
+// vertex slot frees its lists but keeps a one-record list for the next
+// name, which most often needs no more. Longer lists are made by the
+// runtime and left to the collector. A freed block is soon another
+// vertex's list, so a list read by EachOut or EachIn is valid only
+// until the graph next changes.
 package graph
 
 import (
@@ -158,6 +171,10 @@ type Graph struct {
 
 	lastTS  int64
 	lastSeq uint64
+
+	// adj allocates the vertices' adjacency lists (adj.go). It comes
+	// last so that the tables above keep their cache lines.
+	adj adjAlloc
 }
 
 // New returns an empty graph.
@@ -209,7 +226,8 @@ func (g *Graph) LastSeq() uint64 { return g.lastSeq }
 // label if it does not exist. If the vertex exists with a different
 // label the existing label wins: a vertex keeps its label until a sweep
 // reclaims it (see "ID lifetimes" in the package comment). A new vertex
-// takes a reclaimed slot when there is one, adjacency capacity included.
+// takes a reclaimed slot when there is one, with the one-record
+// adjacency lists the slot kept (see "Adjacency memory").
 func (g *Graph) EnsureVertex(name, label string) VertexID {
 	g.reserveName()
 	h := g.hashName(name)
@@ -242,7 +260,9 @@ func (g *Graph) EnsureVertex(name, label string) VertexID {
 // vertices are made reclaimed slots, queued so that the next len(out)
 // new names EnsureVertex sees take slots 0, 1, 2, ... in turn, each
 // with its cut adjacency; an AddEdge past a reserved degree grows that
-// list alone, as for any vertex. Reserve does nothing on a graph that
+// list alone, as for any vertex. A cut piece the graph frees (grown out
+// of, or released with its reclaimed slot) joins the free list of the
+// largest size class it holds. Reserve does nothing on a graph that
 // holds a vertex or an edge.
 func (g *Graph) Reserve(out, in []int32) {
 	if len(g.verts) > 0 || len(g.edges) > 0 {
@@ -305,8 +325,12 @@ func (g *Graph) Degree(v VertexID) int { return len(g.verts[v].out) + len(g.vert
 // AddEdge inserts a directed edge src -> dst with the given interned type
 // and timestamp, returning its EdgeID. Timestamps are expected to be
 // non-decreasing; out-of-order edges are accepted but may be evicted late
-// (see ExpireBefore). It panics when an endpoint is a reclaimed slot: the
-// caller held a VertexID across a sweep without a live edge.
+// (see ExpireBefore). A full adjacency list moves to a block of the next
+// size class and frees its old one, so AddEdge allocates only when the
+// graph's free list for that class is empty and its chunk is cut up, or
+// when a list grows past 128 records. It panics when an endpoint is a
+// reclaimed slot: the caller held a VertexID across a sweep without a
+// live edge.
 func (g *Graph) AddEdge(src, dst VertexID, etype TypeID, ts int64) EdgeID {
 	if g.verts[src].free || g.verts[dst].free {
 		panic("graph: AddEdge on a reclaimed vertex (VertexID held across ExpireBefore)")
@@ -326,8 +350,8 @@ func (g *Graph) AddEdge(src, dst VertexID, etype TypeID, ts int64) EdgeID {
 		src: src, dst: dst, etype: etype, ts: ts, seq: g.lastSeq,
 		outIdx: int32(len(sv.out)), inIdx: int32(len(dv.in)), alive: true,
 	}
-	sv.out = append(sv.out, adjRec{peer: dst, etype: etype, eid: eid, ts: ts})
-	dv.in = append(dv.in, adjRec{peer: src, etype: etype, eid: eid, ts: ts})
+	sv.out = g.adj.push(sv.out, adjRec{peer: dst, etype: etype, eid: eid, ts: ts})
+	dv.in = g.adj.push(dv.in, adjRec{peer: src, etype: etype, eid: eid, ts: ts})
 	g.fifo = append(g.fifo, eid)
 	g.liveEdges++
 	for int(etype) >= len(g.liveByType) {
@@ -453,6 +477,8 @@ func (g *Graph) reclaimIsolated() {
 			continue
 		}
 		g.deleteName(v, r.hash)
+		g.adj.reclaim(&r.out)
+		g.adj.reclaim(&r.in)
 		r.name, r.free = "", true
 		g.freeVerts = append(g.freeVerts, v)
 		g.reclaimed++
@@ -492,7 +518,8 @@ func (g *Graph) NormalizeEvictionOrder() {
 }
 
 // EachOut invokes fn for every outgoing edge at v. Returning false stops
-// the iteration early.
+// the iteration early. fn must not change the graph: a list that grows
+// or shrinks under the walk frees or moves records the walk then reads.
 func (g *Graph) EachOut(v VertexID, fn func(Half) bool) {
 	for _, a := range g.verts[v].out {
 		if !fn(Half{Peer: a.peer, Type: a.etype, ID: a.eid, TS: a.ts}) {
@@ -502,7 +529,7 @@ func (g *Graph) EachOut(v VertexID, fn func(Half) bool) {
 }
 
 // EachIn invokes fn for every incoming edge at v. Returning false stops
-// the iteration early.
+// the iteration early. fn must not change the graph (see EachOut).
 func (g *Graph) EachIn(v VertexID, fn func(Half) bool) {
 	for _, a := range g.verts[v].in {
 		if !fn(Half{Peer: a.peer, Type: a.etype, ID: a.eid, TS: a.ts}) {

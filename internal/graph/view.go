@@ -56,7 +56,8 @@ func (v View) Edge(id EdgeID) (Edge, bool) {
 }
 
 // EachOut invokes fn for every outgoing edge at u whose type passes the
-// filter. Returning false stops the iteration early.
+// filter. Returning false stops the iteration early. fn must not change
+// the graph (see Graph.EachOut).
 func (v View) EachOut(u VertexID, fn func(Half) bool) {
 	v.g.EachOut(u, func(h Half) bool {
 		if !v.set.Has(h.Type) {
@@ -67,7 +68,8 @@ func (v View) EachOut(u VertexID, fn func(Half) bool) {
 }
 
 // EachIn invokes fn for every incoming edge at u whose type passes the
-// filter. Returning false stops the iteration early.
+// filter. Returning false stops the iteration early. fn must not change
+// the graph (see Graph.EachOut).
 func (v View) EachIn(u VertexID, fn func(Half) bool) {
 	v.g.EachIn(u, func(h Half) bool {
 		if !v.set.Has(h.Type) {

@@ -5,20 +5,24 @@ import (
 	"os"
 	"testing"
 
+	"streamgraph/internal/graph"
 	"streamgraph/internal/sjtree"
 )
 
-// -shard.poison runs the whole package with both poison hooks on (CI
+// -shard.poison runs the whole package with the poison hooks on (CI
 // does, once): every test's consumer then reads a scribble where it kept
-// a Match past its Drain callback without Clone, and every worker reads
-// one where it resolved an engine's match after the engine's next call.
-var poisonFlag = flag.Bool("shard.poison", false, "scribble over every collection block handed back to a free list and every engine result slab reset")
+// a Match past its Drain callback without Clone, every worker reads one
+// where it resolved an engine's match after the engine's next call, and
+// a search reads one where it walked an adjacency list the graph had
+// released.
+var poisonFlag = flag.Bool("shard.poison", false, "scribble over every collection block handed back to a free list, every engine result slab reset and every released adjacency block")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if *poisonFlag {
 		recycleHook = poisonBlock
 		sjtree.ResetHook = sjtree.Scribble
+		graph.ReleaseHook = graph.Scribble
 	}
 	os.Exit(m.Run())
 }
